@@ -21,8 +21,7 @@ Re-exported here:
 * :class:`SecureTrainer` / :func:`secure_predict` — drivers;
 * :class:`Telemetry` — the observability surface every context owns.
 
-Deep imports (``repro.core.…``, ``repro.pipeline.trace_export``) keep
-working; the deprecated ones emit a single :class:`DeprecationWarning`.
+Deep imports (``repro.core.…``) keep working.
 See README.md for a quickstart and DESIGN.md for the system inventory.
 """
 
@@ -57,7 +56,6 @@ from repro.serve import (
     FleetRouter,
     QueueFullError,
     Replica,
-    SecureInferenceServer,
     SecureServingFleet,
     ServeReport,
 )
@@ -110,7 +108,6 @@ __all__ = [
     "SecureServingFleet",
     "FleetRouter",
     "DealerService",
-    "SecureInferenceServer",
     "ServeReport",
     "QueueFullError",
     "FaultPlan",

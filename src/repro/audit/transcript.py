@@ -20,15 +20,14 @@ recorder:
 Digests are BLAKE2b over a canonical byte encoding (dtype + shape +
 raw buffer for arrays, deterministic pickle otherwise), so two records
 match iff the payloads were bit-identical.  The raw *content bytes*
-(the concatenated array buffers a passive observer would see) are kept
-in memory only when ``capture_payloads`` is on — that is what the
-wire-view auditor in :mod:`repro.audit.wire` feeds to the chi-square
-uniformity test; the JSON form stores digests and sizes only.
+(the array buffers a passive observer would see, one entry per message
+part) are kept in memory only when ``capture_payloads`` is on — that is
+what the wire-view auditor in :mod:`repro.audit.wire` feeds to the
+chi-square uniformity test; the JSON form stores digests and sizes only.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
@@ -36,6 +35,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 from repro.comm.wire import (  # noqa: F401  (re-exported: historical home)
     canonical_bytes,
     content_bytes,
+    content_parts,
     iter_arrays,
     payload_digest,
 )
@@ -58,33 +58,15 @@ IDENTITY_FIELDS = ("src", "dst", "tag", "nbytes", "digest", "clock_s")
 # committed reference transcripts pin it.
 
 
-def link_content_digests(transcript: "Transcript") -> dict[tuple[str, str], str]:
-    """BLAKE2b per directed link over the concatenated captured contents.
-
-    The coalescing oracle: packing same-round messages into one frame
-    reorders *message boundaries*, never bytes, so a coalesced run's
-    per-link content stream must hash identically to the baseline's.
-    Size-only records (no captured payload) contribute nothing, same as
-    in the baseline.
-    """
-    streams: dict[tuple[str, str], "hashlib._Hash"] = {}
-    for r in transcript:
-        if r.payload is None:
-            continue
-        h = streams.get((r.src, r.dst))
-        if h is None:
-            h = streams[(r.src, r.dst)] = hashlib.blake2b(digest_size=16)
-        h.update(r.payload)
-    return {link: h.hexdigest() for link, h in streams.items()}
-
-
 @dataclass(frozen=True)
 class TranscriptRecord:
     """One message as a passive network observer would log it.
 
-    ``payload`` holds the raw content bytes when the recorder captured
-    them (wire-audit input); it is never serialized and never takes part
-    in transcript identity — ``digest`` already pins the content.
+    ``parts`` holds the raw content bytes of each protocol message part
+    (one entry per array: the ``E`` and the ``F`` of a packed round
+    frame) when the recorder captured them (wire-audit input); it is
+    never serialized and never takes part in transcript identity —
+    ``digest`` already pins the content.
     """
 
     seq: int
@@ -94,13 +76,13 @@ class TranscriptRecord:
     nbytes: int
     digest: str
     clock_s: float
-    payload: bytes | None = field(default=None, repr=False, compare=False)
+    parts: tuple[bytes, ...] | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict[str, Any]:
         return {
             "seq": self.seq, "src": self.src, "dst": self.dst, "tag": self.tag,
             "nbytes": self.nbytes, "digest": self.digest, "clock_s": self.clock_s,
-            "captured": self.payload is not None,
+            "captured": self.parts is not None,
         }
 
     @classmethod
@@ -288,18 +270,18 @@ class TranscriptRecorder:
         if payload is None and nbytes is None:
             raise AuditError(f"record {src}->{dst} [{tag}]: need payload or nbytes")
         digest = payload_digest(payload) if payload is not None else ""
-        captured: bytes | None = None
+        captured: tuple[bytes, ...] | None = None
         if self.capture_payloads:
             if content is not None:
-                captured = content
+                captured = (content,)
             elif payload is not None:
-                captured = content_bytes(payload)
+                captured = content_parts(payload)
         if nbytes is None:
-            nbytes = len(captured) if captured is not None else 0
+            nbytes = sum(len(p) for p in captured) if captured is not None else 0
         rec = TranscriptRecord(
             seq=len(self._records), src=src, dst=dst, tag=tag,
             nbytes=int(nbytes), digest=digest, clock_s=float(clock_s),
-            payload=captured,
+            parts=captured,
         )
         self._records.append(rec)
         if self._msg_counter is not None:

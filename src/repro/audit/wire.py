@@ -140,25 +140,23 @@ def audit_transcript(
     the statistic; a link whose captured content is below ``min_bytes``
     is skipped, not judged.
 
-    Repeated identical messages count once: a static operand re-sends
-    the same masked difference every batch (same cached triplet), and
-    retransmissions replay journalled frames verbatim.  An exact repeat
-    gives a passive observer nothing new, but double-counting its byte
-    histogram would scale the chi-square statistic by the repeat factor
-    and fail uniform traffic spuriously.
+    Repeated identical message parts count once: a static operand
+    re-sends the same masked difference every batch (same cached
+    triplet), and retransmissions replay journalled frames verbatim.  An
+    exact repeat gives a passive observer nothing new, but
+    double-counting its byte histogram would scale the chi-square
+    statistic by the repeat factor and fail uniform traffic spuriously.
+    The granularity is one part (an ``E`` or an ``F``), not one frame: a
+    packed round frame carries a repeated static ``F`` next to a fresh
+    ``E``, so whole frames never repeat even though half their bytes do.
     """
     audits: list[LinkAudit] = []
     for src, dst in transcript.links():
         if party is not None and dst != party:
             continue
         records = transcript.records_for(src=src, dst=dst)
-        seen: set[str] = set()
-        bufs = []
-        for r in records:
-            if not r.payload or r.digest in seen:
-                continue
-            seen.add(r.digest)
-            bufs.append(r.payload)
+        # distinct non-empty parts, first-seen order
+        bufs = dict.fromkeys(p for r in records for p in r.parts or () if p)
         captured = sum(len(b) for b in bufs)
         wire = sum(r.nbytes for r in records)
         if captured < min_bytes:

@@ -28,7 +28,6 @@ from repro.bench.harness import (
     run_secure,
     run_secure_inference,
     run_serving,
-    run_wire_comparison,
     run_workload_figures,
 )
 from repro.bench.workloads import BENCH_DATASETS, BENCH_MODELS, WORKLOAD_MODELS
@@ -143,12 +142,6 @@ def main(argv: list[str] | None = None) -> int:
         "CSR raw-vs-wire byte gap; the committed BENCH_workloads.json "
         "is this suite's output",
     )
-    parser.add_argument(
-        "--wire", action="store_true",
-        help="compare the wire modes (baseline / framed / coalesced) on a "
-        "train + serving run: comm bytes, messages, frame overhead, "
-        "coalesced messages, makespans and the checksum micro-benchmark",
-    )
     parser.add_argument("--json", metavar="PATH",
                         help="also write the result rows as JSON")
     parser.add_argument(
@@ -210,59 +203,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{'':>28}   recsys CSR win: {dense[0].comm_bytes:,} -> "
                       f"{csr[0].comm_bytes:,} B on the wire "
                       f"({saved / dense[0].comm_bytes:.1%} saved)")
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump({"argv": argv if argv is not None else sys.argv[1:],
-                           "rows": rows}, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.json}")
-        return 0
-    if args.wire:
-        for name, cfg in _configs(
-            "par", pool_size=args.pool_size,
-            static_mask_reuse=args.static_mask_reuse, backends=args.backend,
-            runtime=args.runtime,
-        ):
-            res = run_wire_comparison(
-                args.model, args.dataset, cfg,
-                n_batches=args.batches, batch_size=args.batch_size,
-                seed=args.seed, clients=args.clients,
-            )
-            base = res.cell("baseline")
-            for cell in res.cells:
-                print(
-                    f"{name + '/' + cell.mode:>22}:  "
-                    f"train online {cell.train_online_s * 1e3:8.3f} ms   "
-                    f"serve online {cell.serve_online_s * 1e3:8.3f} ms   "
-                    f"{cell.comm_messages:5d} msgs   "
-                    f"{cell.comm_bytes:,} B"
-                    + (f"   overhead {cell.frame_overhead_bytes:,} B"
-                       if cell.frame_overhead_bytes else "")
-                    + (f"   coalesced {cell.coalesced_messages}"
-                       if cell.coalesced_messages else "")
-                )
-                rows.append({
-                    "system": name, "model": args.model, "dataset": args.dataset,
-                    "backend": cfg.backend, "runtime": cfg.runtime, "wire_mode": cell.mode,
-                    "train_online_s": cell.train_online_s,
-                    "serve_online_s": cell.serve_online_s,
-                    "comm_bytes": cell.comm_bytes,
-                    "comm_messages": cell.comm_messages,
-                    "frame_overhead_bytes": cell.frame_overhead_bytes,
-                    "coalesced_messages": cell.coalesced_messages,
-                })
-            packed = res.cell("coalesced")
-            saved = base.comm_messages - packed.comm_messages
-            print(f"{'':>22}   coalescing: {base.comm_messages} -> "
-                  f"{packed.comm_messages} msgs ({saved} absorbed)   "
-                  f"checksum {res.checksum_frame_us:.0f} us framed vs "
-                  f"{res.checksum_pickle_us:.0f} us pickled")
-            rows.append({
-                "system": name, "model": args.model, "dataset": args.dataset,
-                "backend": cfg.backend, "wire_mode": "checksum_microbench",
-                "checksum_frame_us": res.checksum_frame_us,
-                "checksum_pickle_us": res.checksum_pickle_us,
-            })
         if args.json:
             with open(args.json, "w", encoding="utf-8") as fh:
                 json.dump({"argv": argv if argv is not None else sys.argv[1:],

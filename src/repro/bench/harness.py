@@ -492,143 +492,6 @@ def run_plain_inference(
     )
 
 
-# --------------------------------------------------------------------------
-# Wire codec comparison (repro.comm.wire): baseline vs framed vs coalesced
-# --------------------------------------------------------------------------
-
-#: The three wire modes the comparison sweeps, as config overrides.
-WIRE_MODES: tuple[tuple[str, dict], ...] = (
-    ("baseline", {}),
-    ("framed", {"wire_frames": True}),
-    ("coalesced", {"coalesce_rounds": True}),
-)
-
-
-@dataclass
-class WireRunCell:
-    """Comm accounting of one wire mode over a train + serving run."""
-
-    mode: str
-    train_online_s: float
-    serve_online_s: float
-    comm_bytes: int
-    comm_messages: int
-    frame_overhead_bytes: int
-    coalesced_messages: int
-
-
-@dataclass
-class WireComparisonResult:
-    """Fig. 10-style traffic comparison across the wire modes.
-
-    ``cells`` holds one entry per :data:`WIRE_MODES` mode; the checksum
-    fields are the per-call microseconds of the frame-CRC payload
-    checksum vs the historical pickle-then-CRC on a 512x512 ring matrix
-    (the ReliableTransport per-frame hotspot the codec replaced).
-    """
-
-    spec: WorkloadSpec
-    cells: list[WireRunCell]
-    checksum_frame_us: float
-    checksum_pickle_us: float
-
-    def cell(self, mode: str) -> WireRunCell:
-        for c in self.cells:
-            if c.mode == mode:
-                return c
-        raise KeyError(mode)
-
-
-def _checksum_microbench(reps: int = 5) -> tuple[float, float]:
-    """Per-call microseconds: frame-CRC vs pickle-CRC of a 512x512 matrix."""
-    import pickle
-    import time
-    import zlib
-
-    from repro.comm.wire import payload_checksum
-
-    payload = np.random.default_rng(0).integers(
-        0, 2**64, size=(512, 512), dtype=np.uint64
-    )
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        payload_checksum(payload)
-    frame_us = (time.perf_counter() - t0) / reps * 1e6
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        zlib.crc32(pickle.dumps(payload, protocol=4))
-    pickle_us = (time.perf_counter() - t0) / reps * 1e6
-    return frame_us, pickle_us
-
-
-def run_wire_comparison(
-    model_name: str,
-    dataset: str,
-    config: FrameworkConfig,
-    *,
-    n_batches: int = 2,
-    batch_size: int = 128,
-    seed: int = 0,
-    lr: float = 0.03125,
-    clients: int = 4,
-) -> WireComparisonResult:
-    """Run train + serving under each wire mode and read the comm ledger.
-
-    Same workload, same seeds; only the ``wire_frames`` /
-    ``coalesce_rounds`` knobs vary, so any delta in ``comm.*`` is the
-    codec's.  The conformance suite separately pins that predictions are
-    bit-identical across these modes; this harness measures what they
-    cost.
-    """
-    import dataclasses
-
-    from repro.core.training import SecureTrainer as _Trainer
-
-    x, y, spec = load_workload(
-        model_name, dataset, n_batches=n_batches, batch_size=batch_size, seed=seed
-    )
-    cells = []
-    for mode, overrides in WIRE_MODES:
-        cfg = dataclasses.replace(config, **overrides)
-
-        ctx = SecureContext.create(cfg)
-        model = build_secure_model(ctx, spec)
-        _Trainer(ctx, model, lr=lr, monitor_loss=False).train(
-            x, y, epochs=1, batch_size=batch_size
-        )
-        snap = ctx.telemetry.snapshot()
-        train_online = snap.gauge("phase.sim_seconds", clock="online")
-        comm_bytes = sum(
-            int(snap.counter("comm.bytes", channel=link.label))
-            for link in ctx.server_links.values()
-        )
-        comm_messages = sum(
-            int(snap.counter("comm.messages", channel=link.label))
-            for link in ctx.server_links.values()
-        )
-        overhead = int(snap.counter("comm.frame_overhead_bytes"))
-        coalesced = int(snap.counter("comm.coalesced_messages"))
-
-        serve = run_serving(
-            model_name, dataset, cfg,
-            clients=clients, n_batches=n_batches, batch_size=batch_size, seed=seed,
-        )
-        cells.append(WireRunCell(
-            mode=mode,
-            train_online_s=train_online,
-            serve_online_s=serve.online_s,
-            comm_bytes=comm_bytes,
-            comm_messages=comm_messages,
-            frame_overhead_bytes=overhead,
-            coalesced_messages=coalesced,
-        ))
-    frame_us, pickle_us = _checksum_microbench()
-    return WireComparisonResult(
-        spec=spec, cells=cells,
-        checksum_frame_us=frame_us, checksum_pickle_us=pickle_us,
-    )
-
-
 WORKLOAD_FIGURE_MODELS: tuple[str, ...] = ("attention", "recsys")
 
 

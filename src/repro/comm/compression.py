@@ -60,9 +60,10 @@ class CompressedPayload:
 
         Dense sends frame the matrix itself; CSR deltas frame the three
         index/value arrays plus the stream metadata the receiver's state
-        machine needs.  Under ``FrameworkConfig.wire_frames`` the charged
-        size is the exact frame over this view — replacing the
-        ``csr_nbytes`` estimate with what actually crosses the wire.
+        machine needs.  The size the channel charges is the exact frame
+        over this view (what actually crosses the wire); ``wire_bytes``
+        is the header-less body size behind the Fig. 16 raw-vs-wire
+        statistics.
         """
         if self.kind == "dense":
             return self.dense

@@ -23,9 +23,9 @@ makes the wire form explicit:
 * **Round coalescing** — :class:`RoundCoalescer` packs small same-round
   messages per directed link into one framed message (the Eq. 5 E/F
   pair being the dominant case), amortizing per-message latency.  A
-  packed frame's body is the exact concatenation of its parts' bodies,
-  which is what makes coalescing auditable: the per-link concatenated
-  content stream is invariant (see ``repro.audit``).
+  packed frame's body is the exact concatenation of its parts' bodies;
+  transcript records keep the parts apart, which is the granularity the
+  wire auditor de-duplicates at (see ``repro.audit.wire``).
 
 The *canonical encoding* used for transcript digests
 (:func:`canonical_bytes`) also lives here — it predates the frame codec
@@ -92,11 +92,21 @@ def canonical_bytes(payload: Any) -> bytes:
     return b"pickle|" + pickle.dumps(payload, protocol=4)
 
 
+def content_parts(payload: Any) -> tuple[bytes, ...]:
+    """The raw observable buffer bytes of ``payload``, one entry per array.
+
+    An array is one protocol message part — an ``E`` or an ``F`` of a
+    packed round frame — which is the granularity the wire auditor
+    de-duplicates at.
+    """
+    if isinstance(payload, (bytes, bytearray)):
+        return (bytes(payload),)
+    return tuple(np.ascontiguousarray(a).tobytes() for a in iter_arrays(payload))
+
+
 def content_bytes(payload: Any) -> bytes:
     """The raw observable buffer bytes of ``payload`` (for wire audits)."""
-    if isinstance(payload, (bytes, bytearray)):
-        return bytes(payload)
-    return b"".join(np.ascontiguousarray(a).tobytes() for a in iter_arrays(payload))
+    return b"".join(content_parts(payload))
 
 
 def payload_digest(payload: Any) -> str:
@@ -404,6 +414,7 @@ __all__ = [
     "blob_frame_sizes",
     "canonical_bytes",
     "content_bytes",
+    "content_parts",
     "decode_frame",
     "encode_frame",
     "frame_sizes",

@@ -10,6 +10,11 @@ experiment is "build a config, run the trainer":
 * Fig. 16 — ``compression`` on/off;
 * pipeline ablations — ``pipeline1`` / ``double_pipeline`` on/off;
 * placement ablation — ``placement_mode``.
+
+The inter-server wire path is not a switch: every server-to-server
+message is charged at its exact RPW1 framed size (:mod:`repro.comm.wire`)
+and the Eq. 5 ``E``/``F`` pair of one multiplication rides one packed
+frame per direction.
 """
 
 from __future__ import annotations
@@ -50,20 +55,6 @@ class FrameworkConfig:
     compression: bool = True
     compression_threshold: float = 0.75
 
-    # Wire framing (repro.comm.wire).  wire_frames charges each
-    # inter-server message at its exact framed-codec size (fixed header
-    # + raw buffer body, tallied in comm.frame_overhead_bytes) instead
-    # of the raw-array estimate.  coalesce_rounds additionally packs
-    # same-round messages per directed link — the Eq. 5 E/F pair —
-    # into one framed message (comm.coalesced_messages), halving
-    # per-message latency charges on the dominant exchange; it implies
-    # framed accounting on the coalesced path.  Both knobs are
-    # cost-only: protocol values never change (the "wire"/"coalesced"
-    # conformance axes pin predictions bit-identical), and both default
-    # off so the committed reference transcripts stay byte-for-byte.
-    wire_frames: bool = False
-    coalesce_rounds: bool = False
-
     # Beaver-mask lifetime.  The paper's delta compression (Eqs. 10-12)
     # requires the masks U_i/V_i of a given operand stream to be *reused*
     # across iterations (E_{j+1} = E_j + Delta only holds for fixed U) —
@@ -97,9 +88,9 @@ class FrameworkConfig:
     cpu_parallel: bool = True
     client_parallel: bool = True
 
-    # activation protocol: dealer-assisted comparison (default), the
-    # cost-identical emulation for large tensors, or garbled circuits
-    activation_protocol: Literal["dealer", "emulated", "gc"] = "dealer"
+    # activation protocol: dealer-assisted comparison (default) or its
+    # cost-identical emulation for large tensors
+    activation_protocol: Literal["dealer", "emulated"] = "dealer"
 
     # hardware
     gpu_spec: DeviceSpec = V100_SPEC
@@ -142,10 +133,15 @@ class FrameworkConfig:
             raise ConfigError(f"n_streams must be >= 1, got {self.n_streams}")
         if self.pool_size < 0:
             raise ConfigError(f"pool_size must be >= 0, got {self.pool_size}")
-        if self.runtime not in ("lockstep", "dataflow"):
-            raise ConfigError(
-                f"runtime must be 'lockstep' or 'dataflow', got {self.runtime!r}"
-            )
+        for name, allowed in (
+            ("placement_mode", ("adaptive", "cpu_always", "gpu_always")),
+            ("activation_protocol", ("dealer", "emulated")),
+            ("runtime", ("lockstep", "dataflow")),
+        ):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(
+                    f"{name} must be one of {allowed}, got {getattr(self, name)!r}"
+                )
 
     # -- preset constructors ----------------------------------------------------
 

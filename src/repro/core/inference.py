@@ -107,7 +107,7 @@ def run_secure_batch(
     """One fixed-shape secure forward pass with the fault-retry loop.
 
     Shared by :func:`secure_predict` and the serving layer
-    (:class:`repro.serve.SecureInferenceServer`).  A batch request that
+    (:class:`repro.serve.Replica`).  A batch request that
     dies with a :class:`~repro.faults.blame.PartyFailure` (crashed
     server, exhausted retry budget on the link) is retried up to
     ``max_request_retries`` times after restarting the blamed party —

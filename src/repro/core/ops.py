@@ -31,7 +31,6 @@ from contextlib import contextmanager
 
 from repro.core.tensor import SharedTensor
 from repro.simgpu.clock import Task
-from repro.util.deprecation import warn_deprecated
 from repro.util.errors import ProtocolError, ShapeError
 
 __all__ = [
@@ -187,11 +186,8 @@ def secure_softmax(x: SharedTensor, *, label: str = "softmax") -> SharedTensor:
         return ctx.backend.softmax(ctx, x, label=label)
 
 
-_KIND_UNSET = object()
-
-
 def activation(
-    x: SharedTensor, *args, kind=_KIND_UNSET, label: str = "act"
+    x: SharedTensor, kind: str = "relu", *, label: str = "act"
 ) -> tuple[SharedTensor, SharedTensor]:
     """Secure activation; returns (output, derivative-mask).
 
@@ -200,21 +196,7 @@ def activation(
     * ``piecewise`` — the paper's Eq. 9 (a hard sigmoid): 0 below -1/2,
       ``x + 1/2`` inside, 1 above 1/2; used where an upper-bounded
       activation is required (logistic regression).
-
-    ``kind`` is keyword-only in the blessed form; passing it positionally
-    still works but emits a :class:`DeprecationWarning`.
     """
-    if args:
-        if len(args) > 1 or kind is not _KIND_UNSET:
-            raise TypeError("activation() takes one tensor plus keyword arguments")
-        warn_deprecated(
-            "ops.activation.positional-kind",
-            "passing 'kind' positionally to repro.core.ops.activation is deprecated; "
-            "use activation(x, kind=..., label=...)",
-        )
-        kind = args[0]
-    elif kind is _KIND_UNSET:
-        kind = "relu"
     ctx = x.ctx
     with _op_scope(ctx, "activation", label):
         return _activation_body(x, kind, label=label)

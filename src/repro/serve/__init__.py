@@ -18,9 +18,6 @@ The serving stack in layers:
   re-routes admitted requests (exactly-once, zero drops), an optional
   p95-watermark autoscaler (:mod:`repro.serve.autoscale`), and a
   journal-replay conformance oracle (:func:`replay_replica_journal`).
-* **Shim** (:mod:`repro.serve.server`) — the original
-  :class:`SecureInferenceServer` API, now a deprecation shim over
-  :class:`Replica`.
 
 Quickstart::
 
@@ -54,7 +51,6 @@ from repro.serve.placement import (
 )
 from repro.serve.queue import InferenceRequest, RequestQueue
 from repro.serve.replica import InferenceResponse, Replica, ReplicaStats, ServeReport
-from repro.serve.server import SecureInferenceServer
 from repro.util.errors import QueueFullError, ServeError
 
 __all__ = [
@@ -82,8 +78,6 @@ __all__ = [
     "demand_map",
     "make_placement",
     "replay_replica_journal",
-    # deprecation shim
-    "SecureInferenceServer",
     # errors
     "QueueFullError",
     "ServeError",

@@ -27,9 +27,6 @@ the replica remembers the blamed party (:attr:`crashed_party`), and the
 router can :meth:`take_pending` the admitted requests back and
 :meth:`respawn` the replica through the :mod:`repro.faults` recovery
 path — so a crashed replica drains, never drops.
-
-The legacy :class:`~repro.serve.server.SecureInferenceServer` is now a
-deprecation shim over this class.
 """
 
 from __future__ import annotations

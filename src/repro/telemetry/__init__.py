@@ -9,8 +9,7 @@ or :meth:`Telemetry.report` for a human-readable roll-up.
 
 See :mod:`repro.telemetry.core` for the metric naming conventions and
 :mod:`repro.telemetry.export` for the Chrome-trace / JSON / plaintext
-output formats (which subsume the deprecated
-:mod:`repro.pipeline.trace_export`).
+output formats.
 """
 
 from repro.telemetry.core import Telemetry, maybe_span

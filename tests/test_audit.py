@@ -71,7 +71,7 @@ class TestRecorder:
         rec.record("server0", "server1", "ge:rounds", nbytes=100)
         t = rec.transcript()
         assert len(t) == 2
-        assert t.records[0].digest and t.records[0].payload is not None
+        assert t.records[0].digest and t.records[0].parts is not None
         assert t.records[1].digest == "" and t.records[1].nbytes == 100
         assert t.total_bytes == a.nbytes + 100
 
@@ -93,7 +93,7 @@ class TestRecorder:
         a = rng.integers(0, 2**63, size=64, dtype=np.uint64)
         rec.record("server0", "server1", "E/0", a, nbytes=a.nbytes)
         r = rec.transcript().records[0]
-        assert r.payload is None and r.digest
+        assert r.parts is None and r.digest
 
 
 class TestTranscriptJson:
@@ -204,6 +204,18 @@ class TestWireAudit:
         assert audit.messages == 12
         assert audit.passed
 
+    def test_repeated_part_of_packed_frames_counted_once(self, rng):
+        # two packed EF frames share a byte-identical static F next to
+        # fresh E parts: the frames differ, so only per-part
+        # de-duplication keeps F from being histogrammed twice
+        e1, f, e2 = (rng.integers(0, 2**64, size=512, dtype=np.uint64) for _ in range(3))
+        rec = TranscriptRecorder()
+        rec.record("s0", "s1", "op/EF/0", (e1, f))
+        rec.record("s0", "s1", "op/EF/0", (e2, f))
+        (audit,) = audit_transcript(rec.transcript()).audits
+        assert audit.content_bytes == 3 * f.nbytes
+        assert audit.chi2 == chi2_uniform_bytes(np.concatenate([e1, f, e2]))
+
     def test_chi2_helper_matches_security_suite_semantics(self, rng):
         uniform = rng.integers(0, 2**64, size=4096, dtype=np.uint64)
         assert chi2_uniform_bytes(uniform) < CHI2_CEILING
@@ -288,16 +300,16 @@ class TestContextRecording:
         ctx, t = _recorded_training_run()
         exchanges = [
             r for r in t.records_for(src="server0", dst="server1")
-            if "/E/" in r.tag or "/F/" in r.tag
+            if "/EF/" in r.tag
         ]
         assert exchanges
-        assert any(len(r.payload) > r.nbytes for r in exchanges), (
+        assert any(sum(map(len, r.parts)) > r.nbytes for r in exchanges), (
             "expected at least one delta-compressed exchange "
-            "(payload = full matrix, nbytes = wire bytes)"
+            "(parts = full matrices, nbytes = wire bytes)"
         )
 
     def test_comparison_rounds_recorded_size_only(self):
         ctx, t = _recorded_training_run()
         rounds = [r for r in t.records if r.tag.endswith(":rounds")]
         assert rounds
-        assert all(r.payload is None and r.nbytes > 0 for r in rounds)
+        assert all(r.parts is None and r.nbytes > 0 for r in rounds)

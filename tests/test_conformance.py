@@ -137,59 +137,41 @@ class TestCaseValidation:
             ConformanceCase(model="MLP", axis="baseline", backend="rep5")
 
     def test_sweep_matrix_is_complete(self):
-        # acceptance criterion: 6 paper models + attention/recsys, x >= 4 axes
+        # acceptance criterion: 6 paper models + attention/recsys, x 6 axes
         assert len(CONFORMANCE_MODELS) == 8
         assert "attention" in CONFORMANCE_MODELS
         assert "recsys" in CONFORMANCE_MODELS
-        assert len(CONFORMANCE_AXES) >= 5  # baseline + 4 optimization axes
+        # baseline + pool, mask_reuse, no_compression, chaos, dataflow: an
+        # axis is added or removed deliberately, never by accident
+        assert len(CONFORMANCE_AXES) == 6
         assert set(BIT_IDENTICAL_AXES) < set(CONFORMANCE_AXES)
 
 
 class TestWireAxes:
-    """The framed-codec and coalescing axes: cost-only, byte-accounted."""
+    """The one wire path (no axis left): framed, round-coalesced, byte-accounted."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_coalesced_content_streams_match_baseline(self, backend):
-        from repro.audit.conformance import assert_content_equivalent
-
-        base = run_conformance_case(
-            ConformanceCase("MLP", "baseline", train=True, backend=backend)
-        )
-        packed = run_conformance_case(
-            ConformanceCase("MLP", "coalesced", train=True, backend=backend)
-        )
-        assert_content_equivalent(base, packed)
-        assert_content_equivalent(
-            base,
-            run_conformance_case(
-                ConformanceCase("MLP", "wire", train=True, backend=backend)
-            ),
-        )
-
-    def test_coalescing_reduces_messages(self):
-        base = run_conformance_case(ConformanceCase("MLP", "baseline"))
-        packed = run_conformance_case(ConformanceCase("MLP", "coalesced"))
-        def server_msgs(t):
-            return sum(
-                1 for r in t if r.src.startswith("server") and r.dst.startswith("server")
-            )
-        assert server_msgs(packed.transcript) < server_msgs(base.transcript)
-
-    @pytest.mark.parametrize("axis", ["baseline", "wire", "coalesced"])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_byte_accounting_reconciles(self, axis, backend):
-        from repro.audit.wire import assert_byte_accounting
+    @staticmethod
+    def _mlp_inference(axis, backend):
         from repro.core.context import SecureContext
         from repro.core.inference import secure_predict
         from repro.core.models import SecureMLP
 
-        case = ConformanceCase("MLP", axis, backend=backend)
-        ctx = SecureContext.create(case.config())
+        ctx = SecureContext.create(ConformanceCase("MLP", axis, backend=backend).config())
         recorder = ctx.attach_recorder()
         model = SecureMLP(ctx, 12, hidden=(8,), n_out=3)
         x = 0.5 * np.random.default_rng(2).standard_normal((32, 12))
         secure_predict(ctx, model, x, batch_size=16)
-        assert_byte_accounting(recorder.transcript(), ctx.telemetry)
+        return ctx, recorder.transcript()
+
+    # every fault-free axis (chaos retransmits, which the check rejects):
+    # mask_reuse sends one-part frames, no_compression only dense parts
+    @pytest.mark.parametrize("axis", [a for a in CONFORMANCE_AXES if a != "chaos"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_byte_accounting_reconciles(self, axis, backend):
+        from repro.audit.wire import assert_byte_accounting
+
+        ctx, transcript = self._mlp_inference(axis, backend)
+        assert_byte_accounting(transcript, ctx.telemetry)
 
     def test_byte_accounting_rejects_faulty_runs(self):
         from repro.audit.wire import assert_byte_accounting
@@ -203,30 +185,12 @@ class TestWireAxes:
             assert_byte_accounting(Transcript(()), telemetry)
 
     def test_frame_overhead_and_coalesced_counters(self):
-        from repro.core.context import SecureContext
-        from repro.core.inference import secure_predict
-        from repro.core.models import SecureMLP
-
-        counters = {}
-        for axis in ("baseline", "wire", "coalesced"):
-            case = ConformanceCase("MLP", axis)
-            ctx = SecureContext.create(case.config())
-            model = SecureMLP(ctx, 12, hidden=(8,), n_out=3)
-            x = 0.5 * np.random.default_rng(2).standard_normal((32, 12))
-            secure_predict(ctx, model, x, batch_size=16)
+        for backend in BACKENDS:
+            ctx, _transcript = self._mlp_inference("baseline", backend)
             reg = ctx.telemetry.registry
-            counters[axis] = {
-                "messages": reg.counter("comm.messages").value(),
-                "overhead": reg.counter("comm.frame_overhead_bytes").value(),
-                "coalesced": reg.counter("comm.coalesced_messages").value(),
-            }
-        assert counters["baseline"]["overhead"] == 0
-        assert counters["baseline"]["coalesced"] == 0
-        assert counters["wire"]["overhead"] > 0
-        assert counters["wire"]["coalesced"] == 0
-        assert counters["wire"]["messages"] == counters["baseline"]["messages"]
-        assert counters["coalesced"]["coalesced"] > 0
-        assert (
-            counters["coalesced"]["messages"]
-            == counters["baseline"]["messages"] - counters["coalesced"]["coalesced"]
-        )
+            assert reg.counter("comm.frame_overhead_bytes").value() > 0
+            coalesced = reg.counter("comm.coalesced_messages").value()
+            if backend == "beaver2pc":
+                assert coalesced > 0  # every Eq. 5 round packs E and F
+            else:
+                assert coalesced == 0  # rep3 sends once per link per round

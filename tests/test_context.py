@@ -29,7 +29,12 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("frac_bits", 0), ("frac_bits", 40), ("compression_threshold", 1.5), ("n_streams", 0)],
+        [
+            ("frac_bits", 0), ("frac_bits", 40), ("compression_threshold", 1.5), ("n_streams", 0),
+            # enum fields: "gc" was accepted and silently ran the emulated path
+            ("activation_protocol", "gc"), ("activation_protocol", "typo"),
+            ("placement_mode", "sometimes"),
+        ],
     )
     def test_validation(self, field, value):
         with pytest.raises(ConfigError):

@@ -4,8 +4,6 @@ Covers the serving redesign end to end:
 
 * the :class:`Replica` protocol surface (exactly-once ``poll``, stats,
   the router's ``take_pending`` / ``force_admit`` recovery hooks);
-* the :class:`SecureInferenceServer` deprecation shim (old constructor
-  and keyword spellings keep working, with warnings);
 * fleet routing: exactly-once delivery, hash affinity, 1-replica fleet
   equivalence with a standalone replica;
 * the shared dealer's pool provisioning and telemetry;
@@ -16,8 +14,6 @@ Covers the serving redesign end to end:
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +28,6 @@ from repro.serve import (
     ConsistentHashPlacement,
     LeastDepthPlacement,
     Replica,
-    SecureInferenceServer,
     SecureServingFleet,
     make_placement,
 )
@@ -108,35 +103,6 @@ class TestReplicaProtocol:
         rep.force_admit("b", rng.normal(size=(2, N_FEATURES)))
         rep.drain()
         assert {r.client_id for r in rep.poll()} == {"a", "b"}
-
-
-class TestDeprecationShim:
-    def test_old_constructor_still_serves(self, rng):
-        ctx = SecureContext(FrameworkConfig.parsecureml(activation_protocol="emulated"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            from repro.util.deprecation import reset_deprecation_warnings
-
-            reset_deprecation_warnings()
-            server = SecureInferenceServer(
-                ctx, _factory(ctx), max_batch=8,
-                max_queue_rows=24, max_request_retries=1,
-            )
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert any("SecureInferenceServer is deprecated" in m for m in messages)
-        assert any("max_queue_rows" in m for m in messages)
-        assert any("max_request_retries" in m for m in messages)
-        # the old spellings map onto the new knobs
-        assert server.queue.max_rows == 24
-        assert server.request_retries == 1
-        assert server.max_request_retries == 1  # legacy read-alias
-        server.submit("a", rng.normal(size=(3, N_FEATURES)))
-        server.drain()
-        assert server.report().served_requests == 1
-
-    def test_shim_is_a_replica(self):
-        assert issubclass(SecureInferenceServer, Replica)
 
 
 class TestFleetRouting:

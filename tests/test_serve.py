@@ -21,8 +21,8 @@ from repro.serve import (
     AdaptiveBatcher,
     InferenceRequest,
     QueueFullError,
+    Replica,
     RequestQueue,
-    SecureInferenceServer,
 )
 from repro.util.errors import ConfigError, ServeError
 
@@ -40,7 +40,7 @@ def _server(*, fault_plan=None, activation="dealer", pool_size=None, **kw):
     model = SecureMLP(ctx, N_FEATURES, hidden=(6,), n_out=N_OUT)
     kw.setdefault("max_batch", 16)
     kw.setdefault("max_wait_s", 1e-3)
-    return ctx, model, SecureInferenceServer(ctx, model, **kw)
+    return ctx, model, Replica(ctx, model, **kw)
 
 
 def _shared_rows(ctx, rng, rows):
@@ -138,7 +138,7 @@ class TestSubmitValidation:
             server.submit("a", rng.normal(size=(2, N_FEATURES + 1)))
 
     def test_queue_full_rejects_before_sharing(self, rng):
-        ctx, _, server = _server(max_batch=4, max_queue_rows=4)
+        ctx, _, server = _server(max_batch=4, queue_rows=4)
         server.submit("a", rng.normal(size=(4, N_FEATURES)))
         mark = ctx.mark()
         with pytest.raises(QueueFullError):
@@ -240,7 +240,7 @@ class TestServingUnderFaults:
     def _run(self, fault_plan, retries=2):
         ctx, model, server = _server(
             fault_plan=fault_plan, activation="emulated", max_batch=8,
-            max_request_retries=retries,
+            request_retries=retries,
         )
         rng = np.random.default_rng(9)
         for client, rows in [("a", 5), ("b", 3), ("c", 8), ("d", 2), ("a", 6)]:
@@ -268,7 +268,7 @@ class TestServingUnderFaults:
         """Identifiable abort surfaces, but admitted requests survive."""
         ctx, model, server = _server(
             fault_plan=unrecoverable_plan(), activation="emulated",
-            max_batch=8, max_request_retries=1,
+            max_batch=8, request_retries=1,
         )
         server.submit("a", rng.normal(size=(5, N_FEATURES)))
         server.submit("b", rng.normal(size=(3, N_FEATURES)))
@@ -299,6 +299,6 @@ class TestTelemetrySurface:
     def test_facade_exports(self):
         import repro
 
-        assert repro.SecureInferenceServer is SecureInferenceServer
+        assert repro.Replica is Replica
         assert repro.QueueFullError is QueueFullError
         assert repro.serve.AdaptiveBatcher is AdaptiveBatcher

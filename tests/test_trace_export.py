@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.pipeline.trace_export import chrome_trace_events, export_chrome_trace
+from repro.telemetry.export import chrome_trace_events, export_chrome_trace
 from repro.simgpu.clock import SimClock
 
 

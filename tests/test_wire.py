@@ -90,9 +90,11 @@ def assert_payload_equal(a, b):
         isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
     ), f"{type(a)} != {type(b)}"
     if isinstance(a, np.ndarray):
+        # bit-exact, not value-equal: random float bytes include NaNs,
+        # which np.array_equal reports as unequal to themselves
         assert a.dtype == b.dtype
         assert a.shape == b.shape
-        assert np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()
     elif isinstance(a, (list, tuple)):
         assert len(a) == len(b)
         for x, y in zip(a, b):
@@ -201,8 +203,8 @@ class TestCoalescer:
                 assert_payload_equal(want, got)
 
     def test_packed_body_is_concatenation_of_part_bodies(self):
-        # the digest-equality oracle: a packed frame's observable content
-        # equals the parts' contents back to back
+        # a packed frame's observable content equals the parts' contents
+        # back to back
         e = np.arange(16, dtype=np.uint64)
         f = np.arange(16, 32, dtype=np.uint64)
         assert content_bytes((e, f)) == content_bytes(e) + content_bytes(f)
