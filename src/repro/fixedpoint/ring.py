@@ -7,35 +7,37 @@ codebase stays warning-clean, and (b) supply a *fast* ring matmul: NumPy
 routes integer matmul through a scalar inner loop (no BLAS), which is two
 orders of magnitude slower than dgemm at the sizes secure training uses.
 
-Fast ring matmul: exact 16-bit limb decomposition over float64 BLAS
--------------------------------------------------------------------
-Write each operand as four 16-bit limbs, ``x = sum_i x_i * 2^(16 i)``.
-Then
+Fast ring matmul: exact 3-limb decomposition over float64 BLAS
+--------------------------------------------------------------
+Write each operand as three limbs of 22, 22 and 20 bits,
+``x = x_0 + x_1 * 2^22 + x_2 * 2^44``.  Then
 
-    (a @ b) mod 2^64 = sum_{i+j <= 3} (a_i @ b_j) << 16*(i+j)   (mod 2^64)
+    (a @ b) mod 2^64 = sum_{i+j <= 2} (a_i @ b_j) << 22*(i+j)   (mod 2^64)
 
-because limb pairs with ``i + j >= 4`` only contribute multiples of 2^64.
-Each partial product ``a_i @ b_j`` is a matmul of matrices with entries
-below 2^16, so every term is below 2^32 and a sum over an inner dimension
-``k`` stays below ``k * 2^32``.  float64 integers are exact below 2^53,
-so for ``k <= 2^20`` the ten dgemms are *exact* and we reassemble the
-result in uint64 where the shifts wrap as required.  Inner dimensions
-beyond 2^20 are handled by chunking the sum (each chunk exact, chunks
-added in uint64 which wraps correctly).
+because limb pairs with ``i + j >= 3`` only contribute multiples of 2^66.
+That is six dgemms; four 16-bit limbs would need ten.  Every entry of a
+limb matrix is at most ``2^22 - 1``, so a partial product summed over an
+inner dimension ``k`` is at most ``k * (2^22 - 1)^2``.  float64 holds
+integers exactly below 2^53, which is the bound for ``k = CHUNK_K = 512``:
+``512 * (2^22 - 1)^2 < 2^53 < 513 * (2^22 - 1)^2``.  Three limbs cannot be
+narrower than 22 bits and still cover 64, so 512 is the widest chunk a
+six-product kernel can sum exactly; wider inner dimensions are cut into
+512-column chunks.  Each chunk's dgemms are exact, and chunks and shifted
+products are added in uint64, where shifts and sums wrap as required.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.util.validation import check_matmul_compatible
+from repro.util.validation import check_matmul_compatible, check_stacked_matmul_compatible
 
 RING_DTYPE = np.uint64
-_LIMB_BITS = 16
-_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
-# Max inner dimension for which limb partial sums stay exact in float64:
-# term < 2^32, float64 exact to 2^53 -> k <= 2^20 (with margin).
-_MAX_EXACT_K = 1 << 20
+LIMB_BITS = 22
+# Widest inner dimension whose limb partial sums stay exact in float64:
+# CHUNK_K * (2**LIMB_BITS - 1)**2 < 2**53 (tests/test_ring.py asserts it).
+CHUNK_K = 512
+_LIMB_MASK = np.uint64((1 << LIMB_BITS) - 1)
 
 
 def _as_ring(x: np.ndarray) -> np.ndarray:
@@ -96,90 +98,60 @@ def ring_sum(a: np.ndarray, axis=None) -> np.ndarray:
         return a.sum(axis=axis, dtype=RING_DTYPE)
 
 
-def _limbs(x: np.ndarray) -> list[np.ndarray]:
-    """Split a uint64 matrix into four float64 matrices of 16-bit limbs."""
-    out = []
-    for i in range(4):
-        shift = np.uint64(_LIMB_BITS * i)
-        out.append(((x >> shift) & _LIMB_MASK).astype(np.float64))
-    return out
+def _limb_planes(x: np.ndarray) -> np.ndarray:
+    """Split uint64 ``x`` into float64 limb planes, shape ``(3, *x.shape)``."""
+    planes = np.empty((3, *x.shape), dtype=np.float64)
+    scratch = np.empty(x.shape, dtype=RING_DTYPE)
+    planes[0] = np.bitwise_and(x, _LIMB_MASK, out=scratch)
+    np.right_shift(x, np.uint64(LIMB_BITS), out=scratch)
+    planes[1] = np.bitwise_and(scratch, _LIMB_MASK, out=scratch)
+    planes[2] = np.right_shift(x, np.uint64(2 * LIMB_BITS), out=scratch)
+    return planes
 
 
-def _ring_matmul_exact_chunk(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact ring matmul for inner dimension <= _MAX_EXACT_K."""
-    a_limbs = _limbs(a)
-    b_limbs = _limbs(b)
-    result = np.zeros((a.shape[0], b.shape[1]), dtype=RING_DTYPE)
-    with np.errstate(over="ignore"):
-        for i in range(4):
-            for j in range(4 - i):
-                partial = a_limbs[i] @ b_limbs[j]
+def _ring_matmul_limbs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact ``a @ b`` in Z_{2^64} over the last two axes (2-D or stacked).
+
+    The first product becomes the accumulator; an empty inner dimension
+    has no first product and yields zeros.
+    """
+    a_planes, b_planes = _limb_planes(a), _limb_planes(b)
+    result = None
+    for start in range(0, a.shape[-1], CHUNK_K):
+        stop = start + CHUNK_K
+        for i in range(3):
+            a_i = a_planes[i][..., start:stop]
+            for j in range(3 - i):
                 # Partial sums are exact integers < 2^53, so the uint64
                 # conversion is lossless; the shift then wraps mod 2^64.
-                result += partial.astype(RING_DTYPE) << np.uint64(_LIMB_BITS * (i + j))
+                part = np.matmul(a_i, b_planes[j][..., start:stop, :]).astype(RING_DTYPE)
+                if i + j:
+                    np.left_shift(part, np.uint64(LIMB_BITS * (i + j)), out=part)
+                result = part if result is None else np.add(result, part, out=result)
+    if result is None:
+        return np.zeros((*a.shape[:-1], b.shape[-1]), dtype=RING_DTYPE)
     return result
 
 
 def ring_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product a @ b in Z_{2^64} (exact, BLAS-backed).
 
-    Uses the 16-bit limb decomposition described in the module docstring.
-    Inner dimensions larger than 2^20 are split into exact chunks whose
-    partial results are accumulated with wrapping uint64 addition.
+    Uses the 3-limb decomposition described in the module docstring: six
+    float64 dgemms per 512 columns of inner dimension.
     """
     a, b = _as_ring(a), _as_ring(b)
     check_matmul_compatible(a, b)
-    k = a.shape[1]
-    if k <= _MAX_EXACT_K:
-        return _ring_matmul_exact_chunk(a, b)
-    result = np.zeros((a.shape[0], b.shape[1]), dtype=RING_DTYPE)
-    for start in range(0, k, _MAX_EXACT_K):
-        stop = min(start + _MAX_EXACT_K, k)
-        ring_add(result, _ring_matmul_exact_chunk(a[:, start:stop], b[start:stop, :]), out=result)
-    return result
-
-
-def _ring_matmul_batched_chunk(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact stacked ring matmul, inner dimension <= _MAX_EXACT_K.
-
-    ``a`` is (B, m, k), ``b`` is (B, k, n); the ten limb products become
-    ten *batched* ``np.matmul`` calls (one BLAS round trip each for the
-    whole stack) instead of ``10 B`` separate dgemms — the dealer-side
-    fusion the offline pool relies on.
-    """
-    a_limbs = _limbs(a)
-    b_limbs = _limbs(b)
-    result = np.zeros((a.shape[0], a.shape[1], b.shape[2]), dtype=RING_DTYPE)
-    with np.errstate(over="ignore"):
-        for i in range(4):
-            for j in range(4 - i):
-                partial = np.matmul(a_limbs[i], b_limbs[j])
-                shifted = partial.astype(RING_DTYPE)
-                np.left_shift(shifted, np.uint64(_LIMB_BITS * (i + j)), out=shifted)
-                ring_add(result, shifted, out=result)
-    return result
+    return _ring_matmul_limbs(a, b)
 
 
 def ring_matmul_batched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stacked matrix product ``a[i] @ b[i]`` in Z_{2^64} for all i.
 
-    ``a`` is (B, m, k) and ``b`` is (B, k, n); returns (B, m, n).  Exact
-    via the same limb decomposition as :func:`ring_matmul`, with the B
-    products fused into batched BLAS calls.  Inner dimensions beyond
-    2^20 are chunked exactly as in the 2-D case.
+    ``a`` is (B, m, k) and ``b`` is (B, k, n); returns (B, m, n).  Same
+    kernel as :func:`ring_matmul`, with each limb product one batched
+    ``np.matmul`` over the whole stack instead of B separate calls — the
+    dealer-side fusion the offline pool relies on.
     """
     a, b = _as_ring(a), _as_ring(b)
-    if a.ndim != 3 or b.ndim != 3:
-        raise ValueError(f"ring_matmul_batched needs 3-D stacks, got {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ValueError(f"stacked shapes incompatible for matmul: {a.shape} x {b.shape}")
-    k = a.shape[2]
-    if k <= _MAX_EXACT_K:
-        return _ring_matmul_batched_chunk(a, b)
-    result = np.zeros((a.shape[0], a.shape[1], b.shape[2]), dtype=RING_DTYPE)
-    for start in range(0, k, _MAX_EXACT_K):
-        stop = min(start + _MAX_EXACT_K, k)
-        ring_add(
-            result, _ring_matmul_batched_chunk(a[:, :, start:stop], b[:, start:stop, :]), out=result
-        )
-    return result
+    check_stacked_matmul_compatible(a, b)
+    return _ring_matmul_limbs(a, b)

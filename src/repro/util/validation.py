@@ -47,6 +47,22 @@ def check_matmul_compatible(
         )
 
 
+def check_stacked_matmul_compatible(
+    a: np.ndarray, b: np.ndarray, name_a: str = "a", name_b: str = "b"
+) -> None:
+    """Require ``a[i] @ b[i]`` to be well-defined for 3-D stacks of equal depth."""
+    for arr, name in ((a, name_a), (b, name_b)):
+        if arr.ndim != 3:
+            raise ShapeError(
+                f"{name} must be a 3-D stack, got ndim={arr.ndim} with shape {arr.shape}"
+            )
+    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+        raise ShapeError(
+            f"stacked matmul shape mismatch: {name_a} is {a.shape}, {name_b} is {b.shape}; "
+            f"need (B, m, k) x (B, k, n)"
+        )
+
+
 def check_positive(value: float, name: str, *, strict: bool = True) -> float:
     """Require a scalar to be positive (or non-negative when strict=False)."""
     if not isinstance(value, numbers.Real):

@@ -81,11 +81,11 @@ class TestRingMatmulBatched:
 
     def test_rejects_mismatched_stacks(self):
         a = np.zeros((2, 3, 4), dtype=np.uint64)
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 2\)"):
             ring_matmul_batched(a, np.zeros((3, 4, 2), dtype=np.uint64))
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(2, 5, 2\)"):
             ring_matmul_batched(a, np.zeros((2, 5, 2), dtype=np.uint64))
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match=r"a must be a 3-D stack.*\(3, 4\)"):
             ring_matmul_batched(a[0], np.zeros((2, 4, 2), dtype=np.uint64))
 
 

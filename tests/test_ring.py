@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fixedpoint.ring import (
+    CHUNK_K,
+    LIMB_BITS,
     ring_add,
     ring_matmul,
+    ring_matmul_batched,
     ring_mul,
     ring_neg,
     ring_sub,
@@ -127,6 +130,116 @@ class TestMatmul:
         a = rng.integers(0, MOD, size=(4,), dtype=np.uint64)
         with pytest.raises(ShapeError):
             ring_matmul(a, a)
+
+
+def _frozen_16bit_matmul(a, b):
+    """The 4 x 16-bit limb kernel this module shipped before the 3-limb
+    one, frozen as an oracle: ten float64 products, exact for k <= 2^20.
+    Works over the last two axes, so it checks stacks as well."""
+
+    def limbs(x):
+        return [((x >> np.uint64(16 * i)) & np.uint64(0xFFFF)).astype(np.float64) for i in range(4)]
+
+    a_limbs, b_limbs = limbs(a), limbs(b)
+    result = np.zeros((*a.shape[:-1], b.shape[-1]), dtype=np.uint64)
+    for i in range(4):
+        for j in range(4 - i):
+            partial = np.matmul(a_limbs[i], b_limbs[j])
+            result += partial.astype(np.uint64) << np.uint64(16 * (i + j))
+    return result
+
+
+def _uniform(rng, shape):
+    return rng.integers(0, MOD, size=shape, dtype=np.uint64)
+
+
+_LIMB = (1 << LIMB_BITS) - 1
+PATTERNS = {
+    "uniform": _uniform,
+    "all_ones": lambda rng, shape: np.full(shape, MOD - 1, dtype=np.uint64),
+    "top_20_bits": lambda rng, shape: _uniform(rng, shape) & np.uint64(MOD - (1 << 2 * LIMB_BITS)),
+    "middle_limb": lambda rng, shape: _uniform(rng, shape) & np.uint64(_LIMB << LIMB_BITS),
+}
+
+
+def _oracle(a, b):
+    """NumPy's wrapping ``uint64 @``, cross-checked against the frozen kernel."""
+    expected = a @ b
+    np.testing.assert_array_equal(_frozen_16bit_matmul(a, b), expected)
+    return expected
+
+
+def _layouts(x):
+    """Views equal to C-contiguous ``x`` that differ in the strides of
+    their last two axes."""
+    yield "contiguous", x
+    yield "transposed", np.ascontiguousarray(np.swapaxes(x, -1, -2)).swapaxes(-1, -2)
+    wide = np.full((*x.shape[:-2], 2 * x.shape[-2], 2 * x.shape[-1]), 0x5A5A, dtype=x.dtype)
+    wide[..., ::2, ::2] = x
+    yield "strided", wide[..., ::2, ::2]
+
+
+@pytest.mark.property
+class TestLimbKernelExactness:
+    """``ring_matmul`` / ``ring_matmul_batched`` against two independent
+    oracles -- NumPy's wrapping ``uint64 @`` and the frozen 16-bit limb
+    kernel -- around the 512-column chunk edge and the limb edges."""
+
+    def test_chunk_headroom(self):
+        # One chunk of worst-case limb products must stay an exact float64
+        # integer, and three limbs must cover the 64-bit word (the top
+        # limb is taken unmasked, so it has 64 - 2 * LIMB_BITS bits).
+        assert CHUNK_K * (2**LIMB_BITS - 1) ** 2 < 2**53
+        assert 64 - 2 * LIMB_BITS <= LIMB_BITS
+
+    def _check(self, fn, a, b):
+        expected = _oracle(a, b)
+        for a_layout, a_view in _layouts(a):
+            for b_layout, b_view in _layouts(b):
+                # The int64 view is negative wherever the top bit is set.
+                for dtype in (np.uint64, np.int64):
+                    got = fn(a_view.view(dtype), b_view.view(dtype))
+                    assert got.dtype == np.uint64
+                    np.testing.assert_array_equal(
+                        got, expected, err_msg=f"a {a_layout}, b {b_layout}, {dtype.__name__}"
+                    )
+
+    @pytest.mark.parametrize("pattern", sorted(PATTERNS))
+    @pytest.mark.parametrize("k", [1, 511, 512, 513, 1024, 1025, 1537])
+    def test_chunk_and_limb_boundaries(self, k, pattern, rng):
+        fill = PATTERNS[pattern]
+        self._check(ring_matmul, fill(rng, (3, k)), fill(rng, (k, 4)))
+        self._check(ring_matmul_batched, fill(rng, (2, 3, k)), fill(rng, (2, k, 4)))
+
+    @pytest.mark.parametrize(
+        "m,k,n", [(128, 784, 128), (784, 128, 128), (9216, 25, 16), (16, 4608, 100)]
+    )
+    def test_benchmark_shapes(self, m, k, n, rng):
+        a, b = _uniform(rng, (2, m, k)), _uniform(rng, (2, k, n))
+        expected = _oracle(a, b)
+        np.testing.assert_array_equal(ring_matmul(a[0], b[0]), expected[0])
+        np.testing.assert_array_equal(ring_matmul_batched(a, b), expected)
+
+
+class TestDegenerateShapes:
+    """Empty dimensions give correctly shaped uint64 zeros, not an error
+    or a ``None`` from a loop that never ran."""
+
+    @pytest.mark.parametrize("m,k,n", [(3, 0, 2), (0, 3, 2), (3, 2, 0), (0, 0, 0)])
+    def test_matmul(self, m, k, n):
+        out = ring_matmul(np.ones((m, k), dtype=np.uint64), np.ones((k, n), dtype=np.uint64))
+        assert out.shape == (m, n) and out.dtype == np.uint64
+        assert not out.any()
+
+    @pytest.mark.parametrize(
+        "batch,m,k,n", [(2, 3, 0, 2), (2, 0, 3, 2), (2, 3, 2, 0), (0, 3, 4, 2), (0, 3, 0, 2)]
+    )
+    def test_matmul_batched(self, batch, m, k, n):
+        out = ring_matmul_batched(
+            np.ones((batch, m, k), dtype=np.uint64), np.ones((batch, k, n), dtype=np.uint64)
+        )
+        assert out.shape == (batch, m, n) and out.dtype == np.uint64
+        assert not out.any()
 
 
 class TestRingNegOut:
