@@ -32,7 +32,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.reliable import ResilientChannel
 from repro.fixedpoint.encoding import FixedPointEncoder
 from repro.fixedpoint.ring import ring_matmul, ring_matmul_batched, ring_mul, ring_sub
-from repro.mpc.comparison import ComparisonBundle, ComparisonDealer
+from repro.mpc.comparison import ComparisonBundle, ComparisonDealer, comparison_offline_bytes
 from repro.mpc.pool import TripletPool, TripletRequest
 from repro.mpc.prandom import ThreadSafeGeneratorPool, parallel_uniform_ring
 from repro.mpc.shares import SharePair
@@ -883,9 +883,8 @@ class SecureContext:
         batch after checkpoint restore redraws bit-identical material —
         the comparison analogue of the per-label triplet cache.
         """
-        n = int(np.prod(shape))
         # Dealer-side generation cost: dominated by the bit-triplet RNG.
-        material_bytes = n * 8 + n * 8 + 3 * 63 * n // 8 + n // 8 + n * 8
+        material_bytes = comparison_offline_bytes(int(np.prod(shape)))
         self._charge_client_rng(material_bytes, "compare:rng")
         # Only the two parties that run the 2-party comparison core
         # receive material (all of them under beaver2pc).

@@ -30,33 +30,93 @@ Online:
    propagate bits ``g_k = NOT m_k AND r_k`` and ``p_k = NOT (m_k XOR
    r_k)`` are linear in the shares (local); only the recurrence
    ``borrow_{k+1} = g_k XOR (p_k AND borrow_k)`` needs one secure AND
-   per bit position (63 vectorised AND rounds for 64-bit values);
+   per bit position (62 vectorised AND rounds to reach bit 63);
 3. ``[y >= 0] = NOT sign = 1 XOR m_63 XOR r_63 XOR borrow_63`` on XOR
    shares;
 4. B2A: open ``t = s XOR b`` (public bit), then the arithmetic share is
    ``t + (1 - 2t) * [b]_arith`` — local given the precomputed ``b``.
 
-Everything is vectorised over the element array, so the 63 AND rounds
-cost 63 small messages regardless of matrix size.
+Representation
+--------------
+Binary shares are *bit planes* packed 64 elements to a ``uint64`` word:
+plane ``k`` holds bit ``k`` of every element, element ``j`` in lane
+``j % 64`` of word ``j // 64``.  One XOR or AND on a plane is one gate on
+64 elements, and the host holds the packed bits the cost model charges
+(:func:`comparison_offline_bytes`).  Lanes past the last element are
+dealer padding: never unpacked, never counted.  The 62 AND rounds cost
+62 small messages regardless of matrix size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.fixedpoint.ring import RING_DTYPE, ring_add, ring_mul, ring_sub
-from repro.mpc.shares import SharePair, reconstruct, share_secret
+from repro.mpc.shares import SharePair, _uniform_ring, share_secret
 from repro.util.errors import ProtocolError, ShapeError
 
 _BITS = 64
+_LANES = 64  # elements per packed word
+# 8x8 bit-matrix transpose as three delta-swaps: each (shift, mask)
+# exchanges every masked bit with the bit ``shift`` places above it.
+_DELTA_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
-def _xor_share_bits(bits: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """XOR-share a uint8 bit array: b = b0 XOR b1, b0 uniform."""
-    b0 = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
-    return b0, bits ^ b0
+def _n_words(shape: tuple[int, ...]) -> int:
+    return -(-math.prod(shape) // _LANES)
+
+
+def _bit_planes(x: np.ndarray) -> np.ndarray:
+    """Transpose ring elements into 64 packed bit planes.
+
+    Returns ``planes`` of shape ``(64, ceil(n / 64))`` with bit ``j % 64``
+    of ``planes[k, j // 64]`` equal to bit ``k`` of ``x.flat[j]``;
+    padding lanes are zero.  (Byte views assume a little-endian host.)
+    """
+    words = _n_words(x.shape)
+    padded = np.zeros(words * _LANES, dtype=RING_DTYPE)
+    padded[: x.size] = x.reshape(-1)
+    # q[b, w, J] gathers byte b of elements 64w + 8J .. 64w + 8J + 7.
+    q = np.ascontiguousarray(
+        padded.view(np.uint8).reshape(words, 8, 8, 8).transpose(3, 0, 1, 2)
+    ).view(RING_DTYPE)
+    t = np.empty_like(q)
+    for shift, mask in _DELTA_SWAPS:
+        np.right_shift(q, shift, out=t)
+        t ^= q
+        t &= np.uint64(mask)
+        q ^= t
+        t <<= shift
+        q ^= t
+    # Byte i of q[b, w, J] is now bit 8b + i of those eight elements,
+    # i.e. byte J of planes[8b + i, w].
+    planes = np.ascontiguousarray(q.view(np.uint8).reshape(8, words, 8, 8).transpose(0, 3, 1, 2))
+    return planes.view(RING_DTYPE).reshape(_BITS, words)
+
+
+def _unpack_plane(plane: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The first ``prod(shape)`` lanes of one packed plane as 0/1 ring elements."""
+    bits = np.unpackbits(plane.view(np.uint8), count=math.prod(shape), bitorder="little")
+    return bits.reshape(shape).astype(RING_DTYPE)
+
+
+def comparison_offline_bytes(n_elements: int) -> int:
+    """Dealer-to-server bytes of one comparison bundle, per server.
+
+    Bits are charged packed.  63 triplet planes are charged although the
+    ripple consumes 62: ``sim_offline_s`` and the golden
+    ``compare:upload`` records pin this value.
+    """
+    n = int(n_elements)
+    return (
+        n * 8  # r share
+        + n * _BITS // 8  # bits of r
+        + 3 * (_BITS - 1) * n // 8  # bit triplets
+        + n // 8 + n * 8  # b2a bit (xor) + arith share
+    )
 
 
 @dataclass
@@ -70,34 +130,23 @@ class ComparisonBundle:
 
     shape: tuple[int, ...]
     r_arith: SharePair
-    r_bits0: np.ndarray  # XOR shares of r's bits, server 0; shape (*shape, 64)
+    r_bits0: np.ndarray  # XOR shares of r's bit planes
     r_bits1: np.ndarray
-    and_u0: np.ndarray  # bit-triplet components, shape (n_ands, *shape)
+    and_u0: np.ndarray  # bit-triplet planes
     and_u1: np.ndarray
     and_v0: np.ndarray
     and_v1: np.ndarray
     and_w0: np.ndarray
     and_w1: np.ndarray
-    b2a_bit0: np.ndarray  # XOR shares of the B2A bit
+    b2a_bit0: np.ndarray  # XOR shares of the B2A bit plane
     b2a_bit1: np.ndarray
     b2a_arith: SharePair  # arithmetic shares of the same bit
     consumed: bool = False
 
     @property
-    def n_ands(self) -> int:
-        return self.and_u0.shape[0]
-
-    @property
     def offline_bytes(self) -> int:
         """Dealer-to-servers bytes this bundle accounts for (both servers)."""
-        n = int(np.prod(self.shape))
-        per_server = (
-            n * 8  # r share
-            + n * _BITS // 8  # packed bits of r
-            + 3 * self.n_ands * n // 8  # packed bit triplets
-            + n // 8 + n * 8  # b2a bit (xor) + arith share
-        )
-        return 2 * per_server
+        return 2 * comparison_offline_bytes(math.prod(self.shape))
 
     def mark_consumed(self) -> None:
         if self.consumed:
@@ -122,32 +171,22 @@ class ComparisonDealer:
         self._seeds = seeds
         self.bundles_issued = 0
 
-    def bundle(
-        self, shape: tuple[int, ...], label: str | None = None
-    ) -> ComparisonBundle:
+    def bundle(self, shape: tuple[int, ...], label: str | None = None) -> ComparisonBundle:
         if label is not None and self._seeds is not None:
             rng = self._seeds.generator(f"bundle/{label}")
         else:
             rng = self._rng
         shape = tuple(shape)
-        r = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+        words = _n_words(shape)
+        r = _uniform_ring(shape, rng)
         r_arith = share_secret(r, rng)
-        # Bits of r, least-significant first: shape (*shape, 64).
-        k = np.arange(_BITS, dtype=np.uint64)
-        r_bits = ((r[..., None] >> k) & np.uint64(1)).astype(np.uint8)
-        r_bits0, r_bits1 = _xor_share_bits(r_bits, rng)
-
-        n_ands = _BITS - 1
-        u = rng.integers(0, 2, size=(n_ands, *shape), dtype=np.uint8)
-        v = rng.integers(0, 2, size=(n_ands, *shape), dtype=np.uint8)
-        w = u & v
-        u0, u1 = _xor_share_bits(u, rng)
-        v0, v1 = _xor_share_bits(v, rng)
-        w0, w1 = _xor_share_bits(w, rng)
-
-        b = rng.integers(0, 2, size=shape, dtype=np.uint8)
-        b0, b1 = _xor_share_bits(b, rng)
-        b_arith = share_secret(b.astype(np.uint64), rng)
+        r_bits0 = _uniform_ring((_BITS, words), rng)
+        r_bits1 = _bit_planes(r) ^ r_bits0
+        # Bit triplets w = u AND v, every XOR share but w1 a uniform word.
+        u0, u1, v0, v1, w0 = _uniform_ring((5, _BITS - 1, words), rng)
+        w1 = ((u0 ^ u1) & (v0 ^ v1)) ^ w0
+        b0, b1 = _uniform_ring((2, words), rng)
+        b_arith = share_secret(_unpack_plane(b0 ^ b1, shape), rng)
 
         self.bundles_issued += 1
         return ComparisonBundle(
@@ -178,31 +217,6 @@ class ComparisonResult:
     rounds: int
 
 
-def _gmw_and(
-    x0: np.ndarray,
-    x1: np.ndarray,
-    y0: np.ndarray,
-    y1: np.ndarray,
-    u0: np.ndarray,
-    u1: np.ndarray,
-    v0: np.ndarray,
-    v1: np.ndarray,
-    w0: np.ndarray,
-    w1: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """One GMW AND on XOR-shared bit arrays using a Beaver bit triplet.
-
-    Returns the two output shares and the bytes that crossed the wire
-    (both directions, bits packed).
-    """
-    d = (x0 ^ u0) ^ (x1 ^ u1)  # opened d = x XOR u
-    e = (y0 ^ v0) ^ (y1 ^ v1)  # opened e = y XOR v
-    z0 = w0 ^ (d & v0) ^ (e & u0)
-    z1 = w1 ^ (d & v1) ^ (e & u1) ^ (d & e)
-    bytes_exchanged = 2 * 2 * ((d.size + 7) // 8)  # d,e from each server, bit-packed
-    return z0, z1, bytes_exchanged
-
-
 def comparison_online_bytes(n_elements: int) -> int:
     """Wire bytes the dealer-assisted comparison moves for ``n`` elements.
 
@@ -227,12 +241,11 @@ def emulated_ge_const(
     Produces *bit-for-bit the same indicator value* the real protocol
     would (the protocol is exact: ``[x >= c]`` under two's-complement
     ring semantics), freshly re-shared with ``rng``, and reports the
-    identical byte/round accounting — without materialising the
-    per-element bit-triplet arrays, which for very large activations
-    dominate memory and wall-clock in a pure-Python run.  Tests assert
-    value and accounting parity against the real protocol on small
-    shapes; large-tensor benchmark configs select this path via
-    ``FrameworkConfig.activation_protocol = "emulated"``.
+    identical byte/round accounting — without drawing a bundle or
+    running the ripple.  Tests assert value and accounting parity against
+    the real protocol; ``FrameworkConfig.activation_protocol =
+    "emulated"`` selects this path, and the golden transcripts are
+    pinned on its output-mask stream.
     """
     x0 = np.asarray(x0, dtype=RING_DTYPE)
     x1 = np.asarray(x1, dtype=RING_DTYPE)
@@ -268,8 +281,6 @@ def secure_ge_const(
             f"comparison bundle shape {bundle.shape} does not match input {x0.shape}"
         )
     bundle.mark_consumed()
-    rounds = 0
-    online_bytes = 0
 
     # y = x - c, shared; server 0 applies the public constant.
     c = np.uint64(int(c_encoded) % 2**64)
@@ -280,80 +291,66 @@ def secure_ge_const(
     m0 = ring_add(y0, bundle.r_arith[0])
     m1 = ring_add(y1, bundle.r_arith[1])
     m = ring_add(m0, m1)
-    rounds += 1
-    online_bytes += 2 * m.size * 8
+    rounds = 1
+    online_bytes = 2 * m.size * 8
 
-    # Public bits of m.
-    k = np.arange(_BITS, dtype=np.uint64)
-    m_bits = ((m[..., None] >> k) & np.uint64(1)).astype(np.uint8)
-
-    # Linear (local) generate/propagate shares for m - r:
-    #   g_k = NOT m_k AND r_k     -> multiply r_k's shares by public bit
-    #   p_k = NOT (m_k XOR r_k)   -> XOR public constant into one share
-    not_m = (1 - m_bits).astype(np.uint8)
-    g0 = not_m * bundle.r_bits0
-    g1 = not_m * bundle.r_bits1
-    p0 = bundle.r_bits0 ^ m_bits ^ np.uint8(1)
+    # Public bit planes of m, and the linear (local) generate/propagate
+    # shares for m - r:
+    #   g_k = NOT m_k AND r_k     -> AND r_k's shares with the public plane
+    #   p_k = NOT (m_k XOR r_k)   -> XOR the public plane into one share
+    not_m = ~_bit_planes(m)
+    g0 = not_m & bundle.r_bits0
+    g1 = not_m & bundle.r_bits1
+    p0 = not_m ^ bundle.r_bits0
     p1 = bundle.r_bits1
 
     # Ripple: borrow_{k+1} = g_k XOR (p_k AND borrow_k); borrow_1 = g_0.
-    # We need borrow into bit 63, i.e. iterations k = 1 .. 62.  The 62
-    # AND rounds run on six preallocated uint8 buffers with in-place
-    # bitwise ops (the naive _gmw_and form allocates ~10 temporaries per
-    # round); the arithmetic is the same XOR/AND dataflow, bit for bit.
-    b0 = np.ascontiguousarray(g0[..., 0])
-    b1 = np.ascontiguousarray(g1[..., 0])
-    d = np.empty_like(b0)
-    e = np.empty_like(b0)
-    t0 = np.empty_like(b0)
-    t1 = np.empty_like(b0)
-    tmp = np.empty_like(b0)
-    nbytes_per_round = 2 * 2 * ((b0.size + 7) // 8)  # d,e each way, bit-packed
-    for k_idx in range(1, _BITS - 1):
-        p0k = p0[..., k_idx]
-        p1k = p1[..., k_idx]
-        u0k = bundle.and_u0[k_idx - 1]
-        u1k = bundle.and_u1[k_idx - 1]
-        v0k = bundle.and_v0[k_idx - 1]
-        v1k = bundle.and_v1[k_idx - 1]
+    # We need borrow into bit 63, i.e. iterations k = 1 .. 62, each one
+    # Beaver-triplet AND on a whole plane, in place on preallocated
+    # word buffers.
+    b0 = g0[0].copy()
+    b1 = g1[0].copy()
+    d, e, t0, t1, tmp = np.empty((5, b0.size), dtype=RING_DTYPE)
+    packed = (m.size + 7) // 8  # wire bytes of one plane; padding lanes not sent
+    triplets = (
+        bundle.and_u0, bundle.and_u1, bundle.and_v0, bundle.and_v1, bundle.and_w0, bundle.and_w1
+    )
+    for k_idx, u0k, u1k, v0k, v1k, w0k, w1k in zip(range(1, _BITS - 1), *triplets):
         # opened d = p XOR u, e = borrow XOR v
-        np.bitwise_xor(p0k, u0k, out=d)
-        np.bitwise_xor(d, p1k, out=d)
+        np.bitwise_xor(p0[k_idx], u0k, out=d)
+        np.bitwise_xor(d, p1[k_idx], out=d)
         np.bitwise_xor(d, u1k, out=d)
         np.bitwise_xor(b0, v0k, out=e)
         np.bitwise_xor(e, b1, out=e)
         np.bitwise_xor(e, v1k, out=e)
         # z0 = w0 ^ (d & v0) ^ (e & u0)
         np.bitwise_and(d, v0k, out=t0)
-        np.bitwise_xor(t0, bundle.and_w0[k_idx - 1], out=t0)
+        np.bitwise_xor(t0, w0k, out=t0)
         np.bitwise_and(e, u0k, out=tmp)
         np.bitwise_xor(t0, tmp, out=t0)
         # z1 = w1 ^ (d & v1) ^ (e & u1) ^ (d & e)
         np.bitwise_and(d, v1k, out=t1)
-        np.bitwise_xor(t1, bundle.and_w1[k_idx - 1], out=t1)
+        np.bitwise_xor(t1, w1k, out=t1)
         np.bitwise_and(e, u1k, out=tmp)
         np.bitwise_xor(t1, tmp, out=t1)
         np.bitwise_and(d, e, out=tmp)
         np.bitwise_xor(t1, tmp, out=t1)
         # borrow update: b = g_k XOR z
-        np.bitwise_xor(g0[..., k_idx], t0, out=b0)
-        np.bitwise_xor(g1[..., k_idx], t1, out=b1)
+        np.bitwise_xor(g0[k_idx], t0, out=b0)
+        np.bitwise_xor(g1[k_idx], t1, out=b1)
         rounds += 1
-        online_bytes += nbytes_per_round
+        online_bytes += 2 * 2 * packed  # d,e each way
 
-    # Sign bit of y: d_63 = m_63 XOR r_63 XOR borrow_63.
-    sign0 = m_bits[..., _BITS - 1] ^ bundle.r_bits0[..., _BITS - 1] ^ b0
-    sign1 = bundle.r_bits1[..., _BITS - 1] ^ b1
-    # Indicator [y >= 0] = NOT sign (XOR 1 into server 0's share).
-    s0 = sign0 ^ np.uint8(1)
-    s1 = sign1
+    # Indicator [y >= 0] = NOT sign = NOT (m_63 XOR r_63 XOR borrow_63)
+    #                    = p_63 XOR borrow_63, local on the shares.
+    s0 = p0[_BITS - 1] ^ b0
+    s1 = p1[_BITS - 1] ^ b1
 
     # B2A: open t = s XOR b, then share = t + (1 - 2t) * [b]_arith.
-    t = (s0 ^ bundle.b2a_bit0) ^ (s1 ^ bundle.b2a_bit1)
+    t = _unpack_plane((s0 ^ bundle.b2a_bit0) ^ (s1 ^ bundle.b2a_bit1), bundle.shape)
     rounds += 1
-    online_bytes += 2 * ((t.size + 7) // 8)
-    t64 = t.astype(np.uint64)
-    sign_factor = ring_sub(np.ones_like(t64), ring_mul(np.uint64(2) * np.ones_like(t64), t64))
-    out0 = ring_add(t64, ring_mul(sign_factor, bundle.b2a_arith[0]))
+    online_bytes += 2 * packed
+    sign_factor = ring_sub(np.uint64(1), ring_mul(np.uint64(2), t))
+    out0 = ring_add(t, ring_mul(sign_factor, bundle.b2a_arith[0]))
     out1 = ring_mul(sign_factor, bundle.b2a_arith[1])
     return ComparisonResult(share0=out0, share1=out1, online_bytes=online_bytes, rounds=rounds)

@@ -13,7 +13,13 @@ from conftest import make_ctx
 from repro.core import ops
 from repro.core.tensor import SharedTensor
 from repro.fixedpoint.encoding import FixedPointEncoder
-from repro.mpc.comparison import ComparisonDealer, secure_ge_const
+from repro.fixedpoint.ring import ring_add
+from repro.mpc.comparison import (
+    ComparisonDealer,
+    comparison_offline_bytes,
+    comparison_online_bytes,
+    secure_ge_const,
+)
 from repro.mpc.shares import share_secret
 
 pytestmark = pytest.mark.security
@@ -69,19 +75,49 @@ class TestMaskedOpenings:
         e0 = (x.shares[0] - trip.u[0]).astype(np.uint64)
         assert chi2_uniform_bytes(e0) < CHI2_CEILING
 
-    def test_gmw_round_messages_are_balanced(self, rng, encoder):
+    def test_gmw_round_messages_are_balanced(self):
         """The d/e openings inside the comparison are uniformly random
-        bits (masked by the Beaver bit triplets)."""
-        dealer = ComparisonDealer(np.random.default_rng(0))
-        x = encoder.encode(rng.normal(size=(2048,)))
-        pair = share_secret(x, rng)
-        bundle = dealer.bundle(x.shape)
-        # Run the protocol; spot-check the opened m = y + r is uniform.
-        from repro.fixedpoint.ring import ring_add
-
-        m = ring_add(ring_add(pair.share0, pair.share1),
-                     ring_add(bundle.r_arith[0], bundle.r_arith[1]))
+        bits (masked by the Beaver bit triplets), even when the wires
+        they open are not."""
+        n = 4096
+        bundle = ComparisonDealer(np.random.default_rng(0)).bundle((n,))
+        # All-zero x against c = 0: y = 0, so the public m equals r.
+        m = ring_add(bundle.r_arith[0], bundle.r_arith[1])
         assert chi2_uniform_bytes(m) < CHI2_CEILING
+
+        def plane(k):  # bit k of every element of m, 64 elements a word
+            bits = ((m >> np.uint64(k)) & np.uint64(1)).astype(np.uint8)
+            return np.packbits(bits, bitorder="little").view(np.uint64)
+
+        def ones(words):
+            return int(np.unpackbits(words.view(np.uint8)).sum())
+
+        r_planes = bundle.r_bits0 ^ bundle.r_bits1
+        # Round 1 ANDs p_1 = NOT (m_1 XOR r_1) with borrow_1 = NOT m_0 AND r_0.
+        p = ~(plane(1) ^ r_planes[1])
+        borrow = ~plane(0) & r_planes[0]
+        assert ones(p) == n  # m == r: the propagate wire is constant ...
+        assert ones(borrow) == 0  # ... and so is the borrow wire
+        d = p ^ bundle.and_u0[0] ^ bundle.and_u1[0]
+        e = borrow ^ bundle.and_v0[0] ^ bundle.and_v1[0]
+        # Binomial(n, 1/2): sd = sqrt(n)/2 = 32; allow 5 sd.
+        assert abs(ones(d) - n // 2) < 160
+        assert abs(ones(e) - n // 2) < 160
+
+    def test_padding_lanes_stay_out_of_outputs_and_accounting(self, rng, encoder):
+        """65 elements occupy two words; the 63 padding lanes of the
+        second are never unpacked into a share and never charged."""
+        x = encoder.encode(rng.normal(size=(65,)))
+        pair = share_secret(x, rng)
+        bundle = ComparisonDealer(np.random.default_rng(0)).bundle(x.shape)
+        assert bundle.and_u0.shape == (63, 2)
+        res = secure_ge_const(pair.share0, pair.share1, 0, bundle)
+        assert res.share0.shape == res.share1.shape == (65,)
+        assert res.online_bytes == comparison_online_bytes(65)
+        assert bundle.offline_bytes == 2 * comparison_offline_bytes(65)
+        assert np.array_equal(
+            ring_add(res.share0, res.share1), (x.view(np.int64) >= 0).astype(np.uint64)
+        )
 
 
 class TestDiscipline:
