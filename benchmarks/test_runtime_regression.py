@@ -29,11 +29,10 @@ from repro.core.training import SecureTrainer
 
 N_BATCHES = 2
 BATCH_SIZE = 128
-#: Lockstep online makespan of this cell on the one wire path (framed,
-#: E/F packed): the ``coalesced`` ``train_online_s`` of the
-#: ``BENCH_wire.json`` committed before the wire modes were folded into
-#: one, which is what a default lockstep run of this cell produces.
-LOCKSTEP_REFERENCE_S = 0.005273736024977777
+#: Lockstep online makespan of this cell — what a default lockstep run
+#: produces on the one wire path (framed, E/F packed) with the backward
+#: pass stopping at the first trainable layer (no ``mlp0/dX`` product).
+LOCKSTEP_REFERENCE_S = 0.00472863735831111
 
 
 def _run_cell(runtime: str):

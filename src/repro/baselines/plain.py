@@ -83,7 +83,15 @@ class PlainLayer:
     def forward(self, x: np.ndarray, timer: PlainTimer, *, training: bool = True) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, delta: np.ndarray, timer: PlainTimer) -> np.ndarray:
+    #: whether the layer has weights — drives PlainModel's backward stop rule
+    trainable = False
+
+    def backward(
+        self, delta: np.ndarray, timer: PlainTimer, *, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Same contract as ``SecureLayer.backward``: with
+        ``input_grad=False`` the input gradient is neither computed nor
+        charged to the timer, and ``None`` is returned."""
         raise NotImplementedError
 
     def apply_gradients(self, lr: float) -> None:
@@ -91,6 +99,8 @@ class PlainLayer:
 
 
 class PlainDense(PlainLayer):
+    trainable = True
+
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         scale = 1.0 / np.sqrt(in_features)
         self.w = rng.uniform(-scale, scale, size=(in_features, out_features))
@@ -105,11 +115,13 @@ class PlainDense(PlainLayer):
         timer.gemm(x.shape[0], x.shape[1], self.w.shape[1])
         return x @ self.w + self.b
 
-    def backward(self, delta, timer):
+    def backward(self, delta, timer, *, input_grad=True):
         batch = self._x.shape[0]
         timer.gemm(self.w.shape[0], batch, self.w.shape[1])
         self._gw = self._x.T @ delta / batch
         self._gb = delta.mean(axis=0, keepdims=True)
+        if not input_grad:
+            return None
         timer.gemm(batch, self.w.shape[1], self.w.shape[0])
         return delta @ self.w.T
 
@@ -137,12 +149,16 @@ class PlainActivation(PlainLayer):
             self._mask = mask
         return out
 
-    def backward(self, delta, timer):
+    def backward(self, delta, timer, *, input_grad=True):
+        if not input_grad:
+            return None
         timer.elementwise(2 * delta.nbytes)
         return delta * self._mask
 
 
 class PlainConv2D(PlainLayer):
+    trainable = True
+
     def __init__(
         self,
         in_shape: tuple[int, int, int],
@@ -175,11 +191,13 @@ class PlainConv2D(PlainLayer):
         out = cols @ self.w
         return out.reshape(n, self.out_h * self.out_w * self.out_channels)
 
-    def backward(self, delta, timer):
+    def backward(self, delta, timer, *, input_grad=True):
         n = self._batch
         d2 = delta.reshape(n * self.out_h * self.out_w, self.out_channels)
         timer.gemm(self._cols.shape[1], d2.shape[0], self.out_channels)
         self._gw = self._cols.T @ d2 / n
+        if not input_grad:
+            return None
         timer.gemm(d2.shape[0], self.out_channels, self.w.shape[0])
         dcols = d2 @ self.w.T
         h, w, c = self.in_shape
@@ -216,8 +234,13 @@ class PlainModel:
     def train_batch(self, x, y, lr, timer):
         pred = self.forward(x, timer, training=True)
         delta = self.loss_delta(pred, y)
-        for layer in reversed(self.layers):
-            delta = layer.backward(delta, timer)
+        # SecureModel.backward's stop rule: no input gradient for the
+        # first trainable layer, nothing below it is visited.
+        stop = next(
+            (i for i, layer in enumerate(self.layers) if layer.trainable), len(self.layers)
+        )
+        for i in range(len(self.layers) - 1, stop - 1, -1):
+            delta = self.layers[i].backward(delta, timer, input_grad=i > stop)
         for layer in self.layers:
             layer.apply_gradients(lr)
         return pred
@@ -369,6 +392,8 @@ class PlainAttentionBlock(PlainLayer):
     the softmax approximation itself.
     """
 
+    trainable = True
+
     def __init__(self, seq_len: int, d_model: int, rng: np.random.Generator):
         self.seq_len = seq_len
         self.d_model = d_model
@@ -401,7 +426,7 @@ class PlainAttentionBlock(PlainLayer):
             self._tape = (x2, q, k, v, attn, context)
         return out
 
-    def backward(self, delta, timer):
+    def backward(self, delta, timer, *, input_grad=True):
         x2, q, k, v, attn, context = self._tape
         b, (s, d) = delta.shape[0], (self.seq_len, self.d_model)
         do2 = np.repeat(delta / s, s, axis=0)
@@ -422,6 +447,8 @@ class PlainAttentionBlock(PlainLayer):
         self._gwq = x2.T @ dq / b
         self._gwk = x2.T @ dk / b
         self._gwv = x2.T @ dv / b
+        if not input_grad:
+            return None
         for _ in range(3):
             timer.gemm(b * s, d, d)
         dx2 = dq @ self.wq.T + dk @ self.wk.T + dv @ self.wv.T
@@ -446,6 +473,8 @@ class PlainAttention(PlainModel):
 class PlainEmbedding(PlainLayer):
     """Float twin of the oblivious embedding lookup (dense, no bias)."""
 
+    trainable = True
+
     def __init__(self, vocab: int, emb_dim: int, rng: np.random.Generator):
         scale = 1.0 / np.sqrt(vocab)
         self.w = rng.uniform(-scale, scale, size=(vocab, emb_dim))
@@ -457,10 +486,12 @@ class PlainEmbedding(PlainLayer):
         timer.gemm(x.shape[0], x.shape[1], self.w.shape[1])
         return x @ self.w
 
-    def backward(self, delta, timer):
+    def backward(self, delta, timer, *, input_grad=True):
         batch = self._x.shape[0]
         timer.gemm(self.w.shape[0], batch, self.w.shape[1])
         self._gw = self._x.T @ delta / batch
+        if not input_grad:
+            return None
         timer.gemm(batch, self.w.shape[1], self.w.shape[0])
         return delta @ self.w.T
 

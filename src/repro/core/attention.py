@@ -170,7 +170,9 @@ class SecureAttentionBlock(SecureLayer):
             }
         return pooled
 
-    def backward(self, delta: SharedTensor) -> SharedTensor:
+    def backward(
+        self, delta: SharedTensor, *, input_grad: bool = True
+    ) -> SharedTensor | None:
         if self._tape is None:
             raise ProtocolError(f"{self.name}: backward before forward")
         tape, self._tape = self._tape, None
@@ -217,6 +219,8 @@ class SecureAttentionBlock(SecureLayer):
             "w_k": ops.secure_matmul(x2.T, dk, label=f"{self.name}/dWk").mul_public(1.0 / b),
             "w_v": ops.secure_matmul(x2.T, dv, label=f"{self.name}/dWv").mul_public(1.0 / b),
         }
+        if not input_grad:
+            return None
         dx2 = (
             ops.secure_matmul(dq, self.w_q.T, label=f"{self.name}/dXq")
             + ops.secure_matmul(dk, self.w_k.T, label=f"{self.name}/dXk")
@@ -235,7 +239,7 @@ class SecureAttentionBlock(SecureLayer):
         return [self.w_q, self.w_k, self.w_v, self.w_o]
 
     def plan_streams(
-        self, in_shape: tuple[int, ...], *, training: bool
+        self, in_shape: tuple[int, ...], *, training: bool, input_grad: bool = True
     ) -> tuple[list[TripletRequest], tuple[int, ...]]:
         b = in_shape[0]
         s, d = self.seq_len, self.d_model
@@ -257,7 +261,8 @@ class SecureAttentionBlock(SecureLayer):
             reqs.append(hadamard_stream((bss, d)))  # dQ
             reqs.append(hadamard_stream((bss, d)))  # dK
             reqs.extend([grad_w] * 3)  # dWq, dWk, dWv
-            reqs.extend([proj] * 3)  # dXq, dXk, dXv
+            if input_grad:
+                reqs.extend([proj] * 3)  # dXq, dXk, dXv
         return reqs, (b, d)
 
 

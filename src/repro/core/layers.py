@@ -29,7 +29,17 @@ class SecureLayer:
     def forward(self, x: SharedTensor, *, training: bool = True) -> SharedTensor:
         raise NotImplementedError
 
-    def backward(self, delta: SharedTensor) -> SharedTensor:
+    def backward(
+        self, delta: SharedTensor, *, input_grad: bool = True
+    ) -> SharedTensor | None:
+        """Accumulate parameter gradients; return the input gradient.
+
+        ``input_grad=False`` means nobody reads the input gradient (no
+        earlier layer has parameters — see :meth:`SecureModel.backward`):
+        the layer skips every secure product that only feeds it and
+        returns ``None``.  Parameter gradients are issued first, so they
+        consume the same triplets either way.
+        """
         raise NotImplementedError
 
     def apply_gradients(self, lr: float) -> None:
@@ -39,13 +49,14 @@ class SecureLayer:
         return []
 
     def plan_streams(
-        self, in_shape: tuple[int, ...], *, training: bool
+        self, in_shape: tuple[int, ...], *, training: bool, input_grad: bool = True
     ) -> tuple[list[TripletRequest], tuple[int, ...]]:
         """(triplet demand of one step, output shape) for a given input.
 
         Drives the pool's batched offline provisioning: the model walks
         its layers' plans once to learn exactly which triplets one
-        forward (+ backward when ``training``) will request.  The base
+        forward (+ backward when ``training``) will request;
+        ``input_grad`` mirrors :meth:`backward`'s keyword.  The base
         layer demands nothing and passes the shape through.
         """
         return [], in_shape
@@ -81,13 +92,17 @@ class SecureDense(SecureLayer):
         y = ops.secure_matmul(x, self.weight, label=f"{self.name}/fwd")
         return y + self.bias.broadcast_rows(y.shape[0])
 
-    def backward(self, delta: SharedTensor) -> SharedTensor:
+    def backward(
+        self, delta: SharedTensor, *, input_grad: bool = True
+    ) -> SharedTensor | None:
         if self._x is None:
             raise ProtocolError(f"{self.name}: backward before forward")
         batch = self._x.shape[0]
         grad_w = ops.secure_matmul(self._x.T, delta, label=f"{self.name}/dW")
         self._grad_w = grad_w.mul_public(1.0 / batch)
         self._grad_b = delta.sum_rows().mul_public(1.0 / batch)
+        if not input_grad:
+            return None
         return ops.secure_matmul(delta, self.weight.T, label=f"{self.name}/dX")
 
     def apply_gradients(self, lr: float) -> None:
@@ -101,14 +116,15 @@ class SecureDense(SecureLayer):
         return [self.weight, self.bias]
 
     def plan_streams(
-        self, in_shape: tuple[int, ...], *, training: bool
+        self, in_shape: tuple[int, ...], *, training: bool, input_grad: bool = True
     ) -> tuple[list[TripletRequest], tuple[int, ...]]:
         b = in_shape[0]
         m, n = self.in_features, self.out_features
         reqs = [matmul_stream((b, m), (m, n))]  # fwd
         if training:
             reqs.append(matmul_stream((m, b), (b, n)))  # dW
-            reqs.append(matmul_stream((b, n), (n, m)))  # dX
+            if input_grad:
+                reqs.append(matmul_stream((b, n), (n, m)))  # dX
         return reqs, (b, n)
 
 
@@ -129,7 +145,11 @@ class SecureActivation(SecureLayer):
             self._mask = mask
         return out
 
-    def backward(self, delta: SharedTensor) -> SharedTensor:
+    def backward(
+        self, delta: SharedTensor, *, input_grad: bool = True
+    ) -> SharedTensor | None:
+        if not input_grad:
+            return None  # parameter-free: the input gradient is all there is
         if self._mask is None:
             raise ProtocolError(f"{self.name}: backward before forward")
         # derivative is the 0/1 mask in both supported kinds, so the
@@ -137,14 +157,14 @@ class SecureActivation(SecureLayer):
         return ops.secure_elementwise_mul(delta, self._mask, label=f"{self.name}/bwd")
 
     def plan_streams(
-        self, in_shape: tuple[int, ...], *, training: bool
+        self, in_shape: tuple[int, ...], *, training: bool, input_grad: bool = True
     ) -> tuple[list[TripletRequest], tuple[int, ...]]:
         # Both kinds consume one elementwise triplet forward (mask
         # product) and one backward; the comparisons are not pooled.
         if len(in_shape) < 2:
             return [], in_shape
         reqs = [hadamard_stream(in_shape)]
-        if training:
+        if training and input_grad:
             reqs.append(hadamard_stream(in_shape))
         return reqs, in_shape
 
@@ -185,6 +205,7 @@ class SecureConv2D(SecureLayer):
         ).mark_static()
         self._cols: SharedTensor | None = None
         self._batch: int = 0
+        self._grad_w: SharedTensor | None = None
 
     def _lower(self, x: SharedTensor) -> SharedTensor:
         n = x.shape[0]
@@ -221,13 +242,17 @@ class SecureConv2D(SecureLayer):
         # output as (n, out_h*out_w*out_channels) flattened feature map
         return y.reshape(n, self.out_h * self.out_w * self.out_channels)
 
-    def backward(self, delta: SharedTensor) -> SharedTensor:
+    def backward(
+        self, delta: SharedTensor, *, input_grad: bool = True
+    ) -> SharedTensor | None:
         if self._cols is None:
             raise ProtocolError(f"{self.name}: backward before forward")
         n = self._batch
         delta2 = delta.reshape(n * self.out_h * self.out_w, self.out_channels)
         grad_w = ops.secure_matmul(self._cols.T, delta2, label=f"{self.name}/dW")
         self._grad_w = grad_w.mul_public(1.0 / n)
+        if not input_grad:
+            return None
         dcols = ops.secure_matmul(delta2, self.weight.T, label=f"{self.name}/dX")
         h, w, c = self.in_shape
         imgs_shape = (n, h, w, c)
@@ -243,7 +268,7 @@ class SecureConv2D(SecureLayer):
         )
 
     def apply_gradients(self, lr: float) -> None:
-        if getattr(self, "_grad_w", None) is None:
+        if self._grad_w is None:
             raise ProtocolError(f"{self.name}: apply_gradients before backward")
         self.weight = (self.weight - self._grad_w.mul_public(lr)).mark_static()
         self._grad_w = None
@@ -252,7 +277,7 @@ class SecureConv2D(SecureLayer):
         return [self.weight]
 
     def plan_streams(
-        self, in_shape: tuple[int, ...], *, training: bool
+        self, in_shape: tuple[int, ...], *, training: bool, input_grad: bool = True
     ) -> tuple[list[TripletRequest], tuple[int, ...]]:
         b = in_shape[0]
         rows = b * self.out_h * self.out_w  # im2col rows
@@ -261,7 +286,8 @@ class SecureConv2D(SecureLayer):
         reqs = [matmul_stream((rows, fan_in), (fan_in, oc))]  # fwd
         if training:
             reqs.append(matmul_stream((fan_in, rows), (rows, oc)))  # dW
-            reqs.append(matmul_stream((rows, oc), (oc, fan_in)))  # dX
+            if input_grad:
+                reqs.append(matmul_stream((rows, oc), (oc, fan_in)))  # dX
         return reqs, (b, self.out_h * self.out_w * oc)
 
 
@@ -315,7 +341,11 @@ class SecureAvgPool2D(SecureLayer):
             )
         return summed.mul_public(1.0 / (self.window * self.window))
 
-    def backward(self, delta: SharedTensor) -> SharedTensor:
+    def backward(
+        self, delta: SharedTensor, *, input_grad: bool = True
+    ) -> SharedTensor | None:
+        if not input_grad:
+            return None  # parameter-free: the input gradient is all there is
         n = self._batch
         oh, ow, c = self.out_shape
         k = self.window
@@ -330,7 +360,7 @@ class SecureAvgPool2D(SecureLayer):
         )
 
     def plan_streams(
-        self, in_shape: tuple[int, ...], *, training: bool
+        self, in_shape: tuple[int, ...], *, training: bool, input_grad: bool = True
     ) -> tuple[list[TripletRequest], tuple[int, ...]]:
         # Linear layer: no triplets, just shrink the feature map.
         return [], (in_shape[0], int(np.prod(self.out_shape)))

@@ -54,9 +54,33 @@ class SecureModel:
         """dLoss/dPred; squared-error style by default (shared, local)."""
         return pred - y
 
+    def _first_trainable(self) -> int:
+        """Index of the earliest layer with parameters (``len`` if none)."""
+        for i, layer in enumerate(self.layers):
+            if layer.parameters():
+                return i
+        return len(self.layers)
+
     def backward(self, delta: SharedTensor) -> None:
-        for layer in reversed(self.layers):
-            delta = layer.backward(delta)
+        """Back-propagate ``delta`` down to the first trainable layer.
+
+        Stop rule: a layer's input gradient is computed only if some
+        earlier layer has parameters.  The earliest layer with
+        ``parameters()`` is called with ``input_grad=False`` — it still
+        accumulates its own ``dW``/``db`` but runs no secure ``dX``
+        product — and parameter-free layers before it are not visited.
+        The gradient of the input data is never computed, so nothing is
+        returned.
+        """
+        stop = self._first_trainable()
+        for i in range(len(self.layers) - 1, stop - 1, -1):
+            layer = self.layers[i]
+            delta = layer.backward(delta, input_grad=i > stop)
+            if delta is None and i > stop:
+                raise ProtocolError(
+                    f"{getattr(layer, 'name', type(layer).__name__)}: backward returned "
+                    "no input gradient but an earlier layer has parameters"
+                )
 
     def apply_gradients(self, lr: float) -> None:
         for layer in self.layers:
@@ -83,13 +107,18 @@ class SecureModel:
         label, this is also the *total* demand of a run (under the
         default ``fresh_triplets=False``), so the pool can pre-generate
         everything in fused batches before the first online step.
+        Follows :meth:`backward`'s stop rule: no backward streams below
+        the first trainable layer, no input-gradient streams for it.
         Models whose ``train_batch`` departs from the plain
         forward/backward walk override this.
         """
         requests: list[TripletRequest] = []
         shape: tuple[int, ...] = (batch_size,)
-        for layer in self.layers:
-            layer_reqs, shape = layer.plan_streams(shape, training=training)
+        stop = self._first_trainable()
+        for i, layer in enumerate(self.layers):
+            layer_reqs, shape = layer.plan_streams(
+                shape, training=training and i >= stop, input_grad=i > stop
+            )
             requests.extend(layer_reqs)
         return requests
 

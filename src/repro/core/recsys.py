@@ -66,12 +66,16 @@ class SecureEmbedding(SecureLayer):
             self._x = x
         return ops.secure_matmul(x, self.weight, label=f"{self.name}/fwd")
 
-    def backward(self, delta: SharedTensor) -> SharedTensor:
+    def backward(
+        self, delta: SharedTensor, *, input_grad: bool = True
+    ) -> SharedTensor | None:
         if self._x is None:
             raise ProtocolError(f"{self.name}: backward before forward")
         batch = self._x.shape[0]
         grad_w = ops.secure_matmul(self._x.T, delta, label=f"{self.name}/dW")
         self._grad_w = grad_w.mul_public(1.0 / batch)
+        if not input_grad:
+            return None
         return ops.secure_matmul(delta, self.weight.T, label=f"{self.name}/dX")
 
     def apply_gradients(self, lr: float) -> None:
@@ -84,14 +88,15 @@ class SecureEmbedding(SecureLayer):
         return [self.weight]
 
     def plan_streams(
-        self, in_shape: tuple[int, ...], *, training: bool
+        self, in_shape: tuple[int, ...], *, training: bool, input_grad: bool = True
     ) -> tuple[list[TripletRequest], tuple[int, ...]]:
         b = in_shape[0]
         v, e = self.in_features, self.out_features
         reqs = [matmul_stream((b, v), (v, e))]  # fwd
         if training:
             reqs.append(matmul_stream((v, b), (b, e)))  # dW
-            reqs.append(matmul_stream((b, e), (e, v)))  # dX
+            if input_grad:
+                reqs.append(matmul_stream((b, e), (e, v)))  # dX
         return reqs, (b, e)
 
 

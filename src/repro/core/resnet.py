@@ -21,6 +21,7 @@ from repro.core import ops
 from repro.core.layers import SecureConv2D, SecureDense, SecureLayer
 from repro.core.models import SecureModel
 from repro.core.tensor import SharedTensor
+from repro.mpc.pool import TripletRequest, hadamard_stream
 from repro.util.errors import ShapeError
 
 
@@ -78,11 +79,15 @@ class SecureResidualBlock(SecureLayer):
             self._batch = n
         return out
 
-    def backward(self, delta: SharedTensor) -> SharedTensor:
+    def backward(
+        self, delta: SharedTensor, *, input_grad: bool = True
+    ) -> SharedTensor | None:
         delta = ops.secure_elementwise_mul(delta, self._mask2, label=f"{self.name}/drelu2")
         d_conv = self.conv2.backward(delta)
         d_conv = ops.secure_elementwise_mul(d_conv, self._mask1, label=f"{self.name}/drelu1")
-        d_main = self.conv1.backward(d_conv)
+        d_main = self.conv1.backward(d_conv, input_grad=input_grad)
+        if not input_grad:
+            return None
         # gradient w.r.t. the skip path: scatter the cropped delta back
         n = self._batch
         h, w, c = self.in_shape
@@ -105,6 +110,19 @@ class SecureResidualBlock(SecureLayer):
 
     def parameters(self) -> list[SharedTensor]:
         return [*self.conv1.parameters(), *self.conv2.parameters()]
+
+    def plan_streams(
+        self, in_shape: tuple[int, ...], *, training: bool, input_grad: bool = True
+    ) -> tuple[list[TripletRequest], tuple[int, ...]]:
+        reqs1, shape1 = self.conv1.plan_streams(
+            in_shape, training=training, input_grad=input_grad
+        )
+        reqs2, shape2 = self.conv2.plan_streams(shape1, training=training)
+        relu1, relu2 = hadamard_stream(shape1), hadamard_stream(shape2)
+        reqs = [*reqs1, relu1, *reqs2, relu2]  # relu mask products
+        if training:
+            reqs.extend([relu2, relu1])  # drelu2, drelu1
+        return reqs, shape2
 
 
 class SecureResNet(SecureModel):

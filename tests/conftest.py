@@ -35,3 +35,19 @@ def ctx_secureml():
 def make_ctx(**overrides) -> SecureContext:
     """Helper for tests needing custom configs."""
     return SecureContext(FrameworkConfig.parsecureml(**overrides))
+
+
+def pool_then_dense(ctx):
+    """pool -> dense -> relu -> dense: a stack whose first layer has no
+    parameters, so the first *trainable* layer is the dense ``d0``."""
+    from repro.core.layers import SecureActivation, SecureAvgPool2D, SecureDense
+    from repro.core.models import SecureModel
+
+    model = SecureModel(ctx)
+    model.layers = [
+        SecureAvgPool2D(ctx, (4, 4, 1), 2, name="pool"),
+        SecureDense(ctx, 4, 5, name="d0"),
+        SecureActivation(ctx, "relu", name="d0act"),
+        SecureDense(ctx, 5, 3, name="d1"),
+    ]
+    return model

@@ -3,17 +3,22 @@ static-operand mask reuse, and the ring out= fast paths they build on."""
 
 import numpy as np
 import pytest
+from conftest import pool_then_dense
 
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
 from repro.core.inference import secure_predict
+from repro.core.attention import SecureAttention
 from repro.core.models import (
     SecureCNN,
+    SecureLinearRegression,
     SecureLogisticRegression,
     SecureMLP,
     SecureRNN,
     SecureSVM,
 )
+from repro.core.recsys import SecureRecsys
+from repro.core.resnet import SecureResNet
 from repro.core.ops import secure_matmul
 from repro.core.tensor import SharedTensor
 from repro.core.training import SecureTrainer
@@ -159,29 +164,29 @@ class TestPoolConsumption:
         assert ctx.triplet_pool.stock() == 0
 
     @pytest.mark.parametrize(
-        "build",
+        "build, in_width, n_out",
         [
-            lambda ctx: SecureMLP(ctx, 32, hidden=(16,), n_out=4),
-            lambda ctx: SecureCNN(ctx, (8, 8, 1), conv_channels=2, hidden=8, n_out=4),
-            lambda ctx: SecureLogisticRegression(ctx, 16),
-            lambda ctx: SecureSVM(ctx, 16),
-            lambda ctx: SecureRNN(ctx, 3, 8, hidden=8, n_out=4),
+            (lambda ctx: SecureMLP(ctx, 32, hidden=(16,), n_out=4), 32, 4),
+            (lambda ctx: SecureCNN(ctx, (8, 8, 1), conv_channels=2, hidden=8, n_out=4), 64, 4),
+            (lambda ctx: SecureLogisticRegression(ctx, 16), 16, 1),
+            (lambda ctx: SecureSVM(ctx, 16), 16, 1),
+            (lambda ctx: SecureRNN(ctx, 3, 8, hidden=8, n_out=4), 24, 4),
+            (lambda ctx: SecureLinearRegression(ctx, 16, n_out=2), 16, 2),
+            (lambda ctx: SecureAttention(ctx, 3, 4, n_out=3), 12, 3),
+            (lambda ctx: SecureRecsys(ctx, 12, 6, n_out=3), 12, 3),
+            (lambda ctx: SecureResNet(ctx, (9, 9, 1), channels=2, n_out=3), 81, 3),
+            (pool_then_dense, 16, 3),
         ],
-        ids=["mlp", "cnn", "logreg", "svm", "rnn"],
+        ids=[
+            "mlp", "cnn", "logreg", "svm", "rnn",
+            "linreg", "attention", "recsys", "resnet", "pool-dense",
+        ],
     )
-    def test_offline_plan_is_exact_per_model(self, build):
+    def test_offline_plan_is_exact_per_model(self, build, in_width, n_out):
         """provision(offline_plan) covers one step with no miss, no surplus."""
         ctx = SecureContext(_cfg(pool_size=16))
         model = build(ctx)
         rng = np.random.default_rng(0)
-        if isinstance(model, SecureCNN):
-            in_width, n_out = 8 * 8 * 1, 4
-        elif isinstance(model, SecureRNN):
-            in_width, n_out = 3 * 8, 4
-        elif isinstance(model, SecureMLP):
-            in_width, n_out = 32, 4
-        else:  # logreg / svm
-            in_width, n_out = 16, 1
         x = rng.normal(size=(16, in_width))
         y = rng.normal(size=(16, n_out))
         if isinstance(model, SecureSVM):

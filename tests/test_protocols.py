@@ -6,7 +6,8 @@ The acceptance contract for the pluggable-substrate refactor:
 * ``backend=`` threads from the api facade through config into the
   context (party count, dealer wiring, serving);
 * the default path is *unchanged*: a beaver2pc run replays
-  bit-identically against the pre-refactor reference transcript;
+  bit-identically against the committed reference transcript
+  (``scripts/gen_reference_transcript.py --check`` names a stale pin);
 * rep3 computes correct products/comparisons, passes the wire auditor,
   and raises backend-named errors when dealer material is requested.
 """
