@@ -7,10 +7,11 @@ checks, per (model, mode, compression) row:
 * message counts are *exactly* the committed ones — the simulation is
   deterministic, so any drift is a protocol regression, not noise;
 * the simulated online makespan has not regressed beyond 10% headroom;
-* the recsys CSR story still holds: inference with delta compression on
-  ships strictly fewer bytes than the dense run of the same workload,
-  and its wire bytes undercut its raw bytes (the static embedding-table
-  stream collapsing to all-zero CSR deltas — DESIGN §7).
+* compression still earns its keep on recsys: inference with delta
+  compression on ships strictly fewer bytes than the dense run of the
+  same workload, and its wire bytes undercut its raw bytes (the
+  embedding table itself is opened once and never re-sent, so this is
+  the other streams' share — DESIGN §7).
 
 Runs standalone:
 ``PYTHONPATH=src python -m pytest benchmarks/test_workload_regression.py``.

@@ -8,7 +8,7 @@ Examples::
     python -m repro.bench MLP MNIST --serve --clients 8   # serving-layer latency
     python -m repro.bench MLP MNIST --batches 4 --no-extrapolate
     python -m repro.bench MLP MNIST --system par --pool-size 8 \\
-        --static-mask-reuse --json BENCH_offline.json  # batched offline phase
+        --json BENCH_offline.json                    # batched offline phase
 
 Prints the same per-phase numbers the benchmark suite aggregates into
 the paper's tables; see ``pytest benchmarks/ --benchmark-only`` for the
@@ -38,7 +38,6 @@ def _configs(
     which: str,
     *,
     pool_size: int = 0,
-    static_mask_reuse: bool = False,
     backends: list[str] | None = None,
     runtime: str = "lockstep",
 ):
@@ -46,10 +45,8 @@ def _configs(
     sml = FrameworkConfig.secureml(activation_protocol="emulated", runtime=runtime)
     rows = {"par": [("ParSecureML", par)], "sml": [("SecureML", sml)],
             "both": [("SecureML", sml), ("ParSecureML", par)]}[which]
-    if (pool_size > 0 or static_mask_reuse) and which in ("par", "both"):
-        pooled = dataclasses.replace(
-            par, pool_size=pool_size, static_mask_reuse=static_mask_reuse
-        )
+    if pool_size > 0 and which in ("par", "both"):
+        pooled = dataclasses.replace(par, pool_size=pool_size)
         rows = [*rows, ("ParSecureML+pool", pooled)]
     if backends:
         rows = [
@@ -120,10 +117,6 @@ def main(argv: list[str] | None = None) -> int:
         help="triplet-pool refill batch; adds a ParSecureML+pool row when > 0",
     )
     parser.add_argument(
-        "--static-mask-reuse", action="store_true",
-        help="cache masked differences of static operands in the pooled row",
-    )
-    parser.add_argument(
         "--runtime", choices=["lockstep", "dataflow"], default="lockstep",
         help="task scheduling on the simulated clocks: lockstep program-"
         "order placement (default) or the event-driven dataflow scheduler "
@@ -166,8 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     rows = []
     if args.workloads:
         for name, cfg in _configs(
-            "par", pool_size=args.pool_size,
-            static_mask_reuse=args.static_mask_reuse, backends=args.backend,
+            "par", pool_size=args.pool_size, backends=args.backend,
             runtime=args.runtime,
         ):
             figure_rows = run_workload_figures(
@@ -217,8 +209,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.scale_curve else [args.replicas]
         )
         for name, cfg in _configs(
-            args.system, pool_size=args.pool_size,
-            static_mask_reuse=args.static_mask_reuse, backends=args.backend,
+            args.system, pool_size=args.pool_size, backends=args.backend,
             runtime=args.runtime,
         ):
             base_tput = None
@@ -279,8 +270,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if fleet_failed else 0
     if args.serve:
         for name, cfg in _configs(
-            args.system, pool_size=args.pool_size,
-            static_mask_reuse=args.static_mask_reuse, backends=args.backend,
+            args.system, pool_size=args.pool_size, backends=args.backend,
             runtime=args.runtime,
         ):
             res = run_serving(
@@ -313,8 +303,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {args.json}")
         return 1 if audit_failed else 0
     for name, cfg in _configs(
-        args.system, pool_size=args.pool_size,
-        static_mask_reuse=args.static_mask_reuse, backends=args.backend,
+        args.system, pool_size=args.pool_size, backends=args.backend,
         runtime=args.runtime,
     ):
         if args.inference:
@@ -333,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         scope = f"{args.batches} measured batches" if args.no_extrapolate else (
             f"one paper-scale epoch ({res.spec.paper_batches} batches)"
         )
-        label = f"{name:>16}" if args.pool_size or args.static_mask_reuse else f"{name:>12}"
+        label = f"{name:>16}" if args.pool_size else f"{name:>12}"
         print(f"{label}:  offline {res.offline_s(n):10.3f}s   "
               f"online {res.online_s(n):10.3f}s   total {res.total_s(n):10.3f}s   [{scope}]")
         results.append((name, res.total_s(n)))
@@ -351,7 +340,6 @@ def main(argv: list[str] | None = None) -> int:
             "raw_comm_bytes": res.raw_comm_bytes,
             "wire_comm_bytes": res.wire_comm_bytes,
             "pool_size": cfg.pool_size,
-            "static_mask_reuse": cfg.static_mask_reuse,
         })
         _audit_row(res, rows[-1])
 

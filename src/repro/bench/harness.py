@@ -522,10 +522,10 @@ def run_workload_figures(
 
     Each workload model contributes a training row and an inference row;
     recsys additionally runs inference with ``compression=False`` so the
-    pair of rows *measures* the CSR delta-compression win on the static
-    embedding-table stream (the raw-vs-wire gap only exists because the
-    table's masked difference repeats byte-identically across batches —
-    see DESIGN §7).  ``benchmarks/test_workload_regression.py`` guards
+    pair of rows *measures* what CSR delta compression earns on top of
+    static-operand reuse (the embedding table itself is opened once and
+    never re-sent — see DESIGN §7).
+    ``benchmarks/test_workload_regression.py`` guards
     the committed reference against message-count and makespan drift.
     """
     import dataclasses

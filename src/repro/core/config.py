@@ -59,8 +59,11 @@ class FrameworkConfig:
     # requires the masks U_i/V_i of a given operand stream to be *reused*
     # across iterations (E_{j+1} = E_j + Delta only holds for fixed U) —
     # so, following the paper, each op stream gets one triplet generated
-    # at setup and reused.  Set True to regenerate per use (single-use
-    # triplets, stronger privacy, compression never fires).
+    # at setup and reused.  Stable masks are also what lets the servers
+    # open an unchanged weight's F = W - V once and keep it, with the
+    # stream's Z, on the GPU (DESIGN 5b).  Set True to regenerate per
+    # use (single-use triplets, stronger privacy: compression never
+    # fires and nothing masked is cached or kept resident).
     fresh_triplets: bool = False
 
     # Batched offline provisioning.  pool_size > 0 banks pre-generated
@@ -70,14 +73,6 @@ class FrameworkConfig:
     # disables the pool: every triplet is generated synchronously at
     # first use, the historical behaviour.
     pool_size: int = 0
-
-    # Static-operand mask reuse.  When on, operands marked static (layer
-    # weights) keep their exchanged masked difference F cached between
-    # secure matmuls, skipping both the combine and the inter-server
-    # transmission, and triplet Z shares stay staged on the server GPUs.
-    # Pure cost-level optimisation: the online values are unchanged.
-    # Ignored under fresh_triplets (masks must not persist there).
-    static_mask_reuse: bool = False
 
     # CPU optimisations (Section 5.1).  cpu_parallel governs the servers'
     # online helpers; client_parallel governs the client's encrypt path.

@@ -274,16 +274,13 @@ class SecureContext:
         # same op stream within a step raises a labelled ProtocolError.
         self._batch_epoch: int | None = None
 
-        # Static-operand mask reuse (config.static_mask_reuse): cached
-        # combined masked differences keyed by (op label, side), and
-        # device-resident staged buffers keyed by (party, key).
+        # Static-operand reuse: opened masked differences of static
+        # operands keyed by (op label, side), and what each op stream
+        # keeps on a server GPU keyed by (party, op label).
         self._masked_cache: dict[tuple[str, str], tuple[int, int, np.ndarray]] = {}
-        self._device_stash: dict[tuple[int, str], tuple[tuple, object, object]] = {}
+        self._resident: dict[tuple[int, str], dict[str, tuple]] = {}
         self._mask_reuse_hits = self.telemetry.counter(
             "mpc.mask_reuse.hits", "masked-difference exchanges skipped via static reuse"
-        )
-        self._mask_reuse_bytes = self.telemetry.counter(
-            "mpc.mask_reuse.bytes_saved", "inter-server bytes not sent thanks to mask reuse"
         )
 
         # offline-material accounting
@@ -742,12 +739,7 @@ class SecureContext:
         """Advance the online-step epoch (per-batch consumption guard)."""
         self._batch_epoch = 0 if self._batch_epoch is None else self._batch_epoch + 1
 
-    # ------------------------------------------------ static-operand mask reuse
-
-    @property
-    def mask_reuse_enabled(self) -> bool:
-        """Mask reuse needs stable masks, so fresh_triplets disables it."""
-        return self.config.static_mask_reuse and not self.config.fresh_triplets
+    # ----------------------------------------------------- static-operand reuse
 
     def reuse_masked(self, label: str, side: str, tensor, triplet) -> np.ndarray | None:
         """Cached combined masked difference for a static operand, or None.
@@ -757,55 +749,40 @@ class SecureContext:
         the combined matrix is therefore bit-identical, and the servers
         skip the subtract, the transmission and the combine entirely.
         """
-        if not self.mask_reuse_enabled or not getattr(tensor, "static", False):
-            return None
         entry = self._masked_cache.get((label, side))
-        if entry is None:
-            return None
-        tensor_uid, triplet_uid, combined = entry
-        if tensor_uid != tensor.uid or triplet_uid != triplet.uid:
+        if entry is None or entry[:2] != (tensor.uid, triplet.uid):
             return None
         self._mask_reuse_hits.inc(1, side=side)
-        # Each server skips sending its local difference to the other.
-        self._mask_reuse_bytes.inc(2 * combined.nbytes, side=side)
-        return combined
+        return entry[2]
 
     def store_masked(self, label: str, side: str, tensor, triplet, combined: np.ndarray) -> None:
-        """Remember an exchanged masked difference for a static operand."""
-        if not self.mask_reuse_enabled or not getattr(tensor, "static", False):
-            return
-        self._masked_cache[(label, side)] = (tensor.uid, triplet.uid, combined)
+        """Remember an exchanged masked difference for a static operand.
 
-    def stash_device_buffer(self, party: int, key: str, version: tuple, array, deps=(), label="stage"):
-        """Keep ``array`` resident on server ``party``'s GPU across batches.
-
-        Returns ``(buffer, upload_task)``; re-uploads only when
-        ``version`` changes (freeing the stale buffer first).
+        Needs stable masks, so nothing is kept under fresh_triplets.
         """
-        gpu = self.server_gpu[party]
-        entry = self._device_stash.get((party, key))
-        if entry is not None:
-            old_version, buf, task = entry
-            if old_version == version:
-                return buf, task
-            gpu.free(buf)
-        buf, task = gpu.h2d(array, deps=deps, label=label)
-        self._device_stash[(party, key)] = (version, buf, task)
-        return buf, task
+        if tensor.static and not self.config.fresh_triplets:
+            self._masked_cache[(label, side)] = (tensor.uid, triplet.uid, combined)
+
+    def resident_operands(self, party: int, label: str) -> dict[str, tuple]:
+        """What op stream ``label`` keeps on server ``party``'s GPU.
+
+        ``name -> (version, buffer, upload task)``, read and updated by
+        :func:`repro.pipeline.scheduler.schedule_secure_gemm`.
+        """
+        return self._resident.setdefault((party, label), {})
 
     def reset_mask_reuse(self) -> None:
-        """Drop reuse caches and staged device buffers.
+        """Drop the reuse cache and every resident device buffer.
 
         Called on recovery paths (server restart, inference retry): a
         restarted server has lost its GPU memory, so nothing previously
-        staged or exchanged can be assumed present.
+        uploaded or exchanged can be assumed present.
         """
         self._masked_cache.clear()
-        for (party, _key), (_version, buf, _task) in list(self._device_stash.items()):
-            gpu = self.server_gpu[party]
-            if gpu is not None:
-                gpu.free(buf)
-        self._device_stash.clear()
+        for (party, _label), held in self._resident.items():
+            for _version, buf, _task in held.values():
+                self.server_gpu[party].free(buf)
+        self._resident.clear()
 
     # ---------------------------------------------------- per-label triplet API
 

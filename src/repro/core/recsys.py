@@ -7,14 +7,16 @@ gather indices would leak which rows were touched, so the oblivious
 formulation pays a full GEMM whose *plaintext* is sparse.
 
 What makes the workload interesting for this framework is the wire, not
-the FLOPs: the embedding table is a static operand (``mark_static``),
-so under the default per-label triplet caching its masked difference
-``F = table - V`` is byte-identical across inference batches, and the
-:class:`~repro.comm.compression.DeltaCompressor` collapses every repeat
-to an all-zero delta that the CSR framing ships in ``(rows+1)*8`` bytes.
-The table is the dominant matrix in the model, so the recsys entry is
-the conformance/bench workload that *measures* the CSR win
-(``BENCH_workloads.json``; methodology in DESIGN §7).
+the FLOPs: the embedding table is a static operand (``mark_static``)
+and the dominant matrix in the model, so under the default per-label
+triplet caching its masked difference ``F = table - V`` is
+byte-identical across inference batches.  The servers open and upload
+it once and reuse it until table or mask changes (DESIGN §5b) — which
+superseded the all-zero deltas the
+:class:`~repro.comm.compression.DeltaCompressor` used to ship for it in
+``(rows+1)*8``-byte CSR frames.  The recsys entry stays the
+conformance/bench workload that *measures* what compression earns on
+top (``BENCH_workloads.json``; methodology in DESIGN §7).
 
 :class:`SecureRecsys` = embedding + ReLU + dense head, trainable by the
 standard trainer; the plaintext twin is
@@ -40,8 +42,8 @@ class SecureEmbedding(SecureLayer):
 
     A :class:`~repro.core.layers.SecureDense` minus the bias — embedding
     rows have no additive offset, and keeping the layer bias-free means
-    the only traffic it generates is the one GEMM whose static-operand
-    stream the delta compressor collapses.
+    the only traffic it generates is the one GEMM whose static operand
+    is opened once.
     """
 
     def __init__(self, ctx, vocab: int, emb_dim: int, *, name: str = "emb"):

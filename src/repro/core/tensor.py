@@ -107,10 +107,11 @@ class SharedTensor:
     def mark_static(self) -> "SharedTensor":
         """Declare the value static across op invocations (layer weights).
 
-        Static operands are eligible for the context's mask-reuse cache
-        under ``config.static_mask_reuse``: their exchanged masked
-        difference and device-staged buffers persist between secure
-        matmuls until the value changes (new uid).  Returns ``self``.
+        The servers open a static operand's masked difference once per
+        mask and keep it, on the host and on the GPU, between secure
+        matmuls until the value changes (new uid) — unless
+        ``config.fresh_triplets`` forbids persistent masks.  Returns
+        ``self``.
         """
         self.static = True
         return self

@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.checkpoint import load_model, save_model
 from repro.core.tensor import SharedTensor
 from repro.faults.blame import PartyFailure
+from repro.faults.recovery import respawn_party
 from repro.telemetry import maybe_span
 from repro.util.errors import ConfigError
 
@@ -153,26 +154,8 @@ class SecureTrainer:
             raise failure
         ctx = self.ctx
         telemetry = getattr(ctx, "telemetry", None)
-        injector = getattr(ctx, "fault_injector", None)
         with maybe_span(telemetry, "train.recovery", clock="online", party=failure.party):
-            if injector is not None:
-                injector.restart(failure.party)
-            # a restarted peer renegotiates its compression session: an
-            # interrupted exchange leaves delta histories desynchronised
-            for compressor in getattr(ctx, "compressors", {}).values():
-                compressor.reset_stream_state()
-            # a restarted server lost its GPU memory: nothing staged or
-            # previously exchanged can be assumed present on replay
-            reset_reuse = getattr(ctx, "reset_mask_reuse", None)
-            if reset_reuse is not None:
-                reset_reuse()
-            # simulated reboot: the recovering server is busy for the
-            # restart penalty before it can replay anything
-            if failure.party.startswith("server"):
-                party_id = int(failure.party[-1])
-                ctx.server_cpu[party_id].run(
-                    ctx.config.retry_policy.restart_penalty_s, label="recovery:restart"
-                )
+            respawn_party(ctx, failure.party)
             extra = load_model(self.model, self._checkpoint_path())
         resume = int(extra.get("batch", 0))
         report.party_restarts += 1

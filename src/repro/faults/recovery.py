@@ -6,14 +6,15 @@ compressor state, so everything negotiated against it must be reset or
 the next message desynchronises.  This module is the single owner of
 that sequence; :func:`~repro.core.inference.run_secure_batch` (in-budget
 batch retries), :meth:`repro.serve.Replica.respawn` (fleet replica
+recovery), :class:`~repro.core.training.SecureTrainer` (checkpoint
 recovery), and any future driver all call :func:`respawn_party` so the
 steps can never drift apart:
 
 1. clear the injector's crash state for the party;
 2. reset every :class:`~repro.comm.compression.DeltaCompressor` stream
    (delta encoding resumes from scratch on both directions);
-3. drop static-mask-reuse caches and staged device buffers — nothing
-   previously exchanged or uploaded can be assumed present;
+3. drop the static-operand reuse cache and resident device buffers —
+   nothing previously exchanged or uploaded can be assumed present;
 4. charge the restart penalty on the restarted server's CPU, so
    recovery time shows up in the simulated makespan.
 """
@@ -37,9 +38,7 @@ def respawn_party(ctx, party: str, *, charge_restart: bool = True) -> None:
         compressor.reset_stream_state()
     # the restarted server lost its GPU memory and any previously
     # exchanged masked differences
-    reset_reuse = getattr(ctx, "reset_mask_reuse", None)
-    if reset_reuse is not None:
-        reset_reuse()
+    ctx.reset_mask_reuse()
     if charge_restart and party.startswith("server"):
         party_id = int(party[-1])
         ctx.server_cpu[party_id].run(

@@ -6,7 +6,7 @@ Fig. 5 of the paper decomposes the online GPU operation
 
 into sub-steps whose inputs arrive one PCIe transfer at a time:
 
-    transfers:  E  ->  A_i  ->  F  ->  B_i   (H2D engine, serial)
+    transfers:  E  ->  A_i  ->  F  ->  B_i  ->  Z_i   (H2D engine, serial)
     kernels:        D = (-i)E + A_i  ->  G1 = D @ F  ->  G2 = E @ B_i
                                                       -> C = G1 + G2 + Z_i
 
@@ -15,6 +15,10 @@ actually needs, so ``D`` runs while ``F`` is still on the bus and
 ``D @ F`` runs while ``B_i`` is on the bus — Fig. 5's overlap.  With it
 off, every kernel additionally waits for *all* transfers (the naive
 copy-everything-then-launch structure), which is the ablation baseline.
+
+``F`` of an unchanged weight and the stream's ``Z_i`` do not change
+between calls, so the caller may ask for them to stay on the device: a
+resident operand's slot in the sequence is simply empty.
 
 The function really computes C_i (ring arithmetic via the device's
 kernels) and returns the host-side result plus the dependency tasks the
@@ -46,20 +50,6 @@ class GemmScheduleResult:
     kernel_seconds: float  # total kernel time charged
 
 
-@dataclass
-class StagedGemmOperands:
-    """Device-resident inputs pre-staged across batches (mask reuse).
-
-    Each entry is an already-uploaded ``(buffer, upload_task)`` pair the
-    scheduler uses *instead of* a fresh H2D transfer.  Staged buffers
-    are owned by whoever staged them (the context's device stash) and
-    are left allocated on return — only fresh transfers are freed here.
-    """
-
-    f: tuple[DeviceBuffer, Task] | None = None  # combined masked F
-    z: tuple[DeviceBuffer, Task] | None = None  # this party's Z share
-
-
 def schedule_secure_gemm(
     gpu: SimGPU,
     party_id: int,
@@ -72,12 +62,18 @@ def schedule_secure_gemm(
     *,
     pipeline: bool = True,
     stream: int = 0,
-    staged: StagedGemmOperands | None = None,
+    resident: dict | None = None,
+    keep: dict | None = None,
 ) -> GemmScheduleResult:
     """Run the Eq. 8 GPU operation for one server with/without pipeline 1.
 
-    ``staged`` supplies device-resident F and/or Z buffers (static-mask
-    reuse): their H2D transfers are skipped and they are not freed.
+    ``keep`` maps an operand name (``"F"``, ``"Z"``) to the version it
+    must have to be reused; ``resident`` is this op stream's table of
+    operands already on the device, ``name -> (version, buffer, upload
+    task)``, which the call reads and updates.  A kept operand whose
+    resident version matches is used as is; otherwise it is uploaded at
+    its own place in the sequence (a stale buffer freed first) and left
+    allocated for the next call.  Everything else is freed on return.
     """
     if party_id not in (0, 1):
         raise ProtocolError(f"party_id must be 0 or 1, got {party_id}")
@@ -86,25 +82,31 @@ def schedule_secure_gemm(
             f"triplet share belongs to party {triplet.party_id}, used by party {party_id}"
         )
     triplet.mark_consumed()
-
-    # H2D transfers in Fig. 5's order; the engine serialises them.
-    # Staged operands are already resident: no transfer, no PCIe charge.
+    keep = keep or {}
     fresh: list[Task] = []
-    e_buf, t_e = gpu.h2d(e, deps=deps, label="h2d:E")
-    a_buf, t_a = gpu.h2d(a_share, deps=deps, label="h2d:A")
-    fresh.extend([t_e, t_a])
-    if staged is not None and staged.f is not None:
-        f_buf, t_f = staged.f
-    else:
-        f_buf, t_f = gpu.h2d(f, deps=deps, label="h2d:F")
-        fresh.append(t_f)
-    b_buf, t_b = gpu.h2d(b_share, deps=deps, label="h2d:B")
-    fresh.append(t_b)
-    if staged is not None and staged.z is not None:
-        z_buf, t_z = staged.z
-    else:
-        z_buf, t_z = gpu.h2d(triplet.z, deps=deps, label="h2d:Z")
-        fresh.append(t_z)
+    transient: list[DeviceBuffer] = []
+
+    def upload(name: str, array: np.ndarray) -> tuple[DeviceBuffer, Task]:
+        """One slot of Fig. 5's H2D order; the engine serialises them."""
+        version = keep.get(name)  # None: freed on return, like E, A and B
+        held = resident.get(name) if version is not None else None
+        if held is not None:
+            if held[0] == version:
+                return held[1:]  # resident: no transfer, no PCIe charge
+            gpu.free(held[1])
+        buf, task = gpu.h2d(array, deps=deps, label=f"h2d:{name}")
+        fresh.append(task)
+        if version is None:
+            transient.append(buf)
+        else:
+            resident[name] = (version, buf, task)
+        return buf, task
+
+    e_buf, t_e = upload("E", e)
+    a_buf, t_a = upload("A", a_share)
+    f_buf, t_f = upload("F", f)
+    b_buf, t_b = upload("B", b_share)
+    z_buf, t_z = upload("Z", triplet.z)
     transfers = [t_e, t_a, t_f, t_b, t_z]
     all_transfers_done = transfers if not pipeline else None
 
@@ -141,15 +143,8 @@ def schedule_secure_gemm(
 
     c_host, t_out = gpu.d2h(c_buf, deps=(t_sum,), label="d2h:C")
 
-    keep = set()
-    if staged is not None:
-        if staged.f is not None:
-            keep.add(id(f_buf))
-        if staged.z is not None:
-            keep.add(id(z_buf))
-    for buf in (e_buf, a_buf, f_buf, b_buf, z_buf, d_buf, g1_buf, g2_buf, c_buf):
-        if id(buf) not in keep:
-            gpu.free(buf)
+    for buf in (*transient, d_buf, g1_buf, g2_buf, c_buf):
+        gpu.free(buf)
 
     transfer_seconds = sum(t.duration for t in fresh) + t_out.duration
     kernel_seconds = t_d.duration + t_g1.duration + t_g2.duration + t_sum.duration

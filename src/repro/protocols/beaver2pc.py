@@ -27,7 +27,7 @@ from repro.fixedpoint.truncation import truncate_share
 from repro.mpc.comparison import emulated_ge_const, secure_ge_const
 from repro.mpc.protocol import beaver_elementwise_share
 from repro.mpc.shares import reconstruct, share_secret
-from repro.pipeline.scheduler import StagedGemmOperands, schedule_secure_gemm
+from repro.pipeline.scheduler import schedule_secure_gemm
 from repro.protocols.base import ProtocolBackend
 from repro.util.errors import ProtocolError
 
@@ -36,9 +36,9 @@ def _exchange_round(ctx, label, parts):
     """Eq. 5: one round of masked differences, one frame per direction.
 
     ``parts`` maps ``"E"`` / ``"F"`` to ``(locals_, local_tasks)`` for
-    every half of the round that is live — both normally, one when
-    static-mask reuse serves the other from cache — where ``locals_[i]``
-    is server i's ``E_i`` (or ``F_i``).  Each half goes through its own
+    every half of the round that is live — both normally, one when an
+    unchanged static operand's half is served from cache — where
+    ``locals_[i]`` is server i's ``E_i`` (or ``F_i``).  Each half goes through its own
     direction's :class:`~repro.comm.compression.DeltaCompressor` stream
     (``{label}/E/{src}``); a :class:`~repro.comm.wire.RoundCoalescer`
     then packs the halves into one framed message per directed link, so
@@ -157,13 +157,12 @@ class Beaver2PCBackend(ProtocolBackend):
         # --- offline ---------------------------------------------------------
         triplet = ctx.get_matrix_triplet(label, x.shape, y.shape)
 
-        # --- static-operand mask reuse (config.static_mask_reuse) ------------
+        # --- static-operand reuse ---------------------------------------------
         # For a static operand whose mask is unchanged since the last run of
         # this op stream, the combined masked difference is bit-identical —
         # the servers skip the subtract, the transmission and the combine.
-        reuse = getattr(ctx, "mask_reuse_enabled", False)
-        cached_e = ctx.reuse_masked(label, "E", x, triplet) if reuse else None
-        cached_f = ctx.reuse_masked(label, "F", y, triplet) if reuse else None
+        cached_e = ctx.reuse_masked(label, "E", x, triplet)
+        cached_f = ctx.reuse_masked(label, "F", y, triplet)
 
         # --- reconstruct (online, CPU + network) -----------------------------
         # The live halves of the Eq. 5 round: name -> (locals, local tasks).
@@ -193,6 +192,14 @@ class Beaver2PCBackend(ProtocolBackend):
 
         # --- GPU operation (online) ------------------------------------------
         decision = ctx.profiler.place_gemm(m, 2 * k, n, operands_on_gpu=False)
+        # Operands that stay on the server GPUs between calls (persistent
+        # masks only): this stream's Z share and, for a static right
+        # operand, the opened F — re-uploaded when triplet or value changes.
+        keep = {}
+        if not ctx.config.fresh_triplets:
+            keep["Z"] = triplet.uid
+            if y.static:
+                keep["F"] = (y.uid, triplet.uid)
         shares = []
         tasks = []
         for i in (0, 1):
@@ -204,22 +211,6 @@ class Beaver2PCBackend(ProtocolBackend):
                 ready = _deps(*starts[i], e_tasks[i], f_tasks[i])
             tshare = triplet.share_for(i)
             if decision.placement == "gpu" and ctx.server_gpu[i] is not None:
-                staged = None
-                if reuse:
-                    # Keep this stream's Z share (and, for a static right
-                    # operand, the combined F) resident on the server GPU:
-                    # re-uploaded only when the triplet or value changes.
-                    staged_f = None
-                    if y.static:
-                        staged_f = ctx.stash_device_buffer(
-                            i, f"f/{label}", ("f", y.uid, triplet.uid), f,
-                            deps=ready, label=f"{label}:stage:F",
-                        )
-                    staged_z = ctx.stash_device_buffer(
-                        i, f"z/{label}", ("z", triplet.uid), tshare.z,
-                        deps=ready, label=f"{label}:stage:Z",
-                    )
-                    staged = StagedGemmOperands(f=staged_f, z=staged_z)
                 result = schedule_secure_gemm(
                     ctx.server_gpu[i],
                     i,
@@ -230,7 +221,8 @@ class Beaver2PCBackend(ProtocolBackend):
                     tshare,
                     deps=ready,
                     pipeline=ctx.config.pipeline1,
-                    staged=staged,
+                    resident=ctx.resident_operands(i, label),
+                    keep=keep,
                 )
                 shares.append(result.c_share)
                 tasks.append(result.done)

@@ -25,7 +25,6 @@ Metric naming conventions (dots group, labels discriminate):
 ``mpc.pool.refills{kind}``            fused batch-generation calls
 ``mpc.pool.stocked``                  gauge: triplets currently banked
 ``mpc.mask_reuse.hits{side}``         masked exchanges skipped (static reuse)
-``mpc.mask_reuse.bytes_saved{side}``  inter-server bytes not sent thanks to it
 ``ops.invocations{op}``               secure-op call counts
 ``ops.online_seconds{op}``            online makespan attributed per op
 ``runtime.messages{actor,direction}`` actor-level message counts

@@ -51,3 +51,16 @@ def pool_then_dense(ctx):
         SecureDense(ctx, 5, 3, name="d1"),
     ]
     return model
+
+
+def never_reuse(monkeypatch):
+    """Until the test ends, every context forgets what it could reuse
+    before each online step: the reference for static-operand reuse,
+    which has no off switch (``fresh_triplets`` changes the masks too)."""
+    begin = SecureContext.begin_batch
+
+    def begin_batch(ctx):
+        ctx.reset_mask_reuse()
+        begin(ctx)
+
+    monkeypatch.setattr(SecureContext, "begin_batch", begin_batch)

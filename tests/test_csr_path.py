@@ -1,8 +1,9 @@
 """CSR delta-compression path under one-hot / sparse operands.
 
-The recsys workload leans on exactly this machinery (static
-embedding-table streams collapsing to all-zero CSR deltas), so the
-decision procedure's edges get dedicated coverage here:
+The recsys workload's one-hot operands and repeated streams are where
+this machinery's edges show (a static stream re-sent after a restart
+collapses to an all-zero CSR delta), so the decision procedure gets
+dedicated coverage here:
 
 * one-hot matrices round-trip through the codec and their wire size
   follows the documented ``(rows+1)*8 + nnz*4 + nnz*itemsize`` formula;

@@ -1,0 +1,292 @@
+"""Static-operand reuse: an unchanged weight's ``F`` and a stream's ``Z``
+are opened and uploaded once, in Fig. 5's transfer order.
+
+The rule under test lives in two places: ``SecureContext`` remembers the
+opened ``F`` of a static operand (no second exchange), and
+``schedule_secure_gemm`` keeps ``F`` and ``Z`` on the device (no second
+upload).  A first use must schedule exactly what a run with nothing
+resident schedules; every invalidation must be followed by a miss; and
+no value may ever move.
+"""
+
+import numpy as np
+import pytest
+from conftest import never_reuse
+
+from repro.core.config import FrameworkConfig
+from repro.core.context import SecureContext
+from repro.core.inference import secure_predict
+from repro.core.models import SecureMLP
+from repro.core.ops import secure_matmul
+from repro.core.tensor import SharedTensor
+from repro.core.training import SecureTrainer
+from repro.faults.recovery import respawn_party
+from repro.fixedpoint.encoding import FixedPointEncoder
+from repro.mpc.shares import share_secret
+from repro.mpc.triplets import TripletDealer
+from repro.pipeline.scheduler import schedule_secure_gemm
+from repro.serve import Replica
+from repro.simgpu.clock import SimClock
+from repro.simgpu.cost import V100_SPEC
+from repro.simgpu.device import SimGPU
+
+FIG5_ORDER = ["h2d:E", "h2d:A", "h2d:F", "h2d:B", "h2d:Z"]
+
+
+def _cfg(**kw):
+    kw.setdefault("placement_mode", "gpu_always")
+    kw.setdefault("trace", True)
+    return FrameworkConfig.parsecureml(activation_protocol="emulated", **kw)
+
+
+def _shared(ctx, shape, seed, label):
+    values = np.random.default_rng(seed).normal(size=shape)
+    return SharedTensor.from_plain(ctx, values, label=label)
+
+
+def _step(ctx, x, w, label="fc"):
+    """One online step of op stream ``label``: (product, tasks it placed)."""
+    ctx.begin_batch()
+    start = len(ctx.online_clock.trace)
+    out = secure_matmul(x, w, label=label)
+    return out, ctx.online_clock.trace[start:]
+
+
+def _uploads(tasks, party=0):
+    return [t.label for t in tasks if t.resource == f"s{party}gpu.h2d"]
+
+
+def _hits(ctx, side="F"):
+    return ctx.telemetry.registry.counter("mpc.mask_reuse.hits", "").value(side=side)
+
+
+def _device_bytes(ctx):
+    return [gpu.pool.allocated_bytes for gpu in ctx.server_gpu]
+
+
+# ------------------------------------------------------------- the scheduler rule
+
+
+class TestSchedulerResidency:
+    def _operands(self, m=16, k=24, n=8):
+        rng = np.random.default_rng(0)
+        enc = FixedPointEncoder(13)
+        ap = share_secret(enc.encode(rng.normal(size=(m, k))), rng)
+        bp = share_secret(enc.encode(rng.normal(size=(k, n))), rng)
+        trip = TripletDealer(np.random.default_rng(1)).matrix_triplet((m, k), (k, n))
+        e = (ap[0] - trip.u[0]) + (ap[1] - trip.u[1])
+        f = (bp[0] - trip.v[0]) + (bp[1] - trip.v[1])
+        return e, f, ap[0], bp[0], trip
+
+    def _run(self, gpu, ops, **kw):
+        e, f, a, b, trip = ops
+        start = len(gpu.clock.trace)
+        res = schedule_secure_gemm(gpu, 0, e, f, a, b, trip.share_for(0), **kw)
+        return res, gpu.clock.trace[start:]
+
+    def test_first_use_is_the_plain_schedule(self):
+        ops = self._operands()
+        _, plain = self._run(SimGPU(SimClock(), V100_SPEC, "g"), ops)
+        _, first = self._run(
+            SimGPU(SimClock(), V100_SPEC, "g"), ops, resident={}, keep={"F": 1, "Z": 1}
+        )
+        assert first == plain
+        assert [t.label for t in first if t.resource == "g.h2d"] == FIG5_ORDER
+
+    def test_resident_operands_skip_their_slot_and_survive_the_call(self):
+        ops = self._operands()
+        gpu = SimGPU(SimClock(), V100_SPEC, "g")
+        resident, keep = {}, {"F": 1, "Z": 1}
+        first, _ = self._run(gpu, ops, resident=resident, keep=keep)
+        held = ops[1].nbytes + ops[4].z[0].nbytes
+        assert gpu.pool.allocated_bytes == held
+        second, tasks = self._run(gpu, ops, resident=resident, keep=keep)
+        assert [t.label for t in tasks if t.resource == "g.h2d"] == ["h2d:E", "h2d:A", "h2d:B"]
+        assert np.array_equal(first.c_share, second.c_share)
+        assert second.transfer_seconds < first.transfer_seconds
+        assert gpu.pool.allocated_bytes == held
+
+    def test_stale_version_is_freed_and_uploaded_in_place(self):
+        ops = self._operands()
+        gpu = SimGPU(SimClock(), V100_SPEC, "g")
+        resident = {}
+        self._run(gpu, ops, resident=resident, keep={"F": 1, "Z": 1})
+        stale = resident["F"][1]
+        held = gpu.pool.allocated_bytes
+        _, tasks = self._run(gpu, ops, resident=resident, keep={"F": 2, "Z": 1})
+        assert [t.label for t in tasks if t.resource == "g.h2d"] == FIG5_ORDER[:4]
+        assert stale.freed and not resident["F"][1].freed
+        assert gpu.pool.allocated_bytes == held
+
+    def test_nothing_is_kept_unless_asked(self):
+        gpu = SimGPU(SimClock(), V100_SPEC, "g")
+        resident = {}
+        self._run(gpu, self._operands(), resident=resident)
+        assert resident == {} and gpu.pool.allocated_bytes == 0
+
+
+# ------------------------------------------------- (a) first use, (b) second use
+
+
+class TestFirstAndSecondUse:
+    def test_first_matmul_schedules_what_a_run_with_nothing_resident_does(self):
+        """fresh_triplets never keeps anything, so its schedule is the
+        reference: same tasks, labels, resources and start times."""
+        traces = {}
+        for fresh in (False, True):
+            ctx = SecureContext(_cfg(fresh_triplets=fresh))
+            w = _shared(ctx, (96, 48), 1, "w").mark_static()
+            _, traces[fresh] = _step(ctx, _shared(ctx, (64, 96), 2, "x"), w)
+        assert traces[False] == traces[True]
+        for party in (0, 1):
+            assert _uploads(traces[False], party) == FIG5_ORDER
+
+    def test_second_matmul_opens_and_uploads_neither_f_nor_z(self):
+        ctx = SecureContext(_cfg())
+        recorder = ctx.attach_recorder()
+        w = _shared(ctx, (96, 48), 1, "w").mark_static()
+        mark = ctx.mark()
+        first, _ = _step(ctx, _shared(ctx, (64, 96), 2, "x0"), w)
+        first_bytes = ctx.since(mark).server_bytes
+        mark = ctx.mark()
+        x1 = _shared(ctx, (64, 96), 3, "x1")
+        second, tasks = _step(ctx, x1, w)
+        for party in (0, 1):
+            assert _uploads(tasks, party) == ["h2d:E", "h2d:A", "h2d:B"]
+        assert not any(t.label.startswith(("fc:F", "fc:combineF")) for t in tasks)
+        assert _hits(ctx) == 1 and _hits(ctx, "E") == 0
+        # the Eq. 5 round still costs one frame each way, now E alone
+        frames = recorder.transcript().records_for(src="server0", dst="server1")
+        assert [len(r.parts) for r in frames if r.tag == "fc/EF/0"] == [2, 1]
+        assert ctx.since(mark).server_bytes < first_bytes
+        np.testing.assert_allclose(
+            second.decode(), x1.decode() @ w.decode(), atol=96 * 2**-12
+        )
+
+    def test_a_stream_without_a_static_operand_keeps_only_z(self):
+        ctx = SecureContext(_cfg())
+        w = _shared(ctx, (96, 48), 1, "w")  # not marked static
+        _step(ctx, _shared(ctx, (64, 96), 2, "x0"), w)
+        _, tasks = _step(ctx, _shared(ctx, (64, 96), 3, "x1"), w)
+        assert _uploads(tasks) == FIG5_ORDER[:4]
+        assert _hits(ctx) == 0
+
+
+# ------------------------------------------------------------- (c) invalidations
+
+
+class TestInvalidation:
+    def _warm(self, **kw):
+        ctx = SecureContext(_cfg(**kw))
+        w = _shared(ctx, (96, 48), 1, "w").mark_static()
+        _step(ctx, _shared(ctx, (64, 96), 2, "x0"), w)
+        _, tasks = _step(ctx, _shared(ctx, (64, 96), 3, "x1"), w)
+        assert "h2d:F" not in _uploads(tasks)
+        return ctx, w
+
+    def test_weight_update_misses_on_f_only(self):
+        ctx, w = self._warm()
+        held = _device_bytes(ctx)
+        updated = (w - w.mul_public(0.5)).mark_static()
+        assert updated.uid != w.uid
+        _, tasks = _step(ctx, _shared(ctx, (64, 96), 4, "x2"), updated)
+        assert _uploads(tasks) == FIG5_ORDER[:4]  # Z: same triplet, still resident
+        assert _hits(ctx) == 1
+        assert _device_bytes(ctx) == held  # the stale F was freed, not leaked
+
+    def test_ragged_batch_gets_a_new_triplet_and_misses_on_both(self):
+        ctx, w = self._warm()
+        _, tasks = _step(ctx, _shared(ctx, (40, 96), 4, "tail"), w)
+        assert _uploads(tasks) == FIG5_ORDER
+        assert _hits(ctx) == 1
+
+    def test_reset_after_a_party_restart_misses_on_both(self):
+        ctx, w = self._warm()
+        respawn_party(ctx, "server1")
+        assert _device_bytes(ctx) == [0, 0]
+        _, tasks = _step(ctx, _shared(ctx, (64, 96), 4, "x2"), w)
+        for party in (0, 1):
+            assert _uploads(tasks, party) == FIG5_ORDER
+        assert _hits(ctx) == 1
+        _, tasks = _step(ctx, _shared(ctx, (64, 96), 5, "x3"), w)
+        assert _uploads(tasks) == ["h2d:E", "h2d:A", "h2d:B"] and _hits(ctx) == 2
+
+    def test_respawned_fleet_replica_starts_cold(self):
+        ctx = SecureContext(_cfg())
+        replica = Replica(ctx, SecureMLP(ctx, 12, hidden=(6,), n_out=3), max_batch=8)
+        rng = np.random.default_rng(0)
+
+        def serve():
+            start = len(ctx.online_clock.trace)
+            replica.submit("c", rng.normal(size=(8, 12)))
+            replica.drain()
+            return _uploads(ctx.online_clock.trace[start:])
+
+        assert serve().count("h2d:F") == 2  # two dense layers
+        assert serve().count("h2d:F") == 0
+        replica.crashed_party = "server1"
+        replica.respawn()
+        assert serve().count("h2d:F") == 2
+        assert serve().count("h2d:F") == 0
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{}, {"pool_size": 4}, {"runtime": "dataflow"}],
+        ids=["default", "pool", "dataflow"],
+    )
+    def test_predictions_equal_a_run_that_never_reuses(self, extra, monkeypatch):
+        """Inference, weight updates, inference again: every prediction
+        bit equals a run whose caches are dropped before every batch."""
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(96, 32)), rng.normal(size=(96, 4))
+
+        def run():
+            ctx = SecureContext(_cfg(**extra))
+            model = SecureMLP(ctx, 32, hidden=(16,), n_out=4)
+            before = secure_predict(ctx, model, x, batch_size=32).predictions
+            SecureTrainer(ctx, model, lr=0.03125).train(x, y, batch_size=32)
+            after = secure_predict(ctx, model, x, batch_size=32).predictions
+            return ctx, before, after
+
+        ctx, before, after = run()
+        never_reuse(monkeypatch)
+        cold, cold_before, cold_after = run()
+        np.testing.assert_array_equal(before, cold_before)
+        np.testing.assert_array_equal(after, cold_after)
+        # 2 dense layers x (2 repeat batches x 2 predict calls + the first
+        # training batch, whose forward still sees the served weights);
+        # from then on every batch changes every weight and nothing hits
+        assert _hits(ctx) == 10 and _hits(cold) == 0
+
+    def test_training_is_bit_identical_and_keeps_z_resident(self, monkeypatch):
+        def train():
+            ctx = SecureContext(_cfg())
+            model = SecureMLP(ctx, 48, hidden=(24, 12), n_out=4)
+            rng = np.random.default_rng(0)
+            report = SecureTrainer(ctx, model, lr=0.03125).train(
+                rng.normal(size=(192, 48)), rng.normal(size=(192, 4)), batch_size=64
+            )
+            weights = np.concatenate([p.decode().ravel() for p in model.parameters()])
+            return report, weights
+
+        report, weights = train()
+        never_reuse(monkeypatch)
+        cold_report, cold_weights = train()
+        np.testing.assert_array_equal(weights, cold_weights)
+        assert report.online_s < cold_report.online_s
+        assert report.server_bytes == cold_report.server_bytes
+
+
+# ------------------------------------------------------------ (d) fresh triplets
+
+
+class TestFreshTriplets:
+    def test_single_use_masks_are_never_cached_or_kept(self):
+        ctx = SecureContext(_cfg(fresh_triplets=True))
+        w = _shared(ctx, (96, 48), 1, "w").mark_static()
+        for seed in (2, 3, 4):
+            _, tasks = _step(ctx, _shared(ctx, (64, 96), seed, "x"), w)
+            assert _uploads(tasks) == FIG5_ORDER
+            assert _device_bytes(ctx) == [0, 0]
+        assert _hits(ctx) == 0 and _hits(ctx, "E") == 0
+        assert not ctx._masked_cache

@@ -1,5 +1,6 @@
-"""Batched offline provisioning: triplet pool, fused dealer GEMMs,
-static-operand mask reuse, and the ring out= fast paths they build on."""
+"""Batched offline provisioning: triplet pool, fused dealer GEMMs, and
+the ring out= fast paths they build on (static-operand reuse has its
+own file, test_mask_reuse.py)."""
 
 import numpy as np
 import pytest
@@ -280,71 +281,19 @@ class TestZeroSizeGemm:
         np.testing.assert_allclose(out.decode(), np.zeros((2, 3)), atol=1e-6)
 
 
-# ------------------------------------------------------------------- mask reuse
-
-
-class TestStaticMaskReuse:
-    def test_reuse_alone_is_bit_identical(self):
-        """static_mask_reuse changes cost accounting only, never values."""
-        _, _, base = _train_weights(_cfg())
-        _, _, reused = _train_weights(_cfg(static_mask_reuse=True))
-        np.testing.assert_array_equal(base, reused)
-
-    def test_inference_reuses_static_weight_masks(self):
-        cfg = _cfg(static_mask_reuse=True)
-        ctx = SecureContext(cfg)
-        model = SecureMLP(ctx, 32, hidden=(16,), n_out=4)
-        x = np.random.default_rng(0).normal(size=(128, 32))
-        secure_predict(ctx, model, x, batch_size=32)
-        reg = ctx.telemetry.registry
-        # 2 dense layers x 3 batches after the first exchange each
-        assert reg.counter("mpc.mask_reuse.hits", "").value() == 6
-        assert reg.counter("mpc.mask_reuse.bytes_saved", "").value() > 0
-
-    def test_inference_predictions_unchanged_by_reuse(self):
-        def predict(cfg):
-            ctx = SecureContext(cfg)
-            model = SecureMLP(ctx, 32, hidden=(16,), n_out=4)
-            x = np.random.default_rng(1).normal(size=(96, 32))
-            return secure_predict(ctx, model, x, batch_size=32)
-
-        base = predict(_cfg())
-        reused = predict(_cfg(static_mask_reuse=True))
-        np.testing.assert_array_equal(base.predictions, reused.predictions)
-        assert reused.online_s <= base.online_s
-
-    def test_fresh_triplets_disable_reuse(self):
-        ctx = SecureContext(_cfg(static_mask_reuse=True, fresh_triplets=True))
-        assert not ctx.mask_reuse_enabled
-
-    def test_reset_clears_reuse_state(self):
-        ctx = SecureContext(_cfg(static_mask_reuse=True))
-        model = SecureMLP(ctx, 16, hidden=(8,), n_out=2)
-        x = np.random.default_rng(2).normal(size=(32, 16))
-        secure_predict(ctx, model, x, batch_size=16)
-        assert ctx._masked_cache
-        ctx.reset_mask_reuse()
-        assert not ctx._masked_cache
-        assert not ctx._device_stash
-
-
 # -------------------------------------------------------------- defaults intact
 
 
 class TestAblationDefaults:
     def test_defaults_reproduce_legacy_weights(self):
-        """pool_size=0 + static_mask_reuse=False is the exact old path."""
+        """pool_size=0 is the default, per-op dealer path."""
         _, _, a = _train_weights(_cfg())
-        _, _, b = _train_weights(
-            _cfg(pool_size=0, static_mask_reuse=False)
-        )
+        _, _, b = _train_weights(_cfg(pool_size=0))
         np.testing.assert_array_equal(a, b)
 
     def test_pooled_run_converges_like_baseline(self):
         _, base_report, _ = _train_weights(_cfg())
-        ctx, pooled_report, _ = _train_weights(
-            _cfg(pool_size=8, static_mask_reuse=True)
-        )
+        ctx, pooled_report, _ = _train_weights(_cfg(pool_size=8))
         assert np.allclose(base_report.losses, pooled_report.losses, atol=1e-2)
         # pooled provisioning must never cost more simulated offline time
         assert pooled_report.offline_s <= base_report.offline_s * (1 + 1e-9)
