@@ -34,11 +34,9 @@ N_BATCHES = int(os.environ.get("REPRO_BENCH_BATCHES", "2"))
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") == "1"
 FULL_SCALE = os.environ.get("REPRO_BENCH_FULL_SCALE", "0") == "1"
 
-# Benchmarks use the cost-identical emulated comparison so very large
-# activation tensors stay tractable in pure Python (value- and
-# accounting-parity with the real protocol is asserted in tests/).
-PAR_CONFIG = FrameworkConfig.parsecureml(activation_protocol="emulated", trace=False)
-SML_CONFIG = FrameworkConfig.secureml(activation_protocol="emulated", trace=False)
+# The two evaluated systems, exactly as the presets build them.
+PAR_CONFIG = FrameworkConfig.parsecureml()
+SML_CONFIG = FrameworkConfig.secureml()
 
 
 def grid_cells() -> list[tuple[str, str]]:

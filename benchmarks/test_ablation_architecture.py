@@ -26,7 +26,6 @@ def run(gpu_spec, features: int, tensor_core: bool = True) -> float:
         gpu_spec=gpu_spec,
         tensor_core=tensor_core,
         placement_mode="gpu_always",
-        activation_protocol="emulated",
     )
     ctx = SecureContext(cfg)
     rng = np.random.default_rng(0)

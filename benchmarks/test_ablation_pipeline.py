@@ -24,7 +24,6 @@ def run_config(pipeline1: bool, double_pipeline: bool) -> float:
         pipeline1=pipeline1,
         double_pipeline=double_pipeline,
         placement_mode="gpu_always",  # pipelines act on the GPU path
-        activation_protocol="emulated",
     )
     ctx = SecureContext(cfg)
     rng = np.random.default_rng(0)

@@ -23,7 +23,7 @@ MODES = ["adaptive", "cpu_always", "gpu_always"]
 
 
 def run(features: int, mode: str) -> float:
-    cfg = FrameworkConfig.parsecureml(placement_mode=mode, activation_protocol="emulated")
+    cfg = FrameworkConfig.parsecureml(placement_mode=mode)
     ctx = SecureContext(cfg)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(256, features)) * 0.5

@@ -1,21 +1,33 @@
-"""Fig. 16 — communication saved by compressed transmission.
+"""Fig. 16 — communication kept off the inter-server wire by §4.4.
 
 Paper: 22.9% average reduction in inter-server communication, from
 transmitting CSR-coded deltas of slowly-changing streams (Eqs. 10-12).
+The premise is a stable mask: with ``U``/``V`` fixed per op stream, an
+operand that did not change opens to the same ``E``/``F``.
 
-Fidelity note (recorded in EXPERIMENTS.md): in an *exact-ring*
-implementation, every training-time weight update carries the SecureML
-local-truncation noise of +/-1 ulp, so iteration deltas of weights are
-dense random +/-1 matrices and the delta test almost never fires during
-active training.  Where the optimisation does fire — and where this
-benchmark measures it — is every setting with *stable* operand streams:
+What is measured: total inter-server ``comm.bytes`` of the default
+config against the same run under ``fresh_triplets=True`` (single-use
+masks: nothing cached, nothing compressed).  That counts both things
+stable masks buy — an unchanged weight's ``F`` opened once and never
+re-sent, and the CSR deltas of the streams still sent — where the
+compressor's own ``comm.compression.*`` counters see only the second
+and lost the first when the stable ``F`` left the wire entirely.  The
+compressor-only share is printed beside it.
 
-* secure inference (the dominant deployment mode; weights fixed);
-* transfer learning / fine-tuning with frozen layers;
-* converged models being re-validated.
+Fidelity notes (recorded in EXPERIMENTS.md):
 
-Shape claims: compression never inflates traffic; inference-style
-workloads save a tens-of-percent fraction, matching the paper's 22.9%.
+* in an *exact-ring* implementation every training-time weight update
+  carries the SecureML local-truncation noise of +/-1 ulp, so nothing
+  about an actively trained weight is stable: active training saves 0;
+* the compressor's streams are keyed by op label and see consecutive
+  *different* batches, while the paper's stable ``E`` is the same batch
+  in the next epoch; on the one comparison protocol it fires on one of
+  the four cases (logistic inference, whose activation indicators
+  mostly repeat between batches).
+
+Shape claims: stable masks never inflate traffic; every setting with
+fixed weights (inference, frozen-layer fine-tuning) saves, more the
+larger the fixed share; active training saves nothing.
 """
 
 import numpy as np
@@ -28,53 +40,59 @@ from repro.core.models import SecureLogisticRegression, SecureMLP
 from repro.core.training import SecureTrainer
 
 
-def _ctx():
-    return SecureContext.create(FrameworkConfig.parsecureml(activation_protocol="emulated"))
-
-
 def _comm_bytes(ctx):
-    """(raw, wire) inter-server bytes from the run's telemetry snapshot."""
+    """(total, compressor raw, compressor wire) inter-server bytes."""
     snap = ctx.telemetry.snapshot()
     return (
+        ctx.mark().server_bytes,
         int(snap.counter("comm.compression.raw_bytes")),
         int(snap.counter("comm.compression.wire_bytes")),
     )
 
 
+def _stable_vs_fresh(name, run):
+    """``run(ctx)`` on the default config and under single-use masks."""
+    stable = SecureContext.create(FrameworkConfig.parsecureml())
+    fresh = SecureContext.create(FrameworkConfig.parsecureml(fresh_triplets=True))
+    run(stable)
+    run(fresh)
+    return (name, fresh.mark().server_bytes, *_comm_bytes(stable))
+
+
 def run_inference_case(name, model_fn, features, batches=6):
-    ctx = _ctx()
-    rng = np.random.default_rng(1)
-    model = model_fn(ctx, features)
-    x = rng.normal(size=(batches * 128, features)) * 0.5
-    secure_predict(ctx, model, x, batch_size=128)
-    return (name, *_comm_bytes(ctx))
+    def run(ctx):
+        rng = np.random.default_rng(1)
+        model = model_fn(ctx, features)
+        x = rng.normal(size=(batches * 128, features)) * 0.5
+        secure_predict(ctx, model, x, batch_size=128)
+
+    return _stable_vs_fresh(name, run)
+
+
+def _train(ctx, *, freeze_first):
+    rng = np.random.default_rng(2 if freeze_first else 3)
+    model = SecureMLP(ctx, 256, hidden=(128,), n_out=64)
+    if freeze_first:
+        frozen = model.layers[0]
+        frozen.apply_gradients = lambda lr: setattr(frozen, "_grad_w", None)
+    x = rng.normal(size=(512, 256)) * 0.5
+    y = rng.normal(size=(512, 64)) * 0.1
+    SecureTrainer(ctx, model, lr=0.03125, monitor_loss=False).train(
+        x, y, epochs=2, batch_size=128
+    )
 
 
 def run_frozen_training_case():
     """Fine-tuning with a frozen first layer: its F-stream is constant."""
-    ctx = _ctx()
-    rng = np.random.default_rng(2)
-    model = SecureMLP(ctx, 256, hidden=(128,), n_out=64)
-    frozen = model.layers[0]
-    frozen.apply_gradients = lambda lr: setattr(frozen, "_grad_w", None)  # freeze
-    x = rng.normal(size=(512, 256)) * 0.5
-    y = rng.normal(size=(512, 64)) * 0.1
-    SecureTrainer(ctx, model, lr=0.03125, monitor_loss=False).train(
-        x, y, epochs=2, batch_size=128
+    return _stable_vs_fresh(
+        "MLP frozen-layer fine-tune", lambda ctx: _train(ctx, freeze_first=True)
     )
-    return ("MLP frozen-layer fine-tune", *_comm_bytes(ctx))
 
 
 def run_active_training_case():
-    ctx = _ctx()
-    rng = np.random.default_rng(3)
-    model = SecureMLP(ctx, 256, hidden=(128,), n_out=64)
-    x = rng.normal(size=(512, 256)) * 0.5
-    y = rng.normal(size=(512, 64)) * 0.1
-    SecureTrainer(ctx, model, lr=0.03125, monitor_loss=False).train(
-        x, y, epochs=2, batch_size=128
+    return _stable_vs_fresh(
+        "MLP active training", lambda ctx: _train(ctx, freeze_first=False)
     )
-    return ("MLP active training", *_comm_bytes(ctx))
 
 
 def build_cases():
@@ -95,15 +113,21 @@ def test_fig16(benchmark):
     print()
     rows = []
     savings = {}
-    for name, raw, wire in cases:
-        s = 1.0 - wire / raw if raw else 0.0
-        savings[name] = s
-        rows.append({"workload": name, "raw MB": raw / 1e6, "wire MB": wire / 1e6,
-                     "saved": f"{s:.1%}"})
-    print(format_table(rows, ["workload", "raw MB", "wire MB", "saved"],
-                       title="Fig. 16: compressed-transmission savings (paper avg 22.9%)"))
-    assert all(s >= 0.0 for s in savings.values()), "compression must never inflate traffic"
-    assert savings["MLP inference"] > 0.15, "stable weight streams must compress"
-    assert savings["MLP frozen-layer fine-tune"] > savings["MLP active training"]
+    for name, fresh, stable, raw, wire in cases:
+        savings[name] = 1.0 - stable / fresh
+        rows.append({"workload": name, "single-use MB": fresh / 1e6, "stable MB": stable / 1e6,
+                     "saved": f"{savings[name]:.1%}",
+                     "compressor only": f"{1.0 - wire / raw:.1%}"})
+        assert wire <= raw, "compression must never inflate traffic"
+    print(format_table(
+        rows, ["workload", "single-use MB", "stable MB", "saved", "compressor only"],
+        title="Fig. 16: inter-server bytes stable masks keep off the wire (paper avg 22.9%)",
+    ))
+    assert all(s >= 0.0 for s in savings.values()), "stable masks must never inflate traffic"
+    assert savings["MLP active training"] == 0.0, "a trained weight has nothing stable"
+    # every fixed weight's F crosses once instead of once a batch
+    assert savings["MLP inference"] > 0.12
+    assert savings["logistic inference"] > 0.12
+    assert savings["MLP frozen-layer fine-tune"] > 0.05
     stable = [s for n, s in savings.items() if n != "MLP active training"]
     assert sum(stable) / len(stable) > 0.10

@@ -30,8 +30,8 @@ def marginal_speedup(n_rows: int) -> tuple[float, float]:
     y = rng.normal(size=(2 * n_rows, 10)) * 0.1
     totals = {}
     for name, cfg in (
-        ("par", FrameworkConfig.parsecureml(activation_protocol="emulated")),
-        ("sml", FrameworkConfig.secureml(activation_protocol="emulated")),
+        ("par", FrameworkConfig.parsecureml()),
+        ("sml", FrameworkConfig.secureml()),
     ):
         ctx = SecureContext(cfg)
         model = SecureLinearRegression(ctx, FEATURES, n_out=10)

@@ -21,7 +21,7 @@ from repro.pipeline.timeline import summarize
 def build_breakdown():
     # SecureML mode (the figure profiles the *unaccelerated* flow), with
     # tracing on so the timeline can be decomposed.
-    cfg = FrameworkConfig.secureml(activation_protocol="emulated", trace=True)
+    cfg = FrameworkConfig.secureml(trace=True)
     ctx = SecureContext(cfg)
     x, y = mnist_like(512, seed=0)
     model = SecureMLP(ctx, 784)

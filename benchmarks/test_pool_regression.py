@@ -28,7 +28,7 @@ N_BATCHES = 3
 
 
 def _configs():
-    par = FrameworkConfig.parsecureml(activation_protocol="emulated")
+    par = FrameworkConfig.parsecureml()
     pooled = dataclasses.replace(par, pool_size=8)
     return par, pooled
 

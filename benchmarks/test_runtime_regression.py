@@ -30,9 +30,12 @@ from repro.core.training import SecureTrainer
 N_BATCHES = 2
 BATCH_SIZE = 128
 #: Lockstep online makespan of this cell — what a default lockstep run
-#: produces on the one wire path (framed, E/F packed) with the backward
-#: pass stopping at the first trainable layer (no ``mlp0/dX`` product).
-LOCKSTEP_REFERENCE_S = 0.00472863735831111
+#: produces on the one wire path (framed, E/F packed), with the backward
+#: pass stopping at the first trainable layer (no ``mlp0/dX`` product),
+#: every stream's ``Z`` resident on the server GPUs, and the dealer
+#: comparison (whose indicator shares ``act:mul``'s ``F`` does not
+#: delta-compress on).
+LOCKSTEP_REFERENCE_S = 0.004615138402471108
 
 
 def _run_cell(runtime: str):
@@ -40,7 +43,7 @@ def _run_cell(runtime: str):
     x, y, spec = load_workload(
         "MLP", "MNIST", n_batches=N_BATCHES, batch_size=BATCH_SIZE, seed=0
     )
-    cfg = FrameworkConfig.parsecureml(activation_protocol="emulated", runtime=runtime)
+    cfg = FrameworkConfig.parsecureml(runtime=runtime)
     ctx = SecureContext.create(cfg)
     model = build_secure_model(ctx, spec)
     SecureTrainer(ctx, model, lr=0.03125, monitor_loss=False).train(

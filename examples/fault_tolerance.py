@@ -23,10 +23,7 @@ import repro
 
 def build_and_train(fault_plan=None):
     """One deterministic training run; everything but the plan held fixed."""
-    ctx = repro.api.session(
-        activation_protocol="emulated",  # the large-tensor comparison path
-        fault_plan=fault_plan,
-    )
+    ctx = repro.api.session(fault_plan=fault_plan)
     model = repro.SecureMLP(ctx, 16, hidden=(8,), n_out=3)
     rng = np.random.default_rng(42)
     x = rng.normal(size=(64, 16)) * 0.25

@@ -37,7 +37,6 @@ def _one_batch_timeline(double_pipeline: bool):
     cfg = FrameworkConfig.parsecureml(
         double_pipeline=double_pipeline,
         placement_mode="gpu_always",
-        activation_protocol="emulated",
         trace=True,
     )
     ctx = repro.api.session(cfg)

@@ -121,9 +121,9 @@ class ConformanceCase:
         return f"{self.model}/{self.axis}/{mode}{suffix}"
 
     def config(self) -> FrameworkConfig:
-        base = FrameworkConfig.parsecureml(activation_protocol="emulated")
-        overrides = dict(CONFORMANCE_AXES[self.axis])
-        return base.but(seed=self.seed, backend=self.backend, **overrides)
+        return FrameworkConfig.parsecureml(
+            seed=self.seed, backend=self.backend, **CONFORMANCE_AXES[self.axis]
+        )
 
     @property
     def tol(self) -> float:

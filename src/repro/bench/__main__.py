@@ -41,8 +41,8 @@ def _configs(
     backends: list[str] | None = None,
     runtime: str = "lockstep",
 ):
-    par = FrameworkConfig.parsecureml(activation_protocol="emulated", runtime=runtime)
-    sml = FrameworkConfig.secureml(activation_protocol="emulated", runtime=runtime)
+    par = FrameworkConfig.parsecureml(runtime=runtime)
+    sml = FrameworkConfig.secureml(runtime=runtime)
     rows = {"par": [("ParSecureML", par)], "sml": [("SecureML", sml)],
             "both": [("SecureML", sml), ("ParSecureML", par)]}[which]
     if pool_size > 0 and which in ("par", "both"):

@@ -523,8 +523,9 @@ def run_workload_figures(
     Each workload model contributes a training row and an inference row;
     recsys additionally runs inference with ``compression=False`` so the
     pair of rows *measures* what CSR delta compression earns on top of
-    static-operand reuse (the embedding table itself is opened once and
-    never re-sent — see DESIGN §7).
+    static-operand reuse: nothing, the rows are byte-equal (the embedding
+    table itself is opened once and never re-sent, and the compressor
+    does not fire on the streams that remain — see DESIGN §7c).
     ``benchmarks/test_workload_regression.py`` guards
     the committed reference against message-count and makespan drift.
     """

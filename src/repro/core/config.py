@@ -7,7 +7,8 @@ experiment is "build a config, run the trainer":
   vs the SecureML-mode config in :mod:`repro.baselines.secureml`;
 * Fig. 14 — ``cpu_parallel`` on/off;
 * Fig. 15 — ``tensor_core`` on/off;
-* Fig. 16 — ``compression`` on/off;
+* Fig. 16 — ``fresh_triplets`` off/on (what stable masks keep off the
+  wire; ``compression`` on/off is its CSR-codec share);
 * pipeline ablations — ``pipeline1`` / ``double_pipeline`` on/off;
 * placement ablation — ``placement_mode``.
 
@@ -83,10 +84,6 @@ class FrameworkConfig:
     cpu_parallel: bool = True
     client_parallel: bool = True
 
-    # activation protocol: dealer-assisted comparison (default) or its
-    # cost-identical emulation for large tensors
-    activation_protocol: Literal["dealer", "emulated"] = "dealer"
-
     # hardware
     gpu_spec: DeviceSpec = V100_SPEC
     cpu_spec: CPUSpec = XEON_E5_2670V3_SPEC
@@ -130,7 +127,6 @@ class FrameworkConfig:
             raise ConfigError(f"pool_size must be >= 0, got {self.pool_size}")
         for name, allowed in (
             ("placement_mode", ("adaptive", "cpu_always", "gpu_always")),
-            ("activation_protocol", ("dealer", "emulated")),
             ("runtime", ("lockstep", "dataflow")),
         ):
             if getattr(self, name) not in allowed:

@@ -347,10 +347,6 @@ class SecureContext:
     def triplets_issued(self) -> int:
         return int(self._triplets_generated.value())
 
-    @property
-    def comparisons_issued(self) -> int:
-        return int(self._comparisons.value())
-
     # ------------------------------------------------------------------ phases
 
     def mark(self) -> PhaseMark:
@@ -849,12 +845,11 @@ class SecureContext:
         cached.begin_use(self._batch_epoch, label)
         return cached
 
-    def gen_comparison_bundle(self, shape, label: str | None = None) -> ComparisonBundle | None:
-        """Offline material for one secure comparison.
+    def gen_comparison_bundle(self, shape, label: str | None = None) -> ComparisonBundle:
+        """Offline material for one secure comparison
+        (:func:`repro.core.ops.secure_compare_const`), with its dealer
+        generation and upload charged on the offline clock.
 
-        Returns a real bundle under the ``dealer`` protocol; under
-        ``emulated`` only the costs are charged (see
-        :func:`repro.core.ops.secure_compare`); ``None`` in that case.
         With a ``label`` (and ``fresh_triplets`` off) the bundle's
         randomness is derived from the op-stream label, so replaying a
         batch after checkpoint restore redraws bit-identical material —
@@ -869,6 +864,4 @@ class SecureContext:
         self._comparisons.inc(1)
         if self.config.fresh_triplets:
             label = None
-        if self.config.activation_protocol == "dealer":
-            return self.comparison_dealer.bundle(tuple(shape), label)
-        return None
+        return self.comparison_dealer.bundle(tuple(shape), label)

@@ -146,10 +146,10 @@ def secure_compare_const(
 ) -> SharedTensor:
     """Indicator tensor ``[x >= threshold]`` via secure comparison.
 
-    Protocol selected by ``config.activation_protocol``: the
-    dealer-assisted GMW protocol (default), or its cost-identical
-    emulation for very large tensors (bit-exact same outputs and
-    accounting; see :func:`repro.mpc.comparison.emulated_ge_const`).
+    One protocol on every backend: the dealer-assisted GMW comparison
+    (:func:`repro.mpc.comparison.secure_ge_const`) on a bundle from
+    :meth:`SecureContext.gen_comparison_bundle`; ``rep3`` folds its
+    replicated sharing onto two parties first and lifts the result back.
     """
     ctx = x.ctx
     if x.kind != "fixed":

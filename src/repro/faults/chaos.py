@@ -107,9 +107,7 @@ def train_mlp_under_plan(
     from repro.core.models import SecureMLP
     from repro.core.training import SecureTrainer
 
-    config = FrameworkConfig.parsecureml(
-        activation_protocol="emulated", fault_plan=plan, **config_overrides
-    )
+    config = FrameworkConfig.parsecureml(fault_plan=plan, **config_overrides)
     ctx = SecureContext.create(config)
     model = SecureMLP(ctx, features, hidden=hidden, n_out=2)
     data_rng = np.random.default_rng(data_seed)

@@ -3,9 +3,11 @@
 The paper's activation (Eq. 9) is piecewise linear with breakpoints at
 ±1/2; evaluating it on a secret-shared ``x`` needs secure comparisons.
 SecureML switches to Yao garbled circuits for this; ParSecureML inherits
-the approach without detailing it.  We implement two interchangeable
-back-ends: the reference garbled-circuit engine in :mod:`repro.gc`, and
-this module's *dealer-assisted* protocol, which is the default fast path.
+the approach without detailing it.  The system runs one protocol, this
+module's *dealer-assisted* comparison (:func:`secure_ge_const`); no
+configuration selects another.  Two independent oracles hold it to the
+right answer in the tests: the garbled-circuit engine in :mod:`repro.gc`
+and the plaintext reference :func:`emulated_ge_const` below.
 
 Protocol (semi-honest, trusted-dealer / commodity model)
 ---------------------------------------------------------
@@ -236,16 +238,16 @@ def emulated_ge_const(
     c_encoded: int,
     rng: np.random.Generator,
 ) -> ComparisonResult:
-    """Cost-identical emulation of :func:`secure_ge_const`.
+    """Plaintext reference for :func:`secure_ge_const`; nothing in the
+    system calls it.
 
-    Produces *bit-for-bit the same indicator value* the real protocol
-    would (the protocol is exact: ``[x >= c]`` under two's-complement
-    ring semantics), freshly re-shared with ``rng``, and reports the
-    identical byte/round accounting — without drawing a bundle or
-    running the ripple.  Tests assert value and accounting parity against
-    the real protocol; ``FrameworkConfig.activation_protocol =
-    "emulated"`` selects this path, and the golden transcripts are
-    pinned on its output-mask stream.
+    Reconstructs ``x``, computes the indicator ``[x >= c]`` in the clear
+    (two's-complement ring semantics, which the real protocol matches
+    exactly), re-shares it with ``rng`` and reports the byte/round
+    accounting the real protocol must report.  ``tests/test_comparison.py``
+    holds :func:`secure_ge_const` to both.  Not a substitute protocol: its
+    output shares are a fresh sharing of the indicator, not the B2A
+    output, so wire streams downstream of it differ from the real ones.
     """
     x0 = np.asarray(x0, dtype=RING_DTYPE)
     x1 = np.asarray(x1, dtype=RING_DTYPE)

@@ -24,7 +24,7 @@ from repro.core.ops import _chain, _deps, _set_chain
 from repro.core.tensor import SharedTensor
 from repro.fixedpoint.ring import ring_add, ring_sub
 from repro.fixedpoint.truncation import truncate_share
-from repro.mpc.comparison import emulated_ge_const, secure_ge_const
+from repro.mpc.comparison import secure_ge_const
 from repro.mpc.protocol import beaver_elementwise_share
 from repro.mpc.shares import reconstruct, share_secret
 from repro.pipeline.scheduler import schedule_secure_gemm
@@ -325,20 +325,7 @@ class Beaver2PCBackend(ProtocolBackend):
     def compare_const(self, ctx, x, threshold, *, label):
         c_enc = int(ctx.encoder.encode(np.float64(threshold)))
         bundle = ctx.gen_comparison_bundle(x.shape, label=label)
-        if bundle is not None:
-            res = secure_ge_const(x.shares[0], x.shares[1], c_enc, bundle)
-        else:
-            # Resharing randomness is keyed by the op-stream label (not an
-            # advancing counter) so checkpoint replay redraws identical
-            # shares — truncation rounding is share-dependent, so replay
-            # bit-identity needs stable shares, not just stable plaintexts.
-            if ctx.config.fresh_triplets:
-                seed_label = f"cmp-{ctx.comparisons_issued}"
-            else:
-                seed_label = f"cmp/{label}"
-            res = emulated_ge_const(
-                x.shares[0], x.shares[1], c_enc, ctx.seeds.generator(seed_label)
-            )
+        res = secure_ge_const(x.shares[0], x.shares[1], c_enc, bundle)
 
         # Online cost: ~70 vectorised bit-ops per element on each server CPU,
         # plus the round traffic (one 8-byte opening + 62 bit rounds + B2A).

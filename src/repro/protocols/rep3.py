@@ -41,7 +41,7 @@ from repro.core.ops import _chain, _deps, _set_chain
 from repro.core.tensor import SharedTensor
 from repro.fixedpoint.ring import RING_DTYPE, ring_add, ring_mul, ring_neg
 from repro.fixedpoint.truncation import truncate_share
-from repro.mpc.comparison import emulated_ge_const, secure_ge_const
+from repro.mpc.comparison import secure_ge_const
 from repro.protocols.base import ProtocolBackend
 
 
@@ -315,14 +315,7 @@ class Rep3Backend(ProtocolBackend):
         a = ring_add(x.shares[0], x.shares[1])
         b = x.shares[2]
         bundle = ctx.gen_comparison_bundle(x.shape, label=label)
-        if bundle is not None:
-            res = secure_ge_const(a, b, c_enc, bundle)
-        else:
-            if ctx.config.fresh_triplets:
-                seed_label = f"cmp-{ctx.comparisons_issued}"
-            else:
-                seed_label = f"cmp/{label}"
-            res = emulated_ge_const(a, b, c_enc, ctx.seeds.generator(seed_label))
+        res = secure_ge_const(a, b, c_enc, bundle)
 
         n = int(np.prod(x.shape))
         nbytes = x.nbytes

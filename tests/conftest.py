@@ -23,13 +23,13 @@ def encoder():
 @pytest.fixture
 def ctx():
     """A full ParSecureML context with the exact (dealer) activation path."""
-    return SecureContext(FrameworkConfig.parsecureml(activation_protocol="dealer"))
+    return SecureContext(FrameworkConfig.parsecureml())
 
 
 @pytest.fixture
 def ctx_secureml():
     """A SecureML-mode (CPU-only baseline) context."""
-    return SecureContext(FrameworkConfig.secureml(activation_protocol="dealer"))
+    return SecureContext(FrameworkConfig.secureml())
 
 
 def make_ctx(**overrides) -> SecureContext:

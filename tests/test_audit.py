@@ -22,7 +22,7 @@ from repro.audit import (
     payload_digest,
 )
 from repro.core.inference import secure_predict
-from repro.core.models import SecureMLP
+from repro.core.models import SecureLogisticRegression, SecureMLP
 from repro.core.training import SecureTrainer
 from repro.faults.reliable import ReliableTransport
 from repro.util.errors import AuditError, TranscriptMismatch
@@ -37,7 +37,7 @@ def _mlp_workload(n=32, d=12, n_out=3, seed=5):
 
 
 def _recorded_training_run(**overrides):
-    ctx = make_ctx(activation_protocol="emulated", **overrides)
+    ctx = make_ctx(**overrides)
     recorder = ctx.attach_recorder()
     model = SecureMLP(ctx, 12, hidden=(8,), n_out=3)
     x, y = _mlp_workload()
@@ -276,7 +276,7 @@ class TestHubTap:
 
 class TestContextRecording:
     def test_recorder_off_by_default_and_harmless(self):
-        ctx = make_ctx(activation_protocol="emulated")
+        ctx = make_ctx()
         assert ctx.recorder is None
         model = SecureMLP(ctx, 12, hidden=(8,), n_out=3)
         x, _y = _mlp_workload()
@@ -287,7 +287,7 @@ class TestContextRecording:
         x, _y = _mlp_workload()
         preds = []
         for attach in (False, True):
-            ctx = make_ctx(activation_protocol="emulated")
+            ctx = make_ctx()
             if attach:
                 ctx.attach_recorder()
             model = SecureMLP(ctx, 12, hidden=(8,), n_out=3)
@@ -296,8 +296,16 @@ class TestContextRecording:
 
     def test_exchange_records_masked_matrix_not_csr(self):
         # the audited content must be the reconstructed masked matrix:
-        # its byte size can exceed the (compressed) wire bytes
-        ctx, t = _recorded_training_run()
+        # its byte size can exceed the (compressed) wire bytes.  Logistic
+        # inference is the stream that compresses: its activation
+        # indicators mostly repeat from batch to batch, so ``act:mul``'s
+        # F differs from the previous batch's in few elements.
+        ctx = make_ctx()
+        recorder = ctx.attach_recorder()
+        model = SecureLogisticRegression(ctx, 12, n_out=8)
+        x = 0.5 * np.random.default_rng(5).standard_normal((48, 12))
+        secure_predict(ctx, model, x, batch_size=16)
+        t = recorder.transcript()
         exchanges = [
             r for r in t.records_for(src="server0", dst="server1")
             if "/EF/" in r.tag

@@ -47,7 +47,7 @@ def _shared(ctx, arr, label):
 
 def _one_step(kind, backend, *, input_grad):
     build, in_width, out_width = LAYERS[kind]
-    ctx = make_ctx(seed=3, backend=backend, activation_protocol="emulated")
+    ctx = make_ctx(seed=3, backend=backend)
     layer = build(ctx)
     rng = np.random.default_rng(7)
     x = 0.5 * rng.standard_normal((4, in_width))
@@ -157,7 +157,7 @@ class TestNeededInputGradientsUnchanged:
         """Two dense layers: the upper layer's dX, as the model's walk
         computes it, equals Eqs. 4-8 run by hand on the same shares and
         the same triplet, then SecureML's local truncation."""
-        ctx = make_ctx(seed=5, activation_protocol="emulated")
+        ctx = make_ctx(seed=5)
         model = SecureModel(ctx)
         lower = SecureDense(ctx, 6, 5, name="d0")
         upper = SecureDense(ctx, 5, 3, name="d1")

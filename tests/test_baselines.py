@@ -129,7 +129,7 @@ class TestSecureMLFactories:
         y = rng.normal(size=(128, 2))
         weights = []
         for factory in (make_secureml_context, make_parsecureml_context):
-            ctx = factory(seed=77, activation_protocol="dealer")
+            ctx = factory(seed=77)
             model = SecureMLP(ctx, 8, hidden=(6,), n_out=2)
             SecureTrainer(ctx, model, lr=0.125, monitor_loss=False).train(
                 x, y, epochs=2, batch_size=64

@@ -72,7 +72,7 @@ class TestModelBuilders:
     def test_secure_and_plain_builders(self, model):
         ds = "SYNTHETIC" if model == "RNN" else "MNIST"
         _, _, spec = load_workload(model, ds, n_batches=1, batch_size=8)
-        ctx = make_ctx(activation_protocol="emulated")
+        ctx = make_ctx()
         assert build_secure_model(ctx, spec) is not None
         assert build_plain_model(spec) is not None
 
@@ -82,7 +82,7 @@ class TestHarnessRuns:
         res = run_secure(
             "linear",
             "MNIST",
-            FrameworkConfig.parsecureml(activation_protocol="emulated"),
+            FrameworkConfig.parsecureml(),
             n_batches=2,
             batch_size=32,
         )
@@ -97,7 +97,7 @@ class TestHarnessRuns:
         assert res.total_s(10) == pytest.approx(10 * res.per_batch_s)
 
     def test_inference_runs(self):
-        cfg = FrameworkConfig.parsecureml(activation_protocol="emulated")
+        cfg = FrameworkConfig.parsecureml()
         sec = run_secure_inference("linear", "MNIST", cfg, n_batches=2, batch_size=32)
         pla = run_plain_inference("linear", "MNIST", "gpu", n_batches=2, batch_size=32)
         assert sec.per_batch_online_s > 0
@@ -106,8 +106,8 @@ class TestHarnessRuns:
     def test_speedup_direction(self):
         """The headline claim at small scale: ParSecureML beats SecureML."""
         kw = dict(n_batches=2, batch_size=32)
-        par = run_secure("MLP", "MNIST", FrameworkConfig.parsecureml(activation_protocol="emulated"), **kw)
-        sml = run_secure("MLP", "MNIST", FrameworkConfig.secureml(activation_protocol="emulated"), **kw)
+        par = run_secure("MLP", "MNIST", FrameworkConfig.parsecureml(), **kw)
+        sml = run_secure("MLP", "MNIST", FrameworkConfig.secureml(), **kw)
         assert sml.total_s() > par.total_s()
         assert sml.online_s() > par.online_s()
 

@@ -102,9 +102,7 @@ class TestUnrecoverable:
 
 class TestInferenceRetry:
     def _predict(self, plan):
-        config = FrameworkConfig.parsecureml(
-            activation_protocol="emulated", fault_plan=plan
-        )
+        config = FrameworkConfig.parsecureml(fault_plan=plan)
         ctx = SecureContext.create(config)
         model = SecureMLP(ctx, 10, hidden=(5,), n_out=2)
         x = np.random.default_rng(3).normal(size=(16, 10)) * 0.25
@@ -118,9 +116,7 @@ class TestInferenceRetry:
         np.testing.assert_array_equal(clean.predictions, faulty.predictions)
 
     def test_retry_budget_exhaustion_reraises(self):
-        config = FrameworkConfig.parsecureml(
-            activation_protocol="emulated", fault_plan=unrecoverable_plan()
-        )
+        config = FrameworkConfig.parsecureml(fault_plan=unrecoverable_plan())
         ctx = SecureContext.create(config)
         model = SecureMLP(ctx, 10, hidden=(5,), n_out=2)
         x = np.random.default_rng(3).normal(size=(8, 10)) * 0.25

@@ -81,7 +81,9 @@ class TestDealerComparison:
 
 
 class TestEmulatedParity:
-    """The emulation must match the real protocol in value and accounting."""
+    """The real protocol must match the plaintext reference
+    (``emulated_ge_const``, which nothing under ``src/`` calls) in value
+    and in byte/round accounting."""
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 5000))

@@ -31,14 +31,56 @@ class TestConfig:
         "field,value",
         [
             ("frac_bits", 0), ("frac_bits", 40), ("compression_threshold", 1.5), ("n_streams", 0),
-            # enum fields: "gc" was accepted and silently ran the emulated path
-            ("activation_protocol", "gc"), ("activation_protocol", "typo"),
             ("placement_mode", "sometimes"),
         ],
     )
     def test_validation(self, field, value):
         with pytest.raises(ConfigError):
             FrameworkConfig(**{field: value})
+
+
+class TestHarnessesRunTheDefaultConfig:
+    """Conformance, bench and chaos build their configs from the presets
+    and change only the fields their own arguments name, so what they
+    pin and measure is what a default ``FrameworkConfig`` runs."""
+
+    @pytest.mark.parametrize("backend", ["beaver2pc", "rep3"])
+    def test_conformance_baseline_is_the_default(self, backend):
+        from repro.audit import ConformanceCase
+
+        case = ConformanceCase("MLP", "baseline", seed=3, backend=backend)
+        assert case.config() == FrameworkConfig.parsecureml(seed=3, backend=backend)
+
+    def test_bench_rows_are_the_presets(self):
+        from repro.bench.__main__ import _configs
+
+        assert dict(_configs("both")) == {
+            "SecureML": FrameworkConfig.secureml(),
+            "ParSecureML": FrameworkConfig.parsecureml(),
+        }
+        rows = dict(_configs("par", pool_size=8, backends=["rep3"], runtime="dataflow"))
+        named = dict(backend="rep3", runtime="dataflow")
+        assert rows == {
+            "ParSecureML[rep3]": FrameworkConfig.parsecureml(**named),
+            "ParSecureML+pool[rep3]": FrameworkConfig.parsecureml(pool_size=8, **named),
+        }
+
+    def test_chaos_run_is_the_default_plus_its_plan(self, monkeypatch):
+        from repro.faults import FaultPlan
+        from repro.faults.chaos import train_mlp_under_plan
+
+        built = []
+        create = SecureContext.create
+        monkeypatch.setattr(
+            SecureContext, "create", lambda cfg: built.append(cfg) or create(cfg)
+        )
+        plan = FaultPlan(seed=1, drop=0.05)
+        train_mlp_under_plan(None)
+        train_mlp_under_plan(plan, pool_size=2)
+        assert built == [
+            FrameworkConfig.parsecureml(),
+            FrameworkConfig.parsecureml(fault_plan=plan, pool_size=2),
+        ]
 
 
 class TestContextWiring:
@@ -116,10 +158,9 @@ class TestTripletCache:
         ctx.gen_matrix_triplet((64, 64), (64, 64))
         assert ctx.offline_clock.now() > before
 
-    def test_comparison_bundle_modes(self):
-        dealer_ctx = make_ctx(activation_protocol="dealer")
-        assert dealer_ctx.gen_comparison_bundle((2, 2)) is not None
-        emu_ctx = make_ctx(activation_protocol="emulated")
-        assert emu_ctx.gen_comparison_bundle((2, 2)) is None
-        # both charge offline time
-        assert emu_ctx.offline_clock.now() > 0
+    def test_comparison_bundle_always_returned_and_charged(self, ctx):
+        before = ctx.offline_clock.now()
+        bundle = ctx.gen_comparison_bundle((2, 2))
+        assert bundle is not None and bundle.shape == (2, 2)
+        assert ctx.offline_clock.now() > before
+        assert ctx.telemetry.snapshot().counter("mpc.comparisons_issued") == 1

@@ -43,13 +43,13 @@ def _factory(ctx):
 
 
 def _replica(name="replica0", **kw):
-    ctx = SecureContext(FrameworkConfig.parsecureml(activation_protocol="emulated"))
+    ctx = SecureContext(FrameworkConfig.parsecureml())
     kw.setdefault("max_batch", 8)
     return ctx, Replica(ctx, _factory(ctx), name=name, **kw)
 
 
 def _fleet(replicas=2, **kw):
-    kw.setdefault("config", FrameworkConfig.parsecureml(activation_protocol="emulated"))
+    kw.setdefault("config", FrameworkConfig.parsecureml())
     kw.setdefault("max_batch", 8)
     return SecureServingFleet(_factory, replicas=replicas, **kw)
 
@@ -182,9 +182,9 @@ class TestPlacementFactory:
 
 class TestDealerService:
     def test_dealer_provisions_each_working_replica_once(self, rng):
-        fleet = _fleet(replicas=2, config=FrameworkConfig.parsecureml(
-            activation_protocol="emulated", pool_size=8,
-        ), placement="least-depth")
+        fleet = _fleet(
+            replicas=2, config=FrameworkConfig.parsecureml(pool_size=8), placement="least-depth"
+        )
         for i in range(8):
             fleet.submit(f"c{i}", rng.normal(size=(4, N_FEATURES)))
         fleet.drain()
@@ -341,10 +341,7 @@ class TestFleetLifecycle:
 
 class TestApiSurface:
     def test_api_serve_builds_a_fleet(self, rng):
-        fleet = repro.api.serve(
-            _factory, replicas=2, max_batch=8,
-            activation_protocol="emulated",
-        )
+        fleet = repro.api.serve(_factory, replicas=2, max_batch=8)
         assert isinstance(fleet, SecureServingFleet)
         fleet.submit("a", rng.normal(size=(2, N_FEATURES)))
         fleet.drain()

@@ -139,7 +139,7 @@ class TestExactlyOnceUnderChaos:
         fleet = SecureServingFleet(
             lambda ctx: SecureMLP(ctx, N_FEATURES, hidden=(6,), n_out=3),
             replicas=2,
-            config=FrameworkConfig.parsecureml(activation_protocol="emulated"),
+            config=FrameworkConfig.parsecureml(),
             replica_config=lambda i, cfg: cfg.but(fault_plan=plan) if i == 0 else cfg,
             placement="least-depth",
             max_batch=8,

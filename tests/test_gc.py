@@ -11,6 +11,10 @@ from repro.gc.garble import Evaluator, Garbler
 from repro.gc.ot import ObliviousTransferReceiver, ObliviousTransferSender, run_ot
 from repro.util.errors import ConfigError, ProtocolError
 
+# Nothing in the system calls repro.gc; it is kept as an independent
+# oracle for the dealer comparison, so CI runs it in its own step.
+pytestmark = pytest.mark.slow
+
 
 class TestCircuitBuilder:
     def test_gate_basis(self):

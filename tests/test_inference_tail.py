@@ -134,7 +134,7 @@ class TestModelOutputWidth:
 class TestRetryAccounting:
     def _predict(self, plan, n=20):
         ctx = SecureContext(
-            FrameworkConfig.parsecureml(activation_protocol="emulated", fault_plan=plan)
+            FrameworkConfig.parsecureml(fault_plan=plan)
         )
         model = SecureMLP(ctx, 10, hidden=(5,), n_out=2)
         x = np.random.default_rng(3).normal(size=(n, 10)) * 0.25

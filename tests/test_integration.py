@@ -32,7 +32,7 @@ class TestNumericInvariance:
         y = rng.normal(size=(96, 2))
 
         def train(**cfg):
-            ctx = make_ctx(seed=31, activation_protocol="dealer", **cfg)
+            ctx = make_ctx(seed=31, **cfg)
             model = SecureMLP(ctx, 6, hidden=(5,), n_out=2)
             SecureTrainer(ctx, model, lr=0.125, monitor_loss=False).train(
                 x, y, epochs=2, batch_size=32
@@ -52,7 +52,7 @@ class TestSecureMatchesPlainLearning:
         x = rng.normal(size=(128, 8)) * 0.5
         y = np.tanh(x @ (rng.normal(size=(8, 2)) * 0.5))
 
-        ctx = make_ctx(seed=7, activation_protocol="dealer")
+        ctx = make_ctx(seed=7)
         secure = SecureMLP(ctx, 8, hidden=(6,), n_out=2)
         plain = PlainMLP(8, hidden=(6,), n_out=2, seed=0)
         # copy the secure model's decoded init into the plain model
@@ -77,8 +77,7 @@ class TestTimingBehaviour:
         y = rng.normal(size=(128, 10))
         times = {}
         for p1 in (False, True):
-            ctx = make_ctx(seed=3, pipeline1=p1, placement_mode="gpu_always",
-                           activation_protocol="emulated")
+            ctx = make_ctx(seed=3, pipeline1=p1, placement_mode="gpu_always")
             model = SecureMLP(ctx, 256, hidden=(128,), n_out=10)
             rep = SecureTrainer(ctx, model, monitor_loss=False).train(
                 x, y, epochs=1, batch_size=128
@@ -91,7 +90,7 @@ class TestTimingBehaviour:
         y = rng.normal(size=(128, 10))
         times = {}
         for dp in (False, True):
-            ctx = make_ctx(seed=3, double_pipeline=dp, activation_protocol="emulated")
+            ctx = make_ctx(seed=3, double_pipeline=dp)
             model = SecureMLP(ctx, 256, hidden=(128, 64), n_out=10)
             rep = SecureTrainer(ctx, model, monitor_loss=False).train(
                 x, y, epochs=1, batch_size=128
@@ -108,7 +107,7 @@ class TestTimingBehaviour:
                          double_pipeline=False, compression=False, cpu_parallel=False)),
             ("par", {}),
         ):
-            ctx = make_ctx(seed=3, activation_protocol="emulated", **factory_kw)
+            ctx = make_ctx(seed=3, **factory_kw)
             model = SecureMLP(ctx, 512, n_out=10)
             rep = SecureTrainer(ctx, model, monitor_loss=False).train(
                 x, y, epochs=1, batch_size=128
@@ -123,7 +122,7 @@ class TestTimingBehaviour:
         # compressible F-deltas dominate the traffic
         x = rng.normal(size=(128, 64))
         y = rng.normal(size=(128, 64))
-        ctx = make_ctx(seed=5, activation_protocol="emulated")
+        ctx = make_ctx(seed=5)
         model = SecureMLP(ctx, 64, hidden=(64,), n_out=64)
         rep = SecureTrainer(ctx, model, lr=0.0, monitor_loss=False).train(
             x, y, epochs=3, batch_size=32
@@ -131,7 +130,7 @@ class TestTimingBehaviour:
         assert rep.compression_savings > 0.2
 
     def test_inference_report_consistency(self, rng):
-        ctx = make_ctx(seed=9, activation_protocol="emulated")
+        ctx = make_ctx(seed=9)
         model = SecureMLP(ctx, 16, hidden=(8,), n_out=2)
         rep = secure_predict(ctx, model, rng.normal(size=(96, 16)), batch_size=32)
         assert rep.batches == 3

@@ -36,7 +36,7 @@ FIG5_ORDER = ["h2d:E", "h2d:A", "h2d:F", "h2d:B", "h2d:Z"]
 def _cfg(**kw):
     kw.setdefault("placement_mode", "gpu_always")
     kw.setdefault("trace", True)
-    return FrameworkConfig.parsecureml(activation_protocol="emulated", **kw)
+    return FrameworkConfig.parsecureml(**kw)
 
 
 def _shared(ctx, shape, seed, label):

@@ -112,13 +112,16 @@ class TestCompare:
         with pytest.raises(ProtocolError):
             ops.secure_compare_const(ind, 0.0)
 
-    def test_dealer_and_emulated_agree(self, rng):
-        x = rng.normal(size=(5, 4))
-        vals = []
-        for proto in ("dealer", "emulated"):
-            ctx = make_ctx(activation_protocol=proto, seed=3)
-            vals.append(ops.secure_compare_const(shared(ctx, x), 0.0, label="c").decode())
-        np.testing.assert_array_equal(vals[0], vals[1])
+    def test_op_agrees_with_plaintext_reference(self, ctx, rng):
+        from repro.mpc.comparison import emulated_ge_const
+        from repro.mpc.shares import reconstruct
+
+        xs = shared(ctx, rng.normal(size=(5, 4)))
+        out = ops.secure_compare_const(xs, 0.0, label="c")
+        ref = emulated_ge_const(xs.shares[0], xs.shares[1], 0, rng)
+        np.testing.assert_array_equal(
+            reconstruct(*out.shares), reconstruct(ref.share0, ref.share1)
+        )
 
     def test_charges_comm(self, ctx, rng):
         x = rng.normal(size=(16, 16))

@@ -38,7 +38,7 @@ class TestOptimizers:
         # model A: built-in apply_gradients; model B: optim.SGD
         results = []
         for use_opt in (False, True):
-            ctx = make_ctx(seed=11, activation_protocol="dealer")
+            ctx = make_ctx(seed=11)
             model = SecureLinearRegression(ctx, 8, n_out=2)
             opt = SGD(lr=0.25)
             for lo in range(0, 128, 64):
@@ -93,7 +93,7 @@ class TestCheckpoint:
         model = SecureMLP(ctx, 6, hidden=(5,), n_out=2)
         save_model(model, tmp_path / "ckpt")
 
-        ctx2 = make_ctx(seed=999, activation_protocol="dealer")
+        ctx2 = make_ctx(seed=999)
         model2 = SecureMLP(ctx2, 6, hidden=(5,), n_out=2)
         load_model(model2, tmp_path / "ckpt")
         for a, b in zip(model.parameters(), model2.parameters()):

@@ -11,6 +11,10 @@ from repro.mpc.ot_triplets import (
 )
 from repro.mpc.shares import reconstruct
 
+# Nothing in the system calls repro.mpc.ot_triplets (the dealer deals
+# every triplet); CI runs this file in its own step.
+pytestmark = pytest.mark.slow
+
 
 class TestOTMultiply:
     @pytest.mark.parametrize(

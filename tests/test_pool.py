@@ -30,7 +30,7 @@ from repro.util.errors import ConfigError, ProtocolError, ShapeError
 
 
 def _cfg(**kw):
-    return FrameworkConfig.parsecureml(activation_protocol="emulated", **kw)
+    return FrameworkConfig.parsecureml(**kw)
 
 
 def _train_weights(cfg, *, batches=3, seed=0):

@@ -47,7 +47,7 @@ class TestTensorAlgebra:
     def test_matmul_distributes_over_add(self, dims, scalars):
         m, n, seed = dims
         rng = np.random.default_rng(seed)
-        ctx = make_ctx(seed=seed, activation_protocol="dealer")
+        ctx = make_ctx(seed=seed)
         a = rng.normal(size=(m, n))
         b = rng.normal(size=(m, n))
         c = rng.normal(size=(n, 2))
@@ -88,7 +88,7 @@ class TestActivationProperties:
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 5000))
     def test_relu_idempotent(self, m, n, seed):
         rng = np.random.default_rng(seed)
-        ctx = make_ctx(seed=seed, activation_protocol="dealer")
+        ctx = make_ctx(seed=seed)
         x = rng.normal(size=(m, n)) * 3
         t = SharedTensor.from_plain(ctx, x)
         once, _ = ops.activation(t, "relu", label="a1")
@@ -100,7 +100,7 @@ class TestActivationProperties:
     @given(st.integers(1, 4), st.integers(0, 5000))
     def test_piecewise_monotone(self, n, seed):
         rng = np.random.default_rng(seed)
-        ctx = make_ctx(seed=seed, activation_protocol="dealer")
+        ctx = make_ctx(seed=seed)
         x = np.sort(rng.normal(size=(1, n + 1)) * 2, axis=1)
         out, _ = ops.activation(SharedTensor.from_plain(ctx, x), "piecewise", label="p")
         vals = out.decode().ravel()

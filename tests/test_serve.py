@@ -30,8 +30,8 @@ N_FEATURES = 12
 N_OUT = 3
 
 
-def _server(*, fault_plan=None, activation="dealer", pool_size=None, **kw):
-    overrides = {"activation_protocol": activation}
+def _server(*, fault_plan=None, pool_size=None, **kw):
+    overrides = {}
     if fault_plan is not None:
         overrides["fault_plan"] = fault_plan
     if pool_size is not None:
@@ -239,8 +239,7 @@ class TestServing:
 class TestServingUnderFaults:
     def _run(self, fault_plan, retries=2):
         ctx, model, server = _server(
-            fault_plan=fault_plan, activation="emulated", max_batch=8,
-            request_retries=retries,
+            fault_plan=fault_plan, max_batch=8, request_retries=retries,
         )
         rng = np.random.default_rng(9)
         for client, rows in [("a", 5), ("b", 3), ("c", 8), ("d", 2), ("a", 6)]:
@@ -267,8 +266,7 @@ class TestServingUnderFaults:
     def test_exhausted_retries_requeue_not_drop(self, rng):
         """Identifiable abort surfaces, but admitted requests survive."""
         ctx, model, server = _server(
-            fault_plan=unrecoverable_plan(), activation="emulated",
-            max_batch=8, request_retries=1,
+            fault_plan=unrecoverable_plan(), max_batch=8, request_retries=1,
         )
         server.submit("a", rng.normal(size=(5, N_FEATURES)))
         server.submit("b", rng.normal(size=(3, N_FEATURES)))

@@ -286,7 +286,7 @@ class TestChromeTrace:
 
 class TestReports:
     def test_text_report_covers_sections(self):
-        ctx = make_ctx(activation_protocol="emulated")
+        ctx = make_ctx()
         rng = np.random.default_rng(0)
         model = SecureMLP(ctx, 16, hidden=(8,), n_out=4)
         SecureTrainer(ctx, model, monitor_loss=False).train(
@@ -311,7 +311,7 @@ class TestTrainingAcceptance:
 
     @pytest.fixture(scope="class")
     def trained(self):
-        ctx = make_ctx(activation_protocol="emulated")
+        ctx = make_ctx()
         rng = np.random.default_rng(7)
         x = rng.normal(size=(256, 784)) * 0.5
         y = rng.normal(size=(256, 10)) * 0.1

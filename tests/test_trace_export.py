@@ -54,7 +54,7 @@ class TestExport:
         from repro.core.models import SecureLinearRegression
         from repro.core.training import SecureTrainer
 
-        ctx = make_ctx(trace=True, activation_protocol="emulated")
+        ctx = make_ctx(trace=True)
         model = SecureLinearRegression(ctx, 6, n_out=2)
         x = rng.normal(size=(64, 6))
         y = rng.normal(size=(64, 2))
