@@ -15,6 +15,11 @@ checks, per (model, mode, compression) row:
   inference under ``fresh_triplets=True`` ships strictly more
   (DESIGN §7c).
 
+* an attention train step is 74 inter-server messages and its largest
+  frame is the fused ``dWqkv`` round, ``8*4*b*s*d`` bytes plus headers —
+  linear in ``s``; the pair-grid frames the Hadamard expansion sent were
+  131 180 B at this geometry and grew with ``s**2``.
+
 Runs standalone:
 ``PYTHONPATH=src python -m pytest benchmarks/test_workload_regression.py``.
 """
@@ -86,6 +91,28 @@ def test_online_makespan_no_regression(fresh, reference):
             f"{key}: online makespan {row.online_s:.6f}s vs committed "
             f"{ref['online_s']:.6f}s (>10% regression)"
         )
+
+
+def test_attention_train_step_is_74_messages_and_no_frame_outgrows_the_projections(reference):
+    from repro.bench.workloads import build_secure_model, load_workload
+    from repro.core.context import SecureContext
+    from repro.core.training import SecureTrainer
+
+    first = reference[0]
+    b = first["batch_size"]
+    x, y, spec = load_workload(
+        "attention", "SYNTHETIC", n_batches=first["batches"], batch_size=b, seed=first["seed"]
+    )
+    ctx = SecureContext.create(FrameworkConfig.parsecureml())
+    model = build_secure_model(ctx, spec)
+    recorder = ctx.attach_recorder(capture_payloads=False)
+    SecureTrainer(ctx, model, monitor_loss=False).train(x, y, batch_size=b)
+    frames = [r for r in recorder.transcript().records if r.src.startswith("server")]
+    assert len(frames) == 74 * first["batches"]
+    block = model.block
+    largest = max(frames, key=lambda r: r.nbytes)
+    assert largest.tag.startswith("attn/dWqkv/EF/")
+    assert largest.nbytes <= 8 * 4 * b * block.seq_len * block.d_model + 256
 
 
 def test_recsys_wire_saving_is_the_stable_mask_not_the_codec(fresh, reference):

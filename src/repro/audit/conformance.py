@@ -226,9 +226,9 @@ def sync_plain_weights(model_name: str, secure, plain) -> None:
         plain.readout.b = secure.readout.bias.decode()
         return
     if model_name == "attention":
-        plain.block.wq = secure.block.w_q.decode()
-        plain.block.wk = secure.block.w_k.decode()
-        plain.block.wv = secure.block.w_v.decode()
+        plain.block.wq, plain.block.wk, plain.block.wv = (
+            np.ascontiguousarray(w) for w in np.split(secure.block.w_qkv.decode(), 3, axis=1)
+        )
         plain.block.wo = secure.block.w_o.decode()
         plain.readout.w = secure.readout.weight.decode()
         plain.readout.b = secure.readout.bias.decode()

@@ -2,29 +2,27 @@
 
 One :class:`SecureAttentionBlock` runs scaled dot-product self-attention
 over a length-``seq_len`` sequence of ``d_model``-wide tokens, supplied
-flattened as ``(batch, seq_len * d_model)`` like the RNN's input:
+flattened as ``(batch, seq_len * d_model)`` like the RNN's input.  Every
+product is a secure matmul — flat ``(batch*seq, ·)`` GEMMs against the
+weights, ``(batch, ·, ·)`` stacks (one triplet, one exchange round, one
+batched GEMM each) between per-sample activations:
 
-1. **projections** — ``Q/K/V = X W_q/k/v`` as three pooled triplet GEMMs
-   over the token-flattened ``(batch*seq, d_model)`` view;
-2. **scores** — ``S = Q K^T / sqrt(d)`` per sample.  Batched per-sample
-   GEMMs are expressed through the framework's 2-D op set by *Hadamard
-   expansion*: ``Q`` rows repeated and ``K`` rows tiled to the
-   ``(batch*seq*seq, d_model)`` pair grid, one elementwise triplet, and
-   a local feature-axis sum — a constant op count per batch, so the
-   double pipeline sees one wide product instead of ``batch`` small
-   ones (the same lowering trick as im2col for convolutions);
+1. **projections** — one product ``[Q|K|V] = X W_qkv`` against the
+   fused ``(d, 3d)`` weight, so ``X`` is opened once;
+2. **scores** — ``S = Q K^T / sqrt(d)`` as a ``(b,s,d) x (b,d,s)`` stack;
 3. **softmax** — the backend's :meth:`softmax` protocol
    (:mod:`repro.mpc.softmax`) row-wise on the ``(batch*seq, seq)``
    scores;
-4. **mix + output** — ``C = A V`` by the same expansion, then
+4. **mix + output** — ``C = A V`` as a ``(b,s,s) x (b,s,d)`` stack, then
    ``O = C W_o`` and a mean-pool over the sequence axis (local linear +
    one public scale), yielding ``(batch, d_model)`` features.
 
-The backward pass re-uses the expansion grids from the tape: every
-einsum in the standard attention gradient (``dA = dC V^T``,
-``dV = A^T dC``, the softmax Jacobian ``dS = A (dA - rowsum(A dA))``,
-``dQ = dS K``, ``dK = dS^T Q``) is one elementwise triplet plus a local
-axis sum, and the four weight gradients are plain triplet GEMMs.
+The backward pass is the standard attention gradient on the same two op
+shapes: ``dA = dC V^T``, ``dV = A^T dC``, ``dQ = dS K`` and
+``dK = dS^T Q`` are stacks, the softmax Jacobian
+``dS = A (dA - rowsum(A dA))`` is two elementwise triplets, and
+``dW_qkv = X^T [dQ|dK|dV]`` and ``dX = [dQ|dK|dV] W_qkv^T`` are one flat
+product each.
 
 :class:`SecureAttention` is the model-registry entry: the block plus a
 dense readout, trainable by the standard
@@ -57,44 +55,26 @@ def _local(x: SharedTensor, shares) -> SharedTensor:
     )
 
 
-def _repeat_rows(x: SharedTensor, times: int) -> SharedTensor:
-    """Each row repeated ``times`` consecutively: (n, d) -> (n*times, d)."""
-    return _local(x, (np.repeat(s, times, axis=0) for s in x.shares))
+def _split_cols(x: SharedTensor, parts: int) -> list[SharedTensor]:
+    """Equal column blocks of a 2-D tensor — local."""
+    width = x.shape[1] // parts
+    return [
+        _local(x, (s[:, lo : lo + width] for s in x.shares))
+        for lo in range(0, parts * width, width)
+    ]
 
 
-def _tile_blocks(x: SharedTensor, batch: int, seq: int) -> SharedTensor:
-    """Each sample's seq-block tiled seq times: row (b,i,j) -> x[b*seq+j]."""
-    d = x.shape[1]
-    return _local(
-        x,
-        (
-            np.broadcast_to(s.reshape(batch, 1, seq, d), (batch, seq, seq, d)).reshape(
-                batch * seq * seq, d
-            )
-            for s in x.shares
+def _concat_cols(parts: list[SharedTensor]) -> SharedTensor:
+    """Column blocks side by side; each share is ready when all its blocks are."""
+    ctx = parts[0].ctx
+    return SharedTensor(
+        ctx=ctx,
+        shares=tuple(
+            np.concatenate([p.shares[i] for p in parts], axis=1)
+            for i in range(ctx.n_parties)
         ),
-    )
-
-
-def _bcast_feature(x: SharedTensor, d: int) -> SharedTensor:
-    """Tile an (n, 1) tensor across the feature axis to (n, d)."""
-    n = x.shape[0]
-    return _local(x, (np.broadcast_to(s, (n, d)) for s in x.shares))
-
-
-def _sum_feature(x: SharedTensor) -> SharedTensor:
-    """Row sums over the feature axis: (n, d) -> (n, 1) — local linear."""
-    return _local(x, (ring_sum(s, axis=1).reshape(-1, 1) for s in x.shares))
-
-
-def _sum_pairs(x: SharedTensor, batch: int, seq: int, axis: int) -> SharedTensor:
-    """Sum the (batch, seq, seq, d) pair grid over query (1) or key (2)."""
-    d = x.shape[1]
-    return _local(
-        x,
-        (
-            ring_sum(s.reshape(batch, seq, seq, d), axis=axis).reshape(batch * seq, d)
-            for s in x.shares
+        tasks=tuple(
+            ctx.online_clock.join([p.tasks[i] for p in parts]) for i in range(ctx.n_parties)
         ),
     )
 
@@ -122,17 +102,15 @@ class SecureAttentionBlock(SecureLayer):
         rng = ctx.seeds.generator(f"init-{name}")
         scale = 1.0 / np.sqrt(d_model)
 
-        def proj(tag: str) -> SharedTensor:
+        def weight(tag: str, blocks: int) -> SharedTensor:
+            # one (d, d) uniform draw per block, side by side
+            plain = [rng.uniform(-scale, scale, size=(d_model, d_model)) for _ in range(blocks)]
             return SharedTensor.from_plain(
-                ctx,
-                rng.uniform(-scale, scale, size=(d_model, d_model)),
-                label=f"{name}/W{tag}",
+                ctx, np.concatenate(plain, axis=1), label=f"{name}/W{tag}"
             ).mark_static()
 
-        self.w_q = proj("q")
-        self.w_k = proj("k")
-        self.w_v = proj("v")
-        self.w_o = proj("o")
+        self.w_qkv = weight("qkv", 3)  # [W_q | W_k | W_v]
+        self.w_o = weight("o", 1)
         self._tape: dict | None = None
         self._grads: dict | None = None
 
@@ -144,20 +122,16 @@ class SecureAttentionBlock(SecureLayer):
             )
         b = x.shape[0]
         x2 = x.reshape(b * s, d)
-        q = ops.secure_matmul(x2, self.w_q, label=f"{self.name}/q")
-        k = ops.secure_matmul(x2, self.w_k, label=f"{self.name}/k")
-        v = ops.secure_matmul(x2, self.w_v, label=f"{self.name}/v")
+        qkv = ops.secure_matmul(x2, self.w_qkv, label=f"{self.name}/qkv")
+        q, k, v = (t.reshape(b, s, d) for t in _split_cols(qkv, 3))
 
-        qe = _repeat_rows(q, s)
-        ke = _tile_blocks(k, b, s)
-        pair = ops.secure_elementwise_mul(qe, ke, label=f"{self.name}/qk")
-        scores = _sum_feature(pair).reshape(b * s, s).mul_public(1.0 / np.sqrt(d))
-        attn = ops.secure_softmax(scores, label=f"{self.name}/softmax")
-
-        ae = _bcast_feature(attn.reshape(b * s * s, 1), d)
-        ve = _tile_blocks(v, b, s)
-        mix = ops.secure_elementwise_mul(ae, ve, label=f"{self.name}/av")
-        context = _sum_pairs(mix, b, s, axis=2)
+        scores = ops.secure_matmul(q, k.T, label=f"{self.name}/qk")
+        attn = ops.secure_softmax(
+            scores.reshape(b * s, s).mul_public(1.0 / np.sqrt(d)), label=f"{self.name}/softmax"
+        )
+        context = ops.secure_matmul(
+            attn.reshape(b, s, s), v, label=f"{self.name}/av"
+        ).reshape(b * s, d)
         o2 = ops.secure_matmul(context, self.w_o, label=f"{self.name}/o")
         pooled = _local(
             o2, (ring_sum(sh.reshape(b, s, d), axis=1) for sh in o2.shares)
@@ -165,8 +139,8 @@ class SecureAttentionBlock(SecureLayer):
 
         if training:
             self._tape = {
-                "batch": b, "x2": x2, "qe": qe, "ke": ke, "ve": ve,
-                "attn": attn, "ae": ae, "context": context,
+                "batch": b, "x2": x2, "q": q, "k": k, "v": v,
+                "attn": attn, "context": context,
             }
         return pooled
 
@@ -177,55 +151,42 @@ class SecureAttentionBlock(SecureLayer):
             raise ProtocolError(f"{self.name}: backward before forward")
         tape, self._tape = self._tape, None
         b, s, d = tape["batch"], self.seq_len, self.d_model
+        attn = tape["attn"]
 
-        # mean-pool and output projection
-        do2 = _repeat_rows(delta.mul_public(1.0 / s), s)
+        # mean-pool (every token gets delta / s) and output projection
+        pool = delta.mul_public(1.0 / s)
+        do2 = _local(pool, (np.repeat(sh, s, axis=0) for sh in pool.shares))
         gw_o = ops.secure_matmul(
             tape["context"].T, do2, label=f"{self.name}/dWo"
         ).mul_public(1.0 / b)
-        dc2 = ops.secure_matmul(do2, self.w_o.T, label=f"{self.name}/dC")
+        dc = ops.secure_matmul(do2, self.w_o.T, label=f"{self.name}/dC").reshape(b, s, d)
 
-        # attention-weight and value gradients over the pair grid
-        dce = _repeat_rows(dc2, s)
-        da = _sum_feature(
-            ops.secure_elementwise_mul(dce, tape["ve"], label=f"{self.name}/dA")
-        ).reshape(b * s, s)
-        dv = _sum_pairs(
-            ops.secure_elementwise_mul(tape["ae"], dce, label=f"{self.name}/dV"),
-            b, s, axis=1,
-        )
+        # attention-weight and value gradients, per sample
+        da = ops.secure_matmul(dc, tape["v"].T, label=f"{self.name}/dA").reshape(b * s, s)
+        dv = ops.secure_matmul(attn.reshape(b, s, s).T, dc, label=f"{self.name}/dV")
 
         # softmax Jacobian: dS = A * (dA - rowsum(A * dA)), then undo the
         # score scaling
-        ad = ops.secure_elementwise_mul(tape["attn"], da, label=f"{self.name}/sm1")
-        ds = ops.secure_elementwise_mul(
-            tape["attn"], da - _row_sum_bcast(ad), label=f"{self.name}/sm2"
-        ).mul_public(1.0 / np.sqrt(d))
-
-        dse = _bcast_feature(ds.reshape(b * s * s, 1), d)
-        dq = _sum_pairs(
-            ops.secure_elementwise_mul(dse, tape["ke"], label=f"{self.name}/dQ"),
-            b, s, axis=2,
+        ad = ops.secure_elementwise_mul(attn, da, label=f"{self.name}/sm1")
+        ds = (
+            ops.secure_elementwise_mul(attn, da - _row_sum_bcast(ad), label=f"{self.name}/sm2")
+            .mul_public(1.0 / np.sqrt(d))
+            .reshape(b, s, s)
         )
-        dk = _sum_pairs(
-            ops.secure_elementwise_mul(dse, tape["qe"], label=f"{self.name}/dK"),
-            b, s, axis=1,
-        )
+        dq = ops.secure_matmul(ds, tape["k"], label=f"{self.name}/dQ")
+        dk = ops.secure_matmul(ds.T, tape["q"], label=f"{self.name}/dK")
 
         x2 = tape["x2"]
+        dqkv = _concat_cols([t.reshape(b * s, d) for t in (dq, dk, dv)])
         self._grads = {
             "w_o": gw_o,
-            "w_q": ops.secure_matmul(x2.T, dq, label=f"{self.name}/dWq").mul_public(1.0 / b),
-            "w_k": ops.secure_matmul(x2.T, dk, label=f"{self.name}/dWk").mul_public(1.0 / b),
-            "w_v": ops.secure_matmul(x2.T, dv, label=f"{self.name}/dWv").mul_public(1.0 / b),
+            "w_qkv": ops.secure_matmul(
+                x2.T, dqkv, label=f"{self.name}/dWqkv"
+            ).mul_public(1.0 / b),
         }
         if not input_grad:
             return None
-        dx2 = (
-            ops.secure_matmul(dq, self.w_q.T, label=f"{self.name}/dXq")
-            + ops.secure_matmul(dk, self.w_k.T, label=f"{self.name}/dXk")
-            + ops.secure_matmul(dv, self.w_v.T, label=f"{self.name}/dXv")
-        )
+        dx2 = ops.secure_matmul(dqkv, self.w_qkv.T, label=f"{self.name}/dX")
         return dx2.reshape(b, s * d)
 
     def apply_gradients(self, lr: float) -> None:
@@ -236,33 +197,33 @@ class SecureAttentionBlock(SecureLayer):
         self._grads = None
 
     def parameters(self) -> list[SharedTensor]:
-        return [self.w_q, self.w_k, self.w_v, self.w_o]
+        return [self.w_qkv, self.w_o]
 
     def plan_streams(
         self, in_shape: tuple[int, ...], *, training: bool, input_grad: bool = True
     ) -> tuple[list[TripletRequest], tuple[int, ...]]:
         b = in_shape[0]
         s, d = self.seq_len, self.d_model
-        bs, bss = b * s, b * s * s
+        bs = b * s
         proj = matmul_stream((bs, d), (d, d))
-        grad_w = matmul_stream((d, bs), (bs, d))
-        reqs = [proj, proj, proj]  # q, k, v
-        reqs.append(hadamard_stream((bss, d)))  # qk pair grid
+        by_key = matmul_stream((b, s, d), (b, d, s))  # (b,s,d) against a transposed (b,s,d)
+        by_weight = matmul_stream((b, s, s), (b, s, d))  # (b,s,s) weights mixing (b,s,d)
+        reqs = [matmul_stream((bs, d), (d, 3 * d))]  # qkv
+        reqs.append(by_key)  # qk
         reqs.extend(plan_softmax_streams(bs, s, self.ctx.encoder.frac_bits))
-        reqs.append(hadamard_stream((bss, d)))  # av mix
+        reqs.append(by_weight)  # av
         reqs.append(proj)  # output projection
         if training:
-            reqs.append(grad_w)  # dWo
+            reqs.append(matmul_stream((d, bs), (bs, d)))  # dWo
             reqs.append(proj)  # dC
-            reqs.append(hadamard_stream((bss, d)))  # dA
-            reqs.append(hadamard_stream((bss, d)))  # dV
+            reqs.append(by_key)  # dA
+            reqs.append(by_weight)  # dV
             reqs.append(hadamard_stream((bs, s)))  # sm1
             reqs.append(hadamard_stream((bs, s)))  # sm2
-            reqs.append(hadamard_stream((bss, d)))  # dQ
-            reqs.append(hadamard_stream((bss, d)))  # dK
-            reqs.extend([grad_w] * 3)  # dWq, dWk, dWv
+            reqs.extend([by_weight] * 2)  # dQ, dK
+            reqs.append(matmul_stream((d, bs), (bs, 3 * d)))  # dWqkv
             if input_grad:
-                reqs.extend([proj] * 3)  # dXq, dXk, dXv
+                reqs.append(matmul_stream((bs, 3 * d), (3 * d, d)))  # dX
         return reqs, (b, d)
 
 

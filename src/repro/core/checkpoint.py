@@ -24,24 +24,27 @@ from repro.util.errors import ConfigError, ProtocolError
 MANIFEST_NAME = "manifest.json"
 
 
-_PARAM_ATTRS = ("weight", "bias", "w_x", "w_h")
-
-
 def _collect(obj, prefix: str, out: list, seen: set) -> None:
-    """Collect SharedTensor parameters, recursing into nested layers."""
+    """Collect SharedTensor parameters, recursing into nested layers.
+
+    A layer's parameters are whatever its ``parameters()`` returns; each
+    is named after the attribute that holds it (found by identity), so a
+    layer type needs no entry here to be checkpointed.
+    """
     if id(obj) in seen:
         return
     seen.add(id(obj))
-    for attr in _PARAM_ATTRS:
-        param = getattr(obj, attr, None)
-        if isinstance(param, SharedTensor):
-            out.append((f"{prefix}/{attr}", param))
-    # composite layers (residual blocks, RNN cells) hold sub-layers as
-    # attributes; recurse into anything layer-shaped
+    own = {id(p) for p in obj.parameters()} if hasattr(obj, "parameters") else set()
     for attr, value in vars(obj).items():
-        if attr.startswith("_") or attr in _PARAM_ATTRS:
-            continue
-        if hasattr(value, "__dict__") and (hasattr(value, "forward") or hasattr(value, "step")):
+        if isinstance(value, SharedTensor) and id(value) in own:
+            out.append((f"{prefix}/{attr}", value))
+        # composite layers (residual blocks, RNN cells) hold sub-layers as
+        # attributes; recurse into anything layer-shaped
+        elif (
+            not attr.startswith("_")
+            and hasattr(value, "__dict__")
+            and (hasattr(value, "forward") or hasattr(value, "step"))
+        ):
             _collect(value, f"{prefix}/{attr}", out, seen)
 
 
@@ -51,6 +54,13 @@ def _named_parameters(model) -> list[tuple[str, SharedTensor]]:
     for li, layer in enumerate(model.layers):
         name = getattr(layer, "name", f"layer{li}")
         _collect(layer, name, out, seen)
+    named = {id(tensor) for _name, tensor in out}
+    unnamed = [p.shape for p in model.parameters() if id(p) not in named]
+    if unnamed:
+        raise ConfigError(
+            f"model.parameters() holds {len(unnamed)} tensor(s) no layer attribute names "
+            f"(shapes {unnamed}); a checkpoint would silently drop them"
+        )
     return out
 
 

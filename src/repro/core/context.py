@@ -21,6 +21,7 @@ each phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.core.config import FrameworkConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.reliable import ResilientChannel
 from repro.fixedpoint.encoding import FixedPointEncoder
-from repro.fixedpoint.ring import ring_matmul, ring_matmul_batched, ring_mul, ring_sub
+from repro.fixedpoint.ring import ring_mul
 from repro.mpc.comparison import ComparisonBundle, ComparisonDealer, comparison_offline_bytes
 from repro.mpc.pool import TripletPool, TripletRequest
 from repro.mpc.prandom import ThreadSafeGeneratorPool, parallel_uniform_ring
@@ -535,7 +536,7 @@ class SecureContext:
         u = rng.integers(0, 2**64, size=shape_a, dtype=np.uint64)
         v = rng.integers(0, 2**64, size=shape_b, dtype=np.uint64)
         self._charge_client_rng(u.nbytes + v.nbytes, "triplet:rng")
-        z = self._client_matmul(u, v)
+        z = self._client_matmul(u, v) if u.ndim == 2 else self._client_matmul_batched(u, v)
         triplet = MatrixTriplet(
             u=self._share_with_timing(u, "triplet:U"),
             v=self._share_with_timing(v, "triplet:V"),
@@ -608,10 +609,7 @@ class SecureContext:
             for b in (u_buf, v_buf, z_buf):
                 gpu.free(b)
             return z
-        z = ring_matmul_batched(u, v)
-        self.client_cpu.run(
-            count * self.config.cpu_spec.gemm_seconds(m, k, n), label="pool:U@V", kind="gemm"
-        )
+        z, _ = self.client_cpu.gemm_ring_batched(u, v, label="pool:U@V")
         return z
 
     def _gen_matrix_triplet_batch(self, shape_a, shape_b, count: int) -> list[MatrixTriplet]:
@@ -623,15 +621,16 @@ class SecureContext:
         and channel latency) are paid once per batch instead of once
         per triplet.
         """
-        m, k = tuple(shape_a)
-        n = tuple(shape_b)[1]
+        *stack, m, k = shape_a
+        n = shape_b[-1]
+        depth = count * math.prod(stack)  # stacked triplets refill as one deeper stack
         with self.telemetry.span("pool.refill", clock="offline", kind="matrix", count=count):
             # Per-phase sub-spans: how a refill's offline time splits
             # between mask drawing, the dealer GEMM, share splitting and
             # the upload (see EXPERIMENTS.md, offline-makespan analysis).
             with self.telemetry.span("pool.refill.rng", clock="offline", kind="matrix"):
-                u = self._pool_uniform((count, m, k))
-                v = self._pool_uniform((count, k, n))
+                u = self._pool_uniform((depth, m, k))
+                v = self._pool_uniform((depth, k, n))
                 self._charge_client_rng(u.nbytes + v.nbytes, "pool:rng")
             with self.telemetry.span("pool.refill.gemm", clock="offline", kind="matrix"):
                 z = self._client_matmul_batched(u, v)
@@ -651,15 +650,17 @@ class SecureContext:
         self._triplets_generated.inc(
             count, kind="matrix", shape=f"{tuple(shape_a)}x{tuple(shape_b)}", source="pool"
         )
+
+        def split(pair, shape) -> list[SharePair]:
+            """Each triplet's slice of the two servers' refill stacks."""
+            s0, s1 = (s.reshape(count, *shape) for s in (pair.share0, pair.share1))
+            return [SharePair(s0[i], s1[i]) for i in range(count)]
+
         return [
-            MatrixTriplet(
-                u=SharePair(u_pair.share0[i], u_pair.share1[i]),
-                v=SharePair(v_pair.share0[i], v_pair.share1[i]),
-                z=SharePair(z_pair.share0[i], z_pair.share1[i]),
-                shape_a=tuple(shape_a),
-                shape_b=tuple(shape_b),
+            MatrixTriplet(u=u_i, v=v_i, z=z_i, shape_a=tuple(shape_a), shape_b=tuple(shape_b))
+            for u_i, v_i, z_i in zip(
+                split(u_pair, shape_a), split(v_pair, shape_b), split(z_pair, (*stack, m, n))
             )
-            for i in range(count)
         ]
 
     def _gen_elementwise_triplet_batch(self, shape, count: int) -> list[ElementwiseTriplet]:

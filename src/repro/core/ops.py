@@ -32,6 +32,7 @@ from contextlib import contextmanager
 from repro.core.tensor import SharedTensor
 from repro.simgpu.clock import Task
 from repro.util.errors import ProtocolError, ShapeError
+from repro.util.validation import matmul_shapes_compatible
 
 __all__ = [
     "secure_matmul",
@@ -110,15 +111,20 @@ def secure_matmul(
     label: str = "matmul",
     truncate_result: bool = True,
 ) -> SharedTensor:
-    """Secure matrix product ``x @ y`` (Eqs. 4-8 end to end)."""
+    """Secure matrix product ``x @ y`` (Eqs. 4-8 end to end).
+
+    Both operands are matrices, or both are stacks of equal depth:
+    ``(B,m,k) x (B,k,n)`` is ``B`` independent products run as one op —
+    one triplet, one exchange round, one placement decision.
+    """
     ctx = x.ctx
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
+    if not matmul_shapes_compatible(x.shape, y.shape):
         raise ShapeError(
             f"[{_backend_name(ctx)}:{label}] secure_matmul shapes incompatible: "
             f"{x.shape} x {y.shape}"
         )
-    m, k = x.shape
-    n = y.shape[1]
+    m, k = x.shape[-2:]
+    n = y.shape[-1]
     both_fixed = x.kind == "fixed" and y.kind == "fixed"
 
     with _op_scope(ctx, "matmul", label):

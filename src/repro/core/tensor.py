@@ -221,8 +221,14 @@ class SharedTensor:
     # ----------------------------------------------------- shape manipulation
 
     def transpose(self) -> "SharedTensor":
-        """Share-wise transpose (local, data movement only)."""
-        return replace(self, shares=tuple(s.T for s in self.shares))
+        """Share-wise matrix transpose (local, data movement only).
+
+        Swaps the last two axes, so a ``(B, m, n)`` stack transposes
+        per sample to ``(B, n, m)``.
+        """
+        if self.ndim < 2:
+            raise ShapeError(f"transpose needs at least 2 axes, got shape {self.shape}")
+        return replace(self, shares=tuple(np.swapaxes(s, -1, -2) for s in self.shares))
 
     @property
     def T(self) -> "SharedTensor":

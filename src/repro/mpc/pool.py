@@ -35,8 +35,9 @@ from typing import Callable, Mapping, Sequence
 from repro.mpc.triplets import ElementwiseTriplet, MatrixTriplet
 from repro.telemetry.registry import MetricRegistry
 from repro.util.errors import ConfigError, ShapeError
+from repro.util.validation import matmul_shapes_compatible
 
-MatrixKey = tuple[tuple[int, int], tuple[int, int]]
+MatrixKey = tuple[tuple[int, ...], tuple[int, ...]]
 ElementwiseKey = tuple[int, ...]
 
 
@@ -57,9 +58,10 @@ class TripletRequest:
             raise ConfigError(f"unknown triplet request kind: {self.kind!r}")
 
 
-def matmul_stream(shape_a: tuple[int, int], shape_b: tuple[int, int]) -> TripletRequest:
-    """Demand one matrix triplet for an (m,k) x (k,n) product."""
-    if len(shape_a) != 2 or len(shape_b) != 2 or shape_a[1] != shape_b[0]:
+def matmul_stream(shape_a: tuple[int, ...], shape_b: tuple[int, ...]) -> TripletRequest:
+    """Demand one matrix triplet for an (m,k) x (k,n) product, or for a
+    stack (B,m,k) x (B,k,n) of them."""
+    if not matmul_shapes_compatible(shape_a, shape_b):
         raise ShapeError(f"matmul_stream shapes incompatible: {shape_a} x {shape_b}")
     return TripletRequest(kind="matrix", shapes=(tuple(shape_a), tuple(shape_b)))
 
@@ -163,7 +165,7 @@ class TripletPool:
     # -- consumption ------------------------------------------------------------
 
     def take_matrix(
-        self, shape_a: tuple[int, int], shape_b: tuple[int, int]
+        self, shape_a: tuple[int, ...], shape_b: tuple[int, ...]
     ) -> MatrixTriplet | None:
         """Pop a banked matrix triplet, or ``None`` on pool exhaustion."""
         bucket = self._matrix.get((tuple(shape_a), tuple(shape_b)))

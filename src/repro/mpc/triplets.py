@@ -22,11 +22,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.fixedpoint.ring import RING_DTYPE, ring_matmul, ring_mul
+from repro.fixedpoint.ring import RING_DTYPE, ring_matmul, ring_matmul_batched, ring_mul
 from repro.mpc.prandom import ThreadSafeGeneratorPool, parallel_uniform_ring
 from repro.mpc.shares import SharePair, share_secret
 from repro.telemetry.registry import MetricRegistry
 from repro.util.errors import ProtocolError, ShapeError
+from repro.util.validation import matmul_shapes_compatible
 
 # Monotonic identity for dealer triplets.  Caches that stage triplet
 # material on devices key their entries by this uid rather than id():
@@ -106,13 +107,14 @@ class _EpochShareMixin:
 
 @dataclass
 class MatrixTriplet(_EpochShareMixin):
-    """Dealer-side triplet for a matrix product of shape (m,k) x (k,n)."""
+    """Dealer-side triplet for a matrix product (m,k) x (k,n), or a
+    stack (B,m,k) x (B,k,n) of them."""
 
     u: SharePair
     v: SharePair
     z: SharePair
-    shape_a: tuple[int, int]
-    shape_b: tuple[int, int]
+    shape_a: tuple[int, ...]
+    shape_b: tuple[int, ...]
     label: str | None = None
     backend: str = "beaver2pc"
     uid: int = field(default_factory=_next_triplet_uid, compare=False)
@@ -188,17 +190,22 @@ class TripletDealer:
             return parallel_uniform_ring(shape, self._pool)
         return self._rng.integers(0, 2**64, size=shape, dtype=np.uint64)
 
-    def matrix_triplet(self, shape_a: tuple[int, int], shape_b: tuple[int, int]) -> MatrixTriplet:
-        """Generate one triplet for a product of the given operand shapes."""
-        if len(shape_a) != 2 or len(shape_b) != 2:
-            raise ShapeError(f"matrix triplet needs 2-D shapes, got {shape_a} and {shape_b}")
-        if shape_a[1] != shape_b[0]:
+    def matrix_triplet(
+        self, shape_a: tuple[int, ...], shape_b: tuple[int, ...]
+    ) -> MatrixTriplet:
+        """Generate one triplet for a product of the given operand shapes.
+
+        ``(m,k) x (k,n)``, or a stack ``(B,m,k) x (B,k,n)`` whose ``Z``
+        is the ``B`` per-sample products (always the host's batched ring
+        kernel; the injected ``matmul`` is a 2-D product).
+        """
+        if not matmul_shapes_compatible(shape_a, shape_b):
             raise ShapeError(
                 f"triplet operand shapes incompatible for matmul: {shape_a} x {shape_b}"
             )
         u = self._uniform(shape_a)
         v = self._uniform(shape_b)
-        z = self._matmul(u, v)
+        z = self._matmul(u, v) if u.ndim == 2 else ring_matmul_batched(u, v)
         self._generated.inc(
             1, kind="matrix", shape=f"{tuple(shape_a)}x{tuple(shape_b)}", source="dealer"
         )

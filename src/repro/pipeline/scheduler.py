@@ -67,6 +67,10 @@ def schedule_secure_gemm(
 ) -> GemmScheduleResult:
     """Run the Eq. 8 GPU operation for one server with/without pipeline 1.
 
+    The operands are matrices or equal-depth ``(B, rows, cols)`` stacks;
+    a stack takes the same transfers and kernels, each over the whole
+    stack.
+
     ``keep`` maps an operand name (``"F"``, ``"Z"``) to the version it
     must have to be reused; ``resident`` is this op stream's table of
     operands already on the device, ``name -> (version, buffer, upload
@@ -124,9 +128,11 @@ def schedule_secure_gemm(
             lambda a, ee: ring_sub(a, ee), [a_buf, e_buf], deps=kdeps(t_e, t_a), label="D=A-E"
         )
 
-    # G1 = D @ F overlaps B_i's transfer; G2 = E @ B_i follows.
-    g1_buf, t_g1 = gpu.gemm_ring(d_buf, f_buf, deps=kdeps(t_d, t_f), stream=stream, label="D@F")
-    g2_buf, t_g2 = gpu.gemm_ring(e_buf, b_buf, deps=kdeps(t_g1, t_b), stream=stream, label="E@B")
+    # G1 = D @ F overlaps B_i's transfer; G2 = E @ B_i follows.  A stack
+    # of products is one strided-batched launch each.
+    gemm = gpu.gemm_ring_batched if e.ndim == 3 else gpu.gemm_ring
+    g1_buf, t_g1 = gemm(d_buf, f_buf, deps=kdeps(t_d, t_f), stream=stream, label="D@F")
+    g2_buf, t_g2 = gemm(e_buf, b_buf, deps=kdeps(t_g1, t_b), stream=stream, label="E@B")
 
     # C = G1 + G2 + Z_i (fused via the ring ops' out= fast path: one
     # intermediate, written in place by the second add).

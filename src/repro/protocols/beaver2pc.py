@@ -154,6 +154,7 @@ class Beaver2PCBackend(ProtocolBackend):
         return SharedTensor(ctx=ctx, shares=tuple(shares), kind="fixed", tasks=tuple(tasks))
 
     def matmul(self, ctx, x, y, m, k, n, both_fixed, *, label, truncate_result):
+        stacked = x.ndim == 3  # (B,m,k) x (B,k,n): B products, one of everything
         # --- offline ---------------------------------------------------------
         triplet = ctx.get_matrix_triplet(label, x.shape, y.shape)
 
@@ -181,17 +182,24 @@ class Beaver2PCBackend(ProtocolBackend):
                         ring_sub, [operand.shares[i], mask[i]],
                         deps=_deps(operand.tasks[i], *start), label=f"{label}:{name}{i}",
                     )
+                    if stacked:  # crosses the wire as one (B*rows, cols) matrix
+                        local = local.reshape(local.shape[0] * local.shape[1], local.shape[2])
                     live[name][0].append(local)
                     live[name][1].append(task)
         opened = _exchange_round(ctx, label, live)
-        e, e_tasks = opened.get("E", (cached_e, [None, None]))
-        f, f_tasks = opened.get("F", (cached_f, [None, None]))
         for name, operand in (("E", x), ("F", y)):
             if name in opened:
-                ctx.store_masked(label, name, operand, triplet, opened[name][0])
+                combined = opened[name][0].reshape(operand.shape)  # off the wire layout
+                opened[name] = (combined, opened[name][1])
+                ctx.store_masked(label, name, operand, triplet, combined)
+        e, e_tasks = opened.get("E", (cached_e, [None, None]))
+        f, f_tasks = opened.get("F", (cached_f, [None, None]))
 
         # --- GPU operation (online) ------------------------------------------
-        decision = ctx.profiler.place_gemm(m, 2 * k, n, operands_on_gpu=False)
+        if stacked:
+            decision = ctx.profiler.place_gemm_batched(x.shape[0], m, 2 * k, n)
+        else:
+            decision = ctx.profiler.place_gemm(m, 2 * k, n, operands_on_gpu=False)
         # Operands that stay on the server GPUs between calls (persistent
         # masks only): this stream's Z share and, for a static right
         # operand, the opened F — re-uploaded when triplet or value changes.
@@ -229,9 +237,12 @@ class Beaver2PCBackend(ProtocolBackend):
             else:
                 tshare.mark_consumed()
                 lead = x.shares[i] if i == 0 else ring_sub(x.shares[i], e)
-                left = np.concatenate([lead, e], axis=1)
-                right = np.concatenate([f, y.shares[i]], axis=0)
-                prod, tg = ctx.server_cpu[i].gemm_ring(left, right, deps=ready, label=f"{label}:cpu_gemm")
+                left = np.concatenate([lead, e], axis=-1)
+                right = np.concatenate([f, y.shares[i]], axis=-2)
+                cpu = ctx.server_cpu[i]
+                prod, tg = (cpu.gemm_ring_batched if stacked else cpu.gemm_ring)(
+                    left, right, deps=ready, label=f"{label}:cpu_gemm"
+                )
                 c_i, tc = ctx.server_cpu[i].elementwise(
                     ring_add, [prod, tshare.z], deps=(tg,), label=f"{label}:+Z"
                 )

@@ -13,7 +13,8 @@ Beaver triplets:
   after which each party again holds a replicated pair of the product.
   For matmul the cross-term fuses into a single ``(m,2k)x(2k,n)`` ring
   GEMM ``[x_p | x_{p+1}] @ [(y_p + y_{p+1}) ; y_p]``, so the profiler's
-  GPU placement applies unchanged.
+  GPU placement applies unchanged; a ``(B,m,k) x (B,k,n)`` stack is the
+  same GEMM batched over ``B``, reshared as one message per link.
 * **truncation** — probabilistic pair truncation: party 0 folds its
   replicated pair and truncates ``(x0 + x1)`` as the positive share of
   a 2-sharing, parties 1 and 2 truncate ``x2`` as the negative share;
@@ -181,7 +182,13 @@ class Rep3Backend(ProtocolBackend):
     # --- interactive protocols ----------------------------------------------
 
     def matmul(self, ctx, x, y, m, k, n, both_fixed, *, label, truncate_result):
-        decision = ctx.profiler.place_gemm(m, 2 * k, n, operands_on_gpu=False)
+        # A (B,m,k) x (B,k,n) stack is B cross-terms in one batched GEMM
+        # and one reshare of the whole (B,m,n) result.
+        stacked = x.ndim == 3
+        if stacked:
+            decision = ctx.profiler.place_gemm_batched(x.shape[0], m, 2 * k, n)
+        else:
+            decision = ctx.profiler.place_gemm(m, 2 * k, n, operands_on_gpu=False)
         z_parts, z_tasks = [], []
         for i in range(3):
             j = (i + 1) % 3
@@ -189,21 +196,23 @@ class Rep3Backend(ProtocolBackend):
             ysum, t_sum = ctx.server_cpu[i].elementwise(
                 ring_add, [y.shares[i], y.shares[j]], deps=start, label=f"{label}:ysum"
             )
-            left = np.concatenate([x.shares[i], x.shares[j]], axis=1)
-            right = np.concatenate([ysum, y.shares[i]], axis=0)
+            left = np.concatenate([x.shares[i], x.shares[j]], axis=-1)
+            right = np.concatenate([ysum, y.shares[i]], axis=-2)
             ready = _deps(t_sum)
             if decision.placement == "gpu" and ctx.server_gpu[i] is not None:
                 gpu = ctx.server_gpu[i]
+                gemm = gpu.gemm_ring_batched if stacked else gpu.gemm_ring
                 lbuf, tl = gpu.h2d(left, deps=ready, label=f"{label}:h2d:L")
                 rbuf, tr = gpu.h2d(right, deps=ready, label=f"{label}:h2d:R")
-                zbuf, tz = gpu.gemm_ring(lbuf, rbuf, deps=(tl, tr), label=f"{label}:gemm")
+                zbuf, tz = gemm(lbuf, rbuf, deps=(tl, tr), label=f"{label}:gemm")
                 z_i, td = gpu.d2h(zbuf, deps=(tz,), label=f"{label}:d2h")
                 for b in (lbuf, rbuf, zbuf):
                     gpu.free(b)
                 z_parts.append(z_i)
                 z_tasks.append(td)
             else:
-                z_i, tg = ctx.server_cpu[i].gemm_ring(
+                cpu = ctx.server_cpu[i]
+                z_i, tg = (cpu.gemm_ring_batched if stacked else cpu.gemm_ring)(
                     left, right, deps=ready, label=f"{label}:cpu_gemm"
                 )
                 z_parts.append(z_i)

@@ -307,6 +307,15 @@ class SimCPU:
         )
         return out, t
 
+    def gemm_ring_batched(self, a: np.ndarray, b: np.ndarray, deps=(), label="cpu_gemm"):
+        """Stacked ring GEMM, timed as ``B`` sequential (m,k)x(k,n) products."""
+        out = ring_matmul_batched(a, b)
+        batch, m, k = a.shape
+        t = self.run(
+            batch * self.spec.gemm_seconds(m, k, b.shape[2]), deps, label, kind="gemm"
+        )
+        return out, t
+
     def gemm_float(self, a: np.ndarray, b: np.ndarray, deps=(), label="cpu_gemm"):
         out = a @ b
         t = self.run(

@@ -63,6 +63,16 @@ def check_stacked_matmul_compatible(
         )
 
 
+def matmul_shapes_compatible(shape_a, shape_b) -> bool:
+    """Whether ``a @ b`` is a 2-D product or a stack ``(B,m,k) x (B,k,n)``."""
+    return (
+        len(shape_a) == len(shape_b)
+        and len(shape_a) in (2, 3)
+        and tuple(shape_a[:-2]) == tuple(shape_b[:-2])
+        and shape_a[-1] == shape_b[-2]
+    )
+
+
 def check_positive(value: float, name: str, *, strict: bool = True) -> float:
     """Require a scalar to be positive (or non-negative when strict=False)."""
     if not isinstance(value, numbers.Real):

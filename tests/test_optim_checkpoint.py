@@ -1,9 +1,15 @@
 """Optimizers on shares and shared-model checkpointing."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.audit.conformance import CONFORMANCE_MODELS, ConformanceCase, _tiny_workload
+from repro.core.attention import SecureAttention
 from repro.core.checkpoint import load_model, save_model
+from repro.core.config import FrameworkConfig
+from repro.core.context import SecureContext
 from repro.core.models import SecureLinearRegression, SecureMLP
 from repro.core.optim import SGD, AveragedSGD, MomentumSGD
 from repro.core.tensor import SharedTensor
@@ -142,6 +148,69 @@ class TestCheckpoint:
         wrong = SecureLinearRegression(ctx2, 5, n_out=1)
         with pytest.raises(ProtocolError):
             load_model(wrong, tmp_path / "ckpt")
+
+
+class TestEveryParameterIsCheckpointed:
+    """A checkpoint holds exactly ``model.parameters()`` — whatever the
+    layer calls its tensors — or refuses to be written."""
+
+    @pytest.mark.parametrize("backend", ("beaver2pc", "rep3"))
+    @pytest.mark.parametrize("model_name", CONFORMANCE_MODELS)
+    def test_fresh_context_load_restores_every_tensor(self, model_name, backend, tmp_path):
+        models = []
+        for seed in (0, 999):
+            case = ConformanceCase(model=model_name, axis="baseline", seed=seed, backend=backend)
+            models.append(_tiny_workload(case)[2](SecureContext.create(case.config())))
+        saved, fresh = models
+        assert any(
+            not np.array_equal(a.decode(), b.decode())
+            for a, b in zip(saved.parameters(), fresh.parameters())
+        )
+        save_model(saved, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert len(manifest["parameters"]) == len(saved.parameters())
+        load_model(fresh, tmp_path)
+        for a, b in zip(saved.parameters(), fresh.parameters()):
+            np.testing.assert_array_equal(a.decode(), b.decode())
+
+    def test_attention_names_its_fused_projection(self, ctx, tmp_path):
+        save_model(SecureAttention(ctx, 3, 4), tmp_path)
+        names = {p["name"] for p in json.loads((tmp_path / "manifest.json").read_text())["parameters"]}
+        assert names == {"attn/w_qkv", "attn/w_o", "attnout/weight", "attnout/bias"}
+
+    def test_parameter_no_attribute_names_is_refused(self, ctx, tmp_path):
+        model = SecureLinearRegression(ctx, 4, n_out=1)
+        hidden = SharedTensor.from_plain(ctx, np.zeros((2, 2)), label="hidden")
+        dense = model.layers[0]
+        dense.parameters = lambda: [dense.weight, dense.bias, hidden]
+        with pytest.raises(ConfigError, match=r"1 tensor\(s\).*\(2, 2\)"):
+            save_model(model, tmp_path)
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_attention_resumes_from_its_checkpoint_after_a_party_restart(self):
+        """The recovery path restores the block's weights too: a crash at
+        batch 3 replays from the batch-2 checkpoint onto exactly the
+        uninterrupted run's shares."""
+        from repro.core.training import SecureTrainer
+        from repro.faults import FaultPlan, PartyCrash
+        from repro.faults.chaos import snapshot_weights
+
+        rng = np.random.default_rng(7)
+        x = 0.5 * rng.standard_normal((32, 12))
+        y = np.eye(3)[rng.integers(0, 3, size=32)]
+        weights, reports = [], []
+        for plan in (None, FaultPlan(crashes=(PartyCrash("server1", at_step=4),))):
+            run_ctx = SecureContext.create(FrameworkConfig.parsecureml(fault_plan=plan))
+            model = SecureAttention(run_ctx, 3, 4)
+            trainer = SecureTrainer(run_ctx, model, lr=0.125, checkpoint_every=2)
+            reports.append(trainer.train(x, y, batch_size=8))
+            weights.append(snapshot_weights(model))
+        assert (reports[0].party_restarts, reports[1].party_restarts) == (0, 1)
+        assert reports[1].batches_replayed >= 1
+        assert weights[0].keys() == weights[1].keys() and "attn/w_qkv" in weights[0]
+        for name, shares in weights[0].items():
+            for ours, theirs in zip(shares, weights[1][name]):
+                np.testing.assert_array_equal(ours, theirs, err_msg=name)
 
 
 class TestMidTrainingCheckpoint:

@@ -105,6 +105,13 @@ class TestTripletRequests:
         with pytest.raises(ShapeError):
             matmul_stream((3, 4), (5, 2))
 
+    def test_matmul_stream_accepts_stacks_of_equal_depth(self):
+        req = matmul_stream((8, 3, 4), (8, 4, 2))
+        assert req.kind == "matrix" and req.shapes == ((8, 3, 4), (8, 4, 2))
+        for bad in (((8, 3, 4), (7, 4, 2)), ((8, 3, 4), (4, 2)), ((2, 8, 3, 4), (2, 8, 4, 2))):
+            with pytest.raises(ShapeError):
+                matmul_stream(*bad)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             TripletRequest(kind="cubic", shapes=((2, 2),))
@@ -196,6 +203,23 @@ class TestPoolConsumption:
         reg = ctx.telemetry.registry
         assert reg.counter("mpc.pool.misses", "").value() == 0
         assert ctx.triplet_pool.stock() == 0
+
+    def test_attention_consumes_only_pooled_triplets(self):
+        """Stacked streams bank and hit like flat ones: a refill of
+        ``count`` stacks is one deeper batched GEMM, nothing is dealt
+        synchronously, and every banked stack is taken by its stream."""
+        ctx = SecureContext(_cfg(pool_size=16))
+        model = SecureAttention(ctx, 3, 4, n_out=3)
+        assert ctx.provision_for(model, 16) == len(model.offline_plan(16))
+        scores = ((16, 3, 4), (16, 4, 3))  # qk and dA
+        assert ctx.triplet_pool.stock_for("matrix", scores) == 2
+        rng = np.random.default_rng(0)
+        SecureTrainer(ctx, model, lr=0.03125).train(
+            rng.normal(size=(16, 12)), rng.normal(size=(16, 3)), batch_size=16
+        )
+        generated = ctx.telemetry.registry.counter("mpc.triplets_generated", "")
+        assert generated.value() == generated.value(source="pool") > 0
+        assert ctx._matrix_triplets["attn/qk"].shape_a == (16, 3, 4)
 
     def test_exhausted_pool_falls_back_to_synchronous_generation(self):
         ctx = SecureContext(_cfg(pool_size=4))

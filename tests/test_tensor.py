@@ -94,6 +94,14 @@ class TestShapeOps:
         a = rng.normal(size=(3, 5))
         np.testing.assert_allclose(shared(ctx, a).T.decode(), a.T, atol=2e-4)
 
+    def test_transpose_of_a_stack_swaps_the_last_two_axes(self, ctx, rng):
+        a = rng.normal(size=(3, 4, 5))
+        t = shared(ctx, a)
+        assert t.T.shape == (3, 5, 4) and t.T.uid == t.uid
+        np.testing.assert_allclose(t.T.decode(), np.swapaxes(a, 1, 2), atol=2e-4)
+        with pytest.raises(ShapeError, match="at least 2 axes"):
+            shared(ctx, rng.normal(size=(4,))).T
+
     def test_reshape(self, ctx, rng):
         a = rng.normal(size=(4, 6))
         np.testing.assert_allclose(
