@@ -15,10 +15,16 @@ checks, per (model, mode, compression) row:
   inference under ``fresh_triplets=True`` ships strictly more
   (DESIGN §7c).
 
-* an attention train step is 74 inter-server messages and its largest
-  frame is the fused ``dWqkv`` round, ``8*4*b*s*d`` bytes plus headers —
-  linear in ``s``; the pair-grid frames the Hadamard expansion sent were
-  131 180 B at this geometry and grew with ``s**2``.
+* an attention train step is 66 inter-server messages (74 on the step
+  that deals its triplets: a value is opened once, so ``dC``, ``dV``,
+  ``dK`` and the readout's ``dX`` — both operands already public — send
+  no frame) and its largest frame is the fused ``dWqkv`` round,
+  ``8*4*b*s*d`` bytes plus headers on the dealing step, ``[dQ|dK|dV]``
+  alone after it — linear in ``s``; the pair-grid frames the Hadamard
+  expansion sent were 131 180 B at this geometry and grew with ``s**2``;
+* an MLP 784-128-128-10 train step at batch 128 (``perf/``'s
+  ``train_mlp``) is 24 inter-server messages and at most 7 686 060 B
+  (28 and 10 906 394 B while every op stream opened its own operands).
 
 Runs standalone:
 ``PYTHONPATH=src python -m pytest benchmarks/test_workload_regression.py``.
@@ -93,7 +99,11 @@ def test_online_makespan_no_regression(fresh, reference):
         )
 
 
-def test_attention_train_step_is_74_messages_and_no_frame_outgrows_the_projections(reference):
+def _server_frames(recorder, since=0):
+    return [r for r in recorder.transcript().records[since:] if r.src.startswith("server")]
+
+
+def test_attention_train_step_is_66_messages_and_no_frame_outgrows_the_projections(reference):
     from repro.bench.workloads import build_secure_model, load_workload
     from repro.core.context import SecureContext
     from repro.core.training import SecureTrainer
@@ -107,12 +117,33 @@ def test_attention_train_step_is_74_messages_and_no_frame_outgrows_the_projectio
     model = build_secure_model(ctx, spec)
     recorder = ctx.attach_recorder(capture_payloads=False)
     SecureTrainer(ctx, model, monitor_loss=False).train(x, y, batch_size=b)
-    frames = [r for r in recorder.transcript().records if r.src.startswith("server")]
-    assert len(frames) == 74 * first["batches"]
+    frames = _server_frames(recorder)
+    # the first step deals every stream and re-opens once per link
+    assert len(frames) == 74 + 66 * (first["batches"] - 1)
     block = model.block
     largest = max(frames, key=lambda r: r.nbytes)
     assert largest.tag.startswith("attn/dWqkv/EF/")
     assert largest.nbytes <= 8 * 4 * b * block.seq_len * block.d_model + 256
+
+
+def test_mlp_train_step_is_24_messages_and_under_7_7_megabytes():
+    import numpy as np
+
+    from repro.core.context import SecureContext
+    from repro.core.models import SecureMLP
+    from repro.core.training import SecureTrainer
+
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(128, 784)), rng.normal(size=(128, 10))
+    ctx = SecureContext.create(FrameworkConfig())
+    trainer = SecureTrainer(ctx, SecureMLP(ctx, 784, hidden=(128, 128), n_out=10), monitor_loss=False)
+    recorder = ctx.attach_recorder(capture_payloads=False)
+    trainer.train(x, y, batch_size=128)  # deals every stream
+    since = len(recorder)
+    trainer.train(x, y, batch_size=128)
+    frames = _server_frames(recorder, since)
+    assert len(frames) == 24
+    assert sum(r.nbytes for r in frames) <= 7_686_060
 
 
 def test_recsys_wire_saving_is_the_stable_mask_not_the_codec(fresh, reference):

@@ -9,9 +9,10 @@ tolerance.  Sweeping the six paper models plus the attention/recsys
 workloads across the optimization axes (triplet pool, delta
 compression, reliable transport under a chaos seed, dataflow
 scheduling) is the regression oracle for "no optimization changed the
-arithmetic".  Static-operand reuse is not an axis: it is on in every
-cell, so each axis is swept *with* it, and a case of three or more
-batches reuses every weight's ``F`` at least twice.
+arithmetic".  Opening every value once (one mask per value, DESIGN
+§5b) is not an axis: it is on in every cell, so each axis is swept
+*with* it, and a case of three or more batches reuses every weight's
+``F`` at least twice.
 
 Two strengths of agreement:
 
@@ -140,6 +141,9 @@ class ConformanceResult:
     predictions: np.ndarray = field(repr=False)
     transcript: Transcript | None = field(default=None, repr=False)
     wire: WireAuditReport | None = None
+    #: ``mpc.mask_reuse.hits`` by scope: openings served instead of sent,
+    #: from earlier in the step / of an unchanged weight from an earlier one
+    served: dict[str, int] = field(default_factory=dict)
 
     @property
     def agreed(self) -> bool:
@@ -147,9 +151,11 @@ class ConformanceResult:
 
     def describe(self) -> str:
         verdict = "ok" if self.agreed else "DISAGREE"
+        served = ", ".join(f"{scope}={n}" for scope, n in self.served.items())
         return (
             f"{self.case.name}: max|secure-plain|={self.max_abs_err:.2e} "
             f"(tol {self.tol:.0e}) -> {verdict}"
+            + (f"; openings served: {served}" if any(self.served.values()) else "")
         )
 
 
@@ -278,9 +284,11 @@ def run_conformance_case(
     wire = None
     if transcript is not None and capture_payloads:
         wire = audit_transcript(transcript, telemetry=ctx.telemetry)
+    hits = ctx.telemetry.registry.counter("mpc.mask_reuse.hits")
     return ConformanceResult(
         case=case, max_abs_err=max_err, tol=case.tol,
         predictions=report.predictions, transcript=transcript, wire=wire,
+        served={scope: int(hits.value(scope=scope)) for scope in ("step", "static")},
     )
 
 

@@ -66,7 +66,10 @@ class TranscriptRecord:
     (one entry per array: the ``E`` and the ``F`` of a packed round
     frame) when the recorder captured them (wire-audit input); it is
     never serialized and never takes part in transcript identity —
-    ``digest`` already pins the content.
+    ``digest`` already pins the content.  Neither are ``masks`` — per
+    part of a masked-difference frame, the ``(mask uid, value uid)`` it
+    opened — and ``step``, the online step it was sent in: process-local
+    identities the wire auditor's mask model is stated in.
     """
 
     seq: int
@@ -77,6 +80,8 @@ class TranscriptRecord:
     digest: str
     clock_s: float
     parts: tuple[bytes, ...] | None = field(default=None, repr=False, compare=False)
+    masks: tuple[tuple[int, int], ...] | None = field(default=None, repr=False, compare=False)
+    step: int | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -257,6 +262,8 @@ class TranscriptRecorder:
         nbytes: int | None = None,
         clock_s: float = 0.0,
         content: bytes | None = None,
+        masks: tuple | None = None,
+        step: int | None = None,
     ) -> TranscriptRecord:
         """Append one message.
 
@@ -265,7 +272,8 @@ class TranscriptRecorder:
         ``nbytes`` for size-only rounds such as the GMW comparison bits,
         whose per-bit content is not materialized by the simulation.
         ``content`` overrides the captured bytes when the observable wire
-        form differs from the hashed logical payload.
+        form differs from the hashed logical payload.  ``masks`` / ``step``
+        ride along for the wire auditor (see :class:`TranscriptRecord`).
         """
         if payload is None and nbytes is None:
             raise AuditError(f"record {src}->{dst} [{tag}]: need payload or nbytes")
@@ -281,7 +289,7 @@ class TranscriptRecorder:
         rec = TranscriptRecord(
             seq=len(self._records), src=src, dst=dst, tag=tag,
             nbytes=int(nbytes), digest=digest, clock_s=float(clock_s),
-            parts=captured,
+            parts=captured, masks=masks, step=step,
         )
         self._records.append(rec)
         if self._msg_counter is not None:

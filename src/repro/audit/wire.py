@@ -18,11 +18,30 @@ genuinely masked traffic, instantly exceeded by structured data).
 Links with fewer than :data:`MIN_AUDIT_BYTES` captured bytes are
 reported as ``skipped`` rather than judged: the chi-square approximation
 needs a few observations per bin before its tail is meaningful.
+
+**What is judged** (the model, argued in DESIGN §5).  A Beaver mask is
+stable: under one mask ``U`` two openings ``E_j = X_j - U`` and
+``E_{j+1} = X_{j+1} - U`` differ by the public ``X_{j+1} - X_j`` by
+construction, so the bytes that repeat between them say which elements
+did not change — the paper's §4.4 premise, not a leak of this
+implementation — and they are no fresh uniform samples.  Every masked
+part therefore carries its ``(mask uid, value uid)``
+(``record_wire(masks=...)``), and per mask the auditor judges the
+*first* opening in full and of a later opening the bytes that differ
+from the previous one, each byte position once: under one mask a
+position contributes its first byte and the first byte that replaced
+it, nothing after (a byte whose plaintext flips sign every other batch
+walks ``h, h-1, h`` and would otherwise be counted twice).  The same
+``(mask, value)`` seen again (the dealing step re-opens a value under
+the mask it shares, possibly transposed) contributes nothing.  What
+a stable mask must never do is open two *different* values inside one
+online step — that would put their difference on the wire within a
+step — and the audit fails when a transcript shows it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,14 +108,17 @@ class LinkAudit:
 
 @dataclass
 class WireAuditReport:
-    """All link verdicts for one transcript."""
+    """All link verdicts for one transcript, plus the mask invariant:
+    ``mask_violations`` names every mask that opened two different
+    values inside one online step."""
 
     audits: list[LinkAudit]
     ceiling: float
+    mask_violations: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return all(a.passed for a in self.audits)
+        return not self.mask_violations and all(a.passed for a in self.audits)
 
     @property
     def failures(self) -> list[LinkAudit]:
@@ -113,15 +135,63 @@ class WireAuditReport:
             f"wire audit: {len(self.audits)} links, {len(judged)} judged, "
             f"{len(self.failures)} failed (ceiling {self.ceiling:.0f})"
         )
-        return "\n".join([head, *(f"  {a.describe()}" for a in self.audits)])
+        lines = [head, *(f"  {a.describe()}" for a in self.audits)]
+        return "\n".join(lines + [f"  MASK REUSE: {v}" for v in self.mask_violations])
 
     def assert_clean(self, *, context: str = "") -> None:
         if not self.passed:
             prefix = f"{context}: " if context else ""
             raise AuditError(
                 prefix + "wire audit failed: "
-                + "; ".join(a.describe() for a in self.failures)
+                + "; ".join([a.describe() for a in self.failures] + self.mask_violations)
             )
+
+
+def _judged_bytes(records) -> list[bytes]:
+    """What one link's records contribute to the statistic, in order."""
+    plain: dict[bytes, None] = {}  # distinct mask-less parts, first-seen order
+    judged: list[bytes] = []
+    seen: set[tuple[int, int]] = set()  # (mask, value) already opened
+    last: dict[int, np.ndarray] = {}  # mask -> its latest opening
+    moved: dict[int, np.ndarray] = {}  # mask -> positions already judged twice
+    for record in records:
+        parts = record.parts or ()
+        if record.masks is None:
+            plain.update(dict.fromkeys(p for p in parts if p))
+            continue
+        for part, (mask, value) in zip(parts, record.masks):
+            if not part or (mask, value) in seen:
+                continue
+            seen.add((mask, value))
+            now = np.frombuffer(part, dtype=np.uint8)
+            before = last.get(mask)
+            last[mask] = now
+            if before is None or before.size != now.size:
+                moved[mask] = np.zeros(now.size, dtype=bool)
+                judged.append(part)
+                continue
+            new = (now != before) & ~moved[mask]
+            moved[mask] |= new
+            judged.append(now[new].tobytes())
+    return [*plain, *judged]
+
+
+def mask_violations(transcript: Transcript) -> list[str]:
+    """Every mask that opened two different values inside one online step."""
+    opened: dict[tuple[int, int], int] = {}  # (step, mask) -> value
+    found: dict[tuple[int, int], str] = {}
+    for record in transcript:
+        if record.masks is None or record.step is None:
+            continue
+        for mask, value in record.masks:
+            first = opened.setdefault((record.step, mask), value)
+            if first != value:
+                found.setdefault(
+                    (record.step, mask),
+                    f"mask {mask} opened two values in online step {record.step} "
+                    f"(record {record.seq}, {record.tag})",
+                )
+    return list(found.values())
 
 
 def audit_transcript(
@@ -140,23 +210,23 @@ def audit_transcript(
     the statistic; a link whose captured content is below ``min_bytes``
     is skipped, not judged.
 
-    Repeated identical message parts count once: a static operand
-    re-sends the same masked difference every batch (same cached
-    triplet), and retransmissions replay journalled frames verbatim.  An
-    exact repeat gives a passive observer nothing new, but
-    double-counting its byte histogram would scale the chi-square
-    statistic by the repeat factor and fail uniform traffic spuriously.
-    The granularity is one part (an ``E`` or an ``F``), not one frame: a
-    packed round frame carries a repeated static ``F`` next to a fresh
-    ``E``, so whole frames never repeat even though half their bytes do.
+    Parts that carry a mask identity are judged under the stable-mask
+    model of the module docstring (first opening in full, then the bytes
+    that differ from the previous one, each position once, a repeated
+    ``(mask, value)`` never).  Of the
+    rest — client uploads, dealer-free backends, retransmitted frames —
+    repeated identical parts count once: an exact repeat gives a passive
+    observer nothing new, but double-counting its byte histogram would
+    scale the chi-square statistic by the repeat factor and fail uniform
+    traffic spuriously.  The granularity is one part (an ``E`` or an
+    ``F``), not one frame.
     """
     audits: list[LinkAudit] = []
     for src, dst in transcript.links():
         if party is not None and dst != party:
             continue
         records = transcript.records_for(src=src, dst=dst)
-        # distinct non-empty parts, first-seen order
-        bufs = dict.fromkeys(p for r in records for p in r.parts or () if p)
+        bufs = _judged_bytes(records)
         captured = sum(len(b) for b in bufs)
         wire = sum(r.nbytes for r in records)
         if captured < min_bytes:
@@ -173,7 +243,9 @@ def audit_transcript(
             content_bytes=captured, wire_bytes=wire,
             chi2=stat, ceiling=ceiling, skipped=False,
         ))
-    report = WireAuditReport(audits=audits, ceiling=ceiling)
+    report = WireAuditReport(
+        audits=audits, ceiling=ceiling, mask_violations=mask_violations(transcript)
+    )
     if telemetry is not None:
         reg = telemetry.registry
         judged = [a for a in report.audits if not a.skipped]

@@ -64,7 +64,10 @@ class FrameworkConfig:
     # open an unchanged weight's F = W - V once and keep it, with the
     # stream's Z, on the GPU (DESIGN 5b).  Set True to regenerate per
     # use (single-use triplets, stronger privacy: compression never
-    # fires and nothing masked is cached or kept resident).
+    # fires and nothing masked outlives an online step or stays
+    # resident).  In both modes a mask belongs to a value: the products
+    # that multiply one tensor within a step share its mask, so the
+    # tensor is opened once (DESIGN 5, 5b).
     fresh_triplets: bool = False
 
     # Batched offline provisioning.  pool_size > 0 banks pre-generated
@@ -72,7 +75,11 @@ class FrameworkConfig:
     # at most pool_size (one stacked ring GEMM + one vectorised mask
     # draw + one upload per refill) — the --pool-size bench knob.  0
     # disables the pool: every triplet is generated synchronously at
-    # first use, the historical behaviour.
+    # first use, the historical behaviour.  The pool banks every
+    # stream's own (U, V, Z), so a pooled context does not share masks
+    # between the products of one value (DESIGN 5b): for training
+    # pool_size > 0 is dominated by 0, online and offline; it pays on
+    # forward-only runs (ROADMAP diet (c) has the follow-up).
     pool_size: int = 0
 
     # CPU optimisations (Section 5.1).  cpu_parallel governs the servers'

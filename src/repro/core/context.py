@@ -17,6 +17,14 @@ as disjoint (Table 3 "occupancy"), with the offline phase completing
 before the online phase starts.  Keeping each phase on its own clock
 gives exactly that accounting while still modelling overlap *within*
 each phase.
+
+The context is also the dealer and the keeper of **the mask table**: a
+Beaver mask belongs to a value (a tensor uid), not to an op stream.
+:meth:`SecureContext._deal` deals a stream whose operand was already
+opened this online step on the mask that opened it, and
+:meth:`SecureContext.reuse_masked` / :meth:`SecureContext.store_masked`
+let the protocol backend open every value once — within a step for any
+tensor, across steps for an unchanged ``static`` one (DESIGN §5b).
 """
 
 from __future__ import annotations
@@ -32,12 +40,19 @@ from repro.core.config import FrameworkConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.reliable import ResilientChannel
 from repro.fixedpoint.encoding import FixedPointEncoder
-from repro.fixedpoint.ring import ring_mul
+from repro.fixedpoint.ring import ring_add, ring_mul
 from repro.mpc.comparison import ComparisonBundle, ComparisonDealer, comparison_offline_bytes
 from repro.mpc.pool import TripletPool, TripletRequest
 from repro.mpc.prandom import ThreadSafeGeneratorPool, parallel_uniform_ring
 from repro.mpc.shares import SharePair
-from repro.mpc.triplets import ElementwiseTriplet, MatrixTriplet
+from repro.mpc.triplets import (
+    BeaverMask,
+    ElementwiseTriplet,
+    MaskView,
+    MatrixTriplet,
+    from_base_layout,
+    to_base_layout,
+)
 from repro.pipeline.profiler import StepProfiler
 from repro.protocols import get_backend
 from repro.simgpu.clock import SimClock
@@ -74,6 +89,18 @@ class PhaseDelta:
     def occupancy(self) -> float:
         """Online share of total time (Table 3's metric)."""
         return self.online_s / self.total_s if self.total_s > 0 else 0.0
+
+
+@dataclass
+class _Opening:
+    """One row of the mask table: what a Beaver mask opened."""
+
+    mask: BeaverMask
+    uid: int  # the value it opened
+    epoch: int | None  # online step of that opening, or of its last hit
+    static: bool  # the value outlives the step (an unchanged weight)
+    opened: np.ndarray | None  # E or F in the value's base layout, if kept
+    tasks: tuple = ()  # per server, the task after which it holds `opened`
 
 
 class SecureContext:
@@ -275,13 +302,16 @@ class SecureContext:
         # same op stream within a step raises a labelled ProtocolError.
         self._batch_epoch: int | None = None
 
-        # Static-operand reuse: opened masked differences of static
-        # operands keyed by (op label, side), and what each op stream
+        # One mask per value: the mask table, mask uid -> what that mask
+        # opened (see "the mask table" below), the (label, side) whose
+        # masks other streams are dealt on, and what each op stream
         # keeps on a server GPU keyed by (party, op label).
-        self._masked_cache: dict[tuple[str, str], tuple[int, int, np.ndarray]] = {}
+        self._opened: dict[int, _Opening] = {}
+        self._shared_sides: set[tuple[str, str]] = set()
         self._resident: dict[tuple[int, str], dict[str, tuple]] = {}
         self._mask_reuse_hits = self.telemetry.counter(
-            "mpc.mask_reuse.hits", "masked-difference exchanges skipped via static reuse"
+            "mpc.mask_reuse.hits",
+            "masked differences the servers already held, by side and scope (step|static)",
         )
 
         # offline-material accounting
@@ -428,13 +458,20 @@ class SecureContext:
         *,
         nbytes: int | None = None,
         clock: str = "online",
+        masks: tuple | None = None,
     ) -> None:
-        """Log one message on the attached recorder (no-op when absent)."""
+        """Log one message on the attached recorder (no-op when absent).
+
+        ``masks`` names, per payload part, the ``(mask uid, value uid)``
+        of a masked difference — what the wire auditor's model is
+        stated in — and the record carries the online step with it.
+        """
         if self.recorder is None:
             return
         clk = self.offline_clock if clock == "offline" else self.online_clock
         self.recorder.record(
-            src, dst, tag, payload, nbytes=nbytes, clock_s=clk.now()
+            src, dst, tag, payload, nbytes=nbytes, clock_s=clk.now(),
+            masks=masks, step=self._batch_epoch if masks is not None else None,
         )
 
     def _upload(
@@ -529,58 +566,98 @@ class SecureContext:
         )
         return pair
 
-    def gen_matrix_triplet(self, shape_a, shape_b) -> MatrixTriplet:
-        """Offline generation of one matrix Beaver triplet, fully costed."""
-        self._require_dealer("gen_matrix_triplet")
-        rng = self._dealer_rng
-        u = rng.integers(0, 2**64, size=shape_a, dtype=np.uint64)
-        v = rng.integers(0, 2**64, size=shape_b, dtype=np.uint64)
-        self._charge_client_rng(u.nbytes + v.nbytes, "triplet:rng")
-        z = self._client_matmul(u, v) if u.ndim == 2 else self._client_matmul_batched(u, v)
-        triplet = MatrixTriplet(
-            u=self._share_with_timing(u, "triplet:U"),
-            v=self._share_with_timing(v, "triplet:V"),
-            z=self._share_with_timing(z, "triplet:Z"),
-            shape_a=tuple(shape_a),
-            shape_b=tuple(shape_b),
-        )
-        self._upload(
-            u.nbytes + v.nbytes + z.nbytes, "triplet:upload",
-            contents=tuple(
-                (getattr(triplet.u, f"share{i}"), getattr(triplet.v, f"share{i}"),
-                 getattr(triplet.z, f"share{i}"))
-                for i in (0, 1)
-            ),
-        )
-        self._triplets_generated.inc(
-            1, kind="matrix", shape=f"{tuple(shape_a)}x{tuple(shape_b)}"
-        )
-        return triplet
+    def _deal(self, tag: str, label: str, shapes, operands, product):
+        """Deal ``(U, V, Z = product(U, V))`` for one op stream, fully costed.
 
-    def gen_elementwise_triplet(self, shape) -> ElementwiseTriplet:
-        self._require_dealer("gen_elementwise_triplet")
-        rng = self._dealer_rng
-        u = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-        v = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-        self._charge_client_rng(u.nbytes + v.nbytes, "etriplet:rng")
-        z = ring_mul(u, v)
-        self._charge_client_elementwise(3 * u.nbytes, "etriplet:mul")
-        triplet = ElementwiseTriplet(
-            u=self._share_with_timing(u, "etriplet:U"),
-            v=self._share_with_timing(v, "etriplet:V"),
-            z=self._share_with_timing(z, "etriplet:Z"),
-            shape=tuple(shape),
-        )
+        One mask per value: a side whose operand is a value some mask
+        already opened this online step is dealt on that mask — ``U^T``
+        for a transposed view, the same array reshaped for a reshaped
+        one, ``V = U`` when both operands are the same value — and the
+        dealer draws, splits and uploads only what is new.  Operands of
+        ``None`` (standalone use), a context outside ``begin_batch``
+        steps and a pooled one (the pool banked whole draws before the
+        first step) deal every side its own mask.
+
+        Returns the ``U``, ``V``, ``Z`` share pairs and the two
+        :class:`~repro.mpc.triplets.MaskView`.
+        """
+        linking = self._links_masks and None not in operands
+        flipped = [operand is not None and operand.transposed for operand in operands]
+        # per side: the view on an existing mask, or None (draw a new one)
+        views = [
+            MaskView(mask, flipped[i])
+            if linking and (mask := self._mask_opened_this_step(operand)) is not None
+            else None
+            for i, operand in enumerate(operands)
+        ]
+        # the same value on both sides (p * p): V is U, drawn once
+        twin = linking and views == [None, None] and operands[0].uid == operands[1].uid
+        new = [i for i in (0, 1) if views[i] is None and not (twin and i == 1)]
+        pairs, plain = [None, None], []
+        for i, shape in enumerate(shapes):
+            if i in new:
+                plain.append(self._dealer_rng.integers(0, 2**64, size=shape, dtype=np.uint64))
+            elif views[i] is not None:  # the client knows its own masks
+                pairs[i] = views[i].pair(shape)
+                plain.append(np.ascontiguousarray(ring_add(pairs[i].share0, pairs[i].share1)))
+            else:
+                base = to_base_layout(plain[0], flipped[0])
+                plain.append(np.ascontiguousarray(from_base_layout(base, shape, flipped[1])))
+        if new:
+            self._charge_client_rng(sum(plain[i].nbytes for i in new), f"{tag}:rng")
+        z = product(plain[0], plain[1])
+        for i, shape in enumerate(shapes):
+            if i in new:
+                owner = (label, "EF"[i])
+                pairs[i] = self._share_with_timing(plain[i], f"{tag}:{'UV'[i]}")
+                views[i] = MaskView.over(pairs[i], owner, flipped[i])
+                # a root whose followers were learned on an earlier step
+                # (fresh_triplets, a ragged batch) keeps its opening at once
+                views[i].mask.shared = owner in self._shared_sides
+                continue
+            if views[i] is None:  # the twin: U's mask, as y lays it out
+                views[i] = MaskView(views[0].mask, flipped[i])
+                pairs[i] = views[i].pair(shape)
+            views[i].mask.shared = True
+            self._shared_sides.add(views[i].mask.owner)
+        z_pair = self._share_with_timing(z, f"{tag}:Z")
         self._upload(
-            3 * u.nbytes, "etriplet:upload",
+            sum(plain[i].nbytes for i in new) + z.nbytes, f"{tag}:upload",
             contents=tuple(
-                (getattr(triplet.u, f"share{i}"), getattr(triplet.v, f"share{i}"),
-                 getattr(triplet.z, f"share{i}"))
-                for i in (0, 1)
+                (*(pairs[i][party] for i in new), z_pair[party]) for party in (0, 1)
             ),
         )
-        self._triplets_generated.inc(1, kind="elementwise", shape=str(tuple(shape)))
-        return triplet
+        return pairs[0], pairs[1], z_pair, tuple(views)
+
+    def gen_matrix_triplet(
+        self, shape_a, shape_b, *, label: str = "", operands=(None, None)
+    ) -> MatrixTriplet:
+        """Offline generation of one matrix Beaver triplet, fully costed
+        (:meth:`_deal` has the one-mask-per-value rule)."""
+        self._require_dealer("gen_matrix_triplet")
+        shapes = (tuple(shape_a), tuple(shape_b))
+        u, v, z, masks = self._deal(
+            "triplet", label, shapes, operands,
+            lambda u, v: (
+                self._client_matmul(u, v) if u.ndim == 2 else self._client_matmul_batched(u, v)
+            ),
+        )
+        self._triplets_generated.inc(1, kind="matrix", shape=f"{shapes[0]}x{shapes[1]}")
+        return MatrixTriplet(u=u, v=v, z=z, shape_a=shapes[0], shape_b=shapes[1], masks=masks)
+
+    def gen_elementwise_triplet(
+        self, shape, *, label: str = "", operands=(None, None)
+    ) -> ElementwiseTriplet:
+        self._require_dealer("gen_elementwise_triplet")
+        shape = tuple(shape)
+
+        def product(u, v):
+            self._charge_client_elementwise(3 * u.nbytes, "etriplet:mul")
+            return ring_mul(u, v)
+
+        u, v, z, masks = self._deal("etriplet", label, (shape, shape), operands, product)
+        self._triplets_generated.inc(1, kind="elementwise", shape=str(shape))
+        return ElementwiseTriplet(u=u, v=v, z=z, shape=shape, masks=masks)
 
     # --------------------------------------------- batched offline provisioning
 
@@ -733,32 +810,91 @@ class SecureContext:
         return self.provision_offline(plan(batch_size, training=training))
 
     def begin_batch(self) -> None:
-        """Advance the online-step epoch (per-batch consumption guard)."""
+        """Advance the online step: the per-batch consumption guard, and
+        the end of everything the last step opened but a static value."""
         self._batch_epoch = 0 if self._batch_epoch is None else self._batch_epoch + 1
+        if self._opened:
+            self._opened = {m: row for m, row in self._opened.items() if row.static}
+            for row in self._opened.values():
+                row.tasks = ()  # long done; a hit waits on its operands alone
 
-    # ----------------------------------------------------- static-operand reuse
+    # ----------------------------------------------------------- the mask table
+    #
+    # A Beaver mask belongs to a value, not to an op stream.  The table
+    # maps a mask's uid to the value (tensor uid) it opened, the opened
+    # difference in the value's base layout and the tasks after which
+    # each server holds it.  One lifetime rule: a row lives while its
+    # value can still be asked for — to the end of the online step (a
+    # step ends where the next begins, ``begin_batch``: there is no
+    # other boundary), or, for a ``static`` tensor under persistent
+    # masks, until the mask opens a new uid or its stream side is dealt
+    # a new mask (PR 20's unchanged-weight ``F``).  The opened
+    # matrix itself is kept only where somebody can ask: a static value,
+    # or a mask more than one stream side is dealt on; every other row
+    # is the bare (mask, value, step) fact the dealer and the invariant
+    # "a mask never opens two values in one step" need.  Outside
+    # ``begin_batch`` steps there is no step boundary: only static rows
+    # exist and no stream shares a mask.
 
-    def reuse_masked(self, label: str, side: str, tensor, triplet) -> np.ndarray | None:
-        """Cached combined masked difference for a static operand, or None.
+    @property
+    def _links_masks(self) -> bool:
+        """Whether streams share masks here: inside ``begin_batch`` steps,
+        and not where a pool banked every stream's own draws beforehand."""
+        return self._batch_epoch is not None and (
+            self.triplet_pool is None or self.config.fresh_triplets
+        )
 
-        A hit means both the operand's values (tensor uid) and the mask
-        (triplet uid) are unchanged since the difference was exchanged —
-        the combined matrix is therefore bit-identical, and the servers
-        skip the subtract, the transmission and the combine entirely.
+    def _mask_opened_this_step(self, operand) -> BeaverMask | None:
+        """The mask that opened ``operand``'s value in this online step."""
+        for row in self._opened.values():
+            if row.uid == operand.uid and row.epoch == self._batch_epoch:
+                return row.mask
+        return None
+
+    def reuse_masked(self, side: str, tensor, view: MaskView):
+        """``(E or F, ready tasks)`` if the servers already hold ``tensor``'s
+        difference under ``view``'s mask, else ``None``.
+
+        A hit means this very value (tensor uid) was opened under this
+        very mask and kept — the combined matrix is bit-identical, and
+        the servers skip the subtract, the frame part and the combine.
+        It also registers the value as opened this step, exactly like a
+        live opening, so which streams get linked never depends on what
+        happened to be cached.
         """
-        entry = self._masked_cache.get((label, side))
-        if entry is None or entry[:2] != (tensor.uid, triplet.uid):
+        row = self._opened.get(view.mask.uid)
+        if row is None or row.uid != tensor.uid or row.opened is None:
             return None
-        self._mask_reuse_hits.inc(1, side=side)
-        return entry[2]
+        in_step = self._batch_epoch is not None and row.epoch == self._batch_epoch
+        self._mask_reuse_hits.inc(1, side=side, scope="step" if in_step else "static")
+        row.epoch = self._batch_epoch
+        return from_base_layout(row.opened, tensor.shape, view.transposed), row.tasks
 
-    def store_masked(self, label: str, side: str, tensor, triplet, combined: np.ndarray) -> None:
-        """Remember an exchanged masked difference for a static operand.
-
-        Needs stable masks, so nothing is kept under fresh_triplets.
-        """
-        if tensor.static and not self.config.fresh_triplets:
-            self._masked_cache[(label, side)] = (tensor.uid, triplet.uid, combined)
+    def store_masked(self, tensor, view: MaskView, combined: np.ndarray, tasks) -> None:
+        """Record that ``view``'s mask opened ``tensor`` (see the lifetime rule)."""
+        outlives_step = tensor.static and not self.config.fresh_triplets
+        if not (outlives_step or self._links_masks):
+            return
+        # the matrix itself is kept where somebody can ask for it: a
+        # weight (its forward product and its dX), a mask streams share
+        keep = tensor.static or view.mask.shared
+        if outlives_step:
+            # a re-dealt stream side (ragged batch, pool retake) drew a
+            # new mask; nobody can ask for what its old one opened
+            owner = view.mask.owner
+            for uid in [
+                uid for uid, row in self._opened.items()
+                if row.static and row.mask.owner == owner and row.mask is not view.mask
+            ]:
+                del self._opened[uid]
+        self._opened[view.mask.uid] = _Opening(
+            mask=view.mask,
+            uid=tensor.uid,
+            epoch=self._batch_epoch,
+            static=outlives_step,
+            opened=to_base_layout(combined, view.transposed) if keep else None,
+            tasks=tuple(tasks) if keep else (),
+        )
 
     def resident_operands(self, party: int, label: str) -> dict[str, tuple]:
         """What op stream ``label`` keeps on server ``party``'s GPU.
@@ -769,13 +905,15 @@ class SecureContext:
         return self._resident.setdefault((party, label), {})
 
     def reset_mask_reuse(self) -> None:
-        """Drop the reuse cache and every resident device buffer.
+        """Empty the mask table and drop every resident device buffer.
 
         Called on recovery paths (server restart, inference retry): a
-        restarted server has lost its GPU memory, so nothing previously
-        uploaded or exchanged can be assumed present.
+        restarted server has lost its memory, so nothing previously
+        uploaded or exchanged can be assumed present.  Cached triplets
+        and the links between streams are the dealer's and survive, so
+        a replayed batch opens what a fault-free one opens.
         """
-        self._masked_cache.clear()
+        self._opened.clear()
         for (party, _label), held in self._resident.items():
             for _version, buf, _task in held.values():
                 self.server_gpu[party].free(buf)
@@ -783,40 +921,83 @@ class SecureContext:
 
     # ---------------------------------------------------- per-label triplet API
 
-    def get_matrix_triplet(self, label: str, shape_a, shape_b) -> MatrixTriplet:
+    @staticmethod
+    def _own_masks(triplet, label: str, operands) -> None:
+        """A triplet dealt elsewhere (the pool): ``U`` and ``V`` are its
+        stream's own masks."""
+        triplet.masks = tuple(
+            MaskView.over(pair, (label, side), operand is not None and operand.transposed)
+            for pair, side, operand in zip((triplet.u, triplet.v), "EF", operands)
+        )
+
+    def _masks_fit(self, triplet, operands) -> bool:
+        """Whether a cached triplet's masks may open ``operands`` now.
+
+        No, when an operand is laid out differently from the one the
+        side was dealt for, and — the invariant — when a mask would open
+        a second value in one online step: it already opened another
+        this step, or both sides share it and the operands differ.  The
+        stream is then re-dealt, on fresh masks where it must.
+        """
+        if triplet.masks is None or None in operands:
+            return True
+        left, right = triplet.masks
+        if left.mask is right.mask and operands[0].uid != operands[1].uid:
+            return False
+        for view, operand in zip(triplet.masks, operands):
+            if view.transposed != operand.transposed:
+                return False
+            row = self._opened.get(view.mask.uid)
+            if (
+                row is not None
+                and row.uid != operand.uid
+                and self._batch_epoch is not None
+                and row.epoch == self._batch_epoch
+            ):
+                return False
+        return True
+
+    def _stream_triplet(self, cache: dict, label: str, operands, same_shape, take, deal):
+        """Op stream ``label``'s triplet from ``cache``, dealt (or taken
+        from the pool) when there is none that fits."""
+        if self.config.fresh_triplets:
+            # Single-use triplets bypass the pool: pooled material is
+            # pre-drawn, which is exactly what fresh_triplets forbids.
+            triplet = deal()
+            triplet.begin_use(None, label)
+            return triplet
+        cached = cache.get(label)
+        if cached is None or not same_shape(cached) or not self._masks_fit(cached, operands):
+            pooled = take(self.triplet_pool) if self.triplet_pool is not None else None
+            # Pool exhaustion (or no pool): synchronous generation.
+            cached = cache[label] = pooled if pooled is not None else deal()
+        if cached.masks is None:
+            self._own_masks(cached, label, operands)
+        cached.begin_use(self._batch_epoch, label)
+        return cached
+
+    def get_matrix_triplet(
+        self, label: str, shape_a, shape_b, operands=(None, None)
+    ) -> MatrixTriplet:
         """The triplet for op stream ``label``; cached unless fresh_triplets.
 
         A cached triplet keeps the same (U, V, Z) for repeated executions
         of the op — the mask-stability the paper's delta compression
         depends on.  Shape changes (e.g. a ragged last batch) invalidate
-        the cache entry.
+        the cache entry, and so does a mask that may not open
+        ``operands`` (:meth:`_masks_fit`); ``operands`` are the tensors
+        about to be multiplied, which :meth:`_deal` reads for the values
+        already opened this step.
         """
         self._require_dealer(label)
-        self._triplets_consumed.inc(
-            1, kind="matrix", shape=f"{tuple(shape_a)}x{tuple(shape_b)}"
+        shapes = (tuple(shape_a), tuple(shape_b))
+        self._triplets_consumed.inc(1, kind="matrix", shape=f"{shapes[0]}x{shapes[1]}")
+        return self._stream_triplet(
+            self._matrix_triplets, label, operands,
+            lambda cached: (cached.shape_a, cached.shape_b) == shapes,
+            lambda pool: pool.take_matrix(*shapes),
+            lambda: self.gen_matrix_triplet(*shapes, label=label, operands=operands),
         )
-        if self.config.fresh_triplets:
-            # Single-use triplets bypass the pool: pooled material is
-            # pre-drawn, which is exactly what fresh_triplets forbids.
-            triplet = self.gen_matrix_triplet(shape_a, shape_b)
-            triplet.begin_use(None, label)
-            return triplet
-        cached = self._matrix_triplets.get(label)
-        if (
-            cached is None
-            or cached.shape_a != tuple(shape_a)
-            or cached.shape_b != tuple(shape_b)
-        ):
-            pooled = (
-                self.triplet_pool.take_matrix(tuple(shape_a), tuple(shape_b))
-                if self.triplet_pool is not None
-                else None
-            )
-            # Pool exhaustion (or no pool): synchronous generation.
-            cached = pooled if pooled is not None else self.gen_matrix_triplet(shape_a, shape_b)
-            self._matrix_triplets[label] = cached
-        cached.begin_use(self._batch_epoch, label)
-        return cached
 
     def _require_dealer(self, label: str) -> None:
         if not self.backend.needs_dealer:
@@ -826,25 +1007,19 @@ class SecureContext:
                 "protocol must not consume dealer material"
             )
 
-    def get_elementwise_triplet(self, label: str, shape) -> ElementwiseTriplet:
+    def get_elementwise_triplet(
+        self, label: str, shape, operands=(None, None)
+    ) -> ElementwiseTriplet:
         """Elementwise-triplet analogue of :meth:`get_matrix_triplet`."""
         self._require_dealer(label)
-        self._triplets_consumed.inc(1, kind="elementwise", shape=str(tuple(shape)))
-        if self.config.fresh_triplets:
-            triplet = self.gen_elementwise_triplet(shape)
-            triplet.begin_use(None, label)
-            return triplet
-        cached = self._elementwise_triplets.get(label)
-        if cached is None or cached.shape != tuple(shape):
-            pooled = (
-                self.triplet_pool.take_elementwise(tuple(shape))
-                if self.triplet_pool is not None
-                else None
-            )
-            cached = pooled if pooled is not None else self.gen_elementwise_triplet(shape)
-            self._elementwise_triplets[label] = cached
-        cached.begin_use(self._batch_epoch, label)
-        return cached
+        shape = tuple(shape)
+        self._triplets_consumed.inc(1, kind="elementwise", shape=str(shape))
+        return self._stream_triplet(
+            self._elementwise_triplets, label, operands,
+            lambda cached: cached.shape == shape,
+            lambda pool: pool.take_elementwise(shape),
+            lambda: self.gen_elementwise_triplet(shape, label=label, operands=operands),
+        )
 
     def gen_comparison_bundle(self, shape, label: str | None = None) -> ComparisonBundle:
         """Offline material for one secure comparison

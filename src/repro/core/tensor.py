@@ -33,11 +33,14 @@ from repro.util.errors import ProtocolError, ShapeError
 
 TensorKind = Literal["fixed", "indicator"]
 
-# Monotonic value identity.  The mask-reuse cache keys entries by this
-# uid; a uid is never recycled, so a tensor that replaced another (e.g.
-# an updated weight) can never be mistaken for the old value.  Local
-# views that keep the underlying values (transpose, reshape) keep the
-# uid; operations that change values must issue a fresh one.
+# Monotonic value identity.  The context's mask table records which
+# value (uid) each Beaver mask opened; a uid is never recycled, so a
+# tensor that replaced another (e.g. an updated weight) can never be
+# mistaken for the old value.  Local views that keep the underlying
+# values keep the uid — a reshape, and a transpose, which flips
+# ``transposed`` so a square ``x.T`` can be told from ``x``; operations
+# that change values (or reshape a transposed view, whose layout no
+# flag describes) must issue a fresh one.
 _TENSOR_UIDS = itertools.count(1)
 
 
@@ -55,6 +58,7 @@ class SharedTensor:
     tasks: tuple[Optional[Task], ...] = (None, None)
     static: bool = False
     uid: int = field(default_factory=_next_tensor_uid, compare=False)
+    transposed: bool = field(default=False, compare=False)  # of the uid's value, last two axes
 
     def __post_init__(self):
         first = self.shares[0]
@@ -107,11 +111,11 @@ class SharedTensor:
     def mark_static(self) -> "SharedTensor":
         """Declare the value static across op invocations (layer weights).
 
-        The servers open a static operand's masked difference once per
-        mask and keep it, on the host and on the GPU, between secure
-        matmuls until the value changes (new uid) — unless
-        ``config.fresh_triplets`` forbids persistent masks.  Returns
-        ``self``.
+        Any value is opened once per online step; a static one is
+        opened once per mask — its row in the context's mask table, and
+        its ``F`` on the GPU, survive the step until the value changes
+        (new uid) — unless ``config.fresh_triplets`` forbids persistent
+        masks.  Returns ``self``.
         """
         self.static = True
         return self
@@ -228,7 +232,11 @@ class SharedTensor:
         """
         if self.ndim < 2:
             raise ShapeError(f"transpose needs at least 2 axes, got shape {self.shape}")
-        return replace(self, shares=tuple(np.swapaxes(s, -1, -2) for s in self.shares))
+        return replace(
+            self,
+            shares=tuple(np.swapaxes(s, -1, -2) for s in self.shares),
+            transposed=not self.transposed,
+        )
 
     @property
     def T(self) -> "SharedTensor":
@@ -237,7 +245,16 @@ class SharedTensor:
     def reshape(self, *shape) -> "SharedTensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        return replace(self, shares=tuple(s.reshape(shape) for s in self.shares))
+        shares = tuple(s.reshape(shape) for s in self.shares)
+        if self.transposed:
+            return self._new_value(shares)
+        return replace(self, shares=shares)
+
+    def _new_value(self, shares) -> "SharedTensor":
+        """Locally derived shares of a different value: a fresh identity."""
+        return replace(
+            self, shares=tuple(shares), static=False, uid=_next_tensor_uid(), transposed=False
+        )
 
     def row_slice(self, lo: int, hi: int, *, pad_to: int | None = None) -> "SharedTensor":
         """Rows [lo, hi) of every share (local; server-side batch slicing).
@@ -255,34 +272,19 @@ class SharedTensor:
         if pad_to is not None and pad_to > parts[0].shape[0]:
             fill = np.zeros((pad_to - parts[0].shape[0], *parts[0].shape[1:]), dtype=RING_DTYPE)
             parts = [np.concatenate([p, fill], axis=0) for p in parts]
-        return replace(
-            self,
-            shares=tuple(parts),
-            static=False,
-            uid=_next_tensor_uid(),
-        )
+        return self._new_value(parts)
 
     def sum_rows(self) -> "SharedTensor":
         """Column sums (1, n) — linear, used for bias gradients."""
         from repro.fixedpoint.ring import ring_sum
 
-        return replace(
-            self,
-            shares=tuple(ring_sum(s, axis=0).reshape(1, -1) for s in self.shares),
-            static=False,
-            uid=_next_tensor_uid(),
-        )
+        return self._new_value(ring_sum(s, axis=0).reshape(1, -1) for s in self.shares)
 
     def broadcast_rows(self, n_rows: int) -> "SharedTensor":
         """Tile a (1, n) tensor to (n_rows, n) — for bias addition."""
         if self.shares[0].shape[0] != 1:
             raise ShapeError(f"broadcast_rows needs a (1, n) tensor, got {self.shape}")
-        return replace(
-            self,
-            shares=tuple(
-                np.ascontiguousarray(np.broadcast_to(s, (n_rows, self.shape[1])))
-                for s in self.shares
-            ),
-            static=False,
-            uid=_next_tensor_uid(),
+        return self._new_value(
+            np.ascontiguousarray(np.broadcast_to(s, (n_rows, self.shape[1])))
+            for s in self.shares
         )

@@ -29,15 +29,72 @@ from repro.telemetry.registry import MetricRegistry
 from repro.util.errors import ProtocolError, ShapeError
 from repro.util.validation import matmul_shapes_compatible
 
-# Monotonic identity for dealer triplets.  Caches that stage triplet
-# material on devices key their entries by this uid rather than id():
-# a uid is never recycled, so a regenerated triplet can never be
-# mistaken for the object it replaced.
+# Monotonic identity for dealer triplets and masks.  Caches that stage
+# triplet material on devices, and the context's mask table, key their
+# entries by this uid rather than id(): a uid is never recycled, so a
+# regenerated triplet can never be mistaken for the object it replaced.
 _TRIPLET_UIDS = itertools.count(1)
 
 
 def _next_triplet_uid() -> int:
     return next(_TRIPLET_UIDS)
+
+
+@dataclass(eq=False)
+class BeaverMask:
+    """One dealer-drawn random array, held by the servers a share each.
+
+    A mask belongs to a *value*, not to an op stream: ``pair`` is laid
+    out like the base (untransposed) layout of the value it was drawn
+    for, and every stream that multiplies that value is dealt on it
+    (:class:`MaskView`).  ``owner`` is the ``(label, side)`` it was
+    drawn for; ``shared`` turns true when a second stream side is dealt
+    on it — only then do the servers keep what it opened for the rest
+    of the online step.
+    """
+
+    pair: SharePair
+    owner: tuple[str, str]
+    shared: bool = False
+    uid: int = field(default_factory=_next_triplet_uid)
+
+
+def to_base_layout(array: np.ndarray, transposed: bool) -> np.ndarray:
+    """An operand-layout array in its value's base (untransposed) layout."""
+    return np.swapaxes(array, -1, -2) if transposed else array
+
+
+def from_base_layout(base: np.ndarray, shape: tuple[int, ...], transposed: bool) -> np.ndarray:
+    """A base-layout array as an operand of ``shape`` sees it: reshaped,
+    and for a transposed operand transposed."""
+    if not transposed:
+        return base.reshape(shape)
+    return np.swapaxes(base.reshape(*shape[:-2], shape[-1], shape[-2]), -1, -2)
+
+
+@dataclass(frozen=True)
+class MaskView:
+    """How one triplet side reads a :class:`BeaverMask`: reshaped to the
+    operand's shape and, for a transposed operand, transposed."""
+
+    mask: BeaverMask
+    transposed: bool = False
+
+    @classmethod
+    def over(cls, pair: SharePair, owner: tuple[str, str], transposed: bool) -> "MaskView":
+        """A new mask whose view in this layout is ``pair`` itself."""
+        base = SharePair(
+            to_base_layout(pair.share0, transposed), to_base_layout(pair.share1, transposed)
+        )
+        return cls(BeaverMask(base, owner), transposed)
+
+    def pair(self, shape: tuple[int, ...]) -> SharePair:
+        """The servers' shares of the mask, as this triplet side uses them."""
+        held = self.mask.pair
+        return SharePair(
+            from_base_layout(held.share0, shape, self.transposed),
+            from_base_layout(held.share1, shape, self.transposed),
+        )
 
 
 @dataclass
@@ -118,6 +175,7 @@ class MatrixTriplet(_EpochShareMixin):
     label: str | None = None
     backend: str = "beaver2pc"
     uid: int = field(default_factory=_next_triplet_uid, compare=False)
+    masks: tuple[MaskView, MaskView] | None = field(default=None, repr=False, compare=False)
     _epoch: int | None = field(default=None, repr=False, compare=False)
     _issued: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -133,6 +191,7 @@ class ElementwiseTriplet(_EpochShareMixin):
     label: str | None = None
     backend: str = "beaver2pc"
     uid: int = field(default_factory=_next_triplet_uid, compare=False)
+    masks: tuple[MaskView, MaskView] | None = field(default=None, repr=False, compare=False)
     _epoch: int | None = field(default=None, repr=False, compare=False)
     _issued: dict = field(default_factory=dict, repr=False, compare=False)
 

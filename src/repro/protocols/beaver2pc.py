@@ -1,17 +1,23 @@
 """The paper's 2PC substrate: Beaver-triplet masked multiplication.
 
 This is the framework's default backend.  Its wire behaviour is pinned
-record for record by ``tests/data/beaver2pc_mlp_train_transcript.json``,
-which the last commit that still offered un-framed, un-coalesced
-exchanges produced with framing and coalescing switched on.
+record for record by ``tests/data/beaver2pc_mlp_train_transcript.json``
+(``scripts/gen_reference_transcript.py`` re-pins it when the protocol's
+bytes move on purpose).
 
 Two servers hold additive shares; a trusted dealer (the data-owning
-client, per the paper) provisions Beaver triplets and GC comparison
+client, per the paper) provisions Beaver triplets and comparison
 bundles in the offline phase.  Multiplication opens the masked
 differences ``E = X - U`` / ``F = Y - V`` (Eq. 4-5) through the
 delta-compression layer and applies the fused Eq. 8 product on the
 placement the profiler picks; truncation is the SecureML share-local
 rescale.
+
+A mask belongs to a value, so a value is opened once: a multiplication
+round has two, one or no live halves (:func:`_open_operands`) — a half
+the servers already hold under this very mask, from an earlier product
+of the step or, for an unchanged weight, from an earlier step, is
+served from the context's mask table and never sent (DESIGN §5b, §5e).
 """
 
 from __future__ import annotations
@@ -32,13 +38,15 @@ from repro.protocols.base import ProtocolBackend
 from repro.util.errors import ProtocolError
 
 
-def _exchange_round(ctx, label, parts):
+def _exchange_round(ctx, label, parts, masks):
     """Eq. 5: one round of masked differences, one frame per direction.
 
     ``parts`` maps ``"E"`` / ``"F"`` to ``(locals_, local_tasks)`` for
-    every half of the round that is live — both normally, one when an
-    unchanged static operand's half is served from cache — where
-    ``locals_[i]`` is server i's ``E_i`` (or ``F_i``).  Each half goes through its own
+    every half of the round that is live — two, one or none: a half the
+    servers already hold is not sent, and a round with no live half
+    sends no frame — where ``locals_[i]`` is server i's ``E_i`` (or
+    ``F_i``); ``masks`` names each live half's ``(mask uid, value
+    uid)`` for the transcript.  Each half goes through its own
     direction's :class:`~repro.comm.compression.DeltaCompressor` stream
     (``{label}/E/{src}``); a :class:`~repro.comm.wire.RoundCoalescer`
     then packs the halves into one framed message per directed link, so
@@ -85,6 +93,7 @@ def _exchange_round(ctx, label, parts):
         ctx.record_wire(
             frame.src, frame.dst, f"{label}/EF/{src}",
             tuple(local for _payload, local in payloads[src]), nbytes=sizes.nbytes,
+            masks=masks,
         )
         # Receiver replays the compressor state machine for exactness.
         for payload, local in payloads[src]:
@@ -106,6 +115,66 @@ def _exchange_round(ctx, label, parts):
             )
             recv_tasks[name].append(task)
     return {name: (combined[name], recv_tasks[name]) for name in parts}
+
+
+def _open_operands(ctx, label, triplet, x, y, starts, flat):
+    """``E = x - U`` and ``F = y - V`` as public matrices: Eqs. 4-5.
+
+    ``E`` and ``F`` are treated alike, through the context's mask table.
+    A side whose mask already holds this very value — an unchanged
+    weight's ``F`` from an earlier step, or a value another product of
+    this step opened (``X`` for ``X W`` and ``X^T d``, ``d`` for ``X^T d``
+    and ``d W^T``) — is *served*: no subtract, no frame part, no
+    combine, and its consumer waits on the recorded ready tasks.  The
+    rest are *live* and opened in one :func:`_exchange_round`; when the
+    two sides are one value under one mask (``p * p``) the second is
+    served from the first.  ``flat`` lays a live half out as the 2-D
+    matrix that crosses the wire.
+
+    Returns ``(E, F, ready)``: each matrix shaped like its operand, and
+    ``ready[i]`` the tasks server ``i``'s product waits on — the
+    combines of the live sides, the recorded ready tasks of the served
+    ones and, as a served side was not subtracted here, the operands
+    (``starts[i]``, with the serialisation chain).
+    """
+    sides = tuple(zip("EF", (x, y), (triplet.u, triplet.v), triplet.masks))
+    held = {}
+    for name, operand, _mask, view in sides:
+        hit = ctx.reuse_masked(name, operand, view)
+        if hit is not None:
+            held[name] = hit
+    one_value = triplet.masks[0].mask is triplet.masks[1].mask
+    live = {
+        name: ([], [])
+        for name, _operand, _mask, _view in sides
+        if name not in held and not (name == "F" and one_value)
+    }
+    for i in (0, 1):
+        for name, operand, mask, _view in sides:
+            if name in live:
+                local, task = ctx.server_reconstruct_cpu[i].elementwise(
+                    ring_sub, [operand.shares[i], mask[i]],
+                    deps=starts[i], label=f"{label}:{name}{i}",
+                )
+                live[name][0].append(flat(local))
+                live[name][1].append(task)
+    opened = _exchange_round(
+        ctx, label, live,
+        tuple((view.mask.uid, operand.uid) for name, operand, _m, view in sides if name in live),
+    )
+    for name, operand, _mask, view in sides:
+        if name in opened:
+            combined, tasks = opened[name]
+            held[name] = (combined.reshape(operand.shape), tasks)  # off the wire layout
+            ctx.store_masked(operand, view, *held[name])
+    if "F" not in held:  # one value under one mask: F is E, as y lays it out
+        held["F"] = ctx.reuse_masked("F", y, triplet.masks[1])
+    (e, e_tasks), (f, f_tasks) = held["E"], held["F"]
+    ready = [
+        _deps(*(() if len(live) == 2 else starts[i]), *e_tasks[i : i + 1], *f_tasks[i : i + 1])
+        for i in (0, 1)
+    ]
+    return e, f, ready
 
 
 class Beaver2PCBackend(ProtocolBackend):
@@ -156,44 +225,15 @@ class Beaver2PCBackend(ProtocolBackend):
     def matmul(self, ctx, x, y, m, k, n, both_fixed, *, label, truncate_result):
         stacked = x.ndim == 3  # (B,m,k) x (B,k,n): B products, one of everything
         # --- offline ---------------------------------------------------------
-        triplet = ctx.get_matrix_triplet(label, x.shape, y.shape)
-
-        # --- static-operand reuse ---------------------------------------------
-        # For a static operand whose mask is unchanged since the last run of
-        # this op stream, the combined masked difference is bit-identical —
-        # the servers skip the subtract, the transmission and the combine.
-        cached_e = ctx.reuse_masked(label, "E", x, triplet)
-        cached_f = ctx.reuse_masked(label, "F", y, triplet)
+        triplet = ctx.get_matrix_triplet(label, x.shape, y.shape, operands=(x, y))
 
         # --- reconstruct (online, CPU + network) -----------------------------
-        # The live halves of the Eq. 5 round: name -> (locals, local tasks).
-        live = {
-            name: ([], [])
-            for name, cached in (("E", cached_e), ("F", cached_f))
-            if cached is None
-        }
-        starts = []
-        for i in (0, 1):
-            start = _chain(ctx, _deps(x.tasks[i], y.tasks[i]))
-            starts.append(start)
-            for name, operand, mask in (("E", x, triplet.u), ("F", y, triplet.v)):
-                if name in live:
-                    local, task = ctx.server_reconstruct_cpu[i].elementwise(
-                        ring_sub, [operand.shares[i], mask[i]],
-                        deps=_deps(operand.tasks[i], *start), label=f"{label}:{name}{i}",
-                    )
-                    if stacked:  # crosses the wire as one (B*rows, cols) matrix
-                        local = local.reshape(local.shape[0] * local.shape[1], local.shape[2])
-                    live[name][0].append(local)
-                    live[name][1].append(task)
-        opened = _exchange_round(ctx, label, live)
-        for name, operand in (("E", x), ("F", y)):
-            if name in opened:
-                combined = opened[name][0].reshape(operand.shape)  # off the wire layout
-                opened[name] = (combined, opened[name][1])
-                ctx.store_masked(label, name, operand, triplet, combined)
-        e, e_tasks = opened.get("E", (cached_e, [None, None]))
-        f, f_tasks = opened.get("F", (cached_f, [None, None]))
+        starts = [_chain(ctx, _deps(x.tasks[i], y.tasks[i])) for i in (0, 1)]
+        e, f, ready = _open_operands(
+            ctx, label, triplet, x, y, starts,
+            # a stack crosses the wire as one (B*rows, cols) matrix
+            (lambda a: a.reshape(-1, a.shape[-1])) if stacked else (lambda a: a),
+        )
 
         # --- GPU operation (online) ------------------------------------------
         if stacked:
@@ -211,12 +251,6 @@ class Beaver2PCBackend(ProtocolBackend):
         shares = []
         tasks = []
         for i in (0, 1):
-            if cached_e is None and cached_f is None:
-                ready = _deps(e_tasks[i], f_tasks[i])
-            else:
-                # A cached side has no exchange tasks; depend directly on the
-                # operands (and the serialisation chain) instead.
-                ready = _deps(*starts[i], e_tasks[i], f_tasks[i])
             tshare = triplet.share_for(i)
             if decision.placement == "gpu" and ctx.server_gpu[i] is not None:
                 result = schedule_secure_gemm(
@@ -227,7 +261,7 @@ class Beaver2PCBackend(ProtocolBackend):
                     x.shares[i],
                     y.shares[i],
                     tshare,
-                    deps=ready,
+                    deps=ready[i],
                     pipeline=ctx.config.pipeline1,
                     resident=ctx.resident_operands(i, label),
                     keep=keep,
@@ -241,7 +275,7 @@ class Beaver2PCBackend(ProtocolBackend):
                 right = np.concatenate([f, y.shares[i]], axis=-2)
                 cpu = ctx.server_cpu[i]
                 prod, tg = (cpu.gemm_ring_batched if stacked else cpu.gemm_ring)(
-                    left, right, deps=ready, label=f"{label}:cpu_gemm"
+                    left, right, deps=ready[i], label=f"{label}:cpu_gemm"
                 )
                 c_i, tc = ctx.server_cpu[i].elementwise(
                     ring_add, [prod, tshare.z], deps=(tg,), label=f"{label}:+Z"
@@ -258,37 +292,17 @@ class Beaver2PCBackend(ProtocolBackend):
         return out
 
     def elementwise_mul(self, ctx, x, y, *, label):
-        triplet = ctx.get_elementwise_triplet(label, x.shape)
-
-        e_locals, e_tasks_local = [], []
-        f_locals, f_tasks_local = [], []
-        for i in (0, 1):
-            start = _chain(ctx, _deps(x.tasks[i], y.tasks[i]))
-            e_i, te = ctx.server_reconstruct_cpu[i].elementwise(
-                ring_sub, [x.shares[i], triplet.u[i]], deps=start, label=f"{label}:E{i}"
-            )
-            f_i, tf = ctx.server_reconstruct_cpu[i].elementwise(
-                ring_sub, [y.shares[i], triplet.v[i]], deps=start, label=f"{label}:F{i}"
-            )
-            e_locals.append(e_i)
-            f_locals.append(f_i)
-            e_tasks_local.append(te)
-            f_tasks_local.append(tf)
-        flat = lambda a: a.reshape(a.shape[0], -1) if a.ndim != 2 else a  # noqa: E731
-        opened = _exchange_round(ctx, label, {
-            "E": ([flat(v) for v in e_locals], e_tasks_local),
-            "F": ([flat(v) for v in f_locals], f_tasks_local),
-        })
-        e, e_tasks = opened["E"]
-        f, f_tasks = opened["F"]
-        e = e.reshape(x.shape)
-        f = f.reshape(x.shape)
+        triplet = ctx.get_elementwise_triplet(label, x.shape, operands=(x, y))
+        starts = [_chain(ctx, _deps(x.tasks[i], y.tasks[i])) for i in (0, 1)]
+        e, f, ready = _open_operands(
+            ctx, label, triplet, x, y, starts,
+            lambda a: a.reshape(a.shape[0], -1) if a.ndim != 2 else a,
+        )
 
         nbytes = x.nbytes
         decision = ctx.profiler.place_elementwise(4 * nbytes, operands_on_gpu=False)
         shares, tasks = [], []
         for i in (0, 1):
-            ready = _deps(e_tasks[i], f_tasks[i])
             tshare = triplet.share_for(i)
             compute = lambda i=i, tshare=tshare: beaver_elementwise_share(
                 i, e, f, x.shares[i], y.shares[i], tshare
@@ -296,9 +310,9 @@ class Beaver2PCBackend(ProtocolBackend):
             if decision.placement == "gpu" and ctx.server_gpu[i] is not None:
                 gpu = ctx.server_gpu[i]
                 bufs = []
-                tdeps = list(ready)
+                tdeps = list(ready[i])
                 for arr, nm in ((e, "E"), (f, "F"), (x.shares[i], "A"), (y.shares[i], "B")):
-                    buf, tt = gpu.h2d(arr, deps=ready, label=f"{label}:h2d:{nm}")
+                    buf, tt = gpu.h2d(arr, deps=ready[i], label=f"{label}:h2d:{nm}")
                     bufs.append(buf)
                     tdeps.append(tt)
                 c_i = compute()
@@ -320,7 +334,7 @@ class Beaver2PCBackend(ProtocolBackend):
                     ctx.config.cpu_spec.elementwise_seconds(
                         5 * nbytes, parallel=ctx.config.cpu_parallel
                     ),
-                    deps=ready,
+                    deps=ready[i],
                     label=f"{label}:cpu",
                 )
                 shares.append(c_i)

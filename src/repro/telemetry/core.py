@@ -24,7 +24,7 @@ Metric naming conventions (dots group, labels discriminate):
 ``mpc.pool.misses{kind}``             pool misses (synchronous fallback)
 ``mpc.pool.refills{kind}``            fused batch-generation calls
 ``mpc.pool.stocked``                  gauge: triplets currently banked
-``mpc.mask_reuse.hits{side}``         masked exchanges skipped (static reuse)
+``mpc.mask_reuse.hits{side,scope}``   openings served, not sent (scope: step|static)
 ``ops.invocations{op}``               secure-op call counts
 ``ops.online_seconds{op}``            online makespan attributed per op
 ``runtime.messages{actor,direction}`` actor-level message counts

@@ -128,7 +128,8 @@ class TestSkippedStreamsLeaveNoTrace:
         assert not [t for t in tags if t.startswith(first)]
         assert not [lab for lab in labels if lab.startswith(first)]
         if deeper is not None:  # the rule drops one layer's dX, not all of them
-            assert [t for t in tags if t.startswith(deeper)]
+            # by op label: once its operands are already open (delta by dW,
+            # W^T by the forward pass) a dX round sends no frame to record
             assert [lab for lab in labels if lab.startswith(deeper)]
 
     def test_parameter_free_first_layer_moves_the_stop(self, ctx, rng, monkeypatch):
@@ -146,7 +147,6 @@ class TestSkippedStreamsLeaveNoTrace:
         assert not visited
         assert not [t for t in tags if t.startswith("d0/dX")]
         assert [t for t in tags if t.startswith("d0/dW")]
-        assert [t for t in tags if t.startswith("d1/dX")]
         labels = _op_labels(ctx)
         assert "d0/dX" not in labels and "d1/dX" in labels
         assert not np.array_equal(model.layers[1].weight.decode(), w0)  # d0 still trains

@@ -59,15 +59,13 @@ def _case(cell, **kw) -> ConformanceCase:
 
 def _run(cell, **kw):
     """One sweep cell against plain, wire-audited — the three-batch reuse
-    cells too.  A link's chi-square still grows with every batch on a
-    model with activations: a comparison's bundle is derived from its op
-    label, so the B2A mask bit is the same every batch and ``act:mul``'s
-    ``F`` differs from the previous batch's only where the indicator
-    flipped; the auditor deduplicates exact repeats, not near ones.  On
-    the one comparison protocol the worst three-batch cells read 381
-    (RNN inference) and 389 (MLP training) against the ceiling of 420;
-    MLP training crosses it at four batches (439).  ROADMAP "Harden the
-    edges" (1) has the item."""
+    cells too, under the auditor's stable-mask model (DESIGN §5): per
+    mask the first opening is judged in full and a later one only where
+    it differs from the one before, each position once, so a link's
+    chi-square no longer grows with the batch count
+    (``test_four_batch_training_is_audited`` is the cell that used to
+    cross the ceiling), and a mask that opened two different values
+    inside one step fails the cell."""
     return run_conformance_case(_case(cell, **kw))
 
 
@@ -114,6 +112,16 @@ class TestTrainingSweep:
     @pytest.mark.parametrize("cell", ["pool", "mask_reuse"])
     def test_training_under_offline_axes(self, cell, backend):
         _check(_run(cell, model="MLP", train=True, backend=backend))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_four_batch_training_is_audited(self, backend):
+        """Four training batches, then four of inference: under the
+        exact-repeat de-dup this link read chi2 = 439 against the
+        ceiling of 420 (an indicator's ``F`` repeats half its bytes
+        from one batch to the next)."""
+        _check(run_conformance_case(ConformanceCase(
+            model="MLP", axis="baseline", train=True, n_batches=4, backend=backend
+        )))
 
 
 class TestBitIdentity:

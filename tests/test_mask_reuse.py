@@ -1,8 +1,10 @@
 """Static-operand reuse: an unchanged weight's ``F`` and a stream's ``Z``
 are opened and uploaded once, in Fig. 5's transfer order.
 
-The rule under test lives in two places: ``SecureContext`` remembers the
-opened ``F`` of a static operand (no second exchange), and
+The rule under test lives in two places: ``SecureContext``'s mask table
+keeps the opened ``F`` of a static operand across steps (no second
+exchange — the long-lived case of the one-mask-per-value rule, whose
+within-step half is tests/test_open_once.py), and
 ``schedule_secure_gemm`` keeps ``F`` and ``Z`` on the device (no second
 upload).  A first use must schedule exactly what a run with nothing
 resident schedules; every invalidation must be followed by a miss; and
@@ -56,8 +58,12 @@ def _uploads(tasks, party=0):
     return [t.label for t in tasks if t.resource == f"s{party}gpu.h2d"]
 
 
-def _hits(ctx, side="F"):
-    return ctx.telemetry.registry.counter("mpc.mask_reuse.hits", "").value(side=side)
+def _hits(ctx, side="F", scope="static"):
+    """Openings served from an earlier step (``scope="step"`` counts the
+    ones served inside a step: tests/test_open_once.py)."""
+    return ctx.telemetry.registry.counter("mpc.mask_reuse.hits", "").value(
+        side=side, scope=scope
+    )
 
 
 def _device_bytes(ctx):
@@ -289,4 +295,5 @@ class TestFreshTriplets:
             assert _uploads(tasks) == FIG5_ORDER
             assert _device_bytes(ctx) == [0, 0]
         assert _hits(ctx) == 0 and _hits(ctx, "E") == 0
-        assert not ctx._masked_cache
+        ctx.begin_batch()
+        assert not ctx._opened
