@@ -32,10 +32,11 @@ BATCH_SIZE = 128
 #: Lockstep online makespan of this cell — what a default lockstep run
 #: produces on the one wire path (framed, E/F packed), with the backward
 #: pass stopping at the first trainable layer (no ``mlp0/dX`` product),
-#: every stream's ``Z`` resident on the server GPUs, and the dealer
-#: comparison (whose indicator shares ``act:mul``'s ``F`` does not
-#: delta-compress on).
-LOCKSTEP_REFERENCE_S = 0.004615138402471108
+#: every value uploaded to the server GPUs once (``dW`` and ``dX`` read
+#: the forward pass's buffers; ``Z`` stays from step to step), and the
+#: dealer comparison (whose indicator shares ``act:mul``'s ``F`` does
+#: not delta-compress on).
+LOCKSTEP_REFERENCE_S = 0.004118997213405428
 
 
 def _run_cell(runtime: str):

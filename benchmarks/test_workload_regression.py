@@ -24,7 +24,11 @@ checks, per (model, mode, compression) row:
   expansion sent were 131 180 B at this geometry and grew with ``s**2``;
 * an MLP 784-128-128-10 train step at batch 128 (``perf/``'s
   ``train_mlp``) is 24 inter-server messages and at most 7 686 060 B
-  (28 and 10 906 394 B while every op stream opened its own operands).
+  (28 and 10 906 394 B while every op stream opened its own operands);
+* a value is uploaded once: that MLP step is at most 18 host-to-device
+  transfers and 4 562 944 B per server, an attention step at most 12
+  (32 / 7 258 112 B and 20 while ``dW`` and ``dX`` uploaded again what
+  the forward pass had left on the GPU).
 
 Runs standalone:
 ``PYTHONPATH=src python -m pytest benchmarks/test_workload_regression.py``.
@@ -103,6 +107,12 @@ def _server_frames(recorder, since=0):
     return [r for r in recorder.transcript().records[since:] if r.src.startswith("server")]
 
 
+def _uploads(ctx, since=0) -> list[int]:
+    """Host-to-device transfers per server on the online clock's trace."""
+    tasks = ctx.online_clock.trace[since:]
+    return [sum(t.resource == gpu.h2d_engine for t in tasks) for gpu in ctx.server_gpu]
+
+
 def test_attention_train_step_is_66_messages_and_no_frame_outgrows_the_projections(reference):
     from repro.bench.workloads import build_secure_model, load_workload
     from repro.core.context import SecureContext
@@ -113,13 +123,18 @@ def test_attention_train_step_is_66_messages_and_no_frame_outgrows_the_projectio
     x, y, spec = load_workload(
         "attention", "SYNTHETIC", n_batches=first["batches"], batch_size=b, seed=first["seed"]
     )
-    ctx = SecureContext.create(FrameworkConfig.parsecureml())
+    ctx = SecureContext.create(FrameworkConfig.parsecureml(trace=True))
     model = build_secure_model(ctx, spec)
     recorder = ctx.attach_recorder(capture_payloads=False)
     SecureTrainer(ctx, model, monitor_loss=False).train(x, y, batch_size=b)
     frames = _server_frames(recorder)
     # the first step deals every stream and re-opens once per link
     assert len(frames) == 74 + 66 * (first["batches"] - 1)
+    # after it a value crosses PCIe once: qkv and o upload four operands
+    # each, dWo and dWqkv their delta only, dC nothing
+    warm = len(ctx.online_clock.trace)
+    SecureTrainer(ctx, model, monitor_loss=False).train(x[:b], y[:b], batch_size=b)
+    assert max(_uploads(ctx, warm)) <= 12
     block = model.block
     largest = max(frames, key=lambda r: r.nbytes)
     assert largest.tag.startswith("attn/dWqkv/EF/")
@@ -135,15 +150,18 @@ def test_mlp_train_step_is_24_messages_and_under_7_7_megabytes():
 
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(128, 784)), rng.normal(size=(128, 10))
-    ctx = SecureContext.create(FrameworkConfig())
+    ctx = SecureContext.create(FrameworkConfig(trace=True))
     trainer = SecureTrainer(ctx, SecureMLP(ctx, 784, hidden=(128, 128), n_out=10), monitor_loss=False)
     recorder = ctx.attach_recorder(capture_payloads=False)
     trainer.train(x, y, batch_size=128)  # deals every stream
     since = len(recorder)
+    warm, uploaded = len(ctx.online_clock.trace), [gpu.h2d_bytes for gpu in ctx.server_gpu]
     trainer.train(x, y, batch_size=128)
     frames = _server_frames(recorder, since)
     assert len(frames) == 24
     assert sum(r.nbytes for r in frames) <= 7_686_060
+    assert max(_uploads(ctx, warm)) <= 18
+    assert all(gpu.h2d_bytes - was <= 4_562_944 for gpu, was in zip(ctx.server_gpu, uploaded))
 
 
 def test_recsys_wire_saving_is_the_stable_mask_not_the_codec(fresh, reference):

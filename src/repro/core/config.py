@@ -67,7 +67,8 @@ class FrameworkConfig:
     # fires and nothing masked outlives an online step or stays
     # resident).  In both modes a mask belongs to a value: the products
     # that multiply one tensor within a step share its mask, so the
-    # tensor is opened once (DESIGN 5, 5b).
+    # tensor is opened once and uploaded to a server GPU once (DESIGN 5,
+    # 5b).
     fresh_triplets: bool = False
 
     # Batched offline provisioning.  pool_size > 0 banks pre-generated

@@ -24,7 +24,10 @@ Beaver mask belongs to a value (a tensor uid), not to an op stream.
 opened this online step on the mask that opened it, and
 :meth:`SecureContext.reuse_masked` / :meth:`SecureContext.store_masked`
 let the protocol backend open every value once — within a step for any
-tensor, across steps for an unchanged ``static`` one (DESIGN §5b).
+tensor, across steps for an unchanged ``static`` one (DESIGN §5b).  The
+servers' GPU memory follows the same rule — **the device table**, one
+per server, keeps a value's operands where somebody can ask for them
+again (:meth:`SecureContext.device_keep`), so a value is uploaded once.
 """
 
 from __future__ import annotations
@@ -304,11 +307,12 @@ class SecureContext:
 
         # One mask per value: the mask table, mask uid -> what that mask
         # opened (see "the mask table" below), the (label, side) whose
-        # masks other streams are dealt on, and what each op stream
-        # keeps on a server GPU keyed by (party, op label).
+        # masks other streams are dealt on, and one upload per value:
+        # each server GPU's device table, (what, uid) -> (buffer, upload
+        # task) (see "the device table" below).
         self._opened: dict[int, _Opening] = {}
         self._shared_sides: set[tuple[str, str]] = set()
-        self._resident: dict[tuple[int, str], dict[str, tuple]] = {}
+        self._device: list[dict[tuple[str, int], tuple]] = [{} for _ in range(self.n_parties)]
         self._mask_reuse_hits = self.telemetry.counter(
             "mpc.mask_reuse.hits",
             "masked differences the servers already held, by side and scope (step|static)",
@@ -817,6 +821,10 @@ class SecureContext:
             self._opened = {m: row for m, row in self._opened.items() if row.static}
             for row in self._opened.values():
                 row.tasks = ()  # long done; a hit waits on its operands alone
+        self._free_device(
+            (what, uid) for what, uid in self._device_rows()
+            if what == "share" or (what != "Z" and uid not in self._opened)
+        )
 
     # ----------------------------------------------------------- the mask table
     #
@@ -878,15 +886,20 @@ class SecureContext:
         # the matrix itself is kept where somebody can ask for it: a
         # weight (its forward product and its dX), a mask streams share
         keep = tensor.static or view.mask.shared
+        # whatever this mask opened before (an updated weight's old F) is
+        # stale, on the host and on the GPUs
+        dead = {view.mask.uid}
         if outlives_step:
             # a re-dealt stream side (ragged batch, pool retake) drew a
             # new mask; nobody can ask for what its old one opened
             owner = view.mask.owner
-            for uid in [
+            dead.update(
                 uid for uid, row in self._opened.items()
-                if row.static and row.mask.owner == owner and row.mask is not view.mask
-            ]:
-                del self._opened[uid]
+                if row.static and row.mask.owner == owner
+            )
+        for uid in dead:
+            self._opened.pop(uid, None)
+        self._free_device((what, uid) for uid in dead for what in ("open", "lead"))
         self._opened[view.mask.uid] = _Opening(
             mask=view.mask,
             uid=tensor.uid,
@@ -896,28 +909,77 @@ class SecureContext:
             tasks=tuple(tasks) if keep else (),
         )
 
-    def resident_operands(self, party: int, label: str) -> dict[str, tuple]:
-        """What op stream ``label`` keeps on server ``party``'s GPU.
+    # --------------------------------------------------------- the device table
+    #
+    # A value is uploaded once: what the mask table is to the wire, the
+    # device table is to PCIe.  One dict per server GPU, ``(what, uid) ->
+    # (device buffer in the value's base layout, upload task)``, read and
+    # filled by :func:`repro.pipeline.scheduler.schedule_secure_gemm`:
+    #
+    # * ``("open", mask uid)`` — the opened difference ``E`` / ``F`` — and
+    #   ``("lead", mask uid)`` — ``D = A_i - i E`` computed from it — live
+    #   and die with the mask's row in the mask table;
+    # * ``("share", tensor uid)`` — the server's own share ``A_i`` /
+    #   ``B_i`` — lives to the end of the step;
+    # * ``("Z", triplet uid)`` — the stream's ``Z_i`` — lives while the
+    #   stream keeps that triplet (never under ``fresh_triplets``).
+    #
+    # Retention is the mask table's who-can-ask rule (:meth:`device_keep`);
+    # invalidation is one loop (:meth:`_free_device`), run where a row's
+    # owner goes: ``begin_batch``, a mask opening a new value, a re-dealt
+    # stream, :meth:`reset_mask_reuse`.
 
-        ``name -> (version, buffer, upload task)``, read and updated by
-        :func:`repro.pipeline.scheduler.schedule_secure_gemm`.
+    def device_table(self, party: int) -> dict[tuple[str, int], tuple]:
+        """Server ``party``'s device table (see "the device table")."""
+        return self._device[party]
+
+    def device_keep(self, triplet, x, y) -> dict[str, tuple[str, int]]:
+        """Fig. 5 slot name -> device-table row, for every operand of the
+        product ``x @ y`` under ``triplet`` that somebody can ask for again.
+
+        ``Z`` can whenever masks persist.  An opened difference can where
+        the mask table kept it for longer than this product: a ``static``
+        value (next step asks) or a mask more than one stream side is
+        dealt on (another product of this step asks); the server's own
+        share only in the latter case.  Everything else — all of a
+        forward-only or single-use product but a static ``F`` and ``Z`` —
+        is freed when the product returns.
         """
-        return self._resident.setdefault((party, label), {})
+        keep = {} if self.config.fresh_triplets else {"Z": ("Z", triplet.uid)}
+        for (opened, share), tensor, view in zip(("EA", "FB"), (x, y), triplet.masks):
+            row = self._opened.get(view.mask.uid)
+            if row is None or row.uid != tensor.uid or row.opened is None:
+                continue
+            if row.static or view.mask.shared:
+                keep[opened] = ("open", view.mask.uid)
+            if view.mask.shared:
+                keep[share] = ("share", tensor.uid)
+        return keep
+
+    def _device_rows(self) -> set[tuple[str, int]]:
+        """Every key some server's device table holds."""
+        return set().union(*self._device)
+
+    def _free_device(self, dead) -> None:
+        """Free the rows ``dead`` (keys nobody can ask for again) on every server."""
+        dead = set(dead)
+        for gpu, rows in zip(self.server_gpu, self._device):
+            for key in dead & rows.keys():
+                gpu.free(rows.pop(key)[0])
 
     def reset_mask_reuse(self) -> None:
-        """Empty the mask table and drop every resident device buffer.
+        """Empty the mask table and the device tables.
 
         Called on recovery paths (server restart, inference retry): a
         restarted server has lost its memory, so nothing previously
-        uploaded or exchanged can be assumed present.  Cached triplets
+        uploaded or exchanged can be assumed present — every opening is
+        forgotten and every resident device buffer freed, leaving both
+        servers' ``gpu.pool.allocated_bytes`` at 0.  Cached triplets
         and the links between streams are the dealer's and survive, so
         a replayed batch opens what a fault-free one opens.
         """
         self._opened.clear()
-        for (party, _label), held in self._resident.items():
-            for _version, buf, _task in held.values():
-                self.server_gpu[party].free(buf)
-        self._resident.clear()
+        self._free_device(self._device_rows())
 
     # ---------------------------------------------------- per-label triplet API
 
@@ -968,6 +1030,8 @@ class SecureContext:
             return triplet
         cached = cache.get(label)
         if cached is None or not same_shape(cached) or not self._masks_fit(cached, operands):
+            if cached is not None:  # nobody can ask for the old triplet's Z
+                self._free_device([("Z", cached.uid)])
             pooled = take(self.triplet_pool) if self.triplet_pool is not None else None
             # Pool exhaustion (or no pool): synchronous generation.
             cached = cache[label] = pooled if pooled is not None else deal()

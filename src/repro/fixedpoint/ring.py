@@ -99,7 +99,17 @@ def ring_sum(a: np.ndarray, axis=None) -> np.ndarray:
 
 
 def _limb_planes(x: np.ndarray) -> np.ndarray:
-    """Split uint64 ``x`` into float64 limb planes, shape ``(3, *x.shape)``."""
+    """Split uint64 ``x`` into float64 limb planes, shape ``(3, *x.shape)``.
+
+    A transposed view of a contiguous array (``op(A)`` of a device
+    buffer: ``X^T`` in ``dW``, ``W^T`` in ``dX``) is split where its
+    bytes lie and handed on as transposed planes, which dgemm reads
+    natively — no strided pass over the operand and no copy of it.
+    """
+    if x.ndim >= 2 and not x.flags.c_contiguous:
+        base = np.swapaxes(x, -1, -2)
+        if base.flags.c_contiguous:
+            return np.swapaxes(_limb_planes(base), -1, -2)
     planes = np.empty((3, *x.shape), dtype=np.float64)
     scratch = np.empty(x.shape, dtype=RING_DTYPE)
     planes[0] = np.bitwise_and(x, _LIMB_MASK, out=scratch)

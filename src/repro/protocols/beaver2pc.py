@@ -240,14 +240,9 @@ class Beaver2PCBackend(ProtocolBackend):
             decision = ctx.profiler.place_gemm_batched(x.shape[0], m, 2 * k, n)
         else:
             decision = ctx.profiler.place_gemm(m, 2 * k, n, operands_on_gpu=False)
-        # Operands that stay on the server GPUs between calls (persistent
-        # masks only): this stream's Z share and, for a static right
-        # operand, the opened F — re-uploaded when triplet or value changes.
-        keep = {}
-        if not ctx.config.fresh_triplets:
-            keep["Z"] = triplet.uid
-            if y.static:
-                keep["F"] = (y.uid, triplet.uid)
+        # One upload per value: the operands somebody can ask for again
+        # stay in the server's device table, in their value's base layout.
+        keep = ctx.device_keep(triplet, x, y)
         shares = []
         tasks = []
         for i in (0, 1):
@@ -263,8 +258,9 @@ class Beaver2PCBackend(ProtocolBackend):
                     tshare,
                     deps=ready[i],
                     pipeline=ctx.config.pipeline1,
-                    resident=ctx.resident_operands(i, label),
+                    table=ctx.device_table(i),
                     keep=keep,
+                    trans=(x.transposed, y.transposed),
                 )
                 shares.append(result.c_share)
                 tasks.append(result.done)

@@ -38,6 +38,11 @@ def _queue_wait(task: Task, deps) -> float:
     return max(0.0, task.start - ready)
 
 
+def _op(matrix: np.ndarray, trans: bool) -> np.ndarray:
+    """cuBLAS ``op(A)``: the matrix (each matrix of a stack), or its transpose."""
+    return np.swapaxes(matrix, -1, -2) if trans else matrix
+
+
 class SimGPU:
     """One simulated GPU attached to a shared clock."""
 
@@ -152,15 +157,23 @@ class SimGPU:
         *,
         stream: int = 0,
         label: str = "gemm_ring",
+        trans_a: bool = False,
+        trans_b: bool = False,
     ) -> tuple[DeviceBuffer, Task]:
-        """Ring GEMM (Z_{2^64}) on device buffers.
+        """Ring GEMM (Z_{2^64}) on device buffers: ``op(a) @ op(b)``.
+
+        ``trans_a`` / ``trans_b`` are cuBLAS's ``op(A)`` flags: the
+        buffer is read transposed where it lies, so ``X^T d`` and
+        ``d W^T`` multiply the buffers ``X W`` uploaded and no
+        transposed copy is ever made or transferred.
 
         Numerically exact via the limb decomposition; *timed* as the
-        paper's cublasSgemmEx float GEMM of the same (m,k,n), because
-        ParSecureML performs its share arithmetic in floating point on
-        the GPU (Section 5.2) — see DESIGN.md for the fidelity note.
+        paper's cublasSgemmEx float GEMM of the same (m,k,n) whatever
+        the flags, because ParSecureML performs its share arithmetic in
+        floating point on the GPU (Section 5.2) — see DESIGN.md for the
+        fidelity note.
         """
-        av, bv = a.require_live(), b.require_live()
+        av, bv = _op(a.require_live(), trans_a), _op(b.require_live(), trans_b)
         out = self.pool.allocate(ring_matmul(av, bv))
         t = self._charge_gemm(av.shape[0], av.shape[1], bv.shape[1], stream, deps, label)
         return out, t
@@ -173,15 +186,18 @@ class SimGPU:
         *,
         stream: int = 0,
         label: str = "gemm_ring_batched",
+        trans_a: bool = False,
+        trans_b: bool = False,
     ) -> tuple[DeviceBuffer, Task]:
         """Stacked ring GEMM: one launch for a (B,m,k) x (B,k,n) batch.
 
         Timed as one strided-batched GEMM (the launch overhead amortises
         over the stack; see :meth:`DeviceSpec.batched_gemm_seconds`) —
         the kernel the offline triplet pool fuses its dealer products
-        into.
+        into.  ``trans_a`` / ``trans_b`` read each sample of a stack
+        transposed, as in :meth:`gemm_ring`.
         """
-        av, bv = a.require_live(), b.require_live()
+        av, bv = _op(a.require_live(), trans_a), _op(b.require_live(), trans_b)
         batch, m, k = av.shape
         n = bv.shape[2]
         out = self.pool.allocate(ring_matmul_batched(av, bv))

@@ -22,6 +22,7 @@ class DeviceBuffer:
     data: np.ndarray
     device_name: str
     freed: bool = False
+    owner: "DeviceBuffer | None" = None  # the allocation a reshaped view reads
 
     @property
     def shape(self):
@@ -35,9 +36,16 @@ class DeviceBuffer:
     def nbytes(self) -> int:
         return self.data.nbytes
 
+    def view(self, shape: tuple[int, ...]) -> "DeviceBuffer":
+        """The same device memory read with another shape (no bytes, no
+        allocation: it lives and dies with the buffer it views)."""
+        if tuple(shape) == self.data.shape:
+            return self
+        return DeviceBuffer(self.data.reshape(shape), self.device_name, owner=self.owner or self)
+
     def require_live(self) -> np.ndarray:
         """Return the payload, raising on use-after-free."""
-        if self.freed:
+        if self.freed or (self.owner is not None and self.owner.freed):
             raise DeviceError(
                 f"use of freed device buffer (shape {self.data.shape}) on {self.device_name}"
             )

@@ -198,7 +198,7 @@ class TestPlacement:
         for _ in range(2):
             ctx.begin_batch()
             secure_matmul(x, y, label="fresh")
-        assert all(not held for held in ctx._resident.values())
+        assert ctx.device_table(0) == ctx.device_table(1) == {}
         assert [gpu.pool.allocated_bytes for gpu in ctx.server_gpu] == [0, 0]
 
     def test_static_stack_operand_is_opened_and_uploaded_once(self):
