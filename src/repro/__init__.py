@@ -27,7 +27,7 @@ See README.md for a quickstart and DESIGN.md for the system inventory.
 
 from repro import api
 from repro.core.config import FrameworkConfig
-from repro.faults import FaultPlan, PartyCrash, PartyFailure, ReliableTransport, RetryPolicy
+from repro.faults import FaultPlan, PartyCrash, PartyFailure, RetryPolicy
 from repro.core.context import SecureContext
 from repro.core.inference import InferenceReport, secure_predict
 from repro.core.models import (
@@ -114,7 +114,6 @@ __all__ = [
     "PartyCrash",
     "PartyFailure",
     "RetryPolicy",
-    "ReliableTransport",
     "audit",
     "protocols",
     "get_backend",

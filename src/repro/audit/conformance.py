@@ -7,7 +7,7 @@ copies its decoded initial weights into the plain twin, runs both on
 the same data, and asserts the outputs agree within fixed-point
 tolerance.  Sweeping the six paper models plus the attention/recsys
 workloads across the optimization axes (triplet pool, delta
-compression, reliable transport under a chaos seed, dataflow
+compression, a resilient channel under a chaos seed, dataflow
 scheduling) is the regression oracle for "no optimization changed the
 arithmetic".  Opening every value once (one mask per value, DESIGN
 §5b) is not an axis: it is on in every cell, so each axis is swept

@@ -7,11 +7,11 @@ traffic is independent of the secrets.  Those claims are only testable
 if the wire is observable, so this module gives every run a flight
 recorder:
 
-* :class:`TranscriptRecorder` taps the transport surfaces (the
-  :class:`~repro.comm.transport.TransportHub` frame path and the
-  lockstep ``record_wire`` hooks in :mod:`repro.core`) and appends one
-  :class:`TranscriptRecord` per message — source, destination, tag,
-  wire byte size, a content digest, and the simulated clock time.
+* :class:`TranscriptRecorder` is fed by the ``record_wire`` tap in
+  :mod:`repro.core` (every channel send the protocols charge) and
+  appends one :class:`TranscriptRecord` per message — source,
+  destination, tag, wire byte size, a content digest, and the simulated
+  clock time.
 * :class:`Transcript` is the immutable result: JSON dump/load for CI
   artifacts, and :meth:`Transcript.diff` / :meth:`assert_identical`
   as the replay oracle ("re-run the session; the transcript must be
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.comm.wire import (  # noqa: F401  (re-exported: historical home)
     canonical_bytes,
@@ -40,9 +40,6 @@ from repro.comm.wire import (  # noqa: F401  (re-exported: historical home)
     payload_digest,
 )
 from repro.util.errors import AuditError, TranscriptMismatch
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.comm.transport import TransportHub
 
 #: Sequence fields that must match record-for-record for two transcripts
 #: to be considered the same protocol run.  The clock column is compared
@@ -212,17 +209,12 @@ class Transcript:
 
 
 class TranscriptRecorder:
-    """Append-only message tap shared by all transport surfaces.
+    """Append-only message log behind ``SecureContext.record_wire``.
 
-    Two kinds of traffic reach it:
-
-    * **frames** via :meth:`tap_hub` — everything the actor runtime and
-      the reliable transport push through a ``TransportHub`` (including
-      retransmissions and duplicates, which is the point: the recorder
-      sees the wire, not the protocol's idea of it);
-    * **lockstep wire charges** via :meth:`record` — the masked-opening
-      and share-upload hooks in :mod:`repro.core`, which never touch a
-      hub because their cost is charged directly on the channels.
+    Every wire charge reaches it through :meth:`record` — the
+    masked-opening, share-upload and comparison-round hooks in
+    :mod:`repro.core` and :mod:`repro.protocols`, whose cost is charged
+    directly on the channels.
 
     The overhead budget is one digest per message; payload capture (for
     the chi-square wire audit) is opt-out via ``capture_payloads``.
@@ -261,7 +253,6 @@ class TranscriptRecorder:
         *,
         nbytes: int | None = None,
         clock_s: float = 0.0,
-        content: bytes | None = None,
         masks: tuple | None = None,
         step: int | None = None,
     ) -> TranscriptRecord:
@@ -271,19 +262,15 @@ class TranscriptRecorder:
         bytes for the wire audit); pass ``payload=None`` with an explicit
         ``nbytes`` for size-only rounds such as the GMW comparison bits,
         whose per-bit content is not materialized by the simulation.
-        ``content`` overrides the captured bytes when the observable wire
-        form differs from the hashed logical payload.  ``masks`` / ``step``
-        ride along for the wire auditor (see :class:`TranscriptRecord`).
+        ``masks`` / ``step`` ride along for the wire auditor (see
+        :class:`TranscriptRecord`).
         """
         if payload is None and nbytes is None:
             raise AuditError(f"record {src}->{dst} [{tag}]: need payload or nbytes")
         digest = payload_digest(payload) if payload is not None else ""
         captured: tuple[bytes, ...] | None = None
-        if self.capture_payloads:
-            if content is not None:
-                captured = (content,)
-            elif payload is not None:
-                captured = content_parts(payload)
+        if self.capture_payloads and payload is not None:
+            captured = content_parts(payload)
         if nbytes is None:
             nbytes = sum(len(p) for p in captured) if captured is not None else 0
         rec = TranscriptRecord(
@@ -296,25 +283,6 @@ class TranscriptRecorder:
             self._msg_counter.inc(1, link=f"{src}->{dst}")
             self._byte_counter.inc(int(nbytes), link=f"{src}->{dst}")
         return rec
-
-    def tap_hub(self, hub: "TransportHub", *, clock=None) -> Callable:
-        """Attach to a hub; every ``send`` is recorded as a frame.
-
-        Returns the tap callable so callers can detach it later with
-        :meth:`TransportHub.remove_tap`.
-        """
-
-        def tap(src: str, dst: str, tag: str, payload: Any) -> None:
-            body = content_bytes(payload)
-            self.record(
-                src, dst, f"frame/{tag}", payload,
-                nbytes=len(body),
-                clock_s=clock.now() if clock is not None else 0.0,
-                content=body,
-            )
-
-        hub.add_tap(tap)
-        return tap
 
     def transcript(self) -> Transcript:
         return Transcript(self._records, meta=self.meta)

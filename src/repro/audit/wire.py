@@ -280,11 +280,10 @@ def assert_byte_accounting(transcript: Transcript, telemetry, *, context: str = 
     ``(src, dst)`` — if the framed codec ever sized a message differently
     from what the simulator charged, the two ledgers diverge here.
 
-    Hub-tapped ``frame/`` records are excluded: actor-runtime traffic is
-    charged by the reliable transport, which may retransmit.  The check
-    is only meaningful on fault-free runs — retransmissions and injected
-    duplicates charge the channel without a matching lockstep record —
-    so nonzero ``faults.*`` activity is rejected up front.
+    The check is only meaningful on fault-free runs — retransmissions
+    and injected duplicates charge the channel without a matching
+    lockstep record — so nonzero ``faults.*`` activity is rejected up
+    front.
     """
     prefix = f"{context}: " if context else ""
     reg = telemetry.registry
@@ -296,8 +295,6 @@ def assert_byte_accounting(transcript: Transcript, telemetry, *, context: str = 
             )
     recorded: dict[tuple[str, str], int] = {}
     for r in transcript:
-        if r.tag.startswith("frame/"):
-            continue
         recorded[(r.src, r.dst)] = recorded.get((r.src, r.dst), 0) + r.nbytes
     comm_bytes = reg.counter("comm.bytes")
     mismatches = []

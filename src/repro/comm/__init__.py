@@ -9,16 +9,13 @@ channels:
   sparse deltas in compressed-sparse-row form before transmission);
 * :mod:`repro.comm.compression` — the delta + sparsity-threshold
   compressed-transmission protocol of paper Section 4.4 (Eqs. 10-12);
-* :mod:`repro.comm.transport` — in-process mailboxes giving the client
-  and two servers an MPI-like ordered point-to-point message surface;
 * :mod:`repro.comm.wire` — the zero-copy framed codec, exact frame
-  sizing, frame-CRC checksums and per-round message coalescing.
+  sizing and per-round message coalescing.
 """
 
 from repro.comm.channel import Channel, LinkSpec, INFINIBAND_100G, ETHERNET_10G
 from repro.comm.csr import CSRMatrix, csr_encode, csr_decode, csr_nbytes, dense_nbytes
 from repro.comm.compression import DeltaCompressor, CompressedPayload, CompressionStats
-from repro.comm.transport import Mailbox, TransportHub
 from repro.comm.wire import (
     FramedSizes,
     PackedFrame,
@@ -27,7 +24,6 @@ from repro.comm.wire import (
     decode_frame,
     encode_frame,
     frame_sizes,
-    payload_checksum,
     unpack_frame,
 )
 
@@ -44,8 +40,6 @@ __all__ = [
     "DeltaCompressor",
     "CompressedPayload",
     "CompressionStats",
-    "Mailbox",
-    "TransportHub",
     "FramedSizes",
     "PackedFrame",
     "RoundCoalescer",
@@ -53,6 +47,5 @@ __all__ = [
     "decode_frame",
     "encode_frame",
     "frame_sizes",
-    "payload_checksum",
     "unpack_frame",
 ]

@@ -17,9 +17,6 @@ makes the wire form explicit:
   without materializing it, split into body (raw buffer bytes) and
   overhead (headers), so channels charge what actually crosses the
   transport and telemetry can report ``comm.frame_overhead_bytes``.
-* **Fast checksums** — :func:`payload_checksum` CRCs the frame chunks
-  incrementally (raw array buffers, no per-message ``pickle.dumps``),
-  replacing the ReliableTransport hotspot.
 * **Round coalescing** — :class:`RoundCoalescer` packs small same-round
   messages per directed link into one framed message (the Eq. 5 E/F
   pair being the dominant case), amortizing per-message latency.  A
@@ -38,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import pickle
 import struct
-import zlib
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -54,11 +50,7 @@ from repro.util.errors import TransportError
 
 
 def iter_arrays(obj: Any) -> Iterator[np.ndarray]:
-    """Yield every ndarray reachable inside ``obj`` (depth-first).
-
-    Mirrors the traversal the fault injector uses when corrupting
-    payloads, so the auditor sees exactly the mutable wire content.
-    """
+    """Yield every ndarray reachable inside ``obj`` (depth-first)."""
     if isinstance(obj, np.ndarray):
         yield obj
     elif isinstance(obj, dict):
@@ -244,22 +236,6 @@ def blob_frame_sizes(tag: str, nbytes: int) -> FramedSizes:
     return FramedSizes(nbytes=header + int(nbytes), body_nbytes=int(nbytes))
 
 
-def payload_checksum(payload: Any) -> int:
-    """CRC-32 over the framed encoding of ``payload``.
-
-    Accumulated chunk-by-chunk: array buffers are hashed raw and never
-    pass through ``pickle.dumps`` (the historical per-frame hotspot);
-    pickle only fires for irreducible non-array leaves.  Checksums are
-    compared within one process only — no cross-version stability is
-    promised (transcript digests, which *are* pinned, use
-    :func:`canonical_bytes`).
-    """
-    crc = 0
-    for chunk in _frame_chunks("", payload):
-        crc = zlib.crc32(chunk, crc)
-    return crc
-
-
 class _FrameReader:
     """Sequential parser over one encoded frame."""
 
@@ -419,7 +395,6 @@ __all__ = [
     "encode_frame",
     "frame_sizes",
     "iter_arrays",
-    "payload_checksum",
     "payload_digest",
     "unpack_frame",
 ]

@@ -437,9 +437,8 @@ class SecureContext:
         """Attach (or create) a transcript recorder for this deployment.
 
         From here on every wire charge is logged (see
-        :mod:`repro.audit`); a resilient server channel also gets its
-        frame path tapped so retransmissions show up.  Returns the
-        recorder so callers can pull the transcript at the end.
+        :mod:`repro.audit`).  Returns the recorder so callers can pull
+        the transcript at the end.
         """
         if recorder is None:
             from repro.audit.transcript import TranscriptRecorder
@@ -448,9 +447,6 @@ class SecureContext:
                 capture_payloads=capture_payloads, telemetry=self.telemetry
             )
         self.recorder = recorder
-        transport = getattr(self.server_channel, "transport", None)
-        if transport is not None and hasattr(transport, "attach_recorder"):
-            transport.attach_recorder(recorder)
         return recorder
 
     def record_wire(

@@ -8,15 +8,13 @@ the reproduction survive an imperfect one.  Two halves:
   interpreted by a :class:`FaultInjector`.  Every decision is a pure
   function of ``(plan.seed, link, message index)``, so a run under a
   given plan is exactly reproducible regardless of how links interleave.
-* **Resilience** — :class:`ReliableTransport` wraps the in-process
-  :class:`~repro.comm.transport.TransportHub` with sequence numbers,
-  payload checksums, timeout/backoff retransmission and duplicate
-  suppression; :class:`ResilientChannel` applies the same discipline to
-  the cost-model :class:`~repro.comm.channel.Channel` so retransmitted
-  bytes and backoff waits show up in simulated makespans.  When the
-  retry budget is exhausted (or a party has crashed and not restarted)
-  both raise :class:`PartyFailure` carrying an identifiable-abort-style
-  :class:`BlameRecord` naming the faulty party.
+* **Resilience** — :class:`ResilientChannel` extends the cost-model
+  :class:`~repro.comm.channel.Channel` with timeout/backoff
+  retransmission, corruption detection and duplicate suppression, so
+  retransmitted bytes and backoff waits show up in simulated makespans.
+  When the retry budget is exhausted (or a party has crashed and not
+  restarted) it raises :class:`PartyFailure` carrying an
+  identifiable-abort-style :class:`BlameRecord` naming the faulty party.
 
 Recovery is wired into the drivers: :class:`~repro.core.training.SecureTrainer`
 checkpoints shares every K batches and replays from the last checkpoint
@@ -37,7 +35,7 @@ from repro.faults.chaos import (
 from repro.faults.injector import FaultDecision, FaultInjector
 from repro.faults.plan import FaultPlan, LinkPartition, PartyCrash, RetryPolicy
 from repro.faults.recovery import respawn_party
-from repro.faults.reliable import ReliableTransport, ResilientChannel
+from repro.faults.reliable import ResilientChannel
 
 __all__ = [
     "FaultPlan",
@@ -48,7 +46,6 @@ __all__ = [
     "FaultInjector",
     "BlameRecord",
     "PartyFailure",
-    "ReliableTransport",
     "ResilientChannel",
     "respawn_party",
     "ChaosResult",

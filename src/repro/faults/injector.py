@@ -8,10 +8,10 @@ outcomes.  Retransmissions advance the link index, which is what lets a
 dropped message eventually get through under any rate < 1.
 
 The injector also tracks the scripted state: a monotonically increasing
-*step* counter (consumers decide what a step means — a sent message for
-the transport, a batch for the drivers), which crash specs key off, and
-the set of currently-crashed parties.  Every injected fault and every
-restart is recorded in the telemetry registry under ``faults.*``.
+*step* counter (the training and inference loops advance it once per
+batch), which crash specs key off, and the set of currently-crashed
+parties.  Every injected fault and every restart is recorded in the
+telemetry registry under ``faults.*``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class FaultDecision:
     link: str  # "src->dst"
     index: int  # per-link message index this decision is for
     delay_s: float = 0.0
-    corrupt_draw: int = 0  # seeded draw used to pick the bit to flip
 
     @property
     def delivered(self) -> bool:
@@ -140,5 +139,4 @@ class FaultInjector:
             link=link,
             index=index,
             delay_s=plan.delay_s if kind == DELAY else 0.0,
-            corrupt_draw=int(rng.integers(0, 2**31)) if kind == CORRUPT else 0,
         )

@@ -24,10 +24,8 @@ class PartyCrash:
     """Party ``party`` crashes when the consumer's step counter reaches
     ``at_step``.
 
-    What a "step" is belongs to the consumer: the
-    :class:`~repro.faults.reliable.ReliableTransport` advances one step
-    per message the party sends; the training/inference drivers advance
-    one step per batch.  A crashed party stays down until
+    The training and inference loops advance one step per batch.  A
+    crashed party stays down until
     :meth:`~repro.faults.injector.FaultInjector.restart` is called.
     """
 

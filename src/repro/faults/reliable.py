@@ -1,37 +1,23 @@
-"""Resilient delivery: reliability on top of an unreliable substrate.
+"""Resilient delivery: reliability on top of an unreliable link.
 
-Two integrations, one discipline (sequence numbers, checksums,
+:class:`ResilientChannel` extends the cost-model
+:class:`~repro.comm.channel.Channel` with the usual discipline —
 timeout/backoff retransmission, duplicate suppression, blame on
-exhaustion):
+exhaustion.  Corruption is modelled, not computed: a corrupted frame is
+treated as detected and retransmitted, with no checksum taken over any
+payload.  The numerics never touch the wire in
+the framework, so resilience shows up as retransmitted bytes and backoff
+waits charged on the :class:`~repro.simgpu.clock.SimClock` (they move
+makespans), plus ``faults.*`` telemetry.
 
-* :class:`ReliableTransport` wraps the payload-carrying
-  :class:`~repro.comm.transport.TransportHub` for the actor runtime —
-  real frames, real corruption detection, real reorder buffers;
-* :class:`ResilientChannel` extends the cost-model
-  :class:`~repro.comm.channel.Channel` for the lockstep framework —
-  the *numerics* never touch the wire there, so resilience shows up as
-  retransmitted bytes and backoff waits charged on the
-  :class:`~repro.simgpu.clock.SimClock` (they move makespans), plus the
-  same ``faults.*`` telemetry.
-
-Blame convention on retry exhaustion: the party that stopped
-*responding* is convicted.  A receiver that never gets a verifiable
-frame blames the sender (its frames are missing or fail their
-checksums); a sender that never sees an acknowledgement blames the
-receiver.  A scripted crash convicts the crashed party directly.
+Blame convention: a scripted crash convicts the crashed party directly;
+a sender that never sees an acknowledgement within the retry budget
+blames the receiver.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, is_dataclass, fields as dataclass_fields
-from typing import Any
-
-import numpy as np
-
 from repro.comm.channel import Channel
-from repro.comm.transport import TransportHub
-from repro.comm.wire import payload_checksum
 from repro.faults.blame import BlameRecord, PartyFailure
 from repro.faults.injector import (
     CORRUPT,
@@ -41,72 +27,15 @@ from repro.faults.injector import (
     FaultInjector,
     PARTITION,
 )
-from repro.faults.plan import FaultPlan, RetryPolicy
+from repro.faults.plan import RetryPolicy
 from repro.simgpu.clock import SimClock
 from repro.telemetry.registry import MetricRegistry
-from repro.util.errors import TransportError
 
-
-# payload_checksum now rides the frame codec: CRC-32 accumulated over
-# the framed chunks, so array buffers hash raw and pickle fires only
-# for irreducible non-array leaves — the per-frame pickle.dumps this
-# function used to run on every send *and* every receive drain was the
-# ReliableTransport CPU hotspot.  (Imported above from repro.comm.wire;
-# kept in this namespace as its historical home.)
-__all__ = ["payload_checksum", "ReliableTransport", "ResilientChannel", "corrupt_payload"]
-
-
-def _arrays_in(obj: Any):
-    """Yield the ndarrays reachable inside a message payload."""
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif is_dataclass(obj) and not isinstance(obj, type):
-        for f in dataclass_fields(obj):
-            yield from _arrays_in(getattr(obj, f.name))
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            yield from _arrays_in(item)
-    elif isinstance(obj, dict):
-        for item in obj.values():
-            yield from _arrays_in(item)
-
-
-@dataclass
-class _Tampered:
-    """Wrapper standing in for a payload mangled beyond parsing."""
-
-    original: Any
-
-
-def corrupt_payload(payload: Any, draw: int) -> Any:
-    """A corrupted deep copy: one bit flipped, position seeded by ``draw``."""
-    mangled = copy.deepcopy(payload)
-    arrays = list(_arrays_in(mangled))
-    if not arrays:
-        return _Tampered(mangled)
-    arr = arrays[draw % len(arrays)]
-    if arr.nbytes == 0:
-        return _Tampered(mangled)
-    flat = arr.reshape(-1).view(np.uint8)
-    bit = draw % (flat.size * 8)
-    flat[bit // 8] ^= np.uint8(1 << (bit % 8))
-    return mangled
-
-
-@dataclass
-class _Frame:
-    """One wire unit: a sequenced, checksummed payload."""
-
-    seq: int
-    tag: str
-    checksum: int
-    payload: Any
-    delay_s: float = 0.0
-    retransmit: bool = False
+__all__ = ["ResilientChannel"]
 
 
 class _FaultCounters:
-    """The ``faults.*`` counter bundle both resilient layers record into."""
+    """The ``faults.*`` counter bundle :class:`ResilientChannel` records into."""
 
     def __init__(self, telemetry=None):
         registry = telemetry.registry if telemetry is not None else MetricRegistry()
@@ -123,7 +52,7 @@ class _FaultCounters:
             "faults.backoff_seconds", "simulated seconds spent in backoff waits"
         )
         self.corrupt_detected = registry.counter(
-            "faults.corrupt_detected", "frames discarded on checksum mismatch"
+            "faults.corrupt_detected", "corrupted frames treated as detected and retransmitted"
         )
         self.duplicates_suppressed = registry.counter(
             "faults.duplicates_suppressed", "frames discarded as already-seen"
@@ -131,199 +60,6 @@ class _FaultCounters:
         self.delays_applied = registry.counter(
             "faults.delays_applied", "frames that suffered injected delay"
         )
-
-
-class ReliableTransport:
-    """Sequenced, checksummed, retrying delivery over a TransportHub.
-
-    Role views (:meth:`as_role`) expose the same ``send``/``recv``/
-    ``exchange``/``barrier`` surface as
-    :class:`~repro.comm.mpi_backend.LoopbackTransport` views, so the
-    runtime actors run unchanged on top of it.  ``clock`` is optional; if
-    given, backoff and injected-delay waits are charged on a per-party
-    resource (``party.<name>.net``) so faults move the makespan.
-
-    Every sent frame is journalled per stream; a retransmission request
-    replays journalled frames through the injector again (a restarted
-    party recovers its journal, which is why crash-and-restart heals).
-    """
-
-    def __init__(
-        self,
-        endpoints: list[str] | None = None,
-        *,
-        plan: FaultPlan | None = None,
-        injector: FaultInjector | None = None,
-        policy: RetryPolicy | None = None,
-        telemetry=None,
-        clock: SimClock | None = None,
-    ):
-        self.hub = TransportHub(endpoints or ["client", "server0", "server1"])
-        if injector is None and plan is not None:
-            injector = FaultInjector(plan, telemetry=telemetry)
-        self.injector = injector
-        self.policy = policy or RetryPolicy()
-        self.clock = clock
-        self.counters = _FaultCounters(telemetry)
-        self._next_seq: dict[tuple[str, str, str], int] = {}
-        self._expected: dict[tuple[str, str, str], int] = {}
-        self._stash: dict[tuple[str, str, str], dict[int, _Frame]] = {}
-        self._journal: dict[tuple[str, str, str], list[_Frame]] = {}
-
-    def as_role(self, role: str) -> "_ReliableView":
-        if role not in self.hub.mailboxes:
-            raise TransportError(f"unknown role {role!r}")
-        return _ReliableView(self, role)
-
-    def attach_recorder(self, recorder):
-        """Tap the underlying hub so the recorder sees every frame —
-        originals, retransmissions, and injector-made duplicates alike
-        (the recorder logs the wire, not the protocol's view of it).
-        Returns the tap for later ``hub.remove_tap``."""
-        return recorder.tap_hub(self.hub, clock=self.clock)
-
-    def restart(self, party: str) -> None:
-        """Recovery hook: bring a crashed party back online."""
-        if self.injector is not None:
-            self.injector.restart(party)
-
-    # -- sending ----------------------------------------------------------------
-
-    def send(self, src: str, dst: str, tag: str, payload: Any) -> None:
-        key = (src, dst, tag)
-        seq = self._next_seq.get(key, 0)
-        self._next_seq[key] = seq + 1
-        frame = _Frame(seq=seq, tag=tag, checksum=payload_checksum(payload), payload=payload)
-        self._journal.setdefault(key, []).append(frame)
-        if self.injector is not None:
-            self.injector.advance_step()
-        self._transmit(src, dst, tag, frame)
-
-    def _transmit(self, src: str, dst: str, tag: str, frame: _Frame) -> None:
-        link = f"{src}->{dst}"
-        if self.injector is not None:
-            if self.injector.crashed(src) or self.injector.crashed(dst):
-                return  # a dead endpoint neither sends nor receives
-            decision = self.injector.decide(src, dst)
-            if not decision.delivered:
-                return
-            if decision.kind == CORRUPT:
-                mangled = copy.copy(frame)
-                mangled.payload = corrupt_payload(frame.payload, decision.corrupt_draw)
-                self.hub.send(src, dst, tag, mangled)
-                return
-            if decision.kind == DUPLICATE:
-                self.hub.send(src, dst, tag, frame)
-                self.hub.send(src, dst, tag, copy.copy(frame))
-                return
-            if decision.kind == DELAY:
-                delayed = copy.copy(frame)
-                delayed.delay_s = decision.delay_s
-                self.hub.send(src, dst, tag, delayed)
-                return
-        self.hub.send(src, dst, tag, frame)
-
-    def _retransmit(self, src: str, dst: str, tag: str, from_seq: int) -> int:
-        """Replay journalled frames >= ``from_seq``; returns frames resent."""
-        resent = 0
-        for frame in self._journal.get((src, dst, tag), []):
-            if frame.seq >= from_seq:
-                again = copy.copy(frame)
-                again.retransmit = True
-                self.counters.retransmits.inc(1, link=f"{src}->{dst}", tag=tag)
-                self._transmit(src, dst, tag, again)
-                resent += 1
-        return resent
-
-    # -- receiving --------------------------------------------------------------
-
-    def _charge_wait(self, party: str, seconds: float, label: str) -> None:
-        if self.clock is not None and seconds > 0:
-            resource = f"party.{party}.net"
-            self.clock.add_resource(resource)
-            self.clock.run(resource, seconds, label=label)
-
-    def _drain(self, dst: str, src: str, tag: str) -> None:
-        key = (dst, src, tag)
-        expected = self._expected.get(key, 0)
-        stash = self._stash.setdefault(key, {})
-        mailbox = self.hub.mailboxes[dst]
-        link = f"{src}->{dst}"
-        while mailbox.pending(src, tag):
-            frame: _Frame = self.hub.recv(dst, src, tag)
-            if payload_checksum(frame.payload) != frame.checksum:
-                self.counters.corrupt_detected.inc(1, link=link, tag=tag)
-                continue
-            if frame.seq < expected or frame.seq in stash:
-                self.counters.duplicates_suppressed.inc(1, link=link, tag=tag)
-                continue
-            stash[frame.seq] = frame
-
-    def recv(self, dst: str, src: str, tag: str) -> Any:
-        key = (dst, src, tag)
-        link = f"{src}->{dst}"
-        attempts = 0
-        while True:
-            self._drain(dst, src, tag)
-            expected = self._expected.get(key, 0)
-            stash = self._stash.setdefault(key, {})
-            if expected in stash:
-                frame = stash.pop(expected)
-                self._expected[key] = expected + 1
-                if frame.delay_s:
-                    self.counters.delays_applied.inc(1, link=link, tag=tag)
-                    self._charge_wait(dst, frame.delay_s, f"{tag}:delayed")
-                return frame.payload
-            attempts += 1
-            if attempts > self.policy.max_retries:
-                crashed = self.injector is not None and self.injector.crashed(src)
-                blame = BlameRecord(
-                    party=src,
-                    reason="crash" if crashed else "retry-exhausted",
-                    link=link,
-                    step=self.injector.step if self.injector is not None else 0,
-                    attempts=attempts,
-                    evidence=(
-                        f"{dst} received no verifiable frame seq>={expected} "
-                        f"on tag {tag!r} after {attempts - 1} retransmission rounds",
-                    ),
-                )
-                raise PartyFailure(blame)
-            timeout = self.policy.timeout_s(attempts)
-            self.counters.timeouts.inc(1, link=link, tag=tag)
-            self.counters.backoff_seconds.inc(timeout, link=link, tag=tag)
-            self._charge_wait(dst, timeout, f"{tag}:timeout{attempts}")
-            self._retransmit(src, dst, tag, self._expected.get(key, 0))
-
-
-class _ReliableView:
-    """One endpoint's handle (the LoopbackTransport view surface)."""
-
-    def __init__(self, transport: ReliableTransport, role: str):
-        self._transport = transport
-        self.role = role
-
-    def send(self, dst: str, tag: str, payload: Any) -> None:
-        self._transport.send(self.role, dst, tag, payload)
-
-    def recv(self, src: str, tag: str) -> Any:
-        return self._transport.recv(self.role, src, tag)
-
-    def exchange(self, peer: str, tag: str, payload: Any) -> Any:
-        self.send(peer, tag, payload)
-        return self.recv(peer, tag)
-
-    def barrier(self) -> None:
-        return None
-
-    def pending_summary(self) -> dict[tuple[str, str], int]:
-        """Undelivered (src, tag) -> count in this role's hub mailbox,
-        plus any reorder-stashed frames waiting for a gap to fill."""
-        summary = dict(self._transport.hub.mailboxes[self.role].pending_summary())
-        for (dst, src, tag), stash in self._transport._stash.items():
-            if dst == self.role and stash:
-                summary[(src, tag)] = summary.get((src, tag), 0) + len(stash)
-        return summary
 
 
 class ResilientChannel(Channel):

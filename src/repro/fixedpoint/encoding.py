@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.errors import ConfigError
+from repro.util.errors import ConfigError, EncodingError
 
 RING_BITS = 64
 _RING_MODULUS = 1 << RING_BITS
@@ -62,8 +62,25 @@ class FixedPointEncoder:
         return float(2 ** ((RING_BITS - 3 - 2 * self.frac_bits) / 2))
 
     def encode(self, x: np.ndarray | float) -> np.ndarray:
-        """Encode floats into ring elements (rounding to nearest)."""
+        """Encode floats into ring elements (rounding to nearest).
+
+        Raises :class:`EncodingError` unless every value is finite with
+        ``|x| < 2^(63 - frac_bits)``, the range whose scaled form fits in
+        a signed 64-bit integer.
+        """
         arr = np.asarray(x, dtype=np.float64)
+        exponent = RING_BITS - 1 - self.frac_bits
+        bound = float(2**exponent)
+        # NaN fails both comparisons, so min/max alone catch NaN and inf.
+        if arr.size and not (-bound < arr.min() and arr.max() < bound):
+            bad = ~(np.abs(arr) < bound)
+            not_nan = np.abs(arr[~np.isnan(arr)])
+            peak = not_nan.max() if not_nan.size else float("nan")
+            raise EncodingError(
+                f"{int(bad.sum())} of {arr.size} value(s) cannot be encoded at "
+                f"frac_bits={self.frac_bits}: max |x| = {peak:g}, need finite "
+                f"|x| < 2^{exponent} = {bound:g}"
+            )
         scaled = np.rint(arr * self.scale)
         # int64 cast gives two's complement; viewing as uint64 lands the
         # value in the ring without a Python-level mod.

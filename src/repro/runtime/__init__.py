@@ -1,41 +1,14 @@
-"""Message-driven protocol runtime: client and server *actors*.
+"""Scheduling runtime for the simulated clocks.
 
-:mod:`repro.core` executes both servers in lockstep inside one process —
-ideal for simulation and benchmarking, since one object can charge both
-timelines.  This package is the *deployable* form of the same protocol:
-three actors (one client, two servers) that communicate **only** through
-the transport interface of :mod:`repro.comm` — the loopback hub
-in-process, or :class:`~repro.comm.mpi_backend.MPITransport` across
-ranks on a real cluster.
-
-The actors cover the protocol surface a serving deployment needs:
-uploading shared inputs and models, secure matrix products (Eqs. 4-8
-with local truncation), and multi-layer dense forward passes.  Tests
-assert bit-equality between actor-run protocols and the lockstep
-reference, which is what certifies the simulation's transcripts as the
-real thing.
+:mod:`repro.core` executes both servers in lockstep inside one process
+and charges every task on a :class:`~repro.simgpu.clock.SimClock`.  This
+package holds the alternative scheduler ``FrameworkConfig(runtime=
+"dataflow")`` selects: :class:`DataflowClock` defers placement and fires
+tasks as their dependencies resolve, and :class:`PendingTask` is the
+deferred handle it returns.  Values never move between the two; only
+the timing does.
 """
 
-from repro.runtime.actors import (
-    ClientActor,
-    ServerActor,
-    run_dense_forward,
-    run_matmul,
-    run_matmuls_interleaved,
-)
 from repro.runtime.dataflow import DataflowClock, PendingTask
-from repro.runtime.messages import MatmulMaterial, TAG_MATERIAL, TAG_MASKED, TAG_RESULT
 
-__all__ = [
-    "ClientActor",
-    "DataflowClock",
-    "PendingTask",
-    "ServerActor",
-    "run_matmul",
-    "run_matmuls_interleaved",
-    "run_dense_forward",
-    "MatmulMaterial",
-    "TAG_MATERIAL",
-    "TAG_MASKED",
-    "TAG_RESULT",
-]
+__all__ = ["DataflowClock", "PendingTask"]

@@ -216,6 +216,9 @@ class DataflowClock:
                 node.real = self._real.run(
                     node.resource, node.duration, deps=deps, label=node.label
                 )
+            # A placed node answers from ``real``; dropping its edges stops
+            # a long-lived handle from keeping every earlier window alive.
+            node.deps = ()
         for name in self._prov_free:
             self._prov_free[name] = self._real.free_at(name)
 

@@ -27,14 +27,13 @@ Metric naming conventions (dots group, labels discriminate):
 ``mpc.mask_reuse.hits{side,scope}``   openings served, not sent (scope: step|static)
 ``ops.invocations{op}``               secure-op call counts
 ``ops.online_seconds{op}``            online makespan attributed per op
-``runtime.messages{actor,direction}`` actor-level message counts
 ``phase.sim_seconds{clock}``          gauge: each clock's frontier at snapshot
 ``faults.injected{kind,link}``        fault events injected (repro.faults)
 ``faults.retransmits{link}``          frames/messages retransmitted
 ``faults.retransmit_bytes{link}``     wire bytes spent on retransmission
 ``faults.timeouts{link}``             receive/ack timeouts
 ``faults.backoff_seconds{link}``      simulated backoff wait charged
-``faults.corrupt_detected{link}``     checksum-mismatch discards
+``faults.corrupt_detected{link}``     corrupted frames, modelled as detected
 ``faults.duplicates_suppressed{...}`` already-seen frames discarded
 ``faults.delays_applied{link}``       injected-delay hits
 ``faults.party_restarts{party}``      crashed parties brought back

@@ -41,6 +41,14 @@ class ConfigError(ReproError, ValueError):
     """A configuration value was out of range or inconsistent."""
 
 
+class EncodingError(ReproError, ValueError):
+    """A real value has no fixed-point encoding in the ring.
+
+    Raised for NaN, ±inf, and magnitudes at or beyond ``2^(63 - f)``,
+    which would otherwise wrap or turn into ``INT64_MIN`` silently.
+    """
+
+
 class ServeError(ReproError, RuntimeError):
     """The serving layer rejected or failed a request."""
 

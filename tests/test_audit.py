@@ -24,7 +24,6 @@ from repro.audit import (
 from repro.core.inference import secure_predict
 from repro.core.models import SecureLogisticRegression, SecureMLP
 from repro.core.training import SecureTrainer
-from repro.faults.reliable import ReliableTransport
 from repro.util.errors import AuditError, TranscriptMismatch
 
 
@@ -226,52 +225,6 @@ class TestWireAudit:
         assert chi2_uniform_bytes(structured) > CHI2_CEILING
         with pytest.raises(AuditError):
             chi2_uniform_bytes(b"")
-
-
-class TestHubTap:
-    def test_reliable_transport_frames_recorded(self, rng):
-        transport = ReliableTransport(["client", "server0", "server1"])
-        rec = TranscriptRecorder()
-        transport.attach_recorder(rec)
-        v0 = transport.as_role("server0")
-        v1 = transport.as_role("server1")
-        payload = rng.integers(0, 2**63, size=32, dtype=np.uint64)
-        v0.send("server1", "shares", payload)
-        got = v1.recv("server0", "shares")
-        assert np.array_equal(got, payload)
-        t = rec.transcript()
-        assert len(t) == 1
-        assert t.records[0].src == "server0"
-        assert t.records[0].tag.startswith("frame/")
-
-    def test_tap_sees_retransmissions(self, rng):
-        from repro.faults.plan import FaultPlan
-
-        transport = ReliableTransport(
-            ["client", "server0", "server1"], plan=FaultPlan(seed=3, drop=0.5)
-        )
-        rec = TranscriptRecorder()
-        transport.attach_recorder(rec)
-        v0 = transport.as_role("server0")
-        v1 = transport.as_role("server1")
-        for i in range(8):
-            v0.send("server1", "m", rng.integers(0, 2**63, 8, dtype=np.uint64))
-        for i in range(8):
-            v1.recv("server0", "m")
-        # the wire saw more frames than the 8 logical messages
-        # (retransmissions and retransmit-requests are frames too)
-        assert len(rec.transcript()) > 8
-
-    def test_tap_detach(self):
-        from repro.comm.transport import TransportHub
-
-        hub = TransportHub(["a", "b"])
-        rec = TranscriptRecorder()
-        tap = rec.tap_hub(hub)
-        hub.send("a", "b", "t", b"\x00" * 8)
-        hub.remove_tap(tap)
-        hub.send("a", "b", "t", b"\x00" * 8)
-        assert len(rec.transcript()) == 1
 
 
 class TestContextRecording:

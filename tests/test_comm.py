@@ -1,4 +1,4 @@
-"""Channels, CSR codec, compressed transmission, transport."""
+"""Channels, CSR codec, compressed transmission."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.comm.channel import Channel, ETHERNET_10G, INFINIBAND_100G, LinkSpec
 from repro.comm.compression import CompressedPayload, DeltaCompressor
 from repro.comm.csr import csr_decode, csr_encode, csr_nbytes, dense_nbytes, density
-from repro.comm.transport import TransportHub
 from repro.simgpu.clock import SimClock
 from repro.telemetry import Telemetry
 from repro.util.errors import ProtocolError, TransportError
@@ -228,64 +227,3 @@ class TestDeltaCompressor:
         assert comp.stats.wire_bytes == sum(p.wire_bytes for p in payloads)
         assert comp.stats.dense_messages == 2
         assert comp.stats.compressed_messages == 1
-
-
-class TestTransport:
-    def test_fifo_per_tag(self):
-        hub = TransportHub(["a", "b"])
-        hub.send("a", "b", "t", 1)
-        hub.send("a", "b", "t", 2)
-        assert hub.recv("b", "a", "t") == 1
-        assert hub.recv("b", "a", "t") == 2
-
-    def test_tags_are_independent(self):
-        hub = TransportHub(["a", "b"])
-        hub.send("a", "b", "x", "first-x")
-        hub.send("a", "b", "y", "first-y")
-        assert hub.recv("b", "a", "y") == "first-y"
-        assert hub.recv("b", "a", "x") == "first-x"
-
-    def test_exchange(self):
-        hub = TransportHub(["a", "b"])
-        got_a, got_b = hub.exchange("a", "b", "e", "from-a", "from-b")
-        assert got_a == "from-b"
-        assert got_b == "from-a"
-
-    def test_missing_message_raises(self):
-        hub = TransportHub(["a", "b"])
-        with pytest.raises(TransportError):
-            hub.recv("b", "a", "t")
-
-    def test_self_send_rejected(self):
-        hub = TransportHub(["a", "b"])
-        with pytest.raises(TransportError):
-            hub.send("a", "a", "t", 1)
-
-    def test_unknown_endpoint(self):
-        hub = TransportHub(["a", "b"])
-        with pytest.raises(TransportError):
-            hub.send("a", "c", "t", 1)
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(TransportError):
-            TransportHub(["a", "a"])
-
-    def test_pending_count(self):
-        hub = TransportHub(["a", "b"])
-        hub.send("a", "b", "t", 1)
-        assert hub.mailboxes["b"].pending("a", "t") == 1
-
-    def test_pending_summary_tracks_partial_drains(self):
-        hub = TransportHub(["a", "b", "c"])
-        hub.send("a", "b", "t", 1)
-        hub.send("a", "b", "t", 2)
-        hub.send("c", "b", "u", 3)
-        box = hub.mailboxes["b"]
-        assert box.pending_summary() == {("a", "t"): 2, ("c", "u"): 1}
-        hub.recv("b", "a", "t")
-        assert box.pending_summary() == {("a", "t"): 1, ("c", "u"): 1}
-        hub.recv("b", "c", "u")
-        # fully drained streams drop out instead of lingering at zero
-        assert box.pending_summary() == {("a", "t"): 1}
-        hub.recv("b", "a", "t")
-        assert box.pending_summary() == {}

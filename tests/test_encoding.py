@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.fixedpoint.encoding import FixedPointEncoder
-from repro.util.errors import ConfigError
+from repro.util.errors import ConfigError, EncodingError, ReproError
 
 reals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -69,3 +69,32 @@ class TestValidation:
         m = encoder.max_magnitude()
         # squaring the bound at double scale must stay below 2^62
         assert (m * encoder.scale) ** 2 < 2**62
+
+
+class TestEncodeRange:
+    """Values with no int64 image raise instead of wrapping silently."""
+
+    FRAC = 13
+    BOUND = 2.0 ** (63 - FRAC)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, BOUND, -BOUND, 1e300])
+    def test_unencodable_value_raises(self, bad):
+        x = np.array([0.5, bad, -2.0])
+        with pytest.raises(EncodingError) as exc:
+            FixedPointEncoder(self.FRAC).encode(x)
+        assert isinstance(exc.value, ReproError) and isinstance(exc.value, ValueError)
+        assert "1 of 3 value(s)" in str(exc.value)
+        assert f"2^{63 - self.FRAC}" in str(exc.value)
+
+    def test_message_names_count_and_peak(self):
+        with pytest.raises(EncodingError, match=r"3 of 4 .* max \|x\| = inf"):
+            FixedPointEncoder(self.FRAC).encode([np.nan, np.inf, self.BOUND * 4, 1.0])
+
+    def test_largest_in_range_value_roundtrips(self):
+        enc = FixedPointEncoder(self.FRAC)
+        top = np.nextafter(self.BOUND, 0.0)
+        x = np.array([top, -top])
+        np.testing.assert_array_equal(enc.decode(enc.encode(x)), x)
+
+    def test_empty_array_passes(self):
+        assert FixedPointEncoder(self.FRAC).encode(np.empty((0, 3))).shape == (0, 3)

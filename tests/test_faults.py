@@ -1,24 +1,29 @@
 """repro.faults: deterministic injection, resilient delivery, recovery."""
 
-import numpy as np
 import pytest
 
-from repro.comm.mpi_backend import LoopbackTransport
-from repro.comm.transport import TransportHub
+from repro.comm.channel import Channel, LinkSpec
 from repro.faults import (
     FaultInjector,
     FaultPlan,
     LinkPartition,
     PartyCrash,
     PartyFailure,
-    ReliableTransport,
+    ResilientChannel,
     RetryPolicy,
 )
 from repro.faults.blame import BlameRecord
-from repro.faults.injector import DELIVER
-from repro.faults.reliable import corrupt_payload, payload_checksum
-from repro.runtime import ClientActor, ServerActor, run_matmul
-from repro.util.errors import ConfigError, TransportError
+from repro.faults.injector import (
+    CORRUPT,
+    DELAY,
+    DELIVER,
+    DROP,
+    DUPLICATE,
+    PARTITION,
+    FaultDecision,
+)
+from repro.simgpu.clock import SimClock
+from repro.util.errors import ConfigError
 
 
 class TestFaultPlan:
@@ -117,139 +122,104 @@ class TestFaultInjector:
         assert not inj.crashed("server1")
 
 
-class TestCorruption:
-    def test_corrupt_payload_flips_one_bit_in_a_copy(self):
-        original = np.arange(16, dtype=np.uint64)
-        mangled = corrupt_payload(original, draw=12345)
-        assert mangled is not original
-        assert np.count_nonzero(mangled != original) == 1
-        assert np.array_equal(original, np.arange(16, dtype=np.uint64))
+class _Scripted:
+    """The injector surface :class:`ResilientChannel` reads, with the
+    per-message decisions scripted (DELIVER once the script runs out)."""
 
-    def test_checksum_catches_the_flip(self):
-        payload = {"x": np.ones(8), "note": "hello"}
-        before = payload_checksum(payload)
-        assert payload_checksum(corrupt_payload(payload, draw=7)) != before
+    step = 0
 
-    def test_array_free_payload_is_wrapped_not_crashed(self):
-        mangled = corrupt_payload({"note": "no arrays here"}, draw=3)
-        assert payload_checksum(mangled) != payload_checksum({"note": "no arrays here"})
+    def __init__(self, *kinds, delay_s=0.0):
+        self._kinds = list(kinds)
+        self._delay_s = delay_s
+
+    def crashed_among(self, *parties):
+        return None
+
+    def decide(self, src, dst):
+        kind = self._kinds.pop(0) if self._kinds else DELIVER
+        return FaultDecision(kind=kind, link=f"{src}->{dst}", index=0, delay_s=self._delay_s)
 
 
-class TestReliableTransport:
-    def test_lossy_link_still_delivers_in_order(self):
-        plan = FaultPlan(seed=1, drop=0.3, duplicate=0.2, corrupt=0.1, delay=0.1)
-        transport = ReliableTransport(plan=plan, policy=RetryPolicy(max_retries=16))
-        sent = [np.full((3,), fill_value=float(i)) for i in range(12)]
-        for msg in sent:
-            transport.send("server0", "server1", "data", msg)
-        got = [transport.recv("server1", "server0", "data") for _ in range(12)]
-        for a, b in zip(sent, got):
-            np.testing.assert_array_equal(a, b)
-        c = transport.counters
-        assert c.retransmits.value() > 0 or c.duplicates_suppressed.value() > 0
+class TestResilientChannel:
+    SPEC = LinkSpec(name="test", bandwidth_gbps=1.0, latency_s=2e-6)
+    NBYTES = 4000
+    POLICY = RetryPolicy(max_retries=3, base_timeout_s=50e-6)
 
-    def test_corruption_is_detected_and_healed(self):
-        plan = FaultPlan(seed=2, corrupt=0.5)
-        transport = ReliableTransport(plan=plan, policy=RetryPolicy(max_retries=32))
-        for i in range(8):
-            transport.send("server0", "server1", "t", np.full((4,), float(i)))
-        for i in range(8):
-            np.testing.assert_array_equal(
-                transport.recv("server1", "server0", "t"), np.full((4,), float(i))
-            )
-        assert transport.counters.corrupt_detected.value() > 0
-
-    def test_total_loss_blames_the_sender(self):
-        transport = ReliableTransport(
-            plan=FaultPlan(drop=1.0), policy=RetryPolicy(max_retries=3)
+    def channel(self, injector):
+        return ResilientChannel(
+            SimClock(), self.SPEC, "server0", "server1", injector=injector, policy=self.POLICY
         )
-        transport.send("server0", "server1", "t", "payload")
+
+    def send(self, ch):
+        return ch.send("server0", "server1", self.NBYTES, label="m")
+
+    @property
+    def transfer_s(self):
+        return self.SPEC.transfer_seconds(self.NBYTES)
+
+    def test_without_injector_a_send_is_a_channel_send(self):
+        plain = Channel(SimClock(), self.SPEC, "server0", "server1")
+        resilient = self.channel(None)
+        for ch in (plain, resilient):
+            ch.send("server1", "server0", 64, label="warm")
+        want = plain.send("server0", "server1", self.NBYTES, label="m")
+        got = self.send(resilient)
+        assert (got.start, got.finish) == (want.start, want.finish)
+        assert resilient.bytes_sent == plain.bytes_sent
+        assert resilient.messages_sent == plain.messages_sent
+        assert resilient.counters.retransmits.value() == 0
+
+    def test_total_loss_blames_the_receiver(self):
+        ch = self.channel(FaultInjector(FaultPlan(drop=1.0)))
         with pytest.raises(PartyFailure) as exc:
-            transport.recv("server1", "server0", "t")
-        assert exc.value.party == "server0"
+            self.send(ch)
+        assert exc.value.party == "server1"
         assert exc.value.blame.reason == "retry-exhausted"
+        assert exc.value.blame.attempts == self.POLICY.max_retries + 1
         assert "server0->server1" in exc.value.blame.render()
+        assert ch.counters.retransmits.value() == self.POLICY.max_retries
 
-    def test_crashed_sender_is_convicted_as_crash(self):
-        plan = FaultPlan(crashes=(PartyCrash("server0", at_step=1),))
-        transport = ReliableTransport(plan=plan, policy=RetryPolicy(max_retries=2))
-        transport.send("server0", "server1", "t", "dead letter")  # fires the crash
+    @pytest.mark.parametrize("party", ["server0", "server1"])
+    def test_crashed_endpoint_is_convicted_and_charges_nothing(self, party):
+        injector = FaultInjector(FaultPlan(crashes=(PartyCrash(party, at_step=1),)))
+        injector.advance_step(1)
+        ch = self.channel(injector)
         with pytest.raises(PartyFailure) as exc:
-            transport.recv("server1", "server0", "t")
+            self.send(ch)
+        assert exc.value.party == party
         assert exc.value.blame.reason == "crash"
-        assert exc.value.party == "server0"
+        assert ch.total_bytes == 0 and ch.total_messages == 0
 
-    def test_restart_plus_journal_replay_recovers_delivery(self):
-        plan = FaultPlan(crashes=(PartyCrash("server0", at_step=1),))
-        transport = ReliableTransport(plan=plan, policy=RetryPolicy(max_retries=4))
-        transport.send("server0", "server1", "t", "first")  # black-holed: sender dead
-        with pytest.raises(PartyFailure):
-            transport.recv("server1", "server0", "t")
-        transport.restart("server0")
-        # after restart, the journalled frame is retransmitted on demand
-        assert transport.recv("server1", "server0", "t") == "first"
+    @pytest.mark.parametrize("kind", [DROP, PARTITION, CORRUPT])
+    def test_lost_message_is_retransmitted_after_backoff(self, kind):
+        ch = self.channel(_Scripted(kind))
+        task = self.send(ch)
+        assert task.finish == pytest.approx(
+            self.transfer_s + self.POLICY.timeout_s(1) + self.transfer_s
+        )
+        assert ch.total_bytes == 2 * self.NBYTES
+        assert ch.counters.retransmits.value() == 1
+        assert ch.counters.retransmit_bytes.value() == self.NBYTES
+        assert ch.counters.timeouts.value() == 1
+        assert ch.counters.backoff_seconds.value() == pytest.approx(self.POLICY.timeout_s(1))
+        assert ch.counters.corrupt_detected.value() == (kind == CORRUPT)
 
-    def test_actor_matmul_under_faults_is_bit_identical(self, rng):
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
+    def test_duplicate_charges_a_second_send(self):
+        ch = self.channel(_Scripted(DUPLICATE))
+        task = self.send(ch)
+        assert task.finish == pytest.approx(self.transfer_s)
+        assert ch.total_bytes == 2 * self.NBYTES
+        assert ch.total_messages == 2
+        assert ch.counters.duplicates_suppressed.value() == 1
+        assert ch.counters.retransmit_bytes.value() == 0
 
-        def run(plan):
-            if plan is None:
-                hub = LoopbackTransport()
-                views = {r: hub.as_role(r) for r in ("client", "server0", "server1")}
-            else:
-                transport = ReliableTransport(
-                    plan=plan, policy=RetryPolicy(max_retries=24)
-                )
-                views = {r: transport.as_role(r) for r in ("client", "server0", "server1")}
-            client = ClientActor(views["client"], seed=13)
-            servers = (ServerActor(0, views["server0"]), ServerActor(1, views["server1"]))
-            return run_matmul(client, servers, a, b)
-
-        baseline = run(None)
-        faulty = run(FaultPlan(seed=4, drop=0.15, duplicate=0.1, corrupt=0.1))
-        np.testing.assert_array_equal(baseline, faulty)
-
-
-class TestMailboxIntrospection:
-    def test_pending_and_peek(self):
-        hub = TransportHub(["a", "b"])
-        hub.send("a", "b", "t1", "one")
-        hub.send("a", "b", "t1", "two")
-        hub.send("a", "b", "t2", "three")
-        box = hub.mailboxes["b"]
-        assert box.pending("a", "t1") == 2
-        assert box.pending("a") == 3
-        assert box.pending(tag="t2") == 1
-        assert box.peek("a", "t1") == "one"
-        assert box.pending("a", "t1") == 2  # peek does not pop
-        assert box.pending_summary() == {("a", "t1"): 2, ("a", "t2"): 1}
-
-    def test_peek_empty_raises(self):
-        hub = TransportHub(["a", "b"])
-        with pytest.raises(TransportError):
-            hub.mailboxes["b"].peek("a", "t")
-
-    def test_recv_error_lists_pending_queues(self):
-        hub = TransportHub(["a", "b"])
-        hub.send("a", "b", "other", "x")
-        with pytest.raises(TransportError, match=r"\('a', 'other'\)x1"):
-            hub.recv("b", "a", "missing")
-
-    def test_recv_error_on_empty_mailbox(self):
-        hub = TransportHub(["a", "b"])
-        with pytest.raises(TransportError, match="mailbox is empty"):
-            hub.recv("b", "a", "missing")
-
-    def test_actor_idle_assertion_flags_undrained_mailbox(self):
-        hub = LoopbackTransport()
-        client = ClientActor(hub.as_role("client"), seed=7)
-        client.assert_idle()  # clean mailbox passes
-        hub._hub.send("server0", "client", "stray", "oops")
-        from repro.util.errors import ProtocolError
-
-        with pytest.raises(ProtocolError, match="stray"):
-            client.assert_idle()
+    def test_delay_moves_the_finish_by_delay_s(self):
+        delay_s = 30e-6
+        ch = self.channel(_Scripted(DELAY, delay_s=delay_s))
+        task = self.send(ch)
+        assert task.finish == pytest.approx(self.transfer_s + delay_s)
+        assert ch.total_bytes == self.NBYTES
+        assert ch.counters.delays_applied.value() == 1
 
 
 class TestBlame:

@@ -1,10 +1,10 @@
-"""The framed wire codec: round-trips, exact sizing, coalescing, checksums.
+"""The framed wire codec: round-trips, exact sizing, coalescing.
 
 Property-based coverage (hypothesis) of the encode/decode pair over
 arbitrary dtypes, shapes (including empty and 0-d) and nested payloads;
-exactness of :func:`frame_sizes` against the materialized frame; the
-coalescer's order-preservation contract; and the frame-CRC checksum
-that replaced the per-message pickle in the reliable transport.
+exactness of :func:`frame_sizes` against the materialized frame — the
+oracle for the sizes every channel charges; and the coalescer's
+order-preservation contract.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.comm.wire import (
     decode_frame,
     encode_frame,
     frame_sizes,
-    payload_checksum,
     unpack_frame,
 )
 from repro.util.errors import TransportError
@@ -43,13 +42,6 @@ class Blob:
 
     label: str
     data: np.ndarray
-
-
-@dataclass
-class Wrapped:
-    """Marker wrapper, as the fault injector's tamper marker uses."""
-
-    inner: object
 
 
 @st.composite
@@ -219,32 +211,6 @@ class TestCoalescer:
     def test_loopback_send_rejected(self):
         with pytest.raises(TransportError, match="src == dst"):
             RoundCoalescer("r").add("a", "a", "t", None)
-
-
-class TestChecksum:
-    def test_detects_single_bit_flip(self):
-        arr = np.arange(64, dtype=np.uint64)
-        before = payload_checksum(arr)
-        arr[17] ^= np.uint64(1 << 40)
-        assert payload_checksum(arr) != before
-
-    def test_detects_wrapped_payload(self):
-        # the fault injector wraps payloads in a marker object; the
-        # checksum must change even though the array bytes do not
-        arr = np.arange(8, dtype=np.uint64)
-        assert payload_checksum(arr) != payload_checksum(Wrapped(arr))
-
-    @settings(max_examples=40, deadline=None)
-    @given(payloads())
-    def test_deterministic_within_process(self, payload):
-        assert payload_checksum(payload) == payload_checksum(payload)
-
-    def test_array_checksum_avoids_pickle(self, monkeypatch):
-        def boom(*a, **k):  # pragma: no cover - should never run
-            raise AssertionError("array checksum reached pickle")
-
-        monkeypatch.setattr(pickle, "dumps", boom)
-        payload_checksum([np.arange(100, dtype=np.uint64)])
 
 
 class TestFrameLayout:
