@@ -35,8 +35,9 @@ BATCH_SIZE = 128
 #: every value uploaded to the server GPUs once (``dW`` and ``dX`` read
 #: the forward pass's buffers; ``Z`` stays from step to step), and the
 #: dealer comparison (whose indicator shares ``act:mul``'s ``F`` does
-#: not delta-compress on).
-LOCKSTEP_REFERENCE_S = 0.004118997213405428
+#: not delta-compress on), with each H2D upload issued as soon as it is
+#: ready and no later than in Fig. 5's order.
+LOCKSTEP_REFERENCE_S = 0.003615436918152094
 
 
 def _run_cell(runtime: str):

@@ -9,10 +9,13 @@ makes the wire form explicit:
   followed by the raw ``tobytes()`` buffers of its arrays.  Encoding is
   zero-copy: array bodies travel as memoryviews into the original
   buffers (never copied through pickle), and decoding returns
-  ``np.frombuffer`` views into the received frame.  Pickle is the
-  escape hatch only for leaves that are not arrays/bytes/sequences —
-  and even then protocol 5 with out-of-band buffers keeps any arrays
-  *inside* such leaves out of the pickle stream.
+  ``np.frombuffer`` views into the received frame.  The leaf types are
+  a closed allowlist — numeric arrays, bytes, str, None, int (64-bit)
+  and float, nested in lists and tuples — and the decoder never runs
+  code: an int or float keeps the bytes it has always had on this wire
+  (the opcodes of a protocol-5 pickle of it), which the decoder reads
+  off directly, never through ``pickle.loads``.  Any malformed frame
+  raises :class:`~repro.util.errors.TransportError`, and nothing else.
 * **Exact sizing** — :func:`frame_sizes` computes a frame's wire size
   without materializing it, split into body (raw buffer bytes) and
   overhead (headers), so channels charge what actually crosses the
@@ -33,6 +36,7 @@ is kept verbatim and re-exported by :mod:`repro.audit.transcript`.
 from __future__ import annotations
 
 import hashlib
+import math
 import pickle
 import struct
 from dataclasses import dataclass
@@ -118,13 +122,42 @@ _KIND_LIST = 2
 _KIND_TUPLE = 3
 _KIND_NONE = 4
 _KIND_STR = 5
-_KIND_PICKLE = 6
+_KIND_SCALAR = 6
+
+#: Array dtypes a frame may carry: bool, signed/unsigned int, float, complex.
+_DTYPE_KINDS = "biufc"
+#: How deep lists and tuples may nest in one frame.
+_MAX_DEPTH = 32
 
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _I64 = struct.Struct("<q")
+
+#: Protocol-5 pickle opcodes of one int or float -> their argument's layout.
+_SCALAR_OPS = {
+    b"K": struct.Struct("<B"),
+    b"M": struct.Struct("<H"),
+    b"J": struct.Struct("<i"),
+    b"G": struct.Struct(">d"),
+}
+
+
+def _scalar(skeleton: bytes) -> int | float:
+    """The int or float that ``pickle.dumps(value, protocol=5)`` wrote,
+    read off its opcodes (PROTO, optional FRAME, one BININT*/LONG1/
+    BINFLOAT, STOP); any other byte string is refused, never unpickled."""
+    body = skeleton[2:] if skeleton[:2] == b"\x80\x05" else b""
+    if body[:1] == b"\x95" and len(body) >= 9 and _U64.unpack(body[1:9])[0] == len(body) - 9:
+        body = body[9:]
+    if body[-1:] == b".":
+        op, arg = body[:1], body[1:-1]
+        if op in _SCALAR_OPS and len(arg) == _SCALAR_OPS[op].size:
+            return _SCALAR_OPS[op].unpack(arg)[0]
+        if op == b"\x8a" and 1 <= len(arg) <= 9 and arg[0] == len(arg) - 1:  # LONG1
+            return int.from_bytes(arg[1:], "little", signed=True)
+    raise TransportError("frame scalar is not an int or a float")
 
 
 def _array_body(arr: np.ndarray) -> memoryview:
@@ -134,14 +167,14 @@ def _array_body(arr: np.ndarray) -> memoryview:
     return memoryview(np.ascontiguousarray(arr)).cast("B")
 
 
-def _emit(payload: Any, chunks: list) -> None:
+def _emit(payload: Any, chunks: list, depth: int = 0) -> None:
     """Append one payload's encoded chunks.
 
     Invariant the sizing/overhead accounting relies on: header chunks
     are ``bytes``, raw buffer bodies are ``memoryview`` — a chunk's type
     says which side of the body/overhead split it lands on.
     """
-    if isinstance(payload, np.ndarray) and not payload.dtype.hasobject:
+    if isinstance(payload, np.ndarray) and payload.dtype.kind in _DTYPE_KINDS:
         dt = payload.dtype.str.encode("ascii")
         head = bytearray(_U8.pack(_KIND_ND))
         head += _U8.pack(len(dt))
@@ -157,10 +190,12 @@ def _emit(payload: Any, chunks: list) -> None:
         chunks.append(memoryview(bytes(payload)))
         return
     if isinstance(payload, (list, tuple)):
+        if depth == _MAX_DEPTH:
+            raise TransportError(f"payload nests deeper than {_MAX_DEPTH} levels")
         kind = _KIND_LIST if isinstance(payload, list) else _KIND_TUPLE
         chunks.append(_U8.pack(kind) + _U32.pack(len(payload)))
         for item in payload:
-            _emit(item, chunks)
+            _emit(item, chunks, depth + 1)
         return
     if payload is None:
         chunks.append(_U8.pack(_KIND_NONE))
@@ -169,17 +204,11 @@ def _emit(payload: Any, chunks: list) -> None:
         body = payload.encode("utf-8")
         chunks.append(_U8.pack(_KIND_STR) + _U32.pack(len(body)) + body)
         return
-    # Escape hatch: pickle the leaf, but keep any arrays inside it out of
-    # the pickle stream via protocol-5 out-of-band buffers (raw bodies).
-    buffers: list = []
-    skeleton = pickle.dumps(payload, protocol=5, buffer_callback=buffers.append)
-    chunks.append(
-        _U8.pack(_KIND_PICKLE) + _U64.pack(len(skeleton)) + skeleton + _U32.pack(len(buffers))
-    )
-    for buf in buffers:
-        view = buf.raw() if hasattr(buf, "raw") else memoryview(buf)
-        chunks.append(_U64.pack(view.nbytes))
-        chunks.append(view)
+    if type(payload) is float or (type(payload) is int and -(2**63) <= payload < 2**63):
+        skeleton = pickle.dumps(payload, protocol=5)  # read back by _scalar
+        chunks.append(_U8.pack(_KIND_SCALAR) + _U64.pack(len(skeleton)) + skeleton + _U32.pack(0))
+        return
+    raise TransportError(f"a frame cannot carry a {type(payload).__name__} leaf: {payload!r:.40}")
 
 
 def _frame_chunks(tag: str, payload: Any) -> list:
@@ -211,9 +240,8 @@ class FramedSizes:
 def frame_sizes(tag: str, payload: Any) -> FramedSizes:
     """Wire size of ``encode_frame(tag, payload)`` without building it.
 
-    Body = raw buffer bytes (array/bytes/out-of-band pickle buffers);
-    overhead = everything else (magic, tag, kinds, dtypes, shapes,
-    pickle skeletons).
+    Body = raw buffer bytes (arrays and bytes); overhead = everything
+    else (magic, tag, kinds, dtypes, shapes, scalars).
     """
     body = 0
     total = 0
@@ -270,28 +298,32 @@ class _FrameReader:
     def exhausted(self) -> bool:
         return self._pos == len(self._view)
 
-    def value(self) -> Any:
+    def value(self, depth: int = 0) -> Any:
         kind = self.u8()
         if kind == _KIND_ND:
             dt = np.dtype(bytes(self.take(self.u8())).decode("ascii"))
             shape = tuple(self.i64() for _ in range(self.u8()))
-            nbytes = dt.itemsize * int(np.prod(shape, dtype=np.int64))
-            body = self.take(nbytes)
+            if dt.kind not in _DTYPE_KINDS or dt.fields or dt.subdtype or min(shape, default=0) < 0:
+                raise TransportError(f"bad array header {dt.str} {shape}")
+            body = self.take(dt.itemsize * math.prod(shape))  # exact: Python ints
             arr = np.frombuffer(body, dtype=dt).reshape(shape)
             return arr.copy() if self._copy else arr
         if kind == _KIND_BYTES:
             return bytes(self.take(self.u64()))
         if kind in (_KIND_LIST, _KIND_TUPLE):
-            items = [self.value() for _ in range(self.u32())]
+            if depth == _MAX_DEPTH:
+                raise TransportError(f"frame nests deeper than {_MAX_DEPTH} levels")
+            items = [self.value(depth + 1) for _ in range(self.u32())]
             return items if kind == _KIND_LIST else tuple(items)
         if kind == _KIND_NONE:
             return None
         if kind == _KIND_STR:
             return bytes(self.take(self.u32())).decode("utf-8")
-        if kind == _KIND_PICKLE:
-            skeleton = bytes(self.take(self.u64()))
-            buffers = [self.take(self.u64()) for _ in range(self.u32())]
-            return pickle.loads(skeleton, buffers=buffers)
+        if kind == _KIND_SCALAR:
+            value = _scalar(bytes(self.take(self.u64())))
+            if self.u32():
+                raise TransportError("frame scalar with out-of-band buffers")
+            return value
         raise TransportError(f"unknown frame part kind {kind}")
 
 
@@ -300,14 +332,18 @@ def decode_frame(data, *, copy: bool = False) -> tuple[str, Any]:
 
     With ``copy=False`` (default) decoded arrays are read-only
     ``np.frombuffer`` views into ``data`` — zero-copy; pass
-    ``copy=True`` for independent writable arrays.
+    ``copy=True`` for independent writable arrays.  Whatever the bytes,
+    the only error raised is :class:`TransportError`.
     """
     reader = _FrameReader(data, copy)
     if bytes(reader.take(len(MAGIC))) != MAGIC:
         raise TransportError("bad frame magic")
     reader.u8()  # flags (reserved)
-    tag = bytes(reader.take(reader.u16())).decode("utf-8")
-    payload = reader.value()
+    try:
+        tag = bytes(reader.take(reader.u16())).decode("utf-8")
+        payload = reader.value()
+    except (TypeError, ValueError) as exc:  # undecodable text, dtype or shape
+        raise TransportError(f"malformed frame: {exc}") from exc
     if not reader.exhausted:
         raise TransportError("trailing bytes after frame payload")
     return tag, payload

@@ -6,7 +6,7 @@ Fig. 5 of the paper decomposes the online GPU operation
 
 into sub-steps whose inputs arrive one PCIe transfer at a time:
 
-    transfers:  E  ->  A_i  ->  F  ->  B_i  ->  Z_i   (H2D engine, serial)
+    transfers:  E  ->  A_i  ->  F  ->  B_i  ->  Z_i   (H2D engine, Fig. 5 order)
     kernels:        D = (-i)E + A_i  ->  G1 = D @ F  ->  G2 = E @ B_i
                                                       -> C = G1 + G2 + Z_i
 
@@ -16,12 +16,23 @@ actually needs, so ``D`` runs while ``F`` is still on the bus and
 off, every kernel additionally waits for *all* transfers (the naive
 copy-everything-then-launch structure), which is the ablation baseline.
 
+Each transfer waits on its own readiness, not on the slowest one: ``E``,
+``F`` and ``Z_i`` on the ``E``/``F`` opening (``deps``), the server's
+own shares ``A_i``/``B_i`` on the operands' tasks (``share_deps``) —
+they exist before the exchange starts.  The H2D engine issues the slots
+in Fig. 5's order with one conservative backfill (:func:`issue_order`):
+while the next in-order slot is not ready, a later slot goes first if
+it can start and finish before the in-order one becomes ready.  So
+``A_i`` and ``B_i`` cross PCIe while ``E``/``F`` are on the wire, no
+transfer starts later than it would in Fig. 5's order, the engine is
+busy exactly as long, and the kernels' dependency edges do not change.
+
 A value is uploaded once.  The caller owns one device table per server
 GPU, ``(what, uid) -> (buffer, upload task)``, and says which of this
 product's operands somebody can ask for again (``keep``: slot name ->
 row key).  A slot whose row is in the table is simply empty — no
 transfer, no PCIe charge, the kernels wait on the recorded task; a kept
-slot that is not there yet is uploaded at its own place in the sequence
+slot that is not there yet is uploaded where the engine's plan puts it
 and left allocated; every other buffer is freed on return.  ``D`` lives
 beside the ``E`` it was computed from, so its kernel runs once per
 value — and where ``D`` is there, nothing reads ``A_i``: its slot is
@@ -60,6 +71,38 @@ class GemmScheduleResult:
     kernel_seconds: float  # total kernel time charged
 
 
+def issue_order(free: float, slots) -> list[tuple[str, float]]:
+    """The H2D engine's plan for one product: ``(name, start)`` in issue order.
+
+    ``slots`` are ``(name, ready, seconds)`` in Fig. 5's order, ``free``
+    the time the engine goes idle.  The next in-order slot starts when
+    the engine is free and it is ready; until it is ready, the first
+    later slot that can start (``max(free, ready)``) and finish by then
+    goes first.  Every slot starts no later than under the plain
+    in-order plan (a backfill ends before the slot it jumps is ready;
+    the slots it passes start no later by induction), and the engine is
+    busy for the same total.
+    """
+    pending = list(slots)
+    plan = []
+    while pending:
+        due = pending[0][1]
+        pick = next(
+            (j for j, (_n, ready, secs) in enumerate(pending) if max(free, ready) + secs <= due),
+            0,
+        )
+        name, ready, secs = pending.pop(pick)
+        start = max(free, ready)
+        plan.append((name, start))
+        free = start + secs
+    return plan
+
+
+def _ready(deps) -> float:
+    """When the last of ``deps`` finishes (what the clock starts a task at)."""
+    return max((t.finish for t in deps if t is not None), default=0.0)
+
+
 def schedule_secure_gemm(
     gpu: SimGPU,
     party_id: int,
@@ -70,6 +113,7 @@ def schedule_secure_gemm(
     triplet: TripletShare,
     deps: tuple[Task, ...] = (),
     *,
+    share_deps: tuple[Task, ...] | None = None,
     pipeline: bool = True,
     stream: int = 0,
     table: dict | None = None,
@@ -82,12 +126,17 @@ def schedule_secure_gemm(
     a stack takes the same transfers and kernels, each over the whole
     stack.
 
+    ``deps`` are what the opened ``E``/``F`` (and so ``E``, ``F`` and
+    ``Z_i``'s uploads) wait on; ``share_deps`` what this server's shares
+    ``A_i``/``B_i`` wait on (default: ``deps``).  The uploads are issued
+    by :func:`issue_order`.
+
     ``table`` is this GPU's device table, ``(what, uid) -> (buffer,
     upload task)``, read and updated here; ``keep`` maps a slot name
     (``"E"``, ``"A"``, ``"F"``, ``"B"``, ``"Z"``) to the row that holds
     its operand.  A kept slot found in the table is used as is; one not
-    found is uploaded at its own place in the sequence and left
-    allocated under its key; a slot not in ``keep`` is freed on return.
+    found is uploaded and left allocated under its key; a slot not in
+    ``keep`` is freed on return.
     ``D`` is kept (as ``("lead", uid)``) wherever ``E`` is, and ``A_i``
     is not uploaded where ``D`` is found.  ``trans``
     says, per side, that the operand is the transpose of its value's
@@ -103,6 +152,7 @@ def schedule_secure_gemm(
     triplet.mark_consumed()
     table = {} if table is None else table
     keep = keep or {}
+    share_deps = deps if share_deps is None else share_deps
     trans_a, trans_b = trans
     fresh: list[Task] = []  # the uploads and the D kernel this call placed itself
     transient: list[DeviceBuffer] = []
@@ -119,21 +169,30 @@ def schedule_secure_gemm(
             table[key] = (buf, task)
         return buf, task
 
-    def upload(name: str, array: np.ndarray, transposed: bool = False):
-        """One slot of Fig. 5's H2D order; the engine serialises them."""
-        base = to_base_layout(array, transposed)
-        buf, task = row(keep.get(name), lambda: gpu.h2d(base, deps=deps, label=f"h2d:{name}"))
-        return buf.view(base.shape), task  # a reshaped use reads the same bytes
-
     d_key = ("lead", keep["E"][1]) if "E" in keep else None
-    e_buf, t_e = upload("E", e, trans_a)
+    operands = {"E": (e, trans_a), "A": (a_share, trans_a), "F": (f, trans_b)}
+    operands.update(B=(b_share, trans_b), Z=(triplet.z, False))
     if d_key in table:  # A_i's only reader, the D kernel, has run: an empty slot
-        a_buf, t_a = None, table[d_key][1]
-    else:
-        a_buf, t_a = upload("A", a_share, trans_a)
-    f_buf, t_f = upload("F", f, trans_b)
-    b_buf, t_b = upload("B", b_share, trans_b)
-    z_buf, t_z = upload("Z", triplet.z)
+        del operands["A"]
+    bases = {name: to_base_layout(array, flipped) for name, (array, flipped) in operands.items()}
+    slot_deps = {name: share_deps if name in "AB" else deps for name in bases}
+    missing, claimed = [], set(table)  # ``p * p``: E and F (A_i and B_i) are one row
+    for name in bases:
+        key = keep.get(name)
+        if key is None or key not in claimed:
+            missing.append(name)
+            claimed.add(key)
+    plan = issue_order(
+        gpu.clock.free_at(gpu.h2d_engine),
+        [(n, _ready(slot_deps[n]), gpu.spec.transfer_seconds(bases[n].nbytes)) for n in missing],
+    )
+    rows = {}
+    for name in [n for n, _start in plan] + [n for n in bases if n not in missing]:
+        base, label = bases[name], f"h2d:{name}"
+        buf, task = row(keep.get(name), lambda: gpu.h2d(base, deps=slot_deps[name], label=label))
+        rows[name] = (buf.view(base.shape), task)  # a reshaped use reads the same bytes
+    (e_buf, t_e), (f_buf, t_f), (b_buf, t_b), (z_buf, t_z) = (rows[n] for n in "EFBZ")
+    a_buf, t_a = rows["A"] if "A" in rows else (None, table[d_key][1])
     all_transfers_done = (t_e, t_a, t_f, t_b, t_z)
 
     def kdeps(*needed: Task) -> tuple[Task, ...]:

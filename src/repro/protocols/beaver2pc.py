@@ -257,6 +257,7 @@ class Beaver2PCBackend(ProtocolBackend):
                     y.shares[i],
                     tshare,
                     deps=ready[i],
+                    share_deps=starts[i],
                     pipeline=ctx.config.pipeline1,
                     table=ctx.device_table(i),
                     keep=keep,

@@ -117,3 +117,54 @@ def no_stale_device_hit(monkeypatch):
         return schedule(gpu, party_id, e, f, a_share, b_share, triplet, deps, **kw)
 
     monkeypatch.setattr(beaver2pc, "schedule_secure_gemm", checked)
+
+
+FIG5_ORDER = ("E", "A", "F", "B", "Z")
+
+
+def fig5_starts(free, slots) -> dict[str, float]:
+    """Each ``(name, ready, seconds)`` slot's start when the H2D engine,
+    idle from ``free``, issues them strictly in Fig. 5's order."""
+    starts = {}
+    for name, ready, seconds in sorted(slots, key=lambda slot: FIG5_ORDER.index(slot[0])):
+        starts[name] = max(free, ready)
+        free = starts[name] + seconds
+    return starts
+
+
+@pytest.fixture
+def h2d_replay(monkeypatch):
+    """Every server-GPU product's uploads as the clock placed them,
+    beside the same uploads replayed in Fig. 5's order from the same
+    engine-free time, readiness and durations: a list of ``(placed,
+    fig5)`` dicts, slot name -> start.  Needs a traced clock."""
+    import repro.protocols.beaver2pc as beaver2pc
+
+    schedule = beaver2pc.schedule_secure_gemm
+    calls = []
+
+    def finished(tasks) -> float:
+        return max((t.finish for t in tasks if t is not None), default=0.0)
+
+    def replayed(gpu, party_id, e, f, a_share, b_share, triplet, deps=(), **kw):
+        shares = kw.get("share_deps", deps)
+        ready = {name: finished(shares if name in "AB" else deps) for name in FIG5_ORDER}
+        free, mark = gpu.clock.free_at(gpu.h2d_engine), len(gpu.clock.trace)
+        result = schedule(gpu, party_id, e, f, a_share, b_share, triplet, deps, **kw)
+        placed = [t for t in gpu.clock.trace[mark:] if t.resource == gpu.h2d_engine]
+        names = [t.label.removeprefix("h2d:") for t in placed]
+        slots = [(name, ready[name], t.duration) for name, t in zip(names, placed)]
+        calls.append(({n: t.start for n, t in zip(names, placed)}, fig5_starts(free, slots)))
+        return result
+
+    monkeypatch.setattr(beaver2pc, "schedule_secure_gemm", replayed)
+    return calls
+
+
+def assert_no_upload_later_than_fig5(calls):
+    """Every product's uploads start no later than in Fig. 5's order."""
+    assert calls
+    for placed, fig5 in calls:
+        assert placed.keys() == fig5.keys()
+        late = {name: (placed[name], fig5[name]) for name in placed if placed[name] > fig5[name]}
+        assert not late, f"uploads later than in Fig. 5's order: {late}"

@@ -1,5 +1,5 @@
 """Static-operand reuse: an unchanged weight's ``F`` and a stream's ``Z``
-are opened and uploaded once, in Fig. 5's transfer order.
+are opened and uploaded once, never later than in Fig. 5's transfer order.
 
 The rule under test lives in two places: ``SecureContext``'s mask table
 keeps the opened ``F`` of a static operand across steps (no second
@@ -13,7 +13,7 @@ no value may ever move.
 
 import numpy as np
 import pytest
-from conftest import never_reuse
+from conftest import assert_no_upload_later_than_fig5, never_reuse
 
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
@@ -139,7 +139,7 @@ class TestSchedulerResidency:
 
 
 class TestFirstAndSecondUse:
-    def test_first_matmul_schedules_what_a_run_with_nothing_resident_does(self):
+    def test_first_matmul_schedules_what_a_run_with_nothing_resident_does(self, h2d_replay):
         """fresh_triplets never keeps anything, so its schedule is the
         reference: same tasks, labels, resources and start times."""
         traces = {}
@@ -149,7 +149,8 @@ class TestFirstAndSecondUse:
             _, traces[fresh] = _step(ctx, _shared(ctx, (64, 96), 2, "x"), w)
         assert traces[False] == traces[True]
         for party in (0, 1):
-            assert _uploads(traces[False], party) == FIG5_ORDER
+            assert sorted(_uploads(traces[False], party)) == sorted(FIG5_ORDER)
+        assert_no_upload_later_than_fig5(h2d_replay)
 
     def test_second_matmul_opens_and_uploads_neither_f_nor_z(self):
         ctx = SecureContext(_cfg())
@@ -194,13 +195,16 @@ class TestInvalidation:
         assert "h2d:F" not in _uploads(tasks)
         return ctx, w
 
-    def test_weight_update_misses_on_f_only(self):
+    def test_weight_update_misses_on_f_only(self, h2d_replay):
         ctx, w = self._warm()
         held = _device_bytes(ctx)
         updated = (w - w.mul_public(0.5)).mark_static()
         assert updated.uid != w.uid
+        del h2d_replay[:]
         _, tasks = _step(ctx, _shared(ctx, (64, 96), 4, "x2"), updated)
-        assert _uploads(tasks) == FIG5_ORDER[:4]  # Z: same triplet, still resident
+        # Z: same triplet, still resident
+        assert sorted(_uploads(tasks)) == sorted(FIG5_ORDER[:4])
+        assert_no_upload_later_than_fig5(h2d_replay)
         assert _hits(ctx) == 1
         assert _device_bytes(ctx) == held  # the stale F was freed, not leaked
 
@@ -296,13 +300,14 @@ class TestInvalidation:
 
 
 class TestFreshTriplets:
-    def test_single_use_masks_are_never_cached_or_kept(self):
+    def test_single_use_masks_are_never_cached_or_kept(self, h2d_replay):
         ctx = SecureContext(_cfg(fresh_triplets=True))
         w = _shared(ctx, (96, 48), 1, "w").mark_static()
         for seed in (2, 3, 4):
             _, tasks = _step(ctx, _shared(ctx, (64, 96), seed, "x"), w)
-            assert _uploads(tasks) == FIG5_ORDER
+            assert sorted(_uploads(tasks)) == sorted(FIG5_ORDER)
             assert _device_bytes(ctx) == [0, 0]
+        assert_no_upload_later_than_fig5(h2d_replay)
         assert _hits(ctx) == 0 and _hits(ctx, "E") == 0
         ctx.begin_batch()
         assert not ctx._opened

@@ -2,6 +2,8 @@
 
 Property-based coverage (hypothesis) of the encode/decode pair over
 arbitrary dtypes, shapes (including empty and 0-d) and nested payloads;
+a fuzz of the decoder, which must meet arbitrary and hostile bytes with
+:class:`TransportError` only (it never unpickles, so it never runs code);
 exactness of :func:`frame_sizes` against the materialized frame — the
 oracle for the sizes every channel charges; and the coalescer's
 order-preservation contract.
@@ -38,7 +40,7 @@ DTYPES = (
 
 @dataclass
 class Blob:
-    """A non-array leaf for the pickle escape hatch (module-level: picklable)."""
+    """A leaf outside the frame codec's allowlist."""
 
     label: str
     data: np.ndarray
@@ -137,16 +139,36 @@ class TestCodecRoundTrip:
         tag, decoded = decode_frame(encode_frame("t", payload))
         assert_payload_equal(payload, decoded)
 
-    def test_pickle_escape_hatch_keeps_buffers_out_of_band(self):
-        big = np.arange(4096, dtype=np.uint64)
-        sizes = frame_sizes("t", Blob("x", big))
-        # body (out-of-band buffer) carries the array; the pickle
-        # skeleton in the overhead must stay tiny
-        assert sizes.body_nbytes >= big.nbytes
-        assert sizes.overhead_nbytes < 512
-        _, decoded = decode_frame(encode_frame("t", Blob("x", big)))
-        assert decoded.label == "x"
-        assert np.array_equal(decoded.data, big)
+    @pytest.mark.parametrize(
+        "leaf",
+        [Blob("x", np.arange(4)), {"k": 1}, True, 2**63, np.int64(3), np.array([object()])],
+        ids=["dataclass", "dict", "bool", "int-over-64-bits", "numpy-scalar", "object-array"],
+    )
+    def test_a_leaf_outside_the_allowlist_is_refused(self, leaf):
+        for frame in (encode_frame, frame_sizes):
+            with pytest.raises(TransportError, match="cannot carry"):
+                frame("t", [np.zeros(2), leaf])
+
+    def test_a_scalar_keeps_the_bytes_a_pickle_of_it_had(self):
+        # the int/float leaf's bytes are pinned by the golden transcripts'
+        # frame sizes (CSR deltas frame their shape as two ints)
+        for value in (0, 255, 256, 65536, -1, 2**31, -(2**63), 2**63 - 1, 1.5, -0.0):
+            skeleton = pickle.dumps(value, protocol=5)
+            assert encode_frame("t", value).endswith(
+                bytes([6]) + len(skeleton).to_bytes(8, "little") + skeleton + bytes(4)
+            )
+            _, decoded = decode_frame(encode_frame("t", value))
+            assert type(decoded) is type(value) and decoded == value
+
+    def test_a_pickled_object_is_never_loaded(self, monkeypatch):
+        def boom(*a, **k):  # pragma: no cover - must never run
+            raise AssertionError("decoder unpickled wire bytes")
+
+        monkeypatch.setattr(pickle, "loads", boom)
+        skeleton = pickle.dumps(Blob("x", np.arange(2)), protocol=5)
+        frame = encode_frame("t", None)[:-1] + bytes([6]) + len(skeleton).to_bytes(8, "little")
+        with pytest.raises(TransportError, match="not an int or a float"):
+            decode_frame(frame + skeleton + bytes(4))
 
     def test_bad_magic_rejected(self):
         with pytest.raises(TransportError, match="magic"):
@@ -220,3 +242,73 @@ class TestFrameLayout:
     def test_oversized_tag_rejected(self):
         with pytest.raises(TransportError, match="tag too long"):
             frame_sizes("x" * 70_000, None)
+
+
+def _header(tag: str = "t") -> bytes:
+    """A valid frame header: what precedes the payload."""
+    return encode_frame(tag, None)[:-1]
+
+
+def _array_part(dtype: bytes, shape) -> bytes:
+    return bytes([0, len(dtype)]) + dtype + bytes([len(shape)]) + b"".join(
+        d.to_bytes(8, "little", signed=True) for d in shape
+    )
+
+
+class TestHostileFrames:
+    """Whatever arrives, the decoder answers with a payload or a
+    TransportError: never IndexError, MemoryError, struct.error,
+    RecursionError, UnicodeDecodeError, or a numpy exception."""
+
+    @staticmethod
+    def _decode(data):
+        try:
+            decode_frame(data)
+        except TransportError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=256))
+    def test_arbitrary_bytes(self, data):
+        self._decode(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=256))
+    def test_arbitrary_payload_after_a_valid_header(self, data):
+        self._decode(_header() + data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(payloads(), st.integers(0, 2**16), st.binary(min_size=1, max_size=8))
+    def test_a_valid_frame_with_bytes_overwritten(self, payload, at, junk):
+        frame = bytearray(encode_frame("t", payload))
+        at %= len(frame)
+        frame[at : at + len(junk)] = junk
+        self._decode(bytes(frame))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([b"<u8", b"|u1", b">f8", b"<c16", b"|O", b"<V8", b"i4,i4", b"(2,)i4",
+                         b"<M8[s]", b"", b"\xff\xfe", b"zz"]),
+        st.lists(st.integers(-(2**63), 2**63 - 1), max_size=70),
+        st.binary(max_size=64),
+    )
+    def test_hostile_array_header(self, dtype, shape, body):
+        self._decode(_header() + _array_part(dtype, shape) + body)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(2**62, 4), (-1,), (-(2**63),), (0, 2**63 - 1), (2**31,) * 4, (1,) * 65],
+        ids=["overflowing-product", "negative", "most-negative", "empty-but-huge", "huge", "65-d"],
+    )
+    def test_shapes_that_claim_more_than_the_frame_holds(self, shape):
+        with pytest.raises(TransportError):
+            decode_frame(_header() + _array_part(b"<u8", shape) + bytes(64))
+
+    def test_deep_nesting_is_refused_not_a_recursion_error(self):
+        with pytest.raises(TransportError, match="nests deeper"):
+            decode_frame(_header() + bytes([2, 1, 0, 0, 0]) * 10_000 + bytes([4]))
+        with pytest.raises(TransportError, match="nests deeper"):
+            nested = None
+            for _ in range(40):
+                nested = [nested]
+            encode_frame("t", nested)
