@@ -32,7 +32,9 @@ checks, per (model, mode, compression) row:
 * a server's own shares cross PCIe while ``E``/``F`` are on the wire:
   a warm step of ``perf/``'s ``train_mlp`` takes at most 1 719.6 µs
   and of its ``train_cnn`` at most 3 075.4 µs of simulated online time
-  (1 932.8 / 3 541.7 µs while every upload waited on the exchange).
+  (1 932.8 / 3 541.7 µs while every upload waited on the exchange);
+* the Fig. 10 MLP/MNIST cell (two training batches of 128) keeps an
+  online makespan of at most :data:`FIG10_ONLINE_REFERENCE_S`.
 
 Runs standalone:
 ``PYTHONPATH=src python -m pytest benchmarks/test_workload_regression.py``.
@@ -62,10 +64,7 @@ def reference() -> list[dict]:
 def fresh(reference):
     """Re-run the suite with the committed run's parameters."""
     first = reference[0]
-    cfg = FrameworkConfig.parsecureml(
-        runtime=first.get("runtime", "lockstep"),
-        backend=first.get("backend", "beaver2pc"),
-    )
+    cfg = FrameworkConfig.parsecureml(backend=first.get("backend", "beaver2pc"))
     rows = run_workload_figures(
         cfg,
         n_batches=first["batches"],
@@ -191,6 +190,29 @@ def test_warm_train_step_makespan_holds_the_early_share_upload(workload):
     (step,) = trainer.train(x[:batch], y[:batch], batch_size=batch).batch_online_s
     assert step <= WARM_STEP_S[workload] * (1 + 1e-9), (
         f"{workload}: warm step {step * 1e6:.1f} us vs pinned {WARM_STEP_S[workload] * 1e6:.1f} us"
+    )
+
+
+#: Online makespan (s) of the Fig. 10 MLP/MNIST cell: two training batches
+#: of 128 on the default config — the one wire path (framed, E/F packed),
+#: the backward pass stopping at the first trainable layer, every value
+#: uploaded to the server GPUs once, the dealer comparison, and each H2D
+#: upload issued as soon as it is ready and no later than in Fig. 5's order.
+FIG10_ONLINE_REFERENCE_S = 0.003615436918152094
+
+
+def test_fig10_online_makespan_holds_the_pin():
+    from repro.bench.harness import build_secure_model, load_workload
+    from repro.core.context import SecureContext
+    from repro.core.training import SecureTrainer
+
+    x, y, spec = load_workload("MLP", "MNIST", n_batches=2, batch_size=128, seed=0)
+    ctx = SecureContext.create(FrameworkConfig.parsecureml())
+    model = build_secure_model(ctx, spec)
+    SecureTrainer(ctx, model, lr=0.03125, monitor_loss=False).train(x, y, batch_size=128)
+    online_s = ctx.telemetry.snapshot().gauge("phase.sim_seconds", clock="online")
+    assert online_s <= FIG10_ONLINE_REFERENCE_S * (1 + 1e-9), (
+        f"Fig. 10 online makespan {online_s} above the pinned {FIG10_ONLINE_REFERENCE_S}"
     )
 
 

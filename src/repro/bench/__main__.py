@@ -34,15 +34,9 @@ from repro.bench.workloads import BENCH_DATASETS, BENCH_MODELS, WORKLOAD_MODELS
 from repro.core.config import FrameworkConfig
 
 
-def _configs(
-    which: str,
-    *,
-    pool_size: int = 0,
-    backends: list[str] | None = None,
-    runtime: str = "lockstep",
-):
-    par = FrameworkConfig.parsecureml(runtime=runtime)
-    sml = FrameworkConfig.secureml(runtime=runtime)
+def _configs(which: str, *, pool_size: int = 0, backends: list[str] | None = None):
+    par = FrameworkConfig.parsecureml()
+    sml = FrameworkConfig.secureml()
     rows = {"par": [("ParSecureML", par)], "sml": [("SecureML", sml)],
             "both": [("SecureML", sml), ("ParSecureML", par)]}[which]
     if pool_size > 0 and which in ("par", "both"):
@@ -55,6 +49,16 @@ def _configs(
             for b in backends
         ]
     return rows
+
+
+def _write_json(path: str | None, argv: list[str] | None, rows: list[dict]) -> None:
+    """Write ``rows`` with the command that produced them (no-op without ``--json``)."""
+    if not path:
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"argv": argv if argv is not None else sys.argv[1:], "rows": rows}, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {path}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -117,12 +121,6 @@ def main(argv: list[str] | None = None) -> int:
         help="triplet-pool refill batch; adds a ParSecureML+pool row when > 0",
     )
     parser.add_argument(
-        "--runtime", choices=["lockstep", "dataflow"], default="lockstep",
-        help="task scheduling on the simulated clocks: lockstep program-"
-        "order placement (default) or the event-driven dataflow scheduler "
-        "(repro.runtime.dataflow); values are bit-identical either way",
-    )
-    parser.add_argument(
         "--backend", action="append", metavar="NAME", default=None,
         help="protocol backend to run (beaver2pc, rep3); repeat the flag "
         "to compare backends side by side in one invocation",
@@ -158,10 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     results = []
     rows = []
     if args.workloads:
-        for name, cfg in _configs(
-            "par", pool_size=args.pool_size, backends=args.backend,
-            runtime=args.runtime,
-        ):
+        for name, cfg in _configs("par", pool_size=args.pool_size, backends=args.backend):
             figure_rows = run_workload_figures(
                 cfg, n_batches=args.batches, batch_size=args.batch_size,
                 seed=args.seed,
@@ -177,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
                        if r.raw_comm_bytes else "")
                 )
                 rows.append({
-                    "system": name, "backend": cfg.backend, "runtime": cfg.runtime,
+                    "system": name, "backend": cfg.backend,
                     "model": r.model, "mode": r.mode, "compression": r.compression,
                     "batches": args.batches, "batch_size": args.batch_size,
                     "seed": args.seed,
@@ -195,12 +190,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{'':>28}   recsys CSR win: {dense[0].comm_bytes:,} -> "
                       f"{csr[0].comm_bytes:,} B on the wire "
                       f"({saved / dense[0].comm_bytes:.1%} saved)")
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump({"argv": argv if argv is not None else sys.argv[1:],
-                           "rows": rows}, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.json}")
+        _write_json(args.json, argv, rows)
         return 0
     if args.serve and args.replicas is not None:
         fleet_failed = False
@@ -208,10 +198,7 @@ def main(argv: list[str] | None = None) -> int:
             [int(c) for c in args.scale_curve.split(",")]
             if args.scale_curve else [args.replicas]
         )
-        for name, cfg in _configs(
-            args.system, pool_size=args.pool_size, backends=args.backend,
-            runtime=args.runtime,
-        ):
+        for name, cfg in _configs(args.system, pool_size=args.pool_size, backends=args.backend):
             base_tput = None
             cells = [(r, None) for r in counts]
             if args.chaos_seed is not None:
@@ -261,18 +248,10 @@ def main(argv: list[str] | None = None) -> int:
                     "conformance_ok": res.conformance_ok,
                     "per_replica": res.per_replica,
                 })
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump({"argv": argv if argv is not None else sys.argv[1:],
-                           "rows": rows}, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.json}")
+        _write_json(args.json, argv, rows)
         return 1 if fleet_failed else 0
     if args.serve:
-        for name, cfg in _configs(
-            args.system, pool_size=args.pool_size, backends=args.backend,
-            runtime=args.runtime,
-        ):
+        for name, cfg in _configs(args.system, pool_size=args.pool_size, backends=args.backend):
             res = run_serving(
                 args.model, args.dataset, cfg,
                 clients=args.clients, n_batches=args.batches,
@@ -295,17 +274,9 @@ def main(argv: list[str] | None = None) -> int:
                 "p50_s": res.p50_s, "p95_s": res.p95_s, "p99_s": res.p99_s,
             })
             _audit_row(res, rows[-1])
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump({"argv": argv if argv is not None else sys.argv[1:],
-                           "rows": rows}, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.json}")
+        _write_json(args.json, argv, rows)
         return 1 if audit_failed else 0
-    for name, cfg in _configs(
-        args.system, pool_size=args.pool_size, backends=args.backend,
-        runtime=args.runtime,
-    ):
+    for name, cfg in _configs(args.system, pool_size=args.pool_size, backends=args.backend):
         if args.inference:
             res = run_secure_inference(
                 args.model, args.dataset, cfg,
@@ -331,7 +302,6 @@ def main(argv: list[str] | None = None) -> int:
             "model": args.model,
             "dataset": args.dataset,
             "backend": cfg.backend,
-            "runtime": cfg.runtime,
             "offline_s": res.offline_s(n),
             "online_s": res.online_s(n),
             "total_s": res.total_s(n),
@@ -360,12 +330,7 @@ def main(argv: list[str] | None = None) -> int:
             if total > 0:
                 print(f"{base_name} / {name} = {base / total:.1f}x")
 
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"argv": argv if argv is not None else sys.argv[1:],
-                       "rows": rows}, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
+    _write_json(args.json, argv, rows)
     return 1 if audit_failed else 0
 
 

@@ -105,17 +105,6 @@ class FrameworkConfig:
     fault_plan: FaultPlan | None = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
 
-    # Task scheduling on the simulated clocks.  "lockstep" places every
-    # task at submission in program order (the historical model);
-    # "dataflow" defers placement to the event-driven ready-queue
-    # scheduler (repro.runtime.dataflow), which fires tasks as their
-    # operands resolve and extracts inter-layer / inter-batch /
-    # offline-under-online overlap automatically.  Cost-only: share
-    # values, RNG streams and wire contents are bit-identical either
-    # way (the "dataflow" conformance axis pins it); only task start
-    # times — and therefore makespans, never upward — may differ.
-    runtime: Literal["lockstep", "dataflow"] = "lockstep"
-
     # reproducibility
     seed: int = 0
 
@@ -133,14 +122,11 @@ class FrameworkConfig:
             raise ConfigError(f"n_streams must be >= 1, got {self.n_streams}")
         if self.pool_size < 0:
             raise ConfigError(f"pool_size must be >= 0, got {self.pool_size}")
-        for name, allowed in (
-            ("placement_mode", ("adaptive", "cpu_always", "gpu_always")),
-            ("runtime", ("lockstep", "dataflow")),
-        ):
-            if getattr(self, name) not in allowed:
-                raise ConfigError(
-                    f"{name} must be one of {allowed}, got {getattr(self, name)!r}"
-                )
+        allowed = ("adaptive", "cpu_always", "gpu_always")
+        if self.placement_mode not in allowed:
+            raise ConfigError(
+                f"placement_mode must be one of {allowed}, got {self.placement_mode!r}"
+            )
 
     # -- preset constructors ----------------------------------------------------
 

@@ -133,7 +133,7 @@ class SecureContext:
         self.telemetry = Telemetry()
 
         # --- offline side (client) -------------------------------------------
-        self.offline_clock = self._make_clock()
+        self.offline_clock = SimClock()
         self.offline_clock.set_tracing(cfg.trace)
         self.telemetry.register_clock("offline", self.offline_clock)
         # The client's encrypt path uses the Section 5.1 parallel MT19937
@@ -169,7 +169,7 @@ class SecureContext:
         self.uplink1 = self.uplinks[1]
 
         # --- online side (servers) --------------------------------------------
-        self.online_clock = self._make_clock()
+        self.online_clock = SimClock()
         self.online_clock.set_tracing(cfg.trace)
         self.telemetry.register_clock("online", self.online_clock)
         self.server_cpu = [
@@ -349,27 +349,6 @@ class SecureContext:
         if backend is not None and backend != cfg.backend:
             cfg = cfg.but(backend=backend)
         return cls(config=cfg)
-
-    def _make_clock(self):
-        """One phase clock per config.runtime: eager lockstep placement
-        or the deferred dataflow scheduler (repro.runtime.dataflow)."""
-        if self.config.runtime == "dataflow":
-            from repro.runtime.dataflow import DataflowClock
-
-            return DataflowClock()
-        return SimClock()
-
-    def finalize_runtime(self) -> None:
-        """Flush any deferred dataflow windows (no-op under lockstep).
-
-        Drivers call this before their final accounting so reported
-        makespans reflect the committed schedule, not the provisional
-        program-order estimates.
-        """
-        for clock in (self.offline_clock, self.online_clock):
-            finalize = getattr(clock, "finalize", None)
-            if finalize is not None:
-                finalize()
 
     def server_link(self, i: int, j: int) -> Channel:
         """The channel between servers ``i`` and ``j`` (order-free)."""

@@ -129,9 +129,7 @@ def run_secure_batch(
             injector.advance_step(1)
         # New online step per attempt: cached triplets issue fresh
         # shares (a retried request replays the same op streams).
-        begin_batch = getattr(ctx, "begin_batch", None)
-        if begin_batch is not None:
-            begin_batch()
+        ctx.begin_batch()
         amark = ctx.mark()
         try:
             with maybe_span(telemetry, "infer.batch", clock="online", batch=batch_label):
@@ -193,9 +191,7 @@ def secure_predict(
     sharing_offline = ctx.since(start).offline_s
     # Batched triplet provisioning on the offline clock (pool_size > 0):
     # the forward-only plan covers exactly the streams inference touches.
-    provision = getattr(ctx, "provision_for", None)
-    if provision is not None:
-        provision(model, batch_size, training=False)
+    ctx.provision_for(model, batch_size, training=False)
     outputs = []
     batch_online = []
     batches = 0
@@ -229,10 +225,6 @@ def secure_predict(
         samples += rows
         if max_batches is not None and batches >= max_batches:
             break
-    # Commit any deferred dataflow schedule before the final accounting.
-    finalize = getattr(ctx, "finalize_runtime", None)
-    if finalize is not None:
-        finalize()
     delta = ctx.since(start)
     if outputs:
         predictions = np.concatenate(outputs, axis=0)

@@ -205,9 +205,7 @@ class SecureTrainer:
         # ---- offline: batched triplet provisioning (pool_size > 0) -----------
         # Runs on the offline clock, so refills overlap the online steps
         # below by the two-clock construction; counted in setup_offline_s.
-        provision = getattr(self.ctx, "provision_for", None)
-        if provision is not None:
-            provision(self.model, batch_size, training=True)
+        self.ctx.provision_for(self.model, batch_size, training=True)
 
         # ---- online: iterate batches over the shares -------------------------
         offsets = [
@@ -226,9 +224,7 @@ class SecureTrainer:
                 injector.advance_step(1)
             # New online step (also on replay): cached triplets issue
             # fresh shares, and double-consume within the step raises.
-            begin_batch = getattr(self.ctx, "begin_batch", None)
-            if begin_batch is not None:
-                begin_batch()
+            self.ctx.begin_batch()
             batch_mark = self.ctx.mark()
             try:
                 with maybe_span(
@@ -250,14 +246,6 @@ class SecureTrainer:
 
         report.batches = len(offsets)
         report.samples = report.batches * batch_size
-        # Under the dataflow runtime the batches above only *deferred*
-        # their tasks; commit the schedule so the report's makespans are
-        # the scheduled ones.  (Per-batch batch_online_s stays the
-        # program-order estimate — overlapped batches have no disjoint
-        # per-batch attribution.)
-        finalize = getattr(self.ctx, "finalize_runtime", None)
-        if finalize is not None:
-            finalize()
         delta = self.ctx.since(start_mark)
         report.offline_s = delta.offline_s
         report.online_s = delta.online_s

@@ -434,9 +434,9 @@ class Replica:
         if self._provision_done or self.managed_provisioning:
             return
         self._provision_done = True
-        provision = getattr(self.ctx, "provision_for", None)
-        if provision is not None:
-            self._provisioned = int(provision(self.model, self.batcher.max_batch, training=False))
+        self._provisioned = int(
+            self.ctx.provision_for(self.model, self.batcher.max_batch, training=False)
+        )
 
     def _assemble(self, plan: BatchPlan) -> SharedTensor:
         """Concatenate request shares and zero-pad to the fixed shape."""

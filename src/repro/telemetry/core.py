@@ -112,17 +112,9 @@ class Telemetry:
     # -- snapshot / export -----------------------------------------------------
 
     def snapshot(self) -> TelemetrySnapshot:
-        """Freeze every series (after pinning phase gauges to the clocks).
-
-        A dataflow clock (repro.runtime.dataflow) gets its open window
-        committed first, so the phase gauges report scheduled makespans
-        rather than provisional program-order frontiers.
-        """
+        """Freeze every series (after pinning phase gauges to the clocks)."""
         phase = self.gauge("phase.sim_seconds", "simulated frontier per clock")
         for name, clock in self._clocks.items():
-            finalize = getattr(clock, "finalize", None)
-            if finalize is not None:
-                finalize()
             phase.set(clock.now(), clock=name)
         return TelemetrySnapshot.capture(self.registry, self.span_log)
 

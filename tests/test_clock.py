@@ -1,6 +1,8 @@
 """The resource-timeline simulated clock."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simgpu.clock import SimClock
 from repro.util.errors import ConfigError
@@ -107,6 +109,14 @@ class TestTrace:
         t = clock.run("a", 2.5)
         assert t.duration == 2.5
 
+    def test_busy_time_counts_work_after_since(self, clock):
+        x = clock.run("b", 10.0, label="x")
+        clock.run("a", 2.0, label="a1")
+        clock.run("a", 1.0, deps=(x,), label="a2")  # idle on a from 2 to 10
+        assert clock.busy_time("a") == 3.0
+        assert clock.busy_time("a", since=1.0) == 2.0
+        assert clock.busy_time("b") == 10.0
+
 
 class TestJoinDefaults:
     """Regression: ``join([])`` (or all-``None`` deps) produced
@@ -132,3 +142,63 @@ class TestJoinDefaults:
         clock.run("a", 1.5)
         assert clock.join([]).finish == 1.5
         assert clock.trace == []
+
+
+# -- hypothesis: random task graphs -------------------------------------------
+
+RESOURCES = ("cpu", "gpu", "net")
+
+
+@st.composite
+def dag_plans(draw, max_tasks=14):
+    """Random ``[(resource, duration, dep indices)]`` task graphs."""
+    plan = []
+    for i in range(draw(st.integers(1, max_tasks))):
+        resource = draw(st.sampled_from(RESOURCES))
+        duration = draw(st.floats(0.0, 4.0, allow_nan=False, width=32))
+        deps = draw(st.sets(st.integers(0, i - 1), max_size=3)) if i else set()
+        plan.append((resource, float(duration), tuple(sorted(deps))))
+    return plan
+
+
+def _replay(plan):
+    clock = SimClock()
+    for resource in RESOURCES:
+        clock.add_resource(resource)
+    tasks = []
+    for resource, duration, dep_idx in plan:
+        deps = tuple(tasks[i] for i in dep_idx)
+        tasks.append(clock.run(resource, duration, deps=deps, label=f"t{len(tasks)}"))
+    return clock, tasks
+
+
+@pytest.mark.property
+class TestPlacementProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(dag_plans())
+    def test_placement_is_a_valid_program_order_schedule(self, plan):
+        """Every task starts at the later of its resource's last finish
+        (program order) and its deps' finishes; so every dependency is
+        honoured, every resource is serial, and no work is lost."""
+        clock, tasks = _replay(plan)
+        last = dict.fromkeys(RESOURCES, 0.0)
+        for task, (resource, duration, dep_idx) in zip(tasks, plan):
+            ready = max([last[resource]] + [tasks[j].finish for j in dep_idx])
+            assert task.start == ready
+            assert task.finish == ready + duration
+            last[resource] = task.finish
+        assert clock.now() == max(last.values())
+        for resource in RESOURCES:
+            work = sum(d for r, d, _ in plan if r == resource)
+            assert clock.busy_time(resource) == pytest.approx(work, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dag_plans())
+    def test_makespan_monotone_vs_no_overlap_ablation(self, plan):
+        """Chaining every task behind its predecessor (the no-overlap
+        ablation) can only lengthen the schedule."""
+        chained = [
+            (resource, duration, deps + ((i - 1,) if i else ()))
+            for i, (resource, duration, deps) in enumerate(plan)
+        ]
+        assert _replay(plan)[0].now() <= _replay(chained)[0].now()

@@ -46,7 +46,6 @@ REUSE_CELLS = {
     "mask_reuse": "baseline",
     "pool+reuse": "pool",
     "chaos+reuse": "chaos",
-    "dataflow+reuse": "dataflow",
 }
 SWEEP_CELLS = sorted(CONFORMANCE_AXES) + sorted(REUSE_CELLS)
 
@@ -200,13 +199,13 @@ class TestCaseValidation:
             ConformanceCase(model="MLP", axis="baseline", backend="rep5")
 
     def test_sweep_matrix_is_complete(self):
-        # acceptance criterion: 6 paper models + attention/recsys, x 5 axes
+        # acceptance criterion: 6 paper models + attention/recsys, x 4 axes
         assert len(CONFORMANCE_MODELS) == 8
         assert "attention" in CONFORMANCE_MODELS
         assert "recsys" in CONFORMANCE_MODELS
-        # baseline + pool, no_compression, chaos, dataflow: an axis is
-        # added or removed deliberately, never by accident
-        assert len(CONFORMANCE_AXES) == 5
+        # baseline + pool, no_compression, chaos: an axis is added or
+        # removed deliberately, never by accident
+        assert len(CONFORMANCE_AXES) == 4
         assert set(BIT_IDENTICAL_AXES) < set(CONFORMANCE_AXES)
         assert set(REUSE_CELLS.values()) < set(CONFORMANCE_AXES)
 

@@ -58,11 +58,10 @@ class TestHarnessesRunTheDefaultConfig:
             "SecureML": FrameworkConfig.secureml(),
             "ParSecureML": FrameworkConfig.parsecureml(),
         }
-        rows = dict(_configs("par", pool_size=8, backends=["rep3"], runtime="dataflow"))
-        named = dict(backend="rep3", runtime="dataflow")
+        rows = dict(_configs("par", pool_size=8, backends=["rep3"]))
         assert rows == {
-            "ParSecureML[rep3]": FrameworkConfig.parsecureml(**named),
-            "ParSecureML+pool[rep3]": FrameworkConfig.parsecureml(pool_size=8, **named),
+            "ParSecureML[rep3]": FrameworkConfig.parsecureml(backend="rep3"),
+            "ParSecureML+pool[rep3]": FrameworkConfig.parsecureml(pool_size=8, backend="rep3"),
         }
 
     def test_chaos_run_is_the_default_plus_its_plan(self, monkeypatch):

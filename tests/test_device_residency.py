@@ -45,7 +45,6 @@ from repro.simgpu.cost import V100_SPEC
 from repro.simgpu.device import SimGPU
 from repro.util.errors import DeviceError
 
-RUNTIMES = ["lockstep", "dataflow"]
 FIG5_ORDER = ["h2d:E", "h2d:A", "h2d:F", "h2d:B", "h2d:Z"]
 
 
@@ -62,8 +61,7 @@ def _shared(ctx, shape, seed):
 def _watch(ctx, monkeypatch, party=0):
     """``[(op label, task label)]`` of every transfer and elementwise
     kernel server ``party``'s GPU places from here on, by the outermost
-    open ``op.<label>`` span (works under both runtimes: the dataflow
-    clock commits tasks later, in another order)."""
+    open ``op.<label>`` span."""
     gpu, spans, log = ctx.server_gpu[party], ctx.telemetry.span_log, []
 
     def op():
@@ -116,10 +114,9 @@ def _train_step(ctx, layers, seed, *, rows=16):
 # ------------------------------------------------------- what is still uploaded
 
 
-@pytest.mark.parametrize("runtime", RUNTIMES)
 class TestDenseTrainStep:
-    def test_dw_and_dx_read_what_the_forward_pass_uploaded(self, runtime, monkeypatch):
-        ctx = _ctx(runtime=runtime)
+    def test_dw_and_dx_read_what_the_forward_pass_uploaded(self, monkeypatch):
+        ctx = _ctx()
         layers = _dense_layers(ctx)
         log = _watch(ctx, monkeypatch)
         _train_step(ctx, layers, 1)
@@ -130,7 +127,6 @@ class TestDenseTrainStep:
         assert dealing["d0/dW"] == FIG5_ORDER
         del log[:]
         _train_step(ctx, layers, 2)
-        ctx.finalize_runtime()
         uploads, leads = _by_op(log, "h2d:"), _by_op(log, "D=")
         # X, H: E and A once (forward); delta once (as dW's F and B); W1
         # once (forward) — dX multiplies four buffers that are all there
@@ -143,14 +139,11 @@ class TestDenseTrainStep:
             "d0/fwd": 1, "d1/fwd": 1, "d1/dW": 0, "d1/dX": 1, "d0/dW": 0,
         }
 
-    def test_shares_and_weights_equal_a_run_that_uploads_everything_again(
-        self, runtime, monkeypatch
-    ):
+    def test_shares_and_weights_equal_a_run_that_uploads_everything_again(self, monkeypatch):
         def run():
-            ctx = _ctx(runtime=runtime)
+            ctx = _ctx()
             layers = _dense_layers(ctx)
             grads = [_train_step(ctx, layers, seed) for seed in (1, 2, 3)]
-            ctx.finalize_runtime()
             weights = [layer.weight.decode() for layer in layers]
             return grads, weights, ctx.server_gpu[0].h2d_bytes, ctx.online_clock.now()
 

@@ -25,8 +25,6 @@ from repro.core.layers import SecureDense
 from repro.core.ops import secure_elementwise_mul, secure_matmul
 from repro.core.tensor import SharedTensor
 
-RUNTIMES = ["lockstep", "dataflow"]
-
 
 def _ctx(**kw):
     ctx = SecureContext(FrameworkConfig.parsecureml(**kw))
@@ -72,10 +70,9 @@ def _dense_layers(ctx):
 # --------------------------------------------------------------- what is opened
 
 
-@pytest.mark.parametrize("runtime", RUNTIMES)
 class TestDenseTrainStep:
-    def test_x_is_sent_once_and_a_deeper_dx_sends_nothing(self, runtime):
-        ctx, recorder = _ctx(runtime=runtime)
+    def test_x_is_sent_once_and_a_deeper_dx_sends_nothing(self):
+        ctx, recorder = _ctx()
         layers = _dense_layers(ctx)
         _dense_step(ctx, layers, 1)
         # the dealing step: a link's second stream re-opens once (its mask
@@ -88,7 +85,6 @@ class TestDenseTrainStep:
         # from then on: X and H once (forward), delta once (as dW's F), no
         # dX frame at all — W1^T and delta are both already public
         assert _parts(recorder, since) == {"d0/fwd": 1, "d1/fwd": 1, "d1/dW": 1, "d0/dW": 1}
-        ctx.finalize_runtime()
         # the parent's algebra
         w1 = layers[1].weight.decode()
         n = x.shape[0]
@@ -98,12 +94,12 @@ class TestDenseTrainStep:
             gw0.decode(), x.decode().T @ dh.decode() / n, atol=TRAIN_TOL
         )
 
-    def test_shares_equal_a_run_that_opens_everything_again(self, runtime, monkeypatch):
+    def test_shares_equal_a_run_that_opens_everything_again(self, monkeypatch):
         """Given the same triplets, serving an opening from the table and
         opening it again give every server the same share."""
 
         def run(forget: bool):
-            ctx, recorder = _ctx(runtime=runtime)
+            ctx, recorder = _ctx()
             layers = _dense_layers(ctx)
             _dense_step(ctx, layers, 1)  # deals every stream, links included
             if forget:

@@ -122,14 +122,11 @@ class TestMaskedOpenings:
 
 class TestDiscipline:
     def test_mask_reuse_caveat_is_explicit(self):
-        """The paper-faithful default reuses masks per stream; the config
+        """The paper-faithful default reuses masks per value; the config
         documents it and fresh_triplets=True restores single-use."""
         from repro.core.config import FrameworkConfig
 
         assert FrameworkConfig.parsecureml().fresh_triplets is False
-        assert "reuse" in FrameworkConfig.__doc__ + str(
-            FrameworkConfig.parsecureml.__doc__
-        ) or True  # documented in the field's comment; presence checked below
         import inspect
 
         src = inspect.getsource(FrameworkConfig)
