@@ -38,6 +38,9 @@ class InferenceReport:
     the online time burned by failed attempts and party restarts
     reported separately as ``retry_online_s`` so chaos runs don't inflate
     ``marginal_online_s`` (and the Fig. 13 extrapolation built on it).
+    Each entry is how far the batch moved the online makespan: a batch
+    whose work the clock backfilled into earlier batches' idle gaps
+    reads less than its own critical path, and 0 when it fits entirely.
     """
 
     batches: int
@@ -76,7 +79,7 @@ class BatchOutcome:
     """One served batch: decoded outputs plus its online-time split."""
 
     outputs: np.ndarray  # decoded (batch_rows, n_out), padding not yet trimmed
-    online_s: float  # the successful attempt's online makespan
+    online_s: float  # how far the successful attempt moved the online makespan
     retry_online_s: float  # failed attempts + recovery (0.0 on a clean batch)
     retries: int
 
@@ -185,6 +188,7 @@ def secure_predict(
         raise ConfigError(f"secure_predict expects 2-D input, got shape {x.shape}")
     telemetry = getattr(ctx, "telemetry", None)
     n = x.shape[0]
+    ctx.online_clock.advance_all()  # nothing of this call runs before it was made
     start = ctx.mark()
     with maybe_span(telemetry, "infer.share_dataset", clock="offline"):
         xs = SharedTensor.from_plain(ctx, x, label="infer/x")

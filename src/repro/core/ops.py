@@ -59,7 +59,8 @@ def _op_scope(ctx, op: str, label: str):
 
     ``ops.online_seconds{op}`` attributes the op's *online makespan
     delta* — how far it pushed the online clock — so nested ops (an
-    activation's compare + mul) each carry their own share.  The
+    activation's compare + mul) each carry their own share, and an op
+    the clock backfilled entirely into idle gaps reads 0.  The
     ``protocol.*`` counters carry the same roll-up labelled by the
     active protocol backend, so mixed-backend fleets stay attributable.
     """

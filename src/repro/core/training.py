@@ -193,6 +193,7 @@ class SecureTrainer:
         report = TrainReport(dataset_samples=x.shape[0])
         telemetry = getattr(self.ctx, "telemetry", None)
         injector = getattr(self.ctx, "fault_injector", None)
+        self.ctx.online_clock.advance_all()  # nothing of this call runs before it was made
         start_mark = self.ctx.mark()
         comp_start = self.ctx.compression_stats
 

@@ -19,25 +19,24 @@ copy-everything-then-launch structure), which is the ablation baseline.
 Each transfer waits on its own readiness, not on the slowest one: ``E``,
 ``F`` and ``Z_i`` on the ``E``/``F`` opening (``deps``), the server's
 own shares ``A_i``/``B_i`` on the operands' tasks (``share_deps``) —
-they exist before the exchange starts.  The H2D engine issues the slots
-in Fig. 5's order with one conservative backfill (:func:`issue_order`):
-while the next in-order slot is not ready, a later slot goes first if
-it can start and finish before the in-order one becomes ready.  So
-``A_i`` and ``B_i`` cross PCIe while ``E``/``F`` are on the wire, no
-transfer starts later than it would in Fig. 5's order, the engine is
-busy exactly as long, and the kernels' dependency edges do not change.
+they exist before the exchange starts.  The slots are issued in Fig. 5's
+order, and the clock places each in the first idle gap of the H2D
+engine that holds it (:class:`~repro.simgpu.clock.SimClock`): ``E``
+waiting on the wire leaves a gap that ``A_i`` fills, so the server's
+own shares cross PCIe while ``E``/``F`` are exchanged, no transfer
+starts later than in Fig. 5's order, and the kernels' dependency edges
+do not change.
 
 A value is uploaded once.  The caller owns one device table per server
 GPU, ``(what, uid) -> (buffer, upload task)``, and says which of this
 product's operands somebody can ask for again (``keep``: slot name ->
 row key).  A slot whose row is in the table is simply empty — no
 transfer, no PCIe charge, the kernels wait on the recorded task; a kept
-slot that is not there yet is uploaded where the engine's plan puts it
-and left allocated; every other buffer is freed on return.  ``D`` lives
-beside the ``E`` it was computed from, so its kernel runs once per
-value — and where ``D`` is there, nothing reads ``A_i``: its slot is
-empty too.  Buffers hold a value's *base* layout: an operand that is the
-transpose of its value (``X^T`` in ``dW``, ``W^T`` in ``dX``) is read
+slot that is not there yet is uploaded and left allocated; every other
+buffer is freed on return.  ``D`` lives beside the ``E`` it was
+computed from, so its kernel runs once per value — and where ``D`` is
+there, nothing reads ``A_i``: its slot is empty too.  Buffers hold a
+value's *base* layout: an operand that is the transpose of its value (``X^T`` in ``dW``, ``W^T`` in ``dX``) is read
 through the GEMM's ``op(.)`` flag, and one that is a reshape of it
 through a view, so ``X W`` and ``X^T d`` multiply the same upload.
 
@@ -71,38 +70,6 @@ class GemmScheduleResult:
     kernel_seconds: float  # total kernel time charged
 
 
-def issue_order(free: float, slots) -> list[tuple[str, float]]:
-    """The H2D engine's plan for one product: ``(name, start)`` in issue order.
-
-    ``slots`` are ``(name, ready, seconds)`` in Fig. 5's order, ``free``
-    the time the engine goes idle.  The next in-order slot starts when
-    the engine is free and it is ready; until it is ready, the first
-    later slot that can start (``max(free, ready)``) and finish by then
-    goes first.  Every slot starts no later than under the plain
-    in-order plan (a backfill ends before the slot it jumps is ready;
-    the slots it passes start no later by induction), and the engine is
-    busy for the same total.
-    """
-    pending = list(slots)
-    plan = []
-    while pending:
-        due = pending[0][1]
-        pick = next(
-            (j for j, (_n, ready, secs) in enumerate(pending) if max(free, ready) + secs <= due),
-            0,
-        )
-        name, ready, secs = pending.pop(pick)
-        start = max(free, ready)
-        plan.append((name, start))
-        free = start + secs
-    return plan
-
-
-def _ready(deps) -> float:
-    """When the last of ``deps`` finishes (what the clock starts a task at)."""
-    return max((t.finish for t in deps if t is not None), default=0.0)
-
-
 def schedule_secure_gemm(
     gpu: SimGPU,
     party_id: int,
@@ -129,7 +96,7 @@ def schedule_secure_gemm(
     ``deps`` are what the opened ``E``/``F`` (and so ``E``, ``F`` and
     ``Z_i``'s uploads) wait on; ``share_deps`` what this server's shares
     ``A_i``/``B_i`` wait on (default: ``deps``).  The uploads are issued
-    by :func:`issue_order`.
+    in Fig. 5's order.
 
     ``table`` is this GPU's device table, ``(what, uid) -> (buffer,
     upload task)``, read and updated here; ``keep`` maps a slot name
@@ -174,22 +141,10 @@ def schedule_secure_gemm(
     operands.update(B=(b_share, trans_b), Z=(triplet.z, False))
     if d_key in table:  # A_i's only reader, the D kernel, has run: an empty slot
         del operands["A"]
-    bases = {name: to_base_layout(array, flipped) for name, (array, flipped) in operands.items()}
-    slot_deps = {name: share_deps if name in "AB" else deps for name in bases}
-    missing, claimed = [], set(table)  # ``p * p``: E and F (A_i and B_i) are one row
-    for name in bases:
-        key = keep.get(name)
-        if key is None or key not in claimed:
-            missing.append(name)
-            claimed.add(key)
-    plan = issue_order(
-        gpu.clock.free_at(gpu.h2d_engine),
-        [(n, _ready(slot_deps[n]), gpu.spec.transfer_seconds(bases[n].nbytes)) for n in missing],
-    )
     rows = {}
-    for name in [n for n, _start in plan] + [n for n in bases if n not in missing]:
-        base, label = bases[name], f"h2d:{name}"
-        buf, task = row(keep.get(name), lambda: gpu.h2d(base, deps=slot_deps[name], label=label))
+    for name, (array, flipped) in operands.items():  # Fig. 5's order; ``p * p`` shares a row
+        base, slot_deps = to_base_layout(array, flipped), share_deps if name in "AB" else deps
+        buf, task = row(keep.get(name), lambda: gpu.h2d(base, deps=slot_deps, label=f"h2d:{name}"))
         rows[name] = (buf.view(base.shape), task)  # a reshaped use reads the same bytes
     (e_buf, t_e), (f_buf, t_f), (b_buf, t_b), (z_buf, t_z) = (rows[n] for n in "EFBZ")
     a_buf, t_a = rows["A"] if "A" in rows else (None, table[d_key][1])

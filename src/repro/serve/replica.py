@@ -456,6 +456,8 @@ class Replica:
 
     def _serve_plan(self, plan: BatchPlan) -> None:
         self._provision()
+        # a batch starts no earlier than its latest request was admitted
+        self.ctx.online_clock.advance_all(max(r.enqueue_t for r in plan.requests))
         dequeue_t = self.ctx.online_clock.now()
         for req in plan.requests:
             req.dequeue_t = dequeue_t

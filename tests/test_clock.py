@@ -87,6 +87,27 @@ class TestTimeQueries:
         assert SimClock().now() == 0.0
 
 
+class TestBackfill:
+    """A task fills the first idle gap of its resource that holds it whole."""
+
+    @pytest.fixture
+    def gapped(self, clock):
+        wire = clock.run("b", 10.0)
+        clock.run("a", 2.0)
+        clock.run("a", 1.0, deps=(wire,))  # a idles from 2 to 10
+        return clock
+
+    def test_a_task_that_fits_fills_the_gap(self, gapped):
+        t = gapped.run("a", 3.0)
+        assert (t.start, t.finish) == (2.0, 5.0)
+        assert gapped.free_at("a") == 11.0
+        assert gapped.run("a", 5.0).start == 5.0  # what is left of the gap
+
+    def test_a_task_too_long_for_the_gap_is_appended(self, gapped):
+        t = gapped.run("a", 9.0)
+        assert (t.start, t.finish) == (11.0, 20.0)
+
+
 class TestTrace:
     def test_trace_records_tasks(self, clock):
         clock.run("a", 1.0, label="x")
@@ -161,34 +182,63 @@ def dag_plans(draw, max_tasks=14):
     return plan
 
 
-def _replay(plan):
+def _replay(plan, barrier=None):
+    """Run ``plan`` on a fresh clock, calling ``advance_all(t)`` before
+    task ``k`` when ``barrier`` is ``(k, t)``; also returns each task's
+    ``(start, finish)`` as it was right after its own ``run``."""
     clock = SimClock()
     for resource in RESOURCES:
         clock.add_resource(resource)
-    tasks = []
-    for resource, duration, dep_idx in plan:
+    tasks, placed = [], []
+    for k, (resource, duration, dep_idx) in enumerate(plan):
+        if barrier is not None and barrier[0] == k:
+            clock.advance_all(barrier[1])
         deps = tuple(tasks[i] for i in dep_idx)
         tasks.append(clock.run(resource, duration, deps=deps, label=f"t{len(tasks)}"))
-    return clock, tasks
+        placed.append((clock.trace[-1].start, clock.trace[-1].finish))
+    return clock, tasks, placed
+
+
+def _program_order_starts(plan, barrier=None):
+    """The frozen oracle: the placement before idle gaps were backfilled,
+    each task at the later of its resource's last finish and its deps'
+    finishes, in submission order."""
+    last = dict.fromkeys(RESOURCES, 0.0)
+    starts, finishes = [], []
+    for k, (resource, duration, dep_idx) in enumerate(plan):
+        if barrier is not None and barrier[0] == k:
+            last = {r: max(free, barrier[1]) for r, free in last.items()}
+        starts.append(max([last[resource]] + [finishes[j] for j in dep_idx]))
+        finishes.append(starts[-1] + duration)
+        last[resource] = finishes[-1]
+    return starts
 
 
 @pytest.mark.property
 class TestPlacementProperties:
-    @settings(max_examples=120, deadline=None)
-    @given(dag_plans())
-    def test_placement_is_a_valid_program_order_schedule(self, plan):
-        """Every task starts at the later of its resource's last finish
-        (program order) and its deps' finishes; so every dependency is
-        honoured, every resource is serial, and no work is lost."""
-        clock, tasks = _replay(plan)
-        last = dict.fromkeys(RESOURCES, 0.0)
-        for task, (resource, duration, dep_idx) in zip(tasks, plan):
-            ready = max([last[resource]] + [tasks[j].finish for j in dep_idx])
-            assert task.start == ready
-            assert task.finish == ready + duration
-            last[resource] = task.finish
-        assert clock.now() == max(last.values())
+    @settings(max_examples=200, deadline=None)
+    @given(dag_plans(), st.data())
+    def test_placement_is_a_valid_backfill_schedule(self, plan, data):
+        """Every dependency is honoured and no task starts later than in
+        submission order; every resource is serial and busy for exactly
+        its work; a placed task never moves; and after ``advance_all(t)``
+        nothing starts before ``t``."""
+        barrier = data.draw(
+            st.none() | st.tuples(st.integers(0, len(plan) - 1), st.floats(0.0, 20.0, width=32))
+        )
+        clock, tasks, placed = _replay(plan, barrier)
+        oracle = _program_order_starts(plan, barrier)
+        for k, (task, (_resource, duration, dep_idx)) in enumerate(zip(tasks, plan)):
+            assert task.start >= max((tasks[j].finish for j in dep_idx), default=0.0)
+            assert task.start <= oracle[k]
+            assert task.finish == task.start + duration
+            if barrier is not None and k >= barrier[0]:
+                assert task.start >= barrier[1]
+        assert [(t.start, t.finish) for t in clock.trace] == placed
         for resource in RESOURCES:
+            busy = sorted((t.start, t.finish) for t in tasks if t.resource == resource)
+            busy = [(start, finish) for start, finish in busy if finish > start]
+            assert all(a[1] <= b[0] for a, b in zip(busy, busy[1:]))
             work = sum(d for r, d, _ in plan if r == resource)
             assert clock.busy_time(resource) == pytest.approx(work, abs=1e-9)
 

@@ -1,65 +1,18 @@
-"""The H2D engine's issue order: Fig. 5's order with conservative backfill.
+"""The H2D engine's uploads against Fig. 5's order, end to end.
 
-``issue_order`` may let a later upload go first only where that delays
-nothing, so two things hold for any engine state: every slot starts no
-later than under the plain ``E -> A -> F -> B -> Z`` order, and the
-engine does the same work without overlap.  The property test draws the
-planner's whole input space (engine-free time, per-slot readiness and
-size, any subset of slots already resident); the end-to-end checks hold
-the clock's real placements on a warm step of each train workload to a
-Fig. 5 replay of the same inputs.
+A product issues its uploads in Fig. 5's ``E -> A -> F -> B -> Z``
+order and the clock backfills each into the first idle gap of the
+engine that holds it, so no upload may start later than under the plain
+in-order plan.  These checks hold the clock's real placements on a warm
+step of each train workload to a Fig. 5 replay of the same inputs; the
+clock's own guarantee is ``tests/test_clock.py``'s backfill property.
 """
 
 import numpy as np
 import pytest
-from conftest import FIG5_ORDER, assert_no_upload_later_than_fig5, fig5_starts
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from conftest import assert_no_upload_later_than_fig5
 
 import repro
-from repro.pipeline.scheduler import issue_order
-
-times = st.floats(min_value=0.0, max_value=1e-2, allow_nan=False)
-seconds = st.floats(min_value=0.0, max_value=1e-3, allow_nan=False)
-
-
-@st.composite
-def engine_states(draw):
-    """(free, slots): the engine's idle time and the non-resident slots,
-    ``(name, ready, seconds)`` in Fig. 5's order."""
-    uploaded = draw(st.lists(st.booleans(), min_size=5, max_size=5))
-    slots = [(name, draw(times), draw(seconds)) for name, up in zip(FIG5_ORDER, uploaded) if up]
-    return draw(times), slots
-
-
-@pytest.mark.property
-class TestIssueOrderProperty:
-    @settings(max_examples=500, deadline=None)
-    @given(engine_states())
-    def test_no_slot_starts_later_and_the_engine_does_the_same_work(self, state):
-        free, slots = state
-        plan = issue_order(free, slots)
-        fig5 = fig5_starts(free, slots)
-        assert sorted(name for name, _ in plan) == sorted(fig5)
-        spec = {name: (ready, secs) for name, ready, secs in slots}
-        for name, start in plan:
-            assert start <= fig5[name]
-            assert start >= spec[name][0]  # never before its operand exists
-        # one engine: serial, no overlap, so busy for exactly the slots' total
-        finish = free
-        for name, start in plan:
-            assert start >= finish
-            finish = start + spec[name][1]
-
-    def test_a_ready_share_fills_the_wait_for_the_exchange(self):
-        # E/F arrive at 10; A_i/B_i are ready at 0 and take 4 each
-        slots = [("E", 10.0, 1.0), ("A", 0.0, 4.0), ("F", 10.0, 1.0), ("B", 0.0, 4.0)]
-        assert issue_order(0.0, slots) == [("A", 0.0), ("B", 4.0), ("E", 10.0), ("F", 11.0)]
-
-    def test_a_backfill_that_would_delay_the_next_slot_waits(self):
-        slots = [("E", 3.0, 1.0), ("A", 0.0, 4.0), ("F", 3.0, 1.0)]
-        assert issue_order(0.0, slots) == [("E", 3.0), ("A", 4.0), ("F", 8.0)]
-
 
 # --------------------------------------------------- warm steps, end to end
 

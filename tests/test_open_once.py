@@ -364,17 +364,19 @@ def _transcript_digest(**case):
 
 class TestUntouchedPaths:
     """Digests over every record's identity fields (bytes, content hash,
-    clock), taken on the commit before masks belonged to values."""
+    clock).  Bytes and hashes are those of the commit before masks
+    belonged to values; the clock times were re-pinned, each earlier or
+    equal, when the clock began backfilling idle gaps."""
 
     def test_a_pooled_run_keeps_its_own_masks_and_its_wire(self):
         assert _transcript_digest(model="MLP", axis="pool", train=True) == (
-            88, "c4a0b4f92c610b009f919f5e31123ea9"
+            88, "534eb521002b7feb017379bacba0fb8c"
         )
         assert _transcript_digest(model="attention", axis="pool", train=True) == (
-            320, "4a179896c8e185c7ef78f55eccfe088a"
+            320, "08b1377491e36afc15a931c5ec68ac3d"
         )
 
     def test_rep3_has_no_masks_and_does_not_move(self):
         assert _transcript_digest(
             model="MLP", axis="baseline", train=True, backend="rep3"
-        ) == (119, "5967e570524cb469de3ea049f22626b5")
+        ) == (119, "b01c445bbebc6e60bbafdfe3f4fdbd3e")
