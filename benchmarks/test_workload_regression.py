@@ -39,7 +39,10 @@ checks, per (model, mode, compression) row:
   ``infer_mlp_rep3`` unit) keeps an online makespan of at most
   :data:`REP3_PREDICT_ONLINE_S` (7 425.5 µs with batches back to back);
 * the Fig. 10 MLP/MNIST cell (two training batches of 128) keeps an
-  online makespan of at most :data:`FIG10_ONLINE_REFERENCE_S`.
+  online makespan of at most :data:`FIG10_ONLINE_REFERENCE_S`;
+* a warm MLP/MNIST inference batch is strictly faster online than a
+  cold one (Fig. 11: an unchanged weight's ``F`` is opened once and,
+  with every stream's ``Z``, stays on the server GPUs).
 
 Runs standalone:
 ``PYTHONPATH=src python -m pytest benchmarks/test_workload_regression.py``.
@@ -237,6 +240,17 @@ def test_fig10_online_makespan_holds_the_pin():
     online_s = ctx.telemetry.snapshot().gauge("phase.sim_seconds", clock="online")
     assert online_s <= FIG10_ONLINE_REFERENCE_S * (1 + 1e-9), (
         f"Fig. 10 online makespan {online_s} above the pinned {FIG10_ONLINE_REFERENCE_S}"
+    )
+
+
+def test_fig11_reuse_online_strictly_faster():
+    """Marginal batch (the first excluded) against a lone, cold batch."""
+    cfg = FrameworkConfig.parsecureml()
+    cold = run_secure_inference("MLP", "MNIST", cfg, n_batches=1, batch_size=128, seed=0)
+    warm = run_secure_inference("MLP", "MNIST", cfg, n_batches=3, batch_size=128, seed=0)
+    assert warm.per_batch_online_s < cold.per_batch_online_s, (
+        f"warm batch {warm.per_batch_online_s:.6f}s should beat a cold one "
+        f"{cold.per_batch_online_s:.6f}s"
     )
 
 

@@ -52,7 +52,6 @@ from repro.core.resnet import SecureResNet
 from repro.core.tensor import SharedTensor
 from repro.core.training import SecureTrainer, TrainReport
 from repro.serve import (
-    DealerService,
     FleetRouter,
     QueueFullError,
     Replica,
@@ -107,7 +106,6 @@ __all__ = [
     "Replica",
     "SecureServingFleet",
     "FleetRouter",
-    "DealerService",
     "ServeReport",
     "QueueFullError",
     "FaultPlan",

@@ -15,7 +15,7 @@ simulated GPUs, channels, compressors, telemetry — and hands back the
     print(ctx.telemetry.report())
 
 :func:`serve` stands up the serving layer — N replica deployments (each
-its own session) behind the fleet router with a shared dealer::
+its own session) behind the fleet router::
 
     fleet = repro.api.serve(
         lambda ctx: repro.SecureMLP(ctx, 64, hidden=(32,), n_out=10),
@@ -104,12 +104,10 @@ def serve(
         scale on p95 latency watermarks.
     replica_config:
         Optional ``(index, base_config) -> FrameworkConfig`` hook for
-        per-replica config shaping (chaos plans, pool sizes).
+        per-replica config shaping (chaos plans, backends).
     backend:
         Protocol backend every replica runs (``"beaver2pc"`` default,
-        ``"rep3"`` for dealer-free 3-party replicated sharing); the
-        fleet's shared :class:`~repro.serve.dealer.DealerService`
-        no-ops for dealer-free replicas.
+        ``"rep3"`` for dealer-free 3-party replicated sharing).
     """
     from repro.serve.fleet import SecureServingFleet
 

@@ -6,8 +6,8 @@ A conformance case builds the secure model under one configuration,
 copies its decoded initial weights into the plain twin, runs both on
 the same data, and asserts the outputs agree within fixed-point
 tolerance.  Sweeping the six paper models plus the attention/recsys
-workloads across the optimization axes (triplet pool, delta
-compression, a resilient channel under a chaos seed) is the regression
+workloads across the optimization axes (delta compression, a
+resilient channel under a chaos seed) is the regression
 oracle for "no optimization changed the arithmetic".  Opening every
 value once (one mask per value, DESIGN §5b) is not an axis: it is on
 in every cell, so each axis is swept *with* it, and a case of three or
@@ -22,8 +22,6 @@ Two strengths of agreement:
 * **bit-identity** (secure vs secure): knobs in
   :data:`BIT_IDENTICAL_AXES` change only *costs* (bytes, seconds), so
   flipping them must reproduce the baseline predictions bit-for-bit.
-  The pool axis is excluded — pooled provisioning draws triplets from a
-  different RNG stream and truncation rounding is share-dependent.
 
 Geometry is deliberately tiny (8x8 images, hidden widths of 6-8) so the
 full sweep stays in tier-1 test budgets; conformance is about agreement,
@@ -75,7 +73,6 @@ CONFORMANCE_MODELS = ("MLP", "CNN", "RNN", "linear", "logistic", "SVM", "attenti
 #: overrides on the ParSecureML preset.
 CONFORMANCE_AXES: dict[str, dict[str, Any]] = {
     "baseline": {},
-    "pool": {"pool_size": 4},
     "no_compression": {"compression": False},
     "chaos": {"fault_plan": FaultPlan(seed=7, drop=0.04, delay=0.04)},
 }

@@ -7,8 +7,7 @@ Examples::
     python -m repro.bench linear NIST --inference    # forward-only (Fig. 13)
     python -m repro.bench MLP MNIST --serve --clients 8   # serving-layer latency
     python -m repro.bench MLP MNIST --batches 4 --no-extrapolate
-    python -m repro.bench MLP MNIST --system par --pool-size 8 \\
-        --json BENCH_offline.json                    # batched offline phase
+    python -m repro.bench MLP MNIST --system par --json BENCH_offline.json
 
 Prints the same per-phase numbers the benchmark suite aggregates into
 the paper's tables; see ``pytest benchmarks/ --benchmark-only`` for the
@@ -34,14 +33,11 @@ from repro.bench.workloads import BENCH_DATASETS, BENCH_MODELS, WORKLOAD_MODELS
 from repro.core.config import FrameworkConfig
 
 
-def _configs(which: str, *, pool_size: int = 0, backends: list[str] | None = None):
+def _configs(which: str, *, backends: list[str] | None = None):
     par = FrameworkConfig.parsecureml()
     sml = FrameworkConfig.secureml()
     rows = {"par": [("ParSecureML", par)], "sml": [("SecureML", sml)],
             "both": [("SecureML", sml), ("ParSecureML", par)]}[which]
-    if pool_size > 0 and which in ("par", "both"):
-        pooled = dataclasses.replace(par, pool_size=pool_size)
-        rows = [*rows, ("ParSecureML+pool", pooled)]
     if backends:
         rows = [
             (f"{name}[{b}]", dataclasses.replace(cfg, backend=b))
@@ -117,10 +113,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--plain", action="store_true",
                         help="also run the non-secure CPU and GPU baselines")
     parser.add_argument(
-        "--pool-size", type=int, default=0,
-        help="triplet-pool refill batch; adds a ParSecureML+pool row when > 0",
-    )
-    parser.add_argument(
         "--backend", action="append", metavar="NAME", default=None,
         help="protocol backend to run (beaver2pc, rep3); repeat the flag "
         "to compare backends side by side in one invocation",
@@ -156,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     results = []
     rows = []
     if args.workloads:
-        for name, cfg in _configs("par", pool_size=args.pool_size, backends=args.backend):
+        for name, cfg in _configs("par", backends=args.backend):
             figure_rows = run_workload_figures(
                 cfg, n_batches=args.batches, batch_size=args.batch_size,
                 seed=args.seed,
@@ -198,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
             [int(c) for c in args.scale_curve.split(",")]
             if args.scale_curve else [args.replicas]
         )
-        for name, cfg in _configs(args.system, pool_size=args.pool_size, backends=args.backend):
+        for name, cfg in _configs(args.system, backends=args.backend):
             base_tput = None
             cells = [(r, None) for r in counts]
             if args.chaos_seed is not None:
@@ -251,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         _write_json(args.json, argv, rows)
         return 1 if fleet_failed else 0
     if args.serve:
-        for name, cfg in _configs(args.system, pool_size=args.pool_size, backends=args.backend):
+        for name, cfg in _configs(args.system, backends=args.backend):
             res = run_serving(
                 args.model, args.dataset, cfg,
                 clients=args.clients, n_batches=args.batches,
@@ -276,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
             _audit_row(res, rows[-1])
         _write_json(args.json, argv, rows)
         return 1 if audit_failed else 0
-    for name, cfg in _configs(args.system, pool_size=args.pool_size, backends=args.backend):
+    for name, cfg in _configs(args.system, backends=args.backend):
         if args.inference:
             res = run_secure_inference(
                 args.model, args.dataset, cfg,
@@ -293,8 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         scope = f"{args.batches} measured batches" if args.no_extrapolate else (
             f"one paper-scale epoch ({res.spec.paper_batches} batches)"
         )
-        label = f"{name:>16}" if args.pool_size else f"{name:>12}"
-        print(f"{label}:  offline {res.offline_s(n):10.3f}s   "
+        print(f"{name:>12}:  offline {res.offline_s(n):10.3f}s   "
               f"online {res.online_s(n):10.3f}s   total {res.total_s(n):10.3f}s   [{scope}]")
         results.append((name, res.total_s(n)))
         rows.append({
@@ -309,7 +300,6 @@ def main(argv: list[str] | None = None) -> int:
             "server_bytes": res.server_bytes,
             "raw_comm_bytes": res.raw_comm_bytes,
             "wire_comm_bytes": res.wire_comm_bytes,
-            "pool_size": cfg.pool_size,
         })
         _audit_row(res, rows[-1])
 

@@ -437,7 +437,6 @@ def run_fleet(
             "batches": r.batches,
             "padded_rows": r.padded_rows,
             "retried_batches": r.retried_batches,
-            "provisioned_triplets": r.provisioned_triplets,
             "offline_s": r.offline_s,
             "online_s": r.online_s,
             "p95_s": r.latency.get("p95", 0.0),

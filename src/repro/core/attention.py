@@ -38,8 +38,6 @@ from repro.core.layers import SecureDense, SecureLayer
 from repro.core.models import SecureModel
 from repro.core.tensor import SharedTensor
 from repro.fixedpoint.ring import ring_sum
-from repro.mpc.pool import TripletRequest, hadamard_stream, matmul_stream
-from repro.mpc.softmax import plan_softmax_streams
 from repro.util.errors import ProtocolError, ShapeError
 
 __all__ = ["SecureAttention", "SecureAttentionBlock"]
@@ -198,33 +196,6 @@ class SecureAttentionBlock(SecureLayer):
 
     def parameters(self) -> list[SharedTensor]:
         return [self.w_qkv, self.w_o]
-
-    def plan_streams(
-        self, in_shape: tuple[int, ...], *, training: bool, input_grad: bool = True
-    ) -> tuple[list[TripletRequest], tuple[int, ...]]:
-        b = in_shape[0]
-        s, d = self.seq_len, self.d_model
-        bs = b * s
-        proj = matmul_stream((bs, d), (d, d))
-        by_key = matmul_stream((b, s, d), (b, d, s))  # (b,s,d) against a transposed (b,s,d)
-        by_weight = matmul_stream((b, s, s), (b, s, d))  # (b,s,s) weights mixing (b,s,d)
-        reqs = [matmul_stream((bs, d), (d, 3 * d))]  # qkv
-        reqs.append(by_key)  # qk
-        reqs.extend(plan_softmax_streams(bs, s, self.ctx.encoder.frac_bits))
-        reqs.append(by_weight)  # av
-        reqs.append(proj)  # output projection
-        if training:
-            reqs.append(matmul_stream((d, bs), (bs, d)))  # dWo
-            reqs.append(proj)  # dC
-            reqs.append(by_key)  # dA
-            reqs.append(by_weight)  # dV
-            reqs.append(hadamard_stream((bs, s)))  # sm1
-            reqs.append(hadamard_stream((bs, s)))  # sm2
-            reqs.extend([by_weight] * 2)  # dQ, dK
-            reqs.append(matmul_stream((d, bs), (bs, 3 * d)))  # dWqkv
-            if input_grad:
-                reqs.append(matmul_stream((bs, 3 * d), (3 * d, d)))  # dX
-        return reqs, (b, d)
 
 
 class SecureAttention(SecureModel):

@@ -71,18 +71,6 @@ class FrameworkConfig:
     # 5b).
     fresh_triplets: bool = False
 
-    # Batched offline provisioning.  pool_size > 0 banks pre-generated
-    # triplets per op-stream shape, refilled in fused dealer batches of
-    # at most pool_size (one stacked ring GEMM + one vectorised mask
-    # draw + one upload per refill) — the --pool-size bench knob.  0
-    # disables the pool: every triplet is generated synchronously at
-    # first use, the historical behaviour.  The pool banks every
-    # stream's own (U, V, Z), so a pooled context does not share masks
-    # between the products of one value (DESIGN 5b): for training
-    # pool_size > 0 is dominated by 0, online and offline; it pays on
-    # forward-only runs (ROADMAP diet (c) has the follow-up).
-    pool_size: int = 0
-
     # CPU optimisations (Section 5.1).  cpu_parallel governs the servers'
     # online helpers; client_parallel governs the client's encrypt path.
     # The client code is infrastructure shared by both evaluated systems
@@ -120,8 +108,6 @@ class FrameworkConfig:
             )
         if self.n_streams < 1:
             raise ConfigError(f"n_streams must be >= 1, got {self.n_streams}")
-        if self.pool_size < 0:
-            raise ConfigError(f"pool_size must be >= 0, got {self.pool_size}")
         allowed = ("adaptive", "cpu_always", "gpu_always")
         if self.placement_mode not in allowed:
             raise ConfigError(

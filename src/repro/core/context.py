@@ -32,7 +32,6 @@ again (:meth:`SecureContext.device_keep`), so a value is uploaded once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +44,6 @@ from repro.faults.reliable import ResilientChannel
 from repro.fixedpoint.encoding import FixedPointEncoder
 from repro.fixedpoint.ring import ring_add, ring_mul
 from repro.mpc.comparison import ComparisonBundle, ComparisonDealer, comparison_offline_bytes
-from repro.mpc.pool import TripletPool, TripletRequest
-from repro.mpc.prandom import ThreadSafeGeneratorPool, parallel_uniform_ring
-from repro.mpc.shares import SharePair
 from repro.mpc.triplets import (
     BeaverMask,
     ElementwiseTriplet,
@@ -279,25 +275,6 @@ class SecureContext:
         # iterations unless fresh_triplets (see FrameworkConfig docs)
         self._matrix_triplets: dict[str, MatrixTriplet] = {}
         self._elementwise_triplets: dict[str, ElementwiseTriplet] = {}
-
-        # Batched offline provisioning (pool_size > 0): a shape-keyed
-        # bank of pre-generated triplets, refilled by the fused batch
-        # generators below on the offline clock.  Label-cache misses
-        # draw from the pool before falling back to synchronous
-        # generation; fresh_triplets bypasses the pool entirely.
-        self._mask_pool = ThreadSafeGeneratorPool(
-            min(8, cfg.cpu_spec.n_cores), seed=self.seeds.seed_for("triplet-pool")
-        )
-        self.triplet_pool = (
-            TripletPool(
-                self._gen_matrix_triplet_batch,
-                self._gen_elementwise_triplet_batch,
-                max_batch=cfg.pool_size,
-                telemetry=self.telemetry,
-            )
-            if cfg.pool_size > 0 and self.backend.needs_dealer
-            else None
-        )
 
         # Online-step epoch for the per-batch consumption guard: drivers
         # call begin_batch() before each step; cached triplets then issue
@@ -553,9 +530,8 @@ class SecureContext:
         for a transposed view, the same array reshaped for a reshaped
         one, ``V = U`` when both operands are the same value — and the
         dealer draws, splits and uploads only what is new.  Operands of
-        ``None`` (standalone use), a context outside ``begin_batch``
-        steps and a pooled one (the pool banked whole draws before the
-        first step) deal every side its own mask.
+        ``None`` (standalone use) and a context outside ``begin_batch``
+        steps deal every side its own mask.
 
         Returns the ``U``, ``V``, ``Z`` share pairs and the two
         :class:`~repro.mpc.triplets.MaskView`.
@@ -638,16 +614,8 @@ class SecureContext:
         self._triplets_generated.inc(1, kind="elementwise", shape=str(shape))
         return ElementwiseTriplet(u=u, v=v, z=z, shape=shape, masks=masks)
 
-    # --------------------------------------------- batched offline provisioning
-
-    def _pool_uniform(self, shape: tuple[int, ...]) -> np.ndarray:
-        """One vectorised mask draw for a whole refill stack (Section 5.1)."""
-        if len(shape) >= 2:
-            return parallel_uniform_ring(shape, self._mask_pool)
-        return self._dealer_rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-
     def _client_matmul_batched(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Fused ``Z = U x V`` over a (B,m,k) x (B,k,n) refill stack.
+        """Fused ``Z = U x V`` over a (B,m,k) x (B,k,n) stacked triplet.
 
         One strided-batched launch on the client GPU (one PCIe round
         trip for the whole stack) when profitable; otherwise B
@@ -658,135 +626,17 @@ class SecureContext:
         decision = self.profiler.place_gemm_batched(count, m, k, n)
         if decision.placement == "gpu" and self.client_gpu is not None:
             gpu = self.client_gpu
-            u_buf, t_u = gpu.h2d(u, label="pool:h2d:U")
-            v_buf, t_v = gpu.h2d(v, label="pool:h2d:V")
-            z_buf, t_z = gpu.gemm_ring_batched(u_buf, v_buf, deps=(t_u, t_v), label="pool:U@V")
-            z, _ = gpu.d2h(z_buf, deps=(t_z,), label="pool:d2h:Z")
+            u_buf, t_u = gpu.h2d(u, label="offline:h2d:U")
+            v_buf, t_v = gpu.h2d(v, label="offline:h2d:V")
+            z_buf, t_z = gpu.gemm_ring_batched(
+                u_buf, v_buf, deps=(t_u, t_v), label="offline:U@V"
+            )
+            z, _ = gpu.d2h(z_buf, deps=(t_z,), label="offline:d2h:Z")
             for b in (u_buf, v_buf, z_buf):
                 gpu.free(b)
             return z
-        z, _ = self.client_cpu.gemm_ring_batched(u, v, label="pool:U@V")
+        z, _ = self.client_cpu.gemm_ring_batched(u, v, label="offline:U@V")
         return z
-
-    def _gen_matrix_triplet_batch(self, shape_a, shape_b, count: int) -> list[MatrixTriplet]:
-        """Fused offline generation of ``count`` same-shaped matrix triplets.
-
-        The whole refill is one vectorised mask draw, one batched ring
-        GEMM, one share split and one upload message per server — the
-        per-triplet fixed costs (curand warm-up, kernel launches, PCIe
-        and channel latency) are paid once per batch instead of once
-        per triplet.
-        """
-        *stack, m, k = shape_a
-        n = shape_b[-1]
-        depth = count * math.prod(stack)  # stacked triplets refill as one deeper stack
-        with self.telemetry.span("pool.refill", clock="offline", kind="matrix", count=count):
-            # Per-phase sub-spans: how a refill's offline time splits
-            # between mask drawing, the dealer GEMM, share splitting and
-            # the upload (see EXPERIMENTS.md, offline-makespan analysis).
-            with self.telemetry.span("pool.refill.rng", clock="offline", kind="matrix"):
-                u = self._pool_uniform((depth, m, k))
-                v = self._pool_uniform((depth, k, n))
-                self._charge_client_rng(u.nbytes + v.nbytes, "pool:rng")
-            with self.telemetry.span("pool.refill.gemm", clock="offline", kind="matrix"):
-                z = self._client_matmul_batched(u, v)
-            with self.telemetry.span("pool.refill.share", clock="offline", kind="matrix"):
-                u_pair = self._share_with_timing(u, "pool:U")
-                v_pair = self._share_with_timing(v, "pool:V")
-                z_pair = self._share_with_timing(z, "pool:Z")
-            with self.telemetry.span("pool.refill.upload", clock="offline", kind="matrix"):
-                self._upload(
-                    u.nbytes + v.nbytes + z.nbytes, "pool:upload",
-                    contents=tuple(
-                        (getattr(u_pair, f"share{i}"), getattr(v_pair, f"share{i}"),
-                         getattr(z_pair, f"share{i}"))
-                        for i in (0, 1)
-                    ),
-                )
-        self._triplets_generated.inc(
-            count, kind="matrix", shape=f"{tuple(shape_a)}x{tuple(shape_b)}", source="pool"
-        )
-
-        def split(pair, shape) -> list[SharePair]:
-            """Each triplet's slice of the two servers' refill stacks."""
-            s0, s1 = (s.reshape(count, *shape) for s in (pair.share0, pair.share1))
-            return [SharePair(s0[i], s1[i]) for i in range(count)]
-
-        return [
-            MatrixTriplet(u=u_i, v=v_i, z=z_i, shape_a=tuple(shape_a), shape_b=tuple(shape_b))
-            for u_i, v_i, z_i in zip(
-                split(u_pair, shape_a), split(v_pair, shape_b), split(z_pair, (*stack, m, n))
-            )
-        ]
-
-    def _gen_elementwise_triplet_batch(self, shape, count: int) -> list[ElementwiseTriplet]:
-        """Fused generation of ``count`` same-shaped elementwise triplets."""
-        stack = (count, *tuple(shape))
-        with self.telemetry.span("pool.refill", clock="offline", kind="elementwise", count=count):
-            with self.telemetry.span("pool.refill.rng", clock="offline", kind="elementwise"):
-                u = self._pool_uniform(stack)
-                v = self._pool_uniform(stack)
-                self._charge_client_rng(u.nbytes + v.nbytes, "pool:rng")
-            with self.telemetry.span("pool.refill.gemm", clock="offline", kind="elementwise"):
-                z = ring_mul(u, v)
-                self._charge_client_elementwise(3 * u.nbytes, "pool:mul")
-            with self.telemetry.span("pool.refill.share", clock="offline", kind="elementwise"):
-                u_pair = self._share_with_timing(u, "pool:U")
-                v_pair = self._share_with_timing(v, "pool:V")
-                z_pair = self._share_with_timing(z, "pool:Z")
-            with self.telemetry.span("pool.refill.upload", clock="offline", kind="elementwise"):
-                self._upload(
-                    3 * u.nbytes, "pool:upload",
-                    contents=tuple(
-                        (getattr(u_pair, f"share{i}"), getattr(v_pair, f"share{i}"),
-                         getattr(z_pair, f"share{i}"))
-                        for i in (0, 1)
-                    ),
-                )
-        self._triplets_generated.inc(
-            count, kind="elementwise", shape=str(tuple(shape)), source="pool"
-        )
-        return [
-            ElementwiseTriplet(
-                u=SharePair(u_pair.share0[i], u_pair.share1[i]),
-                v=SharePair(v_pair.share0[i], v_pair.share1[i]),
-                z=SharePair(z_pair.share0[i], z_pair.share1[i]),
-                shape=tuple(shape),
-            )
-            for i in range(count)
-        ]
-
-    def provision_offline(self, requests: list[TripletRequest]) -> int:
-        """Bank triplets for ``requests`` in the pool (no-op without one)."""
-        if self.triplet_pool is None or self.config.fresh_triplets or not requests:
-            return 0
-        return self.triplet_pool.provision(requests)
-
-    def provision_demand(self, demand) -> int:
-        """Bank triplets for aggregated ``{(kind, shapes): count}`` demand.
-
-        The multi-consumer provisioning path (fleet dealer service):
-        same guards as :meth:`provision_offline`, but takes demand
-        already merged across consumers.
-        """
-        if self.triplet_pool is None or self.config.fresh_triplets or not demand:
-            return 0
-        return self.triplet_pool.provision_demand(demand)
-
-    def provision_for(self, model, batch_size: int, *, training: bool = True) -> int:
-        """Provision the pool from a model's declared ``offline_plan``.
-
-        Called by the drivers after dataset sharing, on the offline
-        clock — refills therefore overlap the subsequent online steps by
-        the two-clock construction.  Returns triplets banked (0 when the
-        pool is off, fresh_triplets is on, or the model has no plan).
-        """
-        if self.triplet_pool is None or self.config.fresh_triplets:
-            return 0
-        plan = getattr(model, "offline_plan", None)
-        if plan is None:
-            return 0
-        return self.provision_offline(plan(batch_size, training=training))
 
     def begin_batch(self) -> None:
         """Advance the online step: the per-batch consumption guard, and
@@ -821,11 +671,8 @@ class SecureContext:
 
     @property
     def _links_masks(self) -> bool:
-        """Whether streams share masks here: inside ``begin_batch`` steps,
-        and not where a pool banked every stream's own draws beforehand."""
-        return self._batch_epoch is not None and (
-            self.triplet_pool is None or self.config.fresh_triplets
-        )
+        """Whether streams share masks here: inside ``begin_batch`` steps."""
+        return self._batch_epoch is not None
 
     def _mask_opened_this_step(self, operand) -> BeaverMask | None:
         """The mask that opened ``operand``'s value in this online step."""
@@ -865,7 +712,7 @@ class SecureContext:
         # stale, on the host and on the GPUs
         dead = {view.mask.uid}
         if outlives_step:
-            # a re-dealt stream side (ragged batch, pool retake) drew a
+            # a re-dealt stream side (a ragged batch) drew a
             # new mask; nobody can ask for what its old one opened
             owner = view.mask.owner
             dead.update(
@@ -958,15 +805,6 @@ class SecureContext:
 
     # ---------------------------------------------------- per-label triplet API
 
-    @staticmethod
-    def _own_masks(triplet, label: str, operands) -> None:
-        """A triplet dealt elsewhere (the pool): ``U`` and ``V`` are its
-        stream's own masks."""
-        triplet.masks = tuple(
-            MaskView.over(pair, (label, side), operand is not None and operand.transposed)
-            for pair, side, operand in zip((triplet.u, triplet.v), "EF", operands)
-        )
-
     def _masks_fit(self, triplet, operands) -> bool:
         """Whether a cached triplet's masks may open ``operands`` now.
 
@@ -976,7 +814,7 @@ class SecureContext:
         this step, or both sides share it and the operands differ.  The
         stream is then re-dealt, on fresh masks where it must.
         """
-        if triplet.masks is None or None in operands:
+        if None in operands:
             return True
         left, right = triplet.masks
         if left.mask is right.mask and operands[0].uid != operands[1].uid:
@@ -994,12 +832,10 @@ class SecureContext:
                 return False
         return True
 
-    def _stream_triplet(self, cache: dict, label: str, operands, same_shape, take, deal):
-        """Op stream ``label``'s triplet from ``cache``, dealt (or taken
-        from the pool) when there is none that fits."""
+    def _stream_triplet(self, cache: dict, label: str, operands, same_shape, deal):
+        """Op stream ``label``'s triplet from ``cache``, dealt when there
+        is none that fits."""
         if self.config.fresh_triplets:
-            # Single-use triplets bypass the pool: pooled material is
-            # pre-drawn, which is exactly what fresh_triplets forbids.
             triplet = deal()
             triplet.begin_use(None, label)
             return triplet
@@ -1007,11 +843,7 @@ class SecureContext:
         if cached is None or not same_shape(cached) or not self._masks_fit(cached, operands):
             if cached is not None:  # nobody can ask for the old triplet's Z
                 self._free_device([("Z", cached.uid)])
-            pooled = take(self.triplet_pool) if self.triplet_pool is not None else None
-            # Pool exhaustion (or no pool): synchronous generation.
-            cached = cache[label] = pooled if pooled is not None else deal()
-        if cached.masks is None:
-            self._own_masks(cached, label, operands)
+            cached = cache[label] = deal()
         cached.begin_use(self._batch_epoch, label)
         return cached
 
@@ -1034,7 +866,6 @@ class SecureContext:
         return self._stream_triplet(
             self._matrix_triplets, label, operands,
             lambda cached: (cached.shape_a, cached.shape_b) == shapes,
-            lambda pool: pool.take_matrix(*shapes),
             lambda: self.gen_matrix_triplet(*shapes, label=label, operands=operands),
         )
 
@@ -1056,7 +887,6 @@ class SecureContext:
         return self._stream_triplet(
             self._elementwise_triplets, label, operands,
             lambda cached: cached.shape == shape,
-            lambda pool: pool.take_elementwise(shape),
             lambda: self.gen_elementwise_triplet(shape, label=label, operands=operands),
         )
 

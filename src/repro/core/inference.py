@@ -10,7 +10,7 @@ Every batch goes through :func:`run_secure_batch`, which is also the
 execution core of the serving layer (:mod:`repro.serve`): one fixed-shape
 forward pass with the fault-retry loop around it.  Ragged tails are
 padded to the batch shape and trimmed after decoding (mask-and-trim), so
-pooled triplets and label-cached offline material always see one shape
+label-cached offline material always sees one shape
 and no input row is ever silently dropped.
 """
 
@@ -176,7 +176,7 @@ def secure_predict(
     Every input row is served: a ragged tail (``n % batch_size != 0``,
     including ``n < batch_size``) is zero-padded to the full batch shape
     — both servers' shares pad with zeros, so the pad rows decode to 0
-    and pooled/label-cached triplets still match — and the pad rows are
+    and label-cached triplets still match — and the pad rows are
     trimmed from the decoded output.  ``report.predictions`` therefore
     has exactly ``x.shape[0]`` rows (``max_batches`` permitting), and an
     empty input yields a ``(0, n_out)`` array.
@@ -193,9 +193,6 @@ def secure_predict(
     with maybe_span(telemetry, "infer.share_dataset", clock="offline"):
         xs = SharedTensor.from_plain(ctx, x, label="infer/x")
     sharing_offline = ctx.since(start).offline_s
-    # Batched triplet provisioning on the offline clock (pool_size > 0):
-    # the forward-only plan covers exactly the streams inference touches.
-    ctx.provision_for(model, batch_size, training=False)
     outputs = []
     batch_online = []
     batches = 0

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.core import ops
 from repro.core.tensor import SharedTensor
-from repro.mpc.pool import TripletRequest, hadamard_stream, matmul_stream
 from repro.simgpu.kernels import col2im, conv_output_size, im2col
 from repro.util.errors import ProtocolError, ShapeError
 
@@ -47,19 +46,6 @@ class SecureLayer:
 
     def parameters(self) -> list[SharedTensor]:
         return []
-
-    def plan_streams(
-        self, in_shape: tuple[int, ...], *, training: bool, input_grad: bool = True
-    ) -> tuple[list[TripletRequest], tuple[int, ...]]:
-        """(triplet demand of one step, output shape) for a given input.
-
-        Drives the pool's batched offline provisioning: the model walks
-        its layers' plans once to learn exactly which triplets one
-        forward (+ backward when ``training``) will request;
-        ``input_grad`` mirrors :meth:`backward`'s keyword.  The base
-        layer demands nothing and passes the shape through.
-        """
-        return [], in_shape
 
 
 class SecureDense(SecureLayer):
@@ -115,18 +101,6 @@ class SecureDense(SecureLayer):
     def parameters(self) -> list[SharedTensor]:
         return [self.weight, self.bias]
 
-    def plan_streams(
-        self, in_shape: tuple[int, ...], *, training: bool, input_grad: bool = True
-    ) -> tuple[list[TripletRequest], tuple[int, ...]]:
-        b = in_shape[0]
-        m, n = self.in_features, self.out_features
-        reqs = [matmul_stream((b, m), (m, n))]  # fwd
-        if training:
-            reqs.append(matmul_stream((m, b), (b, n)))  # dW
-            if input_grad:
-                reqs.append(matmul_stream((b, n), (n, m)))  # dX
-        return reqs, (b, n)
-
 
 class SecureActivation(SecureLayer):
     """Non-linear layer (``relu`` or the paper's Eq. 9 ``piecewise``)."""
@@ -155,18 +129,6 @@ class SecureActivation(SecureLayer):
         # derivative is the 0/1 mask in both supported kinds, so the
         # chain rule is one fixed x indicator product (single scale).
         return ops.secure_elementwise_mul(delta, self._mask, label=f"{self.name}/bwd")
-
-    def plan_streams(
-        self, in_shape: tuple[int, ...], *, training: bool, input_grad: bool = True
-    ) -> tuple[list[TripletRequest], tuple[int, ...]]:
-        # Both kinds consume one elementwise triplet forward (mask
-        # product) and one backward; the comparisons are not pooled.
-        if len(in_shape) < 2:
-            return [], in_shape
-        reqs = [hadamard_stream(in_shape)]
-        if training and input_grad:
-            reqs.append(hadamard_stream(in_shape))
-        return reqs, in_shape
 
 
 class SecureConv2D(SecureLayer):
@@ -276,20 +238,6 @@ class SecureConv2D(SecureLayer):
     def parameters(self) -> list[SharedTensor]:
         return [self.weight]
 
-    def plan_streams(
-        self, in_shape: tuple[int, ...], *, training: bool, input_grad: bool = True
-    ) -> tuple[list[TripletRequest], tuple[int, ...]]:
-        b = in_shape[0]
-        rows = b * self.out_h * self.out_w  # im2col rows
-        fan_in = self.kernel * self.kernel * self.in_shape[2]
-        oc = self.out_channels
-        reqs = [matmul_stream((rows, fan_in), (fan_in, oc))]  # fwd
-        if training:
-            reqs.append(matmul_stream((fan_in, rows), (rows, oc)))  # dW
-            if input_grad:
-                reqs.append(matmul_stream((rows, oc), (oc, fan_in)))  # dX
-        return reqs, (b, self.out_h * self.out_w * oc)
-
 
 class SecureAvgPool2D(SecureLayer):
     """Average pooling — linear, so it runs locally on shares.
@@ -358,12 +306,6 @@ class SecureAvgPool2D(SecureLayer):
         return SharedTensor(
             ctx=self.ctx, shares=tuple(shares), kind="fixed", tasks=scaled.tasks
         )
-
-    def plan_streams(
-        self, in_shape: tuple[int, ...], *, training: bool, input_grad: bool = True
-    ) -> tuple[list[TripletRequest], tuple[int, ...]]:
-        # Linear layer: no triplets, just shrink the feature map.
-        return [], (in_shape[0], int(np.prod(self.out_shape)))
 
 
 class SecureRNNCell(SecureLayer):

@@ -34,7 +34,6 @@ from repro.core.layers import (
     SecureRNNCell,
 )
 from repro.core.tensor import SharedTensor
-from repro.mpc.pool import TripletRequest, hadamard_stream, matmul_stream
 from repro.util.errors import ProtocolError, ShapeError
 
 
@@ -96,31 +95,6 @@ class SecureModel:
 
     def parameters(self) -> list[SharedTensor]:
         return [p for layer in self.layers for p in layer.parameters()]
-
-    def offline_plan(
-        self, batch_size: int, *, training: bool = True
-    ) -> list[TripletRequest]:
-        """Exact per-step triplet demand for batched offline provisioning.
-
-        Walks the layer stack's :meth:`SecureLayer.plan_streams` with
-        shape propagation.  Because op streams cache one triplet per
-        label, this is also the *total* demand of a run (under the
-        default ``fresh_triplets=False``), so the pool can pre-generate
-        everything in fused batches before the first online step.
-        Follows :meth:`backward`'s stop rule: no backward streams below
-        the first trainable layer, no input-gradient streams for it.
-        Models whose ``train_batch`` departs from the plain
-        forward/backward walk override this.
-        """
-        requests: list[TripletRequest] = []
-        shape: tuple[int, ...] = (batch_size,)
-        stop = self._first_trainable()
-        for i, layer in enumerate(self.layers):
-            layer_reqs, shape = layer.plan_streams(
-                shape, training=training and i >= stop, input_grad=i > stop
-            )
-            requests.extend(layer_reqs)
-        return requests
 
 
 class SecureMLP(SecureModel):
@@ -213,17 +187,6 @@ class SecureSVM(SecureModel):
         self.dense.bias = self.dense.bias - grad_b.mul_public(lr)
         return scores
 
-    def offline_plan(
-        self, batch_size: int, *, training: bool = True
-    ) -> list[TripletRequest]:
-        b, d = batch_size, self.dense.in_features
-        requests = [matmul_stream((b, d), (d, 1))]  # scores
-        if training:
-            requests.append(hadamard_stream((b, 1)))  # svm/ys
-            requests.append(hadamard_stream((b, 1)))  # svm/coeff
-            requests.append(matmul_stream((d, b), (b, 1)))  # svm/dW
-        return requests
-
 
 class SecureRNN(SecureModel):
     """Elman RNN over (batch, time, features) + dense readout.
@@ -268,26 +231,3 @@ class SecureRNN(SecureModel):
         self.readout.apply_gradients(lr)
         self.cell.apply_gradients(lr)
         return pred
-
-    def offline_plan(
-        self, batch_size: int, *, training: bool = True
-    ) -> list[TripletRequest]:
-        b = batch_size
-        sf, h = self.step_features, self.cell.hidden
-        n_out = self.readout.out_features
-        requests: list[TripletRequest] = []
-        for _t in range(self.n_steps):
-            requests.append(matmul_stream((b, sf), (sf, h)))  # x@Wx
-            requests.append(matmul_stream((b, h), (h, h)))  # h@Wh
-            requests.append(hadamard_stream((b, h)))  # relu mask product
-        requests.append(matmul_stream((b, h), (h, n_out)))  # readout fwd
-        if training:
-            requests.append(matmul_stream((h, b), (b, n_out)))  # readout dW
-            requests.append(matmul_stream((b, n_out), (n_out, h)))  # readout dX
-            for t in range(self.n_steps):
-                requests.append(hadamard_stream((b, h)))  # bptt mask
-                requests.append(matmul_stream((sf, b), (b, h)))  # dWx
-                requests.append(matmul_stream((h, b), (b, h)))  # dWh
-                if t + 1 < self.n_steps:
-                    requests.append(matmul_stream((b, h), (h, h)))  # dH
-        return requests

@@ -2,7 +2,7 @@
 
 The MPC-friendly embedding lookup: the client one-hot (or multi-hot)
 encodes its categorical features and the servers compute
-``one_hot @ table`` as an ordinary pooled triplet GEMM — data-dependent
+``one_hot @ table`` as an ordinary Beaver-triplet GEMM — data-dependent
 gather indices would leak which rows were touched, so the oblivious
 formulation pays a full GEMM whose *plaintext* is sparse.
 
@@ -31,7 +31,6 @@ from repro.core import ops
 from repro.core.layers import SecureActivation, SecureDense, SecureLayer
 from repro.core.models import SecureModel
 from repro.core.tensor import SharedTensor
-from repro.mpc.pool import TripletRequest, matmul_stream
 from repro.util.errors import ProtocolError, ShapeError
 
 __all__ = ["SecureEmbedding", "SecureRecsys"]
@@ -88,18 +87,6 @@ class SecureEmbedding(SecureLayer):
 
     def parameters(self) -> list[SharedTensor]:
         return [self.weight]
-
-    def plan_streams(
-        self, in_shape: tuple[int, ...], *, training: bool, input_grad: bool = True
-    ) -> tuple[list[TripletRequest], tuple[int, ...]]:
-        b = in_shape[0]
-        v, e = self.in_features, self.out_features
-        reqs = [matmul_stream((b, v), (v, e))]  # fwd
-        if training:
-            reqs.append(matmul_stream((v, b), (b, e)))  # dW
-            if input_grad:
-                reqs.append(matmul_stream((b, e), (e, v)))  # dX
-        return reqs, (b, e)
 
 
 class SecureRecsys(SecureModel):

@@ -21,7 +21,6 @@ from repro.core import ops
 from repro.core.layers import SecureConv2D, SecureDense, SecureLayer
 from repro.core.models import SecureModel
 from repro.core.tensor import SharedTensor
-from repro.mpc.pool import TripletRequest, hadamard_stream
 from repro.util.errors import ShapeError
 
 
@@ -110,19 +109,6 @@ class SecureResidualBlock(SecureLayer):
 
     def parameters(self) -> list[SharedTensor]:
         return [*self.conv1.parameters(), *self.conv2.parameters()]
-
-    def plan_streams(
-        self, in_shape: tuple[int, ...], *, training: bool, input_grad: bool = True
-    ) -> tuple[list[TripletRequest], tuple[int, ...]]:
-        reqs1, shape1 = self.conv1.plan_streams(
-            in_shape, training=training, input_grad=input_grad
-        )
-        reqs2, shape2 = self.conv2.plan_streams(shape1, training=training)
-        relu1, relu2 = hadamard_stream(shape1), hadamard_stream(shape2)
-        reqs = [*reqs1, relu1, *reqs2, relu2]  # relu mask products
-        if training:
-            reqs.extend([relu2, relu1])  # drelu2, drelu1
-        return reqs, shape2
 
 
 class SecureResNet(SecureModel):

@@ -265,7 +265,7 @@ class SharedTensor:
         ``pad_to`` zero-pads the slice to a fixed row count: every
         server appends the same all-zero rows, which is a valid additive
         sharing of 0 — so a ragged tail batch keeps the full batch shape
-        (pooled triplets and label-cached offline material still match)
+        (label-cached offline material still matches)
         and the pad rows decode to 0 for the caller to trim.
         """
         parts = [np.ascontiguousarray(s[lo:hi]) for s in self.shares]

@@ -203,11 +203,6 @@ class SecureTrainer:
             ys = SharedTensor.from_plain(self.ctx, y, label="dataset/y")
         report.sharing_offline_s = self.ctx.since(start_mark).offline_s
 
-        # ---- offline: batched triplet provisioning (pool_size > 0) -----------
-        # Runs on the offline clock, so refills overlap the online steps
-        # below by the two-clock construction; counted in setup_offline_s.
-        self.ctx.provision_for(self.model, batch_size, training=True)
-
         # ---- online: iterate batches over the shares -------------------------
         offsets = [
             lo

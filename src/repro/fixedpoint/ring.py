@@ -55,7 +55,7 @@ def ring_add(a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None) -> 
 
     ``out=`` writes the result into an existing uint64 array (which may
     alias an operand), skipping the intermediate allocation — the fast
-    path the triplet pool and the GEMM scheduler use on their hot loops.
+    path the GEMM scheduler uses on its hot loop.
     """
     a, b = _as_ring(a), _as_ring(b)
     with np.errstate(over="ignore"):
@@ -159,8 +159,7 @@ def ring_matmul_batched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``a`` is (B, m, k) and ``b`` is (B, k, n); returns (B, m, n).  Same
     kernel as :func:`ring_matmul`, with each limb product one batched
-    ``np.matmul`` over the whole stack instead of B separate calls — the
-    dealer-side fusion the offline pool relies on.
+    ``np.matmul`` over the whole stack instead of B separate calls.
     """
     a, b = _as_ring(a), _as_ring(b)
     check_stacked_matmul_compatible(a, b)

@@ -9,8 +9,6 @@ baseline) and ParSecureML (the accelerated framework) run on:
   bit generators);
 * :mod:`repro.mpc.triplets` — Beaver multiplication triplets for matrix,
   elementwise, and convolution products (the client/offline phase);
-* :mod:`repro.mpc.pool` — batched offline provisioning: a shape-keyed
-  triplet bank refilled by fused dealer batches;
 * :mod:`repro.mpc.protocol` — the online masked-multiplication protocol
   (paper Eqs. 4-8), independent of any transport;
 * :mod:`repro.mpc.comparison` — dealer-assisted secure comparison used by
@@ -24,7 +22,6 @@ from repro.mpc.triplets import (
     ElementwiseTriplet,
     TripletDealer,
 )
-from repro.mpc.pool import TripletPool, TripletRequest, matmul_stream, hadamard_stream
 from repro.mpc.protocol import (
     masked_difference,
     combine_masked,
@@ -43,10 +40,6 @@ __all__ = [
     "MatrixTriplet",
     "ElementwiseTriplet",
     "TripletDealer",
-    "TripletPool",
-    "TripletRequest",
-    "matmul_stream",
-    "hadamard_stream",
     "masked_difference",
     "combine_masked",
     "beaver_matmul_share",

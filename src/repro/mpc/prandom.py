@@ -106,10 +106,10 @@ def parallel_uniform_ring(
     the call is deterministic given the pool's seed and shape, and no two
     workers ever write the same cache line.
 
-    ``shape`` may also be a stacked (B, m, k) triple — the triplet pool's
-    fused mask draw: the stack is treated as one (B*m, k) matrix, so a
-    whole refill batch is a single vectorised draw (one partitioning,
-    one pass) instead of B separate ones.
+    ``shape`` may also be a stacked (B, m, k) triple: the stack is
+    treated as one (B*m, k) matrix, so the whole stack is a single
+    vectorised draw (one partitioning, one pass) instead of B separate
+    ones.
 
     If ``executor`` is omitted the blocks run sequentially (still using
     the per-worker streams, so results are identical either way — a

@@ -38,9 +38,7 @@ shape ``(b, d)`` the pipeline is:
 6. **normalize** — one final Hadamard ``softmax = exp * recip``.
 
 Everything interactive is an elementwise-triplet or comparison stream,
-so the exact offline demand is a list of ``hadamard_stream`` requests
-(:func:`plan_softmax_streams`) — comparisons are not pooled, matching
-the activation layers.
+each dealt per op on first use like any other.
 
 :func:`softmax_reference` mirrors the identical composition in float64.
 The plain twins use it, so the conformance sweep measures *fixed-point*
@@ -56,14 +54,12 @@ import numpy as np
 
 from repro.core import ops
 from repro.core.tensor import SharedTensor
-from repro.mpc.pool import TripletRequest, hadamard_stream
 from repro.util.errors import ProtocolError, ShapeError
 
 __all__ = [
     "SOFTMAX_CLAMP",
     "SOFTMAX_SQUARINGS",
     "newton_iterations",
-    "plan_softmax_streams",
     "softmax_error_bound",
     "softmax_protocol",
     "softmax_reference",
@@ -186,28 +182,6 @@ def softmax_protocol(ctx, x: SharedTensor, *, label: str) -> SharedTensor:
 
     # 6. normalize.
     return ops.secure_elementwise_mul(p, _bcast_cols(y, d), label=f"{label}/norm")
-
-
-def plan_softmax_streams(batch: int, d: int, frac_bits: int) -> list[TripletRequest]:
-    """Exact elementwise-triplet demand of one softmax invocation.
-
-    Mirrors :func:`softmax_protocol` step for step (comparisons are not
-    pooled, matching the activation layers' plans).
-    """
-    requests: list[TripletRequest] = []
-    w = d
-    while w > 1:  # tournament selects
-        h = w // 2
-        requests.append(hadamard_stream((batch, h)))
-        w = h + (w - 2 * h)
-    requests.append(hadamard_stream((batch, d)))  # clamp select
-    requests.append(hadamard_stream((batch, d)))  # u^2 Taylor base
-    requests.extend(hadamard_stream((batch, d)) for _ in range(SOFTMAX_SQUARINGS))
-    for _ in range(1, newton_iterations(d, frac_bits)):
-        requests.append(hadamard_stream((batch, 1)))  # s * y
-        requests.append(hadamard_stream((batch, 1)))  # y * (2 - s y)
-    requests.append(hadamard_stream((batch, d)))  # normalize
-    return requests
 
 
 def softmax_reference(logits: np.ndarray, *, frac_bits: int = 13) -> np.ndarray:

@@ -143,8 +143,7 @@ class StepProfiler:
 
         The CPU runs the stack as ``batch`` sequential GEMMs; the GPU
         pays one strided-batched launch plus the stacked transfers —
-        batching shifts the break-even point toward the GPU, which is
-        the point of the pool's dealer fusion.
+        batching shifts the break-even point toward the GPU.
         """
         cpu = batch * self.cpu_spec.gemm_seconds(m, k, n)
         gpu = self.gpu_spec.batched_gemm_seconds(batch, m, k, n, tensor_core=self.tensor_core)

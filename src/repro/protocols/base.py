@@ -40,7 +40,7 @@ class ProtocolBackend:
     name: str = "abstract"
     #: number of computing servers the substrate runs on
     n_parties: int = 2
-    #: whether a trusted dealer provisions correlated randomness
+    #: whether a trusted dealer deals correlated randomness
     #: (Beaver triplets / comparison bundles) in the offline phase
     needs_dealer: bool = True
     #: the two parties that execute the 2-party comparison core (and

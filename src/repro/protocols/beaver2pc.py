@@ -6,7 +6,7 @@ record for record by ``tests/data/beaver2pc_mlp_train_transcript.json``
 bytes move on purpose).
 
 Two servers hold additive shares; a trusted dealer (the data-owning
-client, per the paper) provisions Beaver triplets and comparison
+client, per the paper) deals Beaver triplets and comparison
 bundles in the offline phase.  Multiplication opens the masked
 differences ``E = X - U`` / ``F = Y - V`` (Eq. 4-5) through the
 delta-compression layer and applies the fused Eq. 8 product on the

@@ -3,7 +3,7 @@
 The serving stack in layers:
 
 * **Replica** (:mod:`repro.serve.replica`) — one secure deployment
-  (its own server pair, triplet pool, clocks) behind the replica
+  (its own server pair, dealer, clocks) behind the replica
   protocol ``submit / poll / drain / stats``: a bounded
   :class:`RequestQueue` with retryable admission control, an
   :class:`AdaptiveBatcher` coalescing requests into fixed-shape batches
@@ -13,10 +13,8 @@ The serving stack in layers:
 * **Fleet** (:mod:`repro.serve.fleet`) — N replicas behind a
   :class:`FleetRouter` with pluggable placement
   (:mod:`repro.serve.placement`: consistent-hash affinity or
-  least-queue-depth), one shared :class:`DealerService` provisioning
-  every pool from aggregated offline demand, crash recovery that
-  re-routes admitted requests (exactly-once, zero drops), an optional
-  p95-watermark autoscaler (:mod:`repro.serve.autoscale`), and a
+  least-queue-depth), crash recovery that re-routes admitted requests
+  (exactly-once, zero drops), an optional p95-watermark autoscaler (:mod:`repro.serve.autoscale`), and a
   journal-replay conformance oracle (:func:`replay_replica_journal`).
 
 Quickstart::
@@ -34,7 +32,6 @@ Quickstart::
 
 from repro.serve.autoscale import AutoscalePolicy, FleetAutoscaler
 from repro.serve.batcher import AdaptiveBatcher, BatchPlan
-from repro.serve.dealer import DealerService, demand_map
 from repro.serve.fleet import (
     FleetReport,
     FleetResponse,
@@ -66,7 +63,6 @@ __all__ = [
     # fleet layer
     "AutoscalePolicy",
     "ConsistentHashPlacement",
-    "DealerService",
     "FleetAutoscaler",
     "FleetReport",
     "FleetResponse",
@@ -75,7 +71,6 @@ __all__ = [
     "LeastDepthPlacement",
     "PlacementPolicy",
     "SecureServingFleet",
-    "demand_map",
     "make_placement",
     "replay_replica_journal",
     # errors

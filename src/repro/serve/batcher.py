@@ -4,7 +4,7 @@ The batcher turns queued requests into fixed-shape batch plans under two
 knobs, the classic serving trade-off:
 
 * ``max_batch`` — the fixed batch shape every plan is padded to (the
-  shape pooled triplets and label-cached offline material are keyed on);
+  shape label-cached offline material is keyed on);
 * ``max_wait_s`` — how long the head request may age on the online
   clock before a partial batch is cut anyway.
 
@@ -80,8 +80,7 @@ class AdaptiveBatcher:
     def demand(self, queue: RequestQueue) -> int:
         """Batches a full drain of the current queue will run.
 
-        The server keys pool provisioning off this: the demand plan for
-        ``demand()`` batches of the fixed ``max_batch`` shape is exactly
-        the offline material the drain will consume.
+        Every one of them runs at the fixed ``max_batch`` shape, so the
+        drain deals no triplet the first batch has not dealt already.
         """
         return math.ceil(queue.depth_rows / self.max_batch)

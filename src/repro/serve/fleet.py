@@ -1,14 +1,13 @@
-"""The sharded secure-serving fleet: router, replicas, shared dealer.
+"""The sharded secure-serving fleet: router, replicas, autoscaler.
 
 One :class:`~repro.serve.replica.Replica` is one secure deployment —
-one server pair, one pool, one pair of clocks.  The fleet scales that
+one server pair, one dealer, one pair of clocks.  The fleet scales that
 horizontally: N replicas (each built from the same ``model_factory``
-on its own :class:`~repro.core.context.SecureContext`) behind a
+on its own :class:`~repro.core.context.SecureContext`, whose client
+deals each op stream's triplet on first use) behind a
 :class:`FleetRouter` front-end with pluggable placement
-(:mod:`repro.serve.placement`), one shared
-:class:`~repro.serve.dealer.DealerService` provisioning every replica's
-triplet pool from aggregated offline demand, and an optional
-latency-watermark autoscaler (:mod:`repro.serve.autoscale`).
+(:mod:`repro.serve.placement`) and an optional latency-watermark
+autoscaler (:mod:`repro.serve.autoscale`).
 
 Delivery contract — *admitted exactly once*: every request the fleet
 accepts is answered exactly once, crashes included.  A replica whose
@@ -21,8 +20,8 @@ bypass admission (they were admitted once already), so backpressure can
 reject but never drop.
 
 Conformance: the fleet journals every operation it applies to each
-replica (submits with payloads, dealer provisioning, pump/drain calls
-and their outcomes, crash recoveries).  With ``audit=True`` each
+replica (submits with payloads, pump/drain calls and their outcomes,
+crash recoveries).  With ``audit=True`` each
 replica records its wire transcript, and :meth:`verify_conformance`
 replays each journal on a fresh standalone replica with the same
 config — the replay must be bit-identical, transcript and predictions
@@ -53,7 +52,6 @@ from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
 from repro.faults.blame import PartyFailure
 from repro.serve.autoscale import AutoscalePolicy, FleetAutoscaler
-from repro.serve.dealer import DealerService
 from repro.serve.placement import make_placement
 from repro.serve.replica import InferenceResponse, Replica, ServeReport
 from repro.telemetry import Telemetry
@@ -178,7 +176,7 @@ class FleetRouter:
 
 
 class SecureServingFleet:
-    """N context replicas behind a router, a shared dealer, an autoscaler.
+    """N context replicas behind a router and an optional autoscaler.
 
     Parameters
     ----------
@@ -194,7 +192,7 @@ class SecureServingFleet:
         ``seed + i`` so RNG streams are distinct across the fleet.
     replica_config:
         Optional ``(index, base_config) -> FrameworkConfig`` hook for
-        per-replica overrides (chaos shaping, heterogeneous pools).
+        per-replica overrides (chaos shaping, heterogeneous backends).
     placement:
         ``"hash"`` (consistent-hash session affinity), ``"least-depth"``,
         or a :class:`~repro.serve.placement.PlacementPolicy` instance.
@@ -239,9 +237,6 @@ class SecureServingFleet:
         )
         self.telemetry = Telemetry()
         self.router = FleetRouter(placement, telemetry=self.telemetry)
-        self.dealer = DealerService(
-            telemetry=self.telemetry, on_provision=self._journal_provision
-        )
         self.autoscaler = (
             FleetAutoscaler(self, autoscale) if autoscale is not None else None
         )
@@ -270,7 +265,7 @@ class SecureServingFleet:
     # -- fleet membership -------------------------------------------------------
 
     def add_replica(self) -> Replica:
-        """Spawn one replica (own context, model, pool) and join the ring."""
+        """Spawn one replica (own context and model) and join the ring."""
         index = next(self._replica_seq)
         name = f"replica{index}"
         cfg = self.base_config.but(seed=self.base_config.seed + index)
@@ -283,7 +278,6 @@ class SecureServingFleet:
             model,
             name=name,
             audit=self.audit,
-            managed_provisioning=True,
             **self._knobs,
         )
         self.router.add(replica)
@@ -310,7 +304,6 @@ class SecureServingFleet:
         try:
             self._drain_replica(replica)
         finally:
-            self.dealer.forget(name)
             self._retired.append(replica)
             self._retired_counter.inc(1)
             self._size_gauge.set(len(self.router.replicas()))
@@ -365,7 +358,6 @@ class SecureServingFleet:
 
     def pump(self) -> int:
         """Serve every ready batch on every replica; returns batches run."""
-        self.dealer.provision(self.router.replicas())
         ran = 0
         for replica in list(self.router.replicas()):
             ran += self._pump_replica(replica)
@@ -385,7 +377,6 @@ class SecureServingFleet:
         stalled = 0
         while self._inflight:
             before = len(self._inflight)
-            self.dealer.provision(self.router.replicas())
             for replica in list(self.router.replicas()):
                 if len(replica.queue):
                     ran += self._drain_replica(replica)
@@ -468,9 +459,6 @@ class SecureServingFleet:
         return results
 
     # -- internals --------------------------------------------------------------
-
-    def _journal_provision(self, replica_name: str, demand: dict) -> None:
-        self._journals[replica_name].append(("provision", dict(demand)))
 
     def _pump_replica(self, replica: Replica) -> int:
         try:
@@ -612,7 +600,6 @@ def replay_replica_journal(
         queue_rows=queue_rows,
         request_retries=request_retries,
         audit=True,
-        managed_provisioning=True,
     )
     for entry in journal:
         op = entry[0]
@@ -620,9 +607,6 @@ def replay_replica_journal(
             replica.submit(entry[1], entry[2])
         elif op == "force":
             replica.force_admit(entry[1], entry[2])
-        elif op == "provision":
-            banked = ctx.provision_demand(entry[1])
-            replica.note_provisioned(banked)
         elif op in ("pump", "drain"):
             raised = False
             try:

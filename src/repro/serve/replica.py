@@ -1,7 +1,7 @@
 """One serving replica: a `SecureContext` behind the replica protocol.
 
 A :class:`Replica` is the unit a serving fleet scales in: one secure
-deployment (its own server pair, triplet pool, and clocks) wrapped in
+deployment (its own server pair, dealer and clocks) wrapped in
 the four-method replica protocol the :class:`~repro.serve.fleet.FleetRouter`
 speaks:
 
@@ -91,7 +91,6 @@ class ServeReport:
     retry_online_s: float = 0.0
     rejected_requests: int = 0
     timer_waits: int = 0
-    provisioned_triplets: int = 0
     offline_s: float = 0.0
     online_s: float = 0.0
     latency: dict = field(default_factory=dict)  # {"p50": s, "p95": s, "p99": s}
@@ -146,10 +145,6 @@ class Replica:
     audit:
         Attach a transcript recorder to the context so the replica's
         wire view can be replayed/audited (:mod:`repro.audit`).
-    managed_provisioning:
-        When True an external :class:`~repro.serve.dealer.DealerService`
-        owns pool provisioning and the replica's lazy self-provisioning
-        path is disabled (the fleet sets this).
     """
 
     def __init__(
@@ -163,13 +158,11 @@ class Replica:
         queue_rows: int | None = None,
         request_retries: int = 2,
         audit: bool = False,
-        managed_provisioning: bool = False,
     ):
         self.ctx = ctx
         self.model = model
         self.name = str(name)
         self.request_retries = request_retries
-        self.managed_provisioning = bool(managed_provisioning)
         # Deployment audit hook: with ``audit`` on (or a recorder already
         # attached to the context) every served request's wire traffic is
         # recorded, and wire_audit() chi-squares each server's view.
@@ -190,8 +183,6 @@ class Replica:
         self._retried_batches = 0
         self._retry_online_s = 0.0
         self._timer_waits = 0
-        self._provision_done = False
-        self._provisioned = 0
         self._start = ctx.mark()
         self._in_features = next(
             (
@@ -380,7 +371,6 @@ class Replica:
             retry_online_s=self._retry_online_s,
             rejected_requests=int(rejected),
             timer_waits=self._timer_waits,
-            provisioned_triplets=self._provisioned,
             offline_s=delta.offline_s,
             online_s=delta.online_s,
             latency=latency,
@@ -388,11 +378,6 @@ class Replica:
 
     def latency_quantiles(self) -> dict:
         return {name: self._latency.quantile(q, stage="total") for name, q in _QUANTILES}
-
-    def note_provisioned(self, count: int) -> None:
-        """Credit externally provisioned triplets (the dealer's path)."""
-        self._provisioned += int(count)
-        self._provision_done = True
 
     def wire_audit(self, **kwargs):
         """Chi-square the recorded wire view of this replica's traffic.
@@ -423,21 +408,6 @@ class Replica:
         self._timer_waits += 1
         self._timer_counter.inc(1)
 
-    def _provision(self) -> None:
-        """Pool-backed provisioning keyed to the batcher's demand plan.
-
-        With label-cached triplets (the default), one provisioning pass
-        at the fixed batch shape covers every subsequent batch.  Under a
-        fleet the shared :class:`~repro.serve.dealer.DealerService` owns
-        this instead (``managed_provisioning=True``).
-        """
-        if self._provision_done or self.managed_provisioning:
-            return
-        self._provision_done = True
-        self._provisioned = int(
-            self.ctx.provision_for(self.model, self.batcher.max_batch, training=False)
-        )
-
     def _assemble(self, plan: BatchPlan) -> SharedTensor:
         """Concatenate request shares and zero-pad to the fixed shape."""
         parts = [[r.x.shares[p] for r in plan.requests] for p in range(self.ctx.n_parties)]
@@ -455,7 +425,6 @@ class Replica:
         )
 
     def _serve_plan(self, plan: BatchPlan) -> None:
-        self._provision()
         # a batch starts no earlier than its latest request was admitted
         self.ctx.online_clock.advance_all(max(r.enqueue_t for r in plan.requests))
         dequeue_t = self.ctx.online_clock.now()

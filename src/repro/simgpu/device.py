@@ -193,8 +193,8 @@ class SimGPU:
 
         Timed as one strided-batched GEMM (the launch overhead amortises
         over the stack; see :meth:`DeviceSpec.batched_gemm_seconds`) —
-        the kernel the offline triplet pool fuses its dealer products
-        into.  ``trans_a`` / ``trans_b`` read each sample of a stack
+        the kernel a stacked triplet's dealer product ``Z = U x V`` runs
+        as.  ``trans_a`` / ``trans_b`` read each sample of a stack
         transposed, as in :meth:`gemm_ring`.
         """
         av, bv = _op(a.require_live(), trans_a), _op(b.require_live(), trans_b)

@@ -18,12 +18,7 @@ Metric naming conventions (dots group, labels discriminate):
 ``simgpu.h2d_bytes / d2h_bytes``      PCIe traffic per device
 ``simcpu.seconds{device,kind}``       host-side time histogram by kind
 ``mpc.triplets_generated{kind,shape}``offline Beaver material produced
-                                      (``source="pool"`` on fused refills)
 ``mpc.triplets_consumed{kind,shape}`` op-stream fetches of that material
-``mpc.pool.hits{kind}``               triplet requests served from the pool
-``mpc.pool.misses{kind}``             pool misses (synchronous fallback)
-``mpc.pool.refills{kind}``            fused batch-generation calls
-``mpc.pool.stocked``                  gauge: triplets currently banked
 ``mpc.mask_reuse.hits{side,scope}``   openings served, not sent (scope: step|static)
 ``ops.invocations{op}``               secure-op call counts
 ``ops.online_seconds{op}``            online makespan attributed per op

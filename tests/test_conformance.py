@@ -44,7 +44,6 @@ BACKENDS = tuple(
 #: two-batch axis cells hit once).  ``mask_reuse`` is the default config.
 REUSE_CELLS = {
     "mask_reuse": "baseline",
-    "pool+reuse": "pool",
     "chaos+reuse": "chaos",
 }
 SWEEP_CELLS = sorted(CONFORMANCE_AXES) + sorted(REUSE_CELLS)
@@ -108,7 +107,7 @@ class TestTrainingSweep:
         _check(result)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("cell", ["pool", "mask_reuse"])
+    @pytest.mark.parametrize("cell", ["mask_reuse"])
     def test_training_under_offline_axes(self, cell, backend):
         _check(_run(cell, model="MLP", train=True, backend=backend))
 
@@ -132,15 +131,13 @@ class TestBitIdentity:
     def test_cost_only_axis_is_bit_identical(self, model, cell, backend, monkeypatch):
         """An axis cell against the baseline axis; a reuse cell against
         the same three batches on a context that never reuses (still the
-        baseline axis, except that pooled triplets need the pool)."""
+        baseline axis)."""
         variant = run_conformance_case(
             _case(cell, model=model, backend=backend), audit=False
         )
         if cell in REUSE_CELLS:
             never_reuse(monkeypatch)
-        reference = _case(cell, model=model, backend=backend)
-        if reference.axis != "pool":
-            reference = dataclasses.replace(reference, axis="baseline")
+        reference = dataclasses.replace(_case(cell, model=model, backend=backend), axis="baseline")
         base = run_conformance_case(reference, audit=False)
         np.testing.assert_array_equal(base.predictions, variant.predictions)
 
@@ -161,17 +158,6 @@ class TestBitIdentity:
         monkeypatch.setattr(SecureContext, "reuse_masked", spy)
         run_conformance_case(_case(cell, model="MLP"), audit=False)
         assert sum(hits) == 4
-
-    def test_pool_axis_is_tolerance_only(self):
-        # documents why pool is excluded from BIT_IDENTICAL_AXES:
-        # pooled provisioning draws triplets from a different RNG
-        # stream, and truncation rounding is share-dependent.  Dealer
-        # material only exists under beaver2pc — rep3 has no pool, so
-        # there the axis is trivially a no-op and is not asserted here.
-        base = run_conformance_case(ConformanceCase("MLP", "baseline"), audit=False)
-        pooled = run_conformance_case(ConformanceCase("MLP", "pool"), audit=False)
-        assert not np.array_equal(base.predictions, pooled.predictions)
-        assert np.max(np.abs(base.predictions - pooled.predictions)) < 1e-3
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_replay_same_cell_is_bit_identical(self, backend):
@@ -199,13 +185,13 @@ class TestCaseValidation:
             ConformanceCase(model="MLP", axis="baseline", backend="rep5")
 
     def test_sweep_matrix_is_complete(self):
-        # acceptance criterion: 6 paper models + attention/recsys, x 4 axes
+        # acceptance criterion: 6 paper models + attention/recsys, x 3 axes
         assert len(CONFORMANCE_MODELS) == 8
         assert "attention" in CONFORMANCE_MODELS
         assert "recsys" in CONFORMANCE_MODELS
-        # baseline + pool, no_compression, chaos: an axis is added or
-        # removed deliberately, never by accident
-        assert len(CONFORMANCE_AXES) == 4
+        # baseline + no_compression, chaos: an axis is added or removed
+        # deliberately, never by accident
+        assert len(CONFORMANCE_AXES) == 3
         assert set(BIT_IDENTICAL_AXES) < set(CONFORMANCE_AXES)
         assert set(REUSE_CELLS.values()) < set(CONFORMANCE_AXES)
 

@@ -58,11 +58,8 @@ class TestHarnessesRunTheDefaultConfig:
             "SecureML": FrameworkConfig.secureml(),
             "ParSecureML": FrameworkConfig.parsecureml(),
         }
-        rows = dict(_configs("par", pool_size=8, backends=["rep3"]))
-        assert rows == {
-            "ParSecureML[rep3]": FrameworkConfig.parsecureml(backend="rep3"),
-            "ParSecureML+pool[rep3]": FrameworkConfig.parsecureml(pool_size=8, backend="rep3"),
-        }
+        rows = dict(_configs("par", backends=["rep3"]))
+        assert rows == {"ParSecureML[rep3]": FrameworkConfig.parsecureml(backend="rep3")}
 
     def test_chaos_run_is_the_default_plus_its_plan(self, monkeypatch):
         from repro.faults import FaultPlan
@@ -75,10 +72,10 @@ class TestHarnessesRunTheDefaultConfig:
         )
         plan = FaultPlan(seed=1, drop=0.05)
         train_mlp_under_plan(None)
-        train_mlp_under_plan(plan, pool_size=2)
+        train_mlp_under_plan(plan, compression=False)
         assert built == [
             FrameworkConfig.parsecureml(),
-            FrameworkConfig.parsecureml(fault_plan=plan, pool_size=2),
+            FrameworkConfig.parsecureml(fault_plan=plan, compression=False),
         ]
 
 

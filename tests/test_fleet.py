@@ -1,4 +1,4 @@
-"""The sharded serving fleet: replica protocol, router, dealer, recovery.
+"""The sharded serving fleet: replica protocol, router, recovery.
 
 Covers the serving redesign end to end:
 
@@ -6,7 +6,6 @@ Covers the serving redesign end to end:
   the router's ``take_pending`` / ``force_admit`` recovery hooks);
 * fleet routing: exactly-once delivery, hash affinity, 1-replica fleet
   equivalence with a standalone replica;
-* the shared dealer's pool provisioning and telemetry;
 * crash recovery: a replica failure re-routes admitted requests onto
   healthy replicas with zero drops, and the per-replica journals still
   replay bit-identically (:meth:`verify_conformance`);
@@ -135,7 +134,7 @@ class TestFleetRouting:
         for client, x in queries:
             fleet.submit(client, x)
         fleet.drain()
-        _ctx, rep = _replica(managed_provisioning=True)
+        _ctx, rep = _replica()
         for client, x in queries:
             rep.submit(client, x)
         rep.drain()
@@ -178,29 +177,6 @@ class TestPlacementFactory:
         fleet.replicas()[0].crashed_party = "server1"
         order = fleet.router.route("anyone")
         assert [r.name for r in order] == ["replica1"]
-
-
-class TestDealerService:
-    def test_dealer_provisions_each_working_replica_once(self, rng):
-        fleet = _fleet(
-            replicas=2, config=FrameworkConfig.parsecureml(pool_size=8), placement="least-depth"
-        )
-        for i in range(8):
-            fleet.submit(f"c{i}", rng.normal(size=(4, N_FEATURES)))
-        fleet.drain()
-        passes = fleet.telemetry.counter("fleet.dealer.provisions")
-        triplets = fleet.telemetry.counter("fleet.dealer.triplets")
-        for r in fleet.replicas():
-            assert passes.value(replica=r.name) == 1
-            assert triplets.value(replica=r.name) > 0
-        # every batch after provisioning hits the pool, never the
-        # synchronous fallback path
-        for r in fleet.replicas():
-            assert r.ctx.telemetry.counter("mpc.pool.hits").value() > 0
-
-    def test_replica_self_provisioning_is_disabled_under_fleet(self, rng):
-        fleet = _fleet(replicas=1)
-        assert fleet.replicas()[0].managed_provisioning
 
 
 class TestCrashRecovery:
@@ -359,8 +335,7 @@ class TestApiSurface:
             assert getattr(serve_pkg, name) is not None
 
     def test_fleet_types_on_facade(self):
-        for name in ("Replica", "SecureServingFleet", "FleetRouter",
-                     "DealerService"):
+        for name in ("Replica", "SecureServingFleet", "FleetRouter"):
             assert name in repro.__all__ and getattr(repro, name) is not None
         assert repro.__version__ == "1.8.0"
 

@@ -243,7 +243,7 @@ class TestInvalidation:
         assert serve().count("h2d:F") == 2
         assert serve().count("h2d:F") == 0
 
-    @pytest.mark.parametrize("extra", [{}, {"pool_size": 4}], ids=["default", "pool"])
+    @pytest.mark.parametrize("extra", [{}], ids=["default"])
     def test_predictions_equal_a_run_that_never_reuses(self, extra, monkeypatch):
         """Inference, weight updates, inference again: every prediction
         bit equals a run whose caches are dropped before every batch."""

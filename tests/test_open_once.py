@@ -368,14 +368,6 @@ class TestUntouchedPaths:
     belonged to values; the clock times were re-pinned, each earlier or
     equal, when the clock began backfilling idle gaps."""
 
-    def test_a_pooled_run_keeps_its_own_masks_and_its_wire(self):
-        assert _transcript_digest(model="MLP", axis="pool", train=True) == (
-            88, "534eb521002b7feb017379bacba0fb8c"
-        )
-        assert _transcript_digest(model="attention", axis="pool", train=True) == (
-            320, "08b1377491e36afc15a931c5ec68ac3d"
-        )
-
     def test_rep3_has_no_masks_and_does_not_move(self):
         assert _transcript_digest(
             model="MLP", axis="baseline", train=True, backend="rep3"

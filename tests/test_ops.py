@@ -166,3 +166,20 @@ class TestDoublePipelineEquivalence:
             t = ops.secure_matmul(t, shared(ctx, c), label="l2")
             outs.append(t.decode())
         np.testing.assert_array_equal(outs[0], outs[1])
+
+
+class TestZeroSizeGemm:
+    def test_zero_dim_placement_does_not_crash(self):
+        ctx = make_ctx()
+        decision = ctx.profiler.place_gemm_batched(0, 4, 4, 4)
+        assert decision.placement in ("cpu", "gpu")
+        decision = ctx.profiler.place_gemm_batched(2, 0, 4, 4)
+        assert decision.placement in ("cpu", "gpu")
+
+    def test_empty_secure_matmul(self):
+        ctx = make_ctx()
+        a = SharedTensor.from_plain(ctx, np.zeros((2, 0)), label="a")
+        b = SharedTensor.from_plain(ctx, np.zeros((0, 3)), label="b")
+        out = ops.secure_matmul(a, b, label="empty")
+        assert out.shape == (2, 3)
+        np.testing.assert_allclose(out.decode(), np.zeros((2, 3)), atol=1e-6)

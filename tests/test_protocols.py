@@ -68,10 +68,6 @@ class TestThreading:
         assert len(ctx.uplinks) == 3
         assert set(ctx.server_links) == {(0, 1), (0, 2), (1, 2)}
 
-    def test_rep3_never_provisions_a_pool(self):
-        ctx = repro.api.session(backend="rep3", pool_size=8, seed=0)
-        assert ctx.triplet_pool is None
-
     def test_unknown_backend_fails_at_session(self):
         with pytest.raises(ConfigError, match="unknown protocol backend"):
             repro.api.session(backend="rep5")

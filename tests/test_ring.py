@@ -263,3 +263,49 @@ class TestRingNegOut:
         result = ring_neg(a, out=a)
         assert result is a
         assert np.array_equal(result, expected)
+
+
+class TestRingOutParameter:
+    @pytest.mark.parametrize("op", [ring_add, ring_sub, ring_mul])
+    def test_out_matches_fresh_allocation(self, op):
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, 2**64, size=(7, 5), dtype=np.uint64)
+        b = rng.integers(0, 2**64, size=(7, 5), dtype=np.uint64)
+        expected = op(a, b)
+        buf = np.empty_like(a)
+        got = op(a, b, out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(got, expected)
+
+    def test_in_place_accumulation(self):
+        rng = np.random.default_rng(4)
+        a = rng.integers(0, 2**64, size=(4, 4), dtype=np.uint64)
+        b = rng.integers(0, 2**64, size=(4, 4), dtype=np.uint64)
+        expected = ring_add(a, b)
+        got = ring_add(a, b, out=a)
+        assert got is a
+        np.testing.assert_array_equal(got, expected)
+
+
+class TestRingMatmulBatched:
+    def test_matches_stacked_singles(self):
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, 2**64, size=(4, 3, 6), dtype=np.uint64)
+        b = rng.integers(0, 2**64, size=(4, 6, 2), dtype=np.uint64)
+        got = ring_matmul_batched(a, b)
+        expected = np.stack([ring_matmul(a[i], b[i]) for i in range(4)])
+        np.testing.assert_array_equal(got, expected)
+
+    def test_zero_batch(self):
+        a = np.empty((0, 3, 4), dtype=np.uint64)
+        b = np.empty((0, 4, 2), dtype=np.uint64)
+        assert ring_matmul_batched(a, b).shape == (0, 3, 2)
+
+    def test_rejects_mismatched_stacks(self):
+        a = np.zeros((2, 3, 4), dtype=np.uint64)
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 2\)"):
+            ring_matmul_batched(a, np.zeros((3, 4, 2), dtype=np.uint64))
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(2, 5, 2\)"):
+            ring_matmul_batched(a, np.zeros((2, 5, 2), dtype=np.uint64))
+        with pytest.raises(ShapeError, match=r"a must be a 3-D stack.*\(3, 4\)"):
+            ring_matmul_batched(a[0], np.zeros((2, 4, 2), dtype=np.uint64))

@@ -30,12 +30,10 @@ N_FEATURES = 12
 N_OUT = 3
 
 
-def _server(*, fault_plan=None, pool_size=None, **kw):
+def _server(*, fault_plan=None, **kw):
     overrides = {}
     if fault_plan is not None:
         overrides["fault_plan"] = fault_plan
-    if pool_size is not None:
-        overrides["pool_size"] = pool_size
     ctx = SecureContext(FrameworkConfig.parsecureml(**overrides))
     model = SecureMLP(ctx, N_FEATURES, hidden=(6,), n_out=N_OUT)
     kw.setdefault("max_batch", 16)
@@ -200,15 +198,6 @@ class TestServing:
         assert rep.served_requests == 1 and rep.padded_rows == 13
         # the timer wait shows up as queue latency on the online clock
         assert rep.responses[0].queue_wait_s >= 5e-3
-
-    def test_provisioning_is_pool_backed(self, rng):
-        ctx, _, server = _server(max_batch=8, pool_size=64)
-        server.submit("a", rng.normal(size=(8, N_FEATURES)))
-        server.drain()
-        rep = server.report()
-        assert rep.provisioned_triplets > 0
-        snap = ctx.telemetry.snapshot()
-        assert snap.counter("mpc.pool.hits") > 0
 
     def test_empty_server_report(self):
         _, _, server = _server()

@@ -18,7 +18,7 @@ from repro.core.ops import secure_compare_const, secure_matmul
 from repro.core.tensor import SharedTensor
 from repro.fixedpoint.ring import ring_matmul_batched
 from repro.mpc.shares import SharePair, reconstruct
-from repro.mpc.triplets import MatrixTriplet, TripletDealer
+from repro.mpc.triplets import MaskView, MatrixTriplet, TripletDealer
 from repro.pipeline.scheduler import schedule_secure_gemm
 from repro.simgpu.clock import SimClock
 from repro.simgpu.cost import V100_SPEC
@@ -100,11 +100,14 @@ class TestBeaverStack:
         stack = secure_matmul(x, y, label="stack")
         trip = ctx._matrix_triplets["stack"]
         for i in range(depth):
+            u, v = (SharePair(pair[0][i], pair[1][i]) for pair in (trip.u, trip.v))
             ctx._matrix_triplets[f"slice{i}"] = MatrixTriplet(
-                u=SharePair(trip.u[0][i], trip.u[1][i]),
-                v=SharePair(trip.v[0][i], trip.v[1][i]),
-                z=SharePair(trip.z[0][i], trip.z[1][i]),
+                u=u, v=v, z=SharePair(trip.z[0][i], trip.z[1][i]),
                 shape_a=(m, k), shape_b=(k, n),
+                masks=tuple(
+                    MaskView.over(pair, (f"slice{i}", side), False)
+                    for pair, side in ((u, "E"), (v, "F"))
+                ),
             )
             xi = SharedTensor(ctx=ctx, shares=tuple(s[i] for s in x.shares))
             yi = SharedTensor(ctx=ctx, shares=tuple(s[i] for s in y.shares))
@@ -114,14 +117,11 @@ class TestBeaverStack:
 
     def test_dealer_and_context_triplets_are_stacked_beaver_triples(self):
         dealt = TripletDealer(np.random.default_rng(0)).matrix_triplet((3, 2, 4), (3, 4, 5))
-        ctx = _ctx(pool_size=4)
-        pooled = ctx._gen_matrix_triplet_batch((3, 2, 4), (3, 4, 5), 2)
-        assert len(pooled) == 2
-        for trip in (dealt, ctx.gen_matrix_triplet((3, 2, 4), (3, 4, 5)), *pooled):
+        ctx = _ctx()
+        for trip in (dealt, ctx.gen_matrix_triplet((3, 2, 4), (3, 4, 5))):
             u, v, z = (reconstruct(p[0], p[1]) for p in (trip.u, trip.v, trip.z))
             assert u.shape == (3, 2, 4) and v.shape == (3, 4, 5)
             np.testing.assert_array_equal(z, ring_matmul_batched(u, v))
-        assert not np.array_equal(pooled[0].u[0], pooled[1].u[0])
         with pytest.raises(ShapeError):
             TripletDealer(np.random.default_rng(0)).matrix_triplet((3, 2, 4), (2, 4, 5))
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_ctx
+from repro.core.config import FrameworkConfig
+from repro.core.context import SecureContext
 from repro.core.inference import secure_predict
 from repro.core.models import SecureLinearRegression, SecureMLP
 from repro.core.training import SecureTrainer, TrainReport
@@ -114,3 +116,21 @@ class TestInference:
         model_i = SecureLinearRegression(ctx_i, 6, n_out=2)
         infer_rep = secure_predict(ctx_i, model_i, x, batch_size=64)
         assert infer_rep.marginal_online_s < train_rep.marginal_online_s
+
+
+class TestAblationDefaults:
+    def test_defaults_reproduce_legacy_weights(self):
+        """The ParSecureML preset is the default config: training under
+        either lands on bit-identical weights."""
+
+        def train_weights(cfg):
+            ctx = SecureContext(cfg)
+            model = SecureMLP(ctx, 48, hidden=(24, 12), n_out=4)
+            rng = np.random.default_rng(0)
+            x, y = rng.normal(size=(192, 48)), rng.normal(size=(192, 4))
+            SecureTrainer(ctx, model, lr=0.03125).train(x, y, batch_size=64, max_batches=3)
+            return np.concatenate([p.decode().ravel() for p in model.parameters()])
+
+        np.testing.assert_array_equal(
+            train_weights(FrameworkConfig.parsecureml()), train_weights(FrameworkConfig())
+        )

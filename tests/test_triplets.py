@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
+from repro.core.config import FrameworkConfig
+from repro.core.context import SecureContext
 from repro.fixedpoint.ring import ring_matmul, ring_mul
 from repro.mpc.shares import reconstruct
 from repro.mpc.triplets import TripletDealer
@@ -90,3 +95,90 @@ class TestDealerWithCustomMatmul:
         dealer = TripletDealer(rng, matmul=spy_matmul)
         dealer.matrix_triplet((3, 4), (4, 2))
         assert calls == [((3, 4), (4, 2))]
+
+
+# ------------------------------------------------------ the consumption guard
+
+
+class TestDoubleConsumeGuard:
+    def test_second_consume_in_one_batch_names_the_stream(self):
+        ctx = SecureContext(FrameworkConfig.parsecureml())
+        ctx.begin_batch()
+        triplet = ctx.get_matrix_triplet("mlp0/fwd", (4, 4), (4, 4))
+        share = triplet.share_for(0)
+        share.mark_consumed()
+        again = ctx.get_matrix_triplet("mlp0/fwd", (4, 4), (4, 4))
+        with pytest.raises(ProtocolError, match="mlp0/fwd"):
+            again.share_for(0).mark_consumed()
+
+    def test_new_batch_resets_the_guard(self):
+        ctx = SecureContext(FrameworkConfig.parsecureml())
+        ctx.begin_batch()
+        ctx.get_matrix_triplet("op", (4, 4), (4, 4)).share_for(0).mark_consumed()
+        ctx.begin_batch()
+        ctx.get_matrix_triplet("op", (4, 4), (4, 4)).share_for(0).mark_consumed()
+
+    def test_no_epoch_keeps_legacy_fresh_shares(self):
+        ctx = SecureContext(FrameworkConfig.parsecureml())  # no begin_batch() call
+        trip = ctx.get_matrix_triplet("op", (4, 4), (4, 4))
+        trip.share_for(0).mark_consumed()
+        trip2 = ctx.get_matrix_triplet("op", (4, 4), (4, 4))
+        trip2.share_for(0).mark_consumed()  # must not raise
+
+
+#: (kind, label) streams, each at a full and a ragged (short) batch shape.
+STREAMS = {
+    ("matrix", "mlp0/fwd"): (((4, 3), (3, 2)), ((2, 3), (3, 2))),
+    ("matrix", "mlp0/dW"): (((3, 4), (4, 2)), ((3, 2), (2, 2))),
+    ("elementwise", "act/bwd"): (((4, 3),), ((2, 3),)),
+}
+
+
+class ConsumeGuardMachine(RuleBasedStateMachine):
+    """The double-consume guard belongs to the label cache: within one
+    ``begin_batch`` step a stream's cached triplet hands out the same
+    :class:`TripletShare` per party, so a second consume raises a
+    ``ProtocolError`` naming the stream; a new step (or a re-dealt
+    triplet at a ragged shape) starts clean, and single-use triplets
+    (``fresh_triplets``) never trip it."""
+
+    @initialize(fresh=st.booleans())
+    def deploy(self, fresh):
+        self.ctx = SecureContext(FrameworkConfig.parsecureml(fresh_triplets=fresh))
+        self.fresh = fresh
+        self.begin_batch()
+
+    @rule()
+    def begin_batch(self):
+        self.ctx.begin_batch()
+        self.held = {}  # label -> triplet fetched in this step
+        self.consumed = set()  # (triplet uid, party) consumed in this step
+
+    @rule(stream=st.sampled_from(sorted(STREAMS)), ragged=st.booleans())
+    def fetch(self, stream, ragged):
+        kind, label = stream
+        shapes = STREAMS[stream][ragged]
+        if kind == "matrix":
+            self.held[label] = self.ctx.get_matrix_triplet(label, *shapes)
+        else:
+            self.held[label] = self.ctx.get_elementwise_triplet(label, *shapes)
+
+    @precondition(lambda self: self.held)
+    @rule(pick=st.integers(0, 15), party=st.sampled_from([0, 1]))
+    def consume(self, pick, party):
+        label = sorted(self.held)[pick % len(self.held)]
+        triplet = self.held[label]
+        key = (triplet.uid, party)
+        if key in self.consumed and not self.fresh:
+            with pytest.raises(ProtocolError, match=label):
+                triplet.share_for(party).mark_consumed()
+        else:
+            # the first consume in a step and every single-use triplet pass
+            triplet.share_for(party).mark_consumed()
+        self.consumed.add(key)
+
+
+ConsumeGuardMachine.TestCase.settings = settings(
+    max_examples=50, stateful_step_count=20, deadline=None
+)
+TestConsumeGuardMachine = ConsumeGuardMachine.TestCase
