@@ -20,12 +20,7 @@ import os
 
 import pytest
 
-from repro.bench.harness import (
-    run_plain,
-    run_plain_inference,
-    run_secure,
-    run_secure_inference,
-)
+from repro.bench.harness import run_plain, run_secure, run_secure_inference
 from repro.bench.workloads import benchmark_grid
 from repro.core.config import FrameworkConfig
 
@@ -82,19 +77,13 @@ class GridRunner:
     def par_infer(self, model, dataset):
         key = ("par-inf", model, dataset)
         return self._memo(
-            key,
-            lambda: run_secure_inference(
-                model, dataset, PAR_CONFIG, n_batches=N_BATCHES, batch_size=BATCH_SIZE
-            ),
+            key, lambda: run_secure_inference(model, dataset, PAR_CONFIG, **self._kw())
         )
 
     def sml_infer(self, model, dataset):
         key = ("sml-inf", model, dataset)
         return self._memo(
-            key,
-            lambda: run_secure_inference(
-                model, dataset, SML_CONFIG, n_batches=N_BATCHES, batch_size=BATCH_SIZE
-            ),
+            key, lambda: run_secure_inference(model, dataset, SML_CONFIG, **self._kw())
         )
 
 

@@ -1,20 +1,16 @@
-"""Workload-suite regression guards (plain pytest, CI smoke).
+"""Workload regression guards (plain pytest, CI smoke).
 
-Replays the attention + recsys suite behind ``--workloads`` with the
-exact parameters recorded in the committed ``BENCH_workloads.json`` and
-checks, per (model, mode, compression) row:
+Every figure below is a constant in this file, measured on the default
+config at seed 0; the simulation is deterministic, so message and byte
+counts must match *exactly* (any drift is a protocol change, not
+noise) and an online makespan may not rise above its pin:
 
-* message counts are *exactly* the committed ones — the simulation is
-  deterministic, so any drift is a protocol regression, not noise;
-* the simulated online makespan has not regressed beyond 10% headroom;
+* the attention and recsys workloads, two batches of 32 on SYNTHETIC,
+  trained and predicted (:data:`WORKLOAD_ROWS`);
 * what keeps recsys bytes off the wire is the stable mask, not the
-  codec: the compression-on and compression-off inference rows are
-  byte-equal (the compressor never fires on this workload — the
-  embedding table's ``F`` is opened once and never re-sent, and the
-  remaining streams change too much between batches), while the same
-  inference under ``fresh_triplets=True`` ships strictly more
-  (DESIGN §7c).
-
+  codec: the same inference under ``fresh_triplets=True`` ships strictly
+  more (that compression on and off are byte-equal here is
+  ``tests/test_workloads.py::TestRecsysCompression``; DESIGN §7c);
 * an attention train step is 66 inter-server messages (74 on the step
   that deals its triplets: a value is opened once, so ``dC``, ``dV``,
   ``dK`` and the readout's ``dX`` — both operands already public — send
@@ -39,7 +35,11 @@ checks, per (model, mode, compression) row:
   ``infer_mlp_rep3`` unit) keeps an online makespan of at most
   :data:`REP3_PREDICT_ONLINE_S` (7 425.5 µs with batches back to back);
 * the Fig. 10 MLP/MNIST cell (two training batches of 128) keeps an
-  online makespan of at most :data:`FIG10_ONLINE_REFERENCE_S`;
+  online makespan of at most :data:`FIG10_ONLINE_REFERENCE_S`, and its
+  rep3 twin one of at most :data:`REP3_TRAIN_ONLINE_S`;
+* a fleet serving 1 000 small clients gets faster with every replica it
+  adds: the online makespans at 1, 2 and 4 replicas are
+  :data:`FLEET_ONLINE_S`;
 * a warm MLP/MNIST inference batch is strictly faster online than a
   cold one (Fig. 11: an unchanged weight's ``F`` is opened once and,
   with every stream's ``Z``, stays on the server GPUs).
@@ -50,68 +50,58 @@ Runs standalone:
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
-from repro.bench.harness import run_secure_inference, run_workload_figures
+from repro.bench.harness import run_fleet, run_secure_inference
+from repro.bench.workloads import build_secure_model, load_workload
 from repro.core.config import FrameworkConfig
-
-BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "BENCH_workloads.json"
-
-
-@pytest.fixture(scope="module")
-def reference() -> list[dict]:
-    if not BENCH_REFERENCE.exists():
-        pytest.skip("no committed BENCH_workloads.json reference")
-    return json.loads(BENCH_REFERENCE.read_text())["rows"]
+from repro.core.context import SecureContext
+from repro.core.inference import secure_predict
+from repro.core.training import SecureTrainer
 
 
-@pytest.fixture(scope="module")
-def fresh(reference):
-    """Re-run the suite with the committed run's parameters."""
-    first = reference[0]
-    cfg = FrameworkConfig.parsecureml(backend=first.get("backend", "beaver2pc"))
-    rows = run_workload_figures(
-        cfg,
-        n_batches=first["batches"],
-        batch_size=first["batch_size"],
-        seed=first["seed"],
+def _run(model, dataset, mode, *, batch_size, config=None) -> tuple[int, int, float]:
+    """Server-link messages and bytes, and the online makespan, of two
+    batches trained (``mode="train"``) or predicted at seed 0."""
+    x, y, spec = load_workload(model, dataset, n_batches=2, batch_size=batch_size, seed=0)
+    ctx = SecureContext.create(config or FrameworkConfig.parsecureml())
+    secure_model = build_secure_model(ctx, spec)
+    if mode == "train":
+        SecureTrainer(ctx, secure_model, lr=0.03125, monitor_loss=False).train(
+            x, y, batch_size=batch_size
+        )
+    else:
+        secure_predict(ctx, secure_model, x, batch_size=batch_size)
+    snap = ctx.telemetry.snapshot()
+    links = [link.label for link in ctx.server_links.values()]
+    return (
+        sum(int(snap.counter("comm.messages", channel=link)) for link in links),
+        sum(int(snap.counter("comm.bytes", channel=link)) for link in links),
+        snap.gauge("phase.sim_seconds", clock="online"),
     )
-    return {(r.model, r.mode, r.compression): r for r in rows}
 
 
-def _ref_rows(reference) -> dict[tuple, dict]:
-    return {(r["model"], r["mode"], r["compression"]): r for r in reference}
+#: (messages, bytes, online makespan s) between the servers, two batches
+#: of 32 on SYNTHETIC.
+WORKLOAD_ROWS = {
+    ("attention", "train"): (140, 1_372_666, 0.0016297872531446955),
+    ("attention", "infer"): (104, 704_272, 0.0009748670376948141),
+    ("recsys", "train"): (30, 300_982, 0.0005535501198340737),
+    ("recsys", "infer"): (16, 183_348, 0.00029280844008197523),
+}
 
 
-def test_reference_covers_both_workloads(reference):
-    keys = set(_ref_rows(reference))
-    assert ("attention", "train", True) in keys
-    assert ("attention", "infer", True) in keys
-    assert ("recsys", "train", True) in keys
-    assert ("recsys", "infer", True) in keys
-    assert ("recsys", "infer", False) in keys
-
-
-def test_message_counts_match_reference(fresh, reference):
-    for key, ref in _ref_rows(reference).items():
-        row = fresh.get(key)
-        assert row is not None, f"suite no longer produces row {key}"
-        assert row.comm_messages == ref["comm_messages"], (
-            f"{key}: {row.comm_messages} msgs vs committed "
-            f"{ref['comm_messages']} — protocol round structure changed"
-        )
-
-
-def test_online_makespan_no_regression(fresh, reference):
-    for key, ref in _ref_rows(reference).items():
-        row = fresh[key]
-        assert row.online_s <= ref["online_s"] * 1.10, (
-            f"{key}: online makespan {row.online_s:.6f}s vs committed "
-            f"{ref['online_s']:.6f}s (>10% regression)"
-        )
+@pytest.mark.parametrize(("model", "mode"), sorted(WORKLOAD_ROWS))
+def test_workload_row_holds_the_pin(model, mode):
+    messages, nbytes, online_s = _run(model, "SYNTHETIC", mode, batch_size=32)
+    pinned_messages, pinned_bytes, pinned_online_s = WORKLOAD_ROWS[model, mode]
+    assert (messages, nbytes) == (pinned_messages, pinned_bytes), (
+        f"{model}/{mode}: {messages} msgs / {nbytes} B vs pinned "
+        f"{pinned_messages} / {pinned_bytes} — protocol round structure changed"
+    )
+    assert online_s <= pinned_online_s * (1 + 1e-9), (
+        f"{model}/{mode}: online makespan {online_s} above the pinned {pinned_online_s}"
+    )
 
 
 def _server_frames(recorder, since=0):
@@ -124,23 +114,16 @@ def _uploads(ctx, since=0) -> list[int]:
     return [sum(t.resource == gpu.h2d_engine for t in tasks) for gpu in ctx.server_gpu]
 
 
-def test_attention_train_step_is_66_messages_and_no_frame_outgrows_the_projections(reference):
-    from repro.bench.workloads import build_secure_model, load_workload
-    from repro.core.context import SecureContext
-    from repro.core.training import SecureTrainer
-
-    first = reference[0]
-    b = first["batch_size"]
-    x, y, spec = load_workload(
-        "attention", "SYNTHETIC", n_batches=first["batches"], batch_size=b, seed=first["seed"]
-    )
+def test_attention_train_step_is_66_messages_and_no_frame_outgrows_the_projections():
+    b, batches = 32, 2
+    x, y, spec = load_workload("attention", "SYNTHETIC", n_batches=batches, batch_size=b, seed=0)
     ctx = SecureContext.create(FrameworkConfig.parsecureml(trace=True))
     model = build_secure_model(ctx, spec)
     recorder = ctx.attach_recorder(capture_payloads=False)
     SecureTrainer(ctx, model, monitor_loss=False).train(x, y, batch_size=b)
     frames = _server_frames(recorder)
     # the first step deals every stream and re-opens once per link
-    assert len(frames) == 74 + 66 * (first["batches"] - 1)
+    assert len(frames) == 74 + 66 * (batches - 1)
     # after it a value crosses PCIe once: qkv and o upload four operands
     # each, dWo and dWqkv their delta only, dC nothing
     warm = len(ctx.online_clock.trace)
@@ -155,9 +138,7 @@ def test_attention_train_step_is_66_messages_and_no_frame_outgrows_the_projectio
 def test_mlp_train_step_is_24_messages_and_under_7_7_megabytes():
     import numpy as np
 
-    from repro.core.context import SecureContext
     from repro.core.models import SecureMLP
-    from repro.core.training import SecureTrainer
 
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(128, 784)), rng.normal(size=(128, 10))
@@ -229,18 +210,39 @@ FIG10_ONLINE_REFERENCE_S = 0.003615436918152094
 
 
 def test_fig10_online_makespan_holds_the_pin():
-    from repro.bench.harness import build_secure_model, load_workload
-    from repro.core.context import SecureContext
-    from repro.core.training import SecureTrainer
-
-    x, y, spec = load_workload("MLP", "MNIST", n_batches=2, batch_size=128, seed=0)
-    ctx = SecureContext.create(FrameworkConfig.parsecureml())
-    model = build_secure_model(ctx, spec)
-    SecureTrainer(ctx, model, lr=0.03125, monitor_loss=False).train(x, y, batch_size=128)
-    online_s = ctx.telemetry.snapshot().gauge("phase.sim_seconds", clock="online")
+    _messages, nbytes, online_s = _run("MLP", "MNIST", "train", batch_size=128)
+    assert nbytes == 15_548_954
     assert online_s <= FIG10_ONLINE_REFERENCE_S * (1 + 1e-9), (
         f"Fig. 10 online makespan {online_s} above the pinned {FIG10_ONLINE_REFERENCE_S}"
     )
+
+
+#: Online makespan (s) of the same cell on the rep3 backend.
+REP3_TRAIN_ONLINE_S = 0.004558701151948641
+
+
+def test_rep3_train_makespan_holds_the_pin():
+    messages, nbytes, online_s = _run(
+        "MLP", "MNIST", "train", batch_size=128, config=FrameworkConfig.parsecureml(backend="rep3")
+    )
+    assert (messages, nbytes) == (104, 15_688_336)
+    assert online_s <= REP3_TRAIN_ONLINE_S * (1 + 1e-9), (
+        f"rep3 train online makespan {online_s} above the pinned {REP3_TRAIN_ONLINE_S}"
+    )
+
+
+#: Fleet online makespan (s) by replica count: 1 000 clients of 1-4
+#: MLP/MNIST rows each, least-depth placement, batches of 128.
+FLEET_ONLINE_S = {1: 0.010475445978555029, 2: 0.005665169163384678, 4: 0.003260030755799499}
+
+
+def test_fleet_online_makespan_scales_with_replicas():
+    for replicas, pinned in FLEET_ONLINE_S.items():
+        rep = run_fleet("MLP", "MNIST", FrameworkConfig.parsecureml(), replicas=replicas)
+        assert rep.dropped_requests == 0
+        assert rep.online_s <= pinned * (1 + 1e-9), (
+            f"{replicas} replicas: fleet online makespan {rep.online_s} above the pinned {pinned}"
+        )
 
 
 def test_fig11_reuse_online_strictly_faster():
@@ -254,16 +256,8 @@ def test_fig11_reuse_online_strictly_faster():
     )
 
 
-def test_recsys_wire_saving_is_the_stable_mask_not_the_codec(fresh, reference):
-    refs = _ref_rows(reference)
-    for rows, get in ((refs, lambda r, f: r[f]), (fresh, lambda r, f: getattr(r, f))):
-        csr = rows[("recsys", "infer", True)]
-        dense = rows[("recsys", "infer", False)]
-        assert get(csr, "comm_bytes") == get(dense, "comm_bytes")
-        for row in (csr, dense):
-            assert get(row, "wire_comm_bytes") == get(row, "raw_comm_bytes")
-    first = reference[0]
-    kw = dict(n_batches=first["batches"], batch_size=first["batch_size"], seed=first["seed"])
+def test_recsys_wire_saving_is_the_stable_mask_not_the_codec():
+    kw = dict(n_batches=2, batch_size=32, seed=0)
     stable = run_secure_inference("recsys", "SYNTHETIC", FrameworkConfig.parsecureml(), **kw)
     single_use = run_secure_inference(
         "recsys", "SYNTHETIC", FrameworkConfig.parsecureml(fresh_triplets=True), **kw

@@ -5,7 +5,7 @@
   run tractable;
 * :mod:`repro.bench.harness` — runs one (model, dataset, system)
   configuration and extrapolates per-batch costs to paper-scale sample
-  counts;
+  counts, and drives the many-client fleet stream (``run_fleet``);
 * :mod:`repro.bench.reporting` — plain-text tables matching the paper's
   row/column structure.
 

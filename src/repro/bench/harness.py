@@ -17,6 +17,7 @@ surface users see in ``ctx.telemetry.report()``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from repro.core.context import SecureContext
 from repro.core.inference import secure_predict
 from repro.core.tensor import SharedTensor
 from repro.core.training import SecureTrainer
+
+if TYPE_CHECKING:
+    from repro.serve.fleet import FleetReport
 
 
 @dataclass
@@ -204,11 +208,13 @@ def run_secure_inference(
     n_batches: int = 2,
     batch_size: int = 128,
     seed: int = 0,
+    full_scale: bool = False,
     audit: bool = False,
 ) -> SecureRunResult:
     """Forward-only secure run (Fig. 13)."""
     x, _y, spec = load_workload(
-        model_name, dataset, n_batches=n_batches, batch_size=batch_size, seed=seed
+        model_name, dataset, n_batches=n_batches, batch_size=batch_size, seed=seed,
+        full_scale=full_scale,
     )
     ctx = SecureContext.create(config)
     if audit:
@@ -228,127 +234,6 @@ def run_secure_inference(
     return res
 
 
-@dataclass
-class ServingRunResult:
-    """One serving benchmark: many ragged clients through one context."""
-
-    spec: WorkloadSpec
-    clients: int
-    requests: int
-    rows: int
-    batches: int
-    padded_rows: int
-    retried_batches: int
-    offline_s: float
-    online_s: float
-    p50_s: float
-    p95_s: float
-    p99_s: float
-    wire: object | None = None
-
-    @property
-    def rows_per_online_s(self) -> float:
-        return self.rows / self.online_s if self.online_s else 0.0
-
-    @property
-    def batch_fill(self) -> float:
-        total = self.rows + self.padded_rows
-        return self.rows / total if total else 0.0
-
-
-def run_serving(
-    model_name: str,
-    dataset: str,
-    config: FrameworkConfig,
-    *,
-    clients: int = 4,
-    n_batches: int = 2,
-    batch_size: int = 128,
-    seed: int = 0,
-    audit: bool = False,
-) -> ServingRunResult:
-    """Serve the workload's rows as ragged multi-client requests.
-
-    The same rows :func:`run_secure_inference` measures, but arriving as
-    many small requests from ``clients`` logical clients instead of one
-    pre-batched array — the serving layer coalesces them back into
-    fixed-shape batches, so the delta against the plain inference run is
-    the queueing/padding overhead of the service, and the p50/p95/p99
-    come straight out of the request-latency histogram.
-    """
-    from repro.serve import Replica
-
-    x, _y, spec = load_workload(
-        model_name, dataset, n_batches=n_batches, batch_size=batch_size, seed=seed
-    )
-    ctx = SecureContext.create(config)
-    model = build_secure_model(ctx, spec)
-    server = Replica(
-        ctx, model, max_batch=batch_size,
-        queue_rows=max(x.shape[0], batch_size), audit=audit,
-    )
-    rng = np.random.default_rng(seed)
-    lo = 0
-    requests = 0
-    while lo < x.shape[0]:
-        rows = min(int(rng.integers(1, batch_size + 1)), x.shape[0] - lo)
-        server.submit(f"client{requests % clients}", x[lo : lo + rows])
-        lo += rows
-        requests += 1
-    server.drain()
-    rep = server.report()
-    return ServingRunResult(
-        spec=spec,
-        clients=clients,
-        requests=requests,
-        rows=rep.served_rows,
-        batches=rep.batches,
-        padded_rows=rep.padded_rows,
-        retried_batches=rep.retried_batches,
-        offline_s=rep.offline_s,
-        online_s=rep.online_s,
-        p50_s=rep.latency["p50"],
-        p95_s=rep.latency["p95"],
-        p99_s=rep.latency["p99"],
-        wire=server.wire_audit() if audit else None,
-    )
-
-
-@dataclass
-class FleetRunResult:
-    """One fleet benchmark: many logical clients over N routed replicas."""
-
-    spec: WorkloadSpec
-    replicas: int
-    placement: str
-    clients: int
-    requests: int
-    rows: int
-    batches: int
-    rerouted: int
-    crashes: int
-    dropped: int
-    rejected: int
-    offline_s: float
-    online_s: float  # fleet makespan: max over replica online clocks
-    p50_s: float
-    p95_s: float
-    p99_s: float
-    per_replica: dict
-    chaos_seed: int | None = None
-    conformance: dict | None = None  # replica -> None (ok) | divergence str
-
-    @property
-    def rows_per_online_s(self) -> float:
-        return self.rows / self.online_s if self.online_s else 0.0
-
-    @property
-    def conformance_ok(self) -> bool | None:
-        if self.conformance is None:
-            return None
-        return all(v is None for v in self.conformance.values())
-
-
 def run_fleet(
     model_name: str,
     dataset: str,
@@ -356,51 +241,23 @@ def run_fleet(
     *,
     replicas: int = 4,
     clients: int = 1000,
-    placement: str = "least-depth",
     batch_size: int = 128,
     seed: int = 0,
-    chaos_seed: int | None = None,
-    conformance: bool = False,
-) -> FleetRunResult:
-    """Serve ``clients`` small requests through a routed replica fleet.
+) -> FleetReport:
+    """Serve ``clients`` small requests through a least-depth replica fleet.
 
     Each logical client submits one 1–4 row request drawn (cyclically)
     from the workload's rows; the fleet shards them across ``replicas``
-    deployments.  ``online_s`` is the fleet *makespan* — the max over
-    each replica's own online clock — so throughput scaling across
-    replica counts reads straight off ``rows_per_online_s``.
-
-    With ``chaos_seed`` set, replica 0 runs under a
-    :class:`~repro.faults.FaultPlan` that crashes ``server1`` mid-serve
-    while the fleet retry budget is zero, forcing the crash through the
-    router's recovery path (drain back, respawn, re-route) — the cell
-    proves the zero-drop contract, not peak throughput.  With
-    ``conformance`` on, every replica's journal is replayed standalone
-    and diffed bit-for-bit (requires the audit recorder, so it is
-    enabled automatically).
+    deployments.  Every replica's queue holds the whole stream, so the
+    run measures sharded serving, not admission control.  Returns the
+    fleet's :class:`~repro.serve.fleet.FleetReport`, whose ``online_s``
+    is the fleet *makespan* (the max over the replicas' online clocks).
     """
-    from repro.faults import FaultPlan, PartyCrash
     from repro.serve.fleet import SecureServingFleet
-    from repro.util.errors import QueueFullError
 
     x, _y, spec = load_workload(
         model_name, dataset, n_batches=2, batch_size=batch_size, seed=seed
     )
-    replica_config = None
-    request_retries = 2
-    if chaos_seed is not None:
-        plan = FaultPlan(
-            seed=chaos_seed, crashes=(PartyCrash("server1", at_step=3),)
-        )
-        request_retries = 0
-
-        def replica_config(index, cfg):
-            return cfg.but(fault_plan=plan) if index == 0 else cfg
-
-    # Pre-generate the request stream so the admission bound can be sized
-    # to the offered load: the cell measures sharded serving throughput,
-    # not admission control, so backpressure-driven partial batches would
-    # only blur the scaling curve.
     rng = np.random.default_rng(seed)
     stream = []
     lo = 0
@@ -410,60 +267,18 @@ def run_fleet(
             lo = 0
         stream.append((f"client{i}", x[lo : lo + rows]))
         lo += rows
-    total_rows = sum(chunk.shape[0] for _c, chunk in stream)
     fleet = SecureServingFleet(
         lambda ctx: build_secure_model(ctx, spec),
         replicas=replicas,
         config=config,
-        replica_config=replica_config,
-        placement=placement,
+        placement="least-depth",
         max_batch=batch_size,
-        queue_rows=max(total_rows, batch_size),
-        request_retries=request_retries,
-        audit=conformance,
+        queue_rows=max(sum(chunk.shape[0] for _c, chunk in stream), batch_size),
     )
     for client, chunk in stream:
-        try:
-            fleet.submit(client, chunk)
-        except QueueFullError:  # retryable backpressure: serve, then resubmit
-            fleet.pump()
-            fleet.submit(client, chunk)
+        fleet.submit(client, chunk)
     fleet.drain()
-    rep = fleet.report()
-    per_replica = {
-        name: {
-            "served_requests": r.served_requests,
-            "served_rows": r.served_rows,
-            "batches": r.batches,
-            "padded_rows": r.padded_rows,
-            "retried_batches": r.retried_batches,
-            "offline_s": r.offline_s,
-            "online_s": r.online_s,
-            "p95_s": r.latency.get("p95", 0.0),
-        }
-        for name, r in rep.replicas.items()
-    }
-    return FleetRunResult(
-        spec=spec,
-        replicas=replicas,
-        placement=placement,
-        clients=clients,
-        requests=rep.served_requests + rep.pending_requests,
-        rows=rep.served_rows,
-        batches=rep.batches,
-        rerouted=rep.rerouted_requests,
-        crashes=rep.replica_crashes,
-        dropped=rep.dropped_requests,
-        rejected=rep.rejected_requests,
-        offline_s=rep.offline_s,
-        online_s=rep.online_s,
-        p50_s=rep.latency["p50"],
-        p95_s=rep.latency["p95"],
-        p99_s=rep.latency["p99"],
-        per_replica=per_replica,
-        chaos_seed=chaos_seed,
-        conformance=fleet.verify_conformance() if conformance else None,
-    )
+    return fleet.report()
 
 
 def run_plain_inference(
@@ -489,83 +304,3 @@ def run_plain_inference(
         per_batch_s=seconds / max(n_batches, 1),
         losses=[],
     )
-
-
-WORKLOAD_FIGURE_MODELS: tuple[str, ...] = ("attention", "recsys")
-
-
-@dataclass
-class WorkloadFigureRow:
-    """One (model, mode) cell of the BENCH_workloads.json suite."""
-
-    model: str
-    mode: str  # "train" | "infer"
-    compression: bool
-    online_s: float
-    offline_s: float
-    comm_bytes: int
-    comm_messages: int
-    raw_comm_bytes: int
-    wire_comm_bytes: int
-
-
-def run_workload_figures(
-    config: FrameworkConfig,
-    *,
-    n_batches: int = 2,
-    batch_size: int = 32,
-    seed: int = 0,
-    lr: float = 0.03125,
-) -> list[WorkloadFigureRow]:
-    """The attention/recsys workload suite behind ``--workloads``.
-
-    Each workload model contributes a training row and an inference row;
-    recsys additionally runs inference with ``compression=False`` so the
-    pair of rows *measures* what CSR delta compression earns on top of
-    static-operand reuse: nothing, the rows are byte-equal (the embedding
-    table itself is opened once and never re-sent, and the compressor
-    does not fire on the streams that remain — see DESIGN §7c).
-    ``benchmarks/test_workload_regression.py`` guards
-    the committed reference against message-count and makespan drift.
-    """
-    import dataclasses
-
-    rows: list[WorkloadFigureRow] = []
-    for model_name in WORKLOAD_FIGURE_MODELS:
-        x, y, spec = load_workload(
-            model_name, "SYNTHETIC", n_batches=n_batches, batch_size=batch_size, seed=seed
-        )
-        runs: list[tuple[str, bool]] = [("train", config.compression), ("infer", config.compression)]
-        if model_name == "recsys":
-            runs.append(("infer", not config.compression))
-        for mode, compression in runs:
-            cfg = dataclasses.replace(config, compression=compression)
-            ctx = SecureContext.create(cfg)
-            model = build_secure_model(ctx, spec)
-            if mode == "train":
-                SecureTrainer(ctx, model, lr=lr, monitor_loss=False).train(
-                    x, y, epochs=1, batch_size=batch_size
-                )
-            else:
-                secure_predict(ctx, model, x, batch_size=batch_size)
-            snap = ctx.telemetry.snapshot()
-            rows.append(
-                WorkloadFigureRow(
-                    model=model_name,
-                    mode=mode,
-                    compression=compression,
-                    online_s=snap.gauge("phase.sim_seconds", clock="online"),
-                    offline_s=snap.gauge("phase.sim_seconds", clock="offline"),
-                    comm_bytes=sum(
-                        int(snap.counter("comm.bytes", channel=link.label))
-                        for link in ctx.server_links.values()
-                    ),
-                    comm_messages=sum(
-                        int(snap.counter("comm.messages", channel=link.label))
-                        for link in ctx.server_links.values()
-                    ),
-                    raw_comm_bytes=int(snap.counter("comm.compression.raw_bytes")),
-                    wire_comm_bytes=int(snap.counter("comm.compression.wire_bytes")),
-                )
-            )
-    return rows

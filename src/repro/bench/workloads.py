@@ -15,8 +15,8 @@ Beyond the paper grid, two *workload* models (``WORKLOAD_MODELS``) ride
 the same harness without joining the 26-cell grid pinned by the tests:
 the secure attention block and the embedding-lookup recsys model.  Both
 are SYNTHETIC-only like the RNN; ``python -m repro.bench attention|recsys``
-runs them as ordinary cells, and ``--workloads`` emits the comparison
-suite committed as ``BENCH_workloads.json``.
+runs them as ordinary cells, and ``benchmarks/test_workload_regression.py``
+pins their train and inference rows.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ superseded the all-zero deltas the
 :class:`~repro.comm.compression.DeltaCompressor` used to ship for it in
 ``(rows+1)*8``-byte CSR frames.  The recsys entry stays the
 conformance/bench workload that *measures* what compression earns on
-top (``BENCH_workloads.json``; methodology in DESIGN §7).
+top: nothing, compression on and off are byte-equal (methodology in
+DESIGN §7c).
 
 :class:`SecureRecsys` = embedding + ReLU + dense head, trainable by the
 standard trainer; the plaintext twin is

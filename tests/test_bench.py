@@ -103,6 +103,14 @@ class TestHarnessRuns:
         assert sec.per_batch_online_s > 0
         assert pla.per_batch_s > 0
 
+    def test_inference_honours_full_scale(self):
+        cfg = FrameworkConfig.parsecureml()
+        res = run_secure_inference(
+            "linear", "NIST", cfg, n_batches=1, batch_size=4, full_scale=True
+        )
+        assert res.spec.geometry_reduced is False
+        assert res.spec.image_shape == (512, 512, 1)
+
     def test_speedup_direction(self):
         """The headline claim at small scale: ParSecureML beats SecureML."""
         kw = dict(n_batches=2, batch_size=32)

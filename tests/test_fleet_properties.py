@@ -8,7 +8,9 @@ arbitrary inputs rather than the example paths in test_fleet.py:
 * least-depth never ranks a deeper queue first and the router never
   offers a crashed replica, whatever the health mix;
 * exactly-once delivery holds under arbitrary chaos seeds and request
-  interleavings — every admitted request is answered exactly once.
+  interleavings — every admitted request is answered exactly once;
+* the same holds over long stateful sequences of submit / pump /
+  scale-out / retire / drain with a crashing replica (``FleetMachine``).
 
 Placement policies are duck-typed on ``name`` / ``queued_rows`` /
 ``crashed_party``, so lightweight stand-ins rank without a live secure
@@ -21,6 +23,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core.config import FrameworkConfig
 from repro.core.models import SecureMLP
@@ -28,6 +37,7 @@ from repro.faults import FaultPlan, PartyCrash
 from repro.serve import SecureServingFleet
 from repro.serve.fleet import FleetRouter
 from repro.serve.placement import ConsistentHashPlacement, LeastDepthPlacement
+from repro.util.errors import QueueFullError
 
 pytestmark = pytest.mark.property
 
@@ -155,3 +165,77 @@ class TestExactlyOnceUnderChaos:
         assert rep.served_requests == len(sizes)
         assert rep.dropped_requests == 0 and rep.pending_requests == 0
         assert sorted(r.fleet_rid for r in rep.responses) == sorted(rids)
+
+
+class FleetMachine(RuleBasedStateMachine):
+    """Submit / pump / scale-out / retire / drain over a live fleet whose
+    replica 0 crashes ``server1`` mid-serve with no replica-level retry,
+    so every crash goes through the router's recovery path.
+
+    Invariants: nothing admitted is ever dropped, and after a drain
+    nothing is pending and every admitted request has exactly one
+    response with the rows it was submitted with.  The queue-row bound
+    is deliberately not asserted: crash re-routing still force-admits
+    past it when every healthy replica is full (ROADMAP Harden (4)).
+    """
+
+    MAX_REPLICAS = 4
+
+    @initialize()
+    def deploy(self):
+        plan = FaultPlan(seed=0, crashes=(PartyCrash("server1", at_step=1),))
+        self.fleet = SecureServingFleet(
+            lambda ctx: SecureMLP(ctx, N_FEATURES, hidden=(6,), n_out=3),
+            replicas=2,
+            config=FrameworkConfig.parsecureml(),
+            replica_config=lambda i, cfg: cfg.but(fault_plan=plan) if i == 0 else cfg,
+            placement="least-depth",
+            max_batch=4,
+            queue_rows=8,
+            request_retries=0,
+        )
+        self.rng = np.random.default_rng(0)
+        self.admitted = {}  # fleet rid -> rows submitted
+
+    @rule(client=st.integers(0, 3), rows=st.integers(1, 4))
+    def submit(self, client, rows):
+        try:
+            rid = self.fleet.submit(f"c{client}", self.rng.normal(size=(rows, N_FEATURES)))
+        except QueueFullError:
+            return  # retryable backpressure: nothing was admitted
+        self.admitted[rid] = rows
+
+    @rule()
+    def pump(self):
+        self.fleet.pump()
+
+    @precondition(lambda self: len(self.fleet.replicas()) < self.MAX_REPLICAS)
+    @rule()
+    def add_replica(self):
+        self.fleet.add_replica()
+
+    @precondition(lambda self: len(self.fleet.replicas()) >= 2)
+    @rule(pick=st.integers(0, MAX_REPLICAS - 1))
+    def retire_replica(self, pick):
+        live = self.fleet.replicas()
+        self.fleet.retire_replica(live[pick % len(live)].name)
+
+    @rule()
+    def drain(self):
+        self.fleet.drain()
+        assert self.fleet.pending == 0
+        answered = {}
+        for resp in self.fleet.report().responses:
+            assert resp.fleet_rid not in answered, f"request {resp.fleet_rid} answered twice"
+            answered[resp.fleet_rid] = resp.rows
+        assert answered == self.admitted
+
+    @invariant()
+    def nothing_dropped(self):
+        assert self.fleet.report().dropped_requests == 0
+
+
+FleetMachine.TestCase.settings = settings(
+    max_examples=30, stateful_step_count=25, deadline=None
+)
+TestFleetMachine = FleetMachine.TestCase

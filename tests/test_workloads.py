@@ -22,7 +22,7 @@ import pytest
 
 from repro.audit import ConformanceCase, run_conformance_case
 from repro.audit.transcript import Transcript
-from repro.bench.harness import run_fleet, run_serving
+from repro.bench.harness import run_fleet
 from repro.bench.workloads import build_secure_model, load_workload
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
@@ -100,22 +100,27 @@ class TestServing:
 
     @pytest.mark.parametrize("model", WORKLOADS)
     def test_serving_layer_handles_workload(self, model):
-        cfg = FrameworkConfig.parsecureml()
-        res = run_serving(
-            model, "SYNTHETIC", cfg, clients=3, n_batches=2, batch_size=8, seed=0
-        )
-        assert res.rows == 16
-        assert res.batches >= 2
-        assert res.p50_s > 0
+        from repro.serve import Replica
+
+        x, _y, spec = load_workload(model, "SYNTHETIC", n_batches=2, batch_size=8, seed=0)
+        ctx = SecureContext.create(FrameworkConfig.parsecureml())
+        server = Replica(ctx, build_secure_model(ctx, spec), max_batch=8, queue_rows=16)
+        for client, (lo, hi) in enumerate(((0, 3), (3, 11), (11, 16))):
+            server.submit(f"client{client}", x[lo:hi])
+        server.drain()
+        rep = server.report()
+        assert rep.served_rows == 16
+        assert rep.batches >= 2
+        assert rep.latency["p50"] > 0
 
     @pytest.mark.parametrize("model", WORKLOADS)
     def test_fleet_serves_workload_without_drops(self, model):
         cfg = FrameworkConfig.parsecureml()
-        res = run_fleet(
+        rep = run_fleet(
             model, "SYNTHETIC", cfg, replicas=2, clients=3, batch_size=8, seed=0
         )
-        assert res.dropped == 0
-        assert res.rows > 0
+        assert rep.dropped_requests == 0
+        assert rep.served_rows > 0
 
 
 class TestRecsysCompression:
