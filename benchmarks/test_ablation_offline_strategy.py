@@ -4,8 +4,10 @@ ParSecureML's offline phase relies on the client acting as a trusted
 dealer; the original SecureML also specifies a dealer-free OT-based
 offline whose cost is what made SecureML's end-to-end times painful.
 This ablation prices both strategies for the paper's benchmark shapes
-(using the OT cost model validated against the real OT implementation
-in ``repro/mpc/ot_triplets.py``).
+with cost models only: the dealer's from ``repro.simgpu.cost``, the
+OT offline's from :func:`ot_triplet_offline_cost` below (Gilboa
+multiplication over Bellare-Micali OT, one OT per bit of each cross
+term).
 
 Shape claims: OT offline is orders of magnitude above the dealer for
 every workload, and the gap *grows* with matrix size — the quantitative
@@ -13,8 +15,11 @@ justification for the client-aided design the paper builds on.
 """
 
 from repro.bench.reporting import format_table
-from repro.mpc.ot_triplets import ot_triplet_offline_cost
 from repro.simgpu.cost import V100_SPEC, XEON_E5_2670V3_SPEC as CPU
+
+_BITS = 64
+# wire sizes of one Bellare-Micali OT instance (group elements ~64 B)
+_OT_BYTES = 64 + 64 + 2 * (64 + 8)
 
 # (label, (m, k, n)) — triplet shapes of representative paper workloads
 SHAPES = [
@@ -22,6 +27,25 @@ SHAPES = [
     ("CIFAR-10 MLP layer", (128, 3072, 128)),
     ("VGGFace2 MLP layer", (128, 40000, 128)),
 ]
+
+
+def ot_triplet_offline_cost(
+    n_elements: int,
+    *,
+    exp_seconds: float = 150e-6,
+    link_bandwidth_gbps: float = 12.0,
+    link_latency_s: float = 1.5e-6,
+) -> tuple[float, int]:
+    """(seconds, bytes) to generate ``n`` elementwise triplets via OT.
+
+    ``exp_seconds`` is the cost of one modular exponentiation (~512-bit
+    group, CPU); each OT instance needs ~4 of them across both parties.
+    """
+    ots = 2 * _BITS * n_elements
+    compute_s = ots * 4 * exp_seconds
+    wire_bytes = ots * _OT_BYTES
+    network_s = wire_bytes / (link_bandwidth_gbps * 1e9) + ots * link_latency_s
+    return compute_s + network_s, wire_bytes
 
 
 def dealer_cost(m: int, k: int, n: int) -> float:

@@ -79,7 +79,6 @@ def serve(
     queue_rows: int | None = None,
     request_retries: int = 2,
     audit: bool = False,
-    autoscale=None,
     replica_config=None,
     backend: str | None = None,
     **overrides,
@@ -99,9 +98,6 @@ def serve(
     placement:
         ``"hash"``, ``"least-depth"``, or a
         :class:`~repro.serve.placement.PlacementPolicy` instance.
-    autoscale:
-        Optional :class:`~repro.serve.autoscale.AutoscalePolicy` to
-        scale on p95 latency watermarks.
     replica_config:
         Optional ``(index, base_config) -> FrameworkConfig`` hook for
         per-replica config shaping (chaos plans, backends).
@@ -127,5 +123,4 @@ def serve(
         queue_rows=queue_rows,
         request_retries=request_retries,
         audit=audit,
-        autoscale=autoscale,
     )

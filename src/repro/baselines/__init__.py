@@ -6,9 +6,7 @@
 * :mod:`repro.baselines.secureml` — the SecureML baseline: the same
   two-party protocol stack run CPU-only with no pipelines, compression,
   or Tensor Cores, exactly the configuration the paper reimplements
-  from Mohassel & Zhang [10];
-* :mod:`repro.baselines.smo` — a real sequential-minimal-optimization
-  SVM trainer (the paper's plain-text SVM reference).
+  from Mohassel & Zhang [10].
 """
 
 from repro.baselines.plain import (
@@ -22,7 +20,6 @@ from repro.baselines.plain import (
     PlainReport,
 )
 from repro.baselines.secureml import make_secureml_context, make_parsecureml_context
-from repro.baselines.smo import SMOSVM
 
 __all__ = [
     "PlainMLP",
@@ -35,5 +32,4 @@ __all__ = [
     "PlainReport",
     "make_secureml_context",
     "make_parsecureml_context",
-    "SMOSVM",
 ]

@@ -29,14 +29,8 @@ from repro.core.models import (
     SecureSVM,
 )
 from repro.core.resnet import SecureResNet, SecureResidualBlock
-from repro.core.optim import SGD, MomentumSGD, AveragedSGD
+from repro.core.optim import SGD, MomentumSGD
 from repro.core.checkpoint import save_model, load_model
-from repro.core.stats import (
-    secure_mean,
-    secure_variance,
-    secure_covariance,
-    secure_standardize,
-)
 from repro.core.training import SecureTrainer, TrainReport
 from repro.core.inference import secure_predict, InferenceReport
 
@@ -55,13 +49,8 @@ __all__ = [
     "SecureResidualBlock",
     "SGD",
     "MomentumSGD",
-    "AveragedSGD",
     "save_model",
     "load_model",
-    "secure_mean",
-    "secure_variance",
-    "secure_covariance",
-    "secure_standardize",
     "SecureTrainer",
     "TrainReport",
     "secure_predict",

@@ -57,8 +57,9 @@ from repro.protocols import get_backend
 from repro.simgpu.clock import SimClock
 from repro.simgpu.device import SimCPU, SimGPU
 from repro.telemetry import Telemetry
-from repro.util.errors import ProtocolError
+from repro.util.errors import ProtocolError, ShapeError
 from repro.util.seeding import SeedSequenceFactory
+from repro.util.validation import matmul_shapes_compatible
 
 
 @dataclass(frozen=True)
@@ -589,6 +590,10 @@ class SecureContext:
     ) -> MatrixTriplet:
         """Offline generation of one matrix Beaver triplet, fully costed
         (:meth:`_deal` has the one-mask-per-value rule)."""
+        if not matmul_shapes_compatible(shape_a, shape_b):
+            raise ShapeError(
+                f"triplet operand shapes incompatible for matmul: {shape_a} x {shape_b}"
+            )
         self._require_dealer("gen_matrix_triplet")
         shapes = (tuple(shape_a), tuple(shape_b))
         u, v, z, masks = self._deal(

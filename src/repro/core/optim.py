@@ -1,10 +1,10 @@
 """Optimizers over secret-shared parameters.
 
 SGD updates are *linear* in the gradients, so every optimizer whose
-update rule is a linear recurrence (plain SGD, momentum, gradient
-averaging) runs **locally on shares** — no extra protocol rounds, no
-triplets.  That observation is what makes secure training practical:
-only the forward/backward products are interactive.
+update rule is a linear recurrence (plain SGD, momentum) runs **locally
+on shares** — no extra protocol rounds, no triplets.  That observation
+is what makes secure training practical: only the forward/backward
+products are interactive.
 
 The update arithmetic uses public-scalar multiplication with local
 truncation (:meth:`~repro.core.tensor.SharedTensor.mul_public`), the
@@ -102,34 +102,3 @@ class MomentumSGD(SGD):
             vel = vel.mul_public(self.momentum) + grad
         self._velocity[key] = vel
         return param - vel.mul_public(self.lr)
-
-
-class AveragedSGD(SGD):
-    """Polyak-style averaging: track the running mean of the iterates.
-
-    ``average()`` returns shared parameters; decoding them is the
-    client's call, as with any shared value.
-    """
-
-    def __init__(self, lr: float = 0.125):
-        super().__init__(lr)
-        self._sums: dict[str, SharedTensor] = {}
-        self._count = 0
-
-    def step(self, model) -> None:
-        super().step(model)
-        self._count += 1
-        seen: set = set()
-        for li, top in enumerate(model.layers):
-            for path, layer in _walk(top, str(li), seen):
-                for attr in ("weight", "bias"):
-                    param = getattr(layer, attr, None)
-                    if isinstance(param, SharedTensor):
-                        key = f"{path}/{attr}"
-                        prev = self._sums.get(key)
-                        self._sums[key] = param if prev is None else prev + param
-
-    def average(self, key: str) -> SharedTensor:
-        if self._count == 0 or key not in self._sums:
-            raise ConfigError(f"no iterates recorded for {key!r}")
-        return self._sums[key].mul_public(1.0 / self._count)

@@ -19,19 +19,12 @@ the reproduction survive an imperfect one.  Two halves:
 Recovery is wired into the drivers: :class:`~repro.core.training.SecureTrainer`
 checkpoints shares every K batches and replays from the last checkpoint
 after a party restart; :func:`~repro.core.inference.secure_predict`
-retries failed batch requests.  :mod:`repro.faults.chaos` is the harness
-the chaos tests use to assert bit-identical convergence under any
-recoverable plan.
+retries failed batch requests.  The chaos harness that holds every
+recoverable plan to bit-identical convergence lives with its tests
+(``tests/chaos_harness.py``).
 """
 
 from repro.faults.blame import BlameRecord, PartyFailure
-from repro.faults.chaos import (
-    ChaosResult,
-    default_chaos_matrix,
-    snapshot_weights,
-    train_mlp_under_plan,
-    unrecoverable_plan,
-)
 from repro.faults.injector import FaultDecision, FaultInjector
 from repro.faults.plan import FaultPlan, LinkPartition, PartyCrash, RetryPolicy
 from repro.faults.recovery import respawn_party
@@ -48,9 +41,4 @@ __all__ = [
     "PartyFailure",
     "ResilientChannel",
     "respawn_party",
-    "ChaosResult",
-    "default_chaos_matrix",
-    "snapshot_weights",
-    "train_mlp_under_plan",
-    "unrecoverable_plan",
 ]

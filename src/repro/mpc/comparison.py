@@ -5,9 +5,9 @@ The paper's activation (Eq. 9) is piecewise linear with breakpoints at
 SecureML switches to Yao garbled circuits for this; ParSecureML inherits
 the approach without detailing it.  The system runs one protocol, this
 module's *dealer-assisted* comparison (:func:`secure_ge_const`); no
-configuration selects another.  Two independent oracles hold it to the
-right answer in the tests: the garbled-circuit engine in :mod:`repro.gc`
-and the plaintext reference :func:`emulated_ge_const` below.
+configuration selects another.  The tests hold it to plain
+two's-complement ``>=`` and to a plaintext reference
+(``tests/oracles.py``).
 
 Protocol (semi-honest, trusted-dealer / commodity model)
 ---------------------------------------------------------
@@ -230,38 +230,6 @@ def comparison_online_bytes(n_elements: int) -> int:
     and_rounds = (_BITS - 2) * 2 * 2 * ((n + 7) // 8)
     b2a = 2 * ((n + 7) // 8)
     return opening + and_rounds + b2a
-
-
-def emulated_ge_const(
-    x0: np.ndarray,
-    x1: np.ndarray,
-    c_encoded: int,
-    rng: np.random.Generator,
-) -> ComparisonResult:
-    """Plaintext reference for :func:`secure_ge_const`; nothing in the
-    system calls it.
-
-    Reconstructs ``x``, computes the indicator ``[x >= c]`` in the clear
-    (two's-complement ring semantics, which the real protocol matches
-    exactly), re-shares it with ``rng`` and reports the byte/round
-    accounting the real protocol must report.  ``tests/test_comparison.py``
-    holds :func:`secure_ge_const` to both.  Not a substitute protocol: its
-    output shares are a fresh sharing of the indicator, not the B2A
-    output, so wire streams downstream of it differ from the real ones.
-    """
-    x0 = np.asarray(x0, dtype=RING_DTYPE)
-    x1 = np.asarray(x1, dtype=RING_DTYPE)
-    c = np.uint64(int(c_encoded) % 2**64)
-    with np.errstate(over="ignore"):
-        y = (x0 + x1) - c
-    indicator = (y.view(np.int64) >= 0).astype(np.uint64)
-    pair = share_secret(indicator, rng)
-    return ComparisonResult(
-        share0=pair.share0,
-        share1=pair.share1,
-        online_bytes=comparison_online_bytes(indicator.size),
-        rounds=_BITS,
-    )
 
 
 def secure_ge_const(

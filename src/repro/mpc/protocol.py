@@ -1,101 +1,24 @@
-"""The online masked-multiplication protocol (paper Eqs. 4-8).
+"""One server's share of an elementwise Beaver product (paper Eq. 8's
+Hadamard form).
 
-Per multiplication, each server ``i`` holding shares ``A_i, B_i`` and a
-triplet share ``(U_i, V_i, Z_i)``:
+Server ``i`` holds shares ``A_i, B_i`` and a triplet share
+``(U_i, V_i, Z_i)``; after the servers open ``E = A - U`` and
+``F = B - V`` it computes
 
-1. computes the masked differences ``E_i = A_i - U_i`` and
-   ``F_i = B_i - V_i``                      (Eq. 4, local);
-2. exchanges them with the peer and forms ``E = E0 + E1``,
-   ``F = F0 + F1``                          (Eq. 5, one communication
-   round — the *reconstruct* step the paper keeps on the CPU);
-3. computes its output share              (Eq. 6):
-
-       C_i = (-i) * E @ F + A_i @ F + E @ B_i + Z_i
-
-   which the paper rewrites as the two-GEMM form (Eq. 8):
-
-       C_i = [ ((-i) * E + A_i)  |  E ] @ [ F ; B_i ] + Z_i
-
-   — one fewer GEMM launch, and the block structure is what pipeline 1
-   (Fig. 5) overlaps with PCIe transfers.
+    C_i = (-i) * E * F + A_i * F + E * B_i + Z_i
 
 ``E`` and ``F`` reveal nothing: they are the secrets one-time-padded by
-the uniform masks ``U, V``.
-
-Everything here is transport-agnostic pure computation; wiring the
-exchange over a channel lives in :mod:`repro.core` and
-:mod:`repro.baselines`.
+the uniform masks ``U, V``.  Pure computation; the exchange is wired in
+:mod:`repro.protocols.beaver2pc`.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from repro.fixedpoint.ring import ring_add, ring_matmul, ring_mul, ring_neg, ring_sub
+from repro.fixedpoint.ring import ring_add, ring_mul, ring_sub
 from repro.mpc.triplets import TripletShare
-from repro.util.errors import ProtocolError, ShapeError
-
-
-def masked_difference(share: np.ndarray, mask_share: np.ndarray) -> np.ndarray:
-    """Eq. 4: ``E_i = A_i - U_i`` (likewise for F). Local, cheap."""
-    if share.shape != mask_share.shape:
-        raise ShapeError(
-            f"share/mask shape mismatch: {share.shape} vs {mask_share.shape}"
-        )
-    return ring_sub(share, mask_share)
-
-
-def combine_masked(local: np.ndarray, remote: np.ndarray) -> np.ndarray:
-    """Eq. 5: ``E = E_0 + E_1`` after the exchange round."""
-    if local.shape != remote.shape:
-        raise ShapeError(f"combine shape mismatch: {local.shape} vs {remote.shape}")
-    return ring_add(local, remote)
-
-
-def beaver_matmul_share(
-    party_id: int,
-    e: np.ndarray,
-    f: np.ndarray,
-    a_share: np.ndarray,
-    b_share: np.ndarray,
-    triplet: TripletShare,
-    *,
-    matmul: Callable[[np.ndarray, np.ndarray], np.ndarray] = ring_matmul,
-    use_fused_form: bool = True,
-) -> np.ndarray:
-    """Compute ``C_i`` for a matrix product (Eq. 6 / Eq. 8).
-
-    Parameters
-    ----------
-    matmul:
-        Ring GEMM to use; the framework injects the simulated GPU GEMM
-        here (the paper's *GPU operation* step), baselines pass the CPU
-        one.
-    use_fused_form:
-        When True use the two-operand concatenated form of Eq. 8 (one
-        GEMM of shape (m, k+k) x (k+k, n)); otherwise the three-GEMM
-        Eq. 6. Both are exact; Eq. 8 is the paper's optimisation.
-    """
-    if party_id not in (0, 1):
-        raise ProtocolError(f"party_id must be 0 or 1, got {party_id}")
-    if triplet.party_id != party_id:
-        raise ProtocolError(
-            f"triplet share belongs to party {triplet.party_id}, used by party {party_id}"
-        )
-    triplet.mark_consumed()
-    if use_fused_form:
-        # Eq. 8: left = [(-i)*E + A_i | E], right = [F ; B_i].
-        lead = a_share if party_id == 0 else ring_sub(a_share, e)
-        left = np.concatenate([lead, e], axis=1)
-        right = np.concatenate([f, b_share], axis=0)
-        return ring_add(matmul(left, right), triplet.z)
-    # Eq. 6: C_i = (-i) E F + A_i F + E B_i + Z_i.
-    c = ring_add(matmul(a_share, f), matmul(e, b_share))
-    if party_id == 1:
-        c = ring_sub(c, matmul(e, f))
-    return ring_add(c, triplet.z)
+from repro.util.errors import ProtocolError
 
 
 def beaver_elementwise_share(
@@ -123,49 +46,3 @@ def beaver_elementwise_share(
     if party_id == 1:
         c = ring_sub(c, ring_mul(e, f))
     return ring_add(c, triplet.z)
-
-
-def secure_matmul_plain(
-    a_pair,
-    b_pair,
-    triplet,
-    *,
-    label: str = "matmul",
-    matmul: Callable = ring_matmul,
-    use_fused_form: bool = True,
-):
-    """Run the whole two-server matmul protocol in-process (no transport).
-
-    A reference driver used by tests and examples: takes the client's
-    share pairs of ``A`` and ``B`` plus a dealer triplet, simulates both
-    servers' local steps and the exchange, and returns ``(C_0, C_1)``.
-    ``label`` names the op stream in diagnostics, matching the keyword
-    every :mod:`repro.core.ops` entry point takes.
-    """
-    if triplet.shape_a != a_pair[0].shape or triplet.shape_b != b_pair[0].shape:
-        raise ProtocolError(
-            f"[{getattr(triplet, 'backend', 'beaver2pc')}] {label}: triplet shaped "
-            f"{triplet.shape_a}x{triplet.shape_b} does not match "
-            f"operands {a_pair[0].shape}x{b_pair[0].shape}"
-        )
-    shares = []
-    # Step 1-2: masked differences and exchange.
-    e_parts = [masked_difference(a_pair[i], triplet.u[i]) for i in (0, 1)]
-    f_parts = [masked_difference(b_pair[i], triplet.v[i]) for i in (0, 1)]
-    e = combine_masked(e_parts[0], e_parts[1])
-    f = combine_masked(f_parts[0], f_parts[1])
-    # Step 3: each server's output share.
-    for i in (0, 1):
-        shares.append(
-            beaver_matmul_share(
-                i,
-                e,
-                f,
-                a_pair[i],
-                b_pair[i],
-                triplet.share_for(i),
-                matmul=matmul,
-                use_fused_form=use_fused_form,
-            )
-        )
-    return shares[0], shares[1]

@@ -5,29 +5,20 @@ random masks ``U`` (shaped like the left operand) and ``V`` (shaped like
 the right operand), computes ``Z = U (*) V`` where ``(*)`` is the product
 the online phase will perform (matrix product, elementwise product, or a
 convolution realised as a matrix product), and additively shares all
-three among the two servers.
-
-``Z = U x V`` is the dominant cost of the offline phase (paper Section
-4.2 measures it above 90%); the dealer therefore accepts a ``matmul``
-callable so the framework can route that one product through the
-simulated GPU while leaving the cheap sampling on the CPU — the paper's
-offline acceleration design.
+three among the two servers.  The dealer is
+:meth:`repro.core.context.SecureContext.gen_matrix_triplet` /
+``gen_elementwise_triplet``; this module holds what it hands out.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from repro.fixedpoint.ring import RING_DTYPE, ring_matmul, ring_matmul_batched, ring_mul
-from repro.mpc.prandom import ThreadSafeGeneratorPool, parallel_uniform_ring
-from repro.mpc.shares import SharePair, share_secret
-from repro.telemetry.registry import MetricRegistry
-from repro.util.errors import ProtocolError, ShapeError
-from repro.util.validation import matmul_shapes_compatible
+from repro.mpc.shares import SharePair
+from repro.util.errors import ProtocolError
 
 # Monotonic identity for dealer triplets and masks.  Caches that stage
 # triplet material on devices, and the context's mask table, key their
@@ -194,97 +185,3 @@ class ElementwiseTriplet(_EpochShareMixin):
     masks: tuple[MaskView, MaskView] | None = field(default=None, repr=False, compare=False)
     _epoch: int | None = field(default=None, repr=False, compare=False)
     _issued: dict = field(default_factory=dict, repr=False, compare=False)
-
-
-class TripletDealer:
-    """Client-side triplet factory (the offline phase).
-
-    Parameters
-    ----------
-    rng:
-        Generator used for the share-splitting randomness.
-    pool:
-        Optional :class:`ThreadSafeGeneratorPool` for parallel mask
-        sampling (Section 5.1); falls back to ``rng`` when omitted.
-    matmul:
-        The ring matmul used to form ``Z = U @ V``; inject the simulated
-        GPU's GEMM here to reproduce the paper's offline acceleration.
-    telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` whose registry
-        receives ``mpc.triplets_generated{kind,shape,source="dealer"}``;
-        :attr:`triplets_issued` / :attr:`mask_bytes_generated` stay
-        available as thin views.
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        *,
-        pool: ThreadSafeGeneratorPool | None = None,
-        matmul: Callable[[np.ndarray, np.ndarray], np.ndarray] = ring_matmul,
-        telemetry=None,
-    ):
-        self._rng = rng
-        self._pool = pool
-        self._matmul = matmul
-        registry = telemetry.registry if telemetry is not None else MetricRegistry()
-        self._generated = registry.counter(
-            "mpc.triplets_generated", "Beaver triplets produced offline, by kind and shape"
-        )
-        self._mask_bytes = registry.counter(
-            "mpc.mask_bytes_generated", "bytes of random mask material sampled"
-        )
-
-    @property
-    def triplets_issued(self) -> int:
-        return int(self._generated.value(source="dealer"))
-
-    @property
-    def mask_bytes_generated(self) -> int:
-        return int(self._mask_bytes.value(source="dealer"))
-
-    def _uniform(self, shape: tuple[int, ...]) -> np.ndarray:
-        self._mask_bytes.inc(int(np.prod(shape)) * 8, source="dealer")
-        if self._pool is not None and len(shape) >= 2:
-            return parallel_uniform_ring(shape, self._pool)
-        return self._rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-
-    def matrix_triplet(
-        self, shape_a: tuple[int, ...], shape_b: tuple[int, ...]
-    ) -> MatrixTriplet:
-        """Generate one triplet for a product of the given operand shapes.
-
-        ``(m,k) x (k,n)``, or a stack ``(B,m,k) x (B,k,n)`` whose ``Z``
-        is the ``B`` per-sample products (always the host's batched ring
-        kernel; the injected ``matmul`` is a 2-D product).
-        """
-        if not matmul_shapes_compatible(shape_a, shape_b):
-            raise ShapeError(
-                f"triplet operand shapes incompatible for matmul: {shape_a} x {shape_b}"
-            )
-        u = self._uniform(shape_a)
-        v = self._uniform(shape_b)
-        z = self._matmul(u, v) if u.ndim == 2 else ring_matmul_batched(u, v)
-        self._generated.inc(
-            1, kind="matrix", shape=f"{tuple(shape_a)}x{tuple(shape_b)}", source="dealer"
-        )
-        return MatrixTriplet(
-            u=share_secret(u, self._rng),
-            v=share_secret(v, self._rng),
-            z=share_secret(z, self._rng),
-            shape_a=tuple(shape_a),
-            shape_b=tuple(shape_b),
-        )
-
-    def elementwise_triplet(self, shape: tuple[int, ...]) -> ElementwiseTriplet:
-        """Generate one triplet for an elementwise product of ``shape``."""
-        u = self._uniform(tuple(shape))
-        v = self._uniform(tuple(shape))
-        z = ring_mul(u, v)
-        self._generated.inc(1, kind="elementwise", shape=str(tuple(shape)), source="dealer")
-        return ElementwiseTriplet(
-            u=share_secret(u, self._rng),
-            v=share_secret(v, self._rng),
-            z=share_secret(z, self._rng),
-            shape=tuple(shape),
-        )

@@ -14,8 +14,8 @@ The serving stack in layers:
   :class:`FleetRouter` with pluggable placement
   (:mod:`repro.serve.placement`: consistent-hash affinity or
   least-queue-depth), crash recovery that re-routes admitted requests
-  (exactly-once, zero drops), an optional p95-watermark autoscaler (:mod:`repro.serve.autoscale`), and a
-  journal-replay conformance oracle (:func:`replay_replica_journal`).
+  (exactly-once, zero drops), and a journal-replay conformance oracle
+  (:func:`replay_replica_journal`).
 
 Quickstart::
 
@@ -30,7 +30,6 @@ Quickstart::
     report = fleet.report()                     # per-replica + fleet aggregate
 """
 
-from repro.serve.autoscale import AutoscalePolicy, FleetAutoscaler
 from repro.serve.batcher import AdaptiveBatcher, BatchPlan
 from repro.serve.fleet import (
     FleetReport,
@@ -61,9 +60,7 @@ __all__ = [
     "RequestQueue",
     "ServeReport",
     # fleet layer
-    "AutoscalePolicy",
     "ConsistentHashPlacement",
-    "FleetAutoscaler",
     "FleetReport",
     "FleetResponse",
     "FleetRouter",

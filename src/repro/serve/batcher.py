@@ -17,7 +17,6 @@ to idle the clock forward (``drain``) or only serve what is ready
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.serve.queue import InferenceRequest, RequestQueue
@@ -76,11 +75,3 @@ class AdaptiveBatcher:
         if not requests:
             return None
         return BatchPlan(requests=tuple(requests), max_batch=self.max_batch)
-
-    def demand(self, queue: RequestQueue) -> int:
-        """Batches a full drain of the current queue will run.
-
-        Every one of them runs at the fixed ``max_batch`` shape, so the
-        drain deals no triplet the first batch has not dealt already.
-        """
-        return math.ceil(queue.depth_rows / self.max_batch)

@@ -1,4 +1,4 @@
-"""The sharded secure-serving fleet: router, replicas, autoscaler.
+"""The sharded secure-serving fleet: a router in front of replicas.
 
 One :class:`~repro.serve.replica.Replica` is one secure deployment —
 one server pair, one dealer, one pair of clocks.  The fleet scales that
@@ -6,8 +6,8 @@ horizontally: N replicas (each built from the same ``model_factory``
 on its own :class:`~repro.core.context.SecureContext`, whose client
 deals each op stream's triplet on first use) behind a
 :class:`FleetRouter` front-end with pluggable placement
-(:mod:`repro.serve.placement`) and an optional latency-watermark
-autoscaler (:mod:`repro.serve.autoscale`).
+(:mod:`repro.serve.placement`).  The replica count changes only through
+:meth:`SecureServingFleet.add_replica` / ``retire_replica``.
 
 Delivery contract — *admitted exactly once*: every request the fleet
 accepts is answered exactly once, crashes included.  A replica whose
@@ -51,7 +51,6 @@ import numpy as np
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
 from repro.faults.blame import PartyFailure
-from repro.serve.autoscale import AutoscalePolicy, FleetAutoscaler
 from repro.serve.placement import make_placement
 from repro.serve.replica import InferenceResponse, Replica, ServeReport
 from repro.telemetry import Telemetry
@@ -176,7 +175,7 @@ class FleetRouter:
 
 
 class SecureServingFleet:
-    """N context replicas behind a router and an optional autoscaler.
+    """N context replicas behind a router.
 
     Parameters
     ----------
@@ -186,7 +185,8 @@ class SecureServingFleet:
         once per replica, and again per replica during conformance
         replay, so it must be deterministic given the context.
     replicas:
-        Initial replica count (the autoscaler may change it later).
+        Initial replica count (:meth:`add_replica` / :meth:`retire_replica`
+        change it later).
     config:
         Base :class:`FrameworkConfig`; replica *i* runs ``config`` with
         ``seed + i`` so RNG streams are distinct across the fleet.
@@ -196,8 +196,6 @@ class SecureServingFleet:
     placement:
         ``"hash"`` (consistent-hash session affinity), ``"least-depth"``,
         or a :class:`~repro.serve.placement.PlacementPolicy` instance.
-    autoscale:
-        Optional :class:`~repro.serve.autoscale.AutoscalePolicy`.
     max_reroutes:
         Crash-recovery budget per request before the failure surfaces
         to the caller (the request stays queued, never dropped).
@@ -220,7 +218,6 @@ class SecureServingFleet:
         request_retries: int = 2,
         max_reroutes: int = 4,
         audit: bool = False,
-        autoscale: AutoscalePolicy | None = None,
     ):
         if replicas < 1:
             raise ServeError(f"fleet needs >= 1 replica, got {replicas}")
@@ -237,9 +234,6 @@ class SecureServingFleet:
         )
         self.telemetry = Telemetry()
         self.router = FleetRouter(placement, telemetry=self.telemetry)
-        self.autoscaler = (
-            FleetAutoscaler(self, autoscale) if autoscale is not None else None
-        )
         self._replica_seq = itertools.count()
         self._fleet_rid = itertools.count(1)
         self._inflight: dict[tuple[str, int], FleetTicket] = {}
@@ -362,8 +356,6 @@ class SecureServingFleet:
         for replica in list(self.router.replicas()):
             ran += self._pump_replica(replica)
         self._collect()
-        if self.autoscaler is not None:
-            self.autoscaler.tick()
         return ran
 
     def drain(self) -> int:
@@ -389,8 +381,6 @@ class SecureServingFleet:
                     )
             else:
                 stalled = 0
-        if self.autoscaler is not None:
-            self.autoscaler.tick()
         return ran
 
     # -- accounting -------------------------------------------------------------

@@ -12,9 +12,8 @@ speaks:
   poll, each exactly once (the router's collection path).
 * :meth:`drain` — serve everything queued, idling the online clock
   through partial-batch timers (:meth:`pump` serves only what is ready).
-* :meth:`stats` — queue depth, served counts, crash state, and the p95
-  latency, read from the replica's own ``serve.*`` telemetry — the
-  signal placement policies and the autoscaler consume.
+* :meth:`stats` — queue depth, served counts and crash state, read
+  from the replica's own ``serve.*`` telemetry.
 
 The serving mechanics are unchanged from the original single-server
 layer: a bounded :class:`~repro.serve.queue.RequestQueue`, an
@@ -110,7 +109,7 @@ class ServeReport:
 
 @dataclass(frozen=True)
 class ReplicaStats:
-    """The placement/autoscaling view of one replica, from ``serve.*``."""
+    """A summary of one replica, from ``serve.*``."""
 
     name: str
     queued_requests: int
@@ -120,7 +119,6 @@ class ReplicaStats:
     batches: int
     crashed: bool
     online_s: float
-    p95_s: float
     backend: str = "beaver2pc"
 
 
@@ -305,7 +303,7 @@ class Replica:
         return list(new)
 
     def stats(self) -> ReplicaStats:
-        """The placement/autoscaling signal, from this replica's telemetry."""
+        """This replica's summary, from its telemetry."""
         return ReplicaStats(
             name=self.name,
             queued_requests=len(self.queue),
@@ -315,7 +313,6 @@ class Replica:
             batches=self._batches,
             crashed=self.crashed_party is not None,
             online_s=self.ctx.online_clock.now(),
-            p95_s=self._latency.quantile(0.95, stage="total"),
             backend=self.ctx.backend.name,
         )
 

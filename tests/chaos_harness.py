@@ -8,23 +8,22 @@ only move simulated time and telemetry counters, never numerics.
 :func:`train_mlp_under_plan` is the canonical probe (a small MLP, two
 batches, checkpoint-every-batch recovery) and
 :func:`default_chaos_matrix` the plan matrix the chaos suite sweeps.
-
-Core imports are lazy: the drivers import ``repro.faults`` at module
-scope, so importing them here at module scope would cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
+from repro.core.checkpoint import _named_parameters
+from repro.core.config import FrameworkConfig
+from repro.core.context import SecureContext
+from repro.core.models import SecureMLP
+from repro.core.training import SecureTrainer, TrainReport
 from repro.faults.plan import FaultPlan, PartyCrash
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.training import TrainReport
-    from repro.telemetry.snapshot import TelemetrySnapshot
+from repro.telemetry.snapshot import TelemetrySnapshot
 
 
 @dataclass
@@ -33,8 +32,8 @@ class ChaosResult:
 
     plan: FaultPlan | None
     weights: dict[str, tuple[np.ndarray, np.ndarray]]
-    report: "TrainReport"
-    snapshot: "TelemetrySnapshot"
+    report: TrainReport
+    snapshot: TelemetrySnapshot
     losses: list[float] = field(default_factory=list)
 
     def weights_equal(self, other: "ChaosResult") -> bool:
@@ -73,8 +72,6 @@ class ChaosResult:
 
 def snapshot_weights(model) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Copy every parameter's share pair, keyed by checkpoint path."""
-    from repro.core.checkpoint import _named_parameters
-
     return {
         name: tuple(s.copy() for s in tensor.shares)
         for name, tensor in _named_parameters(model)
@@ -102,11 +99,6 @@ def train_mlp_under_plan(
     ``checkpoint_every`` batches and survives up to ``max_restarts``
     party crashes.
     """
-    from repro.core.config import FrameworkConfig
-    from repro.core.context import SecureContext
-    from repro.core.models import SecureMLP
-    from repro.core.training import SecureTrainer
-
     config = FrameworkConfig.parsecureml(fault_plan=plan, **config_overrides)
     ctx = SecureContext.create(config)
     model = SecureMLP(ctx, features, hidden=hidden, n_out=2)

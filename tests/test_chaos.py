@@ -9,17 +9,13 @@ import os
 
 import numpy as np
 import pytest
+from chaos_harness import default_chaos_matrix, train_mlp_under_plan, unrecoverable_plan
 
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
 from repro.core.inference import secure_predict
 from repro.core.models import SecureMLP
 from repro.faults import FaultPlan, PartyCrash, PartyFailure
-from repro.faults.chaos import (
-    default_chaos_matrix,
-    train_mlp_under_plan,
-    unrecoverable_plan,
-)
 
 pytestmark = pytest.mark.chaos
 

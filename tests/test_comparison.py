@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import emulated_ge_const
 
 from repro.fixedpoint.encoding import FixedPointEncoder
 from repro.mpc.comparison import (
@@ -11,7 +12,6 @@ from repro.mpc.comparison import (
     _bit_planes,
     comparison_offline_bytes,
     comparison_online_bytes,
-    emulated_ge_const,
     secure_ge_const,
 )
 from repro.mpc.shares import reconstruct, share_secret
@@ -47,10 +47,14 @@ class TestDealerComparison:
         assert np.array_equal(got[ok], expected[ok])
 
     def test_exact_on_grid_values(self):
-        # values exactly representable: comparison must be exact incl. ties
-        values = np.array([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0])
-        got, _ = compare_via_protocol(values, 0.5)
-        assert np.array_equal(got, (values >= 0.5).astype(np.int64))
+        # values exactly representable: comparison must be exact incl. ties;
+        # the 2x2 is the input the garbled-circuit cross-check once covered
+        for values in (
+            np.array([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0]),
+            np.array([[-1.5, 0.2], [0.5, 3.0]]),
+        ):
+            got, _ = compare_via_protocol(values, 0.5)
+            assert np.array_equal(got, (values >= 0.5).astype(np.int64))
 
     def test_2d_shapes(self):
         values = np.linspace(-2, 2, 24).reshape(4, 6)
@@ -82,7 +86,7 @@ class TestDealerComparison:
 
 class TestEmulatedParity:
     """The real protocol must match the plaintext reference
-    (``emulated_ge_const``, which nothing under ``src/`` calls) in value
+    (``oracles.emulated_ge_const``) in value
     and in byte/round accounting."""
 
     @settings(max_examples=15, deadline=None)

@@ -63,7 +63,7 @@ class TestHarnessesRunTheDefaultConfig:
 
     def test_chaos_run_is_the_default_plus_its_plan(self, monkeypatch):
         from repro.faults import FaultPlan
-        from repro.faults.chaos import train_mlp_under_plan
+        from chaos_harness import train_mlp_under_plan
 
         built = []
         create = SecureContext.create

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import never_reuse
+from conftest import make_ctx, never_reuse
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -38,7 +38,6 @@ from repro.core.tensor import SharedTensor
 from repro.core.training import SecureTrainer
 from repro.faults import FaultPlan, PartyCrash
 from repro.faults.recovery import respawn_party
-from repro.mpc.triplets import TripletDealer
 from repro.pipeline.scheduler import schedule_secure_gemm
 from repro.simgpu.clock import SimClock
 from repro.simgpu.cost import V100_SPEC
@@ -281,7 +280,7 @@ class TestScheduler:
             rng.integers(0, 2**64, size=shape, dtype=np.uint64)
             for shape in ((m, k), (k, n), (m, k), (k, n))
         )
-        return e, f, a, b, TripletDealer(np.random.default_rng(1)).matrix_triplet((m, k), (k, n))
+        return e, f, a, b, make_ctx(seed=1).gen_matrix_triplet((m, k), (k, n))
 
     def test_transposed_operands_upload_their_base_layout(self):
         """``trans`` changes which bytes lie on the device, never the

@@ -9,7 +9,7 @@ Covers the serving redesign end to end:
 * crash recovery: a replica failure re-routes admitted requests onto
   healthy replicas with zero drops, and the per-replica journals still
   replay bit-identically (:meth:`verify_conformance`);
-* the p95-watermark autoscaler and the ``repro.api.serve`` entry point.
+* scale-out / retire and the ``repro.api.serve`` entry point.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.core.context import SecureContext
 from repro.core.models import SecureMLP
 from repro.faults import FaultPlan, PartyCrash
 from repro.serve import (
-    AutoscalePolicy,
     ConsistentHashPlacement,
     LeastDepthPlacement,
     Replica,
@@ -281,38 +280,6 @@ class TestFleetLifecycle:
         fleet = _fleet(replicas=1)
         with pytest.raises(ServeError):
             fleet.retire_replica()
-
-    def test_autoscaler_scales_up_past_the_high_watermark(self, rng):
-        policy = AutoscalePolicy(
-            high_p95_s=1e-9, low_p95_s=0.0, max_replicas=3, window=8,
-            cooldown_ticks=1,
-        )
-        fleet = _fleet(replicas=1, autoscale=policy)
-        for i in range(8):
-            fleet.submit(f"c{i}", rng.normal(size=(4, N_FEATURES)))
-            fleet.drain()
-        assert len(fleet.replicas()) > 1
-        assert fleet.telemetry.counter(
-            "fleet.autoscale.actions").value(direction="up") >= 1
-
-    def test_autoscaler_scales_down_below_the_low_watermark(self, rng):
-        policy = AutoscalePolicy(
-            high_p95_s=1e9, low_p95_s=1e8, min_replicas=1, window=8,
-            cooldown_ticks=1,
-        )
-        fleet = _fleet(replicas=2, autoscale=policy)
-        for i in range(6):
-            fleet.submit(f"c{i}", rng.normal(size=(2, N_FEATURES)))
-            fleet.drain()
-        assert len(fleet.replicas()) == 1
-        assert fleet.report().replicas_retired == 1
-
-    def test_autoscale_policy_validates(self):
-        with pytest.raises(ConfigError):
-            AutoscalePolicy(high_p95_s=0.1, low_p95_s=0.2)
-        with pytest.raises(ConfigError):
-            AutoscalePolicy(high_p95_s=0.2, low_p95_s=0.1, min_replicas=3,
-                            max_replicas=2)
 
 
 class TestApiSurface:

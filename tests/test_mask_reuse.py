@@ -13,7 +13,7 @@ no value may ever move.
 
 import numpy as np
 import pytest
-from conftest import assert_no_upload_later_than_fig5, never_reuse
+from conftest import assert_no_upload_later_than_fig5, make_ctx, never_reuse
 
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
@@ -25,7 +25,6 @@ from repro.core.training import SecureTrainer
 from repro.faults.recovery import respawn_party
 from repro.fixedpoint.encoding import FixedPointEncoder
 from repro.mpc.shares import share_secret
-from repro.mpc.triplets import TripletDealer
 from repro.pipeline.scheduler import schedule_secure_gemm
 from repro.serve import Replica
 from repro.simgpu.clock import SimClock
@@ -79,7 +78,7 @@ class TestSchedulerResidency:
         enc = FixedPointEncoder(13)
         ap = share_secret(enc.encode(rng.normal(size=(m, k))), rng)
         bp = share_secret(enc.encode(rng.normal(size=(k, n))), rng)
-        trip = TripletDealer(np.random.default_rng(1)).matrix_triplet((m, k), (k, n))
+        trip = make_ctx(seed=1).gen_matrix_triplet((m, k), (k, n))
         e = (ap[0] - trip.u[0]) + (ap[1] - trip.u[1])
         f = (bp[0] - trip.v[0]) + (bp[1] - trip.v[1])
         return e, f, ap[0], bp[0], trip

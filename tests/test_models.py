@@ -98,7 +98,7 @@ class TestSVM:
     def test_agrees_with_smo_reference(self, ctx):
         """Both optimise the hinge objective; on well-separated data the
         sign predictions must coincide."""
-        from repro.baselines.smo import SMOSVM
+        from oracles import SMOSVM
 
         x, y = separable_classification(192, 6, margin=2.5, seed=11)
         secure = SecureSVM(ctx, 6)

@@ -113,7 +113,7 @@ class TestCompare:
             ops.secure_compare_const(ind, 0.0)
 
     def test_op_agrees_with_plaintext_reference(self, ctx, rng):
-        from repro.mpc.comparison import emulated_ge_const
+        from oracles import emulated_ge_const
         from repro.mpc.shares import reconstruct
 
         xs = shared(ctx, rng.normal(size=(5, 4)))

@@ -11,7 +11,7 @@ from repro.core.checkpoint import load_model, save_model
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
 from repro.core.models import SecureLinearRegression, SecureMLP
-from repro.core.optim import SGD, AveragedSGD, MomentumSGD
+from repro.core.optim import SGD, MomentumSGD
 from repro.core.tensor import SharedTensor
 from repro.util.errors import ConfigError, ProtocolError
 
@@ -73,23 +73,11 @@ class TestOptimizers:
         run_epochs(ctx, model, opt, x, y, epochs=1)
         assert all(isinstance(v, SharedTensor) for v in opt._velocity.values())
 
-    def test_averaged_sgd_average(self, ctx, rng):
-        x, y = make_problem(rng)
-        model = SecureLinearRegression(ctx, 8, n_out=2)
-        opt = AveragedSGD(lr=0.25)
-        run_epochs(ctx, model, opt, x, y, epochs=2)
-        avg = opt.average("0/weight")
-        assert avg.shape == (8, 2)
-        # the average is a genuine shared tensor near the final iterate
-        assert np.abs(avg.decode() - model.layers[0].weight.decode()).max() < 1.0
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             SGD(lr=0)
         with pytest.raises(ConfigError):
             MomentumSGD(momentum=1.0)
-        with pytest.raises(ConfigError):
-            AveragedSGD().average("nope")
 
 
 class TestCheckpoint:
@@ -193,7 +181,7 @@ class TestEveryParameterIsCheckpointed:
         uninterrupted run's shares."""
         from repro.core.training import SecureTrainer
         from repro.faults import FaultPlan, PartyCrash
-        from repro.faults.chaos import snapshot_weights
+        from chaos_harness import snapshot_weights
 
         rng = np.random.default_rng(7)
         x = 0.5 * rng.standard_normal((32, 12))
@@ -253,7 +241,7 @@ class TestMidTrainingCheckpoint:
         run lands on exactly the weights of the uninterrupted run — the
         guarantee the fault-recovery path (repro.faults) is built on."""
         from repro.faults import FaultPlan, PartyCrash
-        from repro.faults.chaos import train_mlp_under_plan
+        from chaos_harness import train_mlp_under_plan
 
         uninterrupted = train_mlp_under_plan(None, batches=4)
         # crash at batch 2: recovery restores the batch-2 checkpoint

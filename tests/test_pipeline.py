@@ -2,16 +2,12 @@
 
 import numpy as np
 import pytest
+from conftest import make_ctx
+from oracles import beaver_matmul_share, combine_masked, masked_difference
 
 from repro.fixedpoint.encoding import FixedPointEncoder
 from repro.fixedpoint.truncation import truncate_share
-from repro.mpc.protocol import (
-    beaver_matmul_share,
-    combine_masked,
-    masked_difference,
-)
 from repro.mpc.shares import reconstruct, share_secret
-from repro.mpc.triplets import TripletDealer
 from repro.pipeline.profiler import StepProfiler
 from repro.pipeline.scheduler import schedule_secure_gemm
 from repro.pipeline.timeline import render_gantt, summarize
@@ -72,8 +68,8 @@ class TestScheduledGemm:
         b = rng.normal(size=(k, n))
         ap = share_secret(enc.encode(a), rng)
         bp = share_secret(enc.encode(b), rng)
-        dealer = TripletDealer(np.random.default_rng(seed + 1))
-        trip = dealer.matrix_triplet((m, k), (k, n))
+        dealer = make_ctx(seed=seed + 1)
+        trip = dealer.gen_matrix_triplet((m, k), (k, n))
         e = combine_masked(
             masked_difference(ap[0], trip.u[0]), masked_difference(ap[1], trip.u[1])
         )

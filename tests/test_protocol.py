@@ -1,21 +1,18 @@
-"""The online masked-multiplication protocol (Eqs. 4-8)."""
+"""The online masked-multiplication protocol (Eqs. 4-8), held to the
+in-process reference in ``oracles.py``."""
 
 import numpy as np
 import pytest
+from conftest import make_ctx
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import beaver_matmul_share, combine_masked, masked_difference, secure_matmul_plain
 
 from repro.fixedpoint.encoding import FixedPointEncoder
 from repro.fixedpoint.ring import ring_mul
 from repro.fixedpoint.truncation import truncate_share
-from repro.mpc.protocol import (
-    beaver_elementwise_share,
-    combine_masked,
-    masked_difference,
-    secure_matmul_plain,
-)
+from repro.mpc.protocol import beaver_elementwise_share
 from repro.mpc.shares import reconstruct, share_secret
-from repro.mpc.triplets import TripletDealer
 from repro.util.errors import ProtocolError, ShapeError
 
 
@@ -25,8 +22,8 @@ def run_matmul(a, b, seed=0, **kw):
     enc = FixedPointEncoder(13)
     ap = share_secret(enc.encode(a), rng)
     bp = share_secret(enc.encode(b), rng)
-    dealer = TripletDealer(np.random.default_rng(seed + 1))
-    trip = dealer.matrix_triplet(a.shape, b.shape)
+    dealer = make_ctx(seed=seed + 1)
+    trip = dealer.gen_matrix_triplet(a.shape, b.shape)
     c0, c1 = secure_matmul_plain(ap, bp, trip, **kw)
     return enc.decode(
         reconstruct(truncate_share(c0, 13, 0), truncate_share(c1, 13, 1))
@@ -49,10 +46,10 @@ class TestSecureMatmul:
         a, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3))
         ap = share_secret(enc.encode(a), rng)
         bp = share_secret(enc.encode(b), rng)
-        dealer = TripletDealer(np.random.default_rng(9))
-        t1 = dealer.matrix_triplet(a.shape, b.shape)
+        dealer = make_ctx(seed=9)
+        t1 = dealer.gen_matrix_triplet(a.shape, b.shape)
         # reuse identical triplet material for both forms
-        t2 = dealer.matrix_triplet(a.shape, b.shape)
+        t2 = dealer.gen_matrix_triplet(a.shape, b.shape)
         for pair_attr in ("u", "v", "z"):
             setattr(t2, pair_attr, getattr(t1, pair_attr))
         c_fused = secure_matmul_plain(ap, bp, t1, use_fused_form=True)
@@ -65,8 +62,8 @@ class TestSecureMatmul:
         enc = FixedPointEncoder(13)
         a = np.zeros((64, 64))
         ap = share_secret(enc.encode(a), rng)
-        dealer = TripletDealer(np.random.default_rng(3))
-        trip = dealer.matrix_triplet((64, 64), (64, 64))
+        dealer = make_ctx(seed=3)
+        trip = dealer.gen_matrix_triplet((64, 64), (64, 64))
         e = combine_masked(
             masked_difference(ap[0], trip.u[0]), masked_difference(ap[1], trip.u[1])
         )
@@ -92,8 +89,8 @@ class TestTripletDiscipline:
         """A TripletShare (one execution's material) is single-use; the
         MatrixTriplet *stream* may be reused across iterations, which is
         the paper's mask-stability requirement (Eqs. 10-12)."""
-        dealer = TripletDealer(np.random.default_rng(1))
-        trip = dealer.matrix_triplet((3, 3), (3, 3))
+        dealer = make_ctx(seed=1)
+        trip = dealer.gen_matrix_triplet((3, 3), (3, 3))
         share = trip.share_for(0)
         share.mark_consumed()
         with pytest.raises(ProtocolError):
@@ -102,10 +99,8 @@ class TestTripletDiscipline:
         trip.share_for(0).mark_consumed()
 
     def test_wrong_party_triplet_rejected(self, rng):
-        from repro.mpc.protocol import beaver_matmul_share
-
-        dealer = TripletDealer(np.random.default_rng(1))
-        trip = dealer.matrix_triplet((2, 2), (2, 2))
+        dealer = make_ctx(seed=1)
+        trip = dealer.gen_matrix_triplet((2, 2), (2, 2))
         e = np.zeros((2, 2), dtype=np.uint64)
         with pytest.raises(ProtocolError):
             beaver_matmul_share(0, e, e, e, e, trip.share_for(1))
@@ -121,8 +116,8 @@ class TestElementwise:
         b = rng.normal(size=(m, n))
         ap = share_secret(enc.encode(a), rng)
         bp = share_secret(enc.encode(b), rng)
-        dealer = TripletDealer(np.random.default_rng(seed + 5))
-        trip = dealer.elementwise_triplet((m, n))
+        dealer = make_ctx(seed=seed + 5)
+        trip = dealer.gen_elementwise_triplet((m, n))
         e = combine_masked(
             masked_difference(ap[0], trip.u[0]), masked_difference(ap[1], trip.u[1])
         )

@@ -8,6 +8,7 @@ party crashes), and per-request latency quantiles in telemetry.
 
 import numpy as np
 import pytest
+from chaos_harness import unrecoverable_plan
 
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
@@ -16,7 +17,6 @@ from repro.core.models import SecureMLP
 from repro.core.tensor import SharedTensor
 from repro.faults import FaultPlan, PartyCrash
 from repro.faults.blame import PartyFailure
-from repro.faults.chaos import unrecoverable_plan
 from repro.serve import (
     AdaptiveBatcher,
     InferenceRequest,
@@ -106,11 +106,6 @@ class TestAdaptiveBatcher:
         b = AdaptiveBatcher(max_batch=8, max_wait_s=0.0)
         plan = b.next_plan(self._queue(ctx, rng, [3, 2]))
         assert plan.rows == 5 and plan.pad_rows == 3
-
-    def test_demand_counts_batches(self, ctx, rng):
-        b = AdaptiveBatcher(max_batch=8, max_wait_s=0.0)
-        assert b.demand(self._queue(ctx, rng, [8, 8, 1])) == 3
-        assert b.demand(self._queue(ctx, rng, [])) == 0
 
 
 class TestSubmitValidation:

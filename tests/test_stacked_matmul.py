@@ -9,6 +9,7 @@ path's transfer order and residency rule on the GPU.
 
 import numpy as np
 import pytest
+from conftest import make_ctx
 
 from repro.audit.conformance import FORWARD_TOL
 from repro.comm.wire import frame_sizes
@@ -18,7 +19,7 @@ from repro.core.ops import secure_compare_const, secure_matmul
 from repro.core.tensor import SharedTensor
 from repro.fixedpoint.ring import ring_matmul_batched
 from repro.mpc.shares import SharePair, reconstruct
-from repro.mpc.triplets import MaskView, MatrixTriplet, TripletDealer
+from repro.mpc.triplets import MaskView, MatrixTriplet
 from repro.pipeline.scheduler import schedule_secure_gemm
 from repro.simgpu.clock import SimClock
 from repro.simgpu.cost import V100_SPEC
@@ -116,14 +117,13 @@ class TestBeaverStack:
                 np.testing.assert_array_equal(stack.shares[party][i], single.shares[party])
 
     def test_dealer_and_context_triplets_are_stacked_beaver_triples(self):
-        dealt = TripletDealer(np.random.default_rng(0)).matrix_triplet((3, 2, 4), (3, 4, 5))
         ctx = _ctx()
-        for trip in (dealt, ctx.gen_matrix_triplet((3, 2, 4), (3, 4, 5))):
-            u, v, z = (reconstruct(p[0], p[1]) for p in (trip.u, trip.v, trip.z))
-            assert u.shape == (3, 2, 4) and v.shape == (3, 4, 5)
-            np.testing.assert_array_equal(z, ring_matmul_batched(u, v))
+        trip = ctx.gen_matrix_triplet((3, 2, 4), (3, 4, 5))
+        u, v, z = (reconstruct(p[0], p[1]) for p in (trip.u, trip.v, trip.z))
+        assert u.shape == (3, 2, 4) and v.shape == (3, 4, 5)
+        np.testing.assert_array_equal(z, ring_matmul_batched(u, v))
         with pytest.raises(ShapeError):
-            TripletDealer(np.random.default_rng(0)).matrix_triplet((3, 2, 4), (2, 4, 5))
+            ctx.gen_matrix_triplet((3, 2, 4), (2, 4, 5))
 
     def test_opens_each_operand_once_in_one_frame_per_direction(self):
         ctx = _ctx()
@@ -177,7 +177,7 @@ class TestPlacement:
         rng = np.random.default_rng(0)
         shapes = ((8, 128, 128), (8, 128, 128))
         a, b = (rng.integers(0, 2**64, size=s, dtype=np.uint64) for s in shapes)
-        trip = TripletDealer(np.random.default_rng(1)).matrix_triplet(*shapes)
+        trip = make_ctx(seed=1).gen_matrix_triplet(*shapes)
         e, f = a - reconstruct(trip.u[0], trip.u[1]), b - reconstruct(trip.v[0], trip.v[1])
         a0, b0 = (rng.integers(0, 2**64, size=s, dtype=np.uint64) for s in shapes)
         shares = []

@@ -10,91 +10,86 @@ from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
 from repro.fixedpoint.ring import ring_matmul, ring_mul
 from repro.mpc.shares import reconstruct
-from repro.mpc.triplets import TripletDealer
 from repro.util.errors import ProtocolError, ShapeError
 
 
 @pytest.fixture
-def dealer(rng):
-    return TripletDealer(rng)
+def dealer():
+    return SecureContext(FrameworkConfig.parsecureml())
 
 
 class TestMatrixTriplet:
     def test_z_equals_u_matmul_v(self, dealer):
-        t = dealer.matrix_triplet((4, 6), (6, 3))
+        t = dealer.gen_matrix_triplet((4, 6), (6, 3))
         u = reconstruct(t.u.share0, t.u.share1)
         v = reconstruct(t.v.share0, t.v.share1)
         z = reconstruct(t.z.share0, t.z.share1)
         assert np.array_equal(z, ring_matmul(u, v))
 
     def test_shapes(self, dealer):
-        t = dealer.matrix_triplet((4, 6), (6, 3))
+        t = dealer.gen_matrix_triplet((4, 6), (6, 3))
         assert t.u.shape == (4, 6)
         assert t.v.shape == (6, 3)
         assert t.z.shape == (4, 3)
 
     def test_incompatible_shapes_raise(self, dealer):
         with pytest.raises(ShapeError):
-            dealer.matrix_triplet((4, 6), (5, 3))
+            dealer.gen_matrix_triplet((4, 6), (5, 3))
 
     def test_non_2d_raises(self, dealer):
         with pytest.raises(ShapeError):
-            dealer.matrix_triplet((4,), (4, 3))
+            dealer.gen_matrix_triplet((4,), (4, 3))
+
+    @pytest.mark.parametrize(
+        "shapes", [((2, 3, 4), (3, 5)), ((2, 3), (4, 5)), ((3, 2, 4), (2, 4, 5))]
+    )
+    def test_bad_shapes_raise_before_any_offline_cost(self, dealer, shapes):
+        mark = dealer.mark()
+        with pytest.raises(ShapeError, match="incompatible for matmul"):
+            dealer.gen_matrix_triplet(*shapes)
+        assert dealer.since(mark).offline_s == 0
 
     def test_fresh_randomness_per_triplet(self, dealer):
-        t1 = dealer.matrix_triplet((3, 3), (3, 3))
-        t2 = dealer.matrix_triplet((3, 3), (3, 3))
+        t1 = dealer.gen_matrix_triplet((3, 3), (3, 3))
+        t2 = dealer.gen_matrix_triplet((3, 3), (3, 3))
         assert not np.array_equal(
             reconstruct(t1.u.share0, t1.u.share1), reconstruct(t2.u.share0, t2.u.share1)
         )
 
     def test_counter_increments(self, dealer):
-        dealer.matrix_triplet((2, 2), (2, 2))
-        dealer.elementwise_triplet((4, 4))
+        dealer.gen_matrix_triplet((2, 2), (2, 2))
+        dealer.gen_elementwise_triplet((4, 4))
         assert dealer.triplets_issued == 2
 
 
 class TestElementwiseTriplet:
     def test_z_equals_u_hadamard_v(self, dealer):
-        t = dealer.elementwise_triplet((5, 7))
+        t = dealer.gen_elementwise_triplet((5, 7))
         u = reconstruct(t.u.share0, t.u.share1)
         v = reconstruct(t.v.share0, t.v.share1)
         z = reconstruct(t.z.share0, t.z.share1)
         assert np.array_equal(z, ring_mul(u, v))
 
     def test_nd_shapes_supported(self, dealer):
-        t = dealer.elementwise_triplet((2, 3, 4))
+        t = dealer.gen_elementwise_triplet((2, 3, 4))
         assert t.u.shape == (2, 3, 4)
 
 
 class TestSingleUse:
     def test_share_consumption_enforced(self, dealer):
-        t = dealer.matrix_triplet((2, 2), (2, 2))
+        t = dealer.gen_matrix_triplet((2, 2), (2, 2))
         share = t.share_for(0)
         share.mark_consumed()
         with pytest.raises(ProtocolError):
             share.mark_consumed()
 
     def test_each_party_gets_own_share_object(self, dealer):
-        t = dealer.matrix_triplet((2, 2), (2, 2))
+        t = dealer.gen_matrix_triplet((2, 2), (2, 2))
         s0, s1 = t.share_for(0), t.share_for(1)
         assert s0.party_id == 0
         assert s1.party_id == 1
         s0.mark_consumed()  # does not affect s1
         s1.mark_consumed()
-
-
-class TestDealerWithCustomMatmul:
-    def test_injected_matmul_used(self, rng):
-        calls = []
-
-        def spy_matmul(u, v):
-            calls.append((u.shape, v.shape))
-            return ring_matmul(u, v)
-
-        dealer = TripletDealer(rng, matmul=spy_matmul)
-        dealer.matrix_triplet((3, 4), (4, 2))
-        assert calls == [((3, 4), (4, 2))]
 
 
 # ------------------------------------------------------ the consumption guard
