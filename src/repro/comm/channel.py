@@ -17,9 +17,10 @@ as thin views over those series.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.simgpu.clock import SimClock, Task
-from repro.telemetry.registry import MetricRegistry
+from repro.telemetry.registry import BoundCounter, MetricRegistry
 from repro.util.errors import TransportError
 
 
@@ -39,6 +40,16 @@ class LinkSpec:
 INFINIBAND_100G = LinkSpec(name="4xEDR-IB", bandwidth_gbps=12.0, latency_s=1.5e-6)
 # A slower option for sensitivity studies (SecureML's original EC2-style LAN).
 ETHERNET_10G = LinkSpec(name="10GbE", bandwidth_gbps=1.1, latency_s=30e-6)
+
+
+class _Tally(NamedTuple):
+    """One link direction's counter series, bound once per channel."""
+
+    bytes: BoundCounter
+    messages: BoundCounter
+    busy: BoundCounter
+    frame_overhead: BoundCounter
+    coalesced: BoundCounter
 
 
 class Channel:
@@ -73,6 +84,13 @@ class Channel:
         self._coalesced = registry.counter(
             "comm.coalesced_messages", "messages absorbed into packed round frames"
         )
+        counters = (self._bytes, self._messages, self._busy, self._frame_overhead, self._coalesced)
+        self._tally = {
+            (src, dst): _Tally(
+                *(c.labels(channel=self.label, src=src, dst=dst) for c in counters)
+            )
+            for src, dst in self._dir
+        }
 
     def send(self, src: str, dst: str, nbytes: int, deps=(), label: str = "msg") -> Task:
         """Charge one message of ``nbytes`` from ``src`` to ``dst``.
@@ -80,18 +98,18 @@ class Channel:
         Returns the delivery task; the receiver's next step should depend
         on it.
         """
-        key = (src, dst)
-        if key not in self._dir:
+        tally = self._tally.get((src, dst))
+        if tally is None:
             raise TransportError(
                 f"channel {self.a}<->{self.b} does not connect {src} to {dst}"
             )
         if nbytes < 0:
             raise TransportError(f"negative message size {nbytes}")
         seconds = self.spec.transfer_seconds(nbytes)
-        self._bytes.inc(int(nbytes), channel=self.label, src=src, dst=dst)
-        self._messages.inc(1, channel=self.label, src=src, dst=dst)
-        self._busy.inc(seconds, channel=self.label, src=src, dst=dst)
-        return self.clock.run(self._dir[key], seconds, deps=deps, label=label)
+        tally.bytes.inc(int(nbytes))
+        tally.messages.inc(1)
+        tally.busy.inc(seconds)
+        return self.clock.run(self._dir[(src, dst)], seconds, deps=deps, label=label)
 
     def send_framed(
         self, src: str, dst: str, sizes, deps=(), label: str = "frame", parts: int = 1
@@ -106,28 +124,21 @@ class Channel:
         absorbed (parts - 1) are tallied in ``comm.coalesced_messages``.
         """
         task = self.send(src, dst, sizes.nbytes, deps=deps, label=label)
-        self._frame_overhead.inc(
-            int(sizes.overhead_nbytes), channel=self.label, src=src, dst=dst
-        )
+        tally = self._tally[(src, dst)]
+        tally.frame_overhead.inc(int(sizes.overhead_nbytes))
         if parts > 1:
-            self._coalesced.inc(parts - 1, channel=self.label, src=src, dst=dst)
+            tally.coalesced.inc(parts - 1)
         return task
 
     # -- thin views over the registry (historical counter surface) -------------
 
-    def _view(self, counter) -> dict[tuple[str, str], int]:
-        return {
-            key: int(counter.value(channel=self.label, src=key[0], dst=key[1]))
-            for key in self._dir
-        }
-
     @property
     def bytes_sent(self) -> dict[tuple[str, str], int]:
-        return self._view(self._bytes)
+        return {key: int(tally.bytes.value()) for key, tally in self._tally.items()}
 
     @property
     def messages_sent(self) -> dict[tuple[str, str], int]:
-        return self._view(self._messages)
+        return {key: int(tally.messages.value()) for key, tally in self._tally.items()}
 
     def busy_seconds(self, src: str, dst: str) -> float:
         """Accumulated occupancy of one direction of the link."""
@@ -135,11 +146,11 @@ class Channel:
 
     @property
     def total_bytes(self) -> int:
-        return int(self._bytes.value(channel=self.label))
+        return sum(self.bytes_sent.values())
 
     @property
     def total_messages(self) -> int:
-        return int(self._messages.value(channel=self.label))
+        return sum(self.messages_sent.values())
 
     def reset_counters(self) -> None:
         for counter in (self._bytes, self._messages, self._busy):

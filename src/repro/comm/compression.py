@@ -121,24 +121,25 @@ class DeltaCompressor:
         registry = telemetry.registry if telemetry is not None else MetricRegistry()
         self._raw = registry.counter(
             "comm.compression.raw_bytes", "bytes an uncompressed transmission would cost"
-        )
-        self._wire = registry.counter("comm.compression.wire_bytes", "bytes actually sent")
+        ).labels(direction=direction)
+        self._wire = registry.counter(
+            "comm.compression.wire_bytes", "bytes actually sent"
+        ).labels(direction=direction)
         self._dense = registry.counter(
             "comm.compression.dense_messages", "messages sent dense"
-        )
+        ).labels(direction=direction)
         self._compressed = registry.counter(
             "comm.compression.compressed_messages", "messages sent as CSR deltas"
-        )
+        ).labels(direction=direction)
 
     @property
     def stats(self) -> CompressionStats:
         """This direction's accounting as the historical dataclass."""
-        d = self.direction
         return CompressionStats(
-            raw_bytes=int(self._raw.value(direction=d)),
-            wire_bytes=int(self._wire.value(direction=d)),
-            dense_messages=int(self._dense.value(direction=d)),
-            compressed_messages=int(self._compressed.value(direction=d)),
+            raw_bytes=int(self._raw.value()),
+            wire_bytes=int(self._wire.value()),
+            dense_messages=int(self._dense.value()),
+            compressed_messages=int(self._compressed.value()),
         )
 
     # -- sender ---------------------------------------------------------------
@@ -149,8 +150,7 @@ class DeltaCompressor:
         previous = self._sent_history.get(key)
         payload: CompressedPayload
         if self.enabled and previous is not None and previous.shape == matrix.shape:
-            with np.errstate(over="ignore"):
-                delta = matrix - previous
+            delta = matrix - previous
             zero_fraction = 1.0 - np.count_nonzero(delta) / max(delta.size, 1)
             if (
                 zero_fraction >= self.sparsity_threshold
@@ -162,12 +162,12 @@ class DeltaCompressor:
         else:
             payload = CompressedPayload(kind="dense", key=key, dense=matrix)
         self._sent_history[key] = matrix
-        self._raw.inc(payload.raw_bytes, direction=self.direction)
-        self._wire.inc(payload.wire_bytes, direction=self.direction)
+        self._raw.inc(payload.raw_bytes)
+        self._wire.inc(payload.wire_bytes)
         if payload.kind == "dense":
-            self._dense.inc(1, direction=self.direction)
+            self._dense.inc(1)
         else:
-            self._compressed.inc(1, direction=self.direction)
+            self._compressed.inc(1)
         return payload
 
     def reset_stream_state(self) -> None:
@@ -193,7 +193,6 @@ class DeltaCompressor:
                 raise ProtocolError(
                     f"received delta for stream {payload.key!r} with no prior dense state"
                 )
-            with np.errstate(over="ignore"):
-                matrix = previous + csr_decode(payload.delta)
+            matrix = previous + csr_decode(payload.delta)
         self._recv_history[payload.key] = matrix
         return matrix

@@ -237,21 +237,46 @@ class FramedSizes:
         return self.nbytes - self.body_nbytes
 
 
+def _sizes(payload: Any, depth: int = 0) -> tuple[int, int]:
+    """``(header bytes, body bytes)`` :func:`_emit` would write for ``payload``.
+
+    Mirrors ``_emit`` branch for branch — same leaves, same refusals —
+    but adds up lengths instead of packing them.
+    """
+    if isinstance(payload, np.ndarray) and payload.dtype.kind in _DTYPE_KINDS:
+        # kind, dtype length, dtype string, ndim, one int64 per dim
+        return 3 + len(payload.dtype.str) + 8 * payload.ndim, payload.nbytes
+    if isinstance(payload, (bytes, bytearray)):
+        return 9, len(payload)
+    if isinstance(payload, (list, tuple)):
+        if depth == _MAX_DEPTH:
+            raise TransportError(f"payload nests deeper than {_MAX_DEPTH} levels")
+        head, body = 5, 0
+        for item in payload:
+            h, b = _sizes(item, depth + 1)
+            head += h
+            body += b
+        return head, body
+    if payload is None:
+        return 1, 0
+    if isinstance(payload, str):
+        return 5 + len(payload.encode("utf-8")), 0
+    if type(payload) is float or (type(payload) is int and -(2**63) <= payload < 2**63):
+        return 13 + len(pickle.dumps(payload, protocol=5)), 0
+    raise TransportError(f"a frame cannot carry a {type(payload).__name__} leaf: {payload!r:.40}")
+
+
 def frame_sizes(tag: str, payload: Any) -> FramedSizes:
     """Wire size of ``encode_frame(tag, payload)`` without building it.
 
     Body = raw buffer bytes (arrays and bytes); overhead = everything
     else (magic, tag, kinds, dtypes, shapes, scalars).
     """
-    body = 0
-    total = 0
-    for chunk in _frame_chunks(tag, payload):
-        if isinstance(chunk, memoryview):
-            body += chunk.nbytes
-            total += chunk.nbytes
-        else:
-            total += len(chunk)
-    return FramedSizes(nbytes=total, body_nbytes=body)
+    tag_len = len(tag.encode("utf-8"))
+    if tag_len > 0xFFFF:
+        raise TransportError(f"frame tag too long ({tag_len} bytes)")
+    head, body = _sizes(payload)
+    return FramedSizes(nbytes=len(MAGIC) + 3 + tag_len + head + body, body_nbytes=body)
 
 
 def blob_frame_sizes(tag: str, nbytes: int) -> FramedSizes:

@@ -33,6 +33,8 @@ again (:meth:`SecureContext.device_keep`), so a value is uploaded once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +59,7 @@ from repro.protocols import get_backend
 from repro.simgpu.clock import SimClock
 from repro.simgpu.device import SimCPU, SimGPU
 from repro.telemetry import Telemetry
+from repro.telemetry.registry import BoundCounter, Counter, SeriesCache
 from repro.util.errors import ProtocolError, ShapeError
 from repro.util.seeding import SeedSequenceFactory
 from repro.util.validation import matmul_shapes_compatible
@@ -89,6 +92,46 @@ class PhaseDelta:
     def occupancy(self) -> float:
         """Online share of total time (Table 3's metric)."""
         return self.online_s / self.total_s if self.total_s > 0 else 0.0
+
+
+class _TripletSeries(NamedTuple):
+    """``mpc.triplets_generated`` / ``_consumed`` of one kind and shape."""
+
+    generated: BoundCounter
+    consumed: BoundCounter
+
+
+class _OpSeries(NamedTuple):
+    """One secure op's ``ops.*`` and ``protocol.*`` roll-up series."""
+
+    calls: BoundCounter
+    online_seconds: BoundCounter
+    backend_calls: BoundCounter
+    backend_online_seconds: BoundCounter
+
+
+def _bind_triplet_series(generated: Counter, consumed: Counter, kind_shapes) -> _TripletSeries:
+    kind, shapes = kind_shapes
+    shape = f"{shapes[0]}x{shapes[1]}" if kind == "matrix" else str(shapes)
+    return _TripletSeries(
+        generated=generated.labels(kind=kind, shape=shape),
+        consumed=consumed.labels(kind=kind, shape=shape),
+    )
+
+
+def _bind_op_series(telemetry: Telemetry, backend: str, op: str) -> _OpSeries:
+    return _OpSeries(
+        calls=telemetry.counter("ops.invocations", "secure-op call counts").labels(op=op),
+        online_seconds=telemetry.counter(
+            "ops.online_seconds", "online makespan attributed per op"
+        ).labels(op=op),
+        backend_calls=telemetry.counter(
+            "protocol.invocations", "secure-op call counts per protocol backend"
+        ).labels(backend=backend, op=op),
+        backend_online_seconds=telemetry.counter(
+            "protocol.online_seconds", "online makespan per protocol backend"
+        ).labels(backend=backend, op=op),
+    )
 
 
 @dataclass
@@ -291,7 +334,7 @@ class SecureContext:
         self._opened: dict[int, _Opening] = {}
         self._shared_sides: set[tuple[str, str]] = set()
         self._device: list[dict[tuple[str, int], tuple]] = [{} for _ in range(self.n_parties)]
-        self._mask_reuse_hits = self.telemetry.counter(
+        mask_reuse_hits = self.telemetry.counter(
             "mpc.mask_reuse.hits",
             "masked differences the servers already held, by side and scope (step|static)",
         )
@@ -305,7 +348,20 @@ class SecureContext:
         )
         self._comparisons = self.telemetry.counter(
             "mpc.comparisons_issued", "comparison bundles generated offline"
+        ).labels()
+
+        # Series the hot paths write, each bound on first use: one
+        # triplet kind and shape, one mask-reuse (side, scope), and one
+        # secure op's roll-ups (read by core.ops._op_scope).  The binders
+        # hold counters, never the context, so a dropped context is
+        # freed by reference counting, not left to the cycle collector.
+        self._triplet_series = SeriesCache(
+            partial(_bind_triplet_series, self._triplets_generated, self._triplets_consumed)
         )
+        self._mask_reuse_series = SeriesCache(
+            lambda side_scope: mask_reuse_hits.labels(side=side_scope[0], scope=side_scope[1])
+        )
+        self.op_series = SeriesCache(partial(_bind_op_series, self.telemetry, self.backend.name))
 
         # Optional transcript recorder (repro.audit): when attached,
         # every wire charge — client uploads, masked-difference
@@ -602,7 +658,7 @@ class SecureContext:
                 self._client_matmul(u, v) if u.ndim == 2 else self._client_matmul_batched(u, v)
             ),
         )
-        self._triplets_generated.inc(1, kind="matrix", shape=f"{shapes[0]}x{shapes[1]}")
+        self._triplet_series["matrix", shapes].generated.inc(1)
         return MatrixTriplet(u=u, v=v, z=z, shape_a=shapes[0], shape_b=shapes[1], masks=masks)
 
     def gen_elementwise_triplet(
@@ -616,7 +672,7 @@ class SecureContext:
             return ring_mul(u, v)
 
         u, v, z, masks = self._deal("etriplet", label, (shape, shape), operands, product)
-        self._triplets_generated.inc(1, kind="elementwise", shape=str(shape))
+        self._triplet_series["elementwise", shape].generated.inc(1)
         return ElementwiseTriplet(u=u, v=v, z=z, shape=shape, masks=masks)
 
     def _client_matmul_batched(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -701,7 +757,7 @@ class SecureContext:
         if row is None or row.uid != tensor.uid or row.opened is None:
             return None
         in_step = self._batch_epoch is not None and row.epoch == self._batch_epoch
-        self._mask_reuse_hits.inc(1, side=side, scope="step" if in_step else "static")
+        self._mask_reuse_series[side, "step" if in_step else "static"].inc(1)
         row.epoch = self._batch_epoch
         return from_base_layout(row.opened, tensor.shape, view.transposed), row.tasks
 
@@ -867,7 +923,7 @@ class SecureContext:
         """
         self._require_dealer(label)
         shapes = (tuple(shape_a), tuple(shape_b))
-        self._triplets_consumed.inc(1, kind="matrix", shape=f"{shapes[0]}x{shapes[1]}")
+        self._triplet_series["matrix", shapes].consumed.inc(1)
         return self._stream_triplet(
             self._matrix_triplets, label, operands,
             lambda cached: (cached.shape_a, cached.shape_b) == shapes,
@@ -888,7 +944,7 @@ class SecureContext:
         """Elementwise-triplet analogue of :meth:`get_matrix_triplet`."""
         self._require_dealer(label)
         shape = tuple(shape)
-        self._triplets_consumed.inc(1, kind="elementwise", shape=str(shape))
+        self._triplet_series["elementwise", shape].consumed.inc(1)
         return self._stream_triplet(
             self._elementwise_triplets, label, operands,
             lambda cached: cached.shape == shape,

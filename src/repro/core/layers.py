@@ -266,8 +266,7 @@ class SecureAvgPool2D(SecureLayer):
         h, w, c = self.in_shape
         k = self.window
         img = share.reshape(n, h // k, k, w // k, k, c)
-        with np.errstate(over="ignore"):
-            return img.sum(axis=(2, 4), dtype=np.uint64).reshape(n, -1)
+        return img.sum(axis=(2, 4), dtype=np.uint64).reshape(n, -1)
 
     def forward(self, x: SharedTensor, *, training: bool = True) -> SharedTensor:
         n = x.shape[0]

@@ -63,26 +63,22 @@ def _op_scope(ctx, op: str, label: str):
     the clock backfilled entirely into idle gaps reads 0.  The
     ``protocol.*`` counters carry the same roll-up labelled by the
     active protocol backend, so mixed-backend fleets stay attributable.
+    The context binds the four series on an op's first call
+    (``SecureContext.op_series``).
     """
     telemetry = getattr(ctx, "telemetry", None)
     if telemetry is None:
         yield
         return
-    backend = _backend_name(ctx)
+    series = ctx.op_series[op]
     start = ctx.online_clock.now()
     with telemetry.span(f"op.{label}", clock="online", op=op):
         yield
     delta = ctx.online_clock.now() - start
-    telemetry.counter("ops.invocations", "secure-op call counts").inc(1, op=op)
-    telemetry.counter("ops.online_seconds", "online makespan attributed per op").inc(
-        delta, op=op
-    )
-    telemetry.counter(
-        "protocol.invocations", "secure-op call counts per protocol backend"
-    ).inc(1, backend=backend, op=op)
-    telemetry.counter(
-        "protocol.online_seconds", "online makespan per protocol backend"
-    ).inc(delta, backend=backend, op=op)
+    series.calls.inc(1)
+    series.online_seconds.inc(delta)
+    series.backend_calls.inc(1)
+    series.backend_online_seconds.inc(delta)
 
 
 def _chain(ctx, deps: tuple[Task, ...]) -> tuple[Task, ...]:

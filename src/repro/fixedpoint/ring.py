@@ -1,11 +1,15 @@
 """Elementwise and matrix operations in Z_{2^64}.
 
 ``numpy.uint64`` addition/subtraction/multiplication already wrap modulo
-2^64, which is exactly the ring arithmetic we need.  The helpers here
-exist to (a) centralise the intentional-overflow sites so the rest of the
-codebase stays warning-clean, and (b) supply a *fast* ring matmul: NumPy
-routes integer matmul through a scalar inner loop (no BLAS), which is two
-orders of magnitude slower than dgemm at the sizes secure training uses.
+2^64, which is exactly the ring arithmetic we need.  NumPy checks
+integer overflow only in scalar arithmetic, never in array ufuncs (0-d
+arrays included), so every helper converts its operands to arrays with
+:func:`_as_ring` and needs no ``np.errstate`` guard: a wrap never warns
+(tests/test_ring.py holds this under ``np.errstate(all="raise")``).  The
+helpers here exist to (a) centralise the intentional-overflow sites, and
+(b) supply a *fast* ring matmul: NumPy routes integer matmul through a
+scalar inner loop (no BLAS), which is two orders of magnitude slower
+than dgemm at the sizes secure training uses.
 
 Fast ring matmul: exact 3-limb decomposition over float64 BLAS
 --------------------------------------------------------------
@@ -58,44 +62,38 @@ def ring_add(a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None) -> 
     path the GEMM scheduler uses on its hot loop.
     """
     a, b = _as_ring(a), _as_ring(b)
-    with np.errstate(over="ignore"):
-        if out is None:
-            return a + b
-        return np.add(a, b, out=out)
+    if out is None:
+        return a + b
+    return np.add(a, b, out=out)
 
 
 def ring_sub(a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """a - b in Z_{2^64} (``out=`` as in :func:`ring_add`)."""
     a, b = _as_ring(a), _as_ring(b)
-    with np.errstate(over="ignore"):
-        if out is None:
-            return a - b
-        return np.subtract(a, b, out=out)
+    if out is None:
+        return a - b
+    return np.subtract(a, b, out=out)
 
 
 def ring_neg(a: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """-a in Z_{2^64} (``out=`` as in :func:`ring_add`; may alias ``a``)."""
     a = _as_ring(a)
-    with np.errstate(over="ignore"):
-        if out is None:
-            return np.uint64(0) - a
-        return np.subtract(np.uint64(0), a, out=out)
+    if out is None:
+        return np.uint64(0) - a
+    return np.subtract(np.uint64(0), a, out=out)
 
 
 def ring_mul(a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise a * b in Z_{2^64} (``out=`` as in :func:`ring_add`)."""
     a, b = _as_ring(a), _as_ring(b)
-    with np.errstate(over="ignore"):
-        if out is None:
-            return a * b
-        return np.multiply(a, b, out=out)
+    if out is None:
+        return a * b
+    return np.multiply(a, b, out=out)
 
 
 def ring_sum(a: np.ndarray, axis=None) -> np.ndarray:
     """Sum of ring elements along ``axis`` (wraps modulo 2^64)."""
-    a = _as_ring(a)
-    with np.errstate(over="ignore"):
-        return a.sum(axis=axis, dtype=RING_DTYPE)
+    return _as_ring(a).sum(axis=axis, dtype=RING_DTYPE)
 
 
 def _limb_planes(x: np.ndarray) -> np.ndarray:

@@ -54,6 +54,7 @@ from repro.faults.blame import PartyFailure
 from repro.serve.placement import make_placement
 from repro.serve.replica import InferenceResponse, Replica, ServeReport
 from repro.telemetry import Telemetry
+from repro.telemetry.registry import SeriesCache
 from repro.util.errors import QueueFullError, ServeError
 
 _QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
@@ -139,9 +140,8 @@ class FleetRouter:
         self.placement = make_placement(placement)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._replicas: dict[str, Replica] = {}
-        self._routed = self.telemetry.counter(
-            "fleet.requests_routed", "requests placed, by replica"
-        )
+        routed = self.telemetry.counter("fleet.requests_routed", "requests placed, by replica")
+        self._routed = SeriesCache(lambda replica: routed.labels(replica=replica))
 
     def add(self, replica: Replica) -> None:
         if replica.name in self._replicas:
@@ -171,7 +171,7 @@ class FleetRouter:
         return self.placement.rank(client_id, candidates)
 
     def note_routed(self, replica_name: str) -> None:
-        self._routed.inc(1, replica=replica_name)
+        self._routed[replica_name].inc(1)
 
 
 class SecureServingFleet:
@@ -242,10 +242,12 @@ class SecureServingFleet:
         self._configs: dict[str, FrameworkConfig] = {}
         self._retired: list[Replica] = []
         t = self.telemetry
-        self._admitted = t.counter("fleet.requests_admitted", "requests the fleet accepted")
+        self._admitted = t.counter(
+            "fleet.requests_admitted", "requests the fleet accepted"
+        ).labels()
         self._rejected = t.counter(
             "fleet.requests_rejected", "submissions refused by every replica (retryable)"
-        )
+        ).labels()
         self._rerouted = t.counter(
             "fleet.requests_rerouted", "requests re-shared onto another replica after a crash"
         )

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.tensor import SharedTensor
-from repro.telemetry.registry import MetricRegistry
+from repro.telemetry.registry import MetricRegistry, SeriesCache
 from repro.util.errors import ConfigError, QueueFullError
 
 
@@ -53,15 +53,17 @@ class RequestQueue:
         self._queue: deque[InferenceRequest] = deque()
         self._depth_rows = 0
         registry = telemetry.registry if telemetry is not None else MetricRegistry()
-        self._admitted = registry.counter(
+        admitted = registry.counter(
             "serve.requests_admitted", "requests accepted into the serving queue"
         )
-        self._rejected = registry.counter(
+        rejected = registry.counter(
             "serve.requests_rejected", "requests refused by admission control (retryable)"
         )
+        self._admitted = SeriesCache(lambda client: admitted.labels(client=client))
+        self._rejected = SeriesCache(lambda client: rejected.labels(client=client))
         self._depth_gauge = registry.gauge(
             "serve.queue_depth_rows", "input rows currently queued"
-        )
+        ).labels()
 
     # -- admission --------------------------------------------------------------
 
@@ -72,7 +74,7 @@ class RequestQueue:
         paid, so a rejected client loses nothing but the round trip.
         """
         if self._depth_rows + rows > self.max_rows:
-            self._rejected.inc(1, client=client_id)
+            self._rejected[client_id].inc(1)
             raise QueueFullError(
                 f"queue full: {self._depth_rows}/{self.max_rows} rows queued, "
                 f"request from {client_id!r} needs {rows}; back off and resubmit"
@@ -83,7 +85,7 @@ class RequestQueue:
         self.check_admission(request.client_id, request.rows)
         self._queue.append(request)
         self._depth_rows += request.rows
-        self._admitted.inc(1, client=request.client_id)
+        self._admitted[request.client_id].inc(1)
         self._depth_gauge.set(self._depth_rows)
 
     def requeue_front(self, request: InferenceRequest) -> None:
@@ -106,7 +108,7 @@ class RequestQueue:
         """
         self._queue.append(request)
         self._depth_rows += request.rows
-        self._admitted.inc(1, client=request.client_id)
+        self._admitted[request.client_id].inc(1)
         self._depth_gauge.set(self._depth_rows)
 
     def take_all(self) -> list[InferenceRequest]:

@@ -42,6 +42,7 @@ from repro.faults.recovery import respawn_party
 from repro.serve.batcher import AdaptiveBatcher, BatchPlan
 from repro.serve.queue import InferenceRequest, RequestQueue
 from repro.telemetry import maybe_span
+from repro.telemetry.registry import SeriesCache
 from repro.util.errors import ConfigError, ServeError
 
 _QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
@@ -191,23 +192,29 @@ class Replica:
             None,
         )
         t = ctx.telemetry
-        self._served = t.counter("serve.requests_served", "requests answered, by client")
-        self._rows_served = t.counter("serve.rows_served", "input rows answered")
-        self._batches_run = t.counter("serve.batches", "coalesced secure batches run")
+        served = t.counter("serve.requests_served", "requests answered, by client")
+        self._served = SeriesCache(lambda client: served.labels(client=client))
+        self._rows_served = t.counter("serve.rows_served", "input rows answered").labels()
+        self._batches_run = t.counter("serve.batches", "coalesced secure batches run").labels()
         self._pad_counter = t.counter(
             "serve.padded_rows", "zero rows appended to reach the fixed batch shape"
-        )
+        ).labels()
         self._timer_counter = t.counter(
             "serve.batch_timer_waits", "partial batches cut by the max_wait timer"
-        )
-        self._depth_gauge = t.gauge("serve.queue_depth_rows")
-        self._latency = t.histogram(
+        ).labels()
+        self._depth_gauge = t.gauge("serve.queue_depth_rows").labels()
+        latency = self._latency = t.histogram(
             "serve.request_latency_seconds",
             "per-request online-clock spans, by stage (queue/service/total)",
         )
+        self._queue_latency = latency.labels(stage="queue")
+        self._service_latency = latency.labels(stage="service")
+        self._total_latency = SeriesCache(
+            lambda client: latency.labels(stage="total", client=client)
+        )
         self._fill = t.histogram(
             "serve.batch_fill", "served rows per batch slot (1.0 = no padding)"
-        )
+        ).labels()
 
     # -- client side ------------------------------------------------------------
 
@@ -461,11 +468,11 @@ class Replica:
                 retries=outcome.retries,
             )
             self._responses.append(resp)
-            self._served.inc(1, client=req.client_id)
+            self._served[req.client_id].inc(1)
             self._rows_served.inc(req.rows)
-            self._latency.observe(resp.queue_wait_s, stage="queue")
-            self._latency.observe(resp.service_s, stage="service")
-            self._latency.observe(resp.latency_s, stage="total", client=req.client_id)
+            self._queue_latency.observe(resp.queue_wait_s)
+            self._service_latency.observe(resp.service_s)
+            self._total_latency[req.client_id].observe(resp.latency_s)
         self._batches += 1
         self._batches_run.inc(1)
         self._padded_rows += plan.pad_rows

@@ -28,7 +28,7 @@ from repro.fixedpoint.ring import ring_add, ring_matmul, ring_matmul_batched, ri
 from repro.simgpu.clock import SimClock, Task
 from repro.simgpu.cost import CPUSpec, DeviceSpec
 from repro.simgpu.memory import DeviceBuffer, MemoryPool
-from repro.telemetry.registry import MetricRegistry
+from repro.telemetry.registry import MetricRegistry, SeriesCache
 from repro.util.errors import DeviceError
 
 
@@ -67,39 +67,50 @@ class SimGPU:
         clock.add_resource(self.h2d_engine)
         clock.add_resource(self.d2h_engine)
         registry = telemetry.registry if telemetry is not None else MetricRegistry()
-        self._kernel_seconds = registry.histogram(
+        kernel_seconds = registry.histogram(
             "simgpu.kernel_seconds", "kernel time by device and kind"
+        )
+        self._kernel_seconds = SeriesCache(
+            lambda kind: kernel_seconds.labels(device=name, kind=kind)
         )
         self._queue_wait_seconds = registry.histogram(
             "simgpu.queue_wait_seconds", "time ready work waited behind busy streams"
-        )
-        self._h2d = registry.counter("simgpu.h2d_bytes", "host-to-device PCIe bytes")
-        self._d2h = registry.counter("simgpu.d2h_bytes", "device-to-host PCIe bytes")
-        self._gemm_count = registry.counter("simgpu.gemm_count", "GEMM kernel launches")
-        self._gemm_flops = registry.counter("simgpu.gemm_flops", "GEMM floating-point ops")
+        ).labels(device=name)
+        self._h2d = registry.counter(
+            "simgpu.h2d_bytes", "host-to-device PCIe bytes"
+        ).labels(device=name)
+        self._d2h = registry.counter(
+            "simgpu.d2h_bytes", "device-to-host PCIe bytes"
+        ).labels(device=name)
+        self._gemm_count = registry.counter(
+            "simgpu.gemm_count", "GEMM kernel launches"
+        ).labels(device=name)
+        self._gemm_flops = registry.counter(
+            "simgpu.gemm_flops", "GEMM floating-point ops"
+        ).labels(device=name)
         self._curand_initialised = False
 
     # -- thin views over the registry (historical counter surface) -------------
 
     @property
     def gemm_count(self) -> int:
-        return int(self._gemm_count.value(device=self.name))
+        return int(self._gemm_count.value())
 
     @property
     def gemm_flops(self) -> float:
-        return self._gemm_flops.value(device=self.name)
+        return self._gemm_flops.value()
 
     @property
     def h2d_bytes(self) -> int:
-        return int(self._h2d.value(device=self.name))
+        return int(self._h2d.value())
 
     @property
     def d2h_bytes(self) -> int:
-        return int(self._d2h.value(device=self.name))
+        return int(self._d2h.value())
 
     def _observe(self, kind: str, task: Task, deps) -> Task:
-        self._kernel_seconds.observe(task.duration, device=self.name, kind=kind)
-        self._queue_wait_seconds.observe(_queue_wait(task, deps), device=self.name)
+        self._kernel_seconds[kind].observe(task.duration)
+        self._queue_wait_seconds.observe(_queue_wait(task, deps))
         return task
 
     def stream(self, k: int = 0) -> str:
@@ -123,7 +134,7 @@ class SimGPU:
         t = self.clock.run(
             self.h2d_engine, self.spec.transfer_seconds(buf.nbytes), deps=deps, label=label
         )
-        self._h2d.inc(buf.nbytes, device=self.name)
+        self._h2d.inc(buf.nbytes)
         self._observe("h2d", t, deps)
         return buf, t
 
@@ -133,7 +144,7 @@ class SimGPU:
         t = self.clock.run(
             self.d2h_engine, self.spec.transfer_seconds(data.nbytes), deps=deps, label=label
         )
-        self._d2h.inc(data.nbytes, device=self.name)
+        self._d2h.inc(data.nbytes)
         self._observe("d2h", t, deps)
         return data, t
 
@@ -144,8 +155,8 @@ class SimGPU:
 
     def _charge_gemm(self, m: int, k: int, n: int, stream: int, deps, label: str) -> Task:
         dur = self.spec.gemm_seconds(m, k, n, tensor_core=self.tensor_core)
-        self._gemm_count.inc(1, device=self.name)
-        self._gemm_flops.inc(2.0 * m * k * n, device=self.name)
+        self._gemm_count.inc(1)
+        self._gemm_flops.inc(2.0 * m * k * n)
         t = self.clock.run(self.stream(stream), dur, deps=deps, label=label)
         return self._observe("gemm", t, deps)
 
@@ -202,8 +213,8 @@ class SimGPU:
         n = bv.shape[2]
         out = self.pool.allocate(ring_matmul_batched(av, bv))
         dur = self.spec.batched_gemm_seconds(batch, m, k, n, tensor_core=self.tensor_core)
-        self._gemm_count.inc(1, device=self.name)
-        self._gemm_flops.inc(2.0 * batch * m * k * n, device=self.name)
+        self._gemm_count.inc(1)
+        self._gemm_flops.inc(2.0 * batch * m * k * n)
         t = self.clock.run(self.stream(stream), dur, deps=deps, label=label)
         return out, self._observe("gemm", t, deps)
 
@@ -299,12 +310,15 @@ class SimCPU:
         self.parallel_enabled = bool(parallel_enabled)
         clock.add_resource(self.resource)
         registry = telemetry.registry if telemetry is not None else MetricRegistry()
-        self._seconds = registry.histogram("simcpu.seconds", "host-side time by kind")
-        self._rng_bytes = registry.counter("simcpu.rng_bytes", "bytes of ring randomness drawn")
+        seconds = registry.histogram("simcpu.seconds", "host-side time by kind")
+        self._seconds = SeriesCache(lambda kind: seconds.labels(device=name, kind=kind))
+        self._rng_bytes = registry.counter(
+            "simcpu.rng_bytes", "bytes of ring randomness drawn"
+        ).labels(device=name)
 
     @property
     def rng_bytes(self) -> int:
-        return int(self._rng_bytes.value(device=self.name))
+        return int(self._rng_bytes.value())
 
     @property
     def resource(self) -> str:
@@ -313,7 +327,7 @@ class SimCPU:
     def run(self, duration: float, deps=(), label: str = "cpu", *, kind: str = "run") -> Task:
         """Charge raw seconds to the CPU timeline."""
         t = self.clock.run(self.resource, duration, deps=deps, label=label)
-        self._seconds.observe(t.duration, device=self.name, kind=kind)
+        self._seconds[kind].observe(t.duration)
         return t
 
     def gemm_ring(self, a: np.ndarray, b: np.ndarray, deps=(), label="cpu_gemm"):
@@ -352,7 +366,7 @@ class SimCPU:
 
     def rng_uniform_ring(self, shape, rng: np.random.Generator, deps=(), label="mt19937"):
         data = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-        self._rng_bytes.inc(data.nbytes, device=self.name)
+        self._rng_bytes.inc(data.nbytes)
         t = self.run(
             self.spec.rng_seconds(data.nbytes, parallel=self.parallel_enabled),
             deps,

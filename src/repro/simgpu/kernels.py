@@ -83,9 +83,8 @@ def col2im(
     idx, oh, ow = _patch_indices(h, w, c, kh, kw, stride)
     flat = np.zeros((n, h * w * c), dtype=cols.dtype)
     cols3 = cols.reshape(n, oh * ow, -1)
-    with np.errstate(over="ignore"):
-        for img, patches in zip(flat, cols3):
-            np.add.at(img, idx.reshape(-1), patches.reshape(-1))
+    for img, patches in zip(flat, cols3):
+        np.add.at(img, idx.reshape(-1), patches.reshape(-1))
     return flat.reshape(images_shape)
 
 

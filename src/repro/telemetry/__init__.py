@@ -14,12 +14,16 @@ output formats.
 
 from repro.telemetry.core import Telemetry, maybe_span
 from repro.telemetry.registry import (
+    BoundCounter,
+    BoundGauge,
+    BoundHistogram,
     Counter,
     DEFAULT_BUCKETS,
     Gauge,
     Histogram,
     HistogramData,
     MetricRegistry,
+    SeriesCache,
 )
 from repro.telemetry.snapshot import TelemetrySnapshot
 from repro.telemetry.spans import SpanLog, SpanRecord
@@ -38,6 +42,10 @@ __all__ = [
     "Histogram",
     "HistogramData",
     "MetricRegistry",
+    "BoundCounter",
+    "BoundGauge",
+    "BoundHistogram",
+    "SeriesCache",
     "DEFAULT_BUCKETS",
     "TelemetrySnapshot",
     "SpanLog",

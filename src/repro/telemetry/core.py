@@ -6,6 +6,15 @@ record into the same registry/span log, so ``ctx.telemetry.snapshot()``
 is a complete picture of an experiment and
 ``ctx.telemetry.report()`` prints it.
 
+Hot paths bind their series at construction.  A device, channel,
+compressor, queue or context that records on every task, message or op
+calls ``metric.labels(...)`` once when it is built (or, for a label
+value only known at run time — a client id, an op, a shape — once per
+value through a :class:`~repro.telemetry.registry.SeriesCache`) and
+records through the bound series, so a warm step never resolves a label
+set.  ``metric.inc(..., **labels)`` / ``observe(..., **labels)`` stay
+the API for cold paths (faults, recovery, reports) and for queries.
+
 Metric naming conventions (dots group, labels discriminate):
 
 ====================================  ==========================================

@@ -20,11 +20,20 @@ Model (a deliberately small subset of the Prometheus data model):
 Queries accept *partial* label sets: ``counter.value(channel="a<->b")``
 sums every series whose labels include that pair — which is what makes
 per-direction accounting roll up into per-channel totals for free.
+
+Recording resolves a label set to its series key.  ``metric.labels(...)``
+does that once and returns a *bound series* (:class:`BoundCounter`,
+:class:`BoundGauge`, :class:`BoundHistogram`) whose ``inc`` / ``set`` /
+``observe`` take no labels; ``metric.inc(..., **labels)`` binds on every
+call.  Both write the same series.  Counters and histograms refuse
+non-finite values (and counters negative ones) with a
+:class:`~repro.util.errors.ConfigError` naming the metric.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.util.errors import ConfigError
@@ -70,11 +79,12 @@ class Counter(_Metric):
         super().__init__(name, description)
         self._series: dict[LabelKey, float] = {}
 
+    def labels(self, **labels) -> "BoundCounter":
+        """The series for ``labels``, resolved once: its ``inc`` takes no labels."""
+        return BoundCounter(self, label_key(labels))
+
     def inc(self, amount: float = 1, **labels) -> None:
-        if amount < 0:
-            raise ConfigError(f"counter {self.name}: negative increment {amount}")
-        key = label_key(labels)
-        self._series[key] = self._series.get(key, 0) + amount
+        self.labels(**labels).inc(amount)
 
     def value(self, **labels) -> float:
         """Sum of every series matching the (possibly partial) labels."""
@@ -90,6 +100,31 @@ class Counter(_Metric):
             del self._series[key]
 
 
+class BoundCounter:
+    """One counter series with its label key resolved at bind time.
+
+    The series itself lives in the counter, created on the first
+    ``inc``, so labelled and bound increments add up in one place and a
+    ``Counter.reset`` restarts a bound series from zero.
+    """
+
+    __slots__ = ("_counter", "_key")
+
+    def __init__(self, counter: Counter, key: LabelKey):
+        self._counter = counter
+        self._key = key
+
+    def inc(self, amount: float = 1) -> None:
+        if not 0 <= amount < math.inf:  # also false for nan
+            kind = "negative" if amount < 0 else "non-finite"
+            raise ConfigError(f"counter {self._counter.name}: {kind} increment {amount}")
+        series = self._counter._series
+        series[self._key] = series.get(self._key, 0) + amount
+
+    def value(self) -> float:
+        return self._counter._series.get(self._key, 0)
+
+
 class Gauge(_Metric):
     """Last-value-wins series (e.g. the current phase clock reading)."""
 
@@ -98,6 +133,10 @@ class Gauge(_Metric):
     def __init__(self, name: str, description: str = ""):
         super().__init__(name, description)
         self._series: dict[LabelKey, float] = {}
+
+    def labels(self, **labels) -> "BoundGauge":
+        """The series for ``labels``, resolved once: its ``set`` takes no labels."""
+        return BoundGauge(self, label_key(labels))
 
     def set(self, value: float, **labels) -> None:
         self._series[label_key(labels)] = value
@@ -115,6 +154,22 @@ class Gauge(_Metric):
 
     def series(self) -> dict[LabelKey, float]:
         return dict(self._series)
+
+
+class BoundGauge:
+    """One gauge series with its label key resolved at bind time."""
+
+    __slots__ = ("_gauge", "_key")
+
+    def __init__(self, gauge: Gauge, key: LabelKey):
+        self._gauge = gauge
+        self._key = key
+
+    def set(self, value: float) -> None:
+        self._gauge._series[self._key] = value
+
+    def value(self, default: float = 0.0) -> float:
+        return self._gauge._series.get(self._key, default)
 
 
 @dataclass
@@ -137,16 +192,22 @@ class HistogramData:
         return self.total / self.count if self.count else 0.0
 
     def observe(self, value: float) -> None:
+        """Count ``value`` in the first bucket whose bound is >= it.
+
+        ``bucket_counts`` stays a tuple, replaced rather than mutated, so
+        the shallow copies a snapshot takes never move afterwards.
+        """
+        if not math.isfinite(value):
+            raise ConfigError(f"non-finite observation {value}")
         counts = list(self.bucket_counts)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                counts[i] += 1
-                break
+        counts[bisect_left(self.bounds, value)] += 1
         self.bucket_counts = tuple(counts)
         self.count += 1
         self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
 
     def quantile(self, q: float) -> float:
         """Bucket-interpolated quantile estimate (Prometheus-style).
@@ -206,12 +267,12 @@ class Histogram(_Metric):
         self.bounds = bounds
         self._series: dict[LabelKey, HistogramData] = {}
 
+    def labels(self, **labels) -> "BoundHistogram":
+        """The series for ``labels``, resolved once: its ``observe`` takes no labels."""
+        return BoundHistogram(self, label_key(labels))
+
     def observe(self, value: float, **labels) -> None:
-        key = label_key(labels)
-        data = self._series.get(key)
-        if data is None:
-            data = self._series[key] = HistogramData(bounds=self.bounds)
-        data.observe(value)
+        self.labels(**labels).observe(value)
 
     def data(self, **labels) -> HistogramData:
         """Merged distribution of every series matching the labels."""
@@ -226,6 +287,42 @@ class Histogram(_Metric):
 
     def series(self) -> dict[LabelKey, HistogramData]:
         return dict(self._series)
+
+
+class BoundHistogram:
+    """One histogram series with its label key resolved at bind time."""
+
+    __slots__ = ("_histogram", "_key")
+
+    def __init__(self, histogram: Histogram, key: LabelKey):
+        self._histogram = histogram
+        self._key = key
+
+    def observe(self, value: float) -> None:
+        if not math.isfinite(value):
+            raise ConfigError(f"histogram {self._histogram.name}: non-finite observation {value}")
+        series = self._histogram._series
+        data = series.get(self._key)
+        if data is None:
+            data = series[self._key] = HistogramData(bounds=self._histogram.bounds)
+        data.observe(value)
+
+
+class SeriesCache(dict):
+    """Bound series keyed by a label value only known at run time.
+
+    ``SeriesCache(lambda client: counter.labels(client=client))[c]``
+    binds the series for ``c`` on first lookup and is a plain dict
+    lookup after that.
+    """
+
+    def __init__(self, bind):
+        super().__init__()
+        self._bind = bind
+
+    def __missing__(self, value):
+        series = self[value] = self._bind(value)
+        return series
 
 
 class MetricRegistry:

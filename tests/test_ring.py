@@ -64,6 +64,26 @@ class TestElementwise:
         assert out.dtype == np.uint64
         assert list(out) == [2, 4]
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: as_arr([v, v, 1]),
+            lambda v: np.array(v, dtype=np.uint64),  # 0-d array
+            lambda v: np.uint64(v),  # NumPy scalar: converted to a 0-d array
+        ],
+        ids=["array", "0-d", "scalar"],
+    )
+    def test_wrapping_never_signals(self, make):
+        # the helpers carry no np.errstate guard: NumPy checks integer
+        # overflow only in scalar arithmetic, which they never reach
+        top, two = make(MOD - 1), make(2)
+        with np.errstate(all="raise"):
+            assert int(np.ravel(ring_add(top, two))[0]) == 1
+            assert int(np.ravel(ring_sub(two, top))[0]) == 3
+            assert int(np.ravel(ring_neg(two))[0]) == MOD - 2
+            assert int(np.ravel(ring_mul(top, top))[0]) == 1
+            assert int(ring_sum(top)) == sum(int(v) for v in np.ravel(top)) % MOD
+
 
 class TestMatmul:
     def _reference(self, a, b):

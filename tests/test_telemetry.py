@@ -8,19 +8,26 @@ every device in the deployment.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import make_ctx
+from repro.core.config import FrameworkConfig
+from repro.core.context import SecureContext
 from repro.core.models import SecureMLP
 from repro.core.training import SecureTrainer
+from repro.serve.fleet import SecureServingFleet
 from repro.simgpu.clock import SimClock
 from repro.telemetry import (
     DEFAULT_BUCKETS,
+    HistogramData,
     MetricRegistry,
+    SeriesCache,
     SpanLog,
     Telemetry,
     chrome_trace_events,
@@ -69,6 +76,147 @@ class TestCounter:
             reg.gauge("metric")
 
 
+class TestNonFiniteValues:
+    """nan/inf would poison a series: nan passes ``amount < 0`` and
+    reads back as ``value() == nan``; a nan observation bumps ``count``
+    but no bucket."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_counter_refuses_on_both_paths(self, bad):
+        c = MetricRegistry().counter("comm.bytes")
+        c.inc(2, op="a")
+        with pytest.raises(ConfigError, match="comm.bytes"):
+            c.inc(bad, op="a")
+        with pytest.raises(ConfigError, match="comm.bytes"):
+            c.labels(op="a").inc(bad)
+        assert c.value() == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_histogram_refuses_on_both_paths(self, bad):
+        h = MetricRegistry().histogram("simgpu.kernel_seconds")
+        h.observe(1e-3, kind="gemm")
+        with pytest.raises(ConfigError, match="simgpu.kernel_seconds"):
+            h.observe(bad, kind="gemm")
+        with pytest.raises(ConfigError, match="simgpu.kernel_seconds"):
+            h.labels(kind="gemm").observe(bad)
+        with pytest.raises(ConfigError, match="simgpu.kernel_seconds"):
+            h.labels(kind="never-observed").observe(bad)
+        data = h.data()
+        assert (data.count, sum(data.bucket_counts), data.total) == (1, 1, 1e-3)
+        assert set(h.series()) == {(("kind", "gemm"),)}
+
+    def test_histogram_data_refuses_nan(self):
+        data = HistogramData()
+        data.observe(1.0)
+        with pytest.raises(ConfigError):
+            data.observe(math.nan)
+        assert (data.count, sum(data.bucket_counts), data.total) == (1, 1, 1.0)
+
+
+class TestBoundSeries:
+    def test_bound_and_labelled_incs_share_one_series(self):
+        telem = Telemetry()
+        c = telem.counter("comm.bytes")
+        bound = c.labels(channel="a<->b", src="a", dst="b")
+        bound.inc(100)
+        c.inc(20, src="a", dst="b", channel="a<->b")  # label order is irrelevant
+        c.inc(7, channel="a<->b", src="b", dst="a")
+        assert len(c.series()) == 2
+        assert bound.value() == 120
+        assert c.value(channel="a<->b", src="a", dst="b") == 120
+        assert c.value(channel="a<->b") == 127
+        snap = telem.snapshot()
+        assert snap.counter("comm.bytes", src="a") == 120
+        assert snap.counter("comm.bytes") == 127
+
+    def test_bound_histogram_and_gauge_share_their_series(self):
+        reg = MetricRegistry()
+        h = reg.histogram("t")
+        h.labels(stage="queue").observe(1e-4)
+        h.observe(2e-4, stage="queue")
+        assert h.data(stage="queue").count == 2
+        g = reg.gauge("depth")
+        g.labels(replica="r0").set(5)
+        assert g.value(replica="r0") == 5
+        g.set(3, replica="r0")
+        assert g.labels(replica="r0").value() == 3
+
+    def test_binding_creates_no_series(self):
+        reg = MetricRegistry()
+        reg.counter("n").labels(op="a")
+        reg.histogram("t").labels(op="a")
+        reg.gauge("g").labels(op="a")
+        assert all(not m.series() for m in reg.metrics().values())
+
+    def test_bound_series_counts_from_zero_after_reset(self):
+        c = MetricRegistry().counter("comm.bytes")
+        bound = c.labels(channel="x", src="a", dst="b")
+        other = c.labels(channel="y", src="a", dst="b")
+        bound.inc(5)
+        other.inc(9)
+        c.reset(channel="x")  # what Channel.reset_counters does
+        assert bound.value() == 0
+        bound.inc(2)
+        assert bound.value() == 2
+        assert c.value(channel="x") == 2
+        assert other.value() == 9
+
+    def test_channel_reset_counters_restarts_its_bound_series(self):
+        from repro.comm.channel import INFINIBAND_100G, Channel
+
+        clock = SimClock()
+        link = Channel(clock, INFINIBAND_100G, "a", "b")
+        link.send("a", "b", 100)
+        link.reset_counters()
+        assert link.total_bytes == 0
+        link.send("a", "b", 40)
+        assert link.bytes_sent == {("a", "b"): 40, ("b", "a"): 0}
+        assert link.total_messages == 1
+
+    def test_negative_increment_still_raises(self):
+        bound = MetricRegistry().counter("n").labels(op="a")
+        with pytest.raises(ConfigError, match="negative"):
+            bound.inc(-1)
+        assert bound.value() == 0
+
+    def test_snapshot_does_not_move_after_more_observations(self):
+        telem = Telemetry()
+        bound = telem.histogram("t").labels(stage="queue")
+        bound.observe(1e-4)
+        telem.counter("n").labels().inc(1)
+        snap = telem.snapshot()
+        frozen = (snap.histogram("t").count, snap.histogram("t").bucket_counts)
+        for _ in range(3):
+            bound.observe(5e-3)
+        telem.counter("n").labels().inc(1)
+        assert (snap.histogram("t").count, snap.histogram("t").bucket_counts) == frozen
+        assert snap.counter("n") == 1
+
+    def test_a_dropped_context_is_freed_without_the_cycle_collector(self):
+        # the binders a context keeps close over its counters, never over
+        # the context: a reference cycle would keep every dropped
+        # deployment's arrays alive until the next collection
+        gc.disable()
+        try:
+            ctx = SecureContext.create(FrameworkConfig(seed=0))
+            trainer = SecureTrainer(ctx, SecureMLP(ctx, 8, hidden=(4,), n_out=2))
+            trainer.train(np.ones((4, 8)), np.ones((4, 2)), batch_size=4)
+            alive = weakref.ref(ctx)
+            del ctx, trainer
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_series_cache_binds_each_value_once(self):
+        c = MetricRegistry().counter("serve.requests_admitted")
+        binds = []
+        cache = SeriesCache(lambda client: binds.append(client) or c.labels(client=client))
+        for client in ("a", "b", "a", "a"):
+            cache[client].inc(1)
+        assert binds == ["a", "b"]
+        assert c.value(client="a") == 3
+
+
 class TestGauge:
     def test_set_and_read(self):
         g = MetricRegistry().gauge("phase.sim_seconds")
@@ -88,6 +236,17 @@ class TestHistogram:
         assert data.min == pytest.approx(1e-6)
         assert data.max == pytest.approx(3e-6)
         assert data.mean == pytest.approx(2e-6)
+
+    def test_bucket_is_the_first_bound_at_or_above_the_value(self):
+        bounds = (1e-6, 1e-3, 1.0, math.inf)
+        rng = np.random.default_rng(3)
+        values = [*bounds[:-1], 0.0, 2e-6, 5e2, *(10.0 ** rng.uniform(-8, 2, size=50))]
+        h = MetricRegistry().histogram("t", buckets=bounds)
+        expected = [0] * len(bounds)
+        for v in values:
+            h.observe(v)
+            expected[next(i for i, b in enumerate(bounds) if v <= b)] += 1
+        assert h.data().bucket_counts == tuple(expected)
 
     def test_default_buckets_end_with_inf(self):
         assert DEFAULT_BUCKETS[-1] == math.inf
@@ -378,3 +537,59 @@ class TestTrainingAcceptance:
         ops_seen = set(snap.label_values("ops.invocations", "op"))
         assert {"matmul", "elementwise_mul", "truncate"} <= ops_seen
         assert snap.counter("ops.online_seconds", op="matmul") > 0
+
+
+class TestWarmPathsResolveNoLabels:
+    """Hot paths bind their series when they are built: a warm training
+    step or fleet batch never resolves a label set (``label_key``)."""
+
+    @pytest.fixture
+    def label_keys(self, monkeypatch):
+        import repro.telemetry.registry as registry
+
+        calls = []
+        real = registry.label_key
+
+        def counted(labels):
+            calls.append(dict(labels))
+            return real(labels)
+
+        def arm():
+            monkeypatch.setattr(registry, "label_key", counted)
+            return calls
+
+        return arm
+
+    @pytest.mark.parametrize("backend", ["beaver2pc", "rep3"])
+    def test_warm_training_step(self, backend, label_keys):
+        ctx = SecureContext.create(FrameworkConfig(backend=backend, seed=0))
+        trainer = SecureTrainer(ctx, SecureMLP(ctx, 32, hidden=(16,), n_out=4))
+        rng = np.random.default_rng(0)
+        x = 0.5 * rng.standard_normal((32, 32))
+        y = np.eye(4)[rng.integers(0, 4, size=32)]
+        trainer.train(x, y, batch_size=16)
+        calls = label_keys()
+        trainer.train(x, y, batch_size=16)
+        assert calls == []
+
+    def test_warm_fleet_batch(self, label_keys):
+        fleet = SecureServingFleet(
+            lambda ctx: SecureMLP(ctx, 32, hidden=(16,), n_out=4),
+            replicas=2,
+            config=FrameworkConfig(seed=0),
+            placement="least-depth",
+            max_batch=8,
+        )
+        rng = np.random.default_rng(0)
+
+        def wave():
+            for client in range(6):
+                fleet.submit(f"client{client}", rng.standard_normal((1 + client % 3, 32)))
+            fleet.drain()
+
+        wave()
+        wave()  # each replica's second batch is the first to reuse a static F
+        calls = label_keys()
+        wave()
+        assert calls == []
+        assert len(fleet.responses) == 18
