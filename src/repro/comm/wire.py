@@ -168,12 +168,9 @@ def _array_body(arr: np.ndarray) -> memoryview:
 
 
 def _emit(payload: Any, chunks: list, depth: int = 0) -> None:
-    """Append one payload's encoded chunks.
-
-    Invariant the sizing/overhead accounting relies on: header chunks
-    are ``bytes``, raw buffer bodies are ``memoryview`` — a chunk's type
-    says which side of the body/overhead split it lands on.
-    """
+    """Append one payload's encoded chunks: headers as ``bytes``, raw
+    buffer bodies as ``memoryview``.  :func:`_sizes` mirrors every
+    branch; change the two together."""
     if isinstance(payload, np.ndarray) and payload.dtype.kind in _DTYPE_KINDS:
         dt = payload.dtype.str.encode("ascii")
         head = bytearray(_U8.pack(_KIND_ND))
