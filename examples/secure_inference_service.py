@@ -111,7 +111,6 @@ def build_fleet(chaos_seed: int | None, replicas: int):
         replicas=replicas,
         config=FrameworkConfig.parsecureml(),
         replica_config=replica_config,
-        placement="least-depth",  # spread the waves so every replica works
         max_batch=MAX_BATCH,
         queue_rows=4 * MAX_BATCH,
         request_retries=request_retries,

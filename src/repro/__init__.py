@@ -52,7 +52,6 @@ from repro.core.resnet import SecureResNet
 from repro.core.tensor import SharedTensor
 from repro.core.training import SecureTrainer, TrainReport
 from repro.serve import (
-    FleetRouter,
     QueueFullError,
     Replica,
     SecureServingFleet,
@@ -105,7 +104,6 @@ __all__ = [
     "serve",
     "Replica",
     "SecureServingFleet",
-    "FleetRouter",
     "ServeReport",
     "QueueFullError",
     "FaultPlan",

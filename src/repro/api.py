@@ -19,7 +19,7 @@ its own session) behind the fleet router::
 
     fleet = repro.api.serve(
         lambda ctx: repro.SecureMLP(ctx, 64, hidden=(32,), n_out=10),
-        replicas=4, placement="least-depth",
+        replicas=4,
     )
     fleet.submit("client-a", x_rows)
     fleet.drain()
@@ -73,7 +73,6 @@ def serve(
     *,
     replicas: int = 1,
     config: FrameworkConfig | None = None,
-    placement="hash",
     max_batch: int = 64,
     max_wait_s: float = 1e-3,
     queue_rows: int | None = None,
@@ -95,9 +94,6 @@ def serve(
     config / **overrides:
         Base configuration plus :meth:`FrameworkConfig.but` overrides,
         exactly like :func:`session`.
-    placement:
-        ``"hash"``, ``"least-depth"``, or a
-        :class:`~repro.serve.placement.PlacementPolicy` instance.
     replica_config:
         Optional ``(index, base_config) -> FrameworkConfig`` hook for
         per-replica config shaping (chaos plans, backends).
@@ -117,7 +113,6 @@ def serve(
         replicas=replicas,
         config=cfg,
         replica_config=replica_config,
-        placement=placement,
         max_batch=max_batch,
         max_wait_s=max_wait_s,
         queue_rows=queue_rows,

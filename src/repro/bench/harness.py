@@ -271,7 +271,6 @@ def run_fleet(
         lambda ctx: build_secure_model(ctx, spec),
         replicas=replicas,
         config=config,
-        placement="least-depth",
         max_batch=batch_size,
         queue_rows=max(sum(chunk.shape[0] for _c, chunk in stream), batch_size),
     )

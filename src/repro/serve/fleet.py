@@ -5,8 +5,10 @@ one server pair, one dealer, one pair of clocks.  The fleet scales that
 horizontally: N replicas (each built from the same ``model_factory``
 on its own :class:`~repro.core.context.SecureContext`, whose client
 deals each op stream's triplet on first use) behind a
-:class:`FleetRouter` front-end with pluggable placement
-(:mod:`repro.serve.placement`).  The replica count changes only through
+:class:`FleetRouter` that sends each request to the healthy replica with
+the shallowest queue.  A replica keeps no per-client state (masks belong
+to op streams and the queue is FIFO), so there is nothing for session
+affinity to keep warm.  The replica count changes only through
 :meth:`SecureServingFleet.add_replica` / ``retire_replica``.
 
 Delivery contract — *admitted exactly once*: every request the fleet
@@ -17,16 +19,14 @@ drained back (:meth:`Replica.take_pending`), the replica is respawned
 through the :mod:`repro.faults` recovery path, and the drained
 plaintexts are re-shared onto healthy replicas — re-routed requests
 bypass admission (they were admitted once already), so backpressure can
-reject but never drop.
+reject but never drop.  A :class:`FleetTicket` holds its request's
+plaintext only while the request is in flight.
 
-Conformance: the fleet journals every operation it applies to each
-replica (submits with payloads, pump/drain calls and their outcomes,
-crash recoveries).  With ``audit=True`` each
-replica records its wire transcript, and :meth:`verify_conformance`
-replays each journal on a fresh standalone replica with the same
-config — the replay must be bit-identical, transcript and predictions
-both, proving sharding changed *where* requests ran but not *what* any
-single deployment did.
+With ``audit=True`` each replica records its wire transcript
+(:meth:`Replica.wire_audit`).  The tests replay every replica's calls on
+a fresh standalone replica and hold transcript and predictions
+bit-identical (``tests/oracles.py``): sharding changes *where* requests
+run, never *what* a deployment does.
 
 Quickstart::
 
@@ -34,7 +34,7 @@ Quickstart::
 
     fleet = repro.api.serve(
         lambda ctx: repro.SecureMLP(ctx, 64, hidden=(32,), n_out=10),
-        replicas=4, placement="hash", max_batch=64,
+        replicas=4, max_batch=64,
     )
     rid = fleet.submit("client-a", x_rows)
     fleet.drain()
@@ -51,11 +51,10 @@ import numpy as np
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
 from repro.faults.blame import PartyFailure
-from repro.serve.placement import make_placement
 from repro.serve.replica import InferenceResponse, Replica, ServeReport
 from repro.telemetry import Telemetry
 from repro.telemetry.registry import SeriesCache
-from repro.util.errors import QueueFullError, ServeError
+from repro.util.errors import ConfigError, QueueFullError, ServeError
 
 _QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
 
@@ -118,10 +117,6 @@ class FleetReport:
     backends: dict = field(default_factory=dict)  # {replica: protocol backend}
 
     @property
-    def rows_per_online_s(self) -> float:
-        return self.served_rows / self.online_s if self.online_s else 0.0
-
-    @property
     def mean_batch_fill(self) -> float:
         total = self.served_rows + self.padded_rows
         return self.served_rows / total if total else 0.0
@@ -134,10 +129,9 @@ class FleetReport:
 
 
 class FleetRouter:
-    """Placement + health filtering over the live replica set."""
+    """Least-depth routing and health filtering over the live replica set."""
 
-    def __init__(self, placement="hash", *, telemetry: Telemetry | None = None):
-        self.placement = make_placement(placement)
+    def __init__(self, *, telemetry: Telemetry | None = None):
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._replicas: dict[str, Replica] = {}
         routed = self.telemetry.counter("fleet.requests_routed", "requests placed, by replica")
@@ -147,11 +141,9 @@ class FleetRouter:
         if replica.name in self._replicas:
             raise ServeError(f"duplicate replica name {replica.name!r}")
         self._replicas[replica.name] = replica
-        self.placement.add_replica(replica.name)
 
     def remove(self, name: str) -> None:
         self._replicas.pop(name, None)
-        self.placement.remove_replica(name)
 
     def replicas(self) -> list[Replica]:
         return list(self._replicas.values())
@@ -163,12 +155,16 @@ class FleetRouter:
         """Live replicas a request may be placed on (never a crashed one)."""
         return [r for r in self._replicas.values() if r.crashed_party is None]
 
-    def route(self, client_id: str, *, exclude: str | None = None) -> list[Replica]:
-        """Preference-ordered healthy replicas for one request."""
+    def route(self, *, exclude: str | None = None) -> list[Replica]:
+        """Healthy replicas, shallowest queue first (ties by name).
+
+        Every replica has the same row bound, so the first is also the
+        one with the most headroom.
+        """
         candidates = [r for r in self.healthy() if r.name != exclude]
         if not candidates:  # nothing else: a respawned excluded replica will do
             candidates = self.healthy()
-        return self.placement.rank(client_id, candidates)
+        return sorted(candidates, key=lambda r: (r.queue.depth_rows, r.name))
 
     def note_routed(self, replica_name: str) -> None:
         self._routed[replica_name].inc(1)
@@ -182,8 +178,7 @@ class SecureServingFleet:
     model_factory:
         ``(ctx) -> SecureModel`` — builds (and, for deployed weights,
         installs) the served model on one replica's context.  Called
-        once per replica, and again per replica during conformance
-        replay, so it must be deterministic given the context.
+        once per replica.
     replicas:
         Initial replica count (:meth:`add_replica` / :meth:`retire_replica`
         change it later).
@@ -194,14 +189,14 @@ class SecureServingFleet:
         Optional ``(index, base_config) -> FrameworkConfig`` hook for
         per-replica overrides (chaos shaping, heterogeneous backends).
     placement:
-        ``"hash"`` (consistent-hash session affinity), ``"least-depth"``,
-        or a :class:`~repro.serve.placement.PlacementPolicy` instance.
+        Only ``"least-depth"``, the one routing rule; anything else
+        raises :class:`ConfigError`.  Kept for callers that still name it.
     max_reroutes:
         Crash-recovery budget per request before the failure surfaces
         to the caller (the request stays queued, never dropped).
     audit:
-        Record every replica's wire transcript; required by
-        :meth:`verify_conformance`.
+        Record every replica's wire transcript
+        (:meth:`Replica.wire_audit`).
     """
 
     def __init__(
@@ -211,7 +206,7 @@ class SecureServingFleet:
         replicas: int = 2,
         config: FrameworkConfig | None = None,
         replica_config=None,
-        placement="hash",
+        placement: str = "least-depth",
         max_batch: int = 64,
         max_wait_s: float = 1e-3,
         queue_rows: int | None = None,
@@ -221,6 +216,10 @@ class SecureServingFleet:
     ):
         if replicas < 1:
             raise ServeError(f"fleet needs >= 1 replica, got {replicas}")
+        if placement != "least-depth":
+            raise ConfigError(
+                f"unknown placement {placement!r}: the fleet routes least-depth only"
+            )
         self.model_factory = model_factory
         self.base_config = config if config is not None else FrameworkConfig()
         self.replica_config = replica_config
@@ -233,13 +232,11 @@ class SecureServingFleet:
             request_retries=request_retries,
         )
         self.telemetry = Telemetry()
-        self.router = FleetRouter(placement, telemetry=self.telemetry)
+        self.router = FleetRouter(telemetry=self.telemetry)
         self._replica_seq = itertools.count()
         self._fleet_rid = itertools.count(1)
         self._inflight: dict[tuple[str, int], FleetTicket] = {}
         self.responses: list[FleetResponse] = []
-        self._journals: dict[str, list[tuple]] = {}
-        self._configs: dict[str, FrameworkConfig] = {}
         self._retired: list[Replica] = []
         t = self.telemetry
         self._admitted = t.counter(
@@ -261,7 +258,7 @@ class SecureServingFleet:
     # -- fleet membership -------------------------------------------------------
 
     def add_replica(self) -> Replica:
-        """Spawn one replica (own context and model) and join the ring."""
+        """Spawn one replica (own context and model) and join the router."""
         index = next(self._replica_seq)
         name = f"replica{index}"
         cfg = self.base_config.but(seed=self.base_config.seed + index)
@@ -277,28 +274,29 @@ class SecureServingFleet:
             **self._knobs,
         )
         self.router.add(replica)
-        self._journals[name] = []
-        self._configs[name] = cfg
         self._added.inc(1)
         self._size_gauge.set(len(self.router.replicas()))
         return replica
 
     def retire_replica(self, name: str | None = None) -> str:
-        """Drain one replica and remove it from the ring (never drops work)."""
+        """Drain one replica and remove it from the router (never drops work).
+
+        With no ``name``, retires the replica the router would route to
+        first: the least work to drain.
+        """
         live = self.router.replicas()
         if len(live) <= 1:
             raise ServeError("cannot retire the last replica")
         if name is None:
-            healthy = self.router.healthy() or live
-            name = min(healthy, key=lambda r: (r.queued_rows, r.name)).name
+            name = (self.router.route() or live)[0].name
         replica = self.router.get(name)
         if replica is None:
             raise ServeError(f"no live replica named {name!r}")
-        # Remove from placement first so the drain cannot race new work
+        # Remove from the router first so the drain cannot race new work
         # onto a replica that is leaving.
         self.router.remove(name)
         try:
-            self._drain_replica(replica)
+            self._serve(replica, replica.drain)
         finally:
             self._retired.append(replica)
             self._retired_counter.inc(1)
@@ -318,12 +316,12 @@ class SecureServingFleet:
     def submit(self, client_id: str, x: np.ndarray) -> int:
         """Route and admit one request; returns its fleet request id.
 
-        Tries the placement order, failing over on queue-full
+        Tries the router's order, failing over on queue-full
         backpressure; raises the retryable :class:`QueueFullError` only
         when *every* healthy replica refuses.
         """
         x = np.asarray(x, dtype=np.float64)
-        order = self.router.route(client_id)
+        order = self.router.route()
         if not order:
             raise ServeError("fleet has no healthy replicas")
         last_full: QueueFullError | None = None
@@ -333,13 +331,11 @@ class SecureServingFleet:
             except QueueFullError as exc:
                 last_full = exc
                 continue
-            payload = np.array(x, copy=True)
-            self._journals[replica.name].append(("submit", client_id, payload))
             fleet_rid = next(self._fleet_rid)
             self._inflight[(replica.name, rid)] = FleetTicket(
                 fleet_rid=fleet_rid,
                 client_id=client_id,
-                x=payload,
+                x=np.array(x, copy=True),
                 replica=replica.name,
                 replica_rid=rid,
             )
@@ -356,7 +352,7 @@ class SecureServingFleet:
         """Serve every ready batch on every replica; returns batches run."""
         ran = 0
         for replica in list(self.router.replicas()):
-            ran += self._pump_replica(replica)
+            ran += self._serve(replica, replica.pump)
         self._collect()
         return ran
 
@@ -373,7 +369,7 @@ class SecureServingFleet:
             before = len(self._inflight)
             for replica in list(self.router.replicas()):
                 if len(replica.queue):
-                    ran += self._drain_replica(replica)
+                    ran += self._serve(replica, replica.drain)
             self._collect()
             if len(self._inflight) >= before:
                 stalled += 1
@@ -421,56 +417,15 @@ class SecureServingFleet:
             backends=backends,
         )
 
-    # -- conformance ------------------------------------------------------------
-
-    def journal(self, replica_name: str) -> list[tuple]:
-        """The operation journal replayed by :func:`replay_replica_journal`."""
-        return list(self._journals[replica_name])
-
-    def verify_conformance(self) -> dict[str, str | None]:
-        """Replay every replica's journal standalone; diff the transcripts.
-
-        Returns ``{replica_name: None}`` on bit-identity, or a
-        human-readable divergence description per failing replica.
-        Requires the fleet to have been built with ``audit=True``.
-        """
-        results: dict[str, str | None] = {}
-        for replica in [*self.router.replicas(), *self._retired]:
-            if replica.recorder is None:
-                raise ServeError(
-                    "conformance replay needs transcripts; build the fleet with audit=True"
-                )
-            replay = replay_replica_journal(
-                self._journals[replica.name],
-                self._configs[replica.name],
-                self.model_factory,
-                name=replica.name,
-                **self._knobs,
-            )
-            results[replica.name] = _diff_replica(replica, replay)
-        return results
-
     # -- internals --------------------------------------------------------------
 
-    def _pump_replica(self, replica: Replica) -> int:
+    def _serve(self, replica: Replica, serve) -> int:
+        """Run ``replica.pump`` or ``replica.drain``; a crash is recovered."""
         try:
-            ran = replica.pump()
+            return serve()
         except PartyFailure as failure:
-            self._journals[replica.name].append(("pump", True))
             self._recover(replica, failure)
             return 0
-        self._journals[replica.name].append(("pump", False))
-        return ran
-
-    def _drain_replica(self, replica: Replica) -> int:
-        try:
-            ran = replica.drain()
-        except PartyFailure as failure:
-            self._journals[replica.name].append(("drain", True))
-            self._recover(replica, failure)
-            return 0
-        self._journals[replica.name].append(("drain", False))
-        return ran
 
     def _collect(self) -> None:
         for replica in [*self.router.replicas(), *self._retired]:
@@ -499,10 +454,8 @@ class SecureServingFleet:
         self._collect_replica(replica)
         # 2. admitted requests drain back through the router
         pending = replica.take_pending()
-        self._journals[replica.name].append(("take_pending",))
         # 3. respawn the blamed party via the faults recovery path
         replica.respawn()
-        self._journals[replica.name].append(("respawn",))
         # 4. re-share the drained plaintexts onto healthy replicas
         over_budget = None
         for request in pending:
@@ -523,30 +476,21 @@ class SecureServingFleet:
             raise over_budget
 
     def _resubmit(self, ticket: FleetTicket, *, exclude: str) -> None:
-        order = self.router.route(ticket.client_id, exclude=exclude)
+        order = self.router.route(exclude=exclude)
         if not order:
             raise ServeError("fleet has no healthy replicas to re-route onto")
-        target = None
-        rid = None
-        for replica in order:
+        for target in order:
             try:
-                rid = replica.submit(ticket.client_id, ticket.x)
+                rid = target.submit(ticket.client_id, ticket.x)
             except QueueFullError:
                 continue
-            target = replica
-            self._journals[replica.name].append(("submit", ticket.client_id, ticket.x))
             break
-        if target is None:
-            # every healthy replica is full: force-admit — re-routed
-            # work was admitted once and never drops — but keep the row
-            # bounds in the decision: oversubscribe the queue with the
-            # most remaining headroom, not the depth-blind affinity
-            # pick (ties break by preference order).
-            target = max(
-                order, key=lambda r: r.queue.max_rows - r.queue.depth_rows
-            )
+        else:
+            # every healthy replica is full: force-admit — re-routed work
+            # was admitted once and never drops — onto the router's first
+            # choice, the queue with the most headroom.
+            target = order[0]
             rid = target.force_admit(ticket.client_id, ticket.x)
-            self._journals[target.name].append(("force", ticket.client_id, ticket.x))
         ticket.replica = target.name
         ticket.replica_rid = rid
         ticket.resubmits += 1
@@ -556,84 +500,6 @@ class SecureServingFleet:
 
     def _force_ticket(self, replica: Replica, ticket: FleetTicket) -> None:
         rid = replica.force_admit(ticket.client_id, ticket.x)
-        self._journals[replica.name].append(("force", ticket.client_id, ticket.x))
         ticket.replica = replica.name
         ticket.replica_rid = rid
         self._inflight[(replica.name, rid)] = ticket
-
-
-def replay_replica_journal(
-    journal: list[tuple],
-    config: FrameworkConfig,
-    model_factory,
-    *,
-    name: str = "replay",
-    max_batch: int = 64,
-    max_wait_s: float = 1e-3,
-    queue_rows: int | None = None,
-    request_retries: int = 2,
-) -> Replica:
-    """Re-run one replica's journal on a fresh standalone deployment.
-
-    The replay records its own transcript (``audit`` is always on), so
-    callers can diff it bit-for-bit against the fleet replica's — the
-    conformance oracle for the sharding layer.  Raises
-    :class:`ServeError` if an op's outcome diverges (a pump/drain that
-    failed in the fleet must fail identically in the replay).
-    """
-    ctx = SecureContext.create(config)
-    model = model_factory(ctx)
-    replica = Replica(
-        ctx,
-        model,
-        name=name,
-        max_batch=max_batch,
-        max_wait_s=max_wait_s,
-        queue_rows=queue_rows,
-        request_retries=request_retries,
-        audit=True,
-    )
-    for entry in journal:
-        op = entry[0]
-        if op == "submit":
-            replica.submit(entry[1], entry[2])
-        elif op == "force":
-            replica.force_admit(entry[1], entry[2])
-        elif op in ("pump", "drain"):
-            raised = False
-            try:
-                getattr(replica, op)()
-            except PartyFailure:
-                raised = True
-            if raised != entry[1]:
-                raise ServeError(
-                    f"replay diverged: {op} {'failed' if raised else 'succeeded'} "
-                    f"but the fleet run {'failed' if entry[1] else 'succeeded'}"
-                )
-        elif op == "take_pending":
-            replica.take_pending()
-        elif op == "respawn":
-            replica.respawn()
-        else:  # pragma: no cover - journal is fleet-written
-            raise ServeError(f"unknown journal op {op!r}")
-    return replica
-
-
-def _diff_replica(original: Replica, replay: Replica) -> str | None:
-    """Bit-compare a fleet replica against its standalone replay."""
-    divergence = original.recorder.transcript().diff(replay.recorder.transcript())
-    if divergence is not None:
-        return f"transcript divergence: {divergence.describe()}"
-    mine = original.report().responses
-    theirs = replay.report().responses
-    if len(mine) != len(theirs):
-        return f"response count {len(mine)} != replay {len(theirs)}"
-    for a, b in zip(mine, theirs):
-        if (a.client_id, a.request_id) != (b.client_id, b.request_id):
-            return (
-                f"response order diverged: ({a.client_id},{a.request_id}) "
-                f"!= ({b.client_id},{b.request_id})"
-            )
-        if not np.array_equal(a.predictions, b.predictions):
-            return f"predictions diverged for ({a.client_id},{a.request_id})"
-    return None

@@ -2,18 +2,19 @@
 
 A :class:`Replica` is the unit a serving fleet scales in: one secure
 deployment (its own server pair, dealer and clocks) wrapped in
-the four-method replica protocol the :class:`~repro.serve.fleet.FleetRouter`
+the replica protocol the :class:`~repro.serve.fleet.SecureServingFleet`
 speaks:
 
 * :meth:`submit` — admission-controlled, secret-shares the rows at the
   door (an offline-clock cost); a full queue raises the retryable
   :class:`~repro.util.errors.QueueFullError` before any sharing cost.
 * :meth:`poll` — completed :class:`InferenceResponse`\\ s since the last
-  poll, each exactly once (the router's collection path).
+  poll, each exactly once (the fleet's collection path).
 * :meth:`drain` — serve everything queued, idling the online clock
   through partial-batch timers (:meth:`pump` serves only what is ready).
-* :meth:`stats` — queue depth, served counts and crash state, read
-  from the replica's own ``serve.*`` telemetry.
+* :meth:`report` — served counts, padding, retries and latency
+  quantiles; :attr:`queued_rows` and :attr:`crashed_party` are the
+  queue depth and crash state.
 
 The serving mechanics are unchanged from the original single-server
 layer: a bounded :class:`~repro.serve.queue.RequestQueue`, an
@@ -23,7 +24,7 @@ plans (pad-and-trim, so ragged tails are served, never dropped), and
 blame machinery underneath.  What is new is the crash surface: when a
 batch exhausts its retry budget the requests return to the queue head,
 the replica remembers the blamed party (:attr:`crashed_party`), and the
-router can :meth:`take_pending` the admitted requests back and
+fleet can :meth:`take_pending` the admitted requests back and
 :meth:`respawn` the replica through the :mod:`repro.faults` recovery
 path — so a crashed replica drains, never drops.
 """
@@ -108,21 +109,6 @@ class ServeReport:
         return None
 
 
-@dataclass(frozen=True)
-class ReplicaStats:
-    """A summary of one replica, from ``serve.*``."""
-
-    name: str
-    queued_requests: int
-    queued_rows: int
-    served_requests: int
-    served_rows: int
-    batches: int
-    crashed: bool
-    online_s: float
-    backend: str = "beaver2pc"
-
-
 class Replica:
     """Queue + batcher + the fixed-shape secure forward path, named.
 
@@ -132,7 +118,7 @@ class Replica:
         The replica's own :class:`~repro.core.context.SecureContext`
         and the secure model deployed on it.
     name:
-        Stable identity on the fleet's hash ring (and in reports).
+        Stable identity in the fleet's router (and in reports).
     max_batch / max_wait_s:
         The :class:`AdaptiveBatcher` knobs — fixed batch shape and the
         partial-batch timer.
@@ -309,20 +295,6 @@ class Replica:
         self._poll_cursor = len(self._responses)
         return list(new)
 
-    def stats(self) -> ReplicaStats:
-        """This replica's summary, from its telemetry."""
-        return ReplicaStats(
-            name=self.name,
-            queued_requests=len(self.queue),
-            queued_rows=self.queued_rows,
-            served_requests=len(self._responses),
-            served_rows=int(self._rows_served.value()),
-            batches=self._batches,
-            crashed=self.crashed_party is not None,
-            online_s=self.ctx.online_clock.now(),
-            backend=self.ctx.backend.name,
-        )
-
     @property
     def queued_rows(self) -> int:
         """Queue depth in rows, via the ``serve.queue_depth_rows`` gauge."""
@@ -343,7 +315,7 @@ class Replica:
         """Restart the blamed party through the faults recovery path.
 
         No-op when the replica never crashed.  Afterwards the replica is
-        healthy again and placement may route new requests to it.
+        healthy again and the router may route new requests to it.
         """
         if self.crashed_party is None:
             return
@@ -379,9 +351,6 @@ class Replica:
             online_s=delta.online_s,
             latency=latency,
         )
-
-    def latency_quantiles(self) -> dict:
-        return {name: self._latency.quantile(q, stage="total") for name, q in _QUANTILES}
 
     def wire_audit(self, **kwargs):
         """Chi-square the recorded wire view of this replica's traffic.

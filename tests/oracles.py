@@ -10,20 +10,27 @@ test compares the running code against:
 * :func:`emulated_ge_const` — the indicator ``[x >= c]`` computed in the
   clear, the reference for :func:`repro.mpc.comparison.secure_ge_const`;
 * :class:`SMOSVM` — a linear sequential-minimal-optimization SVM, the
-  accuracy reference for the secure hinge-subgradient SVM.
+  accuracy reference for the secure hinge-subgradient SVM;
+* :class:`ReplicaRecorder` — logs every call a serving fleet makes on
+  each replica and replays it on a fresh standalone replica, which must
+  match the fleet's bit for bit (:func:`replay_replica`).
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 from typing import Callable
 
 import numpy as np
 
+from repro.core.context import SecureContext
 from repro.fixedpoint.ring import RING_DTYPE, ring_add, ring_matmul, ring_sub
 from repro.mpc.comparison import _BITS, ComparisonResult, comparison_online_bytes
 from repro.mpc.shares import share_secret
 from repro.mpc.triplets import TripletShare
-from repro.util.errors import ConfigError, ProtocolError, ShapeError
+from repro.serve.replica import Replica
+from repro.util.errors import ConfigError, ProtocolError, ReproError, ShapeError
 
 # ------------------------------------------------------- the Beaver matmul
 
@@ -255,3 +262,139 @@ class SMOSVM:
     def weight_vector(self) -> np.ndarray:
         """Primal weights."""
         return (self.alpha * self.y) @ self.x
+
+
+# ------------------------------------------------------- the fleet replay
+
+#: The replica methods a fleet drives; the replay repeats them in order.
+REPLICA_CALLS = ("submit", "force_admit", "pump", "drain", "take_pending", "respawn")
+
+
+class ReplicaRecorder:
+    """Log every replica-protocol call, per replica name, while active.
+
+    Patches :data:`REPLICA_CALLS` on :class:`Replica` itself, so every
+    replica built while the recorder is active is covered, retired and
+    respawned ones included.  Only the outermost call per replica is
+    logged (``drain`` calls ``pump``), as ``[method, args, raised]``: a
+    deep copy of the arguments, so the caller may reuse its arrays, and
+    the :class:`ReproError` class the call raised (``None`` if none) —
+    a :class:`PartyFailure` from a crashed batch, a
+    :class:`QueueFullError` from a refused submit.
+    Use as a context manager, or :meth:`start` / :meth:`stop`.
+    """
+
+    def __init__(self):
+        self.replicas: dict[str, Replica] = {}
+        self.calls: dict[str, list[list]] = {}
+        self._depth: dict[str, int] = {}
+        self._originals: dict[str, Callable] = {}
+
+    def __enter__(self) -> "ReplicaRecorder":
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    def start(self) -> None:
+        for method in REPLICA_CALLS:
+            original = self._originals[method] = getattr(Replica, method)
+            setattr(Replica, method, self._recording(method, original))
+
+    def stop(self) -> None:
+        for method, original in self._originals.items():
+            setattr(Replica, method, original)
+        self._originals.clear()
+
+    def _recording(self, method: str, original: Callable) -> Callable:
+        @functools.wraps(original)
+        def recorded(replica, *args):
+            name = replica.name
+            if self.replicas.setdefault(name, replica) is not replica:
+                raise AssertionError(f"two replicas named {name!r} under one recorder")
+            depth = self._depth.get(name, 0)
+            if depth == 0:
+                entry = [method, copy.deepcopy(args), None]
+                self.calls.setdefault(name, []).append(entry)
+            self._depth[name] = depth + 1
+            try:
+                return original(replica, *args)
+            except ReproError as exc:
+                if depth == 0:
+                    entry[2] = type(exc)
+                raise
+            finally:
+                self._depth[name] = depth
+
+        return recorded
+
+    def verify(self, model_factory) -> dict[str, str | None]:
+        """Stop recording, replay every replica; ``{name: None}`` on bit-identity.
+
+        A failing replica maps to a description of its first divergence.
+        Every recorded replica must have recorded its transcript.
+        """
+        self.stop()
+        results = {}
+        for name, replica in self.replicas.items():
+            if replica.recorder is None:
+                raise ConfigError(
+                    f"{name} recorded no transcript; build the fleet with audit=True"
+                )
+            replay = replay_replica(replica, self.calls[name], model_factory)
+            results[name] = diff_replica(replica, replay)
+        return results
+
+
+def replay_replica(replica: Replica, calls: list, model_factory) -> Replica:
+    """Re-run ``calls`` on a fresh standalone twin of ``replica``.
+
+    The twin has the replica's config (``replica.ctx.config``, fault
+    plan included), batcher, queue bound and retry budget, and always
+    records its transcript.  Each call must raise what it raised in the
+    fleet, or the replay fails with an :class:`AssertionError`.
+    """
+    ctx = SecureContext.create(replica.ctx.config)
+    twin = Replica(
+        ctx,
+        model_factory(ctx),
+        name=replica.name,
+        max_batch=replica.batcher.max_batch,
+        max_wait_s=replica.batcher.max_wait_s,
+        queue_rows=replica.queue.max_rows,
+        request_retries=replica.request_retries,
+        audit=True,
+    )
+    for step, (method, args, raised) in enumerate(calls):
+        try:
+            getattr(twin, method)(*args)
+            outcome = None
+        except ReproError as exc:
+            outcome = type(exc)
+        if outcome is not raised:
+            raise AssertionError(
+                f"{replica.name} call {step} ({method}) raised {outcome} in the "
+                f"replay but {raised} in the fleet"
+            )
+    return twin
+
+
+def diff_replica(original: Replica, replay: Replica) -> str | None:
+    """Bit-compare a fleet replica against its standalone replay."""
+    divergence = original.recorder.transcript().diff(replay.recorder.transcript())
+    if divergence is not None:
+        return f"transcript divergence: {divergence.describe()}"
+    mine = original.report().responses
+    theirs = replay.report().responses
+    if len(mine) != len(theirs):
+        return f"response count {len(mine)} != replay {len(theirs)}"
+    for a, b in zip(mine, theirs):
+        if (a.client_id, a.request_id) != (b.client_id, b.request_id):
+            return (
+                f"response order diverged: ({a.client_id},{a.request_id}) "
+                f"!= ({b.client_id},{b.request_id})"
+            )
+        if not np.array_equal(a.predictions, b.predictions):
+            return f"predictions diverged for ({a.client_id},{a.request_id})"
+    return None

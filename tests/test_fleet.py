@@ -2,33 +2,33 @@
 
 Covers the serving redesign end to end:
 
-* the :class:`Replica` protocol surface (exactly-once ``poll``, stats,
-  the router's ``take_pending`` / ``force_admit`` recovery hooks);
-* fleet routing: exactly-once delivery, hash affinity, 1-replica fleet
-  equivalence with a standalone replica;
+* the :class:`Replica` protocol surface (exactly-once ``poll``, queue
+  and served counts, the fleet's ``take_pending`` / ``force_admit``
+  recovery hooks);
+* fleet routing: exactly-once delivery, 1-replica fleet equivalence
+  with a standalone replica, no plaintext kept once answered;
 * crash recovery: a replica failure re-routes admitted requests onto
-  healthy replicas with zero drops, and the per-replica journals still
-  replay bit-identically (:meth:`verify_conformance`);
+  healthy replicas with zero drops, and every replica's calls still
+  replay bit-identically on a standalone twin
+  (:class:`oracles.ReplicaRecorder`);
 * scale-out / retire and the ``repro.api.serve`` entry point.
 """
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import ReplicaRecorder
 
 import repro
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
 from repro.core.models import SecureMLP
 from repro.faults import FaultPlan, PartyCrash
-from repro.serve import (
-    ConsistentHashPlacement,
-    LeastDepthPlacement,
-    Replica,
-    SecureServingFleet,
-    make_placement,
-)
+from repro.serve import Replica, SecureServingFleet
 from repro.serve.fleet import FleetRouter
 from repro.util.errors import ConfigError, QueueFullError, ServeError
 
@@ -76,14 +76,13 @@ class TestReplicaProtocol:
     def test_stats_reflect_queue_and_service(self, rng):
         _ctx, rep = _replica(name="r9")
         rep.submit("a", rng.normal(size=(3, N_FEATURES)))
-        s = rep.stats()
-        assert s.name == "r9"
-        assert (s.queued_requests, s.queued_rows) == (1, 3)
-        assert not s.crashed
+        assert rep.name == "r9"
+        assert (len(rep.queue), rep.queued_rows) == (1, 3)
+        assert rep.crashed_party is None
         rep.drain()
-        s = rep.stats()
-        assert (s.queued_rows, s.served_requests, s.served_rows) == (0, 1, 3)
-        assert s.batches == 1 and s.online_s > 0.0
+        report = rep.report()
+        assert (rep.queued_rows, report.served_requests, report.served_rows) == (0, 1, 3)
+        assert report.batches == 1 and report.online_s > 0.0
 
     def test_take_pending_empties_the_queue(self, rng):
         _ctx, rep = _replica()
@@ -116,14 +115,6 @@ class TestFleetRouting:
         assert rep.served_requests == 25
         assert rep.dropped_requests == 0 and rep.pending_requests == 0
         assert sorted(r.fleet_rid for r in rep.responses) == sorted(rids)
-
-    def test_hash_placement_gives_session_affinity(self, rng):
-        fleet = _fleet(replicas=3, placement="hash")
-        for _ in range(4):
-            fleet.submit("sticky", rng.normal(size=(2, N_FEATURES)))
-            fleet.drain()
-        homes = {r.replica for r in fleet.report().responses}
-        assert len(homes) == 1
 
     def test_one_replica_fleet_matches_standalone(self, rng):
         queries = [
@@ -159,22 +150,62 @@ class TestFleetRouting:
         with pytest.raises(ServeError):
             _fleet(replicas=0)
 
+    def test_fleet_keeps_no_plaintext_once_answered(self):
+        # A fleet holds a request's plaintext only while its ticket is in
+        # flight.  Wide rows make each wave's plaintext outweigh what a
+        # wave legitimately retains (responses, telemetry spans).
+        wide = 1024
+
+        def factory(ctx):
+            return SecureMLP(ctx, wide, hidden=(6,), n_out=N_OUT)
+
+        fleet = SecureServingFleet(
+            factory, replicas=2, config=FrameworkConfig.parsecureml(), max_batch=8
+        )
+        rng = np.random.default_rng(0)
+        waves = [[rng.normal(size=(4, wide)) for _ in range(8)] for _ in range(4)]
+
+        def serve(wave):
+            for i, x in enumerate(wave):
+                fleet.submit(f"c{i}", x)
+            fleet.drain()
+
+        tracemalloc.start()
+        try:
+            serve(waves[0])  # warm: every op stream dealt, every table filled
+            gc.collect()
+            before, _ = tracemalloc.get_traced_memory()
+            for wave in waves[1:]:
+                serve(wave)
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fleet.report().served_requests == 32
+        wave_bytes = sum(x.nbytes for x in waves[1])
+        assert after - before < wave_bytes, (
+            f"three waves grew traced memory by {after - before} B; "
+            f"one wave submits {wave_bytes} B of plaintext"
+        )
+
 
 class TestPlacementFactory:
-    def test_resolves_names_and_instances(self):
-        assert isinstance(make_placement("hash"), ConsistentHashPlacement)
-        assert isinstance(make_placement("least-depth"), LeastDepthPlacement)
-        custom = ConsistentHashPlacement(vnodes=8)
-        assert make_placement(custom) is custom
+    """What is left of placement: one rule, least-depth, and its name."""
+
+    def test_resolves_names_and_instances(self, rng):
+        fleet = _fleet(replicas=2, placement="least-depth")
+        fleet.replicas()[0].submit("filler", rng.normal(size=(3, N_FEATURES)))
+        assert [r.name for r in fleet.router.route()] == ["replica1", "replica0"]
 
     def test_unknown_name_is_a_config_error(self):
-        with pytest.raises(ConfigError):
-            make_placement("round-robin")
+        for placement in ("hash", "least_depth", "round-robin", None):
+            with pytest.raises(ConfigError, match="least-depth only"):
+                _fleet(replicas=1, placement=placement)
 
     def test_router_never_offers_a_crashed_replica(self, rng):
         fleet = _fleet(replicas=2)
         fleet.replicas()[0].crashed_party = "server1"
-        order = fleet.router.route("anyone")
+        order = fleet.router.route()
         assert [r.name for r in order] == ["replica1"]
 
 
@@ -182,7 +213,6 @@ class TestCrashRecovery:
     def test_crash_reroutes_with_zero_drops(self, rng):
         fleet = _fleet(
             replicas=2,
-            placement="least-depth",
             replica_config=_crashy_replica0(),
             request_retries=0,
             audit=True,
@@ -199,20 +229,16 @@ class TestCrashRecovery:
         assert all(r.crashed_party is None for r in fleet.replicas())
 
     def test_forced_reroute_targets_the_replica_with_most_headroom(self, rng):
-        # regression: when every healthy replica is too full to admit a
-        # re-shared ticket, the forced fallback used to dump it on the
-        # router's first affinity choice without consulting queue
-        # bounds — oversubscribing a nearly-full queue while another
-        # healthy replica had several times the headroom.
+        # When every healthy replica is too full to admit a re-shared
+        # ticket, the forced fallback must oversubscribe the queue with
+        # the most headroom, never a nearly-full one.
         from repro.serve.fleet import FleetTicket
 
-        fleet = _fleet(replicas=3, placement="hash", queue_rows=8)
-        order = fleet.router.route("victim")
-        first, rest = order[0], order[1:]
-        # first affinity choice: headroom 1; the others: headroom 6
-        first.submit("filler", rng.normal(size=(7, N_FEATURES)))
-        for r in rest:
-            r.submit("filler", rng.normal(size=(2, N_FEATURES)))
+        fleet = _fleet(replicas=3, queue_rows=8)
+        order = fleet.replicas()
+        # replica0: headroom 1; replica1: headroom 6; replica2: headroom 5
+        for r, rows in zip(order, (7, 2, 3)):
+            r.submit("filler", rng.normal(size=(rows, N_FEATURES)))
         headroom = {
             r.name: r.queue.max_rows - r.queue.depth_rows for r in order
         }
@@ -227,45 +253,58 @@ class TestCrashRecovery:
         # never dropped...
         assert ticket.resubmits == 1
         assert (ticket.replica, ticket.replica_rid) in fleet._inflight
-        # ...but admission control must steer the overload to the
-        # roomiest queue, not the depth-blind affinity pick
+        # ...but the overload must land on the roomiest queue
         assert headroom[ticket.replica] == max(headroom.values()), (
             f"forced re-route chose {ticket.replica} with headroom "
             f"{headroom[ticket.replica]}, but {headroom} were available"
         )
 
     def test_conformance_replay_is_bit_identical(self, rng):
-        fleet = _fleet(replicas=2, audit=True, placement="least-depth")
-        for i in range(8):
-            fleet.submit(f"c{i}", rng.normal(size=(3, N_FEATURES)))
-        fleet.drain()
-        assert fleet.verify_conformance() == {"replica0": None, "replica1": None}
+        with ReplicaRecorder() as recorder:
+            fleet = _fleet(replicas=2, audit=True)
+            for i in range(8):
+                fleet.submit(f"c{i}", rng.normal(size=(3, N_FEATURES)))
+            fleet.drain()
+        assert recorder.verify(_factory) == {"replica0": None, "replica1": None}
 
     def test_conformance_replay_survives_chaos(self, rng):
-        fleet = _fleet(
-            replicas=2,
-            placement="least-depth",
-            replica_config=_crashy_replica0(),
-            request_retries=0,
-            audit=True,
-        )
-        for i in range(10):
-            fleet.submit(f"c{i}", rng.normal(size=(2, N_FEATURES)))
-        fleet.drain()
+        with ReplicaRecorder() as recorder:
+            fleet = _fleet(
+                replicas=2,
+                replica_config=_crashy_replica0(),
+                request_retries=0,
+                audit=True,
+            )
+            for i in range(10):
+                fleet.submit(f"c{i}", rng.normal(size=(2, N_FEATURES)))
+            fleet.drain()
         assert fleet.report().replica_crashes >= 1
-        assert fleet.verify_conformance() == {"replica0": None, "replica1": None}
+        ops = {call[0] for calls in recorder.calls.values() for call in calls}
+        assert {"take_pending", "respawn"} <= ops
+        assert recorder.verify(_factory) == {"replica0": None, "replica1": None}
 
     def test_conformance_requires_audit(self, rng):
-        fleet = _fleet(replicas=1)
-        fleet.submit("a", rng.normal(size=(2, N_FEATURES)))
-        fleet.drain()
-        with pytest.raises(ServeError):
-            fleet.verify_conformance()
+        with ReplicaRecorder() as recorder:
+            fleet = _fleet(replicas=1)
+            fleet.submit("a", rng.normal(size=(2, N_FEATURES)))
+            fleet.drain()
+        with pytest.raises(ConfigError, match="audit=True"):
+            recorder.verify(_factory)
+
+    def test_conformance_replay_catches_a_changed_request(self, rng):
+        with ReplicaRecorder() as recorder:
+            fleet = _fleet(replicas=1, audit=True)
+            fleet.submit("a", rng.normal(size=(2, N_FEATURES)))
+            fleet.drain()
+        method, args, _raised = recorder.calls["replica0"][0]
+        assert method == "submit"
+        args[1][0, 0] += 1.0  # the replay now serves a different request
+        assert recorder.verify(_factory)["replica0"] is not None
 
 
 class TestFleetLifecycle:
     def test_retire_drains_before_removal(self, rng):
-        fleet = _fleet(replicas=2, placement="least-depth")
+        fleet = _fleet(replicas=2)
         for i in range(6):
             fleet.submit(f"c{i}", rng.normal(size=(2, N_FEATURES)))
         retired = fleet.retire_replica()
@@ -300,19 +339,21 @@ class TestApiSurface:
 
         for name in serve_pkg.__all__:
             assert getattr(serve_pkg, name) is not None
+        gone = {"FleetRouter", "ReplicaStats", "replay_replica_journal", "make_placement"}
+        assert not gone & set(serve_pkg.__all__)
 
     def test_fleet_types_on_facade(self):
-        for name in ("Replica", "SecureServingFleet", "FleetRouter"):
+        for name in ("Replica", "SecureServingFleet"):
             assert name in repro.__all__ and getattr(repro, name) is not None
+        assert "FleetRouter" not in repro.__all__
         assert repro.__version__ == "1.8.0"
 
     def test_router_rejects_duplicate_names(self):
-        router = FleetRouter("hash")
+        router = FleetRouter()
 
         class _Stub:
             name = "replica0"
             crashed_party = None
-            queued_rows = 0
 
         router.add(_Stub())
         with pytest.raises(ServeError):

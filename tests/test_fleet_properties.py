@@ -3,21 +3,22 @@
 The router-level invariants the fleet design doc promises, held under
 arbitrary inputs rather than the example paths in test_fleet.py:
 
-* consistent-hash stability — adding or removing a replica only moves
-  the clients whose ring owner changed, everyone else stays put;
-* least-depth never ranks a deeper queue first and the router never
-  offers a crashed replica, whatever the health mix;
+* the router never ranks a deeper queue first and never offers a
+  crashed replica, whatever the health mix;
 * exactly-once delivery holds under arbitrary chaos seeds and request
   interleavings — every admitted request is answered exactly once;
 * the same holds over long stateful sequences of submit / pump /
-  scale-out / retire / drain with a crashing replica (``FleetMachine``).
+  scale-out / retire / drain with a crashing replica (``FleetMachine``),
+  and every replica's calls replay bit-identically on a standalone twin.
 
-Placement policies are duck-typed on ``name`` / ``queued_rows`` /
+The router reads only ``name`` / ``queue.depth_rows`` /
 ``crashed_party``, so lightweight stand-ins rank without a live secure
-deployment; only the end-to-end chaos property spins real fleets.
+deployment; only the end-to-end properties spin real fleets.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,13 +31,13 @@ from hypothesis.stateful import (
     precondition,
     rule,
 )
+from oracles import ReplicaRecorder
 
 from repro.core.config import FrameworkConfig
 from repro.core.models import SecureMLP
 from repro.faults import FaultPlan, PartyCrash
 from repro.serve import SecureServingFleet
 from repro.serve.fleet import FleetRouter
-from repro.serve.placement import ConsistentHashPlacement, LeastDepthPlacement
 from repro.util.errors import QueueFullError
 
 pytestmark = pytest.mark.property
@@ -44,93 +45,46 @@ pytestmark = pytest.mark.property
 N_FEATURES = 12
 
 
+def _model(ctx):
+    return SecureMLP(ctx, N_FEATURES, hidden=(6,), n_out=3)
+
+
 class _Stub:
-    """Duck-typed replica: placement reads name/depth/health only."""
+    """Duck-typed replica: the router reads name/depth/health only."""
 
     def __init__(self, name, depth=0, crashed=False):
         self.name = name
-        self.queued_rows = depth
+        self.queue = SimpleNamespace(depth_rows=depth)
         self.crashed_party = "server1" if crashed else None
 
     def __repr__(self):
         return f"_Stub({self.name!r})"
 
 
-_names = st.lists(
-    st.integers(min_value=0, max_value=9).map(lambda i: f"replica{i}"),
-    min_size=2, max_size=6, unique=True,
-)
-_clients = st.lists(
-    st.integers(min_value=0, max_value=10_000).map(lambda i: f"client{i}"),
-    min_size=1, max_size=40, unique=True,
-)
-
-
-class TestConsistentHashStability:
-    @given(names=_names, clients=_clients, extra=st.integers(10, 19))
-    @settings(max_examples=100, deadline=None)
-    def test_add_moves_only_clients_owned_by_the_newcomer(self, names, clients, extra):
-        ring = ConsistentHashPlacement()
-        for n in names:
-            ring.add_replica(n)
-        before = {c: ring.owner(c, names) for c in clients}
-        newcomer = f"replica{extra}"
-        ring.add_replica(newcomer)
-        after = {c: ring.owner(c, names + [newcomer]) for c in clients}
-        for c in clients:
-            if after[c] != before[c]:
-                assert after[c] == newcomer  # moved clients moved TO the newcomer
-
-    @given(names=_names, clients=_clients, victim=st.integers(0, 5))
-    @settings(max_examples=100, deadline=None)
-    def test_remove_moves_only_the_victims_clients(self, names, clients, victim):
-        ring = ConsistentHashPlacement()
-        for n in names:
-            ring.add_replica(n)
-        removed = names[victim % len(names)]
-        survivors = [n for n in names if n != removed]
-        before = {c: ring.owner(c, names) for c in clients}
-        ring.remove_replica(removed)
-        after = {c: ring.owner(c, survivors) for c in clients}
-        for c in clients:
-            if before[c] != removed:
-                assert after[c] == before[c]  # unaffected clients stay put
-
-    @given(names=_names, client=st.integers(0, 10_000).map(lambda i: f"c{i}"))
-    @settings(max_examples=100, deadline=None)
-    def test_rank_is_a_permutation_of_the_candidates(self, names, client):
-        ring = ConsistentHashPlacement()
-        for n in names:
-            ring.add_replica(n)
-        replicas = [_Stub(n) for n in names]
-        order = ring.rank(client, replicas)
-        assert sorted(r.name for r in order) == sorted(names)
-
-
 class TestLeastDepthAndHealth:
     @given(
         depths=st.lists(st.integers(0, 500), min_size=1, max_size=8),
-        client=st.text(max_size=8),
+        exclude=st.integers(0, 9),
     )
     @settings(max_examples=100, deadline=None)
-    def test_least_depth_ranks_shallowest_first(self, depths, client):
-        replicas = [_Stub(f"replica{i}", depth=d) for i, d in enumerate(depths)]
-        order = LeastDepthPlacement().rank(client, replicas)
-        ranked = [r.queued_rows for r in order]
+    def test_least_depth_ranks_shallowest_first(self, depths, exclude):
+        router = FleetRouter()
+        for i, d in enumerate(depths):
+            router.add(_Stub(f"replica{i}", depth=d))
+        order = router.route(exclude=f"replica{exclude}")
+        ranked = [(r.queue.depth_rows, r.name) for r in order]
         assert ranked == sorted(ranked)
-        assert sorted(r.name for r in order) == sorted(r.name for r in replicas)
+        expected = {f"replica{i}" for i in range(len(depths))} - {f"replica{exclude}"}
+        # excluding the only replica falls back to it
+        assert {r.name for r in order} == (expected or {"replica0"})
 
-    @given(
-        health=st.lists(st.booleans(), min_size=1, max_size=6),
-        policy=st.sampled_from(["hash", "least-depth"]),
-        client=st.integers(0, 1000).map(lambda i: f"c{i}"),
-    )
+    @given(health=st.lists(st.booleans(), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
-    def test_router_never_routes_to_a_crashed_replica(self, health, policy, client):
-        router = FleetRouter(policy)
+    def test_router_never_routes_to_a_crashed_replica(self, health):
+        router = FleetRouter()
         for i, crashed in enumerate(health):
             router.add(_Stub(f"replica{i}", depth=i, crashed=crashed))
-        order = router.route(client)
+        order = router.route()
         assert all(r.crashed_party is None for r in order)
         alive = sum(not c for c in health)
         assert len(order) == alive
@@ -147,11 +101,10 @@ class TestExactlyOnceUnderChaos:
             seed=chaos_seed, crashes=(PartyCrash("server1", at_step=2),)
         )
         fleet = SecureServingFleet(
-            lambda ctx: SecureMLP(ctx, N_FEATURES, hidden=(6,), n_out=3),
+            _model,
             replicas=2,
             config=FrameworkConfig.parsecureml(),
             replica_config=lambda i, cfg: cfg.but(fault_plan=plan) if i == 0 else cfg,
-            placement="least-depth",
             max_batch=8,
             request_retries=0,
         )
@@ -174,25 +127,32 @@ class FleetMachine(RuleBasedStateMachine):
 
     Invariants: nothing admitted is ever dropped, and after a drain
     nothing is pending and every admitted request has exactly one
-    response with the rows it was submitted with.  The queue-row bound
-    is deliberately not asserted: crash re-routing still force-admits
-    past it when every healthy replica is full (ROADMAP Harden (4)).
+    response with the rows it was submitted with.  At teardown every
+    live and retired replica's calls replay on a standalone twin with
+    bit-identical transcript and predictions.  The queue-row bound is
+    deliberately not asserted: crash re-routing still force-admits past
+    it when every healthy replica is full (ROADMAP Harden (4)).
     """
 
     MAX_REPLICAS = 4
 
+    def __init__(self):
+        super().__init__()
+        self.recorder = ReplicaRecorder()
+
     @initialize()
     def deploy(self):
         plan = FaultPlan(seed=0, crashes=(PartyCrash("server1", at_step=1),))
+        self.recorder.start()
         self.fleet = SecureServingFleet(
-            lambda ctx: SecureMLP(ctx, N_FEATURES, hidden=(6,), n_out=3),
+            _model,
             replicas=2,
             config=FrameworkConfig.parsecureml(),
             replica_config=lambda i, cfg: cfg.but(fault_plan=plan) if i == 0 else cfg,
-            placement="least-depth",
             max_batch=4,
             queue_rows=8,
             request_retries=0,
+            audit=True,
         )
         self.rng = np.random.default_rng(0)
         self.admitted = {}  # fleet rid -> rows submitted
@@ -233,6 +193,13 @@ class FleetMachine(RuleBasedStateMachine):
     @invariant()
     def nothing_dropped(self):
         assert self.fleet.report().dropped_requests == 0
+
+    def teardown(self):
+        results = self.recorder.verify(_model)
+        assert all(d is None for d in results.values()), results
+        if hasattr(self, "fleet"):
+            served = {r.replica for r in self.fleet.report().responses}
+            assert served <= set(results)
 
 
 FleetMachine.TestCase.settings = settings(

@@ -84,8 +84,8 @@ class TestThreading:
         assert set(report.backends.values()) == {"rep3"}
         assert report.served_requests == 1
         assert report.dropped_requests == 0
-        for stats in (r.stats() for r in fleet.router.replicas()):
-            assert stats.backend == "rep3"
+        for replica in fleet.replicas():
+            assert replica.ctx.backend.name == "rep3"
 
 
 class TestBeaverReplayPinning:

@@ -37,7 +37,6 @@ def test_no_task_starts_before_its_batch_or_call_exists(monkeypatch):
         _mlp,
         replicas=2,
         config=repro.FrameworkConfig(seed=0, trace=True),
-        placement="least-depth",
         max_batch=32,
     )
     for _wave in range(3):

@@ -577,7 +577,6 @@ class TestWarmPathsResolveNoLabels:
             lambda ctx: SecureMLP(ctx, 32, hidden=(16,), n_out=4),
             replicas=2,
             config=FrameworkConfig(seed=0),
-            placement="least-depth",
             max_batch=8,
         )
         rng = np.random.default_rng(0)
