@@ -523,7 +523,7 @@ class SecureContext:
         """
         m, k = u.shape
         n = v.shape[1]
-        decision = self.profiler.place_gemm(m, k, n, operands_on_gpu=False)
+        decision = self.profiler.place_gemm(m, k, n)
         if decision.placement == "gpu" and self.client_gpu is not None:
             gpu = self.client_gpu
             u_buf, t_u = gpu.h2d(u, label="offline:h2d:U")

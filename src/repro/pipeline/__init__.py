@@ -1,9 +1,9 @@
 """Intra-node orchestration: adaptive placement and the double pipeline.
 
 * :mod:`repro.pipeline.profiler` — profiling-guided adaptive GPU
-  utilisation (paper Section 4.2): estimates each step on both devices
-  and places it where it finishes sooner, memoising decisions per
-  (step kind, shape);
+  utilisation (paper Section 4.2): prices the plan a call site will run
+  on both devices and places it where it finishes sooner, memoising
+  decisions per (plan, shape, resident slots);
 * :mod:`repro.pipeline.scheduler` — the double pipeline (Section 4.3):
   pipeline 1 overlaps PCIe transfers with the sub-kernels of the Eq. 8
   GEMM (Fig. 5); pipeline 2's cross-layer overlap is expressed through

@@ -70,6 +70,26 @@ class GemmScheduleResult:
     kernel_seconds: float  # total kernel time charged
 
 
+def resident_slots(table: dict, keep: dict) -> tuple[str, ...]:
+    """The slots :func:`schedule_secure_gemm` will place nothing for.
+
+    ``E``, ``F`` and ``Z`` whose ``keep`` row ``table`` holds (or an
+    earlier slot of the same product uploads, as for ``p * p``), and
+    ``D`` where its ``("lead", uid)`` row is there — what the profiler's
+    ``beaver2pc`` plan leaves out of its price.
+    """
+    held, resident = set(table), []
+    for slot in "EFZ":
+        row = keep.get(slot)
+        if row in held:
+            resident.append(slot)
+        elif row is not None:
+            held.add(row)
+    if "E" in keep and ("lead", keep["E"][1]) in table:
+        resident.append("D")
+    return tuple(sorted(resident))
+
+
 def schedule_secure_gemm(
     gpu: SimGPU,
     party_id: int,

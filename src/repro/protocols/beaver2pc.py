@@ -33,7 +33,7 @@ from repro.fixedpoint.truncation import truncate_share
 from repro.mpc.comparison import secure_ge_const
 from repro.mpc.protocol import beaver_elementwise_share
 from repro.mpc.shares import reconstruct, share_secret
-from repro.pipeline.scheduler import schedule_secure_gemm
+from repro.pipeline.scheduler import resident_slots, schedule_secure_gemm
 from repro.protocols.base import ProtocolBackend
 from repro.util.errors import ProtocolError
 
@@ -236,13 +236,17 @@ class Beaver2PCBackend(ProtocolBackend):
         )
 
         # --- GPU operation (online) ------------------------------------------
-        if stacked:
-            decision = ctx.profiler.place_gemm_batched(x.shape[0], m, 2 * k, n)
-        else:
-            decision = ctx.profiler.place_gemm(m, 2 * k, n, operands_on_gpu=False)
         # One upload per value: the operands somebody can ask for again
-        # stay in the server's device table, in their value's base layout.
+        # stay in the server's device table, in their value's base layout,
+        # and the plan is priced without what the table already holds.
         keep = ctx.device_keep(triplet, x, y)
+        resident = resident_slots(ctx.device_table(0), keep)
+        if stacked:
+            decision = ctx.profiler.place_gemm_batched(
+                x.shape[0], m, k, n, plan="beaver2pc", resident=resident
+            )
+        else:
+            decision = ctx.profiler.place_gemm(m, k, n, plan="beaver2pc", resident=resident)
         shares = []
         tasks = []
         for i in (0, 1):
@@ -297,7 +301,7 @@ class Beaver2PCBackend(ProtocolBackend):
         )
 
         nbytes = x.nbytes
-        decision = ctx.profiler.place_elementwise(4 * nbytes, operands_on_gpu=False)
+        decision = ctx.profiler.place_elementwise(nbytes)
         shares, tasks = [], []
         for i in (0, 1):
             tshare = triplet.share_for(i)

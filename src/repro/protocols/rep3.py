@@ -186,9 +186,9 @@ class Rep3Backend(ProtocolBackend):
         # and one reshare of the whole (B,m,n) result.
         stacked = x.ndim == 3
         if stacked:
-            decision = ctx.profiler.place_gemm_batched(x.shape[0], m, 2 * k, n)
+            decision = ctx.profiler.place_gemm_batched(x.shape[0], m, k, n, plan="rep3")
         else:
-            decision = ctx.profiler.place_gemm(m, 2 * k, n, operands_on_gpu=False)
+            decision = ctx.profiler.place_gemm(m, k, n, plan="rep3")
         z_parts, z_tasks = [], []
         for i in range(3):
             j = (i + 1) % 3
@@ -228,7 +228,7 @@ class Rep3Backend(ProtocolBackend):
 
     def elementwise_mul(self, ctx, x, y, *, label):
         nbytes = x.nbytes
-        decision = ctx.profiler.place_elementwise(4 * nbytes, operands_on_gpu=False)
+        decision = ctx.profiler.place_elementwise(nbytes, plan="rep3")
         z_parts, z_tasks = [], []
         for i in range(3):
             j = (i + 1) % 3

@@ -5,11 +5,13 @@ import pytest
 from conftest import make_ctx
 from oracles import beaver_matmul_share, combine_masked, masked_difference
 
+from repro.core.ops import secure_matmul
+from repro.core.tensor import SharedTensor
 from repro.fixedpoint.encoding import FixedPointEncoder
 from repro.fixedpoint.truncation import truncate_share
 from repro.mpc.shares import reconstruct, share_secret
 from repro.pipeline.profiler import StepProfiler
-from repro.pipeline.scheduler import schedule_secure_gemm
+from repro.pipeline.scheduler import resident_slots, schedule_secure_gemm
 from repro.pipeline.timeline import render_gantt, summarize
 from repro.simgpu.clock import SimClock
 from repro.simgpu.cost import V100_SPEC, XEON_E5_2670V3_SPEC
@@ -39,6 +41,18 @@ class TestProfiler:
         assert cpu_always.place_gemm(4096, 4096, 4096).placement == "cpu"
         assert gpu_always.place_gemm(2, 2, 2).placement == "gpu"
 
+    @pytest.mark.parametrize("mode", ["cpu_always", "gpu_always"])
+    def test_forced_modes_force_every_plan(self, mode):
+        forced = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC, mode=mode)
+        decisions = [forced.place_rng(8), forced.place_rng(2**30)]
+        for size in (8, 2**30):
+            decisions += [forced.place_elementwise(size, plan=p) for p in ("beaver2pc", "rep3")]
+        for plan in ("dealer", "rep3", "beaver2pc"):
+            decisions.append(forced.place_gemm(2, 2, 2, plan=plan))
+            decisions.append(forced.place_gemm_batched(8, 512, 512, 512, plan=plan))
+        decisions.append(forced.place_gemm(2, 2, 2, plan="beaver2pc", resident=("D", "E", "F", "Z")))
+        assert {d.placement for d in decisions} == {mode.removesuffix("_always")}
+
     def test_rng_placement_crossover(self, profiler):
         """Fig. 7: CPU MT19937 wins small, cuRAND wins large."""
         small = profiler.place_rng(1024 * 8)
@@ -46,42 +60,33 @@ class TestProfiler:
         assert small.placement == "cpu"
         assert large.placement == "gpu"
 
-    def test_advantage_at_least_one(self, profiler):
-        assert profiler.place_gemm(128, 128, 128).advantage >= 1.0
-
-    def test_profile_records(self, profiler):
-        profiler.record("gemm", 1.0)
-        profiler.record("gemm", 1.0)
-        profiler.record("comm", 2.0)
-        assert profiler.profile.seconds["gemm"] == 2.0
-        assert profiler.profile.fraction("gemm") == pytest.approx(0.5)
-
     def test_elementwise_small_on_cpu(self, profiler):
         assert profiler.place_elementwise(4096).placement == "cpu"
 
 
-class TestScheduledGemm:
-    def _setup(self, m=32, k=48, n=24, seed=0):
-        rng = np.random.default_rng(seed)
-        enc = FixedPointEncoder(13)
-        a = rng.normal(size=(m, k))
-        b = rng.normal(size=(k, n))
-        ap = share_secret(enc.encode(a), rng)
-        bp = share_secret(enc.encode(b), rng)
-        dealer = make_ctx(seed=seed + 1)
-        trip = dealer.gen_matrix_triplet((m, k), (k, n))
-        e = combine_masked(
-            masked_difference(ap[0], trip.u[0]), masked_difference(ap[1], trip.u[1])
-        )
-        f = combine_masked(
-            masked_difference(bp[0], trip.v[0]), masked_difference(bp[1], trip.v[1])
-        )
-        return enc, a, b, ap, bp, trip, e, f
+def _scheduled_operands(m=32, k=48, n=24, seed=0):
+    rng = np.random.default_rng(seed)
+    enc = FixedPointEncoder(13)
+    a = rng.normal(size=(m, k))
+    b = rng.normal(size=(k, n))
+    ap = share_secret(enc.encode(a), rng)
+    bp = share_secret(enc.encode(b), rng)
+    dealer = make_ctx(seed=seed + 1)
+    trip = dealer.gen_matrix_triplet((m, k), (k, n))
+    e = combine_masked(
+        masked_difference(ap[0], trip.u[0]), masked_difference(ap[1], trip.u[1])
+    )
+    f = combine_masked(
+        masked_difference(bp[0], trip.v[0]), masked_difference(bp[1], trip.v[1])
+    )
+    return enc, a, b, ap, bp, trip, e, f
 
+
+class TestScheduledGemm:
     def test_matches_reference_protocol_bitwise(self):
         """The pipelined device schedule must produce exactly the shares
         the transport-less reference produces."""
-        enc, a, b, ap, bp, trip, e, f = self._setup()
+        enc, a, b, ap, bp, trip, e, f = _scheduled_operands()
         for i in (0, 1):
             clock = SimClock()
             gpu = SimGPU(clock, V100_SPEC, f"g{i}")
@@ -92,7 +97,7 @@ class TestScheduledGemm:
             assert np.array_equal(res.c_share, ref)
 
     def test_pipeline_reduces_makespan(self):
-        enc, a, b, ap, bp, trip, e, f = self._setup(m=256, k=512, n=256)
+        enc, a, b, ap, bp, trip, e, f = _scheduled_operands(m=256, k=512, n=256)
         makespans = {}
         for pipelined in (False, True):
             clock = SimClock()
@@ -104,7 +109,7 @@ class TestScheduledGemm:
         assert makespans[True] < makespans[False]
 
     def test_accounting_fields(self):
-        enc, a, b, ap, bp, trip, e, f = self._setup()
+        enc, a, b, ap, bp, trip, e, f = _scheduled_operands()
         clock = SimClock()
         gpu = SimGPU(clock, V100_SPEC, "g")
         res = schedule_secure_gemm(gpu, 0, e, f, ap[0], bp[0], trip.share_for(0))
@@ -113,7 +118,7 @@ class TestScheduledGemm:
         assert res.done.finish >= res.gpu_done.finish
 
     def test_end_to_end_decode(self):
-        enc, a, b, ap, bp, trip, e, f = self._setup()
+        enc, a, b, ap, bp, trip, e, f = _scheduled_operands()
         shares = []
         for i in (0, 1):
             clock = SimClock()
@@ -122,6 +127,83 @@ class TestScheduledGemm:
             shares.append(truncate_share(res.c_share, 13, i))
         out = enc.decode(reconstruct(*shares))
         np.testing.assert_allclose(out, a @ b, atol=48 * 2**-12 + 2**-10)
+
+
+class TestPlanPrice:
+    """A call site asks for the plan it runs: the GPU price is the steps
+    ``schedule_secure_gemm`` places, and a decision is one (plan, shape,
+    resident slots)."""
+
+    def test_dealer_and_server_products_of_one_fused_shape_are_separate_decisions(self):
+        """The dealer's ``Z = U V`` for a (128,64)x(64,16) triplet and a
+        server product (128,32)x(32,16), whose CPU GEMM is that same
+        (128, 64, 16), once shared a memo entry: whichever asked first
+        decided for the other."""
+        for server_first in (False, True):
+            profiler = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC)
+            if server_first:
+                server = profiler.place_gemm(128, 32, 16, plan="beaver2pc")
+            dealer = profiler.place_gemm(128, 64, 16)
+            if not server_first:
+                server = profiler.place_gemm(128, 32, 16, plan="beaver2pc")
+            assert (dealer.placement, server.placement) == ("gpu", "cpu")
+            assert len(profiler.decisions) == 2
+
+    def test_cold_price_is_what_the_scheduler_places_but_the_servers_own_shares(self):
+        m, k, n = 32, 48, 24
+        _, _, _, ap, bp, trip, e, f = _scheduled_operands(m, k, n)
+        gpu = SimGPU(SimClock(), V100_SPEC, "g")
+        res = schedule_secure_gemm(gpu, 1, e, f, ap[1], bp[1], trip.share_for(1))
+        own = sum(V100_SPEC.transfer_seconds(share[1].nbytes) for share in (ap, bp))
+        price = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC).place_gemm(
+            m, k, n, plan="beaver2pc"
+        )
+        assert price.resident == ()
+        assert price.gpu_estimate_s == pytest.approx(
+            res.transfer_seconds + res.kernel_seconds - own
+        )
+
+    def test_warm_price_leaves_out_what_the_device_table_holds(self):
+        m, k, n = 32, 48, 24
+        _, _, _, ap, bp, trip, e, f = _scheduled_operands(m, k, n)
+        gpu = SimGPU(SimClock(), V100_SPEC, "g")
+        table, keep = {}, {"E": ("open", 1), "F": ("open", 2), "Z": ("Z", 3)}
+        assert resident_slots(table, keep) == ()
+        schedule_secure_gemm(gpu, 1, e, f, ap[1], bp[1], trip.share_for(1), table=table, keep=keep)
+        assert resident_slots(table, keep) == ("D", "E", "F", "Z")
+        res = schedule_secure_gemm(
+            gpu, 1, e, f, ap[1], bp[1], trip.share_for(1), table=table, keep=keep
+        )
+        profiler = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC)
+        warm = profiler.place_gemm(m, k, n, plan="beaver2pc", resident=("D", "E", "F", "Z"))
+        own = V100_SPEC.transfer_seconds(bp[1].nbytes)  # A_i has no reader where D is
+        assert warm.gpu_estimate_s == pytest.approx(
+            res.transfer_seconds + res.kernel_seconds - own
+        )
+        cold = profiler.place_gemm(m, k, n, plan="beaver2pc")
+        assert cold is not warm and cold.gpu_estimate_s > warm.gpu_estimate_s
+        assert cold.cpu_estimate_s == warm.cpu_estimate_s
+
+    def test_a_value_both_sides_share_is_priced_as_one_upload(self):
+        keep = {"E": ("open", 1), "F": ("open", 1)}
+        assert resident_slots({}, keep) == ("F",)
+
+    def test_cold_and_warm_calls_of_one_product_are_separate_decisions(self):
+        """A static right operand: the first step uploads ``E``, ``F`` and
+        ``Z``, the next finds ``F`` and ``Z`` in the device table."""
+        ctx = make_ctx(seed=3)
+        rng = np.random.default_rng(3)
+        w = SharedTensor.from_plain(ctx, rng.normal(size=(64, 32)), label="w").mark_static()
+        for _ in range(2):
+            ctx.begin_batch()
+            x = SharedTensor.from_plain(ctx, rng.normal(size=(128, 64)), label="x")
+            secure_matmul(x, w, label="p")
+        asked = {
+            resident: d for (plan, shape, resident), d in ctx.profiler.decisions.items()
+            if (plan, shape) == ("beaver2pc", (1, 128, 64, 32))
+        }
+        assert sorted(asked) == [(), ("F", "Z")]
+        assert asked[()].gpu_estimate_s > asked["F", "Z"].gpu_estimate_s
 
 
 class TestTimeline:

@@ -156,7 +156,7 @@ class TestRep3Stack:
 
 class TestPlacement:
     def test_attention_scores_stay_on_the_cpu_and_fat_stacks_go_to_the_gpu(self):
-        """The decision is asked for the fused (m, 2k, n) product Eq. 8 runs."""
+        """The decision is asked for the plan the backend runs on the stack."""
         for backend in BACKENDS:
             ctx = _ctx(backend, trace=True)
             for (depth, m, k, n), placement in (
@@ -165,13 +165,39 @@ class TestPlacement:
                 _, _, x, y = _operands(ctx, depth, m, k, n)
                 start = len(ctx.online_clock.trace)
                 secure_matmul(x, y, label=f"p{m}")
-                decision = ctx.profiler.decisions[("gemm_batched", (depth, m, 2 * k, n))]
+                (decision,) = (
+                    d for (plan, shape, _), d in ctx.profiler.decisions.items()
+                    if (plan, shape) == (backend, (depth, m, k, n))
+                )
                 assert decision.placement == placement
                 gemms = [
                     t for t in ctx.online_clock.trace[start:]
                     if t.label.endswith(("cpu_gemm", "D@F", "E@B", ":gemm"))
                 ]
                 assert {"gpu" in t.resource for t in gemms} == {placement == "gpu"}
+
+    def test_16_wide_attention_products_run_on_the_cpu_and_the_projections_on_the_gpu(self):
+        """At ``perf/``'s ``train_attention`` geometry (4 tokens, d = 16,
+        batch 32) the plan price sends ``attn/o``, ``attn/dC`` and
+        ``attn/dWo`` to the CPU, the fused ``qkv``/``dWqkv`` projections
+        to the GPU, on the dealing step and after it."""
+        import repro
+
+        ctx = SecureContext.create(FrameworkConfig(seed=0, trace=True))
+        trainer = repro.SecureTrainer(ctx, repro.SecureAttention(ctx, 4, 16), monitor_loss=False)
+        rng = np.random.default_rng(0)
+        x, y = 0.5 * rng.standard_normal((32, 64)), np.eye(3)[rng.integers(0, 3, size=32)]
+        for _ in range(2):
+            start, gemms = len(ctx.online_clock.trace), [g.gemm_count for g in ctx.server_gpu]
+            trainer.train(x, y, batch_size=32)
+            on_cpu = {
+                t.label.removesuffix(":cpu_gemm") for t in ctx.online_clock.trace[start:]
+                if t.label.endswith(":cpu_gemm")
+            }
+            assert {"attn/o", "attn/dC", "attn/dWo"} <= on_cpu
+            assert not {"attn/qkv", "attn/dWqkv"} & on_cpu
+            # qkv and dWqkv are the server GPUs' only products: two GEMMs each
+            assert [g.gemm_count - n for g, n in zip(ctx.server_gpu, gemms)] == [4, 4]
 
     def test_stack_uploads_in_fig5_order_on_a_bare_gpu(self):
         rng = np.random.default_rng(0)
