@@ -60,11 +60,10 @@ import pytest
 
 from repro.bench.harness import run_fleet, run_secure_inference
 from repro.bench.workloads import build_secure_model, load_workload
-from repro.core.attention import SecureAttention
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
 from repro.core.inference import secure_predict
-from repro.core.models import SecureCNN, SecureMLP
+from repro.core.models import SecureAttention, SecureCNN, SecureMLP
 from repro.core.training import SecureTrainer
 from repro.protocols import beaver2pc
 

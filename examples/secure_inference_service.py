@@ -33,8 +33,9 @@ import sys
 
 import numpy as np
 
-from repro.baselines.plain import PlainMLP, PlainTimer, PlainTrainer
+from repro.baselines.plain import PlainTimer, PlainTrainer
 from repro.core import FrameworkConfig, SecureContext, SecureMLP
+from repro.core.models import build_plain
 from repro.datasets import vggface2_like
 from repro.faults import FaultPlan, PartyCrash
 from repro.serve import QueueFullError, Replica, SecureServingFleet
@@ -48,7 +49,7 @@ MAX_BATCH = 64
 def train_plain():
     """Train the face-recognition-style MLP in the clear."""
     x_train, y_train = vggface2_like(512, seed=1, image_shape=IMAGE)
-    plain = PlainMLP(FEATURES, hidden=(64, 32), n_out=N_CLASSES, seed=3)
+    plain = build_plain("MLP", FEATURES, hidden=(64, 32), n_out=N_CLASSES, seed=3)
     PlainTrainer(plain, PlainTimer("cpu"), lr=0.05).train(
         x_train, y_train, epochs=3, batch_size=MAX_BATCH
     )

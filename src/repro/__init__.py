@@ -6,7 +6,7 @@ model, train, read the telemetry::
     import repro
 
     ctx = repro.api.session()
-    model = repro.SecureMLP(ctx, n_features=784)
+    model = repro.SecureMLP(ctx, 784)
     report = repro.SecureTrainer(ctx, model).train(x, y, max_batches=2)
     print(ctx.telemetry.report())
 
@@ -31,14 +31,16 @@ from repro.faults import FaultPlan, PartyCrash, PartyFailure, RetryPolicy
 from repro.core.context import SecureContext
 from repro.core.inference import InferenceReport, secure_predict
 from repro.core.models import (
+    SecureAttention,
     SecureCNN,
     SecureLinearRegression,
     SecureLogisticRegression,
     SecureMLP,
+    SecureRecsys,
     SecureRNN,
     SecureSVM,
 )
-from repro.core.attention import SecureAttention, SecureAttentionBlock
+from repro.core.attention import SecureAttentionBlock
 from repro.core.ops import (
     activation,
     secure_compare_const,
@@ -47,7 +49,7 @@ from repro.core.ops import (
     secure_softmax,
     truncate,
 )
-from repro.core.recsys import SecureEmbedding, SecureRecsys
+from repro.core.recsys import SecureEmbedding
 from repro.core.resnet import SecureResNet
 from repro.core.tensor import SharedTensor
 from repro.core.training import SecureTrainer, TrainReport

@@ -10,7 +10,7 @@ simulated GPUs, channels, compressors, telemetry — and hands back the
     ctx = repro.api.session(config=repro.FrameworkConfig.secureml())   # baseline
     ctx = repro.api.session(trace=True, compression=False)     # keyword overrides
 
-    model = repro.SecureMLP(ctx, n_features=784)
+    model = repro.SecureMLP(ctx, 784)
     report = repro.SecureTrainer(ctx, model).train(x, y, max_batches=2)
     print(ctx.telemetry.report())
 

@@ -6,21 +6,23 @@ Three correctness backstops every perf PR runs against:
   the wire; replay and assert bit-identity (``Transcript.assert_identical``).
 * :mod:`repro.audit.wire` — chi-square each server's recorded traffic
   against uniform ring noise (the semi-honest wire-view argument).
-* :mod:`repro.audit.conformance` — sweep all eight models across the
-  optimization axes against the plain baselines.
+* :mod:`repro.audit.conformance` — sweep every model in
+  :data:`repro.core.models.MODELS` across the optimization axes against
+  its plain twin.
 """
 
 from repro.audit.conformance import (
     BIT_IDENTICAL_AXES,
     CONFORMANCE_AXES,
+    CONFORMANCE_GEOMETRY,
     CONFORMANCE_MODELS,
     ConformanceCase,
     ConformanceResult,
     assert_bit_identical,
+    conformance_workload,
     disagreements,
     run_conformance_case,
     run_conformance_sweep,
-    sync_plain_weights,
 )
 from repro.audit.transcript import (
     Transcript,
@@ -44,6 +46,7 @@ __all__ = [
     "BIT_IDENTICAL_AXES",
     "CHI2_CEILING",
     "CONFORMANCE_AXES",
+    "CONFORMANCE_GEOMETRY",
     "CONFORMANCE_MODELS",
     "ConformanceCase",
     "ConformanceResult",
@@ -58,10 +61,10 @@ __all__ = [
     "audit_transcript",
     "canonical_bytes",
     "chi2_uniform_bytes",
+    "conformance_workload",
     "content_bytes",
     "disagreements",
     "payload_digest",
     "run_conformance_case",
     "run_conformance_sweep",
-    "sync_plain_weights",
 ]

@@ -1,14 +1,15 @@
 """Differential conformance: every model × config agrees with plain.
 
 CrypTen's discipline, applied here: each secure model is held to its
-plaintext twin in :mod:`repro.baselines.plain` as reference semantics.
-A conformance case builds the secure model under one configuration,
-copies its decoded initial weights into the plain twin, runs both on
+plaintext twin (:mod:`repro.baselines.plain`) as reference semantics.
+Both are built from the model's one declaration in
+:data:`repro.core.models.MODELS`.  A conformance case builds the secure
+model under one configuration, copies its decoded initial weights into
+the plain twin (:func:`~repro.core.models.sync_plain`), runs both on
 the same data, and asserts the outputs agree within fixed-point
-tolerance.  Sweeping the six paper models plus the attention/recsys
-workloads across the optimization axes (delta compression, a
-resilient channel under a chaos seed) is the regression
-oracle for "no optimization changed the arithmetic".  Opening every
+tolerance.  Sweeping every model in ``MODELS`` across the optimization
+axes (delta compression, a resilient channel under a chaos seed) is the
+regression oracle for "no optimization changed the arithmetic".  Opening every
 value once (one mask per value, DESIGN §5b) is not an axis: it is on
 in every cell, so each axis is swept *with* it, and a case of three or
 more batches reuses every weight's ``F`` at least twice.  Task
@@ -23,51 +24,47 @@ Two strengths of agreement:
   :data:`BIT_IDENTICAL_AXES` change only *costs* (bytes, seconds), so
   flipping them must reproduce the baseline predictions bit-for-bit.
 
-Geometry is deliberately tiny (8x8 images, hidden widths of 6-8) so the
-full sweep stays in tier-1 test budgets; conformance is about agreement,
-not throughput.
+Geometry is deliberately tiny (:data:`CONFORMANCE_GEOMETRY`: 8x8 images,
+hidden widths of 6-8) so the full sweep stays in tier-1 test budgets;
+conformance is about agreement, not throughput.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from repro.audit.transcript import Transcript
 from repro.audit.wire import WireAuditReport, audit_transcript
-from repro.baselines.plain import (
-    PlainAttention,
-    PlainCNN,
-    PlainLinearRegression,
-    PlainLogisticRegression,
-    PlainMLP,
-    PlainRecsys,
-    PlainRNN,
-    PlainSVM,
-    PlainTimer,
-    PlainTrainer,
-)
-from repro.core.attention import SecureAttention
+from repro.baselines.plain import PlainTimer, PlainTrainer
 from repro.core.config import FrameworkConfig
 from repro.core.inference import secure_predict
-from repro.core.models import (
-    SecureCNN,
-    SecureLinearRegression,
-    SecureLogisticRegression,
-    SecureMLP,
-    SecureRNN,
-    SecureSVM,
-)
-from repro.core.recsys import SecureRecsys
+from repro.core.models import MODELS, build_plain, build_secure, sync_plain
 from repro.core.training import SecureTrainer
 from repro.faults.plan import FaultPlan
 from repro.util.errors import AuditError, ConfigError
 
-#: The six paper models (Section 7.1) plus the attention and
-#: recommendation workloads, by bench-suite name.
-CONFORMANCE_MODELS = ("MLP", "CNN", "RNN", "linear", "logistic", "SVM", "attention", "recsys")
+#: Every declared model: the six paper models (Section 7.1) plus the
+#: attention and recommendation workloads, by bench-suite name.
+CONFORMANCE_MODELS = tuple(MODELS)
+
+#: Each model at the sweep's tiny geometry (``build_secure`` /
+#: ``build_plain`` arguments) and its input width.
+CONFORMANCE_GEOMETRY: dict[str, tuple[dict[str, Any], int]] = {
+    "CNN": (
+        {"image_shape": (8, 8, 1), "conv_channels": 2, "hidden": 8, "n_out": 3, "kernel": 3},
+        64,
+    ),
+    "MLP": ({"input_dim": 12, "hidden": (8,), "n_out": 3}, 12),
+    "linear": ({"input_dim": 10, "n_out": 2}, 10),
+    "logistic": ({"input_dim": 10, "n_out": 2}, 10),
+    "SVM": ({"input_dim": 10}, 10),
+    "RNN": ({"n_steps": 3, "step_features": 4, "hidden": 6, "n_out": 3}, 12),
+    "attention": ({"seq_len": 3, "d_model": 4, "n_out": 3}, 12),
+    "recsys": ({"vocab": 12, "emb_dim": 6, "n_out": 3}, 12),
+}
 
 #: Config axes swept against the baseline.  Values are ``.but()``
 #: overrides on the ParSecureML preset.
@@ -156,91 +153,33 @@ class ConformanceResult:
         )
 
 
-def _tiny_workload(case: ConformanceCase) -> tuple[np.ndarray, np.ndarray, Callable, Callable]:
-    """Tiny matched geometries: (x, y, build_secure(ctx), build_plain())."""
+def conformance_workload(case: ConformanceCase) -> tuple[np.ndarray, np.ndarray, dict]:
+    """``(x, y, geometry)`` of one case: seeded data at the model's tiny
+    geometry — one-hot targets, regression targets for ``linear``,
+    labels in {-1, +1} for ``SVM``, one-hot inputs for ``recsys``."""
+    geometry, width = CONFORMANCE_GEOMETRY[case.model]
     rng = np.random.default_rng(1000 + case.seed)
     n = case.batch_size * case.n_batches
-    m, s = case.model, case.seed
 
-    def onehot(width: int) -> np.ndarray:
-        y = np.zeros((n, width))
-        y[np.arange(n), rng.integers(0, width, size=n)] = 1.0
+    def onehot(k: int) -> np.ndarray:
+        y = np.zeros((n, k))
+        y[np.arange(n), rng.integers(0, k, size=n)] = 1.0
         return y
 
-    if m == "MLP":
-        x = 0.5 * rng.standard_normal((n, 12))
-        return (x, onehot(3),
-                lambda ctx: SecureMLP(ctx, 12, hidden=(8,), n_out=3),
-                lambda: PlainMLP(12, hidden=(8,), n_out=3, seed=s))
-    if m == "CNN":
-        x = 0.5 * rng.standard_normal((n, 8 * 8))
-        return (x, onehot(3),
-                lambda ctx: SecureCNN(ctx, (8, 8, 1), conv_channels=2,
-                                      hidden=8, n_out=3, kernel=3),
-                lambda: PlainCNN((8, 8, 1), conv_channels=2, hidden=8,
-                                 n_out=3, kernel=3, seed=s))
-    if m == "RNN":
-        x = 0.5 * rng.standard_normal((n, 3 * 4))
-        return (x, onehot(3),
-                lambda ctx: SecureRNN(ctx, 3, 4, hidden=6, n_out=3),
-                lambda: PlainRNN(3, 4, hidden=6, n_out=3, seed=s))
-    if m == "linear":
-        x = 0.5 * rng.standard_normal((n, 10))
-        y = 0.5 * rng.standard_normal((n, 2))
-        return (x, y,
-                lambda ctx: SecureLinearRegression(ctx, 10, n_out=2),
-                lambda: PlainLinearRegression(10, n_out=2, seed=s))
-    if m == "logistic":
-        x = 0.5 * rng.standard_normal((n, 10))
-        return (x, onehot(2),
-                lambda ctx: SecureLogisticRegression(ctx, 10, n_out=2),
-                lambda: PlainLogisticRegression(10, n_out=2, seed=s))
-    if m == "attention":
-        x = 0.5 * rng.standard_normal((n, 3 * 4))
-        return (x, onehot(3),
-                lambda ctx: SecureAttention(ctx, 3, 4, n_out=3),
-                lambda: PlainAttention(3, 4, n_out=3, seed=s))
-    if m == "recsys":
-        x = onehot(12)
-        return (x, onehot(3),
-                lambda ctx: SecureRecsys(ctx, 12, 6, n_out=3),
-                lambda: PlainRecsys(12, 6, n_out=3, seed=s))
-    # SVM: labels in {-1, +1}
-    x = 0.5 * rng.standard_normal((n, 10))
-    y = np.where(rng.random((n, 1)) < 0.5, -1.0, 1.0)
-    return (x, y,
-            lambda ctx: SecureSVM(ctx, 10),
-            lambda: PlainSVM(10, seed=s))
+    x = onehot(width) if case.model == "recsys" else 0.5 * rng.standard_normal((n, width))
+    if case.model == "linear":
+        y = 0.5 * rng.standard_normal((n, geometry["n_out"]))
+    elif case.model == "SVM":
+        y = np.where(rng.random((n, 1)) < 0.5, -1.0, 1.0)
+    else:
+        y = onehot(geometry["n_out"])
+    return x, y, geometry
 
 
+# Frozen perf/workloads.py calls the three-argument form; delete it with
+# the next benchmark change.
 def sync_plain_weights(model_name: str, secure, plain) -> None:
-    """Copy the secure model's decoded initial weights into its twin.
-
-    Both inits are random; conformance compares *arithmetic*, so the
-    twins must start from identical parameters (the secure side's
-    decoded fixed-point values, which the plain model can represent
-    exactly).
-    """
-    if model_name == "RNN":
-        plain.cell.wx = secure.cell.w_x.decode()
-        plain.cell.wh = secure.cell.w_h.decode()
-        plain.cell.b = secure.cell.bias.decode()
-        plain.readout.w = secure.readout.weight.decode()
-        plain.readout.b = secure.readout.bias.decode()
-        return
-    if model_name == "attention":
-        plain.block.wq, plain.block.wk, plain.block.wv = (
-            np.ascontiguousarray(w) for w in np.split(secure.block.w_qkv.decode(), 3, axis=1)
-        )
-        plain.block.wo = secure.block.w_o.decode()
-        plain.readout.w = secure.readout.weight.decode()
-        plain.readout.b = secure.readout.bias.decode()
-        return
-    for s_layer, p_layer in zip(secure.layers, plain.layers):
-        if hasattr(s_layer, "weight"):
-            p_layer.w = s_layer.weight.decode()
-            if hasattr(s_layer, "bias") and hasattr(p_layer, "b"):
-                p_layer.b = s_layer.bias.decode()
+    sync_plain(secure, plain)
 
 
 def run_conformance_case(
@@ -258,15 +197,15 @@ def run_conformance_case(
     """
     from repro.core.context import SecureContext
 
-    x, y, build_secure, build_plain = _tiny_workload(case)
+    x, y, geometry = conformance_workload(case)
     ctx = SecureContext.create(case.config())
     recorder = None
     if audit:
         recorder = ctx.attach_recorder(capture_payloads=capture_payloads)
         recorder.meta.update({"case": case.name, "seed": case.seed})
-    secure = build_secure(ctx)
-    plain = build_plain()
-    sync_plain_weights(case.model, secure, plain)
+    secure = build_secure(case.model, ctx, **geometry)
+    plain = build_plain(case.model, seed=case.seed, **geometry)
+    sync_plain(secure, plain)
 
     timer = PlainTimer("cpu")
     if case.train:

@@ -1,8 +1,11 @@
 """Non-secure baseline models in plain floating point, with timing.
 
 These are the "original machine learning tasks" of Tables 1 and 2: the
-same six architectures as :mod:`repro.core.models`, trained directly on
-NumPy float64 arrays, with every GEMM/elementwise/RNG step charged to a
+float twin of every layer kind in :mod:`repro.core.models`, which builds
+each model from its one declaration (:func:`repro.core.models.build_plain`).
+Only the SVM's hinge step and the RNN's BPTT are model classes here.
+They train directly on NumPy float64 arrays, with every
+GEMM/elementwise/RNG step charged to a
 :class:`~repro.simgpu.clock.SimClock` either at CPU rates (Table 1's
 baseline) or at simulated-GPU rates with PCIe transfers (Table 2's "GPU
 time" column; weights stay device-resident, inputs stream per batch —
@@ -44,10 +47,7 @@ class PlainTimer:
         # TensorFlow/PyTorch-era frameworks whose measured MNIST step
         # times (Table 2: ~4 ms/batch) are overhead-, not compute-bound.
         self.step_overhead_s = 1e-3
-        self.clock = SimClock()
-        self.clock.set_tracing(False)
-        self.clock.add_resource("compute")
-        self.clock.add_resource("pcie")
+        self.reset()
 
     def reset(self) -> None:
         self.clock = SimClock()
@@ -80,11 +80,10 @@ class PlainTimer:
 
 
 class PlainLayer:
+    """Float twin of :class:`~repro.core.layers.SecureLayer`, same contract."""
+
     def forward(self, x: np.ndarray, timer: PlainTimer, *, training: bool = True) -> np.ndarray:
         raise NotImplementedError
-
-    #: whether the layer has weights — drives PlainModel's backward stop rule
-    trainable = False
 
     def backward(
         self, delta: np.ndarray, timer: PlainTimer, *, input_grad: bool = True
@@ -97,10 +96,13 @@ class PlainLayer:
     def apply_gradients(self, lr: float) -> None:
         pass
 
+    def parameters(self) -> list[np.ndarray]:
+        """The live weight arrays, in the order and shapes of the secure
+        twin's ``parameters()``."""
+        return []
+
 
 class PlainDense(PlainLayer):
-    trainable = True
-
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         scale = 1.0 / np.sqrt(in_features)
         self.w = rng.uniform(-scale, scale, size=(in_features, out_features))
@@ -129,9 +131,13 @@ class PlainDense(PlainLayer):
         self.w -= lr * self._gw
         self.b -= lr * self._gb
 
+    def parameters(self):
+        return [self.w, self.b]
+
 
 class PlainActivation(PlainLayer):
-    def __init__(self, kind: str = "relu"):
+    def __init__(self, kind: str = "relu", rng: np.random.Generator | None = None):
+        # ``rng`` is taken like every plain layer's; there is nothing to draw
         if kind not in ("relu", "piecewise"):
             raise ConfigError(f"unknown activation {kind!r}")
         self.kind = kind
@@ -157,8 +163,6 @@ class PlainActivation(PlainLayer):
 
 
 class PlainConv2D(PlainLayer):
-    trainable = True
-
     def __init__(
         self,
         in_shape: tuple[int, int, int],
@@ -208,179 +212,57 @@ class PlainConv2D(PlainLayer):
     def apply_gradients(self, lr):
         self.w -= lr * self._gw
 
-
-@dataclass
-class PlainReport:
-    """Cost/progress accounting for a plain run."""
-
-    batches: int = 0
-    samples: int = 0
-    seconds: float = 0.0
-    losses: list = field(default_factory=list)
+    def parameters(self):
+        return [self.w]
 
 
-class PlainModel:
-    def __init__(self):
-        self.layers: list[PlainLayer] = []
+class PlainRNNCell(PlainLayer):
+    """Float twin of :class:`~repro.core.layers.SecureRNNCell`: ``step``
+    per time step, unrolled by :class:`PlainRNN`, then BPTT."""
 
-    def forward(self, x, timer, *, training=True):
-        for layer in self.layers:
-            x = layer.forward(x, timer, training=training)
-        return x
-
-    def loss_delta(self, pred, y):
-        return pred - y
-
-    def train_batch(self, x, y, lr, timer):
-        pred = self.forward(x, timer, training=True)
-        delta = self.loss_delta(pred, y)
-        # SecureModel.backward's stop rule: no input gradient for the
-        # first trainable layer, nothing below it is visited.
-        stop = next(
-            (i for i, layer in enumerate(self.layers) if layer.trainable), len(self.layers)
-        )
-        for i in range(len(self.layers) - 1, stop - 1, -1):
-            delta = self.layers[i].backward(delta, timer, input_grad=i > stop)
-        for layer in self.layers:
-            layer.apply_gradients(lr)
-        return pred
-
-
-class PlainMLP(PlainModel):
-    def __init__(self, input_dim, hidden=(128, 64), n_out=10, *, seed=0):
-        super().__init__()
-        rng = np.random.default_rng(seed)
-        dims = [input_dim, *hidden, n_out]
-        for li, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-            self.layers.append(PlainDense(a, b, rng))
-            if li < len(dims) - 2:
-                self.layers.append(PlainActivation("relu"))
-
-
-class PlainCNN(PlainModel):
-    def __init__(
-        self,
-        image_shape,
-        *,
-        conv_channels=8,
-        hidden=64,
-        n_out=10,
-        kernel=5,
-        conv_stride=1,
-        seed=0,
-    ):
-        super().__init__()
-        rng = np.random.default_rng(seed)
-        conv = PlainConv2D(image_shape, conv_channels, kernel, rng, stride=conv_stride)
-        flat = conv.out_h * conv.out_w * conv_channels
-        self.layers = [
-            conv,
-            PlainActivation("relu"),
-            PlainDense(flat, hidden, rng),
-            PlainActivation("relu"),
-            PlainDense(hidden, n_out, rng),
-        ]
-
-
-class PlainLinearRegression(PlainModel):
-    def __init__(self, input_dim, n_out=1, *, seed=0):
-        super().__init__()
-        self.layers = [PlainDense(input_dim, n_out, np.random.default_rng(seed))]
-
-
-class PlainLogisticRegression(PlainModel):
-    def __init__(self, input_dim, n_out=1, *, seed=0):
-        super().__init__()
-        self.layers = [
-            PlainDense(input_dim, n_out, np.random.default_rng(seed)),
-            PlainActivation("piecewise"),
-        ]
-
-
-class PlainSVM(PlainModel):
-    """Linear SVM via hinge subgradient (the secure model's twin)."""
-
-    def __init__(self, input_dim, *, reg=1e-3, seed=0):
-        super().__init__()
-        self.dense = PlainDense(input_dim, 1, np.random.default_rng(seed))
-        self.layers = [self.dense]
-        self.reg = reg
-
-    def train_batch(self, x, y, lr, timer):
-        scores = self.dense.forward(x, timer, training=True)
-        margin = 1.0 - y * scores
-        active = (margin >= 0).astype(x.dtype)
-        timer.elementwise(3 * scores.nbytes)
-        coeff = -y * active
-        batch = x.shape[0]
-        timer.gemm(x.shape[1], batch, 1)
-        gw = x.T @ coeff / batch + self.reg * self.dense.w
-        gb = coeff.mean(axis=0, keepdims=True)
-        self.dense.w -= lr * gw
-        self.dense.b -= lr * gb
-        return scores
-
-
-class PlainRNNCell:
-    def __init__(self, in_features, hidden, rng):
+    def __init__(self, in_features: int, hidden: int, rng: np.random.Generator):
         sx, sh = 1 / np.sqrt(in_features), 1 / np.sqrt(hidden)
         self.wx = rng.uniform(-sx, sx, size=(in_features, hidden))
         self.wh = rng.uniform(-sh, sh, size=(hidden, hidden))
         self.b = np.zeros((1, hidden))
-
-
-class PlainRNN(PlainModel):
-    def __init__(self, n_steps, step_features, hidden=64, n_out=10, *, seed=0):
-        super().__init__()
-        rng = np.random.default_rng(seed)
-        self.n_steps = n_steps
-        self.step_features = step_features
-        self.hidden = hidden
-        self.cell = PlainRNNCell(step_features, hidden, rng)
-        self.readout = PlainDense(hidden, n_out, rng)
-
-    def forward(self, x, timer, *, training=True):
-        batch = x.shape[0]
-        h = np.zeros((batch, self.hidden))
         self._tape = []
-        for t in range(self.n_steps):
-            xt = x[:, t * self.step_features : (t + 1) * self.step_features]
-            timer.gemm(batch, self.step_features, self.hidden)
-            timer.gemm(batch, self.hidden, self.hidden)
-            pre = xt @ self.cell.wx + h @ self.cell.wh + self.cell.b
-            mask = (pre >= 0).astype(x.dtype)
-            timer.elementwise(2 * pre.nbytes)
-            h_new = pre * mask
-            if training:
-                self._tape.append((xt, h, mask))
-            h = h_new
-        return self.readout.forward(h, timer, training=training)
 
-    def train_batch(self, x, y, lr, timer):
-        pred = self.forward(x, timer, training=True)
-        delta = self.loss_delta(pred, y)
-        delta_h = self.readout.backward(delta, timer)
-        batch = x.shape[0]
-        gwx = np.zeros_like(self.cell.wx)
-        gwh = np.zeros_like(self.cell.wh)
-        gb = np.zeros_like(self.cell.b)
-        d = delta_h
+    def step(self, xt, h, timer, *, training=True):
+        batch, hidden = xt.shape[0], self.wh.shape[0]
+        timer.gemm(batch, xt.shape[1], hidden)
+        timer.gemm(batch, hidden, hidden)
+        pre = xt @ self.wx + h @ self.wh + self.b
+        mask = (pre >= 0).astype(xt.dtype)
+        timer.elementwise(2 * pre.nbytes)
+        if training:
+            self._tape.append((xt, h, mask))
+        return pre * mask
+
+    def backward_through_time(self, delta_last, timer):
+        """Accumulate BPTT gradients; the input data gets none."""
+        batch, hidden = delta_last.shape[0], self.wh.shape[0]
+        gwx, gwh, gb = (np.zeros_like(p) for p in self.parameters())
+        d = delta_last
         for t, (xt, h_prev, mask) in enumerate(reversed(self._tape)):
             d = d * mask
             timer.elementwise(2 * d.nbytes)
-            timer.gemm(xt.shape[1], batch, self.hidden)
-            timer.gemm(self.hidden, batch, self.hidden)
+            timer.gemm(xt.shape[1], batch, hidden)
+            timer.gemm(hidden, batch, hidden)
             gwx += xt.T @ d / batch
             gwh += h_prev.T @ d / batch
             gb += d.mean(axis=0, keepdims=True)
             if t + 1 < len(self._tape):
-                timer.gemm(batch, self.hidden, self.hidden)
-                d = d @ self.cell.wh.T
-        self.cell.wx -= lr * gwx
-        self.cell.wh -= lr * gwh
-        self.cell.b -= lr * gb
-        self.readout.apply_gradients(lr)
-        return pred
+                timer.gemm(batch, hidden, hidden)
+                d = d @ self.wh.T
+        self._grads = (gwx, gwh, gb)
+        self._tape = []
+
+    def apply_gradients(self, lr):
+        for p, g in zip(self.parameters(), self._grads):
+            p -= lr * g
+
+    def parameters(self):
+        return [self.wx, self.wh, self.b]
 
 
 class PlainAttentionBlock(PlainLayer):
@@ -389,19 +271,20 @@ class PlainAttentionBlock(PlainLayer):
     Identical math, including the *approximate* softmax recipe
     (:func:`repro.mpc.softmax.softmax_reference`) — so the secure/plain
     difference measured by conformance is pure fixed-point noise, not
-    the softmax approximation itself.
+    the softmax approximation itself.  The projections are one fused
+    ``(d, 3d)`` weight, as on the secure side, charged to the timer as
+    the three ``(d, d)`` products a float framework runs.
     """
-
-    trainable = True
 
     def __init__(self, seq_len: int, d_model: int, rng: np.random.Generator):
         self.seq_len = seq_len
         self.d_model = d_model
         scale = 1.0 / np.sqrt(d_model)
-        self.wq = rng.uniform(-scale, scale, size=(d_model, d_model))
-        self.wk = rng.uniform(-scale, scale, size=(d_model, d_model))
-        self.wv = rng.uniform(-scale, scale, size=(d_model, d_model))
-        self.wo = rng.uniform(-scale, scale, size=(d_model, d_model))
+        # [W_q | W_k | W_v], one (d, d) draw per block, then W_o
+        self.w_qkv = np.concatenate(
+            [rng.uniform(-scale, scale, size=(d_model, d_model)) for _ in range(3)], axis=1
+        )
+        self.w_o = rng.uniform(-scale, scale, size=(d_model, d_model))
         self._tape = None
 
     def forward(self, x, timer, *, training=True):
@@ -411,16 +294,14 @@ class PlainAttentionBlock(PlainLayer):
         x2 = x.reshape(b * s, d)
         for _ in range(3):
             timer.gemm(b * s, d, d)
-        q = (x2 @ self.wq).reshape(b, s, d)
-        k = (x2 @ self.wk).reshape(b, s, d)
-        v = (x2 @ self.wv).reshape(b, s, d)
+        q, k, v = (p.reshape(b, s, d) for p in np.split(x2 @ self.w_qkv, 3, axis=1))
         timer.elementwise(2 * q.nbytes)
         scores = np.einsum("bid,bjd->bij", q, k) / np.sqrt(d)
         attn = softmax_reference(scores.reshape(b * s, s)).reshape(b, s, s)
         timer.elementwise(2 * v.nbytes)
         context = np.einsum("bij,bjd->bid", attn, v).reshape(b * s, d)
         timer.gemm(b * s, d, d)
-        o2 = context @ self.wo
+        o2 = context @ self.w_o
         out = o2.reshape(b, s, d).mean(axis=1)
         if training:
             self._tape = (x2, q, k, v, attn, context)
@@ -431,49 +312,37 @@ class PlainAttentionBlock(PlainLayer):
         b, (s, d) = delta.shape[0], (self.seq_len, self.d_model)
         do2 = np.repeat(delta / s, s, axis=0)
         timer.gemm(d, b * s, d)
-        self._gwo = context.T @ do2 / b
+        gw_o = context.T @ do2 / b
         timer.gemm(b * s, d, d)
-        dc = (do2 @ self.wo.T).reshape(b, s, d)
+        dc = (do2 @ self.w_o.T).reshape(b, s, d)
         timer.elementwise(4 * dc.nbytes)
         da = np.einsum("bid,bjd->bij", dc, v)
         dv = np.einsum("bij,bid->bjd", attn, dc)
+        # the exact-softmax Jacobian, applied to the approximate softmax
         ds = attn * (da - (attn * da).sum(axis=2, keepdims=True)) / np.sqrt(d)
         timer.elementwise(4 * ds.nbytes)
-        dq = np.einsum("bij,bjd->bid", ds, k).reshape(b * s, d)
-        dk = np.einsum("bij,bid->bjd", ds, q).reshape(b * s, d)
-        dv = dv.reshape(b * s, d)
+        dq = np.einsum("bij,bjd->bid", ds, k)
+        dk = np.einsum("bij,bid->bjd", ds, q)
+        dqkv = np.concatenate([g.reshape(b * s, d) for g in (dq, dk, dv)], axis=1)
         for _ in range(3):
             timer.gemm(d, b * s, d)
-        self._gwq = x2.T @ dq / b
-        self._gwk = x2.T @ dk / b
-        self._gwv = x2.T @ dv / b
+        self._grads = (x2.T @ dqkv / b, gw_o)
         if not input_grad:
             return None
         for _ in range(3):
             timer.gemm(b * s, d, d)
-        dx2 = dq @ self.wq.T + dk @ self.wk.T + dv @ self.wv.T
-        return dx2.reshape(b, s * d)
+        return (dqkv @ self.w_qkv.T).reshape(b, s * d)
 
     def apply_gradients(self, lr):
-        self.wq -= lr * self._gwq
-        self.wk -= lr * self._gwk
-        self.wv -= lr * self._gwv
-        self.wo -= lr * self._gwo
+        for p, g in zip(self.parameters(), self._grads):
+            p -= lr * g
 
-
-class PlainAttention(PlainModel):
-    def __init__(self, seq_len, d_model, *, n_out=3, seed=0):
-        super().__init__()
-        rng = np.random.default_rng(seed)
-        self.block = PlainAttentionBlock(seq_len, d_model, rng)
-        self.readout = PlainDense(d_model, n_out, rng)
-        self.layers = [self.block, self.readout]
+    def parameters(self):
+        return [self.w_qkv, self.w_o]
 
 
 class PlainEmbedding(PlainLayer):
     """Float twin of the oblivious embedding lookup (dense, no bias)."""
-
-    trainable = True
 
     def __init__(self, vocab: int, emb_dim: int, rng: np.random.Generator):
         scale = 1.0 / np.sqrt(vocab)
@@ -498,16 +367,99 @@ class PlainEmbedding(PlainLayer):
     def apply_gradients(self, lr):
         self.w -= lr * self._gw
 
+    def parameters(self):
+        return [self.w]
 
-class PlainRecsys(PlainModel):
-    def __init__(self, vocab, emb_dim, *, n_out=3, seed=0):
-        super().__init__()
-        rng = np.random.default_rng(seed)
-        self.layers = [
-            PlainEmbedding(vocab, emb_dim, rng),
-            PlainActivation("relu"),
-            PlainDense(emb_dim, n_out, rng),
-        ]
+
+@dataclass
+class PlainReport:
+    """Cost/progress accounting for a plain run."""
+
+    batches: int = 0
+    samples: int = 0
+    seconds: float = 0.0
+    losses: list = field(default_factory=list)
+
+
+class PlainModel:
+    """Float twin of :class:`~repro.core.models.SecureModel`; built from
+    the same declaration by :func:`repro.core.models.build_plain`."""
+
+    def __init__(self, layers: list[PlainLayer]):
+        self.layers = list(layers)
+
+    def forward(self, x, timer, *, training=True):
+        for layer in self.layers:
+            x = layer.forward(x, timer, training=training)
+        return x
+
+    def loss_delta(self, pred, y):
+        return pred - y
+
+    def parameters(self) -> list[np.ndarray]:
+        return [p for layer in self.layers for p in layer.parameters()]
+
+    def apply_gradients(self, lr):
+        for layer in self.layers:
+            layer.apply_gradients(lr)
+
+    def train_batch(self, x, y, lr, timer):
+        pred = self.forward(x, timer, training=True)
+        delta = self.loss_delta(pred, y)
+        # SecureModel.backward's stop rule: no input gradient for the
+        # first layer with parameters, nothing below it is visited.
+        stop = next(
+            (i for i, layer in enumerate(self.layers) if layer.parameters()), len(self.layers)
+        )
+        for i in range(len(self.layers) - 1, stop - 1, -1):
+            delta = self.layers[i].backward(delta, timer, input_grad=i > stop)
+        self.apply_gradients(lr)
+        return pred
+
+
+class PlainSVM(PlainModel):
+    """Linear SVM via hinge subgradient (the secure model's twin)."""
+
+    def __init__(self, layers, *, reg=1e-3):
+        super().__init__(layers)
+        (self.dense,) = self.layers
+        self.reg = reg
+
+    def train_batch(self, x, y, lr, timer):
+        scores = self.dense.forward(x, timer, training=True)
+        margin = 1.0 - y * scores
+        active = (margin >= 0).astype(x.dtype)
+        timer.elementwise(3 * scores.nbytes)
+        coeff = -y * active
+        batch = x.shape[0]
+        timer.gemm(x.shape[1], batch, 1)
+        gw = x.T @ coeff / batch + self.reg * self.dense.w
+        gb = coeff.mean(axis=0, keepdims=True)
+        self.dense.w -= lr * gw
+        self.dense.b -= lr * gb
+        return scores
+
+
+class PlainRNN(PlainModel):
+    """Elman cell unrolled over ``(batch, time*features)`` + dense readout."""
+
+    def __init__(self, layers):
+        super().__init__(layers)
+        self.cell, self.readout = self.layers
+
+    def forward(self, x, timer, *, training=True):
+        features = self.cell.wx.shape[0]
+        h = np.zeros((x.shape[0], self.cell.wh.shape[0]))
+        for lo in range(0, x.shape[1], features):
+            h = self.cell.step(x[:, lo : lo + features], h, timer, training=training)
+        return self.readout.forward(h, timer, training=training)
+
+    def train_batch(self, x, y, lr, timer):
+        pred = self.forward(x, timer, training=True)
+        delta_h = self.readout.backward(self.loss_delta(pred, y), timer)
+        self.cell.backward_through_time(delta_h, timer)
+        self.apply_gradients(lr)
+        return pred
 
 
 class PlainTrainer:
@@ -557,3 +509,17 @@ class PlainTrainer:
             if max_batches is not None and batches >= max_batches:
                 break
         return np.concatenate(outs, axis=0), self.timer.seconds - t0
+
+
+def _alias(name: str):
+    def build(*geometry, **options):
+        from repro.core.models import build_plain  # repro.core.models imports this module
+
+        return build_plain(name, *geometry, **options)
+
+    return build
+
+
+# Frozen perf/workloads.py builds its plain twins through these three
+# names; delete them with the next benchmark change.
+PlainMLP, PlainCNN, PlainAttention = _alias("MLP"), _alias("CNN"), _alias("attention")

@@ -25,33 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.models import (
-    SecureCNN,
-    SecureLinearRegression,
-    SecureLogisticRegression,
-    SecureMLP,
-    SecureRNN,
-    SecureSVM,
-)
-from repro.baselines.plain import (
-    PlainAttention,
-    PlainCNN,
-    PlainLinearRegression,
-    PlainLogisticRegression,
-    PlainMLP,
-    PlainRecsys,
-    PlainRNN,
-    PlainSVM,
-)
-from repro.core.attention import SecureAttention
-from repro.core.recsys import SecureRecsys
+from repro.core.models import MODELS, build_plain, build_secure
 from repro.datasets import make_dataset, sequence_dataset
 from repro.util.errors import ConfigError
 
-BENCH_MODELS = ["CNN", "MLP", "linear", "logistic", "SVM", "RNN"]
+BENCH_MODELS = [name for name, decl in MODELS.items() if not decl.workload]
 #: extra workloads runnable through the same CLI/harness, kept out of
 #: BENCH_MODELS so the paper's 26-cell grid stays pinned.
-WORKLOAD_MODELS = ["attention", "recsys"]
+WORKLOAD_MODELS = [name for name, decl in MODELS.items() if decl.workload]
 BENCH_DATASETS = ["VGGFace2", "NIST", "SYNTHETIC", "MNIST", "CIFAR-10"]
 
 # datasets whose geometry the harness reduces by default (paper geometry
@@ -78,12 +59,12 @@ class WorkloadSpec:
     model: str
     dataset: str
     image_shape: tuple[int, int, int]
-    features: int
-    n_outputs: int
     conv_stride: int
     batch_size: int
     paper_batches: int  # batches in one paper-scale epoch
     geometry_reduced: bool
+    #: the model's build_secure / build_plain arguments for this cell
+    geometry: dict
 
 
 def benchmark_grid(*, include_rnn: bool = True) -> list[tuple[str, str]]:
@@ -115,59 +96,38 @@ def load_workload(
     full_scale: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, WorkloadSpec]:
     """Generate data for one grid cell, sized for ``n_batches`` batches."""
-    if model not in BENCH_MODELS and model not in WORKLOAD_MODELS:
+    if model not in MODELS:
         raise ConfigError(f"unknown model {model!r}")
     n_samples = n_batches * batch_size
     if model in WORKLOAD_MODELS and dataset != "SYNTHETIC":
         raise ConfigError(f"{model} is a SYNTHETIC-only workload")
-    if model == "attention":
-        x, y = sequence_dataset(n_samples, _ATTN_SEQ, _ATTN_DMODEL, seed=seed)
+    if model == "RNN" and dataset != "SYNTHETIC":
+        raise ConfigError("RNN is evaluated on SYNTHETIC only (paper Section 7.1)")
+    if model in ("RNN", *WORKLOAD_MODELS):
+        if model == "recsys":
+            rng = np.random.default_rng(seed)
+            ids = rng.integers(0, _RECSYS_VOCAB, size=n_samples)
+            x = np.zeros((n_samples, _RECSYS_VOCAB))
+            x[np.arange(n_samples), ids] = 1.0
+            labels = rng.integers(0, 10, size=n_samples)
+            y = np.zeros((n_samples, 10))
+            y[np.arange(n_samples), labels] = 1.0
+            geometry = {"vocab": _RECSYS_VOCAB, "emb_dim": _RECSYS_EMB, "n_out": 10}
+        elif model == "attention":
+            x, y = sequence_dataset(n_samples, _ATTN_SEQ, _ATTN_DMODEL, seed=seed)
+            geometry = {"seq_len": _ATTN_SEQ, "d_model": _ATTN_DMODEL, "n_out": 10}
+        else:
+            x, y = sequence_dataset(n_samples, _RNN_STEPS, 256, seed=seed)
+            geometry = {"n_steps": _RNN_STEPS, "step_features": 256}
         spec = WorkloadSpec(
             model=model,
             dataset=dataset,
-            image_shape=(1, _ATTN_SEQ * _ATTN_DMODEL, 1),
-            features=x.shape[1],
-            n_outputs=10,
+            image_shape=(1, x.shape[1], 1),
             conv_stride=1,
             batch_size=batch_size,
             paper_batches=640_000 // batch_size,
             geometry_reduced=False,
-        )
-        return x, y, spec
-    if model == "recsys":
-        rng = np.random.default_rng(seed)
-        ids = rng.integers(0, _RECSYS_VOCAB, size=n_samples)
-        x = np.zeros((n_samples, _RECSYS_VOCAB))
-        x[np.arange(n_samples), ids] = 1.0
-        labels = rng.integers(0, 10, size=n_samples)
-        y = np.zeros((n_samples, 10))
-        y[np.arange(n_samples), labels] = 1.0
-        spec = WorkloadSpec(
-            model=model,
-            dataset=dataset,
-            image_shape=(1, _RECSYS_VOCAB, 1),
-            features=_RECSYS_VOCAB,
-            n_outputs=10,
-            conv_stride=1,
-            batch_size=batch_size,
-            paper_batches=640_000 // batch_size,
-            geometry_reduced=False,
-        )
-        return x, y, spec
-    if model == "RNN":
-        if dataset != "SYNTHETIC":
-            raise ConfigError("RNN is evaluated on SYNTHETIC only (paper Section 7.1)")
-        x, y = sequence_dataset(n_samples, _RNN_STEPS, 256, seed=seed)
-        spec = WorkloadSpec(
-            model=model,
-            dataset=dataset,
-            image_shape=(1, _RNN_STEPS * 256, 1),
-            features=x.shape[1],
-            n_outputs=10,
-            conv_stride=1,
-            batch_size=batch_size,
-            paper_batches=640_000 // batch_size,
-            geometry_reduced=False,
+            geometry=geometry,
         )
         return x, y, spec
 
@@ -178,58 +138,31 @@ def load_workload(
         # binary labels in {-1, +1} from class parity
         labels = np.argmax(y, axis=1)
         y = np.where(labels % 2 == 0, 1.0, -1.0).reshape(-1, 1)
-    n_out = 1 if model == "SVM" else 10
+    stride = _conv_stride(dspec.image_shape)
+    if model == "CNN":
+        geometry = {"image_shape": dspec.image_shape, "conv_stride": stride}
+    elif model == "SVM":
+        geometry = {"input_dim": dspec.features}
+    else:
+        geometry = {"input_dim": dspec.features, "n_out": 10}
     spec = WorkloadSpec(
         model=model,
         dataset=dataset,
         image_shape=dspec.image_shape,
-        features=dspec.features,
-        n_outputs=n_out,
-        conv_stride=_conv_stride(dspec.image_shape),
+        conv_stride=stride,
         batch_size=batch_size,
         paper_batches=max(1, dspec.paper_samples // batch_size),
         geometry_reduced=reduced,
+        geometry=geometry,
     )
     return x, y, spec
 
 
 def build_secure_model(ctx, spec: WorkloadSpec):
     """Instantiate the secure model for one grid cell."""
-    if spec.model == "CNN":
-        return SecureCNN(ctx, spec.image_shape, conv_stride=spec.conv_stride)
-    if spec.model == "MLP":
-        return SecureMLP(ctx, spec.features)
-    if spec.model == "linear":
-        return SecureLinearRegression(ctx, spec.features, n_out=spec.n_outputs)
-    if spec.model == "logistic":
-        return SecureLogisticRegression(ctx, spec.features, n_out=spec.n_outputs)
-    if spec.model == "SVM":
-        return SecureSVM(ctx, spec.features)
-    if spec.model == "RNN":
-        return SecureRNN(ctx, _RNN_STEPS, spec.features // _RNN_STEPS)
-    if spec.model == "attention":
-        return SecureAttention(ctx, _ATTN_SEQ, _ATTN_DMODEL, n_out=spec.n_outputs)
-    if spec.model == "recsys":
-        return SecureRecsys(ctx, _RECSYS_VOCAB, _RECSYS_EMB, n_out=spec.n_outputs)
-    raise ConfigError(f"unknown model {spec.model!r}")
+    return build_secure(spec.model, ctx, **spec.geometry)
 
 
 def build_plain_model(spec: WorkloadSpec, *, seed: int = 0):
     """Instantiate the matching non-secure model."""
-    if spec.model == "CNN":
-        return PlainCNN(spec.image_shape, conv_stride=spec.conv_stride, seed=seed)
-    if spec.model == "MLP":
-        return PlainMLP(spec.features, seed=seed)
-    if spec.model == "linear":
-        return PlainLinearRegression(spec.features, n_out=spec.n_outputs, seed=seed)
-    if spec.model == "logistic":
-        return PlainLogisticRegression(spec.features, n_out=spec.n_outputs, seed=seed)
-    if spec.model == "SVM":
-        return PlainSVM(spec.features, seed=seed)
-    if spec.model == "RNN":
-        return PlainRNN(_RNN_STEPS, spec.features // _RNN_STEPS, seed=seed)
-    if spec.model == "attention":
-        return PlainAttention(_ATTN_SEQ, _ATTN_DMODEL, n_out=spec.n_outputs, seed=seed)
-    if spec.model == "recsys":
-        return PlainRecsys(_RECSYS_VOCAB, _RECSYS_EMB, n_out=spec.n_outputs, seed=seed)
-    raise ConfigError(f"unknown model {spec.model!r}")
+    return build_plain(spec.model, seed=seed, **spec.geometry)

@@ -11,7 +11,8 @@ Layering (bottom to top):
 * :mod:`repro.core.ops`      — secure matmul / elementwise / activation
   primitives with offline+online cost accounting;
 * :mod:`repro.core.layers`   — neural layers over the ops;
-* :mod:`repro.core.models`   — the paper's six benchmark models;
+* :mod:`repro.core.models`   — :data:`MODELS`, every model declared once
+  (the paper's six plus attention and recsys), built secure or plain;
 * :mod:`repro.core.training` / :mod:`repro.core.inference` — drivers
   that produce the phase/time/traffic reports the evaluation consumes.
 """

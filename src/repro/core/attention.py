@@ -24,9 +24,8 @@ shapes: ``dA = dC V^T``, ``dV = A^T dC``, ``dQ = dS K`` and
 ``dW_qkv = X^T [dQ|dK|dV]`` and ``dX = [dQ|dK|dV] W_qkv^T`` are one flat
 product each.
 
-:class:`SecureAttention` is the model-registry entry: the block plus a
-dense readout, trainable by the standard
-:class:`~repro.core.training.SecureTrainer` loop.
+:class:`~repro.core.models.SecureAttention` is the ``attention`` entry
+of :data:`~repro.core.models.MODELS`: the block plus a dense readout.
 """
 
 from __future__ import annotations
@@ -34,13 +33,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import ops
-from repro.core.layers import SecureDense, SecureLayer
-from repro.core.models import SecureModel
+from repro.core.layers import SecureLayer
 from repro.core.tensor import SharedTensor
 from repro.fixedpoint.ring import ring_sum
 from repro.util.errors import ProtocolError, ShapeError
 
-__all__ = ["SecureAttention", "SecureAttentionBlock"]
+__all__ = ["SecureAttentionBlock"]
 
 
 def _local(x: SharedTensor, shares) -> SharedTensor:
@@ -196,13 +194,3 @@ class SecureAttentionBlock(SecureLayer):
 
     def parameters(self) -> list[SharedTensor]:
         return [self.w_qkv, self.w_o]
-
-
-class SecureAttention(SecureModel):
-    """Attention block + dense readout — the ``attention`` registry entry."""
-
-    def __init__(self, ctx, seq_len: int, d_model: int, *, n_out: int = 3):
-        super().__init__(ctx)
-        self.block = SecureAttentionBlock(ctx, seq_len, d_model, name="attn")
-        self.readout = SecureDense(ctx, d_model, n_out, name="attnout")
-        self.layers = [self.block, self.readout]

@@ -20,7 +20,7 @@ frame per direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Literal
 
 from repro.comm.channel import INFINIBAND_100G, LinkSpec
@@ -139,4 +139,7 @@ class FrameworkConfig:
 
     def but(self, **overrides) -> "FrameworkConfig":
         """A copy with some fields replaced (ablation helper)."""
+        unknown = sorted(set(overrides) - {f.name for f in fields(self)})
+        if unknown:
+            raise ConfigError(f"unknown FrameworkConfig field(s): {', '.join(unknown)}")
         return replace(self, **overrides)

@@ -1,4 +1,4 @@
-"""The paper's six benchmark models, built on the secure layers.
+"""The paper's six benchmark models and two workloads, each declared once.
 
 Architectures follow Section 7.1:
 
@@ -13,8 +13,20 @@ Architectures follow Section 7.1:
   The paper trains SVMs with SMO; SMO's data-dependent working-set
   selection cannot run obliviously on shares, so the secure version
   uses the standard MPC-friendly substitute (subgradient descent on the
-  same objective) while the plain-text SMO lives in
-  :mod:`repro.baselines.plain` — see DESIGN.md.
+  same objective) — see DESIGN.md.
+
+Beyond the paper: **attention** (one self-attention block + readout,
+:mod:`repro.core.attention`) and **recsys** (oblivious embedding lookup
++ ReLU + dense head, :mod:`repro.core.recsys`).
+
+:data:`MODELS` names every model.  Each is declared once, by its
+constructor: a list of :class:`LayerSpec` (kind, geometry, the secure
+layer's name) for the geometry it is given.  :func:`build_secure` builds
+it on a context; :func:`build_plain` builds the float twin
+(:mod:`repro.baselines.plain`) of the same specs from one seed;
+:func:`sync_plain` copies the secure weights into the twin.  Only the
+SVM's hinge step and the RNN's BPTT are model-specific train steps, one
+class on each side.
 
 Every model exposes ``forward`` / ``train_batch`` over
 :class:`~repro.core.tensor.SharedTensor` inputs, so one trainer drives
@@ -23,9 +35,24 @@ them all.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
+from repro.baselines.plain import (
+    PlainActivation,
+    PlainAttentionBlock,
+    PlainConv2D,
+    PlainDense,
+    PlainEmbedding,
+    PlainModel,
+    PlainRNN,
+    PlainRNNCell,
+    PlainSVM,
+)
 from repro.core import ops
+from repro.core.attention import SecureAttentionBlock
 from repro.core.layers import (
     SecureActivation,
     SecureConv2D,
@@ -33,16 +60,67 @@ from repro.core.layers import (
     SecureLayer,
     SecureRNNCell,
 )
+from repro.core.recsys import SecureEmbedding
 from repro.core.tensor import SharedTensor
-from repro.util.errors import ProtocolError, ShapeError
+from repro.simgpu.kernels import conv_output_size
+from repro.util.errors import ConfigError, ProtocolError, ShapeError
+
+
+@dataclass(frozen=True)
+class LayerSpec:
+    """One layer of a declaration.
+
+    ``geometry`` holds the keyword arguments both twins' constructors
+    take; ``name`` is the secure layer's (it seeds the layer's weights
+    and labels its streams and checkpoint entries).
+    """
+
+    kind: str
+    name: str
+    geometry: dict
+
+
+#: layer kind -> (secure layer, plain twin)
+_KINDS = {
+    "dense": (SecureDense, PlainDense),
+    "act": (SecureActivation, PlainActivation),
+    "conv": (SecureConv2D, PlainConv2D),
+    "rnn": (SecureRNNCell, PlainRNNCell),
+    "attention": (SecureAttentionBlock, PlainAttentionBlock),
+    "embedding": (SecureEmbedding, PlainEmbedding),
+}
+
+
+def _dense(name: str, d_in: int, d_out: int) -> LayerSpec:
+    return LayerSpec("dense", name, {"in_features": d_in, "out_features": d_out})
+
+
+def _act(name: str, kind: str = "relu") -> LayerSpec:
+    return LayerSpec("act", name, {"kind": kind})
 
 
 class SecureModel:
-    """Base: a stack of layers plus a loss gradient."""
+    """Base: a stack of layers plus a loss gradient.
 
-    def __init__(self, ctx):
+    A model's constructor declares its layers as :class:`LayerSpec` s
+    and passes them here, which builds them on ``ctx`` — or, with
+    ``ctx=None``, keeps the specs: :meth:`declare`, from which
+    :func:`build_plain` derives the plain twin.  A model that wires its
+    own layers (``SecureResNet``) passes none and fills ``self.layers``.
+    """
+
+    def __init__(self, ctx, layers: list[LayerSpec] = ()):
         self.ctx = ctx
-        self.layers: list[SecureLayer] = []
+        self.layers: list[SecureLayer] = (
+            list(layers)
+            if ctx is None
+            else [_KINDS[spec.kind][0](ctx, name=spec.name, **spec.geometry) for spec in layers]
+        )
+
+    @classmethod
+    def declare(cls, *geometry, **options) -> list[LayerSpec]:
+        """The model's layers at ``geometry``, as specs (no context, no weights)."""
+        return cls(None, *geometry, **options).layers
 
     def forward(self, x: SharedTensor, *, training: bool = True) -> SharedTensor:
         for layer in self.layers:
@@ -101,12 +179,13 @@ class SecureMLP(SecureModel):
     """Input -> 128 -> 64 -> 10 with ReLU (paper Section 7.1)."""
 
     def __init__(self, ctx, input_dim: int, hidden: tuple[int, ...] = (128, 64), n_out: int = 10):
-        super().__init__(ctx)
         dims = [input_dim, *hidden, n_out]
+        layers = []
         for li, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-            self.layers.append(SecureDense(ctx, d_in, d_out, name=f"mlp{li}"))
+            layers.append(_dense(f"mlp{li}", d_in, d_out))
             if li < len(dims) - 2:
-                self.layers.append(SecureActivation(ctx, "relu", name=f"mlp{li}act"))
+                layers.append(_act(f"mlp{li}act"))
+        super().__init__(ctx, layers)
 
 
 class SecureCNN(SecureModel):
@@ -123,37 +202,52 @@ class SecureCNN(SecureModel):
         kernel: int = 5,
         conv_stride: int = 1,
     ):
-        super().__init__(ctx)
-        conv = SecureConv2D(
-            ctx, image_shape, conv_channels, kernel, stride=conv_stride, name="conv0"
-        )
-        flat = conv.out_h * conv.out_w * conv_channels
-        self.layers = [
-            conv,
-            SecureActivation(ctx, "relu", name="conv0act"),
-            SecureDense(ctx, flat, hidden, name="fc1"),
-            SecureActivation(ctx, "relu", name="fc1act"),
-            SecureDense(ctx, hidden, n_out, name="fc2"),
-        ]
+        out_h, out_w = conv_output_size(*image_shape[:2], kernel, kernel, conv_stride)
+        conv = {"in_shape": tuple(image_shape), "out_channels": conv_channels, "kernel": kernel}
+        super().__init__(ctx, [
+            LayerSpec("conv", "conv0", {**conv, "stride": conv_stride}),
+            _act("conv0act"),
+            _dense("fc1", out_h * out_w * conv_channels, hidden),
+            _act("fc1act"),
+            _dense("fc2", hidden, n_out),
+        ])
 
 
 class SecureLinearRegression(SecureModel):
     """y = X w + b with squared loss."""
 
     def __init__(self, ctx, input_dim: int, n_out: int = 1):
-        super().__init__(ctx)
-        self.layers = [SecureDense(ctx, input_dim, n_out, name="linreg")]
+        super().__init__(ctx, [_dense("linreg", input_dim, n_out)])
 
 
 class SecureLogisticRegression(SecureModel):
     """Linear scores + the Eq. 9 piecewise activation (sigmoid stand-in)."""
 
     def __init__(self, ctx, input_dim: int, n_out: int = 1):
-        super().__init__(ctx)
-        self.layers = [
-            SecureDense(ctx, input_dim, n_out, name="logreg"),
-            SecureActivation(ctx, "piecewise", name="logregact"),
-        ]
+        super().__init__(ctx, [_dense("logreg", input_dim, n_out), _act("logregact", "piecewise")])
+
+
+class SecureAttention(SecureModel):
+    """Attention block + dense readout."""
+
+    def __init__(self, ctx, seq_len: int, d_model: int, *, n_out: int = 3):
+        super().__init__(ctx, [
+            LayerSpec("attention", "attn", {"seq_len": seq_len, "d_model": d_model}),
+            _dense("attnout", d_model, n_out),
+        ])
+        self.block, self.readout = self.layers
+
+
+class SecureRecsys(SecureModel):
+    """Embedding + ReLU + dense head."""
+
+    def __init__(self, ctx, vocab: int, emb_dim: int, *, n_out: int = 3):
+        super().__init__(ctx, [
+            LayerSpec("embedding", "emb", {"vocab": vocab, "emb_dim": emb_dim}),
+            _act("embact"),
+            _dense("rechead", emb_dim, n_out),
+        ])
+        self.embedding = self.layers[0]
 
 
 class SecureSVM(SecureModel):
@@ -166,9 +260,8 @@ class SecureSVM(SecureModel):
     """
 
     def __init__(self, ctx, input_dim: int, *, reg: float = 1e-3):
-        super().__init__(ctx)
-        self.dense = SecureDense(ctx, input_dim, 1, name="svm")
-        self.layers = [self.dense]
+        super().__init__(ctx, [_dense("svm", input_dim, 1)])
+        (self.dense,) = self.layers
         self.reg = reg
 
     def train_batch(self, x: SharedTensor, y: SharedTensor, lr: float) -> SharedTensor:
@@ -196,12 +289,13 @@ class SecureRNN(SecureModel):
     """
 
     def __init__(self, ctx, n_steps: int, step_features: int, hidden: int = 64, n_out: int = 10):
-        super().__init__(ctx)
+        super().__init__(ctx, [
+            LayerSpec("rnn", "rnn", {"in_features": step_features, "hidden": hidden}),
+            _dense("rnnout", hidden, n_out),
+        ])
         self.n_steps = n_steps
         self.step_features = step_features
-        self.cell = SecureRNNCell(ctx, step_features, hidden, name="rnn")
-        self.readout = SecureDense(ctx, hidden, n_out, name="rnnout")
-        self.layers = [self.cell, self.readout]
+        self.cell, self.readout = self.layers
 
     def _slice_step(self, x: SharedTensor, t: int) -> SharedTensor:
         lo = t * self.step_features
@@ -231,3 +325,79 @@ class SecureRNN(SecureModel):
         self.readout.apply_gradients(lr)
         self.cell.apply_gradients(lr)
         return pred
+
+
+class ModelEntry(NamedTuple):
+    """A :data:`MODELS` entry.  ``secure``'s constructor declares the
+    layers; ``plain`` holds the built plain layers (:class:`PlainModel`
+    unless the model has its own train step)."""
+
+    secure: type[SecureModel]
+    plain: type[PlainModel] = PlainModel
+    #: a workload beyond the paper's 26-cell grid (SYNTHETIC only)
+    workload: bool = False
+
+
+#: Every model, by bench-suite name, in the paper grid's order.
+MODELS: dict[str, ModelEntry] = {
+    "CNN": ModelEntry(SecureCNN),
+    "MLP": ModelEntry(SecureMLP),
+    "linear": ModelEntry(SecureLinearRegression),
+    "logistic": ModelEntry(SecureLogisticRegression),
+    "SVM": ModelEntry(SecureSVM, PlainSVM),
+    "RNN": ModelEntry(SecureRNN, PlainRNN),
+    "attention": ModelEntry(SecureAttention, workload=True),
+    "recsys": ModelEntry(SecureRecsys, workload=True),
+}
+
+
+def _declared(name: str) -> ModelEntry:
+    if name not in MODELS:
+        raise ConfigError(f"unknown model {name!r}; declared: {list(MODELS)}")
+    return MODELS[name]
+
+
+def build_secure(name: str, ctx, *geometry, **options) -> SecureModel:
+    """The secure model ``name`` at ``geometry`` on ``ctx``."""
+    return _declared(name).secure(ctx, *geometry, **options)
+
+
+def build_plain(name: str, *geometry, seed: int = 0, **options) -> PlainModel:
+    """The float twin of ``name`` at ``geometry``, every layer drawing
+    its initial weights from one ``default_rng(seed)`` in layer order."""
+    model = _declared(name)
+    rng = np.random.default_rng(seed)
+    specs = model.secure.declare(*geometry, **options)
+    return model.plain([_KINDS[spec.kind][1](rng=rng, **spec.geometry) for spec in specs])
+
+
+def sync_plain(secure: SecureModel, plain: PlainModel) -> None:
+    """Copy the secure model's decoded weights into its plain twin.
+
+    Both inits are random; conformance compares *arithmetic*, so the
+    twins must start from identical parameters (the secure side's
+    decoded fixed-point values, which the plain model can represent
+    exactly).  Layer by layer, ``parameters()`` into ``parameters()``;
+    a twin of another geometry raises :class:`ShapeError` naming the
+    secure layer and parameter, and is left as it was.
+    """
+    if len(secure.layers) != len(plain.layers):
+        raise ShapeError(
+            f"secure model has {len(secure.layers)} layers, plain twin {len(plain.layers)}"
+        )
+    copies = []
+    for s_layer, p_layer in zip(secure.layers, plain.layers):
+        ours, theirs = s_layer.parameters(), p_layer.parameters()
+        if len(ours) != len(theirs):
+            raise ShapeError(
+                f"{s_layer.name}: {len(ours)} parameters, plain twin has {len(theirs)}"
+            )
+        for i, (tensor, array) in enumerate(zip(ours, theirs)):
+            if tensor.shape != array.shape:
+                attr = next((a for a, v in vars(s_layer).items() if v is tensor), i)
+                raise ShapeError(
+                    f"{s_layer.name}/{attr}: secure {tensor.shape}, plain twin {array.shape}"
+                )
+            copies.append((array, tensor))
+    for array, tensor in copies:
+        array[...] = tensor.decode()

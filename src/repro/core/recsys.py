@@ -19,9 +19,9 @@ conformance/bench workload that *measures* what compression earns on
 top: nothing, compression on and off are byte-equal (methodology in
 DESIGN §7c).
 
-:class:`SecureRecsys` = embedding + ReLU + dense head, trainable by the
-standard trainer; the plaintext twin is
-:class:`repro.baselines.plain.PlainRecsys`.
+:class:`~repro.core.models.SecureRecsys` = embedding + ReLU + dense head,
+the ``recsys`` entry of :data:`~repro.core.models.MODELS`; its plaintext
+twin is built from the same entry (:func:`~repro.core.models.build_plain`).
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import ops
-from repro.core.layers import SecureActivation, SecureDense, SecureLayer
-from repro.core.models import SecureModel
+from repro.core.layers import SecureLayer
 from repro.core.tensor import SharedTensor
 from repro.util.errors import ProtocolError, ShapeError
 
-__all__ = ["SecureEmbedding", "SecureRecsys"]
+__all__ = ["SecureEmbedding"]
 
 
 class SecureEmbedding(SecureLayer):
@@ -88,16 +87,3 @@ class SecureEmbedding(SecureLayer):
 
     def parameters(self) -> list[SharedTensor]:
         return [self.weight]
-
-
-class SecureRecsys(SecureModel):
-    """Embedding + ReLU + dense head — the ``recsys`` registry entry."""
-
-    def __init__(self, ctx, vocab: int, emb_dim: int, *, n_out: int = 3):
-        super().__init__(ctx)
-        self.embedding = SecureEmbedding(ctx, vocab, emb_dim, name="emb")
-        self.layers = [
-            self.embedding,
-            SecureActivation(ctx, "relu", name="embact"),
-            SecureDense(ctx, emb_dim, n_out, name="rechead"),
-        ]

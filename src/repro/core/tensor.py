@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.fixedpoint.ring import RING_DTYPE, ring_add, ring_mul, ring_neg, ring_sub
 from repro.simgpu.clock import Task
-from repro.util.errors import ProtocolError, ShapeError
+from repro.util.errors import EncodingError, ProtocolError, ShapeError
 
 TensorKind = Literal["fixed", "indicator"]
 
@@ -77,10 +77,13 @@ class SharedTensor:
         cls, ctx, plain: np.ndarray, *, label: str = "input", kind: TensorKind = "fixed"
     ) -> "SharedTensor":
         """Client-side: encode, share, upload (charged to the offline phase)."""
+        plain = np.asarray(plain)
+        if plain.dtype.kind not in "biuf":
+            raise EncodingError(f"{label}: a {plain.dtype} array has no fixed-point encoding")
         if kind == "fixed":
-            pair = ctx.share_plain(np.asarray(plain, dtype=np.float64), label=label)
+            pair = ctx.share_plain(plain.astype(np.float64, copy=False), label=label)
         else:
-            pair = ctx.share_ring(ctx.encoder.encode_int(np.asarray(plain)), label=label)
+            pair = ctx.share_ring(ctx.encoder.encode_int(plain), label=label)
         return cls(ctx=ctx, shares=tuple(pair[i] for i in range(ctx.n_parties)), kind=kind)
 
     # ------------------------------------------------------------- inspection

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 import repro
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
+from repro.util.errors import ConfigError
 
 
 class TestFacade:
@@ -50,6 +52,10 @@ class TestSession:
         ctx = repro.api.session(FrameworkConfig.secureml(), trace=True)
         assert not ctx.config.use_gpu
         assert ctx.config.trace
+
+    def test_unknown_field_is_a_config_error_naming_it(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            repro.api.session(bogus=1)
 
     def test_create_classmethod(self):
         ctx = SecureContext.create()

@@ -12,7 +12,7 @@ import pytest
 from conftest import make_ctx, pool_then_dense
 from oracles import secure_matmul_plain
 
-from repro.audit.conformance import CONFORMANCE_MODELS, ConformanceCase, _tiny_workload
+from repro.audit.conformance import CONFORMANCE_MODELS, ConformanceCase, conformance_workload
 from repro.core.attention import SecureAttentionBlock
 from repro.core.context import SecureContext
 from repro.core.layers import (
@@ -22,7 +22,7 @@ from repro.core.layers import (
     SecureDense,
     SecureLayer,
 )
-from repro.core.models import SecureModel
+from repro.core.models import SecureModel, build_secure
 from repro.core.recsys import SecureEmbedding
 from repro.core.resnet import SecureResidualBlock
 from repro.core.tensor import SharedTensor
@@ -115,10 +115,10 @@ class TestSkippedStreamsLeaveNoTrace:
     @pytest.mark.parametrize("model_name", sorted(FIRST_AND_DEEPER))
     def test_no_record_and_no_op_label_of_first_layer_dx(self, model_name, backend):
         case = ConformanceCase(model=model_name, axis="baseline", train=True, backend=backend)
-        x, y, build_secure, _ = _tiny_workload(case)
+        x, y, geometry = conformance_workload(case)
         ctx = SecureContext.create(case.config())
         recorder = ctx.attach_recorder(capture_payloads=False)
-        model = build_secure(ctx)
+        model = build_secure(model_name, ctx, **geometry)
         _train_one_batch(model, ctx, x, y, case.batch_size)
 
         first, deeper = FIRST_AND_DEEPER[model_name]

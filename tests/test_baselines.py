@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 from oracles import SMOSVM
 
-from repro.baselines.plain import (
-    PlainCNN,
-    PlainLinearRegression,
-    PlainLogisticRegression,
-    PlainMLP,
-    PlainRNN,
-    PlainSVM,
-    PlainTimer,
-    PlainTrainer,
-)
+from repro.baselines.plain import PlainTimer, PlainTrainer
 from repro.baselines.secureml import make_parsecureml_context, make_secureml_context
+from repro.core.models import build_plain
 from repro.datasets import separable_classification, sequence_dataset
 from repro.util.errors import ConfigError
 
@@ -23,21 +15,21 @@ class TestPlainModels:
     def test_linear_regression_learns(self, rng):
         x = rng.normal(size=(256, 8))
         y = x @ rng.normal(size=(8, 2))
-        trainer = PlainTrainer(PlainLinearRegression(8, n_out=2), PlainTimer("cpu"), lr=0.1)
+        trainer = PlainTrainer(build_plain("linear", 8, n_out=2), PlainTimer("cpu"), lr=0.1)
         rep = trainer.train(x, y, epochs=10, batch_size=64)
         assert rep.losses[-1] < 0.1 * rep.losses[0]
 
     def test_mlp_learns(self, rng):
         x = rng.normal(size=(256, 10))
         y = np.tanh(x @ rng.normal(size=(10, 3)) * 0.5)
-        trainer = PlainTrainer(PlainMLP(10, hidden=(16,), n_out=3), PlainTimer("cpu"), lr=0.1)
+        trainer = PlainTrainer(build_plain("MLP", 10, hidden=(16,), n_out=3), PlainTimer("cpu"), lr=0.1)
         rep = trainer.train(x, y, epochs=10, batch_size=64)
         assert rep.losses[-1] < 0.8 * rep.losses[0]
 
     def test_cnn_runs(self, rng):
         x = rng.normal(size=(32, 64))
         y = rng.normal(size=(32, 3))
-        model = PlainCNN((8, 8, 1), conv_channels=2, hidden=8, n_out=3, kernel=3)
+        model = build_plain("CNN", (8, 8, 1), conv_channels=2, hidden=8, n_out=3, kernel=3)
         rep = PlainTrainer(model, PlainTimer("cpu"), lr=0.05).train(
             x, y, epochs=2, batch_size=32
         )
@@ -45,21 +37,21 @@ class TestPlainModels:
 
     def test_svm_separates(self):
         x, y = separable_classification(256, 8, margin=2.0, seed=5)
-        model = PlainSVM(8)
+        model = build_plain("SVM", 8)
         PlainTrainer(model, PlainTimer("cpu"), lr=0.25).train(x, y, epochs=8, batch_size=64)
         scores = x @ model.dense.w + model.dense.b
         assert np.mean(np.sign(scores) == y) > 0.95
 
     def test_rnn_learns(self):
         x, y = sequence_dataset(128, 3, 6, seed=2)
-        model = PlainRNN(3, 6, hidden=8, n_out=10)
+        model = build_plain("RNN", 3, 6, hidden=8, n_out=10)
         rep = PlainTrainer(model, PlainTimer("cpu"), lr=0.1).train(
             x, y, epochs=6, batch_size=64
         )
         assert rep.losses[-1] < rep.losses[0]
 
     def test_logistic_bounded(self, rng):
-        model = PlainLogisticRegression(4)
+        model = build_plain("logistic", 4)
         timer = PlainTimer("cpu")
         out = model.forward(rng.normal(size=(16, 4)) * 10, timer, training=False)
         assert out.min() >= 0.0 and out.max() <= 1.0
@@ -78,7 +70,7 @@ class TestPlainTiming:
         times = {}
         for device in ("cpu", "gpu"):
             timer = PlainTimer(device)
-            PlainTrainer(PlainMLP(512, seed=0), timer, lr=0.1).train(
+            PlainTrainer(build_plain("MLP", 512, seed=0), timer, lr=0.1).train(
                 x, y, epochs=1, batch_size=128
             )
             times[device] = timer.seconds
@@ -86,14 +78,14 @@ class TestPlainTiming:
 
     def test_gpu_charges_pcie(self, rng):
         timer = PlainTimer("gpu")
-        PlainTrainer(PlainLinearRegression(64), timer).train(
+        PlainTrainer(build_plain("linear", 64), timer).train(
             rng.normal(size=(128, 64)), rng.normal(size=(128, 1)), batch_size=128
         )
         assert timer.clock.free_at("pcie") > 0
 
     def test_cpu_no_pcie(self, rng):
         timer = PlainTimer("cpu")
-        PlainTrainer(PlainLinearRegression(64), timer).train(
+        PlainTrainer(build_plain("linear", 64), timer).train(
             rng.normal(size=(128, 64)), rng.normal(size=(128, 1)), batch_size=128
         )
         assert timer.clock.free_at("pcie") == 0
@@ -104,7 +96,7 @@ class TestPlainTiming:
         times = {}
         for tc in (False, True):
             timer = PlainTimer("gpu", tensor_core=tc)
-            PlainTrainer(PlainMLP(2048, hidden=(1024,), n_out=10, seed=0), timer).train(
+            PlainTrainer(build_plain("MLP", 2048, hidden=(1024,), n_out=10, seed=0), timer).train(
                 x, y, batch_size=128
             )
             times[tc] = timer.seconds

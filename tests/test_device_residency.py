@@ -26,13 +26,13 @@ from repro.audit.conformance import (
     CONFORMANCE_MODELS,
     TRAIN_TOL,
     ConformanceCase,
-    _tiny_workload,
+    conformance_workload,
 )
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
 from repro.core.inference import secure_predict
 from repro.core.layers import SecureDense
-from repro.core.models import SecureMLP
+from repro.core.models import SecureMLP, build_secure
 from repro.core.ops import secure_matmul
 from repro.core.tensor import SharedTensor
 from repro.core.training import SecureTrainer
@@ -165,11 +165,11 @@ def test_every_model_trains_to_the_bits_of_a_run_that_uploads_everything(model, 
     train, predict, and compare with the upload-everything reference —
     while ``no_stale_device_hit`` checks each row a product reads."""
     case = ConformanceCase(model=model, axis="baseline", train=True, n_batches=3)
-    x, y, build_secure, _plain = _tiny_workload(case)
+    x, y, geometry = conformance_workload(case)
 
     def run():
         ctx = SecureContext.create(case.config().but(placement_mode="gpu_always"))
-        secure = build_secure(ctx)
+        secure = build_secure(model, ctx, **geometry)
         SecureTrainer(ctx, secure, lr=0.125).train(x, y, batch_size=case.batch_size)
         predictions = secure_predict(ctx, secure, x, batch_size=case.batch_size).predictions
         return predictions, ctx.server_gpu[0].h2d_bytes, ctx.server_gpu[0].gemm_count

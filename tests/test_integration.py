@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import make_ctx
-from repro.core.models import SecureLogisticRegression, SecureMLP
+from repro.core.models import SecureLogisticRegression, SecureMLP, build_plain, sync_plain
 from repro.core.training import SecureTrainer
 from repro.core.inference import secure_predict
-from repro.baselines.plain import PlainMLP, PlainTimer, PlainTrainer
+from repro.baselines.plain import PlainTimer, PlainTrainer
 
 
 class TestNumericInvariance:
@@ -54,13 +54,10 @@ class TestSecureMatchesPlainLearning:
 
         ctx = make_ctx(seed=7)
         secure = SecureMLP(ctx, 8, hidden=(6,), n_out=2)
-        plain = PlainMLP(8, hidden=(6,), n_out=2, seed=0)
-        # copy the secure model's decoded init into the plain model
+        plain = build_plain("MLP", 8, hidden=(6,), n_out=2, seed=0)
+        sync_plain(secure, plain)  # the secure model's decoded init
         dense_s = [l for l in secure.layers if hasattr(l, "weight")]
         dense_p = [l for l in plain.layers if hasattr(l, "w")]
-        for ls, lp in zip(dense_s, dense_p):
-            lp.w = ls.weight.decode().copy()
-            lp.b = ls.bias.decode().copy()
 
         SecureTrainer(ctx, secure, lr=0.125, monitor_loss=False).train(
             x, y, epochs=3, batch_size=64

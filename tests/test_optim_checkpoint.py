@@ -5,12 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.audit.conformance import CONFORMANCE_MODELS, ConformanceCase, _tiny_workload
-from repro.core.attention import SecureAttention
+from repro.audit.conformance import CONFORMANCE_GEOMETRY, CONFORMANCE_MODELS, ConformanceCase
 from repro.core.checkpoint import load_model, save_model
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
-from repro.core.models import SecureLinearRegression, SecureMLP
+from repro.core.models import SecureAttention, SecureLinearRegression, SecureMLP, build_secure
 from repro.core.optim import SGD, MomentumSGD
 from repro.core.tensor import SharedTensor
 from repro.util.errors import ConfigError, ProtocolError
@@ -148,7 +147,8 @@ class TestEveryParameterIsCheckpointed:
         models = []
         for seed in (0, 999):
             case = ConformanceCase(model=model_name, axis="baseline", seed=seed, backend=backend)
-            models.append(_tiny_workload(case)[2](SecureContext.create(case.config())))
+            geometry, _width = CONFORMANCE_GEOMETRY[model_name]
+            models.append(build_secure(model_name, SecureContext.create(case.config()), **geometry))
         saved, fresh = models
         assert any(
             not np.array_equal(a.decode(), b.decode())

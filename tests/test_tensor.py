@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.tensor import SharedTensor
-from repro.util.errors import ProtocolError, ShapeError
+from repro.util.errors import EncodingError, ProtocolError, ShapeError
 
 
 def shared(ctx, arr, **kw):
@@ -37,6 +37,14 @@ class TestConstruction:
     def test_wrong_dtype_rejected(self, ctx):
         with pytest.raises(ProtocolError):
             SharedTensor(ctx=ctx, shares=(np.zeros((2, 2)), np.zeros((2, 2))))
+
+    def test_string_array_is_an_encoding_error_naming_the_label(self, ctx):
+        with pytest.raises(EncodingError, match="client/x"):
+            SharedTensor.from_plain(ctx, np.array([["0.5", "1"]]), label="client/x")
+
+    def test_complex_array_is_refused_not_cut_to_its_real_part(self, ctx):
+        with pytest.raises(EncodingError, match="complex"):
+            SharedTensor.from_plain(ctx, np.array([[0.5 + 2j, 1.0]]), label="z")
 
 
 class TestLocalOps:

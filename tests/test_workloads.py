@@ -69,7 +69,7 @@ class TestAttentionOnStackedMatmuls:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_no_pair_grid_crosses_a_server_link(self, backend, monkeypatch):
         from repro.comm.wire import iter_arrays
-        from repro.core.attention import SecureAttention
+        from repro.core.models import SecureAttention
         from repro.core.training import SecureTrainer
 
         b, s, d = self.B, self.S, self.D
