@@ -26,8 +26,8 @@ noise) and an online makespan may not rise above its pin:
   (32 / 7 258 112 B and 20 while ``dW`` and ``dX`` uploaded again what
   the forward pass had left on the GPU);
 * a server's own shares cross PCIe while ``E``/``F`` are on the wire:
-  a warm step of ``perf/``'s ``train_mlp`` takes at most 1 719.6 µs
-  and of its ``train_cnn`` at most 2 965.9 µs of simulated online time
+  a warm step of ``perf/``'s ``train_mlp`` takes at most 1 536.3 µs
+  and of its ``train_cnn`` at most 2 766.9 µs of simulated online time
   (1 932.8 / 3 541.7 µs while every upload waited on the exchange,
   3 075.4 µs on ``train_cnn`` before the clock backfilled idle gaps);
 * batch k+1 runs in the gaps batch k leaves on the wire: the rep3 MLP
@@ -47,7 +47,13 @@ noise) and an online makespan may not rise above its pin:
   product of a warm step of ``perf/``'s three train workloads pays
   within :data:`PRICE_BOUND` of its price, and the 16-wide attention
   and recsys products run on the CPU (the :data:`WORKLOAD_ROWS` online
-  pins: 1 629.8 / 974.9 / 553.6 / 292.8 µs while they ran on the GPU).
+  pins: 1 629.8 / 974.9 / 553.6 / 292.8 µs while they ran on the GPU);
+* a secure comparison is 7 rounds, not 64: every byte and makespan pin
+  above moved down when the 62-round ripple became a borrow tree
+  (attention/recsys train+infer online 1 527.5 / 938.2 / 457.0 /
+  262.9 µs, warm steps 1 719.6 / 2 965.9 µs, rep3 inference 4 338.6 µs,
+  Fig. 10 3 615.4 µs and rep3 4 558.7 µs, fleet 10 475.4 / 5 665.2 /
+  3 260.0 µs with the ripple).
 
 Runs standalone:
 ``PYTHONPATH=src python -m pytest benchmarks/test_workload_regression.py``.
@@ -92,10 +98,10 @@ def _run(model, dataset, mode, *, batch_size, config=None) -> tuple[int, int, fl
 #: (messages, bytes, online makespan s) between the servers, two batches
 #: of 32 on SYNTHETIC.
 WORKLOAD_ROWS = {
-    ("attention", "train"): (140, 1_372_666, 0.0015275026467881526),
-    ("attention", "infer"): (104, 704_272, 0.0009382065119753077),
-    ("recsys", "train"): (30, 300_982, 0.0004570428518518515),
-    ("recsys", "infer"): (16, 183_348, 0.00026291324382716043),
+    ("attention", "train"): (140, 1_356_538, 0.0010138306467881455),
+    ("attention", "infer"): (104, 688_144, 0.0004245345119753088),
+    ("recsys", "train"): (30, 291_766, 0.0002856588518518516),
+    ("recsys", "infer"): (16, 174_132, 0.00014348065123456782),
 }
 
 
@@ -182,7 +188,7 @@ def _dealt_trainer(workload, **config):
 
 
 #: Warm-step online makespan (s) of perf/'s train_mlp and train_cnn at seed 0.
-WARM_STEP_S = {"train_mlp": 0.001719578228521472, "train_cnn": 0.0029659094801767942}
+WARM_STEP_S = {"train_mlp": 0.0015362902285214735, "train_cnn": 0.002766877480176796}
 
 
 @pytest.mark.parametrize("workload", sorted(WARM_STEP_S))
@@ -288,7 +294,7 @@ def test_plan_price_predicts_what_a_warm_step_pays(monkeypatch):
 
 #: Online makespan (s) of one rep3 MLP 784-128-128-10 secure_predict over
 #: six batches of 128 at seed 0: batch k+1 backfills batch k's reshare waits.
-REP3_PREDICT_ONLINE_S = 0.00433858258461333
+REP3_PREDICT_ONLINE_S = 0.003533087071998019
 
 
 def test_rep3_predict_makespan_holds_the_inter_batch_backfill():
@@ -306,26 +312,26 @@ def test_rep3_predict_makespan_holds_the_inter_batch_backfill():
 #: the backward pass stopping at the first trainable layer, every value
 #: uploaded to the server GPUs once, the dealer comparison, and each H2D
 #: upload issued as soon as it is ready and no later than in Fig. 5's order.
-FIG10_ONLINE_REFERENCE_S = 0.003615436918152094
+FIG10_ONLINE_REFERENCE_S = 0.0032516589922261686
 
 
 def test_fig10_online_makespan_holds_the_pin():
     _messages, nbytes, online_s = _run("MLP", "MNIST", "train", batch_size=128)
-    assert nbytes == 15_548_954
+    assert nbytes == 15_106_586
     assert online_s <= FIG10_ONLINE_REFERENCE_S * (1 + 1e-9), (
         f"Fig. 10 online makespan {online_s} above the pinned {FIG10_ONLINE_REFERENCE_S}"
     )
 
 
 #: Online makespan (s) of the same cell on the rep3 backend.
-REP3_TRAIN_ONLINE_S = 0.004558701151948641
+REP3_TRAIN_ONLINE_S = 0.004198269151948641
 
 
 def test_rep3_train_makespan_holds_the_pin():
     messages, nbytes, online_s = _run(
         "MLP", "MNIST", "train", batch_size=128, config=FrameworkConfig.parsecureml(backend="rep3")
     )
-    assert (messages, nbytes) == (104, 15_688_336)
+    assert (messages, nbytes) == (104, 15_245_968)
     assert online_s <= REP3_TRAIN_ONLINE_S * (1 + 1e-9), (
         f"rep3 train online makespan {online_s} above the pinned {REP3_TRAIN_ONLINE_S}"
     )
@@ -333,7 +339,7 @@ def test_rep3_train_makespan_holds_the_pin():
 
 #: Fleet online makespan (s) by replica count: 1 000 clients of 1-4
 #: MLP/MNIST rows each, least-depth placement, batches of 128.
-FLEET_ONLINE_S = {1: 0.010475445978555029, 2: 0.005665169163384678, 4: 0.003260030755799499}
+FLEET_ONLINE_S = {1: 0.008446965062982686, 2: 0.0046493606046271495, 4: 0.0026748695796315995}
 
 
 def test_fleet_online_makespan_scales_with_replicas():

@@ -147,6 +147,12 @@ def run_secure_batch(
                 telemetry, "infer.request_retry", clock="online", party=failure.party
             ):
                 respawn_party(ctx, failure.party)
+                # The retry is issued once the restart is done: without
+                # this barrier the surviving server's share of it would
+                # backfill the idle gap the restart leaves on its
+                # resources, before the attempt's mark, and the retried
+                # batch would read faster than a clean one.
+                ctx.online_clock.advance_all()
             if telemetry is not None:
                 telemetry.counter(
                     "faults.requests_retried", "inference batch requests retried"

@@ -6,8 +6,8 @@ SecureML switches to Yao garbled circuits for this; ParSecureML inherits
 the approach without detailing it.  The system runs one protocol, this
 module's *dealer-assisted* comparison (:func:`secure_ge_const`); no
 configuration selects another.  The tests hold it to plain
-two's-complement ``>=`` and to a plaintext reference
-(``tests/oracles.py``).
+two's-complement ``>=``, to a plaintext reference (``tests/oracles.py``)
+and to a frozen bit-serial ripple-borrow circuit.
 
 Protocol (semi-honest, trusted-dealer / commodity model)
 ---------------------------------------------------------
@@ -18,25 +18,43 @@ Offline, the dealer distributes for each comparison:
 
 * additive shares of a uniform mask ``r``;
 * XOR shares of the 64 bits of ``r``;
-* Beaver *bit* triplets (XOR-shared ``u, v, w = u AND v``) for the AND
-  gates below;
+* XOR shares of the 31 *pair products* ``q_j = r_{2j} AND r_{2j-1}``
+  (``j = 1 .. 31``);
+* shared-operand Beaver *bit* triplets ``(u, v_g, v_p, u AND v_g,
+  u AND v_p)`` for the borrow tree below (plain ``(u, v_g, u AND v_g)``
+  where a combine needs only one AND);
 * a random bit ``b`` shared both XOR- and arithmetically (for B2A).
 
 Online:
 
 1. the servers open ``m = y + r`` (one round; ``m`` is uniform, so it
    leaks nothing);
-2. the sign bit of ``y = m - r (mod 2^64)`` is computed with a binary
-   ripple-borrow subtraction circuit evaluated GMW-style on the XOR
-   shares of ``r``'s bits.  Because ``m`` is *public*, the generate and
+2. the sign bit of ``y = m - r (mod 2^64)`` needs ``borrow_63``, the
+   borrow into bit 63.  Because ``m`` is *public*, the generate and
    propagate bits ``g_k = NOT m_k AND r_k`` and ``p_k = NOT (m_k XOR
-   r_k)`` are linear in the shares (local); only the recurrence
-   ``borrow_{k+1} = g_k XOR (p_k AND borrow_k)`` needs one secure AND
-   per bit position (62 vectorised AND rounds to reach bit 63);
+   r_k)`` are affine in the shares of ``r_k``.  **Leaves** (no
+   communication): leaf 0 is bit 0 alone (``G = g_0``; its ``P`` is
+   never needed, the borrow into bit 0 is 0); leaf ``j = 1 .. 31`` is
+   the bit pair ``(2j, 2j-1)``, ``G = g_hi XOR p_hi AND g_lo``, ``P =
+   p_hi AND p_lo``.  With ``h = NOT m_2j`` and ``l = NOT m_{2j-1}``
+   public, ``G = h r_2j XOR hl r_{2j-1} XOR l q_j`` and ``P = hl XOR h
+   r_{2j-1} XOR l r_2j XOR q_j``: linear in the dealt shares.
+   **Tree**: five AND levels (16, 8, 4, 2, 1 combines) reduce the 32
+   leaves to one ``G = borrow_63``.  Combine ``i`` of a level joins
+   nodes ``hi = 2i+1`` and ``lo = 2i`` of the level below into ``(G_hi
+   XOR P_hi AND G_lo, P_hi AND P_lo)``.  Both ANDs share ``P_hi``, so it
+   is opened once: the servers open ``d = P_hi XOR u``, ``e_g = G_lo XOR
+   v_g`` and ``e_p = P_lo XOR v_p`` — three planes for two ANDs.  The
+   lowest combine of each level (it holds bit 0) needs only ``G``: two
+   planes, ``d`` and ``e_g``.  That is ``3n - 1`` planes for a level of
+   ``n`` combines, 47 + 23 + 11 + 5 + 2 = 88 per direction in all;
 3. ``[y >= 0] = NOT sign = 1 XOR m_63 XOR r_63 XOR borrow_63`` on XOR
    shares;
 4. B2A: open ``t = s XOR b`` (public bit), then the arithmetic share is
    ``t + (1 - 2t) * [b]_arith`` — local given the precomputed ``b``.
+
+Seven rounds in all (the opening, five levels, B2A).  The dealer deals
+145 triplet planes (``5n - 2`` a level) and 31 pair-product planes.
 
 Representation
 --------------
@@ -44,20 +62,22 @@ Binary shares are *bit planes* packed 64 elements to a ``uint64`` word:
 plane ``k`` holds bit ``k`` of every element, element ``j`` in lane
 ``j % 64`` of word ``j // 64``.  One XOR or AND on a plane is one gate on
 64 elements, and the host holds the packed bits the cost model charges
-(:func:`comparison_offline_bytes`).  Lanes past the last element are
-dealer padding: never unpacked, never counted.  The 62 AND rounds cost
-62 small messages regardless of matrix size.
+(:func:`comparison_offline_bytes`).  A level's nodes are the rows of one
+``(2 servers, nodes, words)`` array, so each level is a handful of
+whole-array gates.  Lanes past the last element are dealer padding:
+never unpacked, never counted.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.fixedpoint.ring import RING_DTYPE, ring_add, ring_mul, ring_sub
-from repro.mpc.shares import SharePair, _uniform_ring, share_secret
+from repro.mpc.shares import SharePair, _uniform_ring
 from repro.util.errors import ProtocolError, ShapeError
 
 _BITS = 64
@@ -65,6 +85,35 @@ _LANES = 64  # elements per packed word
 # 8x8 bit-matrix transpose as three delta-swaps: each (shift, mask)
 # exchanges every masked bit with the bit ``shift`` places above it.
 _DELTA_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+_LEAVES = 32  # bit 0, then the pairs (2j, 2j - 1) for j = 1 .. 31
+_PAIRS = _LEAVES - 1  # dealt pair products q_j
+# Per tree level: (combines n, first row of its u / v_g / w_g planes,
+# first row of its v_p / w_p planes).  A level's lowest combine has no
+# v_p / w_p row, so the second offset falls one behind per level.
+_LEVELS = ((16, 0, 0), (8, 16, 15), (4, 24, 22), (2, 28, 25), (1, 30, 26))
+_G_ANDS = _LEAVES - 1  # one G AND per combine: 16 + 8 + 4 + 2 + 1
+_P_ANDS = _G_ANDS - len(_LEVELS)  # every combine but each level's lowest
+# The u row each v_p / w_p row shares its operand with.
+_P_ROWS = np.array([off + i for n, off, _ in _LEVELS for i in range(1, n)], dtype=np.intp)
+_TRIPLET_PLANES = 3 * _G_ANDS + 2 * _P_ANDS  # 145
+
+
+def _row_slices(*counts: int) -> tuple[slice, ...]:
+    """Consecutive row ranges of the given lengths."""
+    ends = list(itertools.accumulate(counts))
+    return tuple(slice(end - count, end) for count, end in zip(counts, ends))
+
+
+# A bundle's bit fields are row ranges of two (2, planes, words) arrays:
+# the masks u, v_g, v_p and the B2A bit (last row), both of whose shares
+# the dealer draws; and the dealt values r's bits, q, w_g, w_p, whose
+# server-1 share it derives from the value and server 0's.
+_MASK_ROWS = _row_slices(_G_ANDS, _G_ANDS, _P_ANDS)
+_MASK_PLANES = _MASK_ROWS[-1].stop + 1
+_DEALT_ROWS = _row_slices(_BITS, _PAIRS, _G_ANDS, _P_ANDS)
+_DEALT_PLANES = _DEALT_ROWS[-1].stop
+_OPENED_PLANES = 2 * _G_ANDS + _P_ANDS  # d, e_g, e_p: 88 per direction
+_ROUNDS = 1 + len(_LEVELS) + 1  # open m, the tree, B2A
 
 
 def _n_words(shape: tuple[int, ...]) -> int:
@@ -108,15 +157,14 @@ def _unpack_plane(plane: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def comparison_offline_bytes(n_elements: int) -> int:
     """Dealer-to-server bytes of one comparison bundle, per server.
 
-    Bits are charged packed.  63 triplet planes are charged although the
-    ripple consumes 62: ``sim_offline_s`` and the golden
-    ``compare:upload`` records pin this value.
+    Bits are charged packed, exactly the planes dealt: 64 of ``r``'s
+    bits, 31 pair products and 145 tree-triplet planes.
     """
     n = int(n_elements)
     return (
         n * 8  # r share
         + n * _BITS // 8  # bits of r
-        + 3 * (_BITS - 1) * n // 8  # bit triplets
+        + (_PAIRS + _TRIPLET_PLANES) * n // 8  # pair products + tree triplets
         + n // 8 + n * 8  # b2a bit (xor) + arith share
     )
 
@@ -127,21 +175,22 @@ class ComparisonBundle:
 
     Single-use, like a Beaver triplet.  ``offline_bytes`` reports the
     dealer-to-server traffic this bundle represents, which the framework
-    charges to the offline phase.
+    charges to the offline phase.  Every bit field stacks the two
+    servers' XOR shares on its first axis (``bundle.r_bits[1]`` is
+    server 1's) over ``(planes, words)``; triplet rows run level by
+    level, combine by combine (``_LEVELS`` gives each level's first row).
     """
 
     shape: tuple[int, ...]
     r_arith: SharePair
-    r_bits0: np.ndarray  # XOR shares of r's bit planes
-    r_bits1: np.ndarray
-    and_u0: np.ndarray  # bit-triplet planes
-    and_u1: np.ndarray
-    and_v0: np.ndarray
-    and_v1: np.ndarray
-    and_w0: np.ndarray
-    and_w1: np.ndarray
-    b2a_bit0: np.ndarray  # XOR shares of the B2A bit plane
-    b2a_bit1: np.ndarray
+    r_bits: np.ndarray  # r's 64 bit planes
+    pair: np.ndarray  # q_j = r_2j AND r_{2j-1}, j = 1 .. 31
+    and_u: np.ndarray  # mask of P_hi, one per combine (31 planes)
+    and_vg: np.ndarray  # mask of G_lo (31 planes)
+    and_wg: np.ndarray  # u AND v_g
+    and_vp: np.ndarray  # mask of P_lo, all but each level's lowest (26 planes)
+    and_wp: np.ndarray  # u AND v_p
+    b2a_bit: np.ndarray  # the B2A bit plane, (2, words)
     b2a_arith: SharePair  # arithmetic shares of the same bit
     consumed: bool = False
 
@@ -179,32 +228,43 @@ class ComparisonDealer:
         else:
             rng = self._rng
         shape = tuple(shape)
+        n = math.prod(shape)
         words = _n_words(shape)
-        r = _uniform_ring(shape, rng)
-        r_arith = share_secret(r, rng)
-        r_bits0 = _uniform_ring((_BITS, words), rng)
-        r_bits1 = _bit_planes(r) ^ r_bits0
-        # Bit triplets w = u AND v, every XOR share but w1 a uniform word.
-        u0, u1, v0, v1, w0 = _uniform_ring((5, _BITS - 1, words), rng)
-        w1 = ((u0 ^ u1) & (v0 ^ v1)) ^ w0
-        b0, b1 = _uniform_ring((2, words), rng)
-        b_arith = share_secret(_unpack_plane(b0 ^ b1, shape), rng)
+        # r, server 0's arithmetic shares of r and b, and both shares of
+        # every mask, then server 0's share of every dealt value.
+        ring = _uniform_ring(3 * n + 2 * _MASK_PLANES * words, rng)
+        r, r_share0, b_share0 = ring[: 3 * n].reshape(3, *shape)
+        masks = ring[3 * n :].reshape(2, _MASK_PLANES, words)
+        u, vg, vp = (masks[:, rows] for rows in _MASK_ROWS)
+        b2a_bit = masks[:, -1]
+        dealt = np.empty((2, _DEALT_PLANES, words), dtype=RING_DTYPE)
+        dealt[0] = _uniform_ring((_DEALT_PLANES, words), rng)
+        r_bits, pair, wg, wp = (dealt[:, rows] for rows in _DEALT_ROWS)
+        # Server 1's share of each dealt value: value XOR server 0's.
+        r_planes = _bit_planes(r)
+        np.bitwise_xor(r_planes, r_bits[0], out=r_bits[1])
+        np.bitwise_and(r_planes[2::2], r_planes[1:-1:2], out=pair[1])
+        pair[1] ^= pair[0]
+        u_open = u[0] ^ u[1]
+        for w, v, u_rows in ((wg, vg, u_open), (wp, vp, u_open[_P_ROWS])):
+            np.bitwise_xor(v[0], v[1], out=w[1])
+            w[1] &= u_rows
+            w[1] ^= w[0]
+        b = _unpack_plane(b2a_bit[0] ^ b2a_bit[1], shape)
 
         self.bundles_issued += 1
         return ComparisonBundle(
             shape=shape,
-            r_arith=r_arith,
-            r_bits0=r_bits0,
-            r_bits1=r_bits1,
-            and_u0=u0,
-            and_u1=u1,
-            and_v0=v0,
-            and_v1=v1,
-            and_w0=w0,
-            and_w1=w1,
-            b2a_bit0=b0,
-            b2a_bit1=b1,
-            b2a_arith=b_arith,
+            r_arith=SharePair(r_share0, ring_sub(r, r_share0)),
+            r_bits=r_bits,
+            pair=pair,
+            and_u=u,
+            and_vg=vg,
+            and_wg=wg,
+            and_vp=vp,
+            and_wp=wp,
+            b2a_bit=b2a_bit,
+            b2a_arith=SharePair(b_share0, ring_sub(b, b_share0)),
         )
 
 
@@ -223,13 +283,19 @@ def comparison_online_bytes(n_elements: int) -> int:
     """Wire bytes the dealer-assisted comparison moves for ``n`` elements.
 
     Mirrors the accounting of :func:`secure_ge_const` exactly: one ring
-    opening, 62 GMW AND rounds of packed bits, one B2A opening.
+    opening, the tree's 88 opened bit planes each way, one B2A opening.
     """
     n = int(n_elements)
     opening = 2 * n * 8
-    and_rounds = (_BITS - 2) * 2 * 2 * ((n + 7) // 8)
+    tree = 2 * _OPENED_PLANES * ((n + 7) // 8)
     b2a = 2 * ((n + 7) // 8)
-    return opening + and_rounds + b2a
+    return opening + tree + b2a
+
+
+def _open(shares: np.ndarray) -> np.ndarray:
+    """The value both servers learn from exchanging their XOR shares
+    (every bit plane the protocol opens goes through here)."""
+    return shares[0] ^ shares[1]
 
 
 def secure_ge_const(
@@ -261,66 +327,62 @@ def secure_ge_const(
     m0 = ring_add(y0, bundle.r_arith[0])
     m1 = ring_add(y1, bundle.r_arith[1])
     m = ring_add(m0, m1)
-    rounds = 1
-    online_bytes = 2 * m.size * 8
 
-    # Public bit planes of m, and the linear (local) generate/propagate
-    # shares for m - r:
-    #   g_k = NOT m_k AND r_k     -> AND r_k's shares with the public plane
-    #   p_k = NOT (m_k XOR r_k)   -> XOR the public plane into one share
+    # Leaves, local on the shares: G/P rows are the tree's nodes, row 0
+    # bit 0 (its P row is never read), row j the pair (2j, 2j - 1);
+    # axis 0 is the server.  Gates write into preallocated level
+    # buffers and one scratch array.
     not_m = ~_bit_planes(m)
-    g0 = not_m & bundle.r_bits0
-    g1 = not_m & bundle.r_bits1
-    p0 = not_m ^ bundle.r_bits0
-    p1 = bundle.r_bits1
+    not_hi, not_lo = not_m[2::2], not_m[1:-1:2]  # the docstring's h and l
+    hl = not_hi & not_lo
+    r_bits, q = bundle.r_bits, bundle.pair
+    r_hi, r_lo = r_bits[:, 2::2], r_bits[:, 1:-1:2]
+    G = np.empty((2, _LEAVES, not_m.shape[1]), dtype=RING_DTYPE)
+    P = np.empty_like(G)
+    tmp = np.empty_like(G[:, 1:])
+    np.bitwise_and(not_m[0], r_bits[:, 0], out=G[:, 0])
+    g, p = G[:, 1:], P[:, 1:]
+    np.bitwise_and(not_hi, r_hi, out=g)
+    g ^= np.bitwise_and(hl, r_lo, out=tmp)
+    g ^= np.bitwise_and(not_lo, q, out=tmp)
+    np.bitwise_and(not_hi, r_lo, out=p)
+    p ^= np.bitwise_and(not_lo, r_hi, out=tmp)
+    p ^= q
+    P[0, 1:] ^= hl
 
-    # Ripple: borrow_{k+1} = g_k XOR (p_k AND borrow_k); borrow_1 = g_0.
-    # We need borrow into bit 63, i.e. iterations k = 1 .. 62, each one
-    # Beaver-triplet AND on a whole plane, in place on preallocated
-    # word buffers.
-    b0 = g0[0].copy()
-    b1 = g1[0].copy()
-    d, e, t0, t1, tmp = np.empty((5, b0.size), dtype=RING_DTYPE)
-    packed = (m.size + 7) // 8  # wire bytes of one plane; padding lanes not sent
-    triplets = (
-        bundle.and_u0, bundle.and_u1, bundle.and_v0, bundle.and_v1, bundle.and_w0, bundle.and_w1
-    )
-    for k_idx, u0k, u1k, v0k, v1k, w0k, w1k in zip(range(1, _BITS - 1), *triplets):
-        # opened d = p XOR u, e = borrow XOR v
-        np.bitwise_xor(p0[k_idx], u0k, out=d)
-        np.bitwise_xor(d, p1[k_idx], out=d)
-        np.bitwise_xor(d, u1k, out=d)
-        np.bitwise_xor(b0, v0k, out=e)
-        np.bitwise_xor(e, b1, out=e)
-        np.bitwise_xor(e, v1k, out=e)
-        # z0 = w0 ^ (d & v0) ^ (e & u0)
-        np.bitwise_and(d, v0k, out=t0)
-        np.bitwise_xor(t0, w0k, out=t0)
-        np.bitwise_and(e, u0k, out=tmp)
-        np.bitwise_xor(t0, tmp, out=t0)
-        # z1 = w1 ^ (d & v1) ^ (e & u1) ^ (d & e)
-        np.bitwise_and(d, v1k, out=t1)
-        np.bitwise_xor(t1, w1k, out=t1)
-        np.bitwise_and(e, u1k, out=tmp)
-        np.bitwise_xor(t1, tmp, out=t1)
-        np.bitwise_and(d, e, out=tmp)
-        np.bitwise_xor(t1, tmp, out=t1)
-        # borrow update: b = g_k XOR z
-        np.bitwise_xor(g0[k_idx], t0, out=b0)
-        np.bitwise_xor(g1[k_idx], t1, out=b1)
-        rounds += 1
-        online_bytes += 2 * 2 * packed  # d,e each way
+    # Five AND levels, one round each: combine i joins nodes 2i + 1 (hi)
+    # and 2i (lo).  d = P_hi ^ u serves both ANDs of the combine.
+    for n, off, poff in _LEVELS:
+        u, vg, wg = (t[:, off : off + n] for t in (bundle.and_u, bundle.and_vg, bundle.and_wg))
+        vp, wp = (t[:, poff : poff + n - 1] for t in (bundle.and_vp, bundle.and_wp))
+        t_g, t_p = tmp[:, :n], tmp[:, : n - 1]
+        d = _open(np.bitwise_xor(P[:, 1 : 2 * n : 2], u, out=t_g))
+        e_g = _open(np.bitwise_xor(G[:, 0 : 2 * n : 2], vg, out=t_g))
+        e_p = _open(np.bitwise_xor(P[:, 2 : 2 * n : 2], vp, out=t_p))
+        # z_i = w_i ^ (d & v_i) ^ (e & u_i), and server 1 adds d & e;
+        # the new level overwrites the first rows of the buffers.
+        g = np.bitwise_xor(G[:, 1 : 2 * n : 2], wg, out=G[:, :n])
+        g ^= np.bitwise_and(d, vg, out=t_g)
+        g ^= np.bitwise_and(e_g, u, out=t_g)
+        g[1] ^= d & e_g
+        p = np.bitwise_and(d[1:], vp, out=P[:, 1:n])
+        p ^= wp
+        p ^= np.bitwise_and(e_p, u[:, 1:], out=t_p)
+        p[1] ^= d[1:] & e_p
 
     # Indicator [y >= 0] = NOT sign = NOT (m_63 XOR r_63 XOR borrow_63)
     #                    = p_63 XOR borrow_63, local on the shares.
-    s0 = p0[_BITS - 1] ^ b0
-    s1 = p1[_BITS - 1] ^ b1
+    s = r_bits[:, _BITS - 1] ^ G[:, 0]
+    s[0] ^= not_m[_BITS - 1]
 
     # B2A: open t = s XOR b, then share = t + (1 - 2t) * [b]_arith.
-    t = _unpack_plane((s0 ^ bundle.b2a_bit0) ^ (s1 ^ bundle.b2a_bit1), bundle.shape)
-    rounds += 1
-    online_bytes += 2 * packed
+    t = _unpack_plane(_open(s ^ bundle.b2a_bit), bundle.shape)
     sign_factor = ring_sub(np.uint64(1), ring_mul(np.uint64(2), t))
     out0 = ring_add(t, ring_mul(sign_factor, bundle.b2a_arith[0]))
     out1 = ring_mul(sign_factor, bundle.b2a_arith[1])
-    return ComparisonResult(share0=out0, share1=out1, online_bytes=online_bytes, rounds=rounds)
+    return ComparisonResult(
+        share0=out0,
+        share1=out1,
+        online_bytes=comparison_online_bytes(m.size),
+        rounds=_ROUNDS,
+    )

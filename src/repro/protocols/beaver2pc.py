@@ -354,7 +354,8 @@ class Beaver2PCBackend(ProtocolBackend):
         res = secure_ge_const(x.shares[0], x.shares[1], c_enc, bundle)
 
         # Online cost: ~70 vectorised bit-ops per element on each server CPU,
-        # plus the round traffic (one 8-byte opening + 62 bit rounds + B2A).
+        # plus the round traffic (one 8-byte opening, the borrow tree's five
+        # bit rounds, B2A).
         n = int(np.prod(x.shape))
         start = _chain(ctx, _deps(*x.tasks))
         cpu_tasks = [
@@ -377,7 +378,7 @@ class Beaver2PCBackend(ProtocolBackend):
                 deps=(cpu_tasks[src],), label=f"{label}:rounds",
             )
             # Size-only transcript record: the per-round content of the
-            # GMW bit rounds is not materialized here.
+            # bit rounds is not materialized here.
             ctx.record_wire(
                 f"server{src}", f"server{1 - src}", f"{label}:rounds", nbytes=sizes.nbytes
             )

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.context import SecureContext
 from repro.fixedpoint.ring import RING_DTYPE, ring_add, ring_matmul, ring_sub
-from repro.mpc.comparison import _BITS, ComparisonResult, comparison_online_bytes
+from repro.mpc.comparison import _ROUNDS, ComparisonResult, comparison_online_bytes
 from repro.mpc.shares import share_secret
 from repro.mpc.triplets import TripletShare
 from repro.serve.replica import Replica
@@ -150,7 +150,7 @@ def emulated_ge_const(
         share0=pair.share0,
         share1=pair.share1,
         online_bytes=comparison_online_bytes(indicator.size),
-        rounds=_BITS,
+        rounds=_ROUNDS,
     )
 
 

@@ -81,7 +81,16 @@ class TestDealerComparison:
         values = np.linspace(-1, 1, 10)
         _, res = compare_via_protocol(values, 0.0)
         assert res.online_bytes == comparison_online_bytes(10)
-        assert res.rounds == 64
+        assert res.rounds == 7
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 64, 65, 73_728])
+    def test_byte_formulas(self, n):
+        """One ring opening, 88 tree planes and one B2A plane each way
+        online; per server, r's share and 64 bits, 31 pair products, 145
+        tree-triplet planes and the B2A bit in both forms offline."""
+        planes = (n + 7) // 8
+        assert comparison_online_bytes(n) == 2 * 8 * n + 2 * 88 * planes + 2 * planes
+        assert comparison_offline_bytes(n) == 8 * n + 64 * n // 8 + 176 * n // 8 + n // 8 + 8 * n
 
 
 class TestEmulatedParity:
@@ -140,9 +149,10 @@ class TestOfflineMaterial:
         for party in (0, 1):
             held = [bundle.r_arith[party], bundle.b2a_arith[party]]
             held += [
-                getattr(bundle, f"{name}{party}")
-                for name in ("r_bits", "and_u", "and_v", "and_w", "b2a_bit")
+                getattr(bundle, name)[party]
+                for name in ("r_bits", "pair", "and_u", "and_vg", "and_wg", "and_vp", "and_wp")
             ]
+            held.append(bundle.b2a_bit[party])
             assert sum(a.nbytes for a in held) == charged
         assert bundle.offline_bytes == 2 * charged
 
@@ -154,7 +164,8 @@ class TestOfflineMaterial:
 
 
 class TestInPlaceRippleLoop:
-    """The scratch-buffer GMW ripple must not touch its inputs."""
+    """The borrow tree's in-place level buffers (the ripple's scratch
+    loop before them) must not touch its inputs."""
 
     def test_inputs_unmodified(self, rng=None):
         rng = np.random.default_rng(11)
@@ -168,8 +179,8 @@ class TestInPlaceRippleLoop:
         assert np.array_equal(pair.share1, s1)
 
     def test_repeat_run_identical(self):
-        # would diverge if the in-place loop corrupted the bundle's
-        # triple planes through a view instead of private scratch
+        # would diverge if the in-place levels corrupted the bundle's
+        # triplet planes through a view instead of private scratch
         a, _ = compare_via_protocol([-1.5, 0.0, 2.25], 0.5, seed=3)
         b, _ = compare_via_protocol([-1.5, 0.0, 2.25], 0.5, seed=3)
         assert np.array_equal(a, b)
@@ -181,20 +192,21 @@ def _unpack_planes(planes, n):
     return np.unpackbits(planes.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
-def _byte_per_bit_ge_const(x0, x1, c_encoded, bundle):
-    """Frozen oracle: the uint8 one-byte-per-bit GMW ripple that
-    ``secure_ge_const`` ran before bit planes were packed 64 to a word,
-    fed the unpacked planes of a packed bundle.  Do not optimise."""
+def _byte_per_bit_ge_const(x0, x1, c_encoded, bundle, and_rng):
+    """Frozen oracle: the uint8 one-byte-per-bit GMW ripple (62 AND
+    rounds) that ``secure_ge_const`` ran before the borrow tree, fed the
+    unpacked ``r`` bits and B2A material of a packed bundle and its own
+    Beaver bit triplets from ``and_rng``.  Both circuits compute the same
+    indicator and B2A opens ``indicator XOR b``, so the output shares
+    are bit-equal.  Do not optimise."""
     n = int(np.prod(bundle.shape))
     one = np.uint64(1)
-    r_bits0 = _unpack_planes(bundle.r_bits0, n).T  # (n, 64)
-    r_bits1 = _unpack_planes(bundle.r_bits1, n).T
-    and_u0, and_u1, and_v0, and_v1, and_w0, and_w1 = (
-        _unpack_planes(getattr(bundle, name), n)  # (63, n)
-        for name in ("and_u0", "and_u1", "and_v0", "and_v1", "and_w0", "and_w1")
-    )
-    b2a_bit0 = _unpack_planes(bundle.b2a_bit0, n)[0]
-    b2a_bit1 = _unpack_planes(bundle.b2a_bit1, n)[0]
+    r_bits0 = _unpack_planes(bundle.r_bits[0], n).T  # (n, 64)
+    r_bits1 = _unpack_planes(bundle.r_bits[1], n).T
+    and_u0, and_u1, and_v0, and_v1, and_w0 = and_rng.integers(0, 2, size=(5, 62, n), dtype=np.uint8)
+    and_w1 = ((and_u0 ^ and_u1) & (and_v0 ^ and_v1)) ^ and_w0
+    b2a_bit0 = _unpack_planes(bundle.b2a_bit[0], n)[0]
+    b2a_bit1 = _unpack_planes(bundle.b2a_bit[1], n)[0]
 
     c = np.uint64(int(c_encoded) % 2**64)
     with np.errstate(over="ignore"):
@@ -227,12 +239,13 @@ def _byte_per_bit_ge_const(x0, x1, c_encoded, bundle):
 
 
 _ENC_HALF = int(FixedPointEncoder(13).encode(np.float64(0.5)))
-_EDGES = [0, -1, 2**61, -(2**61), 2**62 - 1, -(2**62 - 1)]
+_Y_MAX = 2**62 - 1  # the contract: |y| < 2^62
+_EDGES = [0, -1, 2**61, -(2**61), _Y_MAX, -_Y_MAX]
 
 
 class TestPackedPlanesAgainstOracle:
-    """The word-packed ripple equals the frozen byte-per-bit one, the
-    emulation and plain two's-complement comparison."""
+    """The word-packed borrow tree equals the frozen byte-per-bit ripple,
+    the emulation and plain two's-complement comparison."""
 
     @pytest.mark.parametrize("c_encoded", [0, _ENC_HALF, -_ENC_HALF % 2**64])
     @pytest.mark.parametrize(
@@ -247,7 +260,9 @@ class TestPackedPlanesAgainstOracle:
         flat[: edges.size] = edges
         pair = share_secret(x, rng)
         bundle = ComparisonDealer(rng).bundle(shape)
-        want0, want1 = _byte_per_bit_ge_const(pair.share0, pair.share1, c_encoded, bundle)
+        want0, want1 = _byte_per_bit_ge_const(
+            pair.share0, pair.share1, c_encoded, bundle, np.random.default_rng(8)
+        )
         got = secure_ge_const(pair.share0, pair.share1, c_encoded, bundle)
         assert got.share0.shape == got.share1.shape == shape
         assert np.array_equal(got.share0, want0)
@@ -259,7 +274,34 @@ class TestPackedPlanesAgainstOracle:
             y = (pair.share0 + pair.share1) - np.uint64(c_encoded)
         assert np.array_equal(indicator, (y.view(np.int64) >= 0).astype(np.uint64))
         assert got.online_bytes == emu.online_bytes == comparison_online_bytes(x.size)
-        assert got.rounds == emu.rounds == 64
+        assert got.rounds == emu.rounds == 7
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0, 1, -1, _Y_MAX, -_Y_MAX]),
+                st.integers(-_Y_MAX, _Y_MAX),
+            ),
+            min_size=1,
+            max_size=70,
+        ),
+        st.one_of(
+            st.sampled_from([0, 1, -1, _ENC_HALF, -_ENC_HALF]),
+            st.integers(-(2**63), 2**63 - 1),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_indicator_is_twos_complement_ge(self, ys, c, seed):
+        """For every |y| < 2^62 and any public c, of either sign, the
+        opened indicator of x = y + c against c is [y >= 0]."""
+        rng = np.random.default_rng(seed)
+        y = np.array(ys, dtype=np.int64)
+        x = y.view(np.uint64) + np.uint64(c % 2**64)
+        pair = share_secret(x, rng)
+        bundle = ComparisonDealer(rng).bundle(x.shape)
+        got = secure_ge_const(pair.share0, pair.share1, c % 2**64, bundle)
+        assert np.array_equal(reconstruct(got.share0, got.share1), (y >= 0).astype(np.uint64))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 300), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))

@@ -366,9 +366,13 @@ class TestUntouchedPaths:
     """Digests over every record's identity fields (bytes, content hash,
     clock).  Bytes and hashes are those of the commit before masks
     belonged to values; the clock times were re-pinned, each earlier or
-    equal, when the clock began backfilling idle gaps."""
+    equal, when the clock began backfilling idle gaps.  The rep3 digest
+    was re-pinned once more when comparison became a borrow tree: its
+    ``:rounds`` and ``compare:upload`` bytes shrank, every clock time
+    moved earlier or stayed, and the indicator's B2A shares (hence the
+    payload hashes downstream of a comparison) are drawn anew."""
 
     def test_rep3_has_no_masks_and_does_not_move(self):
         assert _transcript_digest(
             model="MLP", axis="baseline", train=True, backend="rep3"
-        ) == (119, "b01c445bbebc6e60bbafdfe3f4fdbd3e")
+        ) == (119, "1f6a34a96e2aee8ebc955520e759861b")

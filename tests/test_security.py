@@ -14,8 +14,10 @@ from repro.core import ops
 from repro.core.tensor import SharedTensor
 from repro.fixedpoint.encoding import FixedPointEncoder
 from repro.fixedpoint.ring import ring_add
+from repro.mpc import comparison
 from repro.mpc.comparison import (
     ComparisonDealer,
+    _bit_planes,
     comparison_offline_bytes,
     comparison_online_bytes,
     secure_ge_const,
@@ -75,34 +77,55 @@ class TestMaskedOpenings:
         e0 = (x.shares[0] - trip.u[0]).astype(np.uint64)
         assert chi2_uniform_bytes(e0) < CHI2_CEILING
 
-    def test_gmw_round_messages_are_balanced(self):
-        """The d/e openings inside the comparison are uniformly random
-        bits (masked by the Beaver bit triplets), even when the wires
-        they open are not."""
-        n = 4096
-        bundle = ComparisonDealer(np.random.default_rng(0)).bundle((n,))
-        # All-zero x against c = 0: y = 0, so the public m equals r.
-        m = ring_add(bundle.r_arith[0], bundle.r_arith[1])
+    def test_gmw_round_messages_are_balanced(self, monkeypatch):
+        """Each level of the borrow tree opens d = P_hi ^ u, e_g = G_lo ^
+        v_g and e_p = P_lo ^ v_p, and B2A opens s ^ b.  Every such plane
+        is uniformly random bits (masked by the shared-operand bit
+        triplets and b), even when the wires it opens are constant: with
+        x = 0 against c = 0 the public m equals r, so every leaf P is all
+        ones and every leaf G zero."""
+        for structured in (False, True):
+            self._check_opened_planes(structured, monkeypatch)
+
+    def _check_opened_planes(self, structured, monkeypatch):
+        n = 64 * 1024
+        rng = np.random.default_rng(0)
+        if structured:
+            x = np.zeros(n, dtype=np.uint64)
+        else:
+            x = FixedPointEncoder(13).encode(rng.normal(size=n))
+        pair = share_secret(x, rng)
+        bundle = ComparisonDealer(np.random.default_rng(1)).bundle((n,))
+        r_ring = ring_add(bundle.r_arith[0], bundle.r_arith[1])
+        m = ring_add(ring_add(pair.share0, pair.share1), r_ring)
         assert chi2_uniform_bytes(m) < CHI2_CEILING
+        if structured:
+            assert np.array_equal(m, r_ring)
+            r = bundle.r_bits[0] ^ bundle.r_bits[1]
+            p = ~(_bit_planes(m) ^ r)  # propagate: constant ones
+            g = ~_bit_planes(m) & r  # generate: constant zeros
+            assert (p == ~np.uint64(0)).all() and not g.any()
+        opened = []
+        real_open = comparison._open
 
-        def plane(k):  # bit k of every element of m, 64 elements a word
-            bits = ((m >> np.uint64(k)) & np.uint64(1)).astype(np.uint8)
-            return np.packbits(bits, bitorder="little").view(np.uint64)
+        def recording_open(shares):
+            opened.append(real_open(shares))
+            return opened[-1]
 
-        def ones(words):
-            return int(np.unpackbits(words.view(np.uint8)).sum())
-
-        r_planes = bundle.r_bits0 ^ bundle.r_bits1
-        # Round 1 ANDs p_1 = NOT (m_1 XOR r_1) with borrow_1 = NOT m_0 AND r_0.
-        p = ~(plane(1) ^ r_planes[1])
-        borrow = ~plane(0) & r_planes[0]
-        assert ones(p) == n  # m == r: the propagate wire is constant ...
-        assert ones(borrow) == 0  # ... and so is the borrow wire
-        d = p ^ bundle.and_u0[0] ^ bundle.and_u1[0]
-        e = borrow ^ bundle.and_v0[0] ^ bundle.and_v1[0]
-        # Binomial(n, 1/2): sd = sqrt(n)/2 = 32; allow 5 sd.
-        assert abs(ones(d) - n // 2) < 160
-        assert abs(ones(e) - n // 2) < 160
+        with monkeypatch.context() as patch:
+            patch.setattr(comparison, "_open", recording_open)
+            secure_ge_const(pair.share0, pair.share1, 0, bundle)
+        # d, e_g, e_p of 16, 8, 4, 2, 1 combines (each level's lowest
+        # opens no e_p), then the B2A plane
+        assert [len(part) for part in opened[:-1]] == [
+            16, 16, 15, 8, 8, 7, 4, 4, 3, 2, 2, 1, 1, 1, 0
+        ]
+        assert opened[-1].shape == (n // 64,)
+        planes = [plane for part in opened[:-1] for plane in part] + [opened[-1]]
+        assert len(planes) == 88 + 1
+        for plane in planes:
+            assert plane.shape == (n // 64,)
+            assert chi2_uniform_bytes(plane) < CHI2_CEILING
 
     def test_padding_lanes_stay_out_of_outputs_and_accounting(self, rng, encoder):
         """65 elements occupy two words; the 63 padding lanes of the
@@ -110,7 +133,7 @@ class TestMaskedOpenings:
         x = encoder.encode(rng.normal(size=(65,)))
         pair = share_secret(x, rng)
         bundle = ComparisonDealer(np.random.default_rng(0)).bundle(x.shape)
-        assert bundle.and_u0.shape == (63, 2)
+        assert bundle.and_u.shape == (2, 31, 2)
         res = secure_ge_const(pair.share0, pair.share1, 0, bundle)
         assert res.share0.shape == res.share1.shape == (65,)
         assert res.online_bytes == comparison_online_bytes(65)
