@@ -213,7 +213,7 @@ def _fused_gemm_estimate(spec, batch, m, k, n) -> float:
     GEMM, one upload of both fused operands and one download, whatever
     the device table held."""
     return (
-        spec.batched_gemm_seconds(batch, m, 2 * k, n)
+        spec.gemm_seconds(m, 2 * k, n, batch=batch)
         + spec.transfer_seconds(8 * batch * 2 * k * (m + n))
         + spec.transfer_seconds(8 * batch * m * n)
     )
@@ -263,8 +263,7 @@ def test_plan_price_predicts_what_a_warm_step_pays(monkeypatch):
     checked, misses, queued = {}, {}, set()
     for workload in sorted(TRAIN_GEOMETRY):
         ctx, trainer, x, y = _dealt_trainer(workload, trace=True)
-        for name in ("place_gemm", "place_gemm_batched"):
-            monkeypatch.setattr(ctx.profiler, name, asking(getattr(ctx.profiler, name)))
+        monkeypatch.setattr(ctx.profiler, "place_gemm", asking(ctx.profiler.place_gemm))
         monkeypatch.setattr(beaver2pc, "schedule_secure_gemm", timed)
         monkeypatch.setattr(beaver2pc.Beaver2PCBackend, "matmul", labelled)
         products.clear()

@@ -27,7 +27,7 @@ def tour_adaptive_placement() -> None:
     ctx = repro.api.session()
     print(f"{'GEMM (m, k, n)':>24} | {'CPU est.':>10} | {'GPU est.':>10} | placement")
     for m, k, n in [(16, 16, 16), (128, 256, 64), (128, 4096, 128), (2048, 8192, 2048)]:
-        d = ctx.profiler.place_gemm(m, k, n)
+        d = ctx.profiler.place_gemm(1, m, k, n)
         print(f"{str((m, k, n)):>24} | {d.cpu_estimate_s:10.2e} | "
               f"{d.gpu_estimate_s:10.2e} | {d.placement}")
     print("small operations stay on the CPU (PCIe would eat the gain); large go to the GPU\n")

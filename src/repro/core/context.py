@@ -62,7 +62,7 @@ from repro.telemetry import Telemetry
 from repro.telemetry.registry import BoundCounter, Counter, SeriesCache
 from repro.util.errors import ProtocolError, ShapeError
 from repro.util.seeding import SeedSequenceFactory
-from repro.util.validation import matmul_shapes_compatible
+from repro.util.validation import gemm_dims, matmul_shapes_compatible
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,6 @@ class SecureContext:
                 self.online_clock,
                 cfg.gpu_spec,
                 f"s{i}gpu",
-                n_streams=cfg.n_streams,
                 tensor_core=cfg.tensor_core,
                 telemetry=self.telemetry,
             )
@@ -288,13 +287,11 @@ class SecureContext:
         self.server_channel = self.server_links[(0, 1)]
         self.compressors = {
             (0, 1): DeltaCompressor(
-                cfg.compression_threshold,
                 enabled=cfg.compression,
                 telemetry=self.telemetry,
                 direction="s0->s1",
             ),
             (1, 0): DeltaCompressor(
-                cfg.compression_threshold,
                 enabled=cfg.compression,
                 telemetry=self.telemetry,
                 direction="s1->s0",
@@ -308,6 +305,7 @@ class SecureContext:
             mode=cfg.placement_mode if cfg.use_gpu else "cpu_always",
             tensor_core=cfg.tensor_core,
             cpu_parallel=cfg.cpu_parallel,
+            client_parallel=cfg.client_parallel,
         )
         self.comparison_dealer = ComparisonDealer(
             self.seeds.generator("comparison-dealer"),
@@ -515,15 +513,14 @@ class SecureContext:
                 )
 
     def _client_matmul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Z = U x V on the client, GPU-accelerated when profitable.
+        """Z = U x V on the client (two matrices or two equal-depth
+        stacks), GPU-accelerated when profitable.
 
         The paper's offline acceleration: this one product is >90% of
         the offline compute, so it goes to the client GPU; everything
         else stays on the CPU (Section 4.2).
         """
-        m, k = u.shape
-        n = v.shape[1]
-        decision = self.profiler.place_gemm(m, k, n)
+        decision = self.profiler.place_gemm(*gemm_dims(u.shape, v.shape))
         if decision.placement == "gpu" and self.client_gpu is not None:
             gpu = self.client_gpu
             u_buf, t_u = gpu.h2d(u, label="offline:h2d:U")
@@ -652,12 +649,7 @@ class SecureContext:
             )
         self._require_dealer("gen_matrix_triplet")
         shapes = (tuple(shape_a), tuple(shape_b))
-        u, v, z, masks = self._deal(
-            "triplet", label, shapes, operands,
-            lambda u, v: (
-                self._client_matmul(u, v) if u.ndim == 2 else self._client_matmul_batched(u, v)
-            ),
-        )
+        u, v, z, masks = self._deal("triplet", label, shapes, operands, self._client_matmul)
         self._triplet_series["matrix", shapes].generated.inc(1)
         return MatrixTriplet(u=u, v=v, z=z, shape_a=shapes[0], shape_b=shapes[1], masks=masks)
 
@@ -674,30 +666,6 @@ class SecureContext:
         u, v, z, masks = self._deal("etriplet", label, (shape, shape), operands, product)
         self._triplet_series["elementwise", shape].generated.inc(1)
         return ElementwiseTriplet(u=u, v=v, z=z, shape=shape, masks=masks)
-
-    def _client_matmul_batched(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Fused ``Z = U x V`` over a (B,m,k) x (B,k,n) stacked triplet.
-
-        One strided-batched launch on the client GPU (one PCIe round
-        trip for the whole stack) when profitable; otherwise B
-        sequential products on the client CPU.
-        """
-        count, m, k = u.shape
-        n = v.shape[2]
-        decision = self.profiler.place_gemm_batched(count, m, k, n)
-        if decision.placement == "gpu" and self.client_gpu is not None:
-            gpu = self.client_gpu
-            u_buf, t_u = gpu.h2d(u, label="offline:h2d:U")
-            v_buf, t_v = gpu.h2d(v, label="offline:h2d:V")
-            z_buf, t_z = gpu.gemm_ring_batched(
-                u_buf, v_buf, deps=(t_u, t_v), label="offline:U@V"
-            )
-            z, _ = gpu.d2h(z_buf, deps=(t_z,), label="offline:d2h:Z")
-            for b in (u_buf, v_buf, z_buf):
-                gpu.free(b)
-            return z
-        z, _ = self.client_cpu.gemm_ring_batched(u, v, label="offline:U@V")
-        return z
 
     def begin_batch(self) -> None:
         """Advance the online step: the per-batch consumption guard, and

@@ -120,13 +120,11 @@ def secure_matmul(
             f"[{_backend_name(ctx)}:{label}] secure_matmul shapes incompatible: "
             f"{x.shape} x {y.shape}"
         )
-    m, k = x.shape[-2:]
-    n = y.shape[-1]
     both_fixed = x.kind == "fixed" and y.kind == "fixed"
 
     with _op_scope(ctx, "matmul", label):
         return ctx.backend.matmul(
-            ctx, x, y, m, k, n, both_fixed, label=label, truncate_result=truncate_result
+            ctx, x, y, both_fixed, label=label, truncate_result=truncate_result
         )
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.validation import check_matmul_compatible, check_stacked_matmul_compatible
+from repro.util.validation import check_matmul_compatible
 
 RING_DTYPE = np.uint64
 LIMB_BITS = 22
@@ -117,12 +117,18 @@ def _limb_planes(x: np.ndarray) -> np.ndarray:
     return planes
 
 
-def _ring_matmul_limbs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact ``a @ b`` in Z_{2^64} over the last two axes (2-D or stacked).
+def ring_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product a @ b in Z_{2^64} (exact, BLAS-backed).
 
-    The first product becomes the accumulator; an empty inner dimension
-    has no first product and yields zeros.
+    ``a`` and ``b`` are two matrices or two equal-depth stacks
+    ``(B,m,k) x (B,k,n)``; each limb product of a stack is one batched
+    ``np.matmul``.  Uses the 3-limb decomposition described in the
+    module docstring: six float64 dgemms per 512 columns of inner
+    dimension.  The first product becomes the accumulator; an empty
+    inner dimension has no first product and yields zeros.
     """
+    a, b = _as_ring(a), _as_ring(b)
+    check_matmul_compatible(a, b)
     a_planes, b_planes = _limb_planes(a), _limb_planes(b)
     result = None
     for start in range(0, a.shape[-1], CHUNK_K):
@@ -139,26 +145,3 @@ def _ring_matmul_limbs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if result is None:
         return np.zeros((*a.shape[:-1], b.shape[-1]), dtype=RING_DTYPE)
     return result
-
-
-def ring_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b in Z_{2^64} (exact, BLAS-backed).
-
-    Uses the 3-limb decomposition described in the module docstring: six
-    float64 dgemms per 512 columns of inner dimension.
-    """
-    a, b = _as_ring(a), _as_ring(b)
-    check_matmul_compatible(a, b)
-    return _ring_matmul_limbs(a, b)
-
-
-def ring_matmul_batched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked matrix product ``a[i] @ b[i]`` in Z_{2^64} for all i.
-
-    ``a`` is (B, m, k) and ``b`` is (B, k, n); returns (B, m, n).  Same
-    kernel as :func:`ring_matmul`, with each limb product one batched
-    ``np.matmul`` over the whole stack instead of B separate calls.
-    """
-    a, b = _as_ring(a), _as_ring(b)
-    check_stacked_matmul_compatible(a, b)
-    return _ring_matmul_limbs(a, b)

@@ -27,7 +27,8 @@ cheaper device:
   download against the CPU GEMM.
 * ``beaver2pc.mul`` / ``rep3.mul`` — a Hadamard product: four uploads,
   one kernel and one download against the kernel on the CPU.
-* ``rng`` — cuRAND generation and download against MT19937.
+* ``rng`` — the client's cuRAND generation and download against its
+  MT19937, at the client's parallel flag.
 
 A decision is memoised per (plan, shape, resident slots) — the adaptive
 part — so a cold and a warm call of one product are separate decisions.
@@ -117,12 +118,14 @@ class StepProfiler:
         mode: Literal["adaptive", "cpu_always", "gpu_always"] = "adaptive",
         tensor_core: bool = False,
         cpu_parallel: bool = True,
+        client_parallel: bool = True,
     ):
         self.cpu_spec = cpu_spec
         self.gpu_spec = gpu_spec
         self.mode = mode
         self.tensor_core = tensor_core
         self.cpu_parallel = cpu_parallel
+        self.client_parallel = client_parallel
         self.decisions: dict[tuple, PlacementDecision] = {}
 
     # -- the cost function ------------------------------------------------------
@@ -136,12 +139,13 @@ class StepProfiler:
         if op == "gemm":
             batch, m, k, n = size
             if device == "cpu":
-                return batch * cpu.gemm_seconds(m, k, n)
-            return gpu.batched_gemm_seconds(batch, m, k, n, tensor_core=self.tensor_core)
+                return cpu.gemm_seconds(m, k, n, batch=batch)
+            return gpu.gemm_seconds(m, k, n, batch=batch, tensor_core=self.tensor_core)
         (nbytes,) = size
         if device == "cpu":
-            cost = cpu.rng_seconds if op == "rng" else cpu.elementwise_seconds
-            return cost(nbytes, parallel=self.cpu_parallel)
+            if op == "rng":  # only the client draws through the profiler
+                return cpu.rng_seconds(nbytes, parallel=self.client_parallel)
+            return cpu.elementwise_seconds(nbytes, parallel=self.cpu_parallel)
         if op == "elementwise":
             return gpu.elementwise_seconds(nbytes)
         if op == "rng":
@@ -168,12 +172,6 @@ class StepProfiler:
         return decision
 
     def place_gemm(
-        self, m: int, k: int, n: int, *, plan: str = "dealer", resident: tuple[str, ...] = ()
-    ) -> PlacementDecision:
-        """Placement for the ``(m,k) x (k,n)`` product run as ``plan``."""
-        return self._decide(plan, (1, m, k, n), resident)
-
-    def place_gemm_batched(
         self,
         batch: int,
         m: int,
@@ -183,13 +181,8 @@ class StepProfiler:
         plan: str = "dealer",
         resident: tuple[str, ...] = (),
     ) -> PlacementDecision:
-        """Placement for a stack of ``batch`` (m,k)x(k,n) products.
-
-        The CPU runs the stack as ``batch`` sequential GEMMs; the GPU
-        pays one strided-batched launch per GEMM of the plan and the
-        stacked transfers — batching shifts the break-even point toward
-        the GPU.
-        """
+        """Placement for ``batch`` stacked ``(m,k) x (k,n)`` products (1
+        for a matrix) run as ``plan``."""
         return self._decide(plan, (batch, m, k, n), resident)
 
     def place_elementwise(self, nbytes: int, *, plan: str = "beaver2pc") -> PlacementDecision:

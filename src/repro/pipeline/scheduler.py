@@ -189,10 +189,9 @@ def schedule_secure_gemm(
 
     # G1 = D @ F overlaps B_i's transfer; G2 = E @ B_i follows.  A stack
     # of products is one strided-batched launch each.
-    gemm = gpu.gemm_ring_batched if e.ndim == 3 else gpu.gemm_ring
     flags = {"stream": stream, "trans_a": trans_a, "trans_b": trans_b}
-    g1_buf, t_g1 = gemm(d_buf, f_buf, deps=kdeps(t_d, t_f), label="D@F", **flags)
-    g2_buf, t_g2 = gemm(e_buf, b_buf, deps=kdeps(t_g1, t_b), label="E@B", **flags)
+    g1_buf, t_g1 = gpu.gemm_ring(d_buf, f_buf, deps=kdeps(t_d, t_f), label="D@F", **flags)
+    g2_buf, t_g2 = gpu.gemm_ring(e_buf, b_buf, deps=kdeps(t_g1, t_b), label="E@B", **flags)
 
     # C = G1 + G2 + Z_i (fused via the ring ops' out= fast path: one
     # intermediate, written in place by the second add).

@@ -80,9 +80,6 @@ class ProtocolBackend:
         ctx,
         x: "SharedTensor",
         y: "SharedTensor",
-        m: int,
-        k: int,
-        n: int,
         both_fixed: bool,
         *,
         label: str,

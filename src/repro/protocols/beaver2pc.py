@@ -22,6 +22,8 @@ served from the context's mask table and never sent (DESIGN §5b, §5e).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.comm.wire import RoundCoalescer, blob_frame_sizes
@@ -36,6 +38,7 @@ from repro.mpc.shares import reconstruct, share_secret
 from repro.pipeline.scheduler import resident_slots, schedule_secure_gemm
 from repro.protocols.base import ProtocolBackend
 from repro.util.errors import ProtocolError
+from repro.util.validation import gemm_dims
 
 
 def _exchange_round(ctx, label, parts, masks):
@@ -222,8 +225,7 @@ class Beaver2PCBackend(ProtocolBackend):
             tasks.append(task)
         return SharedTensor(ctx=ctx, shares=tuple(shares), kind="fixed", tasks=tuple(tasks))
 
-    def matmul(self, ctx, x, y, m, k, n, both_fixed, *, label, truncate_result):
-        stacked = x.ndim == 3  # (B,m,k) x (B,k,n): B products, one of everything
+    def matmul(self, ctx, x, y, both_fixed, *, label, truncate_result):
         # --- offline ---------------------------------------------------------
         triplet = ctx.get_matrix_triplet(label, x.shape, y.shape, operands=(x, y))
 
@@ -231,8 +233,8 @@ class Beaver2PCBackend(ProtocolBackend):
         starts = [_chain(ctx, _deps(x.tasks[i], y.tasks[i])) for i in (0, 1)]
         e, f, ready = _open_operands(
             ctx, label, triplet, x, y, starts,
-            # a stack crosses the wire as one (B*rows, cols) matrix
-            (lambda a: a.reshape(-1, a.shape[-1])) if stacked else (lambda a: a),
+            # a stack crosses the wire as one (B*rows, cols) matrix, a matrix as itself
+            lambda a: a.reshape(math.prod(a.shape[:-1]), a.shape[-1]),
         )
 
         # --- GPU operation (online) ------------------------------------------
@@ -241,12 +243,9 @@ class Beaver2PCBackend(ProtocolBackend):
         # and the plan is priced without what the table already holds.
         keep = ctx.device_keep(triplet, x, y)
         resident = resident_slots(ctx.device_table(0), keep)
-        if stacked:
-            decision = ctx.profiler.place_gemm_batched(
-                x.shape[0], m, k, n, plan="beaver2pc", resident=resident
-            )
-        else:
-            decision = ctx.profiler.place_gemm(m, k, n, plan="beaver2pc", resident=resident)
+        decision = ctx.profiler.place_gemm(
+            *gemm_dims(x.shape, y.shape), plan="beaver2pc", resident=resident
+        )
         shares = []
         tasks = []
         for i in (0, 1):
@@ -274,8 +273,7 @@ class Beaver2PCBackend(ProtocolBackend):
                 lead = x.shares[i] if i == 0 else ring_sub(x.shares[i], e)
                 left = np.concatenate([lead, e], axis=-1)
                 right = np.concatenate([f, y.shares[i]], axis=-2)
-                cpu = ctx.server_cpu[i]
-                prod, tg = (cpu.gemm_ring_batched if stacked else cpu.gemm_ring)(
+                prod, tg = ctx.server_cpu[i].gemm_ring(
                     left, right, deps=ready[i], label=f"{label}:cpu_gemm"
                 )
                 c_i, tc = ctx.server_cpu[i].elementwise(

@@ -44,6 +44,7 @@ from repro.fixedpoint.ring import RING_DTYPE, ring_add, ring_mul, ring_neg
 from repro.fixedpoint.truncation import truncate_share
 from repro.mpc.comparison import secure_ge_const
 from repro.protocols.base import ProtocolBackend
+from repro.util.validation import gemm_dims
 
 
 def _send_array(ctx, link, src, dst, tag, payload, deps, label):
@@ -181,14 +182,10 @@ class Rep3Backend(ProtocolBackend):
 
     # --- interactive protocols ----------------------------------------------
 
-    def matmul(self, ctx, x, y, m, k, n, both_fixed, *, label, truncate_result):
+    def matmul(self, ctx, x, y, both_fixed, *, label, truncate_result):
         # A (B,m,k) x (B,k,n) stack is B cross-terms in one batched GEMM
         # and one reshare of the whole (B,m,n) result.
-        stacked = x.ndim == 3
-        if stacked:
-            decision = ctx.profiler.place_gemm_batched(x.shape[0], m, k, n, plan="rep3")
-        else:
-            decision = ctx.profiler.place_gemm(m, k, n, plan="rep3")
+        decision = ctx.profiler.place_gemm(*gemm_dims(x.shape, y.shape), plan="rep3")
         z_parts, z_tasks = [], []
         for i in range(3):
             j = (i + 1) % 3
@@ -201,18 +198,16 @@ class Rep3Backend(ProtocolBackend):
             ready = _deps(t_sum)
             if decision.placement == "gpu" and ctx.server_gpu[i] is not None:
                 gpu = ctx.server_gpu[i]
-                gemm = gpu.gemm_ring_batched if stacked else gpu.gemm_ring
                 lbuf, tl = gpu.h2d(left, deps=ready, label=f"{label}:h2d:L")
                 rbuf, tr = gpu.h2d(right, deps=ready, label=f"{label}:h2d:R")
-                zbuf, tz = gemm(lbuf, rbuf, deps=(tl, tr), label=f"{label}:gemm")
+                zbuf, tz = gpu.gemm_ring(lbuf, rbuf, deps=(tl, tr), label=f"{label}:gemm")
                 z_i, td = gpu.d2h(zbuf, deps=(tz,), label=f"{label}:d2h")
                 for b in (lbuf, rbuf, zbuf):
                     gpu.free(b)
                 z_parts.append(z_i)
                 z_tasks.append(td)
             else:
-                cpu = ctx.server_cpu[i]
-                z_i, tg = (cpu.gemm_ring_batched if stacked else cpu.gemm_ring)(
+                z_i, tg = ctx.server_cpu[i].gemm_ring(
                     left, right, deps=ready, label=f"{label}:cpu_gemm"
                 )
                 z_parts.append(z_i)

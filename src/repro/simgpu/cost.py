@@ -56,32 +56,24 @@ class DeviceSpec:
         return flops / (flops + self.util_knee_flops)
 
     def gemm_seconds(
-        self, m: int, k: int, n: int, *, tensor_core: bool = False, dtype_bytes: int = 4
+        self,
+        m: int,
+        k: int,
+        n: int,
+        *,
+        batch: int = 1,
+        tensor_core: bool = False,
+        dtype_bytes: int = 4,
     ) -> float:
-        """Time for one (m,k)x(k,n) GEMM on this device.
+        """Time for one GEMM launch over ``batch`` stacked (m,k)x(k,n) products.
 
         Roofline: compute-bound term at size-scaled peak, memory-bound
         floor, plus launch overhead.  Tensor Cores raise the compute peak
-        only (they share HBM bandwidth with everything else).
-        """
-        flops = 2.0 * m * k * n
-        peak = (self.tensor_tflops if tensor_core else self.fp32_tflops) * 1e12
-        compute_s = flops / (peak * self.utilization(flops))
-        bytes_touched = dtype_bytes * (m * k + k * n + m * n)
-        memory_s = bytes_touched / (self.mem_bw_gbps * 1e9)
-        return self.kernel_launch_s + max(compute_s, memory_s)
-
-    def batched_gemm_seconds(
-        self, batch: int, m: int, k: int, n: int, *, tensor_core: bool = False, dtype_bytes: int = 4
-    ) -> float:
-        """Time for one *batched* GEMM of ``batch`` stacked (m,k)x(k,n) products.
-
-        Models cublasGemmStridedBatched: a single launch covers the whole
-        stack, and utilisation is judged on the stack's total flops (the
-        batched kernel keeps the SMs fed across the small products).  For
-        ``batch >= 2`` this is strictly cheaper than ``batch`` separate
-        :meth:`gemm_seconds` calls — the launch overhead is paid once and
-        the utilisation term can only improve.
+        only (they share HBM bandwidth with everything else).  A stack
+        is cublasGemmStridedBatched: one launch for the whole stack, and
+        utilisation judged on its total flops (the batched kernel keeps
+        the SMs fed across small products), so ``batch >= 2`` is
+        strictly cheaper than ``batch`` separate launches.
         """
         flops = 2.0 * batch * m * k * n
         peak = (self.tensor_tflops if tensor_core else self.fp32_tflops) * 1e12
@@ -141,9 +133,10 @@ class CPUSpec:
             return 1.0
         return (self.cache_knee_bytes / working) ** 0.5
 
-    def gemm_seconds(self, m: int, k: int, n: int) -> float:
+    def gemm_seconds(self, m: int, k: int, n: int, *, batch: int = 1) -> float:
+        """``batch`` stacked (m,k)x(k,n) products, run one after another."""
         rate = self.gemm_gflops * 1e9 * self.gemm_efficiency(m, k, n)
-        return (2.0 * m * k * n) / rate
+        return batch * ((2.0 * m * k * n) / rate)
 
     def elementwise_seconds(self, nbytes: float, *, parallel: bool = False) -> float:
         return nbytes / (self.simd_gbps_single * 1e9 * self.parallel_factor(parallel))

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fixedpoint.ring import ring_add, ring_matmul, ring_matmul_batched, ring_mul, ring_sub
+from repro.fixedpoint.ring import ring_add, ring_matmul, ring_mul, ring_sub
 from repro.simgpu.clock import SimClock, Task
 from repro.simgpu.cost import CPUSpec, DeviceSpec
 from repro.simgpu.memory import DeviceBuffer, MemoryPool
 from repro.telemetry.registry import MetricRegistry, SeriesCache
 from repro.util.errors import DeviceError
+from repro.util.validation import gemm_dims
 
 
 def _queue_wait(task: Task, deps) -> float:
@@ -153,10 +154,13 @@ class SimGPU:
 
     # -- kernels -----------------------------------------------------------------
 
-    def _charge_gemm(self, m: int, k: int, n: int, stream: int, deps, label: str) -> Task:
-        dur = self.spec.gemm_seconds(m, k, n, tensor_core=self.tensor_core)
+    def _charge_gemm(self, a: np.ndarray, b: np.ndarray, stream: int, deps, label: str) -> Task:
+        """One launch for ``a @ b`` (two matrices or two stacks) at
+        :meth:`DeviceSpec.gemm_seconds`."""
+        batch, m, k, n = gemm_dims(a.shape, b.shape)
+        dur = self.spec.gemm_seconds(m, k, n, batch=batch, tensor_core=self.tensor_core)
         self._gemm_count.inc(1)
-        self._gemm_flops.inc(2.0 * m * k * n)
+        self._gemm_flops.inc(2.0 * batch * m * k * n)
         t = self.clock.run(self.stream(stream), dur, deps=deps, label=label)
         return self._observe("gemm", t, deps)
 
@@ -173,10 +177,13 @@ class SimGPU:
     ) -> tuple[DeviceBuffer, Task]:
         """Ring GEMM (Z_{2^64}) on device buffers: ``op(a) @ op(b)``.
 
-        ``trans_a`` / ``trans_b`` are cuBLAS's ``op(A)`` flags: the
-        buffer is read transposed where it lies, so ``X^T d`` and
-        ``d W^T`` multiply the buffers ``X W`` uploaded and no
-        transposed copy is ever made or transferred.
+        Two matrices, or two equal-depth stacks ``(B,m,k) x (B,k,n)``
+        run as one strided-batched launch (the kernel a stacked
+        triplet's dealer product ``Z = U x V`` runs as).  ``trans_a`` /
+        ``trans_b`` are cuBLAS's ``op(A)`` flags: the buffer (each
+        matrix of a stack) is read transposed where it lies, so
+        ``X^T d`` and ``d W^T`` multiply the buffers ``X W`` uploaded
+        and no transposed copy is ever made or transferred.
 
         Numerically exact via the limb decomposition; *timed* as the
         paper's cublasSgemmEx float GEMM of the same (m,k,n) whatever
@@ -186,37 +193,7 @@ class SimGPU:
         """
         av, bv = _op(a.require_live(), trans_a), _op(b.require_live(), trans_b)
         out = self.pool.allocate(ring_matmul(av, bv))
-        t = self._charge_gemm(av.shape[0], av.shape[1], bv.shape[1], stream, deps, label)
-        return out, t
-
-    def gemm_ring_batched(
-        self,
-        a: DeviceBuffer,
-        b: DeviceBuffer,
-        deps=(),
-        *,
-        stream: int = 0,
-        label: str = "gemm_ring_batched",
-        trans_a: bool = False,
-        trans_b: bool = False,
-    ) -> tuple[DeviceBuffer, Task]:
-        """Stacked ring GEMM: one launch for a (B,m,k) x (B,k,n) batch.
-
-        Timed as one strided-batched GEMM (the launch overhead amortises
-        over the stack; see :meth:`DeviceSpec.batched_gemm_seconds`) —
-        the kernel a stacked triplet's dealer product ``Z = U x V`` runs
-        as.  ``trans_a`` / ``trans_b`` read each sample of a stack
-        transposed, as in :meth:`gemm_ring`.
-        """
-        av, bv = _op(a.require_live(), trans_a), _op(b.require_live(), trans_b)
-        batch, m, k = av.shape
-        n = bv.shape[2]
-        out = self.pool.allocate(ring_matmul_batched(av, bv))
-        dur = self.spec.batched_gemm_seconds(batch, m, k, n, tensor_core=self.tensor_core)
-        self._gemm_count.inc(1)
-        self._gemm_flops.inc(2.0 * batch * m * k * n)
-        t = self.clock.run(self.stream(stream), dur, deps=deps, label=label)
-        return out, self._observe("gemm", t, deps)
+        return out, self._charge_gemm(av, bv, stream, deps, label)
 
     def gemm_float(
         self,
@@ -244,8 +221,7 @@ class SimGPU:
         else:
             prod = av.astype(np.float32) @ bv.astype(np.float32)
         out = self.pool.allocate(prod)
-        t = self._charge_gemm(av.shape[0], av.shape[1], bv.shape[1], stream, deps, label)
-        return out, t
+        return out, self._charge_gemm(av, bv, stream, deps, label)
 
     def elementwise(
         self,
@@ -330,28 +306,16 @@ class SimCPU:
         self._seconds[kind].observe(t.duration)
         return t
 
-    def gemm_ring(self, a: np.ndarray, b: np.ndarray, deps=(), label="cpu_gemm"):
-        out = ring_matmul(a, b)
-        t = self.run(
-            self.spec.gemm_seconds(a.shape[0], a.shape[1], b.shape[1]), deps, label, kind="gemm"
-        )
-        return out, t
+    def _charge_gemm(self, a: np.ndarray, b: np.ndarray, deps, label: str) -> Task:
+        """Charge ``a @ b`` (two matrices or two stacks) at :meth:`CPUSpec.gemm_seconds`."""
+        batch, m, k, n = gemm_dims(a.shape, b.shape)
+        return self.run(self.spec.gemm_seconds(m, k, n, batch=batch), deps, label, kind="gemm")
 
-    def gemm_ring_batched(self, a: np.ndarray, b: np.ndarray, deps=(), label="cpu_gemm"):
-        """Stacked ring GEMM, timed as ``B`` sequential (m,k)x(k,n) products."""
-        out = ring_matmul_batched(a, b)
-        batch, m, k = a.shape
-        t = self.run(
-            batch * self.spec.gemm_seconds(m, k, b.shape[2]), deps, label, kind="gemm"
-        )
-        return out, t
+    def gemm_ring(self, a: np.ndarray, b: np.ndarray, deps=(), label="cpu_gemm"):
+        return ring_matmul(a, b), self._charge_gemm(a, b, deps, label)
 
     def gemm_float(self, a: np.ndarray, b: np.ndarray, deps=(), label="cpu_gemm"):
-        out = a @ b
-        t = self.run(
-            self.spec.gemm_seconds(a.shape[0], a.shape[1], b.shape[1]), deps, label, kind="gemm"
-        )
-        return out, t
+        return a @ b, self._charge_gemm(a, b, deps, label)
 
     def elementwise(self, fn, arrays, deps=(), label="cpu_elementwise"):
         result = fn(*arrays)

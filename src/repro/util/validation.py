@@ -7,6 +7,7 @@ in the caller behind a debug flag.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -34,35 +35,6 @@ def check_same_shape(a: np.ndarray, b: np.ndarray, name_a: str = "a", name_b: st
         )
 
 
-def check_matmul_compatible(
-    a: np.ndarray, b: np.ndarray, name_a: str = "a", name_b: str = "b"
-) -> None:
-    """Require ``a @ b`` to be well-defined for 2-D operands."""
-    check_matrix(a, name_a)
-    check_matrix(b, name_b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul shape mismatch: {name_a} is {a.shape}, {name_b} is {b.shape}; "
-            f"inner dimensions {a.shape[1]} != {b.shape[0]}"
-        )
-
-
-def check_stacked_matmul_compatible(
-    a: np.ndarray, b: np.ndarray, name_a: str = "a", name_b: str = "b"
-) -> None:
-    """Require ``a[i] @ b[i]`` to be well-defined for 3-D stacks of equal depth."""
-    for arr, name in ((a, name_a), (b, name_b)):
-        if arr.ndim != 3:
-            raise ShapeError(
-                f"{name} must be a 3-D stack, got ndim={arr.ndim} with shape {arr.shape}"
-            )
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeError(
-            f"stacked matmul shape mismatch: {name_a} is {a.shape}, {name_b} is {b.shape}; "
-            f"need (B, m, k) x (B, k, n)"
-        )
-
-
 def matmul_shapes_compatible(shape_a, shape_b) -> bool:
     """Whether ``a @ b`` is a 2-D product or a stack ``(B,m,k) x (B,k,n)``."""
     return (
@@ -71,6 +43,23 @@ def matmul_shapes_compatible(shape_a, shape_b) -> bool:
         and tuple(shape_a[:-2]) == tuple(shape_b[:-2])
         and shape_a[-1] == shape_b[-2]
     )
+
+
+def check_matmul_compatible(
+    a: np.ndarray, b: np.ndarray, name_a: str = "a", name_b: str = "b"
+) -> None:
+    """Require ``a @ b`` to be a 2-D product or an equal-depth stack."""
+    if not matmul_shapes_compatible(a.shape, b.shape):
+        raise ShapeError(
+            f"matmul shape mismatch: {name_a} is {a.shape}, {name_b} is {b.shape}; "
+            f"need (m, k) x (k, n) or (B, m, k) x (B, k, n)"
+        )
+
+
+def gemm_dims(shape_a, shape_b) -> tuple[int, int, int, int]:
+    """``(batch, m, k, n)`` of ``a @ b``: a 2-D product is a stack of one."""
+    *stack, m, k = shape_a
+    return math.prod(stack), m, k, shape_b[-1]
 
 
 def check_positive(value: float, name: str, *, strict: bool = True) -> float:

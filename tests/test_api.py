@@ -54,8 +54,9 @@ class TestSession:
         assert ctx.config.trace
 
     def test_unknown_field_is_a_config_error_naming_it(self):
-        with pytest.raises(ConfigError, match="bogus"):
-            repro.api.session(bogus=1)
+        for name in ("bogus", "n_streams", "compression_threshold"):
+            with pytest.raises(ConfigError, match=name):
+                repro.api.session(**{name: 2})
 
     def test_create_classmethod(self):
         ctx = SecureContext.create()

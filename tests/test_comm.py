@@ -10,7 +10,7 @@ from repro.comm.compression import CompressedPayload, DeltaCompressor
 from repro.comm.csr import csr_decode, csr_encode, csr_nbytes, dense_nbytes, density
 from repro.simgpu.clock import SimClock
 from repro.telemetry import Telemetry
-from repro.util.errors import ProtocolError, TransportError
+from repro.util.errors import ConfigError, ProtocolError, TransportError
 
 
 class TestChannel:
@@ -95,6 +95,11 @@ class TestCSR:
 
 
 class TestDeltaCompressor:
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5])
+    def test_threshold_outside_unit_interval_is_a_config_error(self, threshold):
+        with pytest.raises(ConfigError, match="sparsity_threshold"):
+            DeltaCompressor(threshold)
+
     def test_first_send_is_dense(self, rng):
         comp = DeltaCompressor()
         m = rng.normal(size=(8, 8))

@@ -30,8 +30,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("frac_bits", 0), ("frac_bits", 40), ("compression_threshold", 1.5), ("n_streams", 0),
-            ("placement_mode", "sometimes"),
+            ("frac_bits", 0), ("frac_bits", 40), ("placement_mode", "sometimes"),
         ],
     )
     def test_validation(self, field, value):

@@ -171,9 +171,9 @@ class TestDoublePipelineEquivalence:
 class TestZeroSizeGemm:
     def test_zero_dim_placement_does_not_crash(self):
         ctx = make_ctx()
-        decision = ctx.profiler.place_gemm_batched(0, 4, 4, 4)
+        decision = ctx.profiler.place_gemm(0, 4, 4, 4)
         assert decision.placement in ("cpu", "gpu")
-        decision = ctx.profiler.place_gemm_batched(2, 0, 4, 4)
+        decision = ctx.profiler.place_gemm(2, 0, 4, 4)
         assert decision.placement in ("cpu", "gpu")
 
     def test_empty_secure_matmul(self):

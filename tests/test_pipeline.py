@@ -5,6 +5,8 @@ import pytest
 from conftest import make_ctx
 from oracles import beaver_matmul_share, combine_masked, masked_difference
 
+from repro.core.config import FrameworkConfig
+from repro.core.context import SecureContext
 from repro.core.ops import secure_matmul
 from repro.core.tensor import SharedTensor
 from repro.fixedpoint.encoding import FixedPointEncoder
@@ -25,21 +27,21 @@ def profiler():
 
 class TestProfiler:
     def test_small_gemm_goes_to_cpu(self, profiler):
-        assert profiler.place_gemm(8, 8, 8).placement == "cpu"
+        assert profiler.place_gemm(1, 8, 8, 8).placement == "cpu"
 
     def test_large_gemm_goes_to_gpu(self, profiler):
-        assert profiler.place_gemm(2048, 2048, 2048).placement == "gpu"
+        assert profiler.place_gemm(1, 2048, 2048, 2048).placement == "gpu"
 
     def test_decisions_memoised(self, profiler):
-        d1 = profiler.place_gemm(64, 64, 64)
-        d2 = profiler.place_gemm(64, 64, 64)
+        d1 = profiler.place_gemm(1, 64, 64, 64)
+        d2 = profiler.place_gemm(1, 64, 64, 64)
         assert d1 is d2
 
     def test_forced_modes(self):
         cpu_always = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC, mode="cpu_always")
         gpu_always = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC, mode="gpu_always")
-        assert cpu_always.place_gemm(4096, 4096, 4096).placement == "cpu"
-        assert gpu_always.place_gemm(2, 2, 2).placement == "gpu"
+        assert cpu_always.place_gemm(1, 4096, 4096, 4096).placement == "cpu"
+        assert gpu_always.place_gemm(1, 2, 2, 2).placement == "gpu"
 
     @pytest.mark.parametrize("mode", ["cpu_always", "gpu_always"])
     def test_forced_modes_force_every_plan(self, mode):
@@ -48,9 +50,9 @@ class TestProfiler:
         for size in (8, 2**30):
             decisions += [forced.place_elementwise(size, plan=p) for p in ("beaver2pc", "rep3")]
         for plan in ("dealer", "rep3", "beaver2pc"):
-            decisions.append(forced.place_gemm(2, 2, 2, plan=plan))
-            decisions.append(forced.place_gemm_batched(8, 512, 512, 512, plan=plan))
-        decisions.append(forced.place_gemm(2, 2, 2, plan="beaver2pc", resident=("D", "E", "F", "Z")))
+            decisions.append(forced.place_gemm(1, 2, 2, 2, plan=plan))
+            decisions.append(forced.place_gemm(8, 512, 512, 512, plan=plan))
+        decisions.append(forced.place_gemm(1, 2, 2, 2, plan="beaver2pc", resident=("D", "E", "F", "Z")))
         assert {d.placement for d in decisions} == {mode.removesuffix("_always")}
 
     def test_rng_placement_crossover(self, profiler):
@@ -59,6 +61,13 @@ class TestProfiler:
         large = profiler.place_rng(512 * 1024 * 1024)
         assert small.placement == "cpu"
         assert large.placement == "gpu"
+
+    def test_client_rng_is_priced_at_the_clients_parallel_flag(self):
+        """The one RNG the profiler places is the client's, whose CPU runs
+        at ``client_parallel``: a 64 KiB draw costs ~10 us there against
+        ~25 us on cuRAND, even when the servers' ``cpu_parallel`` is off."""
+        ctx = SecureContext(FrameworkConfig(cpu_parallel=False))
+        assert ctx.profiler.place_rng(65536).placement == "cpu"
 
     def test_elementwise_small_on_cpu(self, profiler):
         assert profiler.place_elementwise(4096).placement == "cpu"
@@ -142,10 +151,10 @@ class TestPlanPrice:
         for server_first in (False, True):
             profiler = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC)
             if server_first:
-                server = profiler.place_gemm(128, 32, 16, plan="beaver2pc")
-            dealer = profiler.place_gemm(128, 64, 16)
+                server = profiler.place_gemm(1, 128, 32, 16, plan="beaver2pc")
+            dealer = profiler.place_gemm(1, 128, 64, 16)
             if not server_first:
-                server = profiler.place_gemm(128, 32, 16, plan="beaver2pc")
+                server = profiler.place_gemm(1, 128, 32, 16, plan="beaver2pc")
             assert (dealer.placement, server.placement) == ("gpu", "cpu")
             assert len(profiler.decisions) == 2
 
@@ -156,7 +165,7 @@ class TestPlanPrice:
         res = schedule_secure_gemm(gpu, 1, e, f, ap[1], bp[1], trip.share_for(1))
         own = sum(V100_SPEC.transfer_seconds(share[1].nbytes) for share in (ap, bp))
         price = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC).place_gemm(
-            m, k, n, plan="beaver2pc"
+            1, m, k, n, plan="beaver2pc"
         )
         assert price.resident == ()
         assert price.gpu_estimate_s == pytest.approx(
@@ -175,12 +184,12 @@ class TestPlanPrice:
             gpu, 1, e, f, ap[1], bp[1], trip.share_for(1), table=table, keep=keep
         )
         profiler = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC)
-        warm = profiler.place_gemm(m, k, n, plan="beaver2pc", resident=("D", "E", "F", "Z"))
+        warm = profiler.place_gemm(1, m, k, n, plan="beaver2pc", resident=("D", "E", "F", "Z"))
         own = V100_SPEC.transfer_seconds(bp[1].nbytes)  # A_i has no reader where D is
         assert warm.gpu_estimate_s == pytest.approx(
             res.transfer_seconds + res.kernel_seconds - own
         )
-        cold = profiler.place_gemm(m, k, n, plan="beaver2pc")
+        cold = profiler.place_gemm(1, m, k, n, plan="beaver2pc")
         assert cold is not warm and cold.gpu_estimate_s > warm.gpu_estimate_s
         assert cold.cpu_estimate_s == warm.cpu_estimate_s
 

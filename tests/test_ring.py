@@ -10,7 +10,6 @@ from repro.fixedpoint.ring import (
     LIMB_BITS,
     ring_add,
     ring_matmul,
-    ring_matmul_batched,
     ring_mul,
     ring_neg,
     ring_sub,
@@ -201,7 +200,7 @@ def _layouts(x):
 
 @pytest.mark.property
 class TestLimbKernelExactness:
-    """``ring_matmul`` / ``ring_matmul_batched`` against two independent
+    """``ring_matmul`` on matrices and on stacks against two independent
     oracles -- NumPy's wrapping ``uint64 @`` and the frozen 16-bit limb
     kernel -- around the 512-column chunk edge and the limb edges."""
 
@@ -229,7 +228,7 @@ class TestLimbKernelExactness:
     def test_chunk_and_limb_boundaries(self, k, pattern, rng):
         fill = PATTERNS[pattern]
         self._check(ring_matmul, fill(rng, (3, k)), fill(rng, (k, 4)))
-        self._check(ring_matmul_batched, fill(rng, (2, 3, k)), fill(rng, (2, k, 4)))
+        self._check(ring_matmul, fill(rng, (2, 3, k)), fill(rng, (2, k, 4)))
 
     @pytest.mark.parametrize(
         "m,k,n", [(128, 784, 128), (784, 128, 128), (9216, 25, 16), (16, 4608, 100)]
@@ -238,7 +237,7 @@ class TestLimbKernelExactness:
         a, b = _uniform(rng, (2, m, k)), _uniform(rng, (2, k, n))
         expected = _oracle(a, b)
         np.testing.assert_array_equal(ring_matmul(a[0], b[0]), expected[0])
-        np.testing.assert_array_equal(ring_matmul_batched(a, b), expected)
+        np.testing.assert_array_equal(ring_matmul(a, b), expected)
 
 
 class TestDegenerateShapes:
@@ -255,7 +254,7 @@ class TestDegenerateShapes:
         "batch,m,k,n", [(2, 3, 0, 2), (2, 0, 3, 2), (2, 3, 2, 0), (0, 3, 4, 2), (0, 3, 0, 2)]
     )
     def test_matmul_batched(self, batch, m, k, n):
-        out = ring_matmul_batched(
+        out = ring_matmul(
             np.ones((batch, m, k), dtype=np.uint64), np.ones((batch, k, n), dtype=np.uint64)
         )
         assert out.shape == (batch, m, n) and out.dtype == np.uint64
@@ -312,20 +311,23 @@ class TestRingMatmulBatched:
         rng = np.random.default_rng(5)
         a = rng.integers(0, 2**64, size=(4, 3, 6), dtype=np.uint64)
         b = rng.integers(0, 2**64, size=(4, 6, 2), dtype=np.uint64)
-        got = ring_matmul_batched(a, b)
+        got = ring_matmul(a, b)
         expected = np.stack([ring_matmul(a[i], b[i]) for i in range(4)])
         np.testing.assert_array_equal(got, expected)
 
     def test_zero_batch(self):
         a = np.empty((0, 3, 4), dtype=np.uint64)
         b = np.empty((0, 4, 2), dtype=np.uint64)
-        assert ring_matmul_batched(a, b).shape == (0, 3, 2)
+        assert ring_matmul(a, b).shape == (0, 3, 2)
 
     def test_rejects_mismatched_stacks(self):
         a = np.zeros((2, 3, 4), dtype=np.uint64)
         with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 2\)"):
-            ring_matmul_batched(a, np.zeros((3, 4, 2), dtype=np.uint64))
+            ring_matmul(a, np.zeros((3, 4, 2), dtype=np.uint64))
         with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(2, 5, 2\)"):
-            ring_matmul_batched(a, np.zeros((2, 5, 2), dtype=np.uint64))
-        with pytest.raises(ShapeError, match=r"a must be a 3-D stack.*\(3, 4\)"):
-            ring_matmul_batched(a[0], np.zeros((2, 4, 2), dtype=np.uint64))
+            ring_matmul(a, np.zeros((2, 5, 2), dtype=np.uint64))
+        with pytest.raises(ShapeError, match=r"a is \(3, 4\), b is \(2, 4, 2\)"):
+            ring_matmul(a[0], np.zeros((2, 4, 2), dtype=np.uint64))
+        four_d = np.zeros((1, 2, 3, 4), dtype=np.uint64)
+        with pytest.raises(ShapeError, match=r"\(1, 2, 3, 4\).*\(1, 2, 4, 2\)"):
+            ring_matmul(four_d, np.zeros((1, 2, 4, 2), dtype=np.uint64))

@@ -7,9 +7,13 @@ what ``B`` separate 2-D calls compute (share for share under
 path's transfer order and residency rule on the GPU.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from conftest import make_ctx
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.audit.conformance import FORWARD_TOL
 from repro.comm.wire import frame_sizes
@@ -17,14 +21,16 @@ from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
 from repro.core.ops import secure_compare_const, secure_matmul
 from repro.core.tensor import SharedTensor
-from repro.fixedpoint.ring import ring_matmul_batched
+from repro.fixedpoint.ring import CHUNK_K, ring_matmul
 from repro.mpc.shares import SharePair, reconstruct
 from repro.mpc.triplets import MaskView, MatrixTriplet
+from repro.pipeline.profiler import StepProfiler
 from repro.pipeline.scheduler import schedule_secure_gemm
 from repro.simgpu.clock import SimClock
-from repro.simgpu.cost import V100_SPEC
-from repro.simgpu.device import SimGPU
+from repro.simgpu.cost import V100_SPEC, XEON_E5_2670V3_SPEC
+from repro.simgpu.device import SimCPU, SimGPU
 from repro.util.errors import ShapeError
+from repro.util.validation import gemm_dims
 
 BACKENDS = ("beaver2pc", "rep3")
 FIG5_ORDER = ["h2d:E", "h2d:A", "h2d:F", "h2d:B", "h2d:Z"]
@@ -121,7 +127,7 @@ class TestBeaverStack:
         trip = ctx.gen_matrix_triplet((3, 2, 4), (3, 4, 5))
         u, v, z = (reconstruct(p[0], p[1]) for p in (trip.u, trip.v, trip.z))
         assert u.shape == (3, 2, 4) and v.shape == (3, 4, 5)
-        np.testing.assert_array_equal(z, ring_matmul_batched(u, v))
+        np.testing.assert_array_equal(z, ring_matmul(u, v))
         with pytest.raises(ShapeError):
             ctx.gen_matrix_triplet((3, 2, 4), (2, 4, 5))
 
@@ -215,7 +221,7 @@ class TestPlacement:
             assert [t.label for t in clock.trace if t.resource == "g.h2d"] == FIG5_ORDER
             assert gpu.gemm_count == 2 and gpu.pool.allocated_bytes == 0
             shares.append(res.c_share)
-        np.testing.assert_array_equal(shares[0] + shares[1], ring_matmul_batched(a, b))
+        np.testing.assert_array_equal(shares[0] + shares[1], ring_matmul(a, b))
 
     def test_fresh_triplets_keep_nothing_resident(self):
         ctx = _ctx(fresh_triplets=True, placement_mode="gpu_always")
@@ -241,3 +247,56 @@ class TestPlacement:
             )
             assert np.max(np.abs(out.decode() - _stacked(a, b))) <= FORWARD_TOL
         assert uploads == [FIG5_ORDER, ["h2d:E", "h2d:A", "h2d:B"]]
+
+
+def _on_gpu(x, y, trans_a, trans_b, tensor_core):
+    """``x @ y`` on a fresh GPU whose buffers hold what ``op()`` reads."""
+    gpu = SimGPU(SimClock(), V100_SPEC, "g", tensor_core=tensor_core)
+    flip = lambda m, t: np.ascontiguousarray(np.swapaxes(m, -1, -2)) if t else m
+    (xb, _), (yb, _) = gpu.h2d(flip(x, trans_a)), gpu.h2d(flip(y, trans_b))
+    out, task = gpu.gemm_ring(xb, yb, trans_a=trans_a, trans_b=trans_b)
+    return out.require_live(), task.duration, gpu.gemm_count, gpu.gemm_flops
+
+
+@pytest.mark.property
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.integers(0, 4),
+    k=st.one_of(st.integers(0, 6), st.integers(CHUNK_K - 1, CHUNK_K + 3)),
+    n=st.integers(0, 4),
+    tensor_core=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(m=2, k=0, n=3, tensor_core=True, seed=0)
+@example(m=3, k=CHUNK_K + 1, n=2, tensor_core=False, seed=1)
+def test_a_matrix_product_is_a_stack_of_one(m, k, n, tensor_core, seed):
+    """``(m,k) x (k,n)`` and the same operands as ``(1,m,k) x (1,k,n)``
+    compute, cost and place alike on every layer of the GEMM path."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2**64, size=(m, k), dtype=np.uint64)
+    b = rng.integers(0, 2**64, size=(k, n), dtype=np.uint64)
+    one_a, one_b = a[None], b[None]
+    want = ring_matmul(a, b)
+    np.testing.assert_array_equal(ring_matmul(one_a, one_b), want[None])
+    for flags in itertools.product((False, True), repeat=2):
+        out, seconds, launches, flops = _on_gpu(a, b, *flags, tensor_core)
+        one_out, one_seconds, *one_counts = _on_gpu(one_a, one_b, *flags, tensor_core)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(one_out, want[None])
+        assert (one_seconds, *one_counts) == (seconds, launches, flops), flags
+    cpu_runs = [
+        SimCPU(SimClock(), XEON_E5_2670V3_SPEC, "c").gemm_ring(x, y)
+        for x, y in ((a, b), (one_a, one_b))
+    ]
+    np.testing.assert_array_equal(cpu_runs[0][0], want)
+    np.testing.assert_array_equal(cpu_runs[1][0], want[None])
+    assert cpu_runs[1][1].duration == cpu_runs[0][1].duration
+    for plan in ("dealer", "rep3", "beaver2pc"):
+        decisions = [
+            StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC, tensor_core=tensor_core).place_gemm(
+                *gemm_dims(x.shape, y.shape), plan=plan
+            )
+            for x, y in ((a, b), (one_a, one_b))
+        ]
+        assert decisions[0] == decisions[1]
+
