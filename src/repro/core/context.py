@@ -418,30 +418,12 @@ class SecureContext:
 
     # ------------------------------------------------------- offline primitives
 
-    def _charge_client_rng(self, nbytes: int, label: str) -> None:
-        decision = self.profiler.place_rng(nbytes)
-        if decision.placement == "gpu" and self.client_gpu is not None:
-            # cuRAND generation + copy-back (the Fig. 7 trade-off; the
-            # profiler only lands here for large matrices).
-            gpu = self.client_gpu
-            t = gpu.clock.run(
-                gpu.stream(0), gpu.spec.curand_seconds(nbytes), label=f"{label}:curand"
-            )
-            gpu.clock.run(
-                gpu.d2h_engine, gpu.spec.transfer_seconds(nbytes), deps=(t,), label=f"{label}:d2h"
-            )
-            return
-        self.client_cpu.run(
-            self.config.cpu_spec.rng_seconds(nbytes, parallel=self.config.client_parallel),
-            label=label,
-        )
-
-    def _charge_client_elementwise(self, nbytes: int, label: str) -> None:
-        self.client_cpu.run(
-            self.config.cpu_spec.elementwise_seconds(
-                nbytes, parallel=self.config.client_parallel
-            ),
-            label=label,
+    def _client_plan(self, plan: str, nbytes: int, label: str) -> None:
+        """Charge the client's ``plan`` over ``nbytes`` on the offline
+        clock — an ``rng`` draw on its GPU where the profiler says so
+        (the Fig. 7 trade-off)."""
+        self.profiler.run_plan(
+            self.client_cpu, self.client_gpu, plan, (nbytes,), deps=(), label=label
         )
 
     def attach_recorder(self, recorder=None, *, capture_payloads: bool = True):
@@ -542,8 +524,8 @@ class SecureContext:
         subtract/copy passes.
         """
         n = self.n_parties
-        self._charge_client_rng((n - 1) * secret.nbytes, f"{label}:rng")
-        self._charge_client_elementwise(n * secret.nbytes, f"{label}:split")
+        self._client_plan("rng", (n - 1) * secret.nbytes, f"{label}:rng")
+        self._client_plan("pass", n * secret.nbytes, f"{label}:split")
         return self.backend.share_secret(secret, self.rng)
 
     def share_plain(self, plain: np.ndarray, label: str = "input"):
@@ -554,10 +536,7 @@ class SecureContext:
         to both evaluated systems.
         """
         encoded = self.encoder.encode(plain)
-        self.client_cpu.run(
-            encoded.nbytes / (self.config.cpu_spec.encode_gbps * 1e9),
-            label=f"{label}:encode",
-        )
+        self._client_plan("encode", encoded.nbytes, f"{label}:encode")
         pair = self._share_with_timing(encoded, label)
         self._upload(
             self.backend.upload_nbytes(encoded.nbytes),
@@ -613,7 +592,7 @@ class SecureContext:
                 base = to_base_layout(plain[0], flipped[0])
                 plain.append(np.ascontiguousarray(from_base_layout(base, shape, flipped[1])))
         if new:
-            self._charge_client_rng(sum(plain[i].nbytes for i in new), f"{tag}:rng")
+            self._client_plan("rng", sum(plain[i].nbytes for i in new), f"{tag}:rng")
         z = product(plain[0], plain[1])
         for i, shape in enumerate(shapes):
             if i in new:
@@ -660,7 +639,7 @@ class SecureContext:
         shape = tuple(shape)
 
         def product(u, v):
-            self._charge_client_elementwise(3 * u.nbytes, "etriplet:mul")
+            self._client_plan("pass", 3 * u.nbytes, "etriplet:mul")
             return ring_mul(u, v)
 
         u, v, z, masks = self._deal("etriplet", label, (shape, shape), operands, product)
@@ -931,7 +910,7 @@ class SecureContext:
         """
         # Dealer-side generation cost: dominated by the bit-triplet RNG.
         material_bytes = comparison_offline_bytes(int(np.prod(shape)))
-        self._charge_client_rng(material_bytes, "compare:rng")
+        self._client_plan("rng", material_bytes, "compare:rng")
         # Only the two parties that run the 2-party comparison core
         # receive material (all of them under beaver2pc).
         self._upload(material_bytes, "compare:upload", parties=self.backend.compare_parties)

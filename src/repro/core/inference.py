@@ -189,6 +189,8 @@ def secure_predict(
 
     Fault tolerance: see :func:`run_secure_batch`.
     """
+    if batch_size < 1:
+        raise ConfigError(f"secure_predict: batch_size must be >= 1, got {batch_size!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ConfigError(f"secure_predict expects 2-D input, got shape {x.shape}")

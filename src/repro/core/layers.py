@@ -176,17 +176,13 @@ class SecureConv2D(SecureLayer):
             im2col(s.reshape(n, h, w, c), self.kernel, self.kernel, self.stride)
             for s in x.shares
         ]
-        tasks = []
-        for i, col in enumerate(cols):
-            tasks.append(
-                self.ctx.server_cpu[i].run(
-                    self.ctx.config.cpu_spec.elementwise_seconds(
-                        x.nbytes + col.nbytes, parallel=self.ctx.config.cpu_parallel
-                    ),
-                    deps=tuple(t for t in (x.tasks[i],) if t is not None),
-                    label=f"{self.name}:im2col",
-                )
-            )
+        tasks = [
+            self.ctx.profiler.run_plan(
+                self.ctx.server_cpu[i], None, "pass", (x.nbytes + col.nbytes,),
+                deps=(x.tasks[i],), label=f"{self.name}:im2col",
+            )[-1]
+            for i, col in enumerate(cols)
+        ]
         return SharedTensor(ctx=self.ctx, shares=tuple(cols), kind=x.kind, tasks=tuple(tasks))
 
     def forward(self, x: SharedTensor, *, training: bool = True) -> SharedTensor:
@@ -279,12 +275,9 @@ class SecureAvgPool2D(SecureLayer):
             kind=x.kind,
             tasks=x.tasks,
         )
-        for i in range(len(x.shares)):
-            self.ctx.server_cpu[i].run(
-                self.ctx.config.cpu_spec.elementwise_seconds(
-                    x.nbytes, parallel=self.ctx.config.cpu_parallel
-                ),
-                label=f"{self.name}:pool",
+        for cpu in self.ctx.server_cpu:
+            self.ctx.profiler.run_plan(
+                cpu, None, "pass", (x.nbytes,), deps=(), label=f"{self.name}:pool"
             )
         return summed.mul_public(1.0 / (self.window * self.window))
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.core.tensor import SharedTensor
+from repro.core.tensor import SharedTensor, require_same_context
 from repro.simgpu.clock import Task
 from repro.util.errors import ProtocolError, ShapeError
 from repro.util.validation import matmul_shapes_compatible
@@ -115,6 +115,7 @@ def secure_matmul(
     one triplet, one exchange round, one placement decision.
     """
     ctx = x.ctx
+    require_same_context(x, y, label)
     if not matmul_shapes_compatible(x.shape, y.shape):
         raise ShapeError(
             f"[{_backend_name(ctx)}:{label}] secure_matmul shapes incompatible: "
@@ -133,6 +134,7 @@ def secure_elementwise_mul(
 ) -> SharedTensor:
     """Secure Hadamard product (the CNN's point-to-point multiplications)."""
     ctx = x.ctx
+    require_same_context(x, y, label)
     if x.shape != y.shape:
         raise ShapeError(
             f"[{_backend_name(ctx)}:{label}] elementwise shapes differ: "

@@ -48,6 +48,17 @@ def _next_tensor_uid() -> int:
     return next(_TENSOR_UIDS)
 
 
+def require_same_context(x: "SharedTensor", y: "SharedTensor", label: str) -> None:
+    """Raise unless ``x`` and ``y`` are shares held in one deployment: two
+    contexts' shares are different sharings, and combining them decodes
+    to garbage."""
+    if x.ctx is not y.ctx:
+        raise ProtocolError(
+            f"[{label}] operands belong to two different contexts "
+            f"({x.ctx.backend.name} and {y.ctx.backend.name} sessions)"
+        )
+
+
 @dataclass
 class SharedTensor:
     """One logical value, additively shared between the servers."""
@@ -135,6 +146,7 @@ class SharedTensor:
     def _binary_local(self, other: "SharedTensor", op, op_label: str) -> "SharedTensor":
         if not isinstance(other, SharedTensor):
             raise ProtocolError(f"{op_label} expects a SharedTensor operand")
+        require_same_context(self, other, op_label)
         if self.shape != other.shape:
             raise ShapeError(f"{op_label} shape mismatch: {self.shape} vs {other.shape}")
         if self.kind != other.kind:
@@ -206,6 +218,8 @@ class SharedTensor:
         """
         if self.kind != "fixed":
             raise ProtocolError("mul_public on an indicator; use mul_public_int")
+        if not np.isfinite(value):
+            raise EncodingError(f"mul_public: {value!r} has no fixed-point encoding")
         scalar_bits = min(26, 2 * self.ctx.encoder.frac_bits)
         encoded = int(np.rint(np.float64(value) * 2**scalar_bits)) % 2**64
         shares = self.ctx.backend.truncate_values(
@@ -271,6 +285,8 @@ class SharedTensor:
         (label-cached offline material still matches)
         and the pad rows decode to 0 for the caller to trim.
         """
+        if not 0 <= lo <= hi <= self.shape[0]:
+            raise ShapeError(f"row_slice [{lo}, {hi}) is not a row range of {self.shape[0]} rows")
         parts = [np.ascontiguousarray(s[lo:hi]) for s in self.shares]
         if pad_to is not None and pad_to > parts[0].shape[0]:
             fill = np.zeros((pad_to - parts[0].shape[0], *parts[0].shape[1:]), dtype=RING_DTYPE)

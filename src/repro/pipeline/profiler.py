@@ -28,7 +28,14 @@ cheaper device:
 * ``beaver2pc.mul`` / ``rep3.mul`` — a Hadamard product: four uploads,
   one kernel and one download against the kernel on the CPU.
 * ``rng`` — the client's cuRAND generation and download against its
-  MT19937, at the client's parallel flag.
+  MT19937.
+* CPU-only plans (:data:`_CPU_PLANS`) — every other cost the protocols
+  and layers charge; no mode places them on the GPU.
+
+Plans are data: :meth:`StepProfiler.run_plan` places exactly a plan's
+steps on the device the profiler picks, each priced by that party's own
+device with :func:`~repro.simgpu.cost.step_seconds`, the function
+:meth:`StepProfiler.seconds` prices with.
 
 A decision is memoised per (plan, shape, resident slots) — the adaptive
 part — so a cold and a warm call of one product are separate decisions.
@@ -41,18 +48,41 @@ either device, so the ablation benchmark can show the mechanism's value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from functools import lru_cache
+from typing import Literal, NamedTuple
 
-from repro.simgpu.cost import CPUSpec, DeviceSpec
+from repro.simgpu.cost import CPUSpec, DeviceSpec, step_seconds
 
 Placement = Literal["cpu", "gpu"]
 
-#: One step of a plan: ``(op, *size)`` with ``op`` in ``h2d``, ``d2h``,
-#: ``elementwise``, ``rng`` (sized in bytes) or ``gemm`` (``batch, m, k, n``).
-Step = tuple
 
-#: Bytes a Hadamard product's kernel touches per operand byte, per backend.
-_MUL_TRAFFIC = {"beaver2pc.mul": 5, "rep3.mul": 4}
+class Step(NamedTuple):
+    """``op`` at ``size`` (:func:`~repro.simgpu.cost.step_seconds`); its
+    task is labelled ``{label}:{name}``, or ``label`` without a name."""
+
+    op: str
+    size: tuple
+    name: str = ""
+
+
+#: A Hadamard product, per backend: the bytes its kernel touches per
+#: operand byte, and the operands a GPU run uploads.
+_MUL = {"beaver2pc.mul": (5, ("E", "F", "A", "B")), "rep3.mul": (4, ("A", "A2", "B", "B2"))}
+
+#: Plans only a CPU runs, ``plan -> (op, per)``: one ``op`` step over
+#: ``per`` bytes for each unit of the plan's shape ``(n,)``.
+_CPU_PLANS = {
+    "encode": ("encode", 1),  # the client's float -> ring encoding of n bytes
+    "pass": ("elementwise", 1),  # one pass over n bytes: a share split, im2col, pooling, a fold
+    "compress": ("elementwise", 0.5),  # a sender's scan of the n bytes it opens (0: off)
+    "compare": ("elementwise", 70),  # one comparing party's bit-ops over n elements
+    "prg": ("rng", 2),  # rep3: the two pairwise PRG streams behind an n-byte zero share
+    "rep3.trunc0": ("elementwise", 3),  # rep3 party 0: fold x0 + x1 and truncate
+    "rep3.trunc": ("elementwise", 2),  # rep3 parties 1 and 2: truncate x2
+}
+
+#: The client's plans that have GPU steps, priced at ``client_parallel``.
+_CLIENT_PLANS = frozenset({"dealer", "rng"})
 
 
 @dataclass(frozen=True)
@@ -67,43 +97,56 @@ class PlacementDecision:
     gpu_estimate_s: float
 
 
+@lru_cache(maxsize=4096)  # the executor asks on every charge
 def plan_steps(
     plan: str, shape: tuple, resident: tuple[str, ...] = ()
-) -> tuple[list[Step], list[Step]]:
-    """``(cpu steps, gpu steps)`` of ``plan`` at ``shape``.
+) -> tuple[tuple[Step, ...], tuple[Step, ...]]:
+    """``(cpu steps, gpu steps)`` of ``plan`` at ``shape``; a CPU-only
+    plan has no GPU steps.
 
     A product's shape is ``(batch, m, k, n)``: ``batch`` stacked
     ``(m,k) x (k,n)`` products (1 for a matrix).  A Hadamard product's
-    and an RNG draw's is ``(nbytes,)`` of one operand.  ``resident``
+    and an RNG draw's is ``(nbytes,)`` of one operand, a CPU-only
+    plan's ``(n,)`` in its own unit (:data:`_CPU_PLANS`).  ``resident``
     names the ``beaver2pc`` slots (``D``, ``E``, ``F``, ``Z``) that no
     step places.
     """
-    if plan in _MUL_TRAFFIC:
-        (nbytes,) = shape
-        kernel = ("elementwise", _MUL_TRAFFIC[plan] * nbytes)
-        return [kernel], [("h2d", nbytes)] * 4 + [kernel, ("d2h", nbytes)]
+    if plan in _CPU_PLANS:
+        op, per = _CPU_PLANS[plan]
+        (n,) = shape
+        return (Step(op, (per * n,)),), ()
+    if plan in _MUL:
+        traffic, uploads = _MUL[plan]
+        kernel = (traffic * shape[0],)
+        gpu = [Step("h2d", shape, f"h2d:{slot}") for slot in uploads]
+        gpu += [Step("elementwise", kernel, "kernel"), Step("d2h", shape, "d2h")]
+        return (Step("elementwise", kernel, "cpu"),), tuple(gpu)
     if plan == "rng":
-        (nbytes,) = shape
-        return [("rng", nbytes)], [("rng", nbytes), ("d2h", nbytes)]
+        return (Step("rng", shape),), (Step("rng", shape, "curand"), Step("d2h", shape, "d2h"))
     batch, m, k, n = shape
     out = 8 * batch * m * n
     if plan == "beaver2pc":
         lead, right = 8 * batch * m * k, 8 * batch * k * n
         gpu = [
-            ("h2d", nbytes)
+            Step("h2d", (nbytes,))
             for slot, nbytes in (("E", lead), ("F", right), ("Z", out))
             if slot not in resident
         ]
         if "D" not in resident:
-            gpu.append(("elementwise", 3 * lead))  # D = A_i - E (server 1's)
-        gpu += [("gemm", batch, m, k, n)] * 2 + [("elementwise", 4 * out), ("d2h", out)]
-        return [("gemm", batch, m, 2 * k, n), ("elementwise", 3 * out)], gpu
+            gpu.append(Step("elementwise", (3 * lead,)))  # D = A_i - E (server 1's)
+        gpu += [Step("gemm", shape)] * 2 + [Step("elementwise", (4 * out,)), Step("d2h", (out,))]
+        return (Step("gemm", (batch, m, 2 * k, n)), Step("elementwise", (3 * out,))), tuple(gpu)
     if plan == "rep3":
         k *= 2  # both cross terms in one GEMM
     elif plan != "dealer":
         raise ValueError(f"unknown plan {plan!r}")
-    gemm = ("gemm", batch, m, k, n)
-    return [gemm], [("h2d", 8 * batch * m * k), ("h2d", 8 * batch * k * n), gemm, ("d2h", out)]
+    gemm = Step("gemm", (batch, m, k, n))
+    uploads = [Step("h2d", (8 * batch * m * k,)), Step("h2d", (8 * batch * k * n,))]
+    return (gemm,), (*uploads, gemm, Step("d2h", (out,)))
+
+
+#: Every plan :func:`plan_steps` declares.
+PLANS = (*_CPU_PLANS, *_MUL, "rng", "beaver2pc", "rep3", "dealer")
 
 
 class StepProfiler:
@@ -130,27 +173,17 @@ class StepProfiler:
 
     # -- the cost function ------------------------------------------------------
 
-    def seconds(self, device: Placement, steps: list[Step]) -> float:
-        """Simulated seconds of ``steps`` run back to back on ``device``."""
-        return sum(self._step_seconds(device, *step) for step in steps)
-
-    def _step_seconds(self, device: Placement, op: str, *size) -> float:
-        cpu, gpu = self.cpu_spec, self.gpu_spec
-        if op == "gemm":
-            batch, m, k, n = size
-            if device == "cpu":
-                return cpu.gemm_seconds(m, k, n, batch=batch)
-            return gpu.gemm_seconds(m, k, n, batch=batch, tensor_core=self.tensor_core)
-        (nbytes,) = size
-        if device == "cpu":
-            if op == "rng":  # only the client draws through the profiler
-                return cpu.rng_seconds(nbytes, parallel=self.client_parallel)
-            return cpu.elementwise_seconds(nbytes, parallel=self.cpu_parallel)
-        if op == "elementwise":
-            return gpu.elementwise_seconds(nbytes)
-        if op == "rng":
-            return gpu.curand_seconds(nbytes)
-        return gpu.transfer_seconds(nbytes)  # h2d, d2h
+    def seconds(
+        self, device: Placement, steps: tuple[Step, ...], *, parallel: bool | None = None
+    ) -> float:
+        """Simulated seconds of ``steps`` run back to back on ``device``; a
+        CPU runs at ``parallel`` (default: the servers' ``cpu_parallel``)."""
+        spec = self.gpu_spec if device == "gpu" else self.cpu_spec
+        parallel = self.cpu_parallel if parallel is None else parallel
+        return sum(
+            step_seconds(spec, op, size, parallel=parallel, tensor_core=self.tensor_core)
+            for op, size, _name in steps
+        )
 
     # -- placement -------------------------------------------------------------
 
@@ -160,8 +193,10 @@ class StepProfiler:
         if cached is not None:
             return cached
         cpu_steps, gpu_steps = plan_steps(plan, shape, resident)
-        cpu, gpu = self.seconds("cpu", cpu_steps), self.seconds("gpu", gpu_steps)
-        if self.mode == "cpu_always":
+        parallel = self.client_parallel if plan in _CLIENT_PLANS else self.cpu_parallel
+        cpu = self.seconds("cpu", cpu_steps, parallel=parallel)
+        gpu = self.seconds("gpu", gpu_steps)
+        if not gpu_steps or self.mode == "cpu_always":
             placement: Placement = "cpu"
         elif self.mode == "gpu_always":
             placement = "gpu"
@@ -191,3 +226,33 @@ class StepProfiler:
 
     def place_rng(self, nbytes: int) -> PlacementDecision:
         return self._decide("rng", (nbytes,))
+
+    # -- the executor ------------------------------------------------------------
+
+    def run_plan(
+        self, cpu, gpu, plan: str, shape: tuple, *, deps, label: str, resident: tuple[str, ...] = ()
+    ) -> list:
+        """Place ``plan``'s steps at ``shape`` on one party's ``cpu`` or
+        ``gpu`` (None where it has none), whichever the profiler picks,
+        and return their tasks in step order.
+
+        Each device prices a step itself, at its own spec and parallel
+        flag.  Uploads start together on ``deps``, the step after them
+        waits for all of them, and every other step waits for the one
+        before it.
+        """
+        cpu_steps, gpu_steps = plan_steps(plan, shape, resident)
+        if gpu is not None and self._decide(plan, shape, resident).placement == "gpu":
+            device, steps = gpu, gpu_steps
+        else:
+            device, steps = cpu, cpu_steps
+        tasks, after, uploads = [], tuple(deps), []
+        for op, size, name in steps:
+            step_label = f"{label}:{name}" if name else label
+            if op == "h2d":
+                uploads.append(device.run_step(op, size, deps, step_label))
+                tasks.append(uploads[-1])
+            else:
+                tasks.append(device.run_step(op, size, (*after, *uploads), step_label))
+                after, uploads = (tasks[-1],), []
+        return tasks

@@ -72,12 +72,10 @@ def _exchange_round(ctx, label, parts, masks):
         dst = 1 - src
         # Sender-side compression scan (cheap, bandwidth bound); one scan
         # covers every matrix of the round.
-        scan = ctx.server_reconstruct_cpu[src].run(
-            ctx.config.cpu_spec.elementwise_seconds(
-                sum(local.nbytes for _payload, local in payloads[src]),
-                parallel=ctx.config.cpu_parallel,
-            )
-            * (0.5 if ctx.config.compression else 0.0),
+        scanned = sum(local.nbytes for _payload, local in payloads[src])
+        (scan,) = ctx.profiler.run_plan(
+            ctx.server_reconstruct_cpu[src], None, "compress",
+            (scanned if ctx.config.compression else 0,),
             deps=_deps(*(tasks[src] for _locals, tasks in parts.values())),
             label=f"{label}:compress",
         )
@@ -298,46 +296,15 @@ class Beaver2PCBackend(ProtocolBackend):
             lambda a: a.reshape(a.shape[0], -1) if a.ndim != 2 else a,
         )
 
-        nbytes = x.nbytes
-        decision = ctx.profiler.place_elementwise(nbytes)
         shares, tasks = [], []
         for i in (0, 1):
-            tshare = triplet.share_for(i)
-            compute = lambda i=i, tshare=tshare: beaver_elementwise_share(
-                i, e, f, x.shares[i], y.shares[i], tshare
-            )
-            if decision.placement == "gpu" and ctx.server_gpu[i] is not None:
-                gpu = ctx.server_gpu[i]
-                bufs = []
-                tdeps = list(ready[i])
-                for arr, nm in ((e, "E"), (f, "F"), (x.shares[i], "A"), (y.shares[i], "B")):
-                    buf, tt = gpu.h2d(arr, deps=ready[i], label=f"{label}:h2d:{nm}")
-                    bufs.append(buf)
-                    tdeps.append(tt)
-                c_i = compute()
-                out_buf = gpu.pool.allocate(c_i)
-                tk = gpu.clock.run(
-                    gpu.stream(0),
-                    gpu.spec.elementwise_seconds(5 * nbytes),
-                    deps=tuple(tdeps),
-                    label=f"{label}:kernel",
-                )
-                _, tout = gpu.d2h(out_buf, deps=(tk,), label=f"{label}:d2h")
-                for b in bufs + [out_buf]:
-                    gpu.free(b)
-                shares.append(c_i)
-                tasks.append(tout)
-            else:
-                c_i = compute()
-                tk = ctx.server_cpu[i].run(
-                    ctx.config.cpu_spec.elementwise_seconds(
-                        5 * nbytes, parallel=ctx.config.cpu_parallel
-                    ),
-                    deps=ready[i],
-                    label=f"{label}:cpu",
-                )
-                shares.append(c_i)
-                tasks.append(tk)
+            shares.append(beaver_elementwise_share(
+                i, e, f, x.shares[i], y.shares[i], triplet.share_for(i)
+            ))
+            tasks.append(ctx.profiler.run_plan(
+                ctx.server_cpu[i], ctx.server_gpu[i], "beaver2pc.mul", (x.nbytes,),
+                deps=ready[i], label=label,
+            )[-1])
         _set_chain(ctx, tasks)
         out = SharedTensor(ctx=ctx, shares=tuple(shares), kind="fixed", tasks=tuple(tasks))
         if x.kind == "fixed" and y.kind == "fixed":
@@ -351,17 +318,16 @@ class Beaver2PCBackend(ProtocolBackend):
         bundle = ctx.gen_comparison_bundle(x.shape, label=label)
         res = secure_ge_const(x.shares[0], x.shares[1], c_enc, bundle)
 
-        # Online cost: ~70 vectorised bit-ops per element on each server CPU,
+        # Online cost: the ``compare`` plan's bit-ops on each server CPU,
         # plus the round traffic (one 8-byte opening, the borrow tree's five
         # bit rounds, B2A).
         n = int(np.prod(x.shape))
         start = _chain(ctx, _deps(*x.tasks))
         cpu_tasks = [
-            ctx.server_cpu[i].run(
-                ctx.config.cpu_spec.elementwise_seconds(70 * n, parallel=ctx.config.cpu_parallel),
-                deps=_deps(x.tasks[i], *start),
-                label=f"{label}:gmw",
-            )
+            ctx.profiler.run_plan(
+                ctx.server_cpu[i], None, "compare", (n,),
+                deps=_deps(x.tasks[i], *start), label=f"{label}:gmw",
+            )[-1]
             for i in (0, 1)
         ]
         half = res.online_bytes // 2

@@ -159,10 +159,9 @@ class Rep3Backend(ProtocolBackend):
         masked, mask_tasks = [], []
         for i in range(3):
             # Expand the two pairwise PRG streams behind alpha_i, then mask.
-            t_prg = ctx.server_cpu[i].run(
-                ctx.config.cpu_spec.rng_seconds(2 * nbytes, parallel=ctx.config.cpu_parallel),
-                deps=_deps(z_tasks[i]),
-                label=f"{label}:prg",
+            (t_prg,) = ctx.profiler.run_plan(
+                ctx.server_cpu[i], None, "prg", (nbytes,),
+                deps=_deps(z_tasks[i]), label=f"{label}:prg",
             )
             c_i, t_c = ctx.server_cpu[i].elementwise(
                 ring_add, [z_parts[i], alphas[i]], deps=(t_prg,), label=f"{label}:mask"
@@ -222,45 +221,15 @@ class Rep3Backend(ProtocolBackend):
         return out
 
     def elementwise_mul(self, ctx, x, y, *, label):
-        nbytes = x.nbytes
-        decision = ctx.profiler.place_elementwise(nbytes, plan="rep3")
         z_parts, z_tasks = [], []
         for i in range(3):
             j = (i + 1) % 3
             start = _chain(ctx, _deps(x.tasks[i], x.tasks[j], y.tasks[i], y.tasks[j]))
-            z_i = rep3_cross_term(i, x.shares, y.shares)
-            if decision.placement == "gpu" and ctx.server_gpu[i] is not None:
-                gpu = ctx.server_gpu[i]
-                bufs, tdeps = [], list(start)
-                for arr, nm in (
-                    (x.shares[i], "A"), (x.shares[j], "A2"),
-                    (y.shares[i], "B"), (y.shares[j], "B2"),
-                ):
-                    buf, tt = gpu.h2d(arr, deps=start, label=f"{label}:h2d:{nm}")
-                    bufs.append(buf)
-                    tdeps.append(tt)
-                out_buf = gpu.pool.allocate(z_i)
-                tk = gpu.clock.run(
-                    gpu.stream(0),
-                    gpu.spec.elementwise_seconds(4 * nbytes),
-                    deps=tuple(tdeps),
-                    label=f"{label}:kernel",
-                )
-                _, tout = gpu.d2h(out_buf, deps=(tk,), label=f"{label}:d2h")
-                for b in bufs + [out_buf]:
-                    gpu.free(b)
-                z_parts.append(z_i)
-                z_tasks.append(tout)
-            else:
-                tk = ctx.server_cpu[i].run(
-                    ctx.config.cpu_spec.elementwise_seconds(
-                        4 * nbytes, parallel=ctx.config.cpu_parallel
-                    ),
-                    deps=start,
-                    label=f"{label}:cpu",
-                )
-                z_parts.append(z_i)
-                z_tasks.append(tk)
+            z_parts.append(rep3_cross_term(i, x.shares, y.shares))
+            z_tasks.append(ctx.profiler.run_plan(
+                ctx.server_cpu[i], ctx.server_gpu[i], "rep3.mul", (x.nbytes,),
+                deps=start, label=label,
+            )[-1])
         shares, tasks = self._reshare(ctx, z_parts, z_tasks, label)
         _set_chain(ctx, tasks)
         out = SharedTensor(ctx=ctx, shares=shares, kind="fixed", tasks=tasks)
@@ -272,9 +241,6 @@ class Rep3Backend(ProtocolBackend):
 
     def truncate(self, ctx, x, *, label):
         frac = ctx.encoder.frac_bits
-        nbytes = x.nbytes
-        cpu = ctx.config.cpu_spec
-        par = ctx.config.cpu_parallel
         # Pair truncation: party 0 folds and truncates (x0 + x1); parties
         # 1 and 2 both hold x2 and truncate it as the negative share.
         # The fold and both truncated halves are op-local buffers, so the
@@ -286,20 +252,15 @@ class Rep3Backend(ProtocolBackend):
         y0 = ring_add(t_a, alphas[0], out=t_a)
         y1 = alphas[1]
         y2 = ring_add(t_b, alphas[2], out=t_b)
-        t0 = ctx.server_cpu[0].run(
-            cpu.elementwise_seconds(3 * nbytes, parallel=par),
-            deps=_deps(x.tasks[0], x.tasks[1]),
-            label=label,
-        )
-        t1 = ctx.server_cpu[1].run(
-            cpu.elementwise_seconds(2 * nbytes, parallel=par),
-            deps=_deps(x.tasks[2]),
-            label=label,
-        )
-        t2 = ctx.server_cpu[2].run(
-            cpu.elementwise_seconds(2 * nbytes, parallel=par),
-            deps=_deps(x.tasks[2]),
-            label=label,
+        t0, t1, t2 = (
+            ctx.profiler.run_plan(
+                ctx.server_cpu[p], None, plan, (x.nbytes,), deps=deps, label=label
+            )[-1]
+            for p, plan, deps in (
+                (0, "rep3.trunc0", _deps(x.tasks[0], x.tasks[1])),
+                (1, "rep3.trunc", _deps(x.tasks[2])),
+                (2, "rep3.trunc", _deps(x.tasks[2])),
+            )
         )
         # One masked message restores the replicated layout: party 2 needs
         # the new share 0, which only party 0 can compute.
@@ -322,24 +283,17 @@ class Rep3Backend(ProtocolBackend):
         res = secure_ge_const(a, b, c_enc, bundle)
 
         n = int(np.prod(x.shape))
-        nbytes = x.nbytes
-        cpu = ctx.config.cpu_spec
-        par = ctx.config.cpu_parallel
+        run_plan = ctx.profiler.run_plan
         start = _chain(ctx, _deps(*x.tasks))
-        fold = ctx.server_cpu[0].run(
-            cpu.elementwise_seconds(nbytes, parallel=par),
-            deps=_deps(x.tasks[0], x.tasks[1], *start),
-            label=f"{label}:fold",
+        (fold,) = run_plan(
+            ctx.server_cpu[0], None, "pass", (x.nbytes,),
+            deps=_deps(x.tasks[0], x.tasks[1], *start), label=f"{label}:fold",
         )
         cpu_tasks = {
-            0: ctx.server_cpu[0].run(
-                cpu.elementwise_seconds(70 * n, parallel=par), deps=(fold,), label=f"{label}:gmw"
-            ),
-            2: ctx.server_cpu[2].run(
-                cpu.elementwise_seconds(70 * n, parallel=par),
-                deps=_deps(x.tasks[2], *start),
-                label=f"{label}:gmw",
-            ),
+            p: run_plan(
+                ctx.server_cpu[p], None, "compare", (n,), deps=deps, label=f"{label}:gmw"
+            )[-1]
+            for p, deps in ((0, (fold,)), (2, _deps(x.tasks[2], *start)))
         }
         half = res.online_bytes // 2
         extra_latency = (res.rounds - 1) * ctx.config.server_link.latency_s
@@ -367,12 +321,12 @@ class Rep3Backend(ProtocolBackend):
         r0 = ring_add(res.share0, beta[0])
         r1 = beta[1]
         r2 = ring_add(res.share1, beta[2])
-        lift_tasks = []
-        for p, dep in ((0, done0), (1, None), (2, done2)):
-            t_prg = ctx.server_cpu[p].run(
-                cpu.rng_seconds(2 * nbytes, parallel=par), deps=_deps(dep), label=f"{label}:prg"
-            )
-            lift_tasks.append(t_prg)
+        lift_tasks = [
+            run_plan(
+                ctx.server_cpu[p], None, "prg", (x.nbytes,), deps=_deps(dep), label=f"{label}:prg"
+            )[-1]
+            for p, dep in ((0, done0), (1, None), (2, done2))
+        ]
         s02 = _send_array(
             ctx, ctx.server_link(0, 2), "server0", "server2", f"{label}/lift0", r0,
             deps=(lift_tasks[0],), label=f"{label}:lift",

@@ -145,6 +145,38 @@ class CPUSpec:
         return nbytes / (self.rng_gbps_single * 1e9 * self.parallel_factor(parallel))
 
 
+def step_seconds(
+    spec: CPUSpec | DeviceSpec, op: str, size: tuple, *, parallel=False, tensor_core=False
+) -> float:
+    """Simulated seconds of one step on a device of ``spec``: ``size`` is
+    ``(batch, m, k, n)`` for a ``gemm``, ``(nbytes,)`` otherwise.  A CPU
+    runs ``gemm``, and at its ``parallel`` flag ``elementwise``, ``rng``
+    (MT19937) and ``encode`` (float -> ring); a GPU runs ``gemm`` (at
+    ``tensor_core``), ``elementwise``, ``rng`` (warm cuRAND), ``h2d`` and
+    ``d2h``."""
+    cpu = isinstance(spec, CPUSpec)
+    if op == "gemm":
+        batch, m, k, n = size
+        if cpu:
+            return spec.gemm_seconds(m, k, n, batch=batch)
+        return spec.gemm_seconds(m, k, n, batch=batch, tensor_core=tensor_core)
+    (nbytes,) = size
+    if cpu:
+        if op == "elementwise":
+            return spec.elementwise_seconds(nbytes, parallel=parallel)
+        if op == "rng":
+            return spec.rng_seconds(nbytes, parallel=parallel)
+        if op == "encode":
+            return nbytes / (spec.encode_gbps * 1e9)
+    elif op == "elementwise":
+        return spec.elementwise_seconds(nbytes)
+    elif op == "rng":
+        return spec.curand_seconds(nbytes)
+    elif op in ("h2d", "d2h"):
+        return spec.transfer_seconds(nbytes)
+    raise ValueError(f"{spec.name} has no {op!r} step")
+
+
 # -- Calibrated platform specs ------------------------------------------------
 
 V100_SPEC = DeviceSpec(

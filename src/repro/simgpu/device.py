@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fixedpoint.ring import ring_add, ring_matmul, ring_mul, ring_sub
+from repro.fixedpoint.ring import ring_add, ring_matmul
 from repro.simgpu.clock import SimClock, Task
-from repro.simgpu.cost import CPUSpec, DeviceSpec
+from repro.simgpu.cost import CPUSpec, DeviceSpec, step_seconds
 from repro.simgpu.memory import DeviceBuffer, MemoryPool
 from repro.telemetry.registry import MetricRegistry, SeriesCache
 from repro.util.errors import DeviceError
@@ -132,37 +132,38 @@ class SimGPU:
     def h2d(self, array: np.ndarray, deps=(), label: str = "h2d") -> tuple[DeviceBuffer, Task]:
         """Copy a host array into device memory over PCIe."""
         buf = self.pool.allocate(np.ascontiguousarray(array))
-        t = self.clock.run(
-            self.h2d_engine, self.spec.transfer_seconds(buf.nbytes), deps=deps, label=label
-        )
-        self._h2d.inc(buf.nbytes)
-        self._observe("h2d", t, deps)
-        return buf, t
+        return buf, self.run_step("h2d", (buf.nbytes,), deps, label)
 
     def d2h(self, buf: DeviceBuffer, deps=(), label: str = "d2h") -> tuple[np.ndarray, Task]:
         """Copy a device buffer back to the host over PCIe."""
         data = buf.require_live()
-        t = self.clock.run(
-            self.d2h_engine, self.spec.transfer_seconds(data.nbytes), deps=deps, label=label
-        )
-        self._d2h.inc(data.nbytes)
-        self._observe("d2h", t, deps)
-        return data, t
+        return data, self.run_step("d2h", (data.nbytes,), deps, label)
+
+    def run_step(self, op: str, size: tuple, deps=(), label: str = "step", *, stream=0) -> Task:
+        """Charge one step at this GPU's spec
+        (:func:`~repro.simgpu.cost.step_seconds`): a PCIe copy on its
+        engine, counted in ``h2d_bytes``/``d2h_bytes``; anything else on
+        ``stream``, a GEMM counted in ``gemm_count``/``gemm_flops``."""
+        if op == "h2d":
+            resource = self.h2d_engine
+            self._h2d.inc(size[0])
+        elif op == "d2h":
+            resource = self.d2h_engine
+            self._d2h.inc(size[0])
+        else:
+            resource = self.stream(stream)
+            if op == "gemm":
+                batch, m, k, n = size
+                self._gemm_count.inc(1)
+                self._gemm_flops.inc(2.0 * batch * m * k * n)
+        seconds = step_seconds(self.spec, op, size, tensor_core=self.tensor_core)
+        t = self.clock.run(resource, seconds, deps=deps, label=label)
+        return self._observe(op, t, deps)
 
     def free(self, buf: DeviceBuffer) -> None:
         self.pool.free(buf)
 
     # -- kernels -----------------------------------------------------------------
-
-    def _charge_gemm(self, a: np.ndarray, b: np.ndarray, stream: int, deps, label: str) -> Task:
-        """One launch for ``a @ b`` (two matrices or two stacks) at
-        :meth:`DeviceSpec.gemm_seconds`."""
-        batch, m, k, n = gemm_dims(a.shape, b.shape)
-        dur = self.spec.gemm_seconds(m, k, n, batch=batch, tensor_core=self.tensor_core)
-        self._gemm_count.inc(1)
-        self._gemm_flops.inc(2.0 * batch * m * k * n)
-        t = self.clock.run(self.stream(stream), dur, deps=deps, label=label)
-        return self._observe("gemm", t, deps)
 
     def gemm_ring(
         self,
@@ -193,7 +194,7 @@ class SimGPU:
         """
         av, bv = _op(a.require_live(), trans_a), _op(b.require_live(), trans_b)
         out = self.pool.allocate(ring_matmul(av, bv))
-        return out, self._charge_gemm(av, bv, stream, deps, label)
+        return out, self.run_step("gemm", gemm_dims(av.shape, bv.shape), deps, label, stream=stream)
 
     def gemm_float(
         self,
@@ -221,7 +222,7 @@ class SimGPU:
         else:
             prod = av.astype(np.float32) @ bv.astype(np.float32)
         out = self.pool.allocate(prod)
-        return out, self._charge_gemm(av, bv, stream, deps, label)
+        return out, self.run_step("gemm", gemm_dims(av.shape, bv.shape), deps, label, stream=stream)
 
     def elementwise(
         self,
@@ -237,20 +238,10 @@ class SimGPU:
         result = fn(*arrays)
         out = self.pool.allocate(result)
         nbytes = sum(a.nbytes for a in arrays) + result.nbytes
-        t = self.clock.run(
-            self.stream(stream), self.spec.elementwise_seconds(nbytes), deps=deps, label=label
-        )
-        self._observe("elementwise", t, deps)
-        return out, t
+        return out, self.run_step("elementwise", (nbytes,), deps, label, stream=stream)
 
     def ring_add(self, a: DeviceBuffer, b: DeviceBuffer, deps=(), **kw):
         return self.elementwise(ring_add, [a, b], deps=deps, label=kw.pop("label", "ring_add"), **kw)
-
-    def ring_sub(self, a: DeviceBuffer, b: DeviceBuffer, deps=(), **kw):
-        return self.elementwise(ring_sub, [a, b], deps=deps, label=kw.pop("label", "ring_sub"), **kw)
-
-    def ring_mul(self, a: DeviceBuffer, b: DeviceBuffer, deps=(), **kw):
-        return self.elementwise(ring_mul, [a, b], deps=deps, label=kw.pop("label", "ring_mul"), **kw)
 
     def curand_uniform_ring(
         self, shape, rng: np.random.Generator, deps=(), *, stream: int = 0
@@ -306,35 +297,22 @@ class SimCPU:
         self._seconds[kind].observe(t.duration)
         return t
 
-    def _charge_gemm(self, a: np.ndarray, b: np.ndarray, deps, label: str) -> Task:
-        """Charge ``a @ b`` (two matrices or two stacks) at :meth:`CPUSpec.gemm_seconds`."""
-        batch, m, k, n = gemm_dims(a.shape, b.shape)
-        return self.run(self.spec.gemm_seconds(m, k, n, batch=batch), deps, label, kind="gemm")
+    def run_step(self, op: str, size: tuple, deps=(), label: str = "cpu") -> Task:
+        """One plan step, priced at this CPU's spec and parallel flag
+        (:func:`~repro.simgpu.cost.step_seconds`)."""
+        seconds = step_seconds(self.spec, op, size, parallel=self.parallel_enabled)
+        return self.run(seconds, deps, label, kind=op)
 
     def gemm_ring(self, a: np.ndarray, b: np.ndarray, deps=(), label="cpu_gemm"):
-        return ring_matmul(a, b), self._charge_gemm(a, b, deps, label)
-
-    def gemm_float(self, a: np.ndarray, b: np.ndarray, deps=(), label="cpu_gemm"):
-        return a @ b, self._charge_gemm(a, b, deps, label)
+        """``a @ b`` (two matrices or two stacks), charged at :meth:`CPUSpec.gemm_seconds`."""
+        return ring_matmul(a, b), self.run_step("gemm", gemm_dims(a.shape, b.shape), deps, label)
 
     def elementwise(self, fn, arrays, deps=(), label="cpu_elementwise"):
         result = fn(*arrays)
         nbytes = sum(a.nbytes for a in arrays) + result.nbytes
-        t = self.run(
-            self.spec.elementwise_seconds(nbytes, parallel=self.parallel_enabled),
-            deps,
-            label,
-            kind="elementwise",
-        )
-        return result, t
+        return result, self.run_step("elementwise", (nbytes,), deps, label)
 
     def rng_uniform_ring(self, shape, rng: np.random.Generator, deps=(), label="mt19937"):
         data = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
         self._rng_bytes.inc(data.nbytes)
-        t = self.run(
-            self.spec.rng_seconds(data.nbytes, parallel=self.parallel_enabled),
-            deps,
-            label,
-            kind="rng",
-        )
-        return data, t
+        return data, self.run_step("rng", (data.nbytes,), deps, label)

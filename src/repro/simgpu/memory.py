@@ -84,8 +84,3 @@ class MemoryPool:
         buf.freed = True
         self._live.discard(id(buf))
         self.allocated_bytes -= buf.nbytes
-
-    def free_all(self) -> None:
-        """Reset the pool (end of a batch/step); outstanding buffers die."""
-        self._live.clear()
-        self.allocated_bytes = 0

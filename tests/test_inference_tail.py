@@ -165,3 +165,13 @@ class TestRetryAccounting:
         assert faulty.retried_batches >= 1
         assert faulty.predictions.shape == (19, 2)
         np.testing.assert_array_equal(clean.predictions, faulty.predictions)
+
+
+class TestBatchSize:
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_a_batch_size_below_one_is_a_config_error_naming_it(self, batch_size):
+        """``batch_size=0`` used to surface as ``range()``'s bare
+        ValueError, and a negative one served no row at all."""
+        ctx, model = _mlp_ctx()
+        with pytest.raises(ConfigError, match="batch_size"):
+            secure_predict(ctx, model, np.zeros((4, 12)), batch_size=batch_size)

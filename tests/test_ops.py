@@ -183,3 +183,26 @@ class TestZeroSizeGemm:
         out = ops.secure_matmul(a, b, label="empty")
         assert out.shape == (2, 3)
         np.testing.assert_allclose(out.decode(), np.zeros((2, 3)), atol=1e-6)
+
+
+class TestOneContext:
+    """Shares of two deployments are two different sharings: an op across
+    them used to decode to garbage (a ``beaver2pc`` x ``rep3`` product of
+    ``ones(2, 2)`` read entries of order 1e11) instead of failing."""
+
+    OPS = {
+        "matmul": lambda x, y: ops.secure_matmul(x, y, label="p"),
+        "mul": lambda x, y: ops.secure_elementwise_mul(x, y, label="p"),
+        "add": lambda x, y: x + y,
+        "sub": lambda x, y: x - y,
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("backends", [("beaver2pc", "rep3"), ("beaver2pc", "beaver2pc")])
+    def test_operands_of_two_contexts_are_a_protocol_error(self, op, backends):
+        x, y = (
+            shared(make_ctx(backend=b, seed=i), np.ones((2, 2))) for i, b in enumerate(backends)
+        )
+        label = "p" if op in ("matmul", "mul") else op
+        with pytest.raises(ProtocolError, match=rf"\[{label}\].*{backends[0]} and {backends[1]}"):
+            self.OPS[op](x, y)

@@ -7,12 +7,12 @@ from oracles import beaver_matmul_share, combine_masked, masked_difference
 
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
-from repro.core.ops import secure_matmul
+from repro.core.ops import secure_elementwise_mul, secure_matmul
 from repro.core.tensor import SharedTensor
 from repro.fixedpoint.encoding import FixedPointEncoder
 from repro.fixedpoint.truncation import truncate_share
 from repro.mpc.shares import reconstruct, share_secret
-from repro.pipeline.profiler import StepProfiler
+from repro.pipeline.profiler import PLANS, StepProfiler, plan_steps
 from repro.pipeline.scheduler import resident_slots, schedule_secure_gemm
 from repro.pipeline.timeline import render_gantt, summarize
 from repro.simgpu.clock import SimClock
@@ -71,6 +71,66 @@ class TestProfiler:
 
     def test_elementwise_small_on_cpu(self, profiler):
         assert profiler.place_elementwise(4096).placement == "cpu"
+
+
+def _plan_shape(plan):
+    return (2, 8, 16, 4) if plan in ("beaver2pc", "rep3", "dealer") else (4096,)
+
+
+class TestRunPlan:
+    """``run_plan`` places exactly the steps the profiler prices, on the
+    device it picks, each priced by the party's own device."""
+
+    @pytest.mark.parametrize("device", ["cpu", "gpu"])
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_placed_durations_sum_to_the_profilers_price(self, plan, device):
+        # the servers' and the client's parallel flags differ, so a step
+        # priced at the wrong party's flag shows
+        ctx = make_ctx(cpu_parallel=False, placement_mode=f"{device}_always")
+        client = plan in ("dealer", "rng", "encode")
+        cpu, gpu = (
+            (ctx.client_cpu, ctx.client_gpu) if client else (ctx.server_cpu[0], ctx.server_gpu[0])
+        )
+        shape = _plan_shape(plan)
+        cpu_steps, gpu_steps = plan_steps(plan, shape)
+        on = device if gpu_steps else "cpu"  # a CPU-only plan never reaches the GPU
+        tasks = ctx.profiler.run_plan(cpu, gpu, plan, shape, deps=(), label="t")
+        steps = gpu_steps if on == "gpu" else cpu_steps
+        assert len(tasks) == len(steps)
+        assert {t.resource.split(".")[0] for t in tasks} == {(gpu if on == "gpu" else cpu).name}
+        assert sum(t.duration for t in tasks) == pytest.approx(
+            ctx.profiler.seconds(on, steps, parallel=cpu.parallel_enabled), rel=1e-12
+        )
+
+    def test_a_server_and_a_client_draw_are_priced_at_their_own_parallel_flags(self):
+        ctx = make_ctx(cpu_parallel=False, client_parallel=True)
+        spec, nbytes = ctx.config.cpu_spec, 4096
+        run_plan = ctx.profiler.run_plan
+        (server,) = run_plan(ctx.server_cpu[0], None, "prg", (nbytes,), deps=(), label="s")
+        (client,) = run_plan(ctx.client_cpu, None, "rng", (nbytes,), deps=(), label="c")
+        assert server.duration == pytest.approx(spec.rng_seconds(2 * nbytes, parallel=False))
+        assert client.duration == pytest.approx(spec.rng_seconds(nbytes, parallel=True))
+        assert ctx.profiler.place_rng(nbytes).cpu_estimate_s == client.duration
+
+    @pytest.mark.parametrize("backend", ["beaver2pc", "rep3"])
+    @pytest.mark.parametrize("device", ["cpu", "gpu"])
+    def test_a_hadamard_product_charges_the_plan_the_profiler_priced(self, backend, device):
+        ctx = make_ctx(backend=backend, placement_mode=f"{device}_always", trace=True)
+        rng = np.random.default_rng(0)
+        x, y = (SharedTensor.from_plain(ctx, rng.normal(size=(16, 32)), label=n) for n in "xy")
+        start = len(ctx.online_clock.trace)
+        secure_elementwise_mul(x, y, label="h")
+        plan = f"{backend}.mul"
+        steps = plan_steps(plan, (x.nbytes,))[device == "gpu"]
+        party = ctx.server_gpu[0] if device == "gpu" else ctx.server_cpu[0]
+        paid = [
+            t for t in ctx.online_clock.trace[start:]
+            if t.resource.split(".")[0] == party.name and t.label in {f"h:{s.name}" for s in steps}
+        ]
+        decision = ctx.profiler.place_elementwise(x.nbytes, plan=backend)
+        assert decision.placement == device and len(paid) == len(steps)
+        price = decision.gpu_estimate_s if device == "gpu" else decision.cpu_estimate_s
+        assert sum(t.duration for t in paid) == pytest.approx(price, rel=1e-12)
 
 
 def _scheduled_operands(m=32, k=48, n=24, seed=0):

@@ -78,6 +78,11 @@ class TestLocalOps:
         with pytest.raises(ProtocolError):
             t.mul_public(0.5)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_mul_public_by_a_non_finite_value_is_an_encoding_error(self, ctx, value):
+        with pytest.raises(EncodingError, match=repr(value)):
+            shared(ctx, np.eye(2)).mul_public(value)
+
     def test_kind_mismatch_in_add(self, ctx):
         fixed = shared(ctx, np.eye(2))
         ind = SharedTensor.from_plain(ctx, np.eye(2), kind="indicator")
@@ -121,6 +126,12 @@ class TestShapeOps:
         np.testing.assert_allclose(
             shared(ctx, a).row_slice(2, 6).decode(), a[2:6], atol=2e-4
         )
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 1), (2, 1), (5, 9), (0, 3)])
+    def test_row_slice_outside_the_rows_is_a_shape_error(self, ctx, lo, hi):
+        """``row_slice(5, 9)`` of two rows used to return an empty tensor."""
+        with pytest.raises(ShapeError, match="row range of 2 rows"):
+            shared(ctx, np.ones((2, 3))).row_slice(lo, hi)
 
     def test_sum_rows(self, ctx, rng):
         a = rng.normal(size=(7, 4))
