@@ -20,7 +20,7 @@ from typing import Literal
 import numpy as np
 
 from repro.simgpu.clock import SimClock
-from repro.simgpu.cost import CPUSpec, DeviceSpec, V100_SPEC, XEON_E5_2670V3_SPEC
+from repro.simgpu.cost import CPUSpec, DeviceSpec, V100_SPEC, XEON_E5_2670V3_SPEC, step_seconds
 from repro.simgpu.kernels import col2im, conv_output_size, im2col
 from repro.util.errors import ConfigError
 
@@ -59,24 +59,24 @@ class PlainTimer:
     def seconds(self) -> float:
         return self.clock.now()
 
+    def _step(self, op: str, size: tuple, resource: str = "compute") -> None:
+        """One step on the device, priced by :func:`~repro.simgpu.cost.step_seconds`."""
+        spec = self.gpu_spec if self.device == "gpu" else self.cpu_spec
+        seconds = step_seconds(
+            spec, op, size, parallel=self.cpu_parallel, tensor_core=self.tensor_core
+        )
+        self.clock.run(resource, seconds, label=op)
+
     def gemm(self, m: int, k: int, n: int) -> None:
-        if self.device == "gpu":
-            dur = self.gpu_spec.gemm_seconds(m, k, n, tensor_core=self.tensor_core)
-        else:
-            dur = self.cpu_spec.gemm_seconds(m, k, n)
-        self.clock.run("compute", dur, label="gemm")
+        self._step("gemm", (1, m, k, n))
 
     def elementwise(self, nbytes: int) -> None:
-        if self.device == "gpu":
-            dur = self.gpu_spec.elementwise_seconds(nbytes)
-        else:
-            dur = self.cpu_spec.elementwise_seconds(nbytes, parallel=self.cpu_parallel)
-        self.clock.run("compute", dur, label="elementwise")
+        self._step("elementwise", (nbytes,))
 
     def transfer(self, nbytes: int) -> None:
         """PCIe streaming (no-op for the CPU device)."""
         if self.device == "gpu":
-            self.clock.run("pcie", self.gpu_spec.transfer_seconds(nbytes), label="pcie")
+            self._step("h2d", (nbytes,), "pcie")
 
 
 class PlainLayer:

@@ -44,7 +44,7 @@ from repro.core.config import FrameworkConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.reliable import ResilientChannel
 from repro.fixedpoint.encoding import FixedPointEncoder
-from repro.fixedpoint.ring import ring_add, ring_mul
+from repro.fixedpoint.ring import ring_add, ring_matmul, ring_mul
 from repro.mpc.comparison import ComparisonBundle, ComparisonDealer, comparison_offline_bytes
 from repro.mpc.triplets import (
     BeaverMask,
@@ -496,24 +496,18 @@ class SecureContext:
 
     def _client_matmul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Z = U x V on the client (two matrices or two equal-depth
-        stacks), GPU-accelerated when profitable.
+        stacks), charged as the ``dealer`` plan: on the client GPU when
+        the profiler finds it cheaper.
 
         The paper's offline acceleration: this one product is >90% of
         the offline compute, so it goes to the client GPU; everything
         else stays on the CPU (Section 4.2).
         """
-        decision = self.profiler.place_gemm(*gemm_dims(u.shape, v.shape))
-        if decision.placement == "gpu" and self.client_gpu is not None:
-            gpu = self.client_gpu
-            u_buf, t_u = gpu.h2d(u, label="offline:h2d:U")
-            v_buf, t_v = gpu.h2d(v, label="offline:h2d:V")
-            z_buf, t_z = gpu.gemm_ring(u_buf, v_buf, deps=(t_u, t_v), label="offline:U@V")
-            z, _ = gpu.d2h(z_buf, deps=(t_z,), label="offline:d2h:Z")
-            for b in (u_buf, v_buf, z_buf):
-                gpu.free(b)
-            return z
-        z, _ = self.client_cpu.gemm_ring(u, v, label="offline:U@V")
-        return z
+        self.profiler.run_plan(
+            self.client_cpu, self.client_gpu, "dealer", gemm_dims(u.shape, v.shape),
+            deps=(), label="offline",
+        )
+        return ring_matmul(u, v)
 
     def _share_with_timing(self, secret: np.ndarray, label: str):
         """Backend share split plus the client-side cost it implies.

@@ -19,7 +19,7 @@ import numpy as np
 from repro.core import ops
 from repro.core.tensor import SharedTensor
 from repro.simgpu.kernels import col2im, conv_output_size, im2col
-from repro.util.errors import ProtocolError, ShapeError
+from repro.util.errors import ConfigError, ProtocolError, ShapeError
 
 
 class SecureLayer:
@@ -52,6 +52,11 @@ class SecureDense(SecureLayer):
     """Fully connected layer ``Y = X W + b``."""
 
     def __init__(self, ctx, in_features: int, out_features: int, *, name: str = "dense"):
+        if min(in_features, out_features) < 1:
+            raise ConfigError(
+                f"{name}: a dense layer needs at least one input and one output feature, "
+                f"got {in_features} -> {out_features}"
+            )
         self.ctx = ctx
         self.name = name
         self.in_features = in_features
@@ -264,21 +269,23 @@ class SecureAvgPool2D(SecureLayer):
         img = share.reshape(n, h // k, k, w // k, k, c)
         return img.sum(axis=(2, 4), dtype=np.uint64).reshape(n, -1)
 
+    def _pass(self, x: SharedTensor, shares, nbytes: int, what: str) -> SharedTensor:
+        """``shares``, each ready once its party's ``pass`` over ``nbytes``
+        has run after that party's share of ``x``."""
+        tasks = tuple(
+            self.ctx.profiler.run_plan(
+                cpu, None, "pass", (nbytes,), deps=(x.tasks[i],), label=f"{self.name}:{what}"
+            )[-1]
+            for i, cpu in enumerate(self.ctx.server_cpu)
+        )
+        return SharedTensor(ctx=self.ctx, shares=tuple(shares), kind=x.kind, tasks=tasks)
+
     def forward(self, x: SharedTensor, *, training: bool = True) -> SharedTensor:
         n = x.shape[0]
         if int(np.prod(x.shape[1:])) != int(np.prod(self.in_shape)):
             raise ShapeError(f"{self.name}: input {x.shape} does not match {self.in_shape}")
         self._batch = n
-        summed = SharedTensor(
-            ctx=self.ctx,
-            shares=tuple(self._pool_share(s, n) for s in x.shares),
-            kind=x.kind,
-            tasks=x.tasks,
-        )
-        for cpu in self.ctx.server_cpu:
-            self.ctx.profiler.run_plan(
-                cpu, None, "pass", (x.nbytes,), deps=(), label=f"{self.name}:pool"
-            )
+        summed = self._pass(x, (self._pool_share(s, n) for s in x.shares), x.nbytes, "pool")
         return summed.mul_public(1.0 / (self.window * self.window))
 
     def backward(
@@ -295,9 +302,7 @@ class SecureAvgPool2D(SecureLayer):
             img = share.reshape(n, oh, 1, ow, 1, c)
             full = np.broadcast_to(img, (n, oh, k, ow, k, c))
             shares.append(np.ascontiguousarray(full).reshape(n, -1))
-        return SharedTensor(
-            ctx=self.ctx, shares=tuple(shares), kind="fixed", tasks=scaled.tasks
-        )
+        return self._pass(scaled, shares, shares[0].nbytes, "upsample")
 
 
 class SecureRNNCell(SecureLayer):

@@ -11,7 +11,9 @@ Each op follows the paper's phase structure:
 * **GPU operation** (online) — the Eq. 8 product, scheduled on the GPU
   through pipeline 1 or on the CPU when the profiling-guided placement
   says the workload is too small to amortise PCIe (Section 4.2);
-* **truncation** — the SecureML local rescale, on the CPU.
+* **truncation** — the rescale of a product of two fixed-point
+  operands, written once here for every backend (the backend's product
+  returns the raw result and :func:`truncate` runs its rescale).
 
 The functions here are protocol-agnostic entry points: shape/kind
 validation plus telemetry, with the actual interactive protocol
@@ -101,6 +103,17 @@ def truncate(x: SharedTensor, *, label: str = "trunc") -> SharedTensor:
         return ctx.backend.truncate(ctx, x, label=label)
 
 
+def _rescale(out: SharedTensor, x, y, *, label: str, truncate_result: bool = True):
+    """A product's kind and scale: fixed x fixed is rescaled (unless
+    ``truncate_result`` is off), fixed x indicator stays at single
+    scale, indicator x indicator is an indicator."""
+    if x.kind == "fixed" and y.kind == "fixed":
+        return truncate(out, label=f"{label}:trunc") if truncate_result else out
+    if x.kind == "indicator" and y.kind == "indicator":
+        out.kind = "indicator"
+    return out
+
+
 def secure_matmul(
     x: SharedTensor,
     y: SharedTensor,
@@ -121,12 +134,9 @@ def secure_matmul(
             f"[{_backend_name(ctx)}:{label}] secure_matmul shapes incompatible: "
             f"{x.shape} x {y.shape}"
         )
-    both_fixed = x.kind == "fixed" and y.kind == "fixed"
-
     with _op_scope(ctx, "matmul", label):
-        return ctx.backend.matmul(
-            ctx, x, y, both_fixed, label=label, truncate_result=truncate_result
-        )
+        out = ctx.backend.matmul(ctx, x, y, label=label)
+        return _rescale(out, x, y, label=label, truncate_result=truncate_result)
 
 
 def secure_elementwise_mul(
@@ -141,7 +151,7 @@ def secure_elementwise_mul(
             f"{x.shape} vs {y.shape}"
         )
     with _op_scope(ctx, "elementwise_mul", label):
-        return ctx.backend.elementwise_mul(ctx, x, y, label=label)
+        return _rescale(ctx.backend.elementwise_mul(ctx, x, y, label=label), x, y, label=label)
 
 
 def secure_compare_const(

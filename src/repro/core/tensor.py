@@ -262,7 +262,10 @@ class SharedTensor:
     def reshape(self, *shape) -> "SharedTensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        shares = tuple(s.reshape(shape) for s in self.shares)
+        try:
+            shares = tuple(s.reshape(shape) for s in self.shares)
+        except ValueError as exc:
+            raise ShapeError(f"reshape: {self.shape} -> {shape}: {exc}") from None
         if self.transposed:
             return self._new_value(shares)
         return replace(self, shares=shares)

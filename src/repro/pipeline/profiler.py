@@ -19,12 +19,14 @@ cheaper device:
   ``E @ B_i``, the fused ``C`` add and ``C``'s download — what
   :func:`~repro.pipeline.scheduler.schedule_secure_gemm` places.  The
   server's own ``A_i``/``B_i`` are not charged: they cross PCIe while
-  ``E``/``F`` are on the wire.  CPU: the fused ``(m, 2k, n)`` GEMM and
-  the ``+Z`` add.
+  ``E``/``F`` are on the wire.  CPU: the fused ``(m, 2k, n)`` GEMM
+  (``cpu_gemm``) and the ``+Z`` add.
 * ``rep3`` — the cross-term product, fused to ``(m, 2k, n)``: two
-  uploads, one GEMM and one download against the same GEMM on the CPU.
-* ``dealer`` — the client's ``Z = U x V``: two uploads, one GEMM, one
-  download against the CPU GEMM.
+  uploads (``h2d:L``, ``h2d:R``), one GEMM and one download against the
+  same GEMM on the CPU (``cpu_gemm``).
+* ``dealer`` — the client's ``Z = U x V``: two uploads (``h2d:U``,
+  ``h2d:V``), one GEMM (``U@V``), one download (``d2h:Z``) against the
+  CPU GEMM (``U@V``).
 * ``beaver2pc.mul`` / ``rep3.mul`` — a Hadamard product: four uploads,
   one kernel and one download against the kernel on the CPU.
 * ``rng`` — the client's cuRAND generation and download against its
@@ -35,7 +37,12 @@ cheaper device:
 Plans are data: :meth:`StepProfiler.run_plan` places exactly a plan's
 steps on the device the profiler picks, each priced by that party's own
 device with :func:`~repro.simgpu.cost.step_seconds`, the function
-:meth:`StepProfiler.seconds` prices with.
+:meth:`StepProfiler.seconds` prices with.  It runs every plan, products
+included; the call site computes the values.  The one exception is a
+GPU-placed ``beaver2pc`` product: pipeline 1 gives each Fig. 5 slot its
+own dependencies, which a sequence of steps cannot say, so
+:func:`~repro.pipeline.scheduler.schedule_secure_gemm` places those
+steps by hand.
 
 A decision is memoised per (plan, shape, resident slots) — the adaptive
 part — so a cold and a warm call of one product are separate decisions.
@@ -79,6 +86,13 @@ _CPU_PLANS = {
     "prg": ("rng", 2),  # rep3: the two pairwise PRG streams behind an n-byte zero share
     "rep3.trunc0": ("elementwise", 3),  # rep3 party 0: fold x0 + x1 and truncate
     "rep3.trunc": ("elementwise", 2),  # rep3 parties 1 and 2: truncate x2
+}
+
+#: A product run as one GEMM, ``plan -> step names``: the left and
+#: right uploads, the GEMM and the download on a GPU, the GEMM on a CPU.
+_PRODUCTS = {
+    "dealer": ("h2d:U", "h2d:V", "U@V", "d2h:Z", "U@V"),  # the client's Z = U x V
+    "rep3": ("h2d:L", "h2d:R", "gemm", "d2h", "cpu_gemm"),  # the fused cross-term
 }
 
 #: The client's plans that have GPU steps, priced at ``client_parallel``.
@@ -135,18 +149,24 @@ def plan_steps(
         if "D" not in resident:
             gpu.append(Step("elementwise", (3 * lead,)))  # D = A_i - E (server 1's)
         gpu += [Step("gemm", shape)] * 2 + [Step("elementwise", (4 * out,)), Step("d2h", (out,))]
-        return (Step("gemm", (batch, m, 2 * k, n)), Step("elementwise", (3 * out,))), tuple(gpu)
+        fused = Step("gemm", (batch, m, 2 * k, n), "cpu_gemm")
+        return (fused, Step("elementwise", (3 * out,), "+Z")), tuple(gpu)
+    if plan not in _PRODUCTS:
+        raise ValueError(f"unknown plan {plan!r}")
     if plan == "rep3":
         k *= 2  # both cross terms in one GEMM
-    elif plan != "dealer":
-        raise ValueError(f"unknown plan {plan!r}")
-    gemm = Step("gemm", (batch, m, k, n))
-    uploads = [Step("h2d", (8 * batch * m * k,)), Step("h2d", (8 * batch * k * n,))]
-    return (gemm,), (*uploads, gemm, Step("d2h", (out,)))
+    left, right, kernel, download, cpu_kernel = _PRODUCTS[plan]
+    gpu = (
+        Step("h2d", (8 * batch * m * k,), left),
+        Step("h2d", (8 * batch * k * n,), right),
+        Step("gemm", (batch, m, k, n), kernel),
+        Step("d2h", (out,), download),
+    )
+    return (Step("gemm", (batch, m, k, n), cpu_kernel),), gpu
 
 
 #: Every plan :func:`plan_steps` declares.
-PLANS = (*_CPU_PLANS, *_MUL, "rng", "beaver2pc", "rep3", "dealer")
+PLANS = (*_CPU_PLANS, *_MUL, "rng", "beaver2pc", *_PRODUCTS)
 
 
 class StepProfiler:
@@ -187,7 +207,8 @@ class StepProfiler:
 
     # -- placement -------------------------------------------------------------
 
-    def _decide(self, plan: str, shape: tuple, resident: tuple[str, ...] = ()) -> PlacementDecision:
+    def decide(self, plan: str, shape: tuple, resident: tuple[str, ...] = ()) -> PlacementDecision:
+        """Placement for ``plan`` at ``shape`` with ``resident`` slots held."""
         key = (plan, shape, resident)
         cached = self.decisions.get(key)
         if cached is not None:
@@ -218,20 +239,11 @@ class StepProfiler:
     ) -> PlacementDecision:
         """Placement for ``batch`` stacked ``(m,k) x (k,n)`` products (1
         for a matrix) run as ``plan``."""
-        return self._decide(plan, (batch, m, k, n), resident)
-
-    def place_elementwise(self, nbytes: int, *, plan: str = "beaver2pc") -> PlacementDecision:
-        """Placement for a Hadamard product of two ``nbytes`` operands."""
-        return self._decide(f"{plan}.mul", (nbytes,))
-
-    def place_rng(self, nbytes: int) -> PlacementDecision:
-        return self._decide("rng", (nbytes,))
+        return self.decide(plan, (batch, m, k, n), resident)
 
     # -- the executor ------------------------------------------------------------
 
-    def run_plan(
-        self, cpu, gpu, plan: str, shape: tuple, *, deps, label: str, resident: tuple[str, ...] = ()
-    ) -> list:
+    def run_plan(self, cpu, gpu, plan: str, shape: tuple, *, deps, label: str) -> list:
         """Place ``plan``'s steps at ``shape`` on one party's ``cpu`` or
         ``gpu`` (None where it has none), whichever the profiler picks,
         and return their tasks in step order.
@@ -241,8 +253,8 @@ class StepProfiler:
         waits for all of them, and every other step waits for the one
         before it.
         """
-        cpu_steps, gpu_steps = plan_steps(plan, shape, resident)
-        if gpu is not None and self._decide(plan, shape, resident).placement == "gpu":
+        cpu_steps, gpu_steps = plan_steps(plan, shape)
+        if gpu is not None and self.decide(plan, shape).placement == "gpu":
             device, steps = gpu, gpu_steps
         else:
             device, steps = cpu, cpu_steps

@@ -65,9 +65,6 @@ class GemmScheduleResult:
 
     c_share: np.ndarray  # host-side C_i
     done: Task  # completion of the D2H copy of C_i
-    gpu_done: Task  # completion of the last kernel (C_i still on device)
-    transfer_seconds: float  # total PCIe time charged
-    kernel_seconds: float  # total kernel time charged
 
 
 def resident_slots(table: dict, keep: dict) -> tuple[str, ...]:
@@ -141,7 +138,6 @@ def schedule_secure_gemm(
     keep = keep or {}
     share_deps = deps if share_deps is None else share_deps
     trans_a, trans_b = trans
-    fresh: list[Task] = []  # the uploads and the D kernel this call placed itself
     transient: list[DeviceBuffer] = []
 
     def row(key, produce) -> tuple[DeviceBuffer, Task]:
@@ -149,7 +145,6 @@ def schedule_secure_gemm(
         if key in table:  # a value is uploaded, and its D computed, once
             return table[key]
         buf, task = produce()
-        fresh.append(task)
         if key is None:
             transient.append(buf)
         else:
@@ -211,12 +206,4 @@ def schedule_secure_gemm(
     for buf in (*transient, g1_buf, g2_buf, c_buf):
         gpu.free(buf)
 
-    placed = (*fresh, t_g1, t_g2, t_sum, t_out)
-    pcie = (gpu.h2d_engine, gpu.d2h_engine)
-    return GemmScheduleResult(
-        c_share=c_host,
-        done=t_out,
-        gpu_done=t_sum,
-        transfer_seconds=sum(t.duration for t in placed if t.resource in pcie),
-        kernel_seconds=sum(t.duration for t in placed if t.resource not in pcie),
-    )
+    return GemmScheduleResult(c_share=c_host, done=t_out)

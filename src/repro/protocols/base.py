@@ -11,7 +11,9 @@ training, serving, benchmarks) stays protocol-agnostic:
 * the **interactive ops** — multiplication, comparison and truncation
   protocols with full SimClock cost accounting
   (:meth:`matmul` / :meth:`elementwise_mul` / :meth:`compare_const` /
-  :meth:`truncate`);
+  :meth:`truncate`).  A product returns its raw result; the
+  protocol-agnostic rescale and the result's kind belong to
+  :mod:`repro.core.ops`, which calls :meth:`truncate`;
 * the **correlated-randomness source** — whether the substrate needs a
   dealer (Beaver triplets) or derives its randomness from pairwise PRG
   keys (:attr:`needs_dealer`).
@@ -28,6 +30,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+from repro.comm.wire import blob_frame_sizes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.tensor import SharedTensor
@@ -75,21 +79,14 @@ class ProtocolBackend:
 
     # --- interactive protocols (full cost accounting on ctx) ---------------
 
-    def matmul(
-        self,
-        ctx,
-        x: "SharedTensor",
-        y: "SharedTensor",
-        both_fixed: bool,
-        *,
-        label: str,
-        truncate_result: bool,
-    ) -> "SharedTensor":
+    def matmul(self, ctx, x: "SharedTensor", y: "SharedTensor", *, label: str) -> "SharedTensor":
+        """``x @ y`` as a ``fixed`` tensor at the operands' summed scale."""
         raise NotImplementedError
 
     def elementwise_mul(
         self, ctx, x: "SharedTensor", y: "SharedTensor", *, label: str
     ) -> "SharedTensor":
+        """``x * y`` as a ``fixed`` tensor at the operands' summed scale."""
         raise NotImplementedError
 
     def compare_const(
@@ -99,6 +96,37 @@ class ProtocolBackend:
 
     def truncate(self, ctx, x: "SharedTensor", *, label: str) -> "SharedTensor":
         raise NotImplementedError
+
+    def _charge_compare(self, ctx, res, deps, *, label: str) -> tuple:
+        """The online charge of one comparison ``res`` between
+        :attr:`compare_parties`: the ``compare`` plan on each party after
+        its ``deps``, one blob frame of the round traffic each way, the
+        latency of every round after the first, and the join.  Returns
+        each party's done task, in :attr:`compare_parties` order."""
+        parties = self.compare_parties
+        link = ctx.server_link(*parties)
+        cpu = [
+            ctx.profiler.run_plan(
+                ctx.server_cpu[p], None, "compare", (res.share0.size,),
+                deps=party_deps, label=f"{label}:gmw",
+            )[-1]
+            for p, party_deps in zip(parties, deps)
+        ]
+        # The bit rounds are costed in aggregate, so frame them as one
+        # opaque blob: header once, body = the aggregate bytes.
+        sizes = blob_frame_sizes(f"{label}:rounds", res.online_bytes // 2)
+        extra_latency = (res.rounds - 1) * ctx.config.server_link.latency_s
+        received = []
+        for k, (src, dst) in enumerate((parties, parties[::-1])):
+            src, dst = f"server{src}", f"server{dst}"
+            sent = link.send_framed(src, dst, sizes, deps=(cpu[k],), label=f"{label}:rounds")
+            # Size-only transcript record: the per-round content of the
+            # bit rounds is not materialized here.
+            ctx.record_wire(src, dst, f"{label}:rounds", nbytes=sizes.nbytes)
+            received.append(ctx.online_clock.run(
+                f"link.{src}->{dst}", extra_latency, deps=(sent,), label=f"{label}:latency"
+            ))
+        return tuple(ctx.online_clock.join([cpu[k], received[1 - k]]) for k in (0, 1))
 
     def softmax(self, ctx, x: "SharedTensor", *, label: str) -> "SharedTensor":
         """Row-wise softmax of a (b, d) fixed-point tensor.

@@ -26,11 +26,10 @@ import math
 
 import numpy as np
 
-from repro.comm.wire import RoundCoalescer, blob_frame_sizes
-from repro.core import ops as core_ops
+from repro.comm.wire import RoundCoalescer
 from repro.core.ops import _chain, _deps, _set_chain
 from repro.core.tensor import SharedTensor
-from repro.fixedpoint.ring import ring_add, ring_sub
+from repro.fixedpoint.ring import ring_add, ring_matmul, ring_sub
 from repro.fixedpoint.truncation import truncate_share
 from repro.mpc.comparison import secure_ge_const
 from repro.mpc.protocol import beaver_elementwise_share
@@ -223,7 +222,7 @@ class Beaver2PCBackend(ProtocolBackend):
             tasks.append(task)
         return SharedTensor(ctx=ctx, shares=tuple(shares), kind="fixed", tasks=tuple(tasks))
 
-    def matmul(self, ctx, x, y, both_fixed, *, label, truncate_result):
+    def matmul(self, ctx, x, y, *, label):
         # --- offline ---------------------------------------------------------
         triplet = ctx.get_matrix_triplet(label, x.shape, y.shape, operands=(x, y))
 
@@ -241,14 +240,15 @@ class Beaver2PCBackend(ProtocolBackend):
         # and the plan is priced without what the table already holds.
         keep = ctx.device_keep(triplet, x, y)
         resident = resident_slots(ctx.device_table(0), keep)
-        decision = ctx.profiler.place_gemm(
-            *gemm_dims(x.shape, y.shape), plan="beaver2pc", resident=resident
-        )
+        dims = gemm_dims(x.shape, y.shape)
+        decision = ctx.profiler.place_gemm(*dims, plan="beaver2pc", resident=resident)
         shares = []
         tasks = []
         for i in (0, 1):
             tshare = triplet.share_for(i)
             if decision.placement == "gpu" and ctx.server_gpu[i] is not None:
+                # pipeline 1's per-slot dependencies are no step sequence:
+                # the one schedule placed by hand
                 result = schedule_secure_gemm(
                     ctx.server_gpu[i],
                     i,
@@ -266,27 +266,17 @@ class Beaver2PCBackend(ProtocolBackend):
                 )
                 shares.append(result.c_share)
                 tasks.append(result.done)
-            else:
-                tshare.mark_consumed()
-                lead = x.shares[i] if i == 0 else ring_sub(x.shares[i], e)
-                left = np.concatenate([lead, e], axis=-1)
-                right = np.concatenate([f, y.shares[i]], axis=-2)
-                prod, tg = ctx.server_cpu[i].gemm_ring(
-                    left, right, deps=ready[i], label=f"{label}:cpu_gemm"
-                )
-                c_i, tc = ctx.server_cpu[i].elementwise(
-                    ring_add, [prod, tshare.z], deps=(tg,), label=f"{label}:+Z"
-                )
-                shares.append(c_i)
-                tasks.append(tc)
+                continue
+            tshare.mark_consumed()
+            lead = x.shares[i] if i == 0 else ring_sub(x.shares[i], e)
+            left = np.concatenate([lead, e], axis=-1)
+            right = np.concatenate([f, y.shares[i]], axis=-2)
+            shares.append(ring_add(ring_matmul(left, right), tshare.z))
+            tasks.append(ctx.profiler.run_plan(
+                ctx.server_cpu[i], None, "beaver2pc", dims, deps=ready[i], label=label
+            )[-1])
         _set_chain(ctx, tasks)
-        out = SharedTensor(ctx=ctx, shares=tuple(shares), kind="fixed", tasks=tuple(tasks))
-        if both_fixed and truncate_result:
-            out = core_ops.truncate(out, label=f"{label}:trunc")
-        elif not both_fixed:
-            # fixed x indicator (or indicator x fixed) stays at single scale.
-            out.kind = "fixed" if (x.kind == "fixed" or y.kind == "fixed") else "indicator"
-        return out
+        return SharedTensor(ctx=ctx, shares=tuple(shares), kind="fixed", tasks=tuple(tasks))
 
     def elementwise_mul(self, ctx, x, y, *, label):
         triplet = ctx.get_elementwise_triplet(label, x.shape, operands=(x, y))
@@ -306,12 +296,7 @@ class Beaver2PCBackend(ProtocolBackend):
                 deps=ready[i], label=label,
             )[-1])
         _set_chain(ctx, tasks)
-        out = SharedTensor(ctx=ctx, shares=tuple(shares), kind="fixed", tasks=tuple(tasks))
-        if x.kind == "fixed" and y.kind == "fixed":
-            out = core_ops.truncate(out, label=f"{label}:trunc")
-        elif x.kind == "indicator" and y.kind == "indicator":
-            out.kind = "indicator"
-        return out
+        return SharedTensor(ctx=ctx, shares=tuple(shares), kind="fixed", tasks=tuple(tasks))
 
     def compare_const(self, ctx, x, threshold, *, label):
         c_enc = int(ctx.encoder.encode(np.float64(threshold)))
@@ -321,37 +306,9 @@ class Beaver2PCBackend(ProtocolBackend):
         # Online cost: the ``compare`` plan's bit-ops on each server CPU,
         # plus the round traffic (one 8-byte opening, the borrow tree's five
         # bit rounds, B2A).
-        n = int(np.prod(x.shape))
         start = _chain(ctx, _deps(*x.tasks))
-        cpu_tasks = [
-            ctx.profiler.run_plan(
-                ctx.server_cpu[i], None, "compare", (n,),
-                deps=_deps(x.tasks[i], *start), label=f"{label}:gmw",
-            )[-1]
-            for i in (0, 1)
-        ]
-        half = res.online_bytes // 2
-        extra_latency = (res.rounds - 1) * ctx.config.server_link.latency_s
-        # The bit rounds are costed in aggregate, so frame them as one
-        # opaque blob: header once, body = the aggregate bytes.
-        sizes = blob_frame_sizes(f"{label}:rounds", half)
-        net_tasks = []
-        for src in (0, 1):
-            t = ctx.server_channel.send_framed(
-                f"server{src}", f"server{1 - src}", sizes,
-                deps=(cpu_tasks[src],), label=f"{label}:rounds",
-            )
-            # Size-only transcript record: the per-round content of the
-            # bit rounds is not materialized here.
-            ctx.record_wire(
-                f"server{src}", f"server{1 - src}", f"{label}:rounds", nbytes=sizes.nbytes
-            )
-            t2 = ctx.online_clock.run(
-                f"link.server{src}->server{1 - src}", extra_latency, deps=(t,), label=f"{label}:latency"
-            )
-            net_tasks.append(t2)
-        tasks = tuple(
-            ctx.online_clock.join([cpu_tasks[i], net_tasks[1 - i]]) for i in (0, 1)
+        tasks = self._charge_compare(
+            ctx, res, [_deps(x.tasks[i], *start) for i in (0, 1)], label=label
         )
         _set_chain(ctx, tasks)
         return SharedTensor(

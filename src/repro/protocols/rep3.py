@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.wire import blob_frame_sizes, frame_sizes
-from repro.core import ops as core_ops
+from repro.comm.wire import frame_sizes
 from repro.core.ops import _chain, _deps, _set_chain
 from repro.core.tensor import SharedTensor
-from repro.fixedpoint.ring import RING_DTYPE, ring_add, ring_mul, ring_neg
+from repro.fixedpoint.ring import RING_DTYPE, ring_add, ring_matmul, ring_mul, ring_neg
 from repro.fixedpoint.truncation import truncate_share
 from repro.mpc.comparison import secure_ge_const
 from repro.protocols.base import ProtocolBackend
@@ -181,10 +180,10 @@ class Rep3Backend(ProtocolBackend):
 
     # --- interactive protocols ----------------------------------------------
 
-    def matmul(self, ctx, x, y, both_fixed, *, label, truncate_result):
+    def matmul(self, ctx, x, y, *, label):
         # A (B,m,k) x (B,k,n) stack is B cross-terms in one batched GEMM
         # and one reshare of the whole (B,m,n) result.
-        decision = ctx.profiler.place_gemm(*gemm_dims(x.shape, y.shape), plan="rep3")
+        dims = gemm_dims(x.shape, y.shape)
         z_parts, z_tasks = [], []
         for i in range(3):
             j = (i + 1) % 3
@@ -194,31 +193,13 @@ class Rep3Backend(ProtocolBackend):
             )
             left = np.concatenate([x.shares[i], x.shares[j]], axis=-1)
             right = np.concatenate([ysum, y.shares[i]], axis=-2)
-            ready = _deps(t_sum)
-            if decision.placement == "gpu" and ctx.server_gpu[i] is not None:
-                gpu = ctx.server_gpu[i]
-                lbuf, tl = gpu.h2d(left, deps=ready, label=f"{label}:h2d:L")
-                rbuf, tr = gpu.h2d(right, deps=ready, label=f"{label}:h2d:R")
-                zbuf, tz = gpu.gemm_ring(lbuf, rbuf, deps=(tl, tr), label=f"{label}:gemm")
-                z_i, td = gpu.d2h(zbuf, deps=(tz,), label=f"{label}:d2h")
-                for b in (lbuf, rbuf, zbuf):
-                    gpu.free(b)
-                z_parts.append(z_i)
-                z_tasks.append(td)
-            else:
-                z_i, tg = ctx.server_cpu[i].gemm_ring(
-                    left, right, deps=ready, label=f"{label}:cpu_gemm"
-                )
-                z_parts.append(z_i)
-                z_tasks.append(tg)
+            z_parts.append(ring_matmul(left, right))
+            z_tasks.append(ctx.profiler.run_plan(
+                ctx.server_cpu[i], ctx.server_gpu[i], "rep3", dims, deps=(t_sum,), label=label
+            )[-1])
         shares, tasks = self._reshare(ctx, z_parts, z_tasks, label)
         _set_chain(ctx, tasks)
-        out = SharedTensor(ctx=ctx, shares=shares, kind="fixed", tasks=tasks)
-        if both_fixed and truncate_result:
-            out = core_ops.truncate(out, label=f"{label}:trunc")
-        elif not both_fixed:
-            out.kind = "fixed" if (x.kind == "fixed" or y.kind == "fixed") else "indicator"
-        return out
+        return SharedTensor(ctx=ctx, shares=shares, kind="fixed", tasks=tasks)
 
     def elementwise_mul(self, ctx, x, y, *, label):
         z_parts, z_tasks = [], []
@@ -232,12 +213,7 @@ class Rep3Backend(ProtocolBackend):
             )[-1])
         shares, tasks = self._reshare(ctx, z_parts, z_tasks, label)
         _set_chain(ctx, tasks)
-        out = SharedTensor(ctx=ctx, shares=shares, kind="fixed", tasks=tasks)
-        if x.kind == "fixed" and y.kind == "fixed":
-            out = core_ops.truncate(out, label=f"{label}:trunc")
-        elif x.kind == "indicator" and y.kind == "indicator":
-            out.kind = "indicator"
-        return out
+        return SharedTensor(ctx=ctx, shares=shares, kind="fixed", tasks=tasks)
 
     def truncate(self, ctx, x, *, label):
         frac = ctx.encoder.frac_bits
@@ -282,37 +258,15 @@ class Rep3Backend(ProtocolBackend):
         bundle = ctx.gen_comparison_bundle(x.shape, label=label)
         res = secure_ge_const(a, b, c_enc, bundle)
 
-        n = int(np.prod(x.shape))
         run_plan = ctx.profiler.run_plan
         start = _chain(ctx, _deps(*x.tasks))
         (fold,) = run_plan(
             ctx.server_cpu[0], None, "pass", (x.nbytes,),
             deps=_deps(x.tasks[0], x.tasks[1], *start), label=f"{label}:fold",
         )
-        cpu_tasks = {
-            p: run_plan(
-                ctx.server_cpu[p], None, "compare", (n,), deps=deps, label=f"{label}:gmw"
-            )[-1]
-            for p, deps in ((0, (fold,)), (2, _deps(x.tasks[2], *start)))
-        }
-        half = res.online_bytes // 2
-        extra_latency = (res.rounds - 1) * ctx.config.server_link.latency_s
-        link = ctx.server_link(0, 2)
-        sizes = blob_frame_sizes(f"{label}:rounds", half)
-        net_tasks = {}
-        for src, dst in ((0, 2), (2, 0)):
-            t = link.send_framed(
-                f"server{src}", f"server{dst}", sizes,
-                deps=(cpu_tasks[src],), label=f"{label}:rounds",
-            )
-            ctx.record_wire(
-                f"server{src}", f"server{dst}", f"{label}:rounds", nbytes=sizes.nbytes
-            )
-            net_tasks[dst] = ctx.online_clock.run(
-                f"link.server{src}->server{dst}", extra_latency, deps=(t,), label=f"{label}:latency"
-            )
-        done0 = ctx.online_clock.join([cpu_tasks[0], net_tasks[0]])
-        done2 = ctx.online_clock.join([cpu_tasks[2], net_tasks[2]])
+        done0, done2 = self._charge_compare(
+            ctx, res, [(fold,), _deps(x.tasks[2], *start)], label=label
+        )
 
         # Lift the 2-party indicator sharing (r at parties 0/2) back to a
         # replicated 3-sharing with zero-share masking; two masked

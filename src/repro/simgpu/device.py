@@ -9,9 +9,13 @@ Each device owns resources on a shared :class:`SimClock`:
   host-side work is modelled at whole-socket granularity, with Section
   5.1's parallelism folded into the rate, not into extra resources).
 
-Every method *really computes* its result with NumPy and *also* returns
-the :class:`Task` carrying its simulated interval, so callers can build
-dependency graphs (pipelines) out of the return values.
+``run_step`` charges one plan step
+(:meth:`~repro.pipeline.profiler.StepProfiler.run_plan` places whole
+plans with it); the buffer methods pipeline 1 runs (``h2d``, ``d2h``,
+``gemm_ring``, ``elementwise``) *really compute* their result with
+NumPy and *also* return the :class:`Task` carrying its simulated
+interval, so callers can build dependency graphs out of the return
+values.
 
 Kernel time lands in the telemetry registry as histograms
 (``simgpu.kernel_seconds{device,kind}`` / ``simcpu.seconds{device,kind}``)
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fixedpoint.ring import ring_add, ring_matmul
+from repro.fixedpoint.ring import ring_matmul
 from repro.simgpu.clock import SimClock, Task
 from repro.simgpu.cost import CPUSpec, DeviceSpec, step_seconds
 from repro.simgpu.memory import DeviceBuffer, MemoryPool
@@ -89,7 +93,6 @@ class SimGPU:
         self._gemm_flops = registry.counter(
             "simgpu.gemm_flops", "GEMM floating-point ops"
         ).labels(device=name)
-        self._curand_initialised = False
 
     # -- thin views over the registry (historical counter surface) -------------
 
@@ -196,34 +199,6 @@ class SimGPU:
         out = self.pool.allocate(ring_matmul(av, bv))
         return out, self.run_step("gemm", gemm_dims(av.shape, bv.shape), deps, label, stream=stream)
 
-    def gemm_float(
-        self,
-        a: DeviceBuffer,
-        b: DeviceBuffer,
-        deps=(),
-        *,
-        stream: int = 0,
-        label: str = "gemm",
-        fp16_inputs: bool | None = None,
-    ) -> tuple[DeviceBuffer, Task]:
-        """Float GEMM for the non-secure baselines.
-
-        When the device is in tensor-core mode (or ``fp16_inputs`` is
-        forced) the inputs are *really* rounded to FP16 before the
-        product — the accuracy consequence of cublasSgemmEx that the
-        paper reports as negligible, which tests verify.
-        """
-        av, bv = a.require_live(), b.require_live()
-        use_fp16 = self.tensor_core if fp16_inputs is None else fp16_inputs
-        if use_fp16:
-            prod = av.astype(np.float16).astype(np.float32) @ bv.astype(np.float16).astype(
-                np.float32
-            )
-        else:
-            prod = av.astype(np.float32) @ bv.astype(np.float32)
-        out = self.pool.allocate(prod)
-        return out, self.run_step("gemm", gemm_dims(av.shape, bv.shape), deps, label, stream=stream)
-
     def elementwise(
         self,
         fn,
@@ -239,24 +214,6 @@ class SimGPU:
         out = self.pool.allocate(result)
         nbytes = sum(a.nbytes for a in arrays) + result.nbytes
         return out, self.run_step("elementwise", (nbytes,), deps, label, stream=stream)
-
-    def ring_add(self, a: DeviceBuffer, b: DeviceBuffer, deps=(), **kw):
-        return self.elementwise(ring_add, [a, b], deps=deps, label=kw.pop("label", "ring_add"), **kw)
-
-    def curand_uniform_ring(
-        self, shape, rng: np.random.Generator, deps=(), *, stream: int = 0
-    ) -> tuple[DeviceBuffer, Task]:
-        """On-device uniform ring generation (cuRAND model, Fig. 7).
-
-        The first call pays the generator warm-up cost, as cuRAND does.
-        """
-        data = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-        out = self.pool.allocate(data)
-        dur = self.spec.curand_seconds(data.nbytes, include_setup=not self._curand_initialised)
-        self._curand_initialised = True
-        t = self.clock.run(self.stream(stream), dur, deps=deps, label="curand")
-        self._observe("curand", t, deps)
-        return out, t
 
 
 class SimCPU:
@@ -279,13 +236,6 @@ class SimCPU:
         registry = telemetry.registry if telemetry is not None else MetricRegistry()
         seconds = registry.histogram("simcpu.seconds", "host-side time by kind")
         self._seconds = SeriesCache(lambda kind: seconds.labels(device=name, kind=kind))
-        self._rng_bytes = registry.counter(
-            "simcpu.rng_bytes", "bytes of ring randomness drawn"
-        ).labels(device=name)
-
-    @property
-    def rng_bytes(self) -> int:
-        return int(self._rng_bytes.value())
 
     @property
     def resource(self) -> str:
@@ -303,16 +253,7 @@ class SimCPU:
         seconds = step_seconds(self.spec, op, size, parallel=self.parallel_enabled)
         return self.run(seconds, deps, label, kind=op)
 
-    def gemm_ring(self, a: np.ndarray, b: np.ndarray, deps=(), label="cpu_gemm"):
-        """``a @ b`` (two matrices or two stacks), charged at :meth:`CPUSpec.gemm_seconds`."""
-        return ring_matmul(a, b), self.run_step("gemm", gemm_dims(a.shape, b.shape), deps, label)
-
     def elementwise(self, fn, arrays, deps=(), label="cpu_elementwise"):
         result = fn(*arrays)
         nbytes = sum(a.nbytes for a in arrays) + result.nbytes
         return result, self.run_step("elementwise", (nbytes,), deps, label)
-
-    def rng_uniform_ring(self, shape, rng: np.random.Generator, deps=(), label="mt19937"):
-        data = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-        self._rng_bytes.inc(data.nbytes)
-        return data, self.run_step("rng", (data.nbytes,), deps, label)

@@ -15,7 +15,7 @@ from repro.core.tensor import SharedTensor
 from repro.core.training import SecureTrainer
 from repro.core.inference import secure_predict
 from repro.datasets import separable_classification, sequence_dataset
-from repro.util.errors import ShapeError
+from repro.util.errors import ConfigError, ShapeError
 
 
 def shared(ctx, arr, **kw):
@@ -59,6 +59,16 @@ class TestMLP:
         model = SecureMLP(ctx, input_dim=20)  # defaults: 128, 64, 10
         dense = [l for l in model.layers if hasattr(l, "weight")]
         assert [d.weight.shape for d in dense] == [(20, 128), (128, 64), (64, 10)]
+
+    @pytest.mark.parametrize(
+        "geometry, layer",
+        [((0,), "mlp0"), ((4, (-1,)), "mlp0"), ((4, (8, 0)), "mlp1"), ((4, (8,), 0), "mlp1")],
+    )
+    def test_an_empty_layer_is_a_config_error_naming_it(self, ctx, geometry, layer):
+        """``input_dim=0`` used to raise a bare ``OverflowError`` and a
+        negative width a bare ``ValueError``."""
+        with pytest.raises(ConfigError, match=f"^{layer}: "):
+            SecureMLP(ctx, *geometry)
 
     def test_learns(self, ctx, rng):
         x = rng.normal(size=(128, 10)) * 0.5

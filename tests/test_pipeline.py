@@ -46,9 +46,9 @@ class TestProfiler:
     @pytest.mark.parametrize("mode", ["cpu_always", "gpu_always"])
     def test_forced_modes_force_every_plan(self, mode):
         forced = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC, mode=mode)
-        decisions = [forced.place_rng(8), forced.place_rng(2**30)]
+        decisions = [forced.decide("rng", (8,)), forced.decide("rng", (2**30,))]
         for size in (8, 2**30):
-            decisions += [forced.place_elementwise(size, plan=p) for p in ("beaver2pc", "rep3")]
+            decisions += [forced.decide(f"{p}.mul", (size,)) for p in ("beaver2pc", "rep3")]
         for plan in ("dealer", "rep3", "beaver2pc"):
             decisions.append(forced.place_gemm(1, 2, 2, 2, plan=plan))
             decisions.append(forced.place_gemm(8, 512, 512, 512, plan=plan))
@@ -57,8 +57,8 @@ class TestProfiler:
 
     def test_rng_placement_crossover(self, profiler):
         """Fig. 7: CPU MT19937 wins small, cuRAND wins large."""
-        small = profiler.place_rng(1024 * 8)
-        large = profiler.place_rng(512 * 1024 * 1024)
+        small = profiler.decide("rng", (1024 * 8,))
+        large = profiler.decide("rng", (512 * 1024 * 1024,))
         assert small.placement == "cpu"
         assert large.placement == "gpu"
 
@@ -67,10 +67,27 @@ class TestProfiler:
         at ``client_parallel``: a 64 KiB draw costs ~10 us there against
         ~25 us on cuRAND, even when the servers' ``cpu_parallel`` is off."""
         ctx = SecureContext(FrameworkConfig(cpu_parallel=False))
-        assert ctx.profiler.place_rng(65536).placement == "cpu"
+        assert ctx.profiler.decide("rng", (65536,)).placement == "cpu"
 
     def test_elementwise_small_on_cpu(self, profiler):
-        assert profiler.place_elementwise(4096).placement == "cpu"
+        assert profiler.decide("beaver2pc.mul", (4096,)).placement == "cpu"
+
+
+def _busy(tasks) -> float:
+    """Seconds the tasks occupy their resources."""
+    return sum(t.duration for t in tasks)
+
+
+def _pays_its_price(ctx, placed, party, device, plan, shape, label):
+    """The profiler placed ``plan`` on ``device``, and of ``placed``,
+    ``party``'s tasks of that device's steps sum to the decision's price."""
+    decision = ctx.profiler.decide(plan, shape)
+    steps = plan_steps(plan, shape)[device == "gpu"]
+    names = {f"{label}:{s.name}" if s.name else label for s in steps}
+    paid = [t for t in placed if t.resource.split(".")[0] == party.name and t.label in names]
+    assert decision.placement == device and len(paid) == len(steps)
+    price = decision.gpu_estimate_s if device == "gpu" else decision.cpu_estimate_s
+    assert _busy(paid) == pytest.approx(price, rel=1e-12)
 
 
 def _plan_shape(plan):
@@ -110,7 +127,7 @@ class TestRunPlan:
         (client,) = run_plan(ctx.client_cpu, None, "rng", (nbytes,), deps=(), label="c")
         assert server.duration == pytest.approx(spec.rng_seconds(2 * nbytes, parallel=False))
         assert client.duration == pytest.approx(spec.rng_seconds(nbytes, parallel=True))
-        assert ctx.profiler.place_rng(nbytes).cpu_estimate_s == client.duration
+        assert ctx.profiler.decide("rng", (nbytes,)).cpu_estimate_s == client.duration
 
     @pytest.mark.parametrize("backend", ["beaver2pc", "rep3"])
     @pytest.mark.parametrize("device", ["cpu", "gpu"])
@@ -120,17 +137,36 @@ class TestRunPlan:
         x, y = (SharedTensor.from_plain(ctx, rng.normal(size=(16, 32)), label=n) for n in "xy")
         start = len(ctx.online_clock.trace)
         secure_elementwise_mul(x, y, label="h")
-        plan = f"{backend}.mul"
-        steps = plan_steps(plan, (x.nbytes,))[device == "gpu"]
         party = ctx.server_gpu[0] if device == "gpu" else ctx.server_cpu[0]
-        paid = [
-            t for t in ctx.online_clock.trace[start:]
-            if t.resource.split(".")[0] == party.name and t.label in {f"h:{s.name}" for s in steps}
-        ]
-        decision = ctx.profiler.place_elementwise(x.nbytes, plan=backend)
-        assert decision.placement == device and len(paid) == len(steps)
-        price = decision.gpu_estimate_s if device == "gpu" else decision.cpu_estimate_s
-        assert sum(t.duration for t in paid) == pytest.approx(price, rel=1e-12)
+        placed = ctx.online_clock.trace[start:]
+        _pays_its_price(ctx, placed, party, device, f"{backend}.mul", (x.nbytes,), "h")
+
+    @pytest.mark.parametrize(
+        "plan, device",
+        [("dealer", "cpu"), ("dealer", "gpu"), ("rep3", "cpu"), ("rep3", "gpu"),
+         ("beaver2pc", "cpu")],
+    )
+    def test_a_product_charges_the_plan_the_profiler_priced(self, plan, device):
+        """The client's ``Z = U x V``, rep3's fused cross-term and a
+        beaver2pc product on the CPU (on the GPU it is pipeline 1's
+        schedule: ``TestPlanPrice``)."""
+        backend = "rep3" if plan == "rep3" else "beaver2pc"
+        ctx = make_ctx(backend=backend, placement_mode=f"{device}_always", trace=True)
+        m, k, n = 16, 32, 8
+        if plan == "dealer":
+            clock, label = ctx.offline_clock, "offline"
+            party = ctx.client_gpu if device == "gpu" else ctx.client_cpu
+            start = len(clock.trace)
+            ctx.gen_matrix_triplet((m, k), (k, n))
+        else:
+            clock, label = ctx.online_clock, "p"
+            party = ctx.server_gpu[0] if device == "gpu" else ctx.server_cpu[0]
+            rng = np.random.default_rng(1)
+            x = SharedTensor.from_plain(ctx, rng.normal(size=(m, k)), label="x")
+            y = SharedTensor.from_plain(ctx, rng.normal(size=(k, n)), label="y")
+            start = len(clock.trace)
+            secure_matmul(x, y, label=label)
+        _pays_its_price(ctx, clock.trace[start:], party, device, plan, (1, m, k, n), label)
 
 
 def _scheduled_operands(m=32, k=48, n=24, seed=0):
@@ -182,9 +218,9 @@ class TestScheduledGemm:
         clock = SimClock()
         gpu = SimGPU(clock, V100_SPEC, "g")
         res = schedule_secure_gemm(gpu, 0, e, f, ap[0], bp[0], trip.share_for(0))
-        assert res.transfer_seconds > 0
-        assert res.kernel_seconds > 0
-        assert res.done.finish >= res.gpu_done.finish
+        assert res.c_share.shape == (e.shape[0], f.shape[1])
+        assert (res.done.resource, res.done.label) == (gpu.d2h_engine, "d2h:C")
+        assert res.done.finish == clock.now()
 
     def test_end_to_end_decode(self):
         enc, a, b, ap, bp, trip, e, f = _scheduled_operands()
@@ -222,15 +258,13 @@ class TestPlanPrice:
         m, k, n = 32, 48, 24
         _, _, _, ap, bp, trip, e, f = _scheduled_operands(m, k, n)
         gpu = SimGPU(SimClock(), V100_SPEC, "g")
-        res = schedule_secure_gemm(gpu, 1, e, f, ap[1], bp[1], trip.share_for(1))
+        schedule_secure_gemm(gpu, 1, e, f, ap[1], bp[1], trip.share_for(1))
         own = sum(V100_SPEC.transfer_seconds(share[1].nbytes) for share in (ap, bp))
         price = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC).place_gemm(
             1, m, k, n, plan="beaver2pc"
         )
         assert price.resident == ()
-        assert price.gpu_estimate_s == pytest.approx(
-            res.transfer_seconds + res.kernel_seconds - own
-        )
+        assert price.gpu_estimate_s == pytest.approx(_busy(gpu.clock.trace) - own)
 
     def test_warm_price_leaves_out_what_the_device_table_holds(self):
         m, k, n = 32, 48, 24
@@ -240,15 +274,12 @@ class TestPlanPrice:
         assert resident_slots(table, keep) == ()
         schedule_secure_gemm(gpu, 1, e, f, ap[1], bp[1], trip.share_for(1), table=table, keep=keep)
         assert resident_slots(table, keep) == ("D", "E", "F", "Z")
-        res = schedule_secure_gemm(
-            gpu, 1, e, f, ap[1], bp[1], trip.share_for(1), table=table, keep=keep
-        )
+        start = len(gpu.clock.trace)
+        schedule_secure_gemm(gpu, 1, e, f, ap[1], bp[1], trip.share_for(1), table=table, keep=keep)
         profiler = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC)
         warm = profiler.place_gemm(1, m, k, n, plan="beaver2pc", resident=("D", "E", "F", "Z"))
         own = V100_SPEC.transfer_seconds(bp[1].nbytes)  # A_i has no reader where D is
-        assert warm.gpu_estimate_s == pytest.approx(
-            res.transfer_seconds + res.kernel_seconds - own
-        )
+        assert warm.gpu_estimate_s == pytest.approx(_busy(gpu.clock.trace[start:]) - own)
         cold = profiler.place_gemm(1, m, k, n, plan="beaver2pc")
         assert cold is not warm and cold.gpu_estimate_s > warm.gpu_estimate_s
         assert cold.cpu_estimate_s == warm.cpu_estimate_s

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from conftest import make_ctx, pool_then_dense
 
 from repro.core.layers import SecureAvgPool2D
+from repro.core.ops import secure_elementwise_mul
 from repro.core.tensor import SharedTensor
 from repro.util.errors import ShapeError
 
@@ -71,3 +73,45 @@ class TestBackward:
         fwd = pool.forward(shared(ctx, x)).decode()
         bwd = pool.backward(shared(ctx, y)).decode()
         assert float((fwd * y).sum()) == pytest.approx(float((x * bwd).sum()), abs=1e-2)
+
+
+@pytest.mark.parametrize("backend", ["beaver2pc", "rep3"])
+class TestPoolingIsOnTheClock:
+    """Each party's pooling pass runs after its share of the input and
+    before its consumer, in ``pool_then_dense`` as anywhere."""
+
+    @staticmethod
+    def _computed(ctx, shape, label):
+        """A value the online clock produces (its shares have tasks)."""
+        x = SharedTensor.from_plain(ctx, np.random.default_rng(0).normal(size=shape), label=label)
+        return secure_elementwise_mul(x, x, label=label)
+
+    def test_the_pass_follows_the_input_and_the_dense_follows_the_pass(self, backend):
+        ctx = make_ctx(backend=backend, trace=True)
+        pool, d0 = pool_then_dense(ctx).layers[:2]
+        x = self._computed(ctx, (4, 16), "sq")
+        start = len(ctx.online_clock.trace)
+        pooled = pool.forward(x)
+        d0.forward(pooled)
+        placed = ctx.online_clock.trace[start:]
+        passes = [t for t in placed if t.label == "pool:pool"]
+        assert len(passes) == ctx.n_parties
+        for i, task in enumerate(passes):
+            assert task.start >= x.tasks[i].finish
+            assert pooled.tasks[i].finish >= task.finish
+        assert min(t.start for t in placed if t.label.startswith("d0/")) >= min(
+            t.finish for t in passes
+        )
+
+    def test_the_backward_copy_follows_the_delta_and_is_returned(self, backend):
+        ctx = make_ctx(backend=backend, trace=True)
+        pool = pool_then_dense(ctx).layers[0]
+        pool.forward(self._computed(ctx, (4, 16), "sq"))
+        delta = self._computed(ctx, (4, 4), "delta")
+        start = len(ctx.online_clock.trace)
+        grad = pool.backward(delta)
+        copies = [t for t in ctx.online_clock.trace[start:] if t.label == "pool:upsample"]
+        assert len(copies) == ctx.n_parties
+        for i, task in enumerate(copies):
+            assert task.start >= delta.tasks[i].finish
+            assert grad.tasks[i].finish >= task.finish

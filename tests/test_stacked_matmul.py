@@ -285,12 +285,10 @@ def test_a_matrix_product_is_a_stack_of_one(m, k, n, tensor_core, seed):
         np.testing.assert_array_equal(one_out, want[None])
         assert (one_seconds, *one_counts) == (seconds, launches, flops), flags
     cpu_runs = [
-        SimCPU(SimClock(), XEON_E5_2670V3_SPEC, "c").gemm_ring(x, y)
+        SimCPU(SimClock(), XEON_E5_2670V3_SPEC, "c").run_step("gemm", gemm_dims(x.shape, y.shape))
         for x, y in ((a, b), (one_a, one_b))
     ]
-    np.testing.assert_array_equal(cpu_runs[0][0], want)
-    np.testing.assert_array_equal(cpu_runs[1][0], want[None])
-    assert cpu_runs[1][1].duration == cpu_runs[0][1].duration
+    assert cpu_runs[1].duration == cpu_runs[0].duration
     for plan in ("dealer", "rep3", "beaver2pc"):
         decisions = [
             StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC, tensor_core=tensor_core).place_gemm(

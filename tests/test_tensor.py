@@ -121,6 +121,11 @@ class TestShapeOps:
             shared(ctx, a).reshape(2, 12).decode(), a.reshape(2, 12), atol=2e-4
         )
 
+    def test_reshape_to_another_size_is_a_shape_error(self, ctx):
+        """It used to raise NumPy's bare ``ValueError``."""
+        with pytest.raises(ShapeError, match=r"reshape: \(2, 3\) -> \(4, 2\)"):
+            shared(ctx, np.ones((2, 3))).reshape(4, 2)
+
     def test_row_slice(self, ctx, rng):
         a = rng.normal(size=(10, 3))
         np.testing.assert_allclose(
