@@ -26,8 +26,8 @@ noise) and an online makespan may not rise above its pin:
   (32 / 7 258 112 B and 20 while ``dW`` and ``dX`` uploaded again what
   the forward pass had left on the GPU);
 * a server's own shares cross PCIe while ``E``/``F`` are on the wire:
-  a warm step of ``perf/``'s ``train_mlp`` takes at most 1 536.3 µs
-  and of its ``train_cnn`` at most 2 766.9 µs of simulated online time
+  a warm step of ``perf/``'s ``train_mlp`` takes at most 1 491.5 µs
+  and of its ``train_cnn`` at most 2 663.7 µs of simulated online time
   (1 932.8 / 3 541.7 µs while every upload waited on the exchange,
   3 075.4 µs on ``train_cnn`` before the clock backfilled idle gaps);
 * batch k+1 runs in the gaps batch k leaves on the wire: the rep3 MLP
@@ -46,8 +46,19 @@ noise) and an online makespan may not rise above its pin:
 * §4.2 placement prices the plan the scheduler runs: every GPU-placed
   product of a warm step of ``perf/``'s three train workloads pays
   within :data:`PRICE_BOUND` of its price, and the 16-wide attention
-  and recsys products run on the CPU (the :data:`WORKLOAD_ROWS` online
-  pins: 1 629.8 / 974.9 / 553.6 / 292.8 µs while they ran on the GPU);
+  and recsys products run on the CPU, all but ``attn/dWo``, which is
+  issued behind ``attn/dC`` on a busy server CPU and finishes first on
+  the GPU (the :data:`WORKLOAD_ROWS` online pins: 1 629.8 / 974.9 /
+  553.6 / 292.8 µs while they all ran on the GPU);
+* each backward issues its input gradient before its weight gradient,
+  and a server plan goes to the device it finishes first on: the
+  attention and recsys train rows, the recsys inference row, the warm
+  steps, Fig. 10 and its rep3 twin moved down (online 1 013.8 /
+  285.7 / 143.5 µs, warm steps 1 536.3 / 2 766.9 µs, Fig. 10
+  3 251.7 µs, rep3 4 198.3 µs while ``dW`` ran first and the static
+  price placed every plan), and the train rows' and Fig. 10's bytes
+  with them (1 356 538 / 291 766 / 15 106 586 B: the step that deals
+  the streams opened each delta twice);
 * a secure comparison is 7 rounds, not 64: every byte and makespan pin
   above moved down when the 62-round ripple became a borrow tree
   (attention/recsys train+infer online 1 527.5 / 938.2 / 457.0 /
@@ -98,10 +109,10 @@ def _run(model, dataset, mode, *, batch_size, config=None) -> tuple[int, int, fl
 #: (messages, bytes, online makespan s) between the servers, two batches
 #: of 32 on SYNTHETIC.
 WORKLOAD_ROWS = {
-    ("attention", "train"): (140, 1_356_538, 0.0010138306467881455),
+    ("attention", "train"): (140, 1_318_466, 0.000913637522055306),
     ("attention", "infer"): (104, 688_144, 0.0004245345119753088),
-    ("recsys", "train"): (30, 291_766, 0.0002856588518518516),
-    ("recsys", "infer"): (16, 174_132, 0.00014348065123456782),
+    ("recsys", "train"): (30, 286_554, 0.0002796305617283948),
+    ("recsys", "infer"): (16, 174_132, 0.00010701861600790118),
 }
 
 
@@ -188,7 +199,7 @@ def _dealt_trainer(workload, **config):
 
 
 #: Warm-step online makespan (s) of perf/'s train_mlp and train_cnn at seed 0.
-WARM_STEP_S = {"train_mlp": 0.0015362902285214735, "train_cnn": 0.002766877480176796}
+WARM_STEP_S = {"train_mlp": 0.0014915085392227106, "train_cnn": 0.002663665710670623}
 
 
 @pytest.mark.parametrize("workload", sorted(WARM_STEP_S))
@@ -201,10 +212,11 @@ def test_warm_train_step_makespan_holds_the_early_share_upload(workload):
 
 
 #: A GPU-placed product of a warm train step pays within this share of
-#: the profiler's plan price.  Measured: at worst +11.6 % (``mlp2/fwd``,
-#: whose own shares cross PCIe during the exchange the price charges
-#: nothing for); the fused-GEMM estimate it replaced missed by up to
-#: +339 % (``conv0/dW``).
+#: the profiler's plan price.  Measured: at worst +13.4 % (``mlp2/dX``,
+#: whose own delta share crosses PCIe after the exchange the price
+#: charges nothing for; 11.6 %, ``mlp2/fwd``, while ``dW`` ran first);
+#: the fused-GEMM estimate it replaced missed by up to +339 %
+#: (``conv0/dW``).
 PRICE_BOUND = 0.15
 
 
@@ -222,10 +234,11 @@ def _fused_gemm_estimate(spec, batch, m, k, n) -> float:
 def _queue(ready, tasks) -> float:
     """Time a product that uploads nothing waited for engines an earlier
     product held.  Its tasks are one chain (``D``, ``D@F``, ``E@B``,
-    ``C``, ``d2h:C``), so a gap before one of them is a queue: a ``dX``
-    issued right after the ``dW`` of the same delta waits for that
-    ``dW``'s kernels on the stream and its ``C`` download on the D2H
-    engine.  The static price sees no queue; the gate takes it out."""
+    ``C``, ``d2h:C``), so a gap before one of them is a queue: a ``dW``
+    issued right after the ``dX`` of the same delta waits for that
+    ``dX``'s kernels on the stream and its ``C`` download on the D2H
+    engine.  The price is static and sees no queue; the gate takes it
+    out."""
     waited, free = 0.0, ready
     for task in tasks:
         waited += max(0.0, task.start - free)
@@ -272,6 +285,8 @@ def test_plan_price_predicts_what_a_warm_step_pays(monkeypatch):
         checked[workload] = len(products)
         for label, decision, per_server in products:
             assert decision.plan == "beaver2pc" and decision.placement == "gpu", label
+            # the finish-time decision, read off both servers' clocks
+            assert decision.gpu_finish_s is not None, label
             old = _fused_gemm_estimate(ctx.config.gpu_spec, *decision.shape)
             for ready, done, tasks in per_server:
                 uploads = any(t.resource.endswith(".h2d") for t in tasks)
@@ -284,9 +299,10 @@ def test_plan_price_predicts_what_a_warm_step_pays(monkeypatch):
                 )
                 if abs(paid - old) > PRICE_BOUND * paid:
                     misses.setdefault(workload, set()).add(label)
-    # every GPU product of a warm step, and the 16-wide attention ones stay off
-    assert checked == {"train_attention": 2, "train_cnn": 5, "train_mlp": 8}
-    assert queued == {"mlp2/dX", "mlp1/dX", "fc1/dX"}
+    # every GPU product of a warm step; of the 16-wide attention ones only
+    # dWo, issued behind dC on a busy server CPU, joins the projections
+    assert checked == {"train_attention": 3, "train_cnn": 5, "train_mlp": 8}
+    assert queued == {"mlp2/dW", "mlp1/dW", "fc1/dW"}
     # the fused-GEMM estimate fails the same bound on every workload
     assert sorted(misses) == sorted(TRAIN_GEOMETRY)
 
@@ -309,21 +325,22 @@ def test_rep3_predict_makespan_holds_the_inter_batch_backfill():
 #: Online makespan (s) of the Fig. 10 MLP/MNIST cell: two training batches
 #: of 128 on the default config — the one wire path (framed, E/F packed),
 #: the backward pass stopping at the first trainable layer, every value
-#: uploaded to the server GPUs once, the dealer comparison, and each H2D
-#: upload issued as soon as it is ready and no later than in Fig. 5's order.
-FIG10_ONLINE_REFERENCE_S = 0.0032516589922261686
+#: uploaded to the server GPUs once, the dealer comparison, each H2D
+#: upload issued as soon as it is ready and no later than in Fig. 5's order,
+#: and each backward's input gradient issued before its weight gradient.
+FIG10_ONLINE_REFERENCE_S = 0.0030729891541046877
 
 
 def test_fig10_online_makespan_holds_the_pin():
     _messages, nbytes, online_s = _run("MLP", "MNIST", "train", batch_size=128)
-    assert nbytes == 15_106_586
+    assert nbytes == 14_954_862
     assert online_s <= FIG10_ONLINE_REFERENCE_S * (1 + 1e-9), (
         f"Fig. 10 online makespan {online_s} above the pinned {FIG10_ONLINE_REFERENCE_S}"
     )
 
 
 #: Online makespan (s) of the same cell on the rep3 backend.
-REP3_TRAIN_ONLINE_S = 0.004198269151948641
+REP3_TRAIN_ONLINE_S = 0.004068668028491852
 
 
 def test_rep3_train_makespan_holds_the_pin():

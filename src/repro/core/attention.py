@@ -152,10 +152,11 @@ class SecureAttentionBlock(SecureLayer):
         # mean-pool (every token gets delta / s) and output projection
         pool = delta.mul_public(1.0 / s)
         do2 = _local(pool, (np.repeat(sh, s, axis=0) for sh in pool.shares))
-        gw_o = ops.secure_matmul(
-            tape["context"].T, do2, label=f"{self.name}/dWo"
-        ).mul_public(1.0 / b)
-        dc = ops.secure_matmul(do2, self.w_o.T, label=f"{self.name}/dC").reshape(b, s, d)
+        (gw_o,), dc = ops.backward_products(
+            [(tape["context"].T, do2, f"{self.name}/dWo")], (do2, self.w_o.T, f"{self.name}/dC")
+        )
+        gw_o = gw_o.mul_public(1.0 / b)
+        dc = dc.reshape(b, s, d)
 
         # attention-weight and value gradients, per sample
         da = ops.secure_matmul(dc, tape["v"].T, label=f"{self.name}/dA").reshape(b * s, s)
@@ -174,16 +175,12 @@ class SecureAttentionBlock(SecureLayer):
 
         x2 = tape["x2"]
         dqkv = _concat_cols([t.reshape(b * s, d) for t in (dq, dk, dv)])
-        self._grads = {
-            "w_o": gw_o,
-            "w_qkv": ops.secure_matmul(
-                x2.T, dqkv, label=f"{self.name}/dWqkv"
-            ).mul_public(1.0 / b),
-        }
-        if not input_grad:
-            return None
-        dx2 = ops.secure_matmul(dqkv, self.w_qkv.T, label=f"{self.name}/dX")
-        return dx2.reshape(b, s * d)
+        (gw_qkv,), dx2 = ops.backward_products(
+            [(x2.T, dqkv, f"{self.name}/dWqkv")],
+            (dqkv, self.w_qkv.T, f"{self.name}/dX") if input_grad else None,
+        )
+        self._grads = {"w_o": gw_o, "w_qkv": gw_qkv.mul_public(1.0 / b)}
+        return None if dx2 is None else dx2.reshape(b, s * d)
 
     def apply_gradients(self, lr: float) -> None:
         if self._grads is None:

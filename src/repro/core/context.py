@@ -317,6 +317,9 @@ class SecureContext:
         # iterations unless fresh_triplets (see FrameworkConfig docs)
         self._matrix_triplets: dict[str, MatrixTriplet] = {}
         self._elementwise_triplets: dict[str, ElementwiseTriplet] = {}
+        # streams dealt ahead of their use this step (deal_ahead): label
+        # -> (triplet, the uids of the operands it was dealt for)
+        self._ahead: dict[str, tuple[MatrixTriplet, tuple[int, int]]] = {}
 
         # Online-step epoch for the per-batch consumption guard: drivers
         # call begin_batch() before each step; cached triplets then issue
@@ -644,6 +647,7 @@ class SecureContext:
         """Advance the online step: the per-batch consumption guard, and
         the end of everything the last step opened but a static value."""
         self._batch_epoch = 0 if self._batch_epoch is None else self._batch_epoch + 1
+        self._ahead.clear()
         if self._opened:
             self._opened = {m: row for m, row in self._opened.items() if row.static}
             for row in self._opened.values():
@@ -677,10 +681,16 @@ class SecureContext:
         return self._batch_epoch is not None
 
     def _mask_opened_this_step(self, operand) -> BeaverMask | None:
-        """The mask that opened ``operand``'s value in this online step."""
+        """The mask that opened ``operand``'s value in this online step,
+        or was dealt to it by a stream dealt ahead of its use
+        (:meth:`deal_ahead`), which opens it under that mask this step."""
         for row in self._opened.values():
             if row.uid == operand.uid and row.epoch == self._batch_epoch:
                 return row.mask
+        for triplet, uids in self._ahead.values():
+            for view, uid in zip(triplet.masks, uids):
+                if uid == operand.uid:
+                    return view.mask
         return None
 
     def reuse_masked(self, side: str, tensor, view: MaskView):
@@ -834,20 +844,45 @@ class SecureContext:
                 return False
         return True
 
-    def _stream_triplet(self, cache: dict, label: str, operands, same_shape, deal):
-        """Op stream ``label``'s triplet from ``cache``, dealt when there
-        is none that fits."""
-        if self.config.fresh_triplets:
+    def _stream_triplet(self, cache: dict, label: str, operands, same_shape, deal, *, use=True):
+        """Op stream ``label``'s triplet: the one dealt ahead for it, else
+        from ``cache``, dealt when there is none that fits; ``use`` off
+        only deals it."""
+        ahead = self._ahead.pop(label, None)
+        if ahead is not None:
+            triplet = ahead[0]
+        elif self.config.fresh_triplets:
             triplet = deal()
-            triplet.begin_use(None, label)
-            return triplet
-        cached = cache.get(label)
-        if cached is None or not same_shape(cached) or not self._masks_fit(cached, operands):
-            if cached is not None:  # nobody can ask for the old triplet's Z
-                self._free_device([("Z", cached.uid)])
-            cached = cache[label] = deal()
-        cached.begin_use(self._batch_epoch, label)
-        return cached
+        else:
+            triplet = cache.get(label)
+            if triplet is None or not same_shape(triplet) or not self._masks_fit(triplet, operands):
+                if triplet is not None:  # nobody can ask for the old triplet's Z
+                    self._free_device([("Z", triplet.uid)])
+                triplet = cache[label] = deal()
+        if use:
+            triplet.begin_use(None if self.config.fresh_triplets else self._batch_epoch, label)
+        return triplet
+
+    def deal_ahead(self, label: str, x, y) -> None:
+        """Deal op stream ``label``'s triplet for ``x @ y`` now, for a
+        product issued after others that open its operands.
+
+        The stream is dealt (or its cached triplet checked) before the
+        streams of those products, and a mask it deals to a value links
+        them as if the value were opened under it
+        (:meth:`_mask_opened_this_step`).  The stream's next fetch takes
+        this triplet.  A dealer-free backend deals nothing.
+        """
+        if not self.backend.needs_dealer:
+            return
+        shapes = (tuple(x.shape), tuple(y.shape))
+        triplet = self._stream_triplet(
+            self._matrix_triplets, label, (x, y),
+            lambda cached: (cached.shape_a, cached.shape_b) == shapes,
+            lambda: self.gen_matrix_triplet(*shapes, label=label, operands=(x, y)),
+            use=False,
+        )
+        self._ahead[label] = (triplet, (x.uid, y.uid))
 
     def get_matrix_triplet(
         self, label: str, shape_a, shape_b, operands=(None, None)

@@ -36,8 +36,10 @@ class SecureLayer:
         ``input_grad=False`` means nobody reads the input gradient (no
         earlier layer has parameters — see :meth:`SecureModel.backward`):
         the layer skips every secure product that only feeds it and
-        returns ``None``.  Parameter gradients are issued first, so they
-        consume the same triplets either way.
+        returns ``None``.  The input gradient is issued before the
+        parameter gradients but their triplets are dealt first
+        (:func:`~repro.core.ops.backward_products`), so they consume the
+        same triplets either way.
         """
         raise NotImplementedError
 
@@ -89,12 +91,13 @@ class SecureDense(SecureLayer):
         if self._x is None:
             raise ProtocolError(f"{self.name}: backward before forward")
         batch = self._x.shape[0]
-        grad_w = ops.secure_matmul(self._x.T, delta, label=f"{self.name}/dW")
+        (grad_w,), dx = ops.backward_products(
+            [(self._x.T, delta, f"{self.name}/dW")],
+            (delta, self.weight.T, f"{self.name}/dX") if input_grad else None,
+        )
         self._grad_w = grad_w.mul_public(1.0 / batch)
         self._grad_b = delta.sum_rows().mul_public(1.0 / batch)
-        if not input_grad:
-            return None
-        return ops.secure_matmul(delta, self.weight.T, label=f"{self.name}/dX")
+        return dx
 
     def apply_gradients(self, lr: float) -> None:
         if self._grad_w is None or self._grad_b is None:
@@ -212,11 +215,13 @@ class SecureConv2D(SecureLayer):
             raise ProtocolError(f"{self.name}: backward before forward")
         n = self._batch
         delta2 = delta.reshape(n * self.out_h * self.out_w, self.out_channels)
-        grad_w = ops.secure_matmul(self._cols.T, delta2, label=f"{self.name}/dW")
+        (grad_w,), dcols = ops.backward_products(
+            [(self._cols.T, delta2, f"{self.name}/dW")],
+            (delta2, self.weight.T, f"{self.name}/dX") if input_grad else None,
+        )
         self._grad_w = grad_w.mul_public(1.0 / n)
-        if not input_grad:
+        if dcols is None:
             return None
-        dcols = ops.secure_matmul(delta2, self.weight.T, label=f"{self.name}/dX")
         h, w, c = self.in_shape
         imgs_shape = (n, h, w, c)
         dx = tuple(
@@ -357,14 +362,18 @@ class SecureRNNCell(SecureLayer):
             delta = ops.secure_elementwise_mul(
                 delta, frame["mask"], label=f"{self.name}/bptt-mask[{t}]"
             )
-            g_wx = ops.secure_matmul(frame["x"].T, delta, label=f"{self.name}/dWx[{t}]")
-            g_wh = ops.secure_matmul(frame["h_prev"].T, delta, label=f"{self.name}/dWh[{t}]")
+            (g_wx, g_wh), d_h = ops.backward_products(
+                [
+                    (frame["x"].T, delta, f"{self.name}/dWx[{t}]"),
+                    (frame["h_prev"].T, delta, f"{self.name}/dWh[{t}]"),
+                ],
+                (delta, self.w_h.T, f"{self.name}/dH[{t}]") if t + 1 < len(self._tape) else None,
+            )
             g_b = delta.sum_rows()
             grad_wx = g_wx if grad_wx is None else grad_wx + g_wx
             grad_wh = g_wh if grad_wh is None else grad_wh + g_wh
             grad_b = g_b if grad_b is None else grad_b + g_b
-            if t + 1 < len(self._tape):
-                delta = ops.secure_matmul(delta, self.w_h.T, label=f"{self.name}/dH[{t}]")
+            delta = d_h if d_h is not None else delta
         batch = self._tape[0]["x"].shape[0] if self._tape else 1
         self._grad_wx = grad_wx.mul_public(1.0 / batch)
         self._grad_wh = grad_wh.mul_public(1.0 / batch)

@@ -38,6 +38,7 @@ from repro.util.validation import matmul_shapes_compatible
 
 __all__ = [
     "secure_matmul",
+    "backward_products",
     "secure_elementwise_mul",
     "secure_compare_const",
     "secure_softmax",
@@ -137,6 +138,31 @@ def secure_matmul(
     with _op_scope(ctx, "matmul", label):
         out = ctx.backend.matmul(ctx, x, y, label=label)
         return _rescale(out, x, y, label=label, truncate_result=truncate_result)
+
+
+def backward_products(
+    weight_grads: list[tuple[SharedTensor, SharedTensor, str]],
+    input_grad: tuple[SharedTensor, SharedTensor, str] | None = None,
+) -> tuple[list[SharedTensor], SharedTensor | None]:
+    """A layer's backward products, critical path first.
+
+    ``weight_grads`` are the ``(x, y, label)`` products only the update
+    reads; ``input_grad`` is the one the layer below waits on (None
+    where nobody reads it).  It is issued first, so it never queues
+    behind a weight gradient, and the weight gradients follow in order.
+    Their triplets are dealt before it, as if they ran first
+    (:meth:`~repro.core.context.SecureContext.deal_ahead`): every mask,
+    share and result is the one weight-gradients-first gives, and only
+    the order of the online tasks changes.  Returns the weight gradients
+    and the input gradient.
+    """
+    dx = None
+    if input_grad is not None:
+        for x, y, label in weight_grads:
+            x.ctx.deal_ahead(label, x, y)
+        x, y, label = input_grad
+        dx = secure_matmul(x, y, label=label)
+    return [secure_matmul(x, y, label=label) for x, y, label in weight_grads], dx
 
 
 def secure_elementwise_mul(

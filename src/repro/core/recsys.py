@@ -73,11 +73,12 @@ class SecureEmbedding(SecureLayer):
         if self._x is None:
             raise ProtocolError(f"{self.name}: backward before forward")
         batch = self._x.shape[0]
-        grad_w = ops.secure_matmul(self._x.T, delta, label=f"{self.name}/dW")
+        (grad_w,), dx = ops.backward_products(
+            [(self._x.T, delta, f"{self.name}/dW")],
+            (delta, self.weight.T, f"{self.name}/dX") if input_grad else None,
+        )
         self._grad_w = grad_w.mul_public(1.0 / batch)
-        if not input_grad:
-            return None
-        return ops.secure_matmul(delta, self.weight.T, label=f"{self.name}/dX")
+        return dx
 
     def apply_gradients(self, lr: float) -> None:
         if self._grad_w is None:

@@ -190,7 +190,14 @@ class SharedTensor:
             if self.kind == "fixed"
             else self.ctx.encoder.encode_int(np.asarray(value))
         )
-        s0 = ring_add(self.shares[0], np.broadcast_to(encoded, self.shape).astype(RING_DTYPE))
+        try:
+            public = np.broadcast_to(encoded, self.shape)
+        except ValueError:
+            raise ShapeError(
+                f"add_public: a public value of shape {encoded.shape} does not broadcast "
+                f"to the tensor's {self.shape}"
+            ) from None
+        s0 = ring_add(self.shares[0], public.astype(RING_DTYPE))
         return SharedTensor(
             ctx=self.ctx, shares=(s0, *self.shares[1:]), kind=self.kind, tasks=self.tasks
         )
@@ -218,6 +225,11 @@ class SharedTensor:
         """
         if self.kind != "fixed":
             raise ProtocolError("mul_public on an indicator; use mul_public_int")
+        if np.ndim(value):
+            raise ShapeError(
+                f"mul_public: multiplies by a public scalar, got an array of shape "
+                f"{np.shape(value)} for the tensor's {self.shape}"
+            )
         if not np.isfinite(value):
             raise EncodingError(f"mul_public: {value!r} has no fixed-point encoding")
         scalar_bits = min(26, 2 * self.ctx.encoder.frac_bits)

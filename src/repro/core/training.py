@@ -180,6 +180,8 @@ class SecureTrainer:
         max_batches: int | None = None,
     ) -> TrainReport:
         """Run secure SGD; ``x`` is (n, features), ``y`` is (n, outputs)."""
+        if batch_size < 1:
+            raise ConfigError(f"train: batch_size must be >= 1, got {batch_size!r}")
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:

@@ -9,8 +9,8 @@ degradation", Section 4.2).
 :class:`StepProfiler` reproduces the mechanism rather than hard-coding
 the paper's conclusion.  A call site names the *plan* it will run, and
 the profiler prices the steps each device would take under that plan
-with one cost function (:meth:`StepProfiler.seconds`), then picks the
-cheaper device:
+with one cost function (:meth:`StepProfiler.step_prices`), then picks a
+device:
 
 * ``beaver2pc`` — one server's Eq. 8 product ``(m,k) x (k,n)``.  GPU:
   the uploads of the public slots ``E``, ``F``, ``Z`` the server's
@@ -37,19 +37,26 @@ cheaper device:
 Plans are data: :meth:`StepProfiler.run_plan` places exactly a plan's
 steps on the device the profiler picks, each priced by that party's own
 device with :func:`~repro.simgpu.cost.step_seconds`, the function
-:meth:`StepProfiler.seconds` prices with.  It runs every plan, products
+:meth:`StepProfiler.step_prices` prices with.  It runs every plan, products
 included; the call site computes the values.  The one exception is a
 GPU-placed ``beaver2pc`` product: pipeline 1 gives each Fig. 5 slot its
 own dependencies, which a sequence of steps cannot say, so
 :func:`~repro.pipeline.scheduler.schedule_secure_gemm` places those
 steps by hand.
 
-A decision is memoised per (plan, shape, resident slots) — the adaptive
-part — so a cold and a warm call of one product are separate decisions.
-The price is static: the steps' durations summed, not a dry run on the
-clock, so it sees neither the exchange a transfer hides behind nor a
-queue on a busy stream.  With adaptivity disabled the profiler forces
-either device, so the ablation benchmark can show the mechanism's value.
+The price is memoised per (plan, shape, resident slots), so a cold and
+a warm call of one product are separate decisions.  A server plan goes
+to the device on which it *finishes* first: each step at its memoised
+price, started where the party's clock would start it
+(:func:`plan_finish`, which reads the clock's gap rule through
+:meth:`~repro.simgpu.clock.SimClock.probe` and places nothing), the
+later party's finish deciding — so a server CPU already busy past a
+product's readiness sends it to the GPU.  The client's ``dealer`` and
+``rng`` plans, and a decision asked without the parties, take the
+cheaper static price (the ``rng`` price leaves out cuRAND's warm-up,
+which a queue-aware pick would lean on).  With adaptivity disabled the
+profiler forces either device, so the ablation benchmark can show the
+mechanism's value.
 """
 
 from __future__ import annotations
@@ -101,7 +108,11 @@ _CLIENT_PLANS = frozenset({"dealer", "rng"})
 
 @dataclass(frozen=True)
 class PlacementDecision:
-    """The profiler's verdict for one (plan, shape, resident slots)."""
+    """The profiler's verdict for one (plan, shape, resident slots): the
+    static price on each device and, for a server plan placed where it
+    finishes first, when it would finish on each (the later party's;
+    None on a device that could not have finished first, so was not
+    read)."""
 
     plan: str
     shape: tuple
@@ -109,6 +120,8 @@ class PlacementDecision:
     placement: Placement
     cpu_estimate_s: float
     gpu_estimate_s: float
+    cpu_finish_s: float | None = None
+    gpu_finish_s: float | None = None
 
 
 @lru_cache(maxsize=4096)  # the executor asks on every charge
@@ -189,43 +202,89 @@ class StepProfiler:
         self.tensor_core = tensor_core
         self.cpu_parallel = cpu_parallel
         self.client_parallel = client_parallel
+        #: the last decision per (plan, shape, resident slots)
         self.decisions: dict[tuple, PlacementDecision] = {}
+        # memoised per (plan, shape, resident slots): the static decision,
+        # each device's steps and their prices
+        self._prices: dict[tuple, tuple] = {}
 
     # -- the cost function ------------------------------------------------------
 
-    def seconds(
+    def step_prices(
         self, device: Placement, steps: tuple[Step, ...], *, parallel: bool | None = None
-    ) -> float:
-        """Simulated seconds of ``steps`` run back to back on ``device``; a
-        CPU runs at ``parallel`` (default: the servers' ``cpu_parallel``)."""
+    ) -> tuple[float, ...]:
+        """Simulated seconds of each of ``steps`` on ``device``; a CPU runs
+        at ``parallel`` (default: the servers' ``cpu_parallel``)."""
         spec = self.gpu_spec if device == "gpu" else self.cpu_spec
         parallel = self.cpu_parallel if parallel is None else parallel
-        return sum(
+        return tuple(
             step_seconds(spec, op, size, parallel=parallel, tensor_core=self.tensor_core)
             for op, size, _name in steps
         )
 
+    def seconds(
+        self, device: Placement, steps: tuple[Step, ...], *, parallel: bool | None = None
+    ) -> float:
+        """Simulated seconds of ``steps`` run back to back on ``device``."""
+        return sum(self.step_prices(device, steps, parallel=parallel))
+
+    def _price(self, plan: str, shape: tuple, resident: tuple[str, ...]) -> tuple:
+        """``(static decision, cpu steps, gpu steps, their prices)``, memoised."""
+        key = (plan, shape, resident)
+        price = self._prices.get(key)
+        if price is None:
+            cpu_steps, gpu_steps = plan_steps(plan, shape, resident)
+            parallel = self.client_parallel if plan in _CLIENT_PLANS else self.cpu_parallel
+            cpu = self.step_prices("cpu", cpu_steps, parallel=parallel)
+            gpu = self.step_prices("gpu", gpu_steps)
+            if not gpu_steps or self.mode == "cpu_always":
+                placement: Placement = "cpu"
+            elif self.mode == "gpu_always":
+                placement = "gpu"
+            else:
+                placement = "gpu" if sum(gpu) < sum(cpu) else "cpu"
+            static = PlacementDecision(plan, shape, resident, placement, sum(cpu), sum(gpu))
+            price = self._prices[key] = (static, cpu_steps, gpu_steps, cpu, gpu)
+        return price
+
     # -- placement -------------------------------------------------------------
 
-    def decide(self, plan: str, shape: tuple, resident: tuple[str, ...] = ()) -> PlacementDecision:
-        """Placement for ``plan`` at ``shape`` with ``resident`` slots held."""
-        key = (plan, shape, resident)
-        cached = self.decisions.get(key)
-        if cached is not None:
-            return cached
-        cpu_steps, gpu_steps = plan_steps(plan, shape, resident)
-        parallel = self.client_parallel if plan in _CLIENT_PLANS else self.cpu_parallel
-        cpu = self.seconds("cpu", cpu_steps, parallel=parallel)
-        gpu = self.seconds("gpu", gpu_steps)
-        if not gpu_steps or self.mode == "cpu_always":
-            placement: Placement = "cpu"
-        elif self.mode == "gpu_always":
-            placement = "gpu"
-        else:
-            placement = "gpu" if gpu < cpu else "cpu"
-        decision = PlacementDecision(plan, shape, resident, placement, cpu, gpu)
-        self.decisions[key] = decision
+    def decide(
+        self, plan: str, shape: tuple, resident: tuple[str, ...] = (), *, parties=()
+    ) -> PlacementDecision:
+        """Placement for ``plan`` at ``shape`` with ``resident`` slots held.
+
+        ``parties`` are the ``(cpu, gpu, deps)`` of each server that runs
+        the plan: an adaptive server plan then goes to the device on
+        which it finishes first (the later party's finish), each step
+        priced as above and started where the party's clock would start
+        it (:func:`plan_finish`).  Without ``parties``, and for the
+        client's plans, the cheaper static price decides.
+        """
+        static, *plans = self._price(plan, shape, resident)
+        decision = static
+        if parties and plans[1] and self.mode == "adaptive" and plan not in _CLIENT_PLANS:
+            decision = self._finish_first(static, plans, parties)
+        self.decisions[plan, shape, resident] = decision
         return decision
+
+    @staticmethod
+    def _finish_first(static: PlacementDecision, plans, parties) -> PlacementDecision:
+        """``static`` placed on the device that finishes first on the
+        parties' clocks.  The statically cheaper device is read first; the
+        other is read only if, idle, it could beat that finish."""
+        cpu_steps, gpu_steps, cpu_prices, gpu_prices = plans
+        runs = {"cpu": (0, cpu_steps, cpu_prices), "gpu": (1, gpu_steps, gpu_prices)}
+        first = static.placement
+        second: Placement = "gpu" if first == "cpu" else "cpu"
+        at = {first: plan_finish(parties, *runs[first]), second: None}
+        if plan_finish(parties, *runs[second], idle=True) <= at[first]:
+            at[second] = plan_finish(parties, *runs[second])
+        placement = first if at[second] is None else ("gpu" if at["gpu"] < at["cpu"] else "cpu")
+        return PlacementDecision(
+            static.plan, static.shape, static.resident, placement,
+            static.cpu_estimate_s, static.gpu_estimate_s, at["cpu"], at["gpu"],
+        )
 
     def place_gemm(
         self,
@@ -236,17 +295,19 @@ class StepProfiler:
         *,
         plan: str = "dealer",
         resident: tuple[str, ...] = (),
+        parties=(),
     ) -> PlacementDecision:
         """Placement for ``batch`` stacked ``(m,k) x (k,n)`` products (1
-        for a matrix) run as ``plan``."""
-        return self.decide(plan, (batch, m, k, n), resident)
+        for a matrix) run as ``plan`` (``parties``: see :meth:`decide`)."""
+        return self.decide(plan, (batch, m, k, n), resident, parties=parties)
 
     # -- the executor ------------------------------------------------------------
 
     def run_plan(self, cpu, gpu, plan: str, shape: tuple, *, deps, label: str) -> list:
         """Place ``plan``'s steps at ``shape`` on one party's ``cpu`` or
-        ``gpu`` (None where it has none), whichever the profiler picks,
-        and return their tasks in step order.
+        ``gpu`` (None where it has none), whichever :meth:`decide` picks
+        for that party after ``deps``, and return their tasks in step
+        order.
 
         Each device prices a step itself, at its own spec and parallel
         flag.  Uploads start together on ``deps``, the step after them
@@ -254,7 +315,8 @@ class StepProfiler:
         before it.
         """
         cpu_steps, gpu_steps = plan_steps(plan, shape)
-        if gpu is not None and self.decide(plan, shape).placement == "gpu":
+        parties = ((cpu, gpu, deps),)
+        if gpu is not None and self.decide(plan, shape, parties=parties).placement == "gpu":
             device, steps = gpu, gpu_steps
         else:
             device, steps = cpu, cpu_steps
@@ -268,3 +330,39 @@ class StepProfiler:
                 tasks.append(device.run_step(op, size, (*after, *uploads), step_label))
                 after, uploads = (tasks[-1],), []
         return tasks
+
+
+def plan_finish(
+    parties, device: int, steps: tuple[Step, ...], prices: tuple[float, ...], *, idle: bool = False
+) -> float:
+    """When :meth:`StepProfiler.run_plan` would finish ``steps``, priced
+    ``prices``, on each party's CPU (``device`` 0) or GPU (1) after that
+    party's deps — the latest of the parties' finishes.  Each step starts
+    where :meth:`~repro.simgpu.clock.SimClock.probe` says the party's
+    clock would start it, and nothing is placed.  Only the uploads, which
+    all start on the deps, can land in each other's way; every other
+    step starts after the plan's earlier steps have finished.  ``idle``
+    starts each step as soon as it is ready, as on an idle device: no
+    run of the plan finishes earlier."""
+    latest = 0.0
+    for party in parties:
+        unit, probe = party[device], party[device].clock.probe
+        ready = 0.0  # when the deps have finished, as SimClock.run reads them
+        for dep in party[2]:
+            if dep is not None and dep.finish > ready:
+                ready = dep.finish
+        uploads, after = [], ready  # after: what the next non-upload step waits for
+        finish = ready
+        for (op, _size, _name), seconds in zip(steps, prices):
+            if op == "h2d":
+                start = ready if idle else probe(unit.resource_for(op), seconds, ready, uploads)
+                finish = start + seconds
+                uploads.append((start, finish))
+                if finish > after:
+                    after = finish
+            else:
+                start = after if idle else probe(unit.resource_for(op), seconds, after)
+                after = finish = start + seconds
+        if finish > latest:
+            latest = finish
+    return latest

@@ -241,7 +241,10 @@ class Beaver2PCBackend(ProtocolBackend):
         keep = ctx.device_keep(triplet, x, y)
         resident = resident_slots(ctx.device_table(0), keep)
         dims = gemm_dims(x.shape, y.shape)
-        decision = ctx.profiler.place_gemm(*dims, plan="beaver2pc", resident=resident)
+        decision = ctx.profiler.place_gemm(
+            *dims, plan="beaver2pc", resident=resident,
+            parties=tuple(zip(ctx.server_cpu, ctx.server_gpu, ready)),
+        )
         shares = []
         tasks = []
         for i in (0, 1):

@@ -126,6 +126,37 @@ class SimClock:
                 return start
         return None
 
+    def probe(
+        self, resource: str, duration: float, ready: float = 0.0, taken=()
+    ) -> float:
+        """Where :meth:`run` would start ``duration`` seconds on
+        ``resource`` once its dependencies finish at ``ready``, had the
+        ``(start, finish)`` tasks ``taken`` (each of positive duration,
+        as a plan's steps are) been run there first; read-only.
+
+        The same gap rule: the earliest start at or after ``ready`` in an
+        idle stretch — a gap, or the time from the free time on — that
+        holds the whole duration, with the ``taken`` tasks cut out of it.
+        """
+        if resource not in self._free_at:
+            raise ConfigError(f"unknown resource {resource!r}; add_resource it first")
+        los, his = self._gaps[resource]
+        free = self._free_at[resource]
+        cuts = sorted(taken) if taken else ()
+        n = len(los)
+        for i in range(bisect_left(his, ready + duration), n + 1):
+            lo, hi = (los[i], his[i]) if i < n else (free, float("inf"))
+            for cut_lo, cut_hi in cuts:
+                if lo < cut_hi and cut_lo < hi:  # the idle piece before the cut
+                    start = max(lo, ready)
+                    if lo < cut_lo and start + duration <= cut_lo:
+                        return start
+                    lo = cut_hi
+            start = max(lo, ready)
+            if lo < hi and start + duration <= hi:
+                return start
+        raise AssertionError("unreachable: the last stretch is unbounded")  # pragma: no cover
+
     def join(self, deps: list[Task], resource: str | None = None, label: str = "join") -> Task:
         """A zero-duration task that completes when all ``deps`` have.
 

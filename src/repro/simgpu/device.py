@@ -67,10 +67,11 @@ class SimGPU:
         self.n_streams = int(n_streams)
         self.tensor_core = bool(tensor_core)
         self.pool = MemoryPool(spec.memory_bytes, name)
-        for s in range(self.n_streams):
-            clock.add_resource(self.stream(s))
-        clock.add_resource(self.h2d_engine)
-        clock.add_resource(self.d2h_engine)
+        self._streams = [f"{name}.s{k}" for k in range(self.n_streams)]
+        self.h2d_engine = f"{name}.h2d"
+        self.d2h_engine = f"{name}.d2h"
+        for resource in (*self._streams, self.h2d_engine, self.d2h_engine):
+            clock.add_resource(resource)
         registry = telemetry.registry if telemetry is not None else MetricRegistry()
         kernel_seconds = registry.histogram(
             "simgpu.kernel_seconds", "kernel time by device and kind"
@@ -120,15 +121,7 @@ class SimGPU:
     def stream(self, k: int = 0) -> str:
         if not 0 <= k < self.n_streams:
             raise DeviceError(f"{self.name}: stream {k} out of range (have {self.n_streams})")
-        return f"{self.name}.s{k}"
-
-    @property
-    def h2d_engine(self) -> str:
-        return f"{self.name}.h2d"
-
-    @property
-    def d2h_engine(self) -> str:
-        return f"{self.name}.d2h"
+        return self._streams[k]
 
     # -- transfers -------------------------------------------------------------
 
@@ -148,20 +141,25 @@ class SimGPU:
         engine, counted in ``h2d_bytes``/``d2h_bytes``; anything else on
         ``stream``, a GEMM counted in ``gemm_count``/``gemm_flops``."""
         if op == "h2d":
-            resource = self.h2d_engine
             self._h2d.inc(size[0])
         elif op == "d2h":
-            resource = self.d2h_engine
             self._d2h.inc(size[0])
-        else:
-            resource = self.stream(stream)
-            if op == "gemm":
-                batch, m, k, n = size
-                self._gemm_count.inc(1)
-                self._gemm_flops.inc(2.0 * batch * m * k * n)
+        elif op == "gemm":
+            batch, m, k, n = size
+            self._gemm_count.inc(1)
+            self._gemm_flops.inc(2.0 * batch * m * k * n)
         seconds = step_seconds(self.spec, op, size, tensor_core=self.tensor_core)
-        t = self.clock.run(resource, seconds, deps=deps, label=label)
+        t = self.clock.run(self.resource_for(op, stream), seconds, deps=deps, label=label)
         return self._observe(op, t, deps)
+
+    def resource_for(self, op: str, stream: int = 0) -> str:
+        """The resource a step ``op`` runs on: a PCIe copy on its engine,
+        anything else on ``stream``."""
+        if op == "h2d":
+            return self.h2d_engine
+        if op == "d2h":
+            return self.d2h_engine
+        return self.stream(stream)
 
     def free(self, buf: DeviceBuffer) -> None:
         self.pool.free(buf)
@@ -232,20 +230,21 @@ class SimCPU:
         self.spec = spec
         self.name = name
         self.parallel_enabled = bool(parallel_enabled)
+        self.resource = f"{name}.cpu"  # its one timeline
         clock.add_resource(self.resource)
         registry = telemetry.registry if telemetry is not None else MetricRegistry()
         seconds = registry.histogram("simcpu.seconds", "host-side time by kind")
         self._seconds = SeriesCache(lambda kind: seconds.labels(device=name, kind=kind))
-
-    @property
-    def resource(self) -> str:
-        return f"{self.name}.cpu"
 
     def run(self, duration: float, deps=(), label: str = "cpu", *, kind: str = "run") -> Task:
         """Charge raw seconds to the CPU timeline."""
         t = self.clock.run(self.resource, duration, deps=deps, label=label)
         self._seconds[kind].observe(t.duration)
         return t
+
+    def resource_for(self, op: str) -> str:
+        """The resource a step ``op`` runs on: this CPU's one timeline."""
+        return self.resource
 
     def run_step(self, op: str, size: tuple, deps=(), label: str = "cpu") -> Task:
         """One plan step, priced at this CPU's spec and parallel flag

@@ -121,21 +121,23 @@ class TestDenseTrainStep:
         _train_step(ctx, layers, 1)
         dealing = _by_op(log, "h2d:")
         # the step that deals a link learns only at its second stream that
-        # somebody asks again: that stream re-opens, and uploads, once more
-        assert dealing["d0/fwd"] == dealing["d1/fwd"] == dealing["d1/dW"] == FIG5_ORDER
-        assert dealing["d0/dW"] == FIG5_ORDER
+        # somebody asks again: dW re-opens, and uploads, H once more; the
+        # delta dX (issued first) uploaded is there for it
+        assert dealing["d0/fwd"] == dealing["d1/fwd"] == dealing["d0/dW"] == FIG5_ORDER
+        assert dealing["d1/dX"] == ["h2d:E", "h2d:A", "h2d:B", "h2d:Z"]
+        assert dealing["d1/dW"] == ["h2d:E", "h2d:A", "h2d:Z"]
         del log[:]
         _train_step(ctx, layers, 2)
         uploads, leads = _by_op(log, "h2d:"), _by_op(log, "D=")
-        # X, H: E and A once (forward); delta once (as dW's F and B); W1
-        # once (forward) — dX multiplies four buffers that are all there
+        # X, H: E and A once (forward); delta once (as dX's E and A); W1
+        # once (forward) — dW multiplies four buffers that are all there
         assert uploads == {
             "d0/fwd": FIG5_ORDER[:4], "d1/fwd": FIG5_ORDER[:4],
-            "d1/dW": ["h2d:F", "h2d:B"], "d1/dX": [], "d0/dW": ["h2d:F", "h2d:B"],
+            "d1/dX": ["h2d:E", "h2d:A"], "d1/dW": [], "d0/dW": ["h2d:F", "h2d:B"],
         }
         # D = A - i E once per value: X and H in the forward pass, delta in dX
         assert {op: len(ks) for op, ks in leads.items()} == {
-            "d0/fwd": 1, "d1/fwd": 1, "d1/dW": 0, "d1/dX": 1, "d0/dW": 0,
+            "d0/fwd": 1, "d1/fwd": 1, "d1/dX": 1, "d1/dW": 0, "d0/dW": 0,
         }
 
     def test_shares_and_weights_equal_a_run_that_uploads_everything_again(self, monkeypatch):

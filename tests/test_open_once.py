@@ -75,16 +75,17 @@ class TestDenseTrainStep:
         ctx, recorder = _ctx()
         layers = _dense_layers(ctx)
         _dense_step(ctx, layers, 1)
-        # the dealing step: a link's second stream re-opens once (its mask
-        # only now has two streams), and the static W1 is already held
+        # the dealing step: a link's second stream re-opens once (H's mask
+        # only now has two streams), and the static W1 is already held;
+        # delta is opened once, by dX, issued first
         assert _parts(recorder) == {
-            "d0/fwd": 2, "d1/fwd": 2, "d1/dW": 2, "d1/dX": 1, "d0/dW": 2,
+            "d0/fwd": 2, "d1/fwd": 2, "d1/dX": 1, "d1/dW": 1, "d0/dW": 2,
         }
         since = len(recorder)
         (x, h, delta), (gw1, dh, gw0) = _dense_step(ctx, layers, 2)
-        # from then on: X and H once (forward), delta once (as dW's F), no
-        # dX frame at all — W1^T and delta are both already public
-        assert _parts(recorder, since) == {"d0/fwd": 1, "d1/fwd": 1, "d1/dW": 1, "d0/dW": 1}
+        # from then on: X and H once (forward), delta once (as dX's E), no
+        # dW frame at all — H^T and delta are both already public
+        assert _parts(recorder, since) == {"d0/fwd": 1, "d1/fwd": 1, "d1/dX": 1, "d0/dW": 1}
         # the parent's algebra
         w1 = layers[1].weight.decode()
         n = x.shape[0]
@@ -370,9 +371,13 @@ class TestUntouchedPaths:
     was re-pinned once more when comparison became a borrow tree: its
     ``:rounds`` and ``compare:upload`` bytes shrank, every clock time
     moved earlier or stayed, and the indicator's B2A shares (hence the
-    payload hashes downstream of a comparison) are drawn anew."""
+    payload hashes downstream of a comparison) are drawn anew.  It was
+    re-pinned again when each backward began issuing its input gradient
+    before its weight gradient: the same 119 records, tags, sizes and
+    hashes, in the new issue order, ``dW``'s records later and the last
+    one earlier."""
 
     def test_rep3_has_no_masks_and_does_not_move(self):
         assert _transcript_digest(
             model="MLP", axis="baseline", train=True, backend="rep3"
-        ) == (119, "1f6a34a96e2aee8ebc955520e759861b")
+        ) == (119, "495001b7a3364e735b96bc2e0023be48")

@@ -83,6 +83,18 @@ class TestLocalOps:
         with pytest.raises(EncodingError, match=repr(value)):
             shared(ctx, np.eye(2)).mul_public(value)
 
+    def test_mul_public_by_an_array_is_a_shape_error(self, ctx):
+        with pytest.raises(ShapeError, match=r"mul_public.*\(3, 3\).*\(2, 3\)"):
+            shared(ctx, np.ones((2, 3))).mul_public(np.ones((3, 3)))
+
+    def test_add_public_of_a_value_that_does_not_broadcast_is_a_shape_error(self, ctx):
+        with pytest.raises(ShapeError, match=r"add_public.*\(3, 3\).*\(2, 3\)"):
+            shared(ctx, np.ones((2, 3))).add_public(np.ones((3, 3)))
+
+    def test_add_public_broadcasts_a_row(self, ctx):
+        got = shared(ctx, np.ones((2, 3))).add_public(np.array([0.5, 1.0, 1.5])).decode()
+        np.testing.assert_allclose(got, [[1.5, 2.0, 2.5]] * 2, atol=2e-4)
+
     def test_kind_mismatch_in_add(self, ctx):
         fixed = shared(ctx, np.eye(2))
         ind = SharedTensor.from_plain(ctx, np.eye(2), kind="indicator")

@@ -72,6 +72,12 @@ class TestTrainer:
         with pytest.raises(ConfigError):
             trainer.train(rng.normal(size=(10, 6)), rng.normal(size=(10, 2)), batch_size=64)
 
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_a_batch_size_below_one_is_a_config_error(self, ctx, rng, batch_size):
+        trainer = SecureTrainer(ctx, SecureLinearRegression(ctx, 6, n_out=2))
+        with pytest.raises(ConfigError, match=r"batch_size must be >= 1"):
+            trainer.train(rng.normal(size=(10, 6)), rng.normal(size=(10, 2)), batch_size=batch_size)
+
     def test_monitor_loss_can_be_disabled(self, ctx, rng):
         x, y = small_problem(rng)
         model = SecureLinearRegression(ctx, 6, n_out=2)
