@@ -34,6 +34,11 @@ noise) and an online makespan may not rise above its pin:
   784-128-128-10 ``secure_predict`` over six batches of 128 (``perf/``'s
   ``infer_mlp_rep3`` unit) keeps an online makespan of at most
   :data:`REP3_PREDICT_ONLINE_S` (7 425.5 µs with batches back to back);
+* a ``rep3`` value's shares cross PCIe once: from the second batch of a
+  ``secure_predict`` no weight is uploaded or summed again, and a
+  training step's ``dX`` / ``dW`` read the pairs its forward pass and
+  ``dX`` uploaded — rep3 inference 3 533.1 µs and the rep3 Fig. 10 twin
+  4 068.7 µs while every product uploaded both operands;
 * the Fig. 10 MLP/MNIST cell (two training batches of 128) keeps an
   online makespan of at most :data:`FIG10_ONLINE_REFERENCE_S`, and its
   rep3 twin one of at most :data:`REP3_TRAIN_ONLINE_S`;
@@ -308,8 +313,9 @@ def test_plan_price_predicts_what_a_warm_step_pays(monkeypatch):
 
 
 #: Online makespan (s) of one rep3 MLP 784-128-128-10 secure_predict over
-#: six batches of 128 at seed 0: batch k+1 backfills batch k's reshare waits.
-REP3_PREDICT_ONLINE_S = 0.003533087071998019
+#: six batches of 128 at seed 0: batch k+1 backfills batch k's reshare waits,
+#: and from batch 2 on every weight's pair is resident on the server GPUs.
+REP3_PREDICT_ONLINE_S = 0.00328261596088691
 
 
 def test_rep3_predict_makespan_holds_the_inter_batch_backfill():
@@ -339,8 +345,9 @@ def test_fig10_online_makespan_holds_the_pin():
     )
 
 
-#: Online makespan (s) of the same cell on the rep3 backend.
-REP3_TRAIN_ONLINE_S = 0.004068668028491852
+#: Online makespan (s) of the same cell on the rep3 backend: the second
+#: step's dX and dW read the pairs its forward pass and dX uploaded.
+REP3_TRAIN_ONLINE_S = 0.0038547711396029628
 
 
 def test_rep3_train_makespan_holds_the_pin():

@@ -134,6 +134,11 @@ def _bind_op_series(telemetry: Telemetry, backend: str, op: str) -> _OpSeries:
     )
 
 
+#: Device-table rows of a value's shares (keyed by tensor uid): a
+#: server's own share, and under ``rep3`` its second share and their sum.
+SHARE_ROWS = ("share", "next", "sum")
+
+
 @dataclass
 class _Opening:
     """One row of the mask table: what a Beaver mask opened."""
@@ -335,6 +340,11 @@ class SecureContext:
         self._opened: dict[int, _Opening] = {}
         self._shared_sides: set[tuple[str, str]] = set()
         self._device: list[dict[tuple[str, int], tuple]] = [{} for _ in range(self.n_parties)]
+        # rep3: the static value each stream side (label, side) last read,
+        # whose share rows outlive the step, and this step's readers of
+        # every other value (uid -> stream sides)
+        self._static_shares: dict[tuple[str, str], int] = {}
+        self._readers: dict[int, set[tuple[str, str]]] = {}
         mask_reuse_hits = self.telemetry.counter(
             "mpc.mask_reuse.hits",
             "masked differences the servers already held, by side and scope (step|static)",
@@ -648,13 +658,16 @@ class SecureContext:
         the end of everything the last step opened but a static value."""
         self._batch_epoch = 0 if self._batch_epoch is None else self._batch_epoch + 1
         self._ahead.clear()
+        self._readers.clear()
         if self._opened:
             self._opened = {m: row for m, row in self._opened.items() if row.static}
             for row in self._opened.values():
                 row.tasks = ()  # long done; a hit waits on its operands alone
+        static = set(self._static_shares.values())
         self._free_device(
             (what, uid) for what, uid in self._device_rows()
-            if what == "share" or (what != "Z" and uid not in self._opened)
+            if (what in SHARE_ROWS and uid not in static)
+            or (what in ("open", "lead") and uid not in self._opened)
         )
 
     # ----------------------------------------------------------- the mask table
@@ -758,10 +771,19 @@ class SecureContext:
     # * ``("Z", triplet uid)`` — the stream's ``Z_i`` — lives while the
     #   stream keeps that triplet (never under ``fresh_triplets``).
     #
+    # Under ``rep3`` party ``i`` holds a value's replicated pair, filled by
+    # :meth:`repro.protocols.rep3.Rep3Backend.matmul` (:meth:`device_keep_shares`):
+    # ``("share", uid)`` — ``x_i`` — and ``("next", uid)`` — ``x_{i+1}`` —
+    # for a left operand, ``("sum", uid)`` — ``x_i + x_{i+1}`` — and
+    # ``("share", uid)`` for a right one.  The rows hold the parties' share
+    # arrays by reference; a static value's live until its stream side
+    # reads a new uid, every other value's — kept where more than one
+    # stream side reads it, as a linked mask's — to the end of the step.
+    #
     # Retention is the mask table's who-can-ask rule (:meth:`device_keep`);
     # invalidation is one loop (:meth:`_free_device`), run where a row's
     # owner goes: ``begin_batch``, a mask opening a new value, a re-dealt
-    # stream, :meth:`reset_mask_reuse`.
+    # stream, a static value replaced, :meth:`reset_mask_reuse`.
 
     def device_table(self, party: int) -> dict[tuple[str, int], tuple]:
         """Server ``party``'s device table (see "the device table")."""
@@ -790,6 +812,37 @@ class SecureContext:
                 keep[share] = ("share", tensor.uid)
         return keep
 
+    def device_keep_shares(self, label: str, x, y) -> set[int]:
+        """The uids among ``x`` and ``y`` whose share rows stay in the
+        device tables after the ``rep3`` product ``label`` reads them.
+
+        A ``static`` value (an unchanged weight) stays across steps until
+        its stream side ``(label, "L" | "R")`` reads a new uid, which frees
+        the old value's rows at once.  Any other value stays to the end of
+        the step where somebody can ask again: its stream side is one of
+        several that read one value in a step — learned, like the
+        dealer's links, the first time two of them do.  A forward pass
+        keeps its weights only; outside ``begin_batch`` steps no other
+        value stays.
+        """
+        keep = set()
+        for side, tensor in zip("LR", (x, y)):
+            owner = (label, side)
+            if tensor.static:
+                old = self._static_shares.get(owner)
+                self._static_shares[owner] = tensor.uid
+                if old not in (None, tensor.uid):
+                    self._free_device((what, old) for what in SHARE_ROWS)
+                keep.add(tensor.uid)
+            elif self._batch_epoch is not None:
+                readers = self._readers.setdefault(tensor.uid, set())
+                readers.add(owner)
+                if len(readers) > 1:
+                    self._shared_sides.update(readers)
+                if owner in self._shared_sides:
+                    keep.add(tensor.uid)
+        return keep
+
     def _device_rows(self) -> set[tuple[str, int]]:
         """Every key some server's device table holds."""
         return set().union(*self._device)
@@ -807,12 +860,14 @@ class SecureContext:
         Called on recovery paths (server restart, inference retry): a
         restarted server has lost its memory, so nothing previously
         uploaded or exchanged can be assumed present — every opening is
-        forgotten and every resident device buffer freed, leaving both
-        servers' ``gpu.pool.allocated_bytes`` at 0.  Cached triplets
+        forgotten and every resident device buffer freed, leaving every
+        server's ``gpu.pool.allocated_bytes`` at 0.  Cached triplets
         and the links between streams are the dealer's and survive, so
         a replayed batch opens what a fault-free one opens.
         """
         self._opened.clear()
+        self._static_shares.clear()
+        self._readers.clear()
         self._free_device(self._device_rows())
 
     # ---------------------------------------------------- per-label triplet API

@@ -21,9 +21,11 @@ device:
   server's own ``A_i``/``B_i`` are not charged: they cross PCIe while
   ``E``/``F`` are on the wire.  CPU: the fused ``(m, 2k, n)`` GEMM
   (``cpu_gemm``) and the ``+Z`` add.
-* ``rep3`` — the cross-term product, fused to ``(m, 2k, n)``: two
-  uploads (``h2d:L``, ``h2d:R``), one GEMM and one download against the
-  same GEMM on the CPU (``cpu_gemm``).
+* ``rep3`` — the cross-term product, fused to ``(m, 2k, n)``: the
+  uploads of the left pair ``[x_i | x_{i+1}]`` (``h2d:L``) and the right
+  pair ``[y_i + y_{i+1} ; y_i]`` (``h2d:R``) less the parts the party's
+  device table holds (slots ``A``, ``A2`` and ``Y``, ``B``), one GEMM
+  and one download against the same GEMM on the CPU (``cpu_gemm``).
 * ``dealer`` — the client's ``Z = U x V``: two uploads (``h2d:U``,
   ``h2d:V``), one GEMM (``U@V``), one download (``d2h:Z``) against the
   CPU GEMM (``U@V``).
@@ -102,6 +104,11 @@ _PRODUCTS = {
     "rep3": ("h2d:L", "h2d:R", "gemm", "d2h", "cpu_gemm"),  # the fused cross-term
 }
 
+#: The slots of each upload of a ``rep3`` product, one operand-sized
+#: part each: the left pair ``x_i``, ``x_{i+1}``; the right pair
+#: ``y_i + y_{i+1}``, ``y_i``.
+REP3_SLOTS = (("A", "A2"), ("Y", "B"))
+
 #: The client's plans that have GPU steps, priced at ``client_parallel``.
 _CLIENT_PLANS = frozenset({"dealer", "rng"})
 
@@ -135,8 +142,8 @@ def plan_steps(
     ``(m,k) x (k,n)`` products (1 for a matrix).  A Hadamard product's
     and an RNG draw's is ``(nbytes,)`` of one operand, a CPU-only
     plan's ``(n,)`` in its own unit (:data:`_CPU_PLANS`).  ``resident``
-    names the ``beaver2pc`` slots (``D``, ``E``, ``F``, ``Z``) that no
-    step places.
+    names the slots no step places: ``beaver2pc``'s ``D``, ``E``, ``F``,
+    ``Z``; ``rep3``'s upload parts (:data:`REP3_SLOTS`).
     """
     if plan in _CPU_PLANS:
         op, per = _CPU_PLANS[plan]
@@ -166,16 +173,17 @@ def plan_steps(
         return (fused, Step("elementwise", (3 * out,), "+Z")), tuple(gpu)
     if plan not in _PRODUCTS:
         raise ValueError(f"unknown plan {plan!r}")
-    if plan == "rep3":
-        k *= 2  # both cross terms in one GEMM
     left, right, kernel, download, cpu_kernel = _PRODUCTS[plan]
-    gpu = (
-        Step("h2d", (8 * batch * m * k,), left),
-        Step("h2d", (8 * batch * k * n,), right),
-        Step("gemm", (batch, m, k, n), kernel),
-        Step("d2h", (out,), download),
-    )
-    return (Step("gemm", (batch, m, k, n), cpu_kernel),), gpu
+    uploads = ((left, 8 * batch * m * k, 1), (right, 8 * batch * k * n, 1))
+    if plan == "rep3":  # each upload is the parts of its pair the party lacks
+        uploads = tuple(
+            (name, nbytes, sum(slot not in resident for slot in pair))
+            for (name, nbytes, _one), pair in zip(uploads, REP3_SLOTS)
+        )
+        k *= 2  # both cross terms in one GEMM
+    gpu = [Step("h2d", (parts * nbytes,), name) for name, nbytes, parts in uploads if parts]
+    gpu += [Step("gemm", (batch, m, k, n), kernel), Step("d2h", (out,), download)]
+    return (Step("gemm", (batch, m, k, n), cpu_kernel),), tuple(gpu)
 
 
 #: Every plan :func:`plan_steps` declares.
@@ -303,20 +311,24 @@ class StepProfiler:
 
     # -- the executor ------------------------------------------------------------
 
-    def run_plan(self, cpu, gpu, plan: str, shape: tuple, *, deps, label: str) -> list:
-        """Place ``plan``'s steps at ``shape`` on one party's ``cpu`` or
-        ``gpu`` (None where it has none), whichever :meth:`decide` picks
-        for that party after ``deps``, and return their tasks in step
-        order.
+    def run_plan(
+        self, cpu, gpu, plan: str, shape: tuple, *, deps, label: str,
+        resident: tuple[str, ...] = (),
+    ) -> list:
+        """Place ``plan``'s steps at ``shape``, less the ``resident``
+        slots, on one party's ``cpu`` or ``gpu`` (None where it has
+        none), whichever :meth:`decide` picks for that party after
+        ``deps``, and return their tasks in step order.
 
         Each device prices a step itself, at its own spec and parallel
         flag.  Uploads start together on ``deps``, the step after them
         waits for all of them, and every other step waits for the one
         before it.
         """
-        cpu_steps, gpu_steps = plan_steps(plan, shape)
+        cpu_steps, gpu_steps = plan_steps(plan, shape, resident)
         parties = ((cpu, gpu, deps),)
-        if gpu is not None and self.decide(plan, shape, parties=parties).placement == "gpu":
+        decision = gpu is not None and self.decide(plan, shape, resident, parties=parties)
+        if decision and decision.placement == "gpu":
             device, steps = gpu, gpu_steps
         else:
             device, steps = cpu, cpu_steps

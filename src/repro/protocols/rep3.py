@@ -14,7 +14,11 @@ Beaver triplets:
   For matmul the cross-term fuses into a single ``(m,2k)x(2k,n)`` ring
   GEMM ``[x_p | x_{p+1}] @ [(y_p + y_{p+1}) ; y_p]``, so the profiler's
   GPU placement applies unchanged; a ``(B,m,k) x (B,k,n)`` stack is the
-  same GEMM batched over ``B``, reshared as one message per link.
+  same GEMM batched over ``B``, reshared as one message per link.  A
+  value's parts cross PCIe once: each party's device table keeps them
+  under the value's uid (:meth:`SecureContext.device_keep_shares`), so
+  a resident part is not uploaded again, and a resident right operand's
+  ``y_p + y_{p+1}`` is not formed again.
 * **truncation** — probabilistic pair truncation: party 0 folds its
   replicated pair and truncates ``(x0 + x1)`` as the positive share of
   a 2-sharing, parties 1 and 2 truncate ``x2`` as the negative share;
@@ -42,6 +46,8 @@ from repro.core.tensor import SharedTensor
 from repro.fixedpoint.ring import RING_DTYPE, ring_add, ring_matmul, ring_mul, ring_neg
 from repro.fixedpoint.truncation import truncate_share
 from repro.mpc.comparison import secure_ge_const
+from repro.mpc.triplets import from_base_layout, to_base_layout
+from repro.pipeline.profiler import REP3_SLOTS
 from repro.protocols.base import ProtocolBackend
 from repro.util.validation import gemm_dims
 
@@ -128,9 +134,14 @@ class Rep3Backend(ProtocolBackend):
 
     def _zero_shares(self, ctx, label, shape):
         if ctx.config.fresh_triplets:
-            seq = getattr(ctx, "_rep3_seq", 0)
-            ctx._rep3_seq = seq + 1
-            return rep3_zero_shares(shape, ctx.seeds.generator(f"rep3-{seq}"))
+            # a fresh generator per (label, invocation of that label): a
+            # stream's draws do not depend on what other streams drew
+            # before it, so reordering independent products moves nothing
+            counts = getattr(ctx, "_rep3_fresh", None)
+            if counts is None:
+                counts = ctx._rep3_fresh = {}
+            seq = counts[label] = counts.get(label, -1) + 1
+            return rep3_zero_shares(shape, ctx.seeds.generator(f"rep3-{label}#{seq}"))
         # One persistent generator per op-stream label, advancing across
         # invocations: batch k of a stream draws fresh masks, but the k-th
         # draw is identical in any rerun of the same op sequence.  A
@@ -184,19 +195,49 @@ class Rep3Backend(ProtocolBackend):
         # A (B,m,k) x (B,k,n) stack is B cross-terms in one batched GEMM
         # and one reshare of the whole (B,m,n) result.
         dims = gemm_dims(x.shape, y.shape)
+        keep = ctx.device_keep_shares(label, x, y)
         z_parts, z_tasks = [], []
         for i in range(3):
             j = (i + 1) % 3
+            table = ctx.device_table(i)
+            rows = {  # slot -> (row key, operand, its share in the slot or None: the sum)
+                "A": (("share", x.uid), x, x.shares[i]), "A2": (("next", x.uid), x, x.shares[j]),
+                "Y": (("sum", y.uid), y, None), "B": (("share", y.uid), y, y.shares[i]),
+            }
+            resident, held = [], set(table)
+            for slot, (key, tensor, _share) in rows.items():
+                if key in held:
+                    resident.append(slot)
+                elif tensor.uid in keep:  # ``p @ p.T`` uploads its shared part once
+                    held.add(key)
+            uploaded = tuple(table[key][1] for key, _t, _s in rows.values() if key in table)
             start = _chain(ctx, _deps(x.tasks[i], x.tasks[j], y.tasks[i], y.tasks[j]))
-            ysum, t_sum = ctx.server_cpu[i].elementwise(
-                ring_add, [y.shares[i], y.shares[j]], deps=start, label=f"{label}:ysum"
-            )
+            if "Y" in resident:  # formed once per resident value
+                held_sum = table[rows["Y"][0]][0].require_live()
+                ysum, ready = from_base_layout(held_sum, y.shape, y.transposed), start
+            else:
+                ysum, t_sum = ctx.server_cpu[i].elementwise(
+                    ring_add, [y.shares[i], y.shares[j]], deps=start, label=f"{label}:ysum"
+                )
+                ready = (t_sum,)
             left = np.concatenate([x.shares[i], x.shares[j]], axis=-1)
             right = np.concatenate([ysum, y.shares[i]], axis=-2)
             z_parts.append(ring_matmul(left, right))
-            z_tasks.append(ctx.profiler.run_plan(
-                ctx.server_cpu[i], ctx.server_gpu[i], "rep3", dims, deps=(t_sum,), label=label
-            )[-1])
+            steps = ctx.profiler.run_plan(
+                ctx.server_cpu[i], ctx.server_gpu[i], "rep3", dims, deps=(*ready, *uploaded),
+                label=label, resident=tuple(sorted(resident)),
+            )
+            z_tasks.append(steps[-1])
+            # a part uploaded for a value kept beyond this product stays
+            uploads = {task.label: task for task in steps}
+            for pair, upload in zip(REP3_SLOTS, ("h2d:L", "h2d:R")):
+                task = uploads.get(f"{label}:{upload}")
+                for slot in pair:
+                    key, tensor, share = rows[slot]
+                    if task is None or tensor.uid not in keep or key in table:
+                        continue
+                    part = to_base_layout(ysum if share is None else share, tensor.transposed)
+                    table[key] = (ctx.server_gpu[i].pool.allocate(part), task)
         shares, tasks = self._reshare(ctx, z_parts, z_tasks, label)
         _set_chain(ctx, tasks)
         return SharedTensor(ctx=ctx, shares=shares, kind="fixed", tasks=tasks)

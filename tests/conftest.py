@@ -59,8 +59,9 @@ def never_reuse(monkeypatch, *, every_product: bool = False):
     which has no off switch (``fresh_triplets`` changes the masks too).
 
     ``every_product`` also empties the device tables before every
-    secure product, so each one uploads all five of its operands: the
-    reference for one-upload-per-value."""
+    secure product, so each one uploads all of its operands (five under
+    ``beaver2pc``, both pairs under ``rep3``): the reference for
+    one-upload-per-value."""
     begin = SecureContext.begin_batch
 
     def begin_batch(ctx):
@@ -76,6 +77,13 @@ def never_reuse(monkeypatch, *, every_product: bool = False):
             return keep(ctx, triplet, x, y)
 
         monkeypatch.setattr(SecureContext, "device_keep", device_keep)
+        keep_shares = SecureContext.device_keep_shares
+
+        def device_keep_shares(ctx, label, x, y):
+            ctx._free_device(ctx._device_rows())
+            return keep_shares(ctx, label, x, y)
+
+        monkeypatch.setattr(SecureContext, "device_keep_shares", device_keep_shares)
 
 
 def assert_hits_hold_their_operands(
@@ -100,11 +108,30 @@ def assert_hits_hold_their_operands(
             assert same, f"{gpu.name}: stale device row {key} read as {name}"
 
 
+def assert_rep3_rows_hold_their_shares(ctx, *operands):
+    """Never a stale hit under ``rep3``: every row each party's device
+    table holds for an operand — its share, its next share, their sum —
+    holds, byte for byte, the host share it stands for."""
+    for party in range(3):
+        table = ctx.device_table(party)
+        for tensor in operands:
+            def base(array, tensor=tensor):
+                return np.swapaxes(array, -1, -2) if tensor.transposed else array
+
+            mine, nxt = (base(tensor.shares[(party + k) % 3]) for k in (0, 1))
+            for what, want in (("share", mine), ("next", nxt), ("sum", mine + nxt)):
+                if (what, tensor.uid) in table:
+                    held = table[what, tensor.uid][0].require_live()
+                    same = held.size == want.size and np.array_equal(held.reshape(want.shape), want)
+                    assert same, f"party {party}: stale device row {(what, tensor.uid)}"
+
+
 @pytest.fixture(autouse=True)
 def no_stale_device_hit(monkeypatch):
     """Every test that multiplies on a server GPU is also a residency
-    check (conformance cells and chaos runs included)."""
+    check (conformance cells and chaos runs included), on both backends."""
     import repro.protocols.beaver2pc as beaver2pc
+    from repro.protocols.rep3 import Rep3Backend
 
     schedule = beaver2pc.schedule_secure_gemm
 
@@ -117,6 +144,13 @@ def no_stale_device_hit(monkeypatch):
         return schedule(gpu, party_id, e, f, a_share, b_share, triplet, deps, **kw)
 
     monkeypatch.setattr(beaver2pc, "schedule_secure_gemm", checked)
+    matmul = Rep3Backend.matmul
+
+    def checked_rep3(self, ctx, x, y, *, label):
+        assert_rep3_rows_hold_their_shares(ctx, x, y)
+        return matmul(self, ctx, x, y, label=label)
+
+    monkeypatch.setattr(Rep3Backend, "matmul", checked_rep3)
 
 
 FIG5_ORDER = ("E", "A", "F", "B", "Z")

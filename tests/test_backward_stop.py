@@ -59,8 +59,11 @@ def _one_step(kind, backend, *, input_grad):
 
 
 class TestParameterUpdatesUnaffected:
-    """dW/db are issued before dX, so they consume the same triplets
-    whether or not dX follows: the update is the same, share for share."""
+    """dX, where it is computed, is issued before dW/db, but dW's
+    triplet is dealt first (``SecureContext.deal_ahead``) and a ``rep3``
+    stream draws from its own generator, so dW/db consume the same
+    offline material whether or not dX is computed: the update is the
+    same, share for share."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kind", sorted(LAYERS))

@@ -1,6 +1,7 @@
 """One upload per value: a step's GEMM operands stay on the server GPU
 under the value that owns them, and ``dW`` / ``dX`` read them through a
-transposed-GEMM flag.
+transposed-GEMM flag — on both backends (``rep3``: each party's pair of
+shares of a value, and a right operand's sum, at the end of the file).
 
 The rule lives in ``SecureContext`` (the device table, ``device_keep``,
 ``_free_device``) and ``pipeline/scheduler.py`` (a kept slot found in
@@ -95,14 +96,14 @@ def _dense_layers(ctx):
 
 
 def _train_step(ctx, layers, seed, *, rows=16):
-    """One training step of dense -> dense, update included: returns
+    """One training step of dense -> dense, update included, its delta
+    computed from the forward output as a loss gradient is: returns
     (grad_w1, dX1, grad_w0) as the step computed them."""
     d0, d1 = layers
     x = _shared(ctx, (rows, d0.in_features), seed)
-    delta = _shared(ctx, (rows, d1.out_features), seed + 100)
+    target = _shared(ctx, (rows, d1.out_features), seed + 100)
     ctx.begin_batch()
-    d1.forward(d0.forward(x))
-    dh = d1.backward(delta)
+    dh = d1.backward(d1.forward(d0.forward(x)) - target)
     d0.backward(dh, input_grad=False)
     grads = (d1._grad_w, dh, d0._grad_w)
     for layer in layers:
@@ -166,7 +167,11 @@ def test_every_model_trains_to_the_bits_of_a_run_that_uploads_everything(model, 
     onto the GPUs (at sweep sizes the profiler places them on the CPU):
     train, predict, and compare with the upload-everything reference —
     while ``no_stale_device_hit`` checks each row a product reads."""
-    case = ConformanceCase(model=model, axis="baseline", train=True, n_batches=3)
+    _trains_to_the_bits_of_a_run_that_uploads_everything(model, "beaver2pc", monkeypatch)
+
+
+def _trains_to_the_bits_of_a_run_that_uploads_everything(model, backend, monkeypatch):
+    case = ConformanceCase(model=model, axis="baseline", train=True, n_batches=3, backend=backend)
     x, y, geometry = conformance_workload(case)
 
     def run():
@@ -517,3 +522,202 @@ ResidencyMachine.TestCase.settings = settings(
     max_examples=25, stateful_step_count=15, deadline=None
 )
 TestResidencyMachine = ResidencyMachine.TestCase
+
+
+# ------------------------------------------------------------------ rep3
+
+
+def _rep3_ctx(**kw):
+    return _ctx(backend="rep3", **kw)
+
+
+def _watch_steps(ctx, monkeypatch):
+    """``[(party, task label)]`` of every step each server's GPU and CPU
+    places from here on (uploads, the GEMM, the right operand's sum)."""
+    log = []
+    for party in range(ctx.n_parties):
+        for unit in (ctx.server_gpu[party], ctx.server_cpu[party]):
+            def placed(op, size, deps=(), label="step", _real=unit.run_step, _p=party, **kw):
+                log.append((_p, label))
+                return _real(op, size, deps, label, **kw)
+
+            monkeypatch.setattr(unit, "run_step", placed)
+    return log
+
+
+def _labels(log, party=0):
+    return [label for p, label in log if p == party]
+
+
+def _per_step(ctx, monkeypatch):
+    """The ``_watch_steps`` log, one list per online step."""
+    log, steps = _watch_steps(ctx, monkeypatch), []
+    begin = ctx.begin_batch
+
+    def begin_batch():
+        steps.append(len(log))
+        begin()
+
+    monkeypatch.setattr(ctx, "begin_batch", begin_batch)
+    return lambda: [log[lo:hi] for lo, hi in zip(steps, [*steps[1:], len(log)])]
+
+
+class TestRep3:
+    @pytest.mark.parametrize("model", CONFORMANCE_MODELS)
+    def test_every_model_trains_to_the_bits_of_a_run_that_uploads_everything(
+        self, model, monkeypatch
+    ):
+        _trains_to_the_bits_of_a_run_that_uploads_everything(model, "rep3", monkeypatch)
+
+    def test_a_warm_predict_batch_uploads_no_static_weight(self, monkeypatch):
+        """From the second batch on, every weight's pair is on the GPUs and
+        its ``y_i + y_{i+1}`` formed: no ``*/fwd:h2d:R``, no ``*/fwd:ysum``."""
+        ctx = _rep3_ctx()
+        model = SecureMLP(ctx, 32, hidden=(16, 16), n_out=4)
+        steps = _per_step(ctx, monkeypatch)
+        x = 0.5 * np.random.default_rng(0).standard_normal((3 * 16, 32))
+        secure_predict(ctx, model, x, batch_size=16)
+        cold, *warm = steps()
+        layers = ("mlp0", "mlp1", "mlp2")
+        assert len(warm) == 2
+        for party in range(3):
+            labels = _labels(cold, party)
+            assert {f"{n}/fwd:{step}" for n in layers for step in ("h2d:R", "ysum")} <= set(labels)
+            for step in warm:
+                labels = _labels(step, party)
+                assert {f"{n}/fwd:h2d:L" for n in layers} <= set(labels)  # the activations
+                assert not [lb for lb in labels if lb.endswith((":h2d:R", ":ysum"))]
+        # nobody asks for an activation twice: only the weights stay
+        weights = {layer.weight.uid for layer in model.layers if hasattr(layer, "weight")}
+        for party in range(3):
+            assert {uid for _what, uid in ctx.device_table(party)} == weights
+
+    def test_dw_and_dx_read_what_the_step_uploaded(self, monkeypatch):
+        """A value's parts cross PCIe once per step: ``dX`` reads ``W``'s
+        pair and formed sum, ``dW`` reads ``X``'s (``H``'s) pair and the
+        delta's own share ``dX`` uploaded — only the delta's sum is new.
+        The first step learns who asks again: its ``dW`` uploads both."""
+        ctx = _rep3_ctx()
+        layers = _dense_layers(ctx)
+        steps = _per_step(ctx, monkeypatch)
+        uploaded = []
+        for seed in (1, 2):
+            before = ctx.server_gpu[0].h2d_bytes
+            _train_step(ctx, layers, seed)
+            uploaded.append(ctx.server_gpu[0].h2d_bytes - before)
+        for step, first in zip(steps(), (True, False)):
+            by_op = {}
+            for label in _labels(step):
+                op, _, name = label.partition(":")
+                if name in ("ysum", "h2d:L", "h2d:R", "gemm"):
+                    by_op.setdefault(op, []).append(name)
+            dw = ["ysum", "h2d:L", "h2d:R", "gemm"] if first else ["ysum", "h2d:R", "gemm"]
+            assert by_op == {
+                "d0/fwd": ["ysum", "h2d:L", "h2d:R", "gemm"],
+                "d1/fwd": ["ysum", "h2d:L", "h2d:R", "gemm"],
+                "d1/dX": ["h2d:L", "gemm"],
+                "d1/dW": dw,
+                "d0/dW": dw,
+            }
+        rows, delta = 16, layers[1].out_features
+        # in parts of a value: X, H, the delta (and its sum), the hidden
+        # delta, and the step's two new weights
+        parts = 2 * rows * 12 + 2 * rows * 8 + 3 * rows * delta + 2 * rows * 8
+        assert uploaded[1] == 8 * (parts + 2 * (12 * 8 + 8 * delta))
+
+    def test_shares_and_weights_equal_a_run_that_uploads_everything_again(self, monkeypatch):
+        def run():
+            ctx = _rep3_ctx()
+            layers = _dense_layers(ctx)
+            grads = [_train_step(ctx, layers, seed) for seed in (1, 2, 3)]
+            secure_matmul(_shared(ctx, (16, 12), 9), layers[0].weight, label="d0/fwd")
+            weights = [layer.weight for layer in layers]
+            return grads, weights, ctx.server_gpu[0].h2d_bytes, ctx.online_clock.now()
+
+        grads, weights, uploaded, online_s = run()
+        never_reuse(monkeypatch, every_product=True)
+        ref_grads, ref_weights, ref_uploaded, ref_online_s = run()
+        for got_step, want_step in zip([*grads, weights], [*ref_grads, ref_weights]):
+            for got, want in zip(got_step, want_step):
+                for party in range(3):
+                    np.testing.assert_array_equal(got.shares[party], want.shares[party])
+        assert uploaded < ref_uploaded and online_s < ref_online_s
+
+    def test_a_weight_update_frees_the_old_rows_at_once(self):
+        ctx = _rep3_ctx()
+        w = _shared(ctx, (12, 8), 2).mark_static()
+        for seed in (1, 2):
+            ctx.begin_batch()
+            secure_matmul(_shared(ctx, (16, 12), seed), w, label="fwd")
+        old = [ctx.device_table(i)[("sum", w.uid)][0] for i in range(3)]
+        ctx.begin_batch()
+        assert _device_bytes(ctx) == [2 * 8 * 12 * 8] * 3  # W's sum and share
+        updated = (w - w.mul_public(0.5)).mark_static()
+        secure_matmul(_shared(ctx, (16, 12), 9), updated, label="fwd")
+        assert all(buf.freed for buf in old)
+        ctx.begin_batch()
+        assert _device_bytes(ctx) == [2 * 8 * 12 * 8] * 3
+        assert {uid for _what, uid in ctx.device_table(2)} == {updated.uid}
+
+    def test_without_step_boundaries_only_static_rows_stay(self):
+        ctx = _rep3_ctx()
+        x, w = _shared(ctx, (16, 12), 1), _shared(ctx, (12, 8), 2).mark_static()
+        for seed in (3, 4):
+            d = _shared(ctx, (16, 8), seed)
+            secure_matmul(x, w, label="fwd")
+            secure_matmul(x.T, d, label="dW")
+        assert sorted(ctx.device_table(1)) == [("share", w.uid), ("sum", w.uid)]
+
+    @pytest.mark.parametrize("restart", ["reset_mask_reuse", "respawn_party"])
+    def test_a_restart_frees_every_row_on_all_three_servers(self, restart):
+        ctx = _rep3_ctx()
+        _train_step(ctx, _dense_layers(ctx), 1)
+        assert min(_device_bytes(ctx)) > 0
+        if restart == "respawn_party":
+            respawn_party(ctx, "server2")
+        else:
+            ctx.reset_mask_reuse()
+        assert _device_bytes(ctx) == [0, 0, 0]
+        assert not any(ctx.device_table(i) for i in range(3))
+
+
+class Rep3ResidencyMachine(ResidencyMachine):
+    """The same sequences on ``rep3``: three device tables, each party's
+    pair of every value, and a restart of any of the three servers."""
+
+    def __init__(self):
+        RuleBasedStateMachine.__init__(self)
+        self.ctx = _rep3_ctx()
+        self.model = SecureMLP(self.ctx, 12, hidden=(8,), n_out=4)
+        self.trainer = SecureTrainer(self.ctx, self.model, lr=0.0625)
+        self.rng = np.random.default_rng(0)
+        self.just_reset = False
+
+    @rule(party=st.sampled_from(["server0", "server1", "server2"]))
+    def respawn(self, party):
+        respawn_party(self.ctx, party, charge_restart=False)
+        self.just_reset = True
+
+    @invariant()
+    def restart_leaves_both_pools_empty(self):
+        if self.just_reset:
+            assert _device_bytes(self.ctx) == [0, 0, 0]
+
+    @invariant()
+    def device_memory_is_bounded_by_one_step_and_the_static_rows(self):
+        # a training step's parts: the pairs of X, H, the delta and the
+        # hidden delta (the delta's sum too), each at most ROWS x 12 or
+        # 12 x 8 — plus each weight's sum and share, twice (an updated
+        # weight's old rows live until a product reads the new one)
+        one_part = 8 * max(ROWS * 12, 12 * 8)
+        assert max(_device_bytes(self.ctx)) <= (2 + 2 + 3 + 2 + 2 * 2 * 2) * one_part
+        for party in range(3):
+            rows = self.ctx.device_table(party)
+            assert sum(buf.nbytes for buf, _task in rows.values()) == (
+                self.ctx.server_gpu[party].pool.allocated_bytes
+            )
+            assert not any(buf.freed for buf, _task in rows.values())
+
+
+Rep3ResidencyMachine.TestCase.settings = ResidencyMachine.TestCase.settings
+TestRep3ResidencyMachine = Rep3ResidencyMachine.TestCase

@@ -224,3 +224,23 @@ class TestRep3EndToEnd:
         ]
         runs[0].transcript.assert_identical(runs[1].transcript)
         np.testing.assert_array_equal(runs[0].predictions, runs[1].predictions)
+
+    def test_fresh_zero_shares_do_not_depend_on_issue_order(self):
+        """Under ``fresh_triplets`` each stream's zero shares are its own:
+        two independent products issued in either order leave every later
+        result bit-identical (pair truncation reads the masked shares)."""
+
+        def run(order):
+            ctx = repro.api.session(backend="rep3", seed=5, fresh_triplets=True)
+            rng = np.random.default_rng(8)
+            a, b, c, d = (
+                repro.SharedTensor.from_plain(ctx, rng.normal(size=(6, 6))) for _ in range(4)
+            )
+            products = {"p": (a, b), "q": (c, d)}
+            out = {name: repro.secure_matmul(*products[name], label=name) for name in order}
+            later = repro.secure_matmul(out["p"], out["q"], label="later")
+            return [out["p"], out["q"], later]
+
+        for got, want in zip(run("pq"), run("qp")):
+            for party in range(3):
+                np.testing.assert_array_equal(got.shares[party], want.shares[party])
