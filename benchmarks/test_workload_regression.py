@@ -64,6 +64,11 @@ noise) and an online makespan may not rise above its pin:
   price placed every plan), and the train rows' and Fig. 10's bytes
   with them (1 356 538 / 291 766 / 15 106 586 B: the step that deals
   the streams opened each delta twice);
+* a served weight's share crosses PCIe once on ``beaver2pc`` too (a
+  static value's share rows stay from its first read until it is
+  replaced or collected): the fleet's 1/2/4-replica makespans
+  :data:`FLEET_ONLINE_S` moved down (8 447.0 / 4 649.4 / 2 674.9 µs
+  while each batch uploaded every weight's ``B_i`` again);
 * a secure comparison is 7 rounds, not 64: every byte and makespan pin
   above moved down when the 62-round ripple became a borrow tree
   (attention/recsys train+infer online 1 527.5 / 938.2 / 457.0 /
@@ -362,7 +367,7 @@ def test_rep3_train_makespan_holds_the_pin():
 
 #: Fleet online makespan (s) by replica count: 1 000 clients of 1-4
 #: MLP/MNIST rows each, least-depth placement, batches of 128.
-FLEET_ONLINE_S = {1: 0.008446965062982686, 2: 0.0046493606046271495, 4: 0.0026748695796315995}
+FLEET_ONLINE_S = {1: 0.007024401066100713, 2: 0.003916399343522952, 4: 0.002362398482234071}
 
 
 def test_fleet_online_makespan_scales_with_replicas():

@@ -27,11 +27,14 @@ let the protocol backend open every value once — within a step for any
 tensor, across steps for an unchanged ``static`` one (DESIGN §5b).  The
 servers' GPU memory follows the same rule — **the device table**, one
 per server, keeps a value's operands where somebody can ask for them
-again (:meth:`SecureContext.device_keep`), so a value is uploaded once.
+again (:meth:`SecureContext.device_keep`; a value's share rows by one
+rule for both backends, :meth:`SecureContext.device_keep_shares`), so a
+value is uploaded once.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -340,9 +343,9 @@ class SecureContext:
         self._opened: dict[int, _Opening] = {}
         self._shared_sides: set[tuple[str, str]] = set()
         self._device: list[dict[tuple[str, int], tuple]] = [{} for _ in range(self.n_parties)]
-        # rep3: the static value each stream side (label, side) last read,
-        # whose share rows outlive the step, and this step's readers of
-        # every other value (uid -> stream sides)
+        # the static value each stream side (label, side) last read, whose
+        # share rows outlive the step, and, under rep3, this step's readers
+        # of every other value (uid -> stream sides)
         self._static_shares: dict[tuple[str, str], int] = {}
         self._readers: dict[int, set[tuple[str, str]]] = {}
         mask_reuse_hits = self.telemetry.counter(
@@ -767,81 +770,124 @@ class SecureContext:
     #   ``("lead", mask uid)`` — ``D = A_i - i E`` computed from it — live
     #   and die with the mask's row in the mask table;
     # * ``("share", tensor uid)`` — the server's own share ``A_i`` /
-    #   ``B_i`` — lives to the end of the step;
+    #   ``B_i`` — lives by the share-row rule below;
     # * ``("Z", triplet uid)`` — the stream's ``Z_i`` — lives while the
     #   stream keeps that triplet (never under ``fresh_triplets``).
     #
     # Under ``rep3`` party ``i`` holds a value's replicated pair, filled by
-    # :meth:`repro.protocols.rep3.Rep3Backend.matmul` (:meth:`device_keep_shares`):
-    # ``("share", uid)`` — ``x_i`` — and ``("next", uid)`` — ``x_{i+1}`` —
-    # for a left operand, ``("sum", uid)`` — ``x_i + x_{i+1}`` — and
-    # ``("share", uid)`` for a right one.  The rows hold the parties' share
-    # arrays by reference; a static value's live until its stream side
-    # reads a new uid, every other value's — kept where more than one
-    # stream side reads it, as a linked mask's — to the end of the step.
+    # :meth:`repro.protocols.rep3.Rep3Backend.matmul`: ``("share", uid)`` —
+    # ``x_i`` — and ``("next", uid)`` — ``x_{i+1}`` — for a left operand,
+    # ``("sum", uid)`` — ``x_i + x_{i+1}`` — and ``("share", uid)`` for a
+    # right one.  The rows hold the parties' share arrays by reference.
+    #
+    # The share-row rule is one, for both backends
+    # (:meth:`device_keep_shares`): a static value's rows are kept from its
+    # first read by a stream side ``(label, side)`` until that side reads
+    # a new uid or the value is gone — the tensor :meth:`SharedTensor.mark_static`
+    # marked is collected (:meth:`watch_static`), which also ends the
+    # value's mask-table row and its ``open``/``lead`` rows.  Every other
+    # value's rows are kept where more than one stream side reads it in
+    # the step — a mask several sides are dealt on, or, with no dealer,
+    # sides learned like the dealer's links — to the end of the step.
     #
     # Retention is the mask table's who-can-ask rule (:meth:`device_keep`);
     # invalidation is one loop (:meth:`_free_device`), run where a row's
     # owner goes: ``begin_batch``, a mask opening a new value, a re-dealt
-    # stream, a static value replaced, :meth:`reset_mask_reuse`.
+    # stream, a static value replaced or collected, :meth:`reset_mask_reuse`.
 
     def device_table(self, party: int) -> dict[tuple[str, int], tuple]:
         """Server ``party``'s device table (see "the device table")."""
         return self._device[party]
 
-    def device_keep(self, triplet, x, y) -> dict[str, tuple[str, int]]:
+    def device_keep(self, label: str, triplet, x, y) -> dict[str, tuple[str, int]]:
         """Fig. 5 slot name -> device-table row, for every operand of the
-        product ``x @ y`` under ``triplet`` that somebody can ask for again.
+        ``beaver2pc`` product ``label`` (``x @ y`` under ``triplet``) that
+        somebody can ask for again.
 
         ``Z`` can whenever masks persist.  An opened difference can where
         the mask table kept it for longer than this product: a ``static``
         value (next step asks) or a mask more than one stream side is
-        dealt on (another product of this step asks); the server's own
-        share only in the latter case.  Everything else — all of a
-        forward-only or single-use product but a static ``F`` and ``Z`` —
-        is freed when the product returns.
+        dealt on (another product of this step asks).  The server's own
+        share follows the share-row rule (:meth:`device_keep_shares`).
+        Everything else is freed when the product returns.
         """
         keep = {} if self.config.fresh_triplets else {"Z": ("Z", triplet.uid)}
+        shares = self.device_keep_shares(label, x, y, triplet.masks)
         for (opened, share), tensor, view in zip(("EA", "FB"), (x, y), triplet.masks):
+            if tensor.uid in shares:
+                keep[share] = ("share", tensor.uid)
             row = self._opened.get(view.mask.uid)
             if row is None or row.uid != tensor.uid or row.opened is None:
                 continue
             if row.static or view.mask.shared:
                 keep[opened] = ("open", view.mask.uid)
-            if view.mask.shared:
-                keep[share] = ("share", tensor.uid)
         return keep
 
-    def device_keep_shares(self, label: str, x, y) -> set[int]:
+    def device_keep_shares(self, label: str, x, y, masks=(None, None)) -> set[int]:
         """The uids among ``x`` and ``y`` whose share rows stay in the
-        device tables after the ``rep3`` product ``label`` reads them.
+        device tables after the product ``label`` reads them — one rule
+        for both backends.
 
-        A ``static`` value (an unchanged weight) stays across steps until
-        its stream side ``(label, "L" | "R")`` reads a new uid, which frees
-        the old value's rows at once.  Any other value stays to the end of
-        the step where somebody can ask again: its stream side is one of
-        several that read one value in a step — learned, like the
-        dealer's links, the first time two of them do.  A forward pass
-        keeps its weights only; outside ``begin_batch`` steps no other
-        value stays.
+        A ``static`` value (a weight) stays from its first read by the
+        stream side ``(label, "L" | "R")`` until that side reads a new uid,
+        which frees the old value's rows at once, or until the value is
+        gone (:meth:`watch_static`).  Any other value stays to the end of
+        the step where somebody can ask again: under a dealer, its
+        ``masks`` view is on a mask several stream sides are dealt on;
+        without one, its stream side is one of several that read one value
+        in a step — learned, like the dealer's links, the first time two
+        of them do.  Outside ``begin_batch`` steps no other value stays.
         """
         keep = set()
-        for side, tensor in zip("LR", (x, y)):
+        for side, tensor, view in zip("LR", (x, y), masks):
             owner = (label, side)
+            old = self._static_shares.pop(owner, None)
             if tensor.static:
-                old = self._static_shares.get(owner)
                 self._static_shares[owner] = tensor.uid
-                if old not in (None, tensor.uid):
-                    self._free_device((what, old) for what in SHARE_ROWS)
                 keep.add(tensor.uid)
-            elif self._batch_epoch is not None:
-                readers = self._readers.setdefault(tensor.uid, set())
-                readers.add(owner)
-                if len(readers) > 1:
-                    self._shared_sides.update(readers)
-                if owner in self._shared_sides:
-                    keep.add(tensor.uid)
+            elif self._batch_epoch is not None and (
+                view.mask.shared if view is not None else self._read_again(owner, tensor.uid)
+            ):
+                keep.add(tensor.uid)
+            if old not in (None, tensor.uid):
+                self._free_device((what, old) for what in SHARE_ROWS)
         return keep
+
+    def _read_again(self, owner: tuple[str, str], uid: int) -> bool:
+        """Whether stream side ``owner`` is one of several that read value
+        ``uid`` in a step, recording this read (the dealer-free twin of a
+        shared mask)."""
+        readers = self._readers.setdefault(uid, set())
+        readers.add(owner)
+        if len(readers) > 1:
+            self._shared_sides.update(readers)
+        return owner in self._shared_sides
+
+    def watch_static(self, tensor) -> None:
+        """End ``tensor``'s value in this deployment once ``tensor`` is
+        collected (:meth:`_static_gone`): the end of a static value's
+        device rows when its model or its layer lets it go."""
+        weakref.finalize(tensor, self._static_gone, tensor.uid).atexit = False
+
+    def _static_gone(self, uid: int) -> None:
+        """Nobody can ask for static value ``uid`` again: free its share
+        rows, its mask-table rows and the ``open``/``lead`` rows they
+        hold.  A row of a mask that opened it this step keeps the bare
+        fact, which the one-value-per-mask-per-step invariant needs, to the
+        step's end."""
+        for owner in [owner for owner, held in self._static_shares.items() if held == uid]:
+            del self._static_shares[owner]
+        masks = [m for m, row in self._opened.items() if row.uid == uid]
+        for m in masks:
+            row = self._opened[m]
+            if self._batch_epoch is not None and row.epoch == self._batch_epoch:
+                row.static, row.opened, row.tasks = False, None, ()
+            else:
+                del self._opened[m]
+        self._free_device([
+            *((what, uid) for what in SHARE_ROWS),
+            *((what, m) for m in masks for what in ("open", "lead")),
+        ])
 
     def _device_rows(self) -> set[tuple[str, int]]:
         """Every key some server's device table holds."""

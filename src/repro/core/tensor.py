@@ -129,9 +129,15 @@ class SharedTensor:
         opened once per mask — its row in the context's mask table, and
         its ``F`` on the GPU, survive the step until the value changes
         (new uid) — unless ``config.fresh_triplets`` forbids persistent
-        masks.  Returns ``self``.
+        masks.  Its shares stay on the server GPUs from the first product
+        that reads it until that product's side reads another value, under
+        any masks.  When this tensor is collected the value is gone, and
+        its rows in the context's mask and device tables go with it
+        (:meth:`SecureContext.watch_static`).  Returns ``self``.
         """
-        self.static = True
+        if not self.static:
+            self.static = True
+            self.ctx.watch_static(self)
         return self
 
     def decode(self) -> np.ndarray:

@@ -35,8 +35,14 @@ transfer, no PCIe charge, the kernels wait on the recorded task; a kept
 slot that is not there yet is uploaded and left allocated; every other
 buffer is freed on return.  ``D`` lives beside the ``E`` it was
 computed from, so its kernel runs once per value — and where ``D`` is
-there, nothing reads ``A_i``: its slot is empty too.  Buffers hold a
-value's *base* layout: an operand that is the transpose of its value (``X^T`` in ``dW``, ``W^T`` in ``dX``) is read
+there, nothing reads ``A_i``: its slot is empty too.  A static value's
+own share (a weight's ``B_i``) is kept from its first product until the
+value is replaced or collected (``SecureContext.device_keep_shares``),
+so a warm inference batch, whose weight ``F`` and ``Z`` are kept as
+well, places only ``E`` and ``A_i``: with the exchange down to one small
+``E``, a re-uploaded ``B_i`` would be the transfer the exchange no
+longer hides.  Buffers hold a value's *base* layout: an operand that is
+the transpose of its value (``X^T`` in ``dW``, ``W^T`` in ``dX``) is read
 through the GEMM's ``op(.)`` flag, and one that is a reshape of it
 through a view, so ``X W`` and ``X^T d`` multiply the same upload.
 

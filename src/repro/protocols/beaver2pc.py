@@ -238,7 +238,7 @@ class Beaver2PCBackend(ProtocolBackend):
         # One upload per value: the operands somebody can ask for again
         # stay in the server's device table, in their value's base layout,
         # and the plan is priced without what the table already holds.
-        keep = ctx.device_keep(triplet, x, y)
+        keep = ctx.device_keep(label, triplet, x, y)
         resident = resident_slots(ctx.device_table(0), keep)
         dims = gemm_dims(x.shape, y.shape)
         decision = ctx.profiler.place_gemm(

@@ -16,7 +16,8 @@ Beaver triplets:
   GPU placement applies unchanged; a ``(B,m,k) x (B,k,n)`` stack is the
   same GEMM batched over ``B``, reshared as one message per link.  A
   value's parts cross PCIe once: each party's device table keeps them
-  under the value's uid (:meth:`SecureContext.device_keep_shares`), so
+  under the value's uid, by the share-row rule both backends use
+  (:meth:`SecureContext.device_keep_shares`), so
   a resident part is not uploaded again, and a resident right operand's
   ``y_p + y_{p+1}`` is not formed again.
 * **truncation** — probabilistic pair truncation: party 0 folds its

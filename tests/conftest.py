@@ -70,18 +70,12 @@ def never_reuse(monkeypatch, *, every_product: bool = False):
 
     monkeypatch.setattr(SecureContext, "begin_batch", begin_batch)
     if every_product:
-        keep = SecureContext.device_keep
-
-        def device_keep(ctx, triplet, x, y):
-            ctx._free_device(ctx._device_rows())
-            return keep(ctx, triplet, x, y)
-
-        monkeypatch.setattr(SecureContext, "device_keep", device_keep)
+        # both backends ask this once per product, before it reads the table
         keep_shares = SecureContext.device_keep_shares
 
-        def device_keep_shares(ctx, label, x, y):
+        def device_keep_shares(ctx, label, x, y, masks=(None, None)):
             ctx._free_device(ctx._device_rows())
-            return keep_shares(ctx, label, x, y)
+            return keep_shares(ctx, label, x, y, masks)
 
         monkeypatch.setattr(SecureContext, "device_keep_shares", device_keep_shares)
 

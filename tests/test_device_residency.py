@@ -4,14 +4,16 @@ transposed-GEMM flag — on both backends (``rep3``: each party's pair of
 shares of a value, and a right operand's sum, at the end of the file).
 
 The rule lives in ``SecureContext`` (the device table, ``device_keep``,
+one share-row rule for both backends in ``device_keep_shares``,
 ``_free_device``) and ``pipeline/scheduler.py`` (a kept slot found in
 the table is empty).  Under test: which transfers and ``D`` kernels each
 product of a training step still places, that no value moves, that a
-forward-only run holds what it held before, that every owner frees its
-rows the moment it goes, and — a hypothesis state machine over
-train / infer / ragged batch / weight update / restart — that a product
-never reads a stale buffer (``conftest.no_stale_device_hit`` checks
-every hit of every test) and device memory stays bounded.
+forward-only run keeps its weights and nothing else, that every owner
+frees its rows the moment it goes — a dropped model and a replaced
+weight included — and, in a hypothesis state machine over train /
+infer / ragged batch / weight update / dropped model / restart, that a
+product never reads a stale buffer (``conftest.no_stale_device_hit``
+checks every hit of every test) and device memory stays bounded.
 """
 
 from dataclasses import replace
@@ -91,6 +93,17 @@ def _device_bytes(ctx):
     return [gpu.pool.allocated_bytes for gpu in ctx.server_gpu]
 
 
+def _weight_rows(ctx, weights):
+    """Every device-table key, on any server, of the values ``weights``
+    (uids): their share rows and the ``open``/``lead`` rows of the masks
+    that opened them."""
+    masks = {m for m, row in ctx._opened.items() if row.uid in weights}
+    return {
+        (what, uid) for what, uid in ctx._device_rows()
+        if uid in (masks if what in ("open", "lead") else weights) and what != "Z"
+    }
+
+
 def _dense_layers(ctx):
     return SecureDense(ctx, 12, 8, name="d0"), SecureDense(ctx, 8, 4, name="d1")
 
@@ -123,9 +136,11 @@ class TestDenseTrainStep:
         dealing = _by_op(log, "h2d:")
         # the step that deals a link learns only at its second stream that
         # somebody asks again: dW re-opens, and uploads, H once more; the
-        # delta dX (issued first) uploaded is there for it
+        # delta dX (issued first) uploaded is there for it, and W1's share
+        # is there for dX from the forward pass (a static value's share
+        # stays from its first read)
         assert dealing["d0/fwd"] == dealing["d1/fwd"] == dealing["d0/dW"] == FIG5_ORDER
-        assert dealing["d1/dX"] == ["h2d:E", "h2d:A", "h2d:B", "h2d:Z"]
+        assert dealing["d1/dX"] == ["h2d:E", "h2d:A", "h2d:Z"]
         assert dealing["d1/dW"] == ["h2d:E", "h2d:A", "h2d:Z"]
         del log[:]
         _train_step(ctx, layers, 2)
@@ -215,8 +230,8 @@ class TestViews:
             del log[:]
             scores = secure_matmul(q, k.T, label="qk")
             flat = secure_matmul(q.reshape(b * s, d), w, label="proj")
-        # proj: Q's E and A are the stack qk uploaded, W's F is static
-        assert _by_op(log, "h2d:") == {"qk": FIG5_ORDER[:4], "proj": ["h2d:B"]}
+        # proj: Q's E and A are the stack qk uploaded, W's F and B static
+        assert _by_op(log, "h2d:") == {"qk": FIG5_ORDER[:4], "proj": []}
         table = ctx.device_table(0)
         assert table[("share", q.uid)][0].shape == (b, s, d)
         qd, kd = q.decode(), k.decode()
@@ -240,22 +255,50 @@ class TestViews:
 
 class TestForwardOnly:
     @pytest.mark.parametrize("fresh", [False, True], ids=["persistent", "fresh_triplets"])
-    def test_inference_holds_what_it_held_before(self, fresh, monkeypatch):
-        """No value of a forward pass is multiplied twice, so nothing
-        new stays: a static F and Z under persistent masks, nothing under
-        single-use ones — and every batch places the same transfers."""
+    def test_inference_keeps_only_its_weights(self, fresh, monkeypatch):
+        """No activation of a forward pass is multiplied twice, so only
+        the weights stay: each weight's share under any masks, its F and
+        each stream's Z under persistent ones — and every batch but the
+        first places the same transfers."""
         ctx = _ctx(fresh_triplets=fresh)
         model = SecureMLP(ctx, 32, hidden=(16,), n_out=4)
         log = _watch(ctx, monkeypatch)
         x = np.random.default_rng(5).normal(size=(96, 32))
         secure_predict(ctx, model, x, batch_size=32)
+        weights = 8 * (32 * 16 + 16 * 4)
         f_and_z = 8 * ((32 * 16 + 16 * 4) + (32 * 16 + 32 * 4))
-        assert _device_bytes(ctx) == [0 if fresh else f_and_z] * 2
-        assert {what for what, _uid in ctx.device_table(0)} == (set() if fresh else {"open", "Z"})
-        per_batch = FIG5_ORDER if fresh else ["h2d:E", "h2d:A", "h2d:B"]
-        assert [label for _op, label in log if label.startswith("h2d:")][-2 * len(per_batch):] == (
-            per_batch * 2
+        assert _device_bytes(ctx) == [weights + (0 if fresh else f_and_z)] * 2
+        assert {what for what, _uid in ctx.device_table(0)} == (
+            {"share"} if fresh else {"open", "share", "Z"}
         )
+        per_batch = ["h2d:E", "h2d:A", "h2d:F", "h2d:Z"] if fresh else ["h2d:E", "h2d:A"]
+        assert [label for _op, label in log if label.startswith("h2d:")][-4 * len(per_batch):] == (
+            per_batch * 4
+        )
+
+    def test_a_warm_predict_batch_uploads_no_static_weight(self, monkeypatch):
+        """From the second batch on, every weight's ``F`` and share are
+        on the GPUs: a product uploads its batch's ``E`` and ``A`` only."""
+        ctx = _ctx()
+        model = SecureMLP(ctx, 32, hidden=(16, 16), n_out=4)
+        log = _watch(ctx, monkeypatch)
+        begin, cuts = ctx.begin_batch, []
+
+        def begin_batch():
+            cuts.append(len(log))
+            begin()
+
+        monkeypatch.setattr(ctx, "begin_batch", begin_batch)
+        x = 0.5 * np.random.default_rng(0).standard_normal((3 * 16, 32))
+        secure_predict(ctx, model, x, batch_size=16)
+        cold, *warm = [log[lo:hi] for lo, hi in zip(cuts, [*cuts[1:], len(log)])]
+        layers = ("mlp0/fwd", "mlp1/fwd", "mlp2/fwd")
+        assert _by_op(cold, "h2d:") == dict.fromkeys(layers, FIG5_ORDER)
+        assert len(warm) == 2
+        for batch in warm:
+            assert _by_op(batch, "h2d:") == dict.fromkeys(layers, ["h2d:E", "h2d:A"])
+        weights = {layer.weight.uid for layer in model.layers if hasattr(layer, "weight")}
+        assert {uid for what, uid in ctx.device_table(0) if what == "share"} == weights
 
     def test_fresh_triplets_keep_a_shared_value_for_the_step_only(self):
         ctx = _ctx(fresh_triplets=True)
@@ -266,15 +309,39 @@ class TestForwardOnly:
         ctx.begin_batch()
         assert _device_bytes(ctx) == [0, 0] and ctx.device_table(0) == {}
 
-    def test_without_step_boundaries_only_a_static_f_and_z_stay(self):
+    def test_without_steps_only_static_rows_and_z_stay(self):
         ctx = _ctx()
         x, w = _shared(ctx, (16, 12), 1), _shared(ctx, (12, 8), 2).mark_static()
         for seed in (3, 4):
             d = _shared(ctx, (16, 8), seed)
             secure_matmul(x, w, label="fwd")
             secure_matmul(x.T, d, label="dW")
-        assert sorted(what for what, _uid in ctx.device_table(0)) == ["Z", "Z", "open"]
-        assert _device_bytes(ctx) == [8 * (12 * 8 + 16 * 8 + 12 * 8)] * 2
+        assert sorted(what for what, _uid in ctx.device_table(0)) == ["Z", "Z", "open", "share"]
+        assert _device_bytes(ctx) == [8 * (12 * 8 + 16 * 8 + 12 * 8 + 12 * 8)] * 2
+
+    @pytest.mark.parametrize("backend", ["beaver2pc", "rep3"])
+    def test_a_dropped_model_leaves_no_row_of_its_weights(self, backend):
+        """A served model's weights stay on the GPUs for as long as the
+        model does, and not a moment longer: once it is collected no
+        share row, no ``F`` and no ``D`` of any of its weights is left —
+        only the streams' ``Z``, which belong to the dealer's cache."""
+        ctx = _ctx(backend=backend)
+        model = SecureMLP(ctx, 32, hidden=(16,), n_out=4)
+        x = np.random.default_rng(5).normal(size=(64, 32))
+        secure_predict(ctx, model, x, batch_size=32)
+        weights = {p.uid for p in model.parameters() if p.static}
+        assert {uid for what, uid in ctx._device_rows() if what == "share"} == weights
+        assert _weight_rows(ctx, weights)
+        del model
+        assert _weight_rows(ctx, weights) == set()
+        # what a mask opened this step stays a bare fact to the step's end
+        assert not ctx._static_shares and all(
+            row.opened is None and not row.static
+            for row in ctx._opened.values() if row.uid in weights
+        )
+        z = [sum(buf.nbytes for buf, _ in ctx.device_table(i).values()) for i in range(ctx.n_parties)]
+        assert {what for what, _uid in ctx._device_rows()} <= {"Z"} and _device_bytes(ctx) == z
+
 
 
 # ------------------------------------------------------------- the scheduler rule
@@ -383,8 +450,10 @@ class TestInvalidation:
             held.append((_device_bytes(ctx), sorted(what for what, _uid in ctx.device_table(0))))
         assert held[0::2] == [held[0]] * 4 and held[1::2] == [held[1]] * 4
         # every re-deal draws new masks and triplets; what outlives a step
-        # is still W's one F and the three streams' Z
-        assert held[1][1] == ["Z", "Z", "Z", "open"]
+        # is still W's one F and one share and the three streams' Z
+        assert held[1][1] == ["Z", "Z", "Z", "open", "share"]
+        w_bytes = 8 * 12 * 8
+        assert held[1][0] == [2 * w_bytes + 8 * (16 * 8 + 12 * 8 + 16 * 12)] * 2
 
     def test_a_weight_update_frees_the_old_f_at_once(self):
         ctx, w = self._linked()
@@ -399,6 +468,26 @@ class TestInvalidation:
         assert not ctx.device_table(0)[key][0].freed  # same mask, the new value
         ctx.begin_batch()
         assert _device_bytes(ctx) == before
+
+    def test_a_weight_update_frees_the_old_share_row_at_once(self):
+        """A layer's update replaces its weight: the old value is gone
+        with the tensor, so its share, ``F`` and ``D`` rows go before any
+        product reads the new one — the mask table keeps the bare fact
+        that the mask opened it this step."""
+        ctx, w = self._linked()
+        old_uid = w.uid
+        rows = _weight_rows(ctx, {old_uid})
+        assert {what for what, _uid in rows} == {"share", "open"}
+        old = [ctx.device_table(i)[key][0] for i in (0, 1) for key in rows]
+        before = _device_bytes(ctx)
+        w = (w - w.mul_public(0.5)).mark_static()
+        assert all(buf.freed for buf in old) and _weight_rows(ctx, {old_uid}) == set()
+        assert _device_bytes(ctx) == [held - sum(buf.nbytes for buf in old) // 2 for held in before]
+        (row,) = [row for row in ctx._opened.values() if row.uid == old_uid]
+        assert row.epoch == ctx._batch_epoch and row.opened is None and not row.static
+        self._step(ctx, w, 3)
+        assert not any(row.uid == old_uid for row in ctx._opened.values())
+        assert {uid for what, uid in ctx.device_table(0) if what == "share"} >= {w.uid}
 
     def test_a_redealt_stream_frees_its_z_at_once(self):
         ctx, w = self._linked()
@@ -490,7 +579,19 @@ class ResidencyMachine(RuleBasedStateMachine):
     @rule(layer=st.sampled_from([0, 2]))
     def weight_update(self, layer):
         dense = self.model.layers[layer]
+        old = dense.weight.uid
         dense.weight = (dense.weight - dense.weight.mul_public(0.25)).mark_static()
+        assert _weight_rows(self.ctx, {old}) == set()  # the old value is gone
+        self.just_reset = False
+
+    @rule()
+    def drop_model(self):
+        """A deployment replaces its model: none of the old one's weights
+        may keep a row."""
+        old = {p.uid for p in self.model.parameters() if p.static}
+        self.model = SecureMLP(self.ctx, 12, hidden=(8,), n_out=4)
+        self.trainer = SecureTrainer(self.ctx, self.model, lr=0.0625)
+        assert _weight_rows(self.ctx, old) == set()
         self.just_reset = False
 
     @rule(party=st.sampled_from(["server0", "server1"]))
@@ -507,7 +608,8 @@ class ResidencyMachine(RuleBasedStateMachine):
     def device_memory_is_bounded_by_one_step_and_the_static_rows(self):
         # a full step's operands (E, A, D of three values and F, B of the
         # others, each at most ROWS x 12 or 12 x 8) plus F and Z of five
-        # streams: nothing accumulates over a sequence
+        # streams (each weight's share is one of the step's B): nothing
+        # accumulates over a sequence, a dropped model included
         one_value = 8 * max(ROWS * 12, 12 * 8)
         assert max(_device_bytes(self.ctx)) <= (5 * 3 + 5 * 2) * one_value
         for party in (0, 1):
@@ -707,10 +809,10 @@ class Rep3ResidencyMachine(ResidencyMachine):
     def device_memory_is_bounded_by_one_step_and_the_static_rows(self):
         # a training step's parts: the pairs of X, H, the delta and the
         # hidden delta (the delta's sum too), each at most ROWS x 12 or
-        # 12 x 8 — plus each weight's sum and share, twice (an updated
-        # weight's old rows live until a product reads the new one)
+        # 12 x 8 — plus each weight's sum and share, once (an updated or
+        # dropped weight's rows go with the tensor)
         one_part = 8 * max(ROWS * 12, 12 * 8)
-        assert max(_device_bytes(self.ctx)) <= (2 + 2 + 3 + 2 + 2 * 2 * 2) * one_part
+        assert max(_device_bytes(self.ctx)) <= (2 + 2 + 3 + 2 + 2 * 2) * one_part
         for party in range(3):
             rows = self.ctx.device_table(party)
             assert sum(buf.nbytes for buf, _task in rows.values()) == (

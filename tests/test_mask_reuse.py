@@ -1,14 +1,15 @@
-"""Static-operand reuse: an unchanged weight's ``F`` and a stream's ``Z``
-are opened and uploaded once, never later than in Fig. 5's transfer order.
+"""Static-operand reuse: an unchanged weight's ``F`` and share and a
+stream's ``Z`` are opened and uploaded once, never later than in Fig. 5's
+transfer order.
 
 The rule under test lives in two places: ``SecureContext``'s mask table
 keeps the opened ``F`` of a static operand across steps (no second
 exchange — the long-lived case of the one-mask-per-value rule, whose
 within-step half is tests/test_open_once.py), and
-``schedule_secure_gemm`` keeps ``F`` and ``Z`` on the device (no second
-upload).  A first use must schedule exactly what a run with nothing
-resident schedules; every invalidation must be followed by a miss; and
-no value may ever move.
+``schedule_secure_gemm`` keeps ``F``, the weight's share ``B_i`` and
+``Z`` on the device (no second upload).  A first use must schedule
+exactly what a run with nothing resident schedules; every invalidation
+must be followed by a miss; and no value may ever move.
 """
 
 import numpy as np
@@ -143,8 +144,9 @@ class TestSchedulerResidency:
 
 class TestFirstAndSecondUse:
     def test_first_matmul_schedules_what_a_run_with_nothing_resident_does(self, h2d_replay):
-        """fresh_triplets never keeps anything, so its schedule is the
-        reference: same tasks, labels, resources and start times."""
+        """fresh_triplets keeps no mask material, and nothing is resident
+        before a first use, so its schedule is the reference: same tasks,
+        labels, resources and start times."""
         traces = {}
         for fresh in (False, True):
             ctx = SecureContext(_cfg(fresh_triplets=fresh))
@@ -165,8 +167,8 @@ class TestFirstAndSecondUse:
         mark = ctx.mark()
         x1 = _shared(ctx, (64, 96), 3, "x1")
         second, tasks = _step(ctx, x1, w)
-        for party in (0, 1):
-            assert _uploads(tasks, party) == ["h2d:E", "h2d:A", "h2d:B"]
+        for party in (0, 1):  # nor the weight's share: only the batch crosses PCIe
+            assert _uploads(tasks, party) == ["h2d:E", "h2d:A"]
         assert not any(t.label.startswith(("fc:F", "fc:combineF")) for t in tasks)
         assert _hits(ctx) == 1 and _hits(ctx, "E") == 0
         # the Eq. 5 round still costs one frame each way, now E alone
@@ -214,7 +216,8 @@ class TestInvalidation:
     def test_ragged_batch_gets_a_new_triplet_and_misses_on_both(self):
         ctx, w = self._warm()
         _, tasks = _step(ctx, _shared(ctx, (40, 96), 4, "tail"), w)
-        assert _uploads(tasks) == FIG5_ORDER
+        # new masks and Z; the weight's share is the same value, still there
+        assert _uploads(tasks) == ["h2d:E", "h2d:A", "h2d:F", "h2d:Z"]
         assert _hits(ctx) == 1
 
     def test_reset_after_a_party_restart_misses_on_both(self):
@@ -226,7 +229,7 @@ class TestInvalidation:
             assert _uploads(tasks, party) == FIG5_ORDER
         assert _hits(ctx) == 1
         _, tasks = _step(ctx, _shared(ctx, (64, 96), 5, "x3"), w)
-        assert _uploads(tasks) == ["h2d:E", "h2d:A", "h2d:B"] and _hits(ctx) == 2
+        assert _uploads(tasks) == ["h2d:E", "h2d:A"] and _hits(ctx) == 2
 
     def test_respawned_fleet_replica_starts_cold(self):
         ctx = SecureContext(_cfg())
@@ -300,12 +303,17 @@ class TestInvalidation:
 
 class TestFreshTriplets:
     def test_single_use_masks_are_never_cached_or_kept(self, h2d_replay):
+        """No mask material outlives its product; the weight's share is
+        the server's own data, not the dealer's, and stays as under
+        persistent masks."""
         ctx = SecureContext(_cfg(fresh_triplets=True))
         w = _shared(ctx, (96, 48), 1, "w").mark_static()
         for seed in (2, 3, 4):
             _, tasks = _step(ctx, _shared(ctx, (64, 96), seed, "x"), w)
-            assert sorted(_uploads(tasks)) == sorted(FIG5_ORDER)
-            assert _device_bytes(ctx) == [0, 0]
+            fresh = FIG5_ORDER if seed == 2 else ["h2d:E", "h2d:A", "h2d:F", "h2d:Z"]
+            assert sorted(_uploads(tasks)) == sorted(fresh)
+            assert _device_bytes(ctx) == [w.nbytes] * 2
+            assert list(ctx.device_table(0)) == [("share", w.uid)]
         assert_no_upload_later_than_fig5(h2d_replay)
         assert _hits(ctx) == 0 and _hits(ctx, "E") == 0
         ctx.begin_batch()

@@ -224,15 +224,17 @@ class TestPlacement:
             shares.append(res.c_share)
         np.testing.assert_array_equal(shares[0] + shares[1], ring_matmul(a, b))
 
-    def test_fresh_triplets_keep_nothing_resident(self):
+    def test_fresh_triplets_keep_only_the_static_share_resident(self):
+        """Single-use masks leave no ``F`` or ``Z``; the static stack's
+        share is the server's own data and stays."""
         ctx = _ctx(fresh_triplets=True, placement_mode="gpu_always")
         _, _, x, y = _operands(ctx, 4, 8, 8, 8)
         y.mark_static()
         for _ in range(2):
             ctx.begin_batch()
             secure_matmul(x, y, label="fresh")
-        assert ctx.device_table(0) == ctx.device_table(1) == {}
-        assert [gpu.pool.allocated_bytes for gpu in ctx.server_gpu] == [0, 0]
+        assert list(ctx.device_table(0)) == list(ctx.device_table(1)) == [("share", y.uid)]
+        assert [gpu.pool.allocated_bytes for gpu in ctx.server_gpu] == [y.nbytes] * 2
 
     def test_static_stack_operand_is_opened_and_uploaded_once(self):
         ctx = _ctx(placement_mode="gpu_always", trace=True)
@@ -247,7 +249,7 @@ class TestPlacement:
                 [t.label for t in ctx.online_clock.trace[start:] if t.resource == "s0gpu.h2d"]
             )
             assert np.max(np.abs(out.decode() - _stacked(a, b))) <= FORWARD_TOL
-        assert uploads == [FIG5_ORDER, ["h2d:E", "h2d:A", "h2d:B"]]
+        assert uploads == [FIG5_ORDER, ["h2d:E", "h2d:A"]]
 
 
 def _on_gpu(x, y, trans_a, trans_b, tensor_core):
