@@ -21,7 +21,8 @@ comparison became a borrow tree, the average over all 26 cells no longer
 clears its floor either: it reads 74.84 % against ``> 75.0``, because the
 faster comparison shortened SecureML's online time on the
 comparison-heavy cells, the five SVM cells included (ROADMAP "Paper
-claims" (1)).  The floor is not lowered.
+claims" (1)); 74.77 % since a product's rescale runs in its last pass.
+The floor is not lowered.
 """
 
 import pytest

@@ -26,8 +26,8 @@ noise) and an online makespan may not rise above its pin:
   (32 / 7 258 112 B and 20 while ``dW`` and ``dX`` uploaded again what
   the forward pass had left on the GPU);
 * a server's own shares cross PCIe while ``E``/``F`` are on the wire:
-  a warm step of ``perf/``'s ``train_mlp`` takes at most 1 491.5 µs
-  and of its ``train_cnn`` at most 2 663.7 µs of simulated online time
+  a warm step of ``perf/``'s ``train_mlp`` takes at most 1 389.9 µs
+  and of its ``train_cnn`` at most 2 473.3 µs of simulated online time
   (1 932.8 / 3 541.7 µs while every upload waited on the exchange,
   3 075.4 µs on ``train_cnn`` before the clock backfilled idle gaps);
 * batch k+1 runs in the gaps batch k leaves on the wire: the rep3 MLP
@@ -74,7 +74,13 @@ noise) and an online makespan may not rise above its pin:
   (attention/recsys train+infer online 1 527.5 / 938.2 / 457.0 /
   262.9 µs, warm steps 1 719.6 / 2 965.9 µs, rep3 inference 4 338.6 µs,
   Fig. 10 3 615.4 µs and rep3 4 558.7 µs, fleet 10 475.4 / 5 665.2 /
-  3 260.0 µs with the ripple).
+  3 260.0 µs with the ripple);
+* a ``beaver2pc`` product's ``D @ F`` and ``E @ B_i`` are one batched
+  GEMM launch, and a fixed x fixed product rescales inside its last
+  pass: every ``beaver2pc`` online pin above moved down (attention/recsys
+  train+infer online 913.6 / 424.5 / 279.6 / 107.0 µs, warm steps
+  1 491.5 / 2 663.7 µs, Fig. 10 3 073.0 µs, fleet 7 024.4 / 3 916.4 /
+  2 362.4 µs with two launches and a CPU rescale pass per product).
 
 Runs standalone:
 ``PYTHONPATH=src python -m pytest benchmarks/test_workload_regression.py``.
@@ -119,10 +125,10 @@ def _run(model, dataset, mode, *, batch_size, config=None) -> tuple[int, int, fl
 #: (messages, bytes, online makespan s) between the servers, two batches
 #: of 32 on SYNTHETIC.
 WORKLOAD_ROWS = {
-    ("attention", "train"): (140, 1_318_466, 0.000913637522055306),
-    ("attention", "infer"): (104, 688_144, 0.0004245345119753088),
-    ("recsys", "train"): (30, 286_554, 0.0002796305617283948),
-    ("recsys", "infer"): (16, 174_132, 0.00010701861600790118),
+    ("attention", "train"): (140, 1_318_466, 0.0008995976222192572),
+    ("attention", "infer"): (104, 688_144, 0.00039951209222222235),
+    ("recsys", "train"): (30, 286_554, 0.00027838216666666656),
+    ("recsys", "infer"): (16, 174_132, 0.00010649585057580243),
 }
 
 
@@ -209,7 +215,7 @@ def _dealt_trainer(workload, **config):
 
 
 #: Warm-step online makespan (s) of perf/'s train_mlp and train_cnn at seed 0.
-WARM_STEP_S = {"train_mlp": 0.0014915085392227106, "train_cnn": 0.002663665710670623}
+WARM_STEP_S = {"train_mlp": 0.0013899119131120935, "train_cnn": 0.002473277562522464}
 
 
 @pytest.mark.parametrize("workload", sorted(WARM_STEP_S))
@@ -222,10 +228,11 @@ def test_warm_train_step_makespan_holds_the_early_share_upload(workload):
 
 
 #: A GPU-placed product of a warm train step pays within this share of
-#: the profiler's plan price.  Measured: at worst +13.4 % (``mlp2/dX``,
-#: whose own delta share crosses PCIe after the exchange the price
-#: charges nothing for; 11.6 %, ``mlp2/fwd``, while ``dW`` ran first);
-#: the fused-GEMM estimate it replaced missed by up to +339 %
+#: the profiler's plan price.  Measured: at worst -11.6 % (``mlp2/fwd``,
+#: whose ``D`` kernel the price charges in sequence but which runs under
+#: ``F``'s and ``B_i``'s transfers); +13.4 % (``mlp2/dX``) before the
+#: price charged a server's own share that crosses PCIe after the
+#: exchange; the fused-GEMM estimate it replaced missed by up to +339 %
 #: (``conv0/dW``).
 PRICE_BOUND = 0.15
 
@@ -243,7 +250,7 @@ def _fused_gemm_estimate(spec, batch, m, k, n) -> float:
 
 def _queue(ready, tasks) -> float:
     """Time a product that uploads nothing waited for engines an earlier
-    product held.  Its tasks are one chain (``D``, ``D@F``, ``E@B``,
+    product held.  Its tasks are one chain (``D``, ``[D,E]@[F,B]``,
     ``C``, ``d2h:C``), so a gap before one of them is a queue: a ``dW``
     issued right after the ``dX`` of the same delta waits for that
     ``dX``'s kernels on the stream and its ``C`` download on the D2H
@@ -339,7 +346,7 @@ def test_rep3_predict_makespan_holds_the_inter_batch_backfill():
 #: uploaded to the server GPUs once, the dealer comparison, each H2D
 #: upload issued as soon as it is ready and no later than in Fig. 5's order,
 #: and each backward's input gradient issued before its weight gradient.
-FIG10_ONLINE_REFERENCE_S = 0.0030729891541046877
+FIG10_ONLINE_REFERENCE_S = 0.002886339095643453
 
 
 def test_fig10_online_makespan_holds_the_pin():
@@ -367,7 +374,7 @@ def test_rep3_train_makespan_holds_the_pin():
 
 #: Fleet online makespan (s) by replica count: 1 000 clients of 1-4
 #: MLP/MNIST rows each, least-depth placement, batches of 128.
-FLEET_ONLINE_S = {1: 0.007024401066100713, 2: 0.003916399343522952, 4: 0.002362398482234071}
+FLEET_ONLINE_S = {1: 0.00676942816988739, 2: 0.0038118807682972714, 4: 0.0023331070675022187}
 
 
 def test_fleet_online_makespan_scales_with_replicas():

@@ -12,8 +12,11 @@ Each op follows the paper's phase structure:
   through pipeline 1 or on the CPU when the profiling-guided placement
   says the workload is too small to amortise PCIe (Section 4.2);
 * **truncation** — the rescale of a product of two fixed-point
-  operands, written once here for every backend (the backend's product
-  returns the raw result and :func:`truncate` runs its rescale).
+  operands.  Whether a product is rescaled is decided here, before it
+  runs, once for every backend (:func:`_rescales`); the backend's
+  product then rescales its own result — ``beaver2pc`` inside the
+  product's last pass, ``rep3`` with its truncation protocol
+  (:func:`truncate`) after the product.
 
 The functions here are protocol-agnostic entry points: shape/kind
 validation plus telemetry, with the actual interactive protocol
@@ -104,12 +107,15 @@ def truncate(x: SharedTensor, *, label: str = "trunc") -> SharedTensor:
         return ctx.backend.truncate(ctx, x, label=label)
 
 
-def _rescale(out: SharedTensor, x, y, *, label: str, truncate_result: bool = True):
-    """A product's kind and scale: fixed x fixed is rescaled (unless
-    ``truncate_result`` is off), fixed x indicator stays at single
-    scale, indicator x indicator is an indicator."""
-    if x.kind == "fixed" and y.kind == "fixed":
-        return truncate(out, label=f"{label}:trunc") if truncate_result else out
+def _rescales(x: SharedTensor, y: SharedTensor, truncate_result: bool = True) -> bool:
+    """Whether the product of ``x`` and ``y`` is rescaled: fixed x fixed
+    carries double scale (unless ``truncate_result`` is off), fixed x
+    indicator stays at single scale."""
+    return truncate_result and x.kind == "fixed" and y.kind == "fixed"
+
+
+def _product(out: SharedTensor, x: SharedTensor, y: SharedTensor) -> SharedTensor:
+    """A product's kind: indicator x indicator is an indicator."""
     if x.kind == "indicator" and y.kind == "indicator":
         out.kind = "indicator"
     return out
@@ -136,8 +142,8 @@ def secure_matmul(
             f"{x.shape} x {y.shape}"
         )
     with _op_scope(ctx, "matmul", label):
-        out = ctx.backend.matmul(ctx, x, y, label=label)
-        return _rescale(out, x, y, label=label, truncate_result=truncate_result)
+        rescale = _rescales(x, y, truncate_result)
+        return _product(ctx.backend.matmul(ctx, x, y, label=label, rescale=rescale), x, y)
 
 
 def backward_products(
@@ -177,7 +183,8 @@ def secure_elementwise_mul(
             f"{x.shape} vs {y.shape}"
         )
     with _op_scope(ctx, "elementwise_mul", label):
-        return _rescale(ctx.backend.elementwise_mul(ctx, x, y, label=label), x, y, label=label)
+        out = ctx.backend.elementwise_mul(ctx, x, y, label=label, rescale=_rescales(x, y))
+        return _product(out, x, y)
 
 
 def secure_compare_const(

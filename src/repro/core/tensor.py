@@ -209,8 +209,15 @@ class SharedTensor:
         )
 
     def mul_public_int(self, value: int) -> "SharedTensor":
-        """Multiply by a public *integer* (exact, no rescaling needed)."""
-        v = np.uint64(int(value) % 2**64)
+        """Multiply by a public *integer* (exact, no rescaling needed) in
+        the int64 range; one outside it would wrap silently in the ring."""
+        v = int(value)
+        if not -(2**63) <= v < 2**63:
+            raise EncodingError(
+                f"mul_public_int: the public integer {v} lies outside the ring's "
+                f"[-2**63, 2**63)"
+            )
+        v = np.uint64(v % 2**64)
         return SharedTensor(
             ctx=self.ctx,
             shares=tuple(ring_mul(s, v) for s in self.shares),
@@ -324,6 +331,8 @@ class SharedTensor:
         """Tile a (1, n) tensor to (n_rows, n) — for bias addition."""
         if self.shares[0].shape[0] != 1:
             raise ShapeError(f"broadcast_rows needs a (1, n) tensor, got {self.shape}")
+        if n_rows < 0:
+            raise ShapeError(f"broadcast_rows: n_rows must be >= 0, got {n_rows}")
         return self._new_value(
             np.ascontiguousarray(np.broadcast_to(s, (n_rows, self.shape[1])))
             for s in self.shares

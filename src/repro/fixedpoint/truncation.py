@@ -72,3 +72,11 @@ def truncate_share(
     neg = ring_neg(x, out=out)
     np.right_shift(neg, d, out=neg)
     return ring_neg(neg, out=neg)
+
+
+def rescale_share(share: np.ndarray, frac_bits: int, party_id: int) -> np.ndarray:
+    """A product's share, which its caller owns, truncated in place by
+    ``frac_bits`` (:func:`truncate_share`); ``frac_bits`` 0 returns it
+    as is.  The rescale a fixed x fixed product runs in its own last
+    pass."""
+    return truncate_share(share, frac_bits, party_id, out=share) if frac_bits else share

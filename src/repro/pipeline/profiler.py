@@ -12,15 +12,19 @@ the profiler prices the steps each device would take under that plan
 with one cost function (:meth:`StepProfiler.step_prices`), then picks a
 device:
 
-* ``beaver2pc`` — one server's Eq. 8 product ``(m,k) x (k,n)``.  GPU:
-  the uploads of the public slots ``E``, ``F``, ``Z`` the server's
-  device table does not hold, the ``D`` kernel unless its
-  ``("lead", uid)`` row is resident, the two GEMMs ``D @ F`` and
-  ``E @ B_i``, the fused ``C`` add and ``C``'s download — what
-  :func:`~repro.pipeline.scheduler.schedule_secure_gemm` places.  The
-  server's own ``A_i``/``B_i`` are not charged: they cross PCIe while
-  ``E``/``F`` are on the wire.  CPU: the fused ``(m, 2k, n)`` GEMM
-  (``cpu_gemm``) and the ``+Z`` add.
+* ``beaver2pc`` — one server's Eq. 8 product ``(m,k) x (k,n)``.  GPU,
+  in Fig. 5's order: the uploads of ``E`` and ``A_i``, the ``D``
+  kernel, the uploads of ``F`` and ``B_i``, ``D @ F`` and ``E @ B_i``
+  as one batched GEMM launch (a stack of ``2 * batch``), the upload of
+  ``Z``, the fused ``C`` add (with the product's rescale, if any) and
+  ``C``'s download — what
+  :func:`~repro.pipeline.scheduler.schedule_secure_gemm` places, less
+  the resident slots: those the server's device table holds (``D`` by
+  its ``("lead", uid)`` row, and ``A_i`` has no upload where ``D`` is),
+  and the server's own shares that cross PCIe while ``E``/``F`` are on
+  the wire (:meth:`StepProfiler.shares_under_exchange`).  CPU: the
+  fused ``(m, 2k, n)`` GEMM (``cpu_gemm``) and the ``+Z`` add, which
+  also rescales.
 * ``rep3`` — the cross-term product, fused to ``(m, 2k, n)``: the
   uploads of the left pair ``[x_i | x_{i+1}]`` (``h2d:L``) and the right
   pair ``[y_i + y_{i+1} ; y_i]`` (``h2d:R``) less the parts the party's
@@ -30,7 +34,8 @@ device:
   ``h2d:V``), one GEMM (``U@V``), one download (``d2h:Z``) against the
   CPU GEMM (``U@V``).
 * ``beaver2pc.mul`` / ``rep3.mul`` — a Hadamard product: four uploads,
-  one kernel and one download against the kernel on the CPU.
+  one kernel and one download against the kernel on the CPU
+  (``beaver2pc``'s kernel also rescales a fixed x fixed product).
 * ``rng`` — the client's cuRAND generation and download against its
   MT19937.
 * CPU-only plans (:data:`_CPU_PLANS`) — every other cost the protocols
@@ -41,10 +46,13 @@ steps on the device the profiler picks, each priced by that party's own
 device with :func:`~repro.simgpu.cost.step_seconds`, the function
 :meth:`StepProfiler.step_prices` prices with.  It runs every plan, products
 included; the call site computes the values.  The one exception is a
-GPU-placed ``beaver2pc`` product: pipeline 1 gives each Fig. 5 slot its
-own dependencies, which a sequence of steps cannot say, so
+GPU-placed ``beaver2pc`` product: its own shares wait on the operands,
+not on the opening, and without pipeline 1 every kernel waits on every
+upload, which a sequence of steps cannot say, so
 :func:`~repro.pipeline.scheduler.schedule_secure_gemm` places those
-steps by hand.
+steps by hand.  A sequence's edges are its order: uploads start on the
+plan's readiness, and every other step waits for the one before it and
+the uploads since, so the ``beaver2pc`` plan is pipeline 1's graph.
 
 The price is memoised per (plan, shape, resident slots), so a cold and
 a warm call of one product are separate decisions.  A server plan goes
@@ -142,8 +150,9 @@ def plan_steps(
     ``(m,k) x (k,n)`` products (1 for a matrix).  A Hadamard product's
     and an RNG draw's is ``(nbytes,)`` of one operand, a CPU-only
     plan's ``(n,)`` in its own unit (:data:`_CPU_PLANS`).  ``resident``
-    names the slots no step places: ``beaver2pc``'s ``D``, ``E``, ``F``,
-    ``Z``; ``rep3``'s upload parts (:data:`REP3_SLOTS`).
+    names the slots no step places: ``beaver2pc``'s ``D``, ``E``,
+    ``A``, ``F``, ``B``, ``Z``; ``rep3``'s upload parts
+    (:data:`REP3_SLOTS`).
     """
     if plan in _CPU_PLANS:
         op, per = _CPU_PLANS[plan]
@@ -160,15 +169,15 @@ def plan_steps(
     batch, m, k, n = shape
     out = 8 * batch * m * n
     if plan == "beaver2pc":
-        lead, right = 8 * batch * m * k, 8 * batch * k * n
-        gpu = [
-            Step("h2d", (nbytes,))
-            for slot, nbytes in (("E", lead), ("F", right), ("Z", out))
-            if slot not in resident
-        ]
-        if "D" not in resident:
-            gpu.append(Step("elementwise", (3 * lead,)))  # D = A_i - E (server 1's)
-        gpu += [Step("gemm", shape)] * 2 + [Step("elementwise", (4 * out,)), Step("d2h", (out,))]
+        # Fig. 5 as a sequence: D waits for E and A_i, the one batched
+        # [D, E] @ [F, B_i] launch for D, F and B_i, C for the GEMM and Z_i
+        steps = {slot: Step("h2d", (nbytes,)) for slot, nbytes in _beaver_uploads(*shape, resident)}
+        if "D" not in resident:  # D = A_i - E (server 1's)
+            steps["D"] = Step("elementwise", (3 * 8 * batch * m * k,))
+        steps["GEMM"] = Step("gemm", (2 * batch, m, k, n))
+        order = ("E", "A", "D", "F", "B", "GEMM", "Z")
+        gpu = [steps[name] for name in order if name in steps]
+        gpu += [Step("elementwise", (4 * out,)), Step("d2h", (out,))]
         fused = Step("gemm", (batch, m, 2 * k, n), "cpu_gemm")
         return (fused, Step("elementwise", (3 * out,), "+Z")), tuple(gpu)
     if plan not in _PRODUCTS:
@@ -184,6 +193,16 @@ def plan_steps(
     gpu = [Step("h2d", (parts * nbytes,), name) for name, nbytes, parts in uploads if parts]
     gpu += [Step("gemm", (batch, m, k, n), kernel), Step("d2h", (out,), download)]
     return (Step("gemm", (batch, m, k, n), cpu_kernel),), tuple(gpu)
+
+
+def _beaver_uploads(batch: int, m: int, k: int, n: int, resident=()) -> list[tuple[str, int]]:
+    """A ``beaver2pc`` GPU product's uploads, ``(slot, nbytes)`` in
+    Fig. 5's order, less the ``resident`` slots (``A_i``'s only reader
+    is ``D``)."""
+    lead, right = 8 * batch * m * k, 8 * batch * k * n
+    uploads = (("E", lead), ("A", lead), ("F", right), ("B", right), ("Z", 8 * batch * m * n))
+    skip = {*resident, "A"} if "D" in resident else set(resident)
+    return [(slot, nbytes) for slot, nbytes in uploads if slot not in skip]
 
 
 #: Every plan :func:`plan_steps` declares.
@@ -309,6 +328,35 @@ class StepProfiler:
         for a matrix) run as ``plan`` (``parties``: see :meth:`decide`)."""
         return self.decide(plan, (batch, m, k, n), resident, parties=parties)
 
+    def shares_under_exchange(
+        self, parties, shape: tuple, resident: tuple[str, ...]
+    ) -> tuple[str, ...]:
+        """The server's own shares, ``A`` and ``B``, of a ``beaver2pc``
+        product at ``shape`` that cross PCIe while ``E``/``F`` are
+        exchanged: on every party's H2D engine the upload, ready with
+        the operands, fits before the opening (in Fig. 5's order, each
+        where :meth:`~repro.simgpu.clock.SimClock.probe` says; nothing is
+        placed).  No step after the opening waits for them, so the plan
+        prices them as resident.  ``parties`` are each server's ``(gpu,
+        operand deps, opening deps)``; ``resident`` slots upload nothing.
+        """
+        uploads = [
+            (slot, self.step_prices("gpu", (Step("h2d", (nbytes,)),))[0])
+            for slot, nbytes in _beaver_uploads(*shape, resident)
+            if slot in "AB"
+        ]
+        early = {slot for slot, _seconds in uploads}
+        for gpu, share_deps, opening_deps in parties:
+            resource, taken = gpu.resource_for("h2d"), []
+            ready, opening = _finished(share_deps), _finished(opening_deps)
+            for slot, seconds in uploads:
+                start = gpu.clock.probe(resource, seconds, ready, taken)
+                if start + seconds <= opening:
+                    taken.append((start, start + seconds))
+                else:
+                    early.discard(slot)
+        return tuple(sorted(early))
+
     # -- the executor ------------------------------------------------------------
 
     def run_plan(
@@ -359,10 +407,7 @@ def plan_finish(
     latest = 0.0
     for party in parties:
         unit, probe = party[device], party[device].clock.probe
-        ready = 0.0  # when the deps have finished, as SimClock.run reads them
-        for dep in party[2]:
-            if dep is not None and dep.finish > ready:
-                ready = dep.finish
+        ready = _finished(party[2])
         uploads, after = [], ready  # after: what the next non-upload step waits for
         finish = ready
         for (op, _size, _name), seconds in zip(steps, prices):
@@ -378,3 +423,13 @@ def plan_finish(
         if finish > latest:
             latest = finish
     return latest
+
+
+def _finished(deps) -> float:
+    """When ``deps`` have finished, as :meth:`~repro.simgpu.clock.SimClock.run`
+    reads them (0 for none)."""
+    ready = 0.0
+    for dep in deps:
+        if dep is not None and dep.finish > ready:
+            ready = dep.finish
+    return ready

@@ -7,14 +7,21 @@ Fig. 5 of the paper decomposes the online GPU operation
 into sub-steps whose inputs arrive one PCIe transfer at a time:
 
     transfers:  E  ->  A_i  ->  F  ->  B_i  ->  Z_i   (H2D engine, Fig. 5 order)
-    kernels:        D = (-i)E + A_i  ->  G1 = D @ F  ->  G2 = E @ B_i
-                                                      -> C = G1 + G2 + Z_i
+    kernels:        D = (-i)E + A_i  ->  [G1, G2] = [D, E] @ [F, B_i]
+                                     ->  C = G1 + G2 + Z_i  (+ rescale)
+
+``D @ F`` and ``E @ B_i`` have one shape and one pair of ``op()``
+flags, so they are one pointer-array batched GEMM launch
+(``cublasGemmBatchedEx``), priced as a stack of two.  A fixed x fixed
+product's SecureML local truncation runs inside the ``C`` kernel, at
+the bytes that pass already touches, so no rescale pass follows.
 
 With the pipeline on, each kernel depends only on the transfers it
-actually needs, so ``D`` runs while ``F`` is still on the bus and
-``D @ F`` runs while ``B_i`` is on the bus — Fig. 5's overlap.  With it
-off, every kernel additionally waits for *all* transfers (the naive
-copy-everything-then-launch structure), which is the ablation baseline.
+actually needs, so ``D`` runs while ``F`` is still on the bus and the
+GEMM waits for ``D``, ``F``, ``E`` and ``B_i`` but not ``Z_i`` — Fig.
+5's overlap.  With it off, every kernel waits for *all* transfers
+instead (the naive copy-everything-then-launch structure), which is the
+ablation baseline.
 
 Each transfer waits on its own readiness, not on the slowest one: ``E``,
 ``F`` and ``Z_i`` on the ``E``/``F`` opening (``deps``), the server's
@@ -23,9 +30,11 @@ they exist before the exchange starts.  The slots are issued in Fig. 5's
 order, and the clock places each in the first idle gap of the H2D
 engine that holds it (:class:`~repro.simgpu.clock.SimClock`): ``E``
 waiting on the wire leaves a gap that ``A_i`` fills, so the server's
-own shares cross PCIe while ``E``/``F`` are exchanged, no transfer
-starts later than in Fig. 5's order, and the kernels' dependency edges
-do not change.
+own shares cross PCIe while ``E``/``F`` are exchanged where they fit
+whole in that gap, no transfer starts later than in Fig. 5's order,
+and the kernels' dependency edges do not change.  A share that does
+not fit follows ``E`` or ``F``, and the GEMM waits for it; the
+profiler prices it (``StepProfiler.shares_under_exchange``).
 
 A value is uploaded once.  The caller owns one device table per server
 GPU, ``(what, uid) -> (buffer, upload task)``, and says which of this
@@ -58,6 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fixedpoint.ring import ring_add, ring_sub
+from repro.fixedpoint.truncation import rescale_share
 from repro.mpc.triplets import TripletShare, to_base_layout
 from repro.simgpu.clock import Task
 from repro.simgpu.device import SimGPU
@@ -76,13 +86,13 @@ class GemmScheduleResult:
 def resident_slots(table: dict, keep: dict) -> tuple[str, ...]:
     """The slots :func:`schedule_secure_gemm` will place nothing for.
 
-    ``E``, ``F`` and ``Z`` whose ``keep`` row ``table`` holds (or an
-    earlier slot of the same product uploads, as for ``p * p``), and
-    ``D`` where its ``("lead", uid)`` row is there — what the profiler's
-    ``beaver2pc`` plan leaves out of its price.
+    ``E``, ``A``, ``F``, ``B`` and ``Z`` whose ``keep`` row ``table``
+    holds (or an earlier slot of the same product uploads, as for
+    ``p * p``), and ``D`` where its ``("lead", uid)`` row is there —
+    what the profiler's ``beaver2pc`` plan leaves out of its price.
     """
     held, resident = set(table), []
-    for slot in "EFZ":
+    for slot in "EAFBZ":  # Fig. 5's order
         row = keep.get(slot)
         if row in held:
             resident.append(slot)
@@ -109,6 +119,7 @@ def schedule_secure_gemm(
     table: dict | None = None,
     keep: dict | None = None,
     trans: tuple[bool, bool] = (False, False),
+    rescale_bits: int = 0,
 ) -> GemmScheduleResult:
     """Run the Eq. 8 GPU operation for one server with/without pipeline 1.
 
@@ -131,7 +142,9 @@ def schedule_secure_gemm(
     is not uploaded where ``D`` is found.  ``trans``
     says, per side, that the operand is the transpose of its value's
     base layout: the base layout is what is uploaded and looked up, and
-    the GEMMs read it through their ``trans_a`` / ``trans_b`` flags.
+    the GEMM reads it through its ``trans_a`` / ``trans_b`` flags.
+    ``rescale_bits`` is the number of fractional bits the ``C`` kernel
+    truncates the share by (SecureML's local truncation; 0: none).
     """
     if party_id not in (0, 1):
         raise ProtocolError(f"party_id must be 0 or 1, got {party_id}")
@@ -188,23 +201,23 @@ def schedule_secure_gemm(
     d_buf, t_d = row(d_key, lead)
     d_buf = d_buf.view(e_buf.shape)
 
-    # G1 = D @ F overlaps B_i's transfer; G2 = E @ B_i follows.  A stack
-    # of products is one strided-batched launch each.
-    flags = {"stream": stream, "trans_a": trans_a, "trans_b": trans_b}
-    g1_buf, t_g1 = gpu.gemm_ring(d_buf, f_buf, deps=kdeps(t_d, t_f), label="D@F", **flags)
-    g2_buf, t_g2 = gpu.gemm_ring(e_buf, b_buf, deps=kdeps(t_g1, t_b), label="E@B", **flags)
+    # G1 = D @ F and G2 = E @ B_i: one shape, one pair of op() flags, so
+    # one pointer-array batched launch, which waits for both F and B_i
+    # (D's kernel runs under their transfers).  A stack is one launch too.
+    (g1_buf, g2_buf), t_g = gpu.gemm_ring(
+        [d_buf, e_buf], [f_buf, b_buf], deps=kdeps(t_d, t_f, t_e, t_b),
+        label="[D,E]@[F,B]", stream=stream, trans_a=trans_a, trans_b=trans_b,
+    )
 
     # C = G1 + G2 + Z_i (fused via the ring ops' out= fast path: one
-    # intermediate, written in place by the second add).
+    # intermediate, written in place by the second add), rescaled in
+    # place in the same pass.
     def _fuse_c(x, y, z):
         tmp = ring_add(x, y)
-        return ring_add(tmp, z, out=tmp)
+        return rescale_share(ring_add(tmp, z, out=tmp), rescale_bits, party_id)
 
     c_buf, t_sum = gpu.elementwise(
-        _fuse_c,
-        [g1_buf, g2_buf, z_buf],
-        deps=kdeps(t_g1, t_g2, t_z),
-        label="C=G1+G2+Z",
+        _fuse_c, [g1_buf, g2_buf, z_buf], deps=kdeps(t_g, t_z), label="C=G1+G2+Z"
     )
 
     c_host, t_out = gpu.d2h(c_buf, deps=(t_sum,), label="d2h:C")

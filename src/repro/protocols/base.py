@@ -11,9 +11,9 @@ training, serving, benchmarks) stays protocol-agnostic:
 * the **interactive ops** — multiplication, comparison and truncation
   protocols with full SimClock cost accounting
   (:meth:`matmul` / :meth:`elementwise_mul` / :meth:`compare_const` /
-  :meth:`truncate`).  A product returns its raw result; the
-  protocol-agnostic rescale and the result's kind belong to
-  :mod:`repro.core.ops`, which calls :meth:`truncate`;
+  :meth:`truncate`).  :mod:`repro.core.ops` decides whether a product
+  is rescaled and sets its kind; the product rescales its own result
+  where it is asked to, by :meth:`truncate` or inside the product;
 * the **correlated-randomness source** — whether the substrate needs a
   dealer (Beaver triplets) or derives its randomness from pairwise PRG
   keys (:attr:`needs_dealer`).
@@ -79,14 +79,17 @@ class ProtocolBackend:
 
     # --- interactive protocols (full cost accounting on ctx) ---------------
 
-    def matmul(self, ctx, x: "SharedTensor", y: "SharedTensor", *, label: str) -> "SharedTensor":
-        """``x @ y`` as a ``fixed`` tensor at the operands' summed scale."""
+    def matmul(
+        self, ctx, x: "SharedTensor", y: "SharedTensor", *, label: str, rescale: bool = False
+    ) -> "SharedTensor":
+        """``x @ y`` as a ``fixed`` tensor at the operands' summed scale,
+        or, where ``rescale``, truncated by the encoder's fractional bits."""
         raise NotImplementedError
 
     def elementwise_mul(
-        self, ctx, x: "SharedTensor", y: "SharedTensor", *, label: str
+        self, ctx, x: "SharedTensor", y: "SharedTensor", *, label: str, rescale: bool = False
     ) -> "SharedTensor":
-        """``x * y`` as a ``fixed`` tensor at the operands' summed scale."""
+        """``x * y``, scaled as :meth:`matmul`'s result."""
         raise NotImplementedError
 
     def compare_const(

@@ -10,8 +10,10 @@ client, per the paper) deals Beaver triplets and comparison
 bundles in the offline phase.  Multiplication opens the masked
 differences ``E = X - U`` / ``F = Y - V`` (Eq. 4-5) through the
 delta-compression layer and applies the fused Eq. 8 product on the
-placement the profiler picks; truncation is the SecureML share-local
-rescale.
+placement the profiler picks.  Truncation is the SecureML share-local
+rescale; a fixed x fixed product runs it inside its own last pass (the
+``C`` kernel, the CPU's ``+Z``, the Hadamard kernel), at the bytes that
+pass already touches.
 
 A mask belongs to a value, so a value is opened once: a multiplication
 round has two, one or no live halves (:func:`_open_operands`) — a half
@@ -30,7 +32,7 @@ from repro.comm.wire import RoundCoalescer
 from repro.core.ops import _chain, _deps, _set_chain
 from repro.core.tensor import SharedTensor
 from repro.fixedpoint.ring import ring_add, ring_matmul, ring_sub
-from repro.fixedpoint.truncation import truncate_share
+from repro.fixedpoint.truncation import rescale_share, truncate_share
 from repro.mpc.comparison import secure_ge_const
 from repro.mpc.protocol import beaver_elementwise_share
 from repro.mpc.shares import reconstruct, share_secret
@@ -222,7 +224,7 @@ class Beaver2PCBackend(ProtocolBackend):
             tasks.append(task)
         return SharedTensor(ctx=ctx, shares=tuple(shares), kind="fixed", tasks=tuple(tasks))
 
-    def matmul(self, ctx, x, y, *, label):
+    def matmul(self, ctx, x, y, *, label, rescale=False):
         # --- offline ---------------------------------------------------------
         triplet = ctx.get_matrix_triplet(label, x.shape, y.shape, operands=(x, y))
 
@@ -241,10 +243,15 @@ class Beaver2PCBackend(ProtocolBackend):
         keep = ctx.device_keep(label, triplet, x, y)
         resident = resident_slots(ctx.device_table(0), keep)
         dims = gemm_dims(x.shape, y.shape)
+        if None not in ctx.server_gpu:  # what crosses PCIe under the exchange
+            parties = zip(ctx.server_gpu, starts, ready)
+            early = ctx.profiler.shares_under_exchange(parties, dims, resident)
+            resident = tuple(sorted((*resident, *early)))
         decision = ctx.profiler.place_gemm(
             *dims, plan="beaver2pc", resident=resident,
             parties=tuple(zip(ctx.server_cpu, ctx.server_gpu, ready)),
         )
+        bits = ctx.encoder.frac_bits if rescale else 0
         shares = []
         tasks = []
         for i in (0, 1):
@@ -266,6 +273,7 @@ class Beaver2PCBackend(ProtocolBackend):
                     table=ctx.device_table(i),
                     keep=keep,
                     trans=(x.transposed, y.transposed),
+                    rescale_bits=bits,
                 )
                 shares.append(result.c_share)
                 tasks.append(result.done)
@@ -274,14 +282,14 @@ class Beaver2PCBackend(ProtocolBackend):
             lead = x.shares[i] if i == 0 else ring_sub(x.shares[i], e)
             left = np.concatenate([lead, e], axis=-1)
             right = np.concatenate([f, y.shares[i]], axis=-2)
-            shares.append(ring_add(ring_matmul(left, right), tshare.z))
+            shares.append(rescale_share(ring_add(ring_matmul(left, right), tshare.z), bits, i))
             tasks.append(ctx.profiler.run_plan(
                 ctx.server_cpu[i], None, "beaver2pc", dims, deps=ready[i], label=label
             )[-1])
         _set_chain(ctx, tasks)
         return SharedTensor(ctx=ctx, shares=tuple(shares), kind="fixed", tasks=tuple(tasks))
 
-    def elementwise_mul(self, ctx, x, y, *, label):
+    def elementwise_mul(self, ctx, x, y, *, label, rescale=False):
         triplet = ctx.get_elementwise_triplet(label, x.shape, operands=(x, y))
         starts = [_chain(ctx, _deps(x.tasks[i], y.tasks[i])) for i in (0, 1)]
         e, f, ready = _open_operands(
@@ -289,11 +297,12 @@ class Beaver2PCBackend(ProtocolBackend):
             lambda a: a.reshape(a.shape[0], -1) if a.ndim != 2 else a,
         )
 
+        bits = ctx.encoder.frac_bits if rescale else 0
         shares, tasks = [], []
         for i in (0, 1):
-            shares.append(beaver_elementwise_share(
+            shares.append(rescale_share(beaver_elementwise_share(
                 i, e, f, x.shares[i], y.shares[i], triplet.share_for(i)
-            ))
+            ), bits, i))
             tasks.append(ctx.profiler.run_plan(
                 ctx.server_cpu[i], ctx.server_gpu[i], "beaver2pc.mul", (x.nbytes,),
                 deps=ready[i], label=label,

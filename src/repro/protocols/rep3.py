@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.wire import frame_sizes
-from repro.core.ops import _chain, _deps, _set_chain
+from repro.core.ops import _chain, _deps, _set_chain, truncate
 from repro.core.tensor import SharedTensor
 from repro.fixedpoint.ring import RING_DTYPE, ring_add, ring_matmul, ring_mul, ring_neg
 from repro.fixedpoint.truncation import truncate_share
@@ -192,7 +192,19 @@ class Rep3Backend(ProtocolBackend):
 
     # --- interactive protocols ----------------------------------------------
 
-    def matmul(self, ctx, x, y, *, label):
+    def matmul(self, ctx, x, y, *, label, rescale=False):
+        return self._then_truncate(self._matmul(ctx, x, y, label), rescale, label)
+
+    def elementwise_mul(self, ctx, x, y, *, label, rescale=False):
+        return self._then_truncate(self._elementwise_mul(ctx, x, y, label), rescale, label)
+
+    @staticmethod
+    def _then_truncate(out, rescale, label):
+        """A product, where ``rescale`` run through the truncation
+        protocol once the product has returned (and freed its buffers)."""
+        return truncate(out, label=f"{label}:trunc") if rescale else out
+
+    def _matmul(self, ctx, x, y, label):
         # A (B,m,k) x (B,k,n) stack is B cross-terms in one batched GEMM
         # and one reshare of the whole (B,m,n) result.
         dims = gemm_dims(x.shape, y.shape)
@@ -243,7 +255,7 @@ class Rep3Backend(ProtocolBackend):
         _set_chain(ctx, tasks)
         return SharedTensor(ctx=ctx, shares=shares, kind="fixed", tasks=tasks)
 
-    def elementwise_mul(self, ctx, x, y, *, label):
+    def _elementwise_mul(self, ctx, x, y, label):
         z_parts, z_tasks = [], []
         for i in range(3):
             j = (i + 1) % 3

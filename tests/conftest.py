@@ -140,9 +140,9 @@ def no_stale_device_hit(monkeypatch):
     monkeypatch.setattr(beaver2pc, "schedule_secure_gemm", checked)
     matmul = Rep3Backend.matmul
 
-    def checked_rep3(self, ctx, x, y, *, label):
+    def checked_rep3(self, ctx, x, y, *, label, **kw):
         assert_rep3_rows_hold_their_shares(ctx, x, y)
-        return matmul(self, ctx, x, y, label=label)
+        return matmul(self, ctx, x, y, label=label, **kw)
 
     monkeypatch.setattr(Rep3Backend, "matmul", checked_rep3)
 

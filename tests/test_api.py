@@ -76,5 +76,6 @@ class TestSession:
         assert snap.counter("ops.invocations", op="matmul") == 1
         spans = snap.spans("op.rt")
         assert "op.rt" in [s.name for s in spans]
-        trunc = next(s for s in spans if s.name == "op.rt:trunc")
-        assert trunc.depth == 1  # the truncation nests inside the matmul span
+        # the rescale runs inside the product: no truncation op follows it
+        assert [s.name for s in spans] == ["op.rt"]
+        assert snap.counter("ops.invocations", op="truncate") == 0

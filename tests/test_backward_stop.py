@@ -59,10 +59,11 @@ def _one_step(kind, backend, *, input_grad):
 
 
 class TestParameterUpdatesUnaffected:
-    """dX, where it is computed, is issued before dW/db, but dW's
-    triplet is dealt first (``SecureContext.deal_ahead``) and a ``rep3``
-    stream draws from its own generator, so dW/db consume the same
-    offline material whether or not dX is computed: the update is the
+    """dX, where it is computed, is issued before dW (``core.ops.
+    backward_products``), but dW's triplet is dealt first
+    (``SecureContext.deal_ahead``) and a ``rep3`` stream draws from its
+    own generator, so dW consumes the same offline material whether or
+    not dX is computed, and db is a local column sum: the update is the
     same, share for share."""
 
     @pytest.mark.parametrize("backend", BACKENDS)

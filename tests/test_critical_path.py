@@ -39,9 +39,9 @@ def _products(monkeypatch, ctx, model, x, y):
     first, dealt = {}, []
     matmul, deal = beaver2pc.Beaver2PCBackend.matmul, SecureContext.gen_matrix_triplet
 
-    def timed(self, ctx, a, b, *, label):
+    def timed(self, ctx, a, b, *, label, **kw):
         start = len(ctx.online_clock.trace)
-        out = matmul(self, ctx, a, b, label=label)
+        out = matmul(self, ctx, a, b, label=label, **kw)
         first[label] = (start, ctx.online_clock.trace[start])
         return out
 

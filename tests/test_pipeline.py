@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from conftest import make_ctx
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import beaver_matmul_share, combine_masked, masked_difference
 
 from repro.core.config import FrameworkConfig
@@ -17,7 +19,7 @@ from repro.pipeline.scheduler import resident_slots, schedule_secure_gemm
 from repro.pipeline.timeline import render_gantt, summarize
 from repro.simgpu.clock import SimClock
 from repro.simgpu.cost import V100_SPEC, XEON_E5_2670V3_SPEC
-from repro.simgpu.device import SimGPU
+from repro.simgpu.device import SimCPU, SimGPU
 
 
 @pytest.fixture
@@ -255,16 +257,19 @@ class TestPlanPrice:
             assert len(profiler.decisions) == 2
 
     def test_cold_price_is_what_the_scheduler_places_but_the_servers_own_shares(self):
+        """The servers' own shares are priced unless they cross PCIe
+        under the ``E``/``F`` exchange (resident ``A``, ``B``)."""
         m, k, n = 32, 48, 24
         _, _, _, ap, bp, trip, e, f = _scheduled_operands(m, k, n)
         gpu = SimGPU(SimClock(), V100_SPEC, "g")
         schedule_secure_gemm(gpu, 1, e, f, ap[1], bp[1], trip.share_for(1))
         own = sum(V100_SPEC.transfer_seconds(share[1].nbytes) for share in (ap, bp))
-        price = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC).place_gemm(
-            1, m, k, n, plan="beaver2pc"
-        )
-        assert price.resident == ()
+        profiler = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC)
+        price = profiler.place_gemm(1, m, k, n, plan="beaver2pc", resident=("A", "B"))
+        assert price.resident == ("A", "B")
         assert price.gpu_estimate_s == pytest.approx(_busy(gpu.clock.trace) - own)
+        every = profiler.place_gemm(1, m, k, n, plan="beaver2pc")
+        assert every.gpu_estimate_s == pytest.approx(_busy(gpu.clock.trace))
 
     def test_warm_price_leaves_out_what_the_device_table_holds(self):
         m, k, n = 32, 48, 24
@@ -278,8 +283,8 @@ class TestPlanPrice:
         schedule_secure_gemm(gpu, 1, e, f, ap[1], bp[1], trip.share_for(1), table=table, keep=keep)
         profiler = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC)
         warm = profiler.place_gemm(1, m, k, n, plan="beaver2pc", resident=("D", "E", "F", "Z"))
-        own = V100_SPEC.transfer_seconds(bp[1].nbytes)  # A_i has no reader where D is
-        assert warm.gpu_estimate_s == pytest.approx(_busy(gpu.clock.trace[start:]) - own)
+        # A_i has no reader where D is; B_i is uploaded again and priced
+        assert warm.gpu_estimate_s == pytest.approx(_busy(gpu.clock.trace[start:]))
         cold = profiler.place_gemm(1, m, k, n, plan="beaver2pc")
         assert cold is not warm and cold.gpu_estimate_s > warm.gpu_estimate_s
         assert cold.cpu_estimate_s == warm.cpu_estimate_s
@@ -288,9 +293,36 @@ class TestPlanPrice:
         keep = {"E": ("open", 1), "F": ("open", 1)}
         assert resident_slots({}, keep) == ("F",)
 
+    def test_a_kept_share_row_is_resident(self):
+        """A server's own share whose row the table holds is not uploaded,
+        nor priced; ``p * p`` reads one share row on both sides."""
+        table = {("share", 1): None}
+        assert resident_slots(table, {"A": ("share", 1), "B": ("share", 2)}) == ("A",)
+        assert resident_slots({}, {"A": ("share", 2), "B": ("share", 2)}) == ("B",)
+        steps = plan_steps("beaver2pc", (1, 8, 8, 8), ("A", "B"))[1]
+        assert sum(s.op == "h2d" for s in steps) == 3  # E, F, Z
+
+    @pytest.mark.parametrize("fits", [(), ("A",), ("A", "B")])
+    def test_own_shares_are_resident_where_they_cross_under_the_exchange(self, fits):
+        """``A_i`` and ``B_i``, ready at 0, are priced as resident where
+        the H2D engine carries them, in Fig. 5's order, before the
+        opening; ``A_i`` has no upload where ``D`` is resident."""
+        m, k, n = 32, 48, 24
+        a, b = (V100_SPEC.transfer_seconds(8 * size) for size in (m * k, k * n))
+        clock = SimClock()
+        gpu, cpu = SimGPU(clock, V100_SPEC, "g"), SimCPU(clock, XEON_E5_2670V3_SPEC, "c")
+        opened = cpu.run({(): a / 2, ("A",): a, ("A", "B"): a + b}[fits])
+        profiler = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC)
+        assert profiler.shares_under_exchange([(gpu, (), (opened,))], (1, m, k, n), ()) == fits
+        # B_i alone fits wherever A_i does (it is the smaller upload)
+        alone = profiler.shares_under_exchange([(gpu, (), (opened,))], (1, m, k, n), ("D",))
+        assert alone == (("B",) if fits else ())
+        assert clock.trace == [opened]  # read-only
+
     def test_cold_and_warm_calls_of_one_product_are_separate_decisions(self):
         """A static right operand: the first step uploads ``E``, ``F`` and
-        ``Z``, the next finds ``F`` and ``Z`` in the device table."""
+        ``Z`` (and ``A_i`` under the exchange), the next finds ``F``,
+        ``Z`` and the weight's share ``B_i`` in the device table."""
         ctx = make_ctx(seed=3)
         rng = np.random.default_rng(3)
         w = SharedTensor.from_plain(ctx, rng.normal(size=(64, 32)), label="w").mark_static()
@@ -302,8 +334,150 @@ class TestPlanPrice:
             resident: d for (plan, shape, resident), d in ctx.profiler.decisions.items()
             if (plan, shape) == ("beaver2pc", (1, 128, 64, 32))
         }
-        assert sorted(asked) == [(), ("F", "Z")]
-        assert asked[()].gpu_estimate_s > asked["F", "Z"].gpu_estimate_s
+        assert sorted(asked) == [("A",), ("B", "F", "Z")]
+        assert asked["A",].gpu_estimate_s > asked["B", "F", "Z"].gpu_estimate_s
+
+
+def _product_operands(ctx, batch, m, k, n, trans=(False, False), seed=0):
+    """``x`` (m, k) and ``y`` (k, n), or ``batch``-deep stacks of them
+    (``batch`` 0: matrices); each is the transpose of a shared value
+    where its ``trans`` flag says."""
+    rng = np.random.default_rng(seed)
+    stack = (batch,) if batch else ()
+    operands = []
+    for name, (rows, cols), flipped in zip("xy", ((m, k), (k, n)), trans):
+        shape = (*stack, cols, rows) if flipped else (*stack, rows, cols)
+        value = SharedTensor.from_plain(ctx, rng.normal(size=shape), label=name)
+        operands.append(value.T if flipped else value)
+    return operands
+
+
+class TestOneLaunchPerProduct:
+    """``D @ F`` and ``E @ B_i`` are one batched launch, and a fixed x
+    fixed ``beaver2pc`` product rescales inside its last pass."""
+
+    @pytest.mark.parametrize("batch", [0, 4])
+    def test_a_gpu_product_adds_one_launch_per_server_and_the_same_flops(self, batch):
+        ctx = make_ctx(seed=0, placement_mode="gpu_always")
+        x, y = _product_operands(ctx, batch, 32, 48, 24)
+        before = [(g.gemm_count, g.gemm_flops) for g in ctx.server_gpu]
+        secure_matmul(x, y, label="p")
+        flops = 2 * (2.0 * max(batch, 1) * 32 * 48 * 24)  # D @ F and E @ B_i
+        added = [(g.gemm_count - c, g.gemm_flops - f) for g, (c, f) in zip(ctx.server_gpu, before)]
+        assert added == [(1, flops), (1, flops)]
+
+    @pytest.mark.parametrize("device", ["cpu", "gpu"])
+    def test_no_rescale_pass_follows_a_beaver2pc_product(self, device):
+        ctx = make_ctx(seed=0, placement_mode=f"{device}_always", trace=True)
+        x, y = _product_operands(ctx, 0, 32, 48, 24)
+        secure_matmul(x, y, label="p")
+        secure_elementwise_mul(x, x, label="h")
+        labels = [t.label for t in ctx.online_clock.trace]
+        assert any(lab.endswith(":cpu_gemm") for lab in labels) == (device == "cpu")
+        assert [lab for lab in labels if "trunc" in lab] == []
+
+    def test_the_gpu_plan_prices_one_batched_gemm(self):
+        steps = plan_steps("beaver2pc", (2, 64, 96, 32))[1]
+        assert [s.size for s in steps if s.op == "gemm"] == [(4, 64, 96, 32)]
+
+    def test_rep3_still_places_its_truncation_and_lift(self):
+        ctx = make_ctx(backend="rep3", seed=0, trace=True)
+        x, y = _product_operands(ctx, 0, 32, 48, 24)
+        secure_matmul(x, y, label="p")
+        secure_elementwise_mul(x, x, label="h")
+        labels = {t.label for t in ctx.online_clock.trace}
+        assert {"p:trunc", "p:trunc:lift", "h:trunc", "h:trunc:lift"} <= labels
+
+
+class TestPlanFinishIsWhatAProductFinishes:
+    """On an idle clock a GPU product's rescaled result is ready when
+    ``plan_finish`` says, as read off both servers' clocks at the
+    decision: the plan is Fig. 5's sequence (``D`` under ``F``'s
+    transfer, the GEMM under ``Z_i``'s), cold and warm (the static
+    ``y``'s ``F``, ``Z`` and ``B_i`` resident).  The servers' own shares
+    cross PCIe while ``E``/``F`` are exchanged, which these shapes leave
+    room for.  Without pipeline 1 every kernel waits for every upload,
+    so a cold product that uploads more than ``E`` lands later."""
+
+    @pytest.mark.parametrize("pipeline1", [False, True])
+    @pytest.mark.parametrize(
+        "batch, m, k, n, trans",
+        [
+            (0, 128, 128, 128, (False, False)),
+            (0, 128, 128, 128, (True, False)),
+            (0, 192, 128, 160, (False, True)),
+            (4, 64, 96, 32, (False, True)),
+            (2, 128, 128, 128, (True, True)),
+        ],
+    )
+    def test_cold_and_warm(self, pipeline1, batch, m, k, n, trans):
+        ctx = make_ctx(seed=0, pipeline1=pipeline1)
+        _, y = _product_operands(ctx, batch, m, k, n, trans, seed=1)
+        y.mark_static()
+        for step, resident in enumerate((("A", "B"), ("A", "B", "F", "Z"))):
+            ctx.begin_batch()
+            ctx.online_clock.advance_all()  # each step on an idle clock
+            x, _ = _product_operands(ctx, batch, m, k, n, trans, seed=step)
+            out = secure_matmul(x, y, label="p")
+            decision = ctx.profiler.decisions["beaver2pc", (max(batch, 1), m, k, n), resident]
+            assert decision.placement == "gpu"
+            finish = max(t.finish for t in out.tasks)
+            if step or pipeline1:
+                assert finish == decision.gpu_finish_s  # plan_finish's prediction
+            else:
+                assert finish > decision.gpu_finish_s
+
+
+_FUSED_SHAPES = st.tuples(
+    st.integers(0, 3), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)
+)
+
+
+@pytest.mark.property
+class TestFusedRescaleProperties:
+    """A fused-rescale product's shares are the unrescaled product's,
+    each truncated by :func:`truncate_share`: bit for bit, on both
+    servers and both devices, for matrices and stacks, either operand
+    read transposed."""
+
+    @staticmethod
+    def _twins(device, seed):
+        return [make_ctx(seed=seed, placement_mode=f"{device}_always") for _ in range(2)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        _FUSED_SHAPES, st.tuples(st.booleans(), st.booleans()),
+        st.sampled_from(("cpu", "gpu")), st.integers(0, 2**16),
+    )
+    def test_matmul(self, shape, trans, device, seed):
+        fused, plain = self._twins(device, seed)
+        outs = []
+        for ctx in (fused, plain):
+            x, y = _product_operands(ctx, *shape, trans, seed=seed)
+            if ctx is fused:
+                outs.append(secure_matmul(x, y, label="p").shares)
+            else:
+                raw = ctx.backend.matmul(ctx, x, y, label="p", rescale=False).shares
+                bits = ctx.encoder.frac_bits
+                outs.append(tuple(truncate_share(s, bits, i) for i, s in enumerate(raw)))
+        for party in (0, 1):
+            np.testing.assert_array_equal(outs[0][party], outs[1][party])
+
+    @settings(max_examples=40, deadline=None)
+    @given(_FUSED_SHAPES, st.sampled_from(("cpu", "gpu")), st.integers(0, 2**16))
+    def test_hadamard(self, shape, device, seed):
+        fused, plain = self._twins(device, seed)
+        outs = []
+        for ctx in (fused, plain):
+            x, _ = _product_operands(ctx, *shape, seed=seed)
+            if ctx is fused:
+                outs.append(secure_elementwise_mul(x, x, label="h").shares)
+            else:
+                raw = ctx.backend.elementwise_mul(ctx, x, x, label="h", rescale=False).shares
+                bits = ctx.encoder.frac_bits
+                outs.append(tuple(truncate_share(s, bits, i) for i, s in enumerate(raw)))
+        for party in (0, 1):
+            np.testing.assert_array_equal(outs[0][party], outs[1][party])
 
 
 class TestTimeline:

@@ -535,7 +535,8 @@ class TestTrainingAcceptance:
     def test_op_rollups_present(self, trained):
         _ctx, _mark, snap = trained
         ops_seen = set(snap.label_values("ops.invocations", "op"))
-        assert {"matmul", "elementwise_mul", "truncate"} <= ops_seen
+        assert {"matmul", "elementwise_mul"} <= ops_seen
+        assert "truncate" not in ops_seen  # beaver2pc rescales inside its products
         assert snap.counter("ops.online_seconds", op="matmul") > 0
 
 

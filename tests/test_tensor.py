@@ -67,6 +67,18 @@ class TestLocalOps:
             shared(ctx, a).mul_public_int(3).decode(), 3 * a, atol=5e-4
         )
 
+    def test_mul_public_int_accepts_the_whole_int64_range(self, ctx):
+        ones = shared(ctx, np.ones((2, 2)))
+        np.testing.assert_allclose(ones.mul_public_int(-(2**20)).decode(), -(2.0**20))
+        for v in (-(2**63), 2**63 - 1):
+            ones.mul_public_int(v)  # in range: wraps as the ring does, no error
+
+    @pytest.mark.parametrize("v", [2**63, 2**64 + 3, -(2**63) - 1])
+    def test_mul_public_int_outside_int64_raises(self, ctx, v):
+        """``2**64 + 3`` once wrapped to 3 and decoded to 3.0."""
+        with pytest.raises(EncodingError, match=rf"mul_public_int.*{v}"):
+            shared(ctx, np.ones((2, 2))).mul_public_int(v)
+
     def test_mul_public_real(self, ctx, rng):
         a = rng.normal(size=(4, 4))
         np.testing.assert_allclose(
@@ -164,3 +176,8 @@ class TestShapeOps:
     def test_broadcast_requires_single_row(self, ctx, rng):
         with pytest.raises(ShapeError):
             shared(ctx, rng.normal(size=(2, 5))).broadcast_rows(4)
+
+    def test_broadcast_to_a_negative_row_count_raises(self, ctx, rng):
+        """Once a bare NumPy ``ValueError``."""
+        with pytest.raises(ShapeError, match=r"broadcast_rows.*n_rows.*-1"):
+            shared(ctx, rng.normal(size=(1, 5))).broadcast_rows(-1)
