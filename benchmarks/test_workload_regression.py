@@ -48,7 +48,7 @@ noise) and an online makespan may not rise above its pin:
 * a warm MLP/MNIST inference batch is strictly faster online than a
   cold one (Fig. 11: an unchanged weight's ``F`` is opened once and,
   with every stream's ``Z``, stays on the server GPUs);
-* §4.2 placement prices the plan the scheduler runs: every GPU-placed
+* §4.2 placement prices the plan each product runs: every GPU-placed
   product of a warm step of ``perf/``'s three train workloads pays
   within :data:`PRICE_BOUND` of its price, and the 16-wide attention
   and recsys products run on the CPU, all but ``attn/dWo``, which is
@@ -98,6 +98,7 @@ from repro.core.context import SecureContext
 from repro.core.inference import secure_predict
 from repro.core.models import SecureAttention, SecureCNN, SecureMLP
 from repro.core.training import SecureTrainer
+from repro.pipeline.profiler import StepProfiler
 from repro.protocols import beaver2pc
 
 
@@ -268,11 +269,11 @@ def test_plan_price_predicts_what_a_warm_step_pays(monkeypatch):
     server, less the queue of a product that uploads nothing."""
     products, asked, runs = [], [], []
 
-    def timed(gpu, party, *args, deps=(), **kw):
-        start = len(gpu.clock.trace)
-        result = schedule(gpu, party, *args, deps=deps, **kw)
-        runs.append((max(t.finish for t in deps), result.done.finish, gpu.clock.trace[start:]))
-        return result
+    def timed(self, cpu, gpu, plan, shape, *, deps, label, **kw):
+        tasks = run_plan(self, cpu, gpu, plan, shape, deps=deps, label=label, **kw)
+        if plan == "beaver2pc" and cpu is None:  # a GPU-placed product
+            runs.append((max(t.finish for t in deps["open"]), tasks[-1].finish, tasks))
+        return tasks
 
     def labelled(self, ctx, *args, label, **kw):
         asked.clear()
@@ -289,12 +290,12 @@ def test_plan_price_predicts_what_a_warm_step_pays(monkeypatch):
 
         return ask
 
-    schedule, matmul = beaver2pc.schedule_secure_gemm, beaver2pc.Beaver2PCBackend.matmul
+    run_plan, matmul = StepProfiler.run_plan, beaver2pc.Beaver2PCBackend.matmul
     checked, misses, queued = {}, {}, set()
     for workload in sorted(TRAIN_GEOMETRY):
         ctx, trainer, x, y = _dealt_trainer(workload, trace=True)
         monkeypatch.setattr(ctx.profiler, "place_gemm", asking(ctx.profiler.place_gemm))
-        monkeypatch.setattr(beaver2pc, "schedule_secure_gemm", timed)
+        monkeypatch.setattr(StepProfiler, "run_plan", timed)
         monkeypatch.setattr(beaver2pc.Beaver2PCBackend, "matmul", labelled)
         products.clear()
         trainer.train(x, y, batch_size=len(x))

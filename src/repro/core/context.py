@@ -314,6 +314,7 @@ class SecureContext:
             tensor_core=cfg.tensor_core,
             cpu_parallel=cfg.cpu_parallel,
             client_parallel=cfg.client_parallel,
+            pipeline1=cfg.pipeline1,
         )
         self.comparison_dealer = ComparisonDealer(
             self.seeds.generator("comparison-dealer"),
@@ -764,7 +765,7 @@ class SecureContext:
     # A value is uploaded once: what the mask table is to the wire, the
     # device table is to PCIe.  One dict per server GPU, ``(what, uid) ->
     # (device buffer in the value's base layout, upload task)``, read and
-    # filled by :func:`repro.pipeline.scheduler.schedule_secure_gemm`:
+    # filled around the ``beaver2pc`` GPU plan (``beaver2pc._on_gpu``):
     #
     # * ``("open", mask uid)`` — the opened difference ``E`` / ``F`` — and
     #   ``("lead", mask uid)`` — ``D = A_i - i E`` computed from it — live

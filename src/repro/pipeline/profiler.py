@@ -12,19 +12,13 @@ the profiler prices the steps each device would take under that plan
 with one cost function (:meth:`StepProfiler.step_prices`), then picks a
 device:
 
-* ``beaver2pc`` — one server's Eq. 8 product ``(m,k) x (k,n)``.  GPU,
-  in Fig. 5's order: the uploads of ``E`` and ``A_i``, the ``D``
-  kernel, the uploads of ``F`` and ``B_i``, ``D @ F`` and ``E @ B_i``
-  as one batched GEMM launch (a stack of ``2 * batch``), the upload of
-  ``Z``, the fused ``C`` add (with the product's rescale, if any) and
-  ``C``'s download — what
-  :func:`~repro.pipeline.scheduler.schedule_secure_gemm` places, less
-  the resident slots: those the server's device table holds (``D`` by
-  its ``("lead", uid)`` row, and ``A_i`` has no upload where ``D`` is),
-  and the server's own shares that cross PCIe while ``E``/``F`` are on
-  the wire (:meth:`StepProfiler.shares_under_exchange`).  CPU: the
-  fused ``(m, 2k, n)`` GEMM (``cpu_gemm``) and the ``+Z`` add, which
-  also rescales.
+* ``beaver2pc`` — one server's Eq. 8 product ``(m,k) x (k,n)``.  GPU:
+  Fig. 5's graph (:func:`_beaver_gpu`) less the resident slots — those
+  the server's device table holds and, in the price, the server's own
+  shares that cross PCIe under the ``E``/``F`` exchange
+  (:meth:`StepProfiler.shares_under_exchange`).  CPU: the fused
+  ``(m, 2k, n)`` GEMM (``cpu_gemm``) and the ``+Z`` add, which also
+  rescales.
 * ``rep3`` — the cross-term product, fused to ``(m, 2k, n)``: the
   uploads of the left pair ``[x_i | x_{i+1}]`` (``h2d:L``) and the right
   pair ``[y_i + y_{i+1} ; y_i]`` (``h2d:R``) less the parts the party's
@@ -44,15 +38,10 @@ device:
 Plans are data: :meth:`StepProfiler.run_plan` places exactly a plan's
 steps on the device the profiler picks, each priced by that party's own
 device with :func:`~repro.simgpu.cost.step_seconds`, the function
-:meth:`StepProfiler.step_prices` prices with.  It runs every plan, products
-included; the call site computes the values.  The one exception is a
-GPU-placed ``beaver2pc`` product: its own shares wait on the operands,
-not on the opening, and without pipeline 1 every kernel waits on every
-upload, which a sequence of steps cannot say, so
-:func:`~repro.pipeline.scheduler.schedule_secure_gemm` places those
-steps by hand.  A sequence's edges are its order: uploads start on the
-plan's readiness, and every other step waits for the one before it and
-the uploads since, so the ``beaver2pc`` plan is pipeline 1's graph.
+:meth:`StepProfiler.step_prices` prices with; the call site computes
+the values.  A plan is a small step graph (:class:`Step`,
+:func:`_graph`): :meth:`StepProfiler.run_plan` places it and
+:func:`plan_finish` probes it.
 
 The price is memoised per (plan, shape, resident slots), so a cold and
 a warm call of one product are separate decisions.  A server plan goes
@@ -82,11 +71,15 @@ Placement = Literal["cpu", "gpu"]
 
 class Step(NamedTuple):
     """``op`` at ``size`` (:func:`~repro.simgpu.cost.step_seconds`); its
-    task is labelled ``{label}:{name}``, or ``label`` without a name."""
+    task is labelled ``{label}:{name}``, or ``label`` without a name.
+    ``after``: what it waits on — earlier steps by index, by name a dep
+    class or resident slot (:meth:`StepProfiler.run_plan`'s ``deps``) —
+    or None for the sequence rule (:func:`_graph`)."""
 
     op: str
     size: tuple
     name: str = ""
+    after: tuple | None = None
 
 
 #: A Hadamard product, per backend: the bytes its kernel touches per
@@ -117,6 +110,10 @@ _PRODUCTS = {
 #: ``y_i + y_{i+1}``, ``y_i``.
 REP3_SLOTS = (("A", "A2"), ("Y", "B"))
 
+#: The name of each server's ``D`` kernel: server 0's copies ``A_0``,
+#: server 1's computes ``A_1 - E``.
+BEAVER_LEAD = ("D=A", "D=A-E")
+
 #: The client's plans that have GPU steps, priced at ``client_parallel``.
 _CLIENT_PLANS = frozenset({"dealer", "rng"})
 
@@ -141,7 +138,8 @@ class PlacementDecision:
 
 @lru_cache(maxsize=4096)  # the executor asks on every charge
 def plan_steps(
-    plan: str, shape: tuple, resident: tuple[str, ...] = ()
+    plan: str, shape: tuple, resident: tuple[str, ...] = (), party: int = 1,
+    pipeline1: bool = True,
 ) -> tuple[tuple[Step, ...], tuple[Step, ...]]:
     """``(cpu steps, gpu steps)`` of ``plan`` at ``shape``; a CPU-only
     plan has no GPU steps.
@@ -152,7 +150,8 @@ def plan_steps(
     plan's ``(n,)`` in its own unit (:data:`_CPU_PLANS`).  ``resident``
     names the slots no step places: ``beaver2pc``'s ``D``, ``E``,
     ``A``, ``F``, ``B``, ``Z``; ``rep3``'s upload parts
-    (:data:`REP3_SLOTS`).
+    (:data:`REP3_SLOTS`).  ``party`` and ``pipeline1`` shape only the
+    ``beaver2pc`` GPU graph (:func:`_beaver_gpu`).
     """
     if plan in _CPU_PLANS:
         op, per = _CPU_PLANS[plan]
@@ -169,17 +168,9 @@ def plan_steps(
     batch, m, k, n = shape
     out = 8 * batch * m * n
     if plan == "beaver2pc":
-        # Fig. 5 as a sequence: D waits for E and A_i, the one batched
-        # [D, E] @ [F, B_i] launch for D, F and B_i, C for the GEMM and Z_i
-        steps = {slot: Step("h2d", (nbytes,)) for slot, nbytes in _beaver_uploads(*shape, resident)}
-        if "D" not in resident:  # D = A_i - E (server 1's)
-            steps["D"] = Step("elementwise", (3 * 8 * batch * m * k,))
-        steps["GEMM"] = Step("gemm", (2 * batch, m, k, n))
-        order = ("E", "A", "D", "F", "B", "GEMM", "Z")
-        gpu = [steps[name] for name in order if name in steps]
-        gpu += [Step("elementwise", (4 * out,)), Step("d2h", (out,))]
         fused = Step("gemm", (batch, m, 2 * k, n), "cpu_gemm")
-        return (fused, Step("elementwise", (3 * out,), "+Z")), tuple(gpu)
+        gpu = _beaver_gpu(shape, resident, party, pipeline1)
+        return (fused, Step("elementwise", (3 * out,), "+Z")), gpu
     if plan not in _PRODUCTS:
         raise ValueError(f"unknown plan {plan!r}")
     left, right, kernel, download, cpu_kernel = _PRODUCTS[plan]
@@ -205,6 +196,36 @@ def _beaver_uploads(batch: int, m: int, k: int, n: int, resident=()) -> list[tup
     return [(slot, nbytes) for slot, nbytes in uploads if slot not in skip]
 
 
+def _beaver_gpu(shape: tuple, resident, party: int, pipeline1: bool) -> tuple[Step, ...]:
+    """Server ``party``'s ``beaver2pc`` GPU product in Fig. 5's order,
+    each step waiting on what it reads: ``E``, ``F``, ``Z_i`` on the
+    opening (``open``), ``A_i``, ``B_i`` on the operands (``share``);
+    without ``pipeline1`` each kernel on every upload too.  A resident
+    slot places nothing, and its readers wait on its name."""
+    batch, m, k, n = shape
+    lead, out = 8 * batch * m * k, 8 * batch * m * n
+    uploads = dict(_beaver_uploads(*shape, resident))
+    kernels = {  # slot -> (its step, the slots it reads)
+        "D": (Step("elementwise", ((3 if party else 2) * lead,), BEAVER_LEAD[party]), "EA"),
+        "G": (Step("gemm", (2 * batch, m, k, n), "[D,E]@[F,B]"), "DFEB"),
+        "C": (Step("elementwise", (4 * out,), "C=G1+G2+Z"), "GZ"),
+    }
+    nodes = []
+    for slot in "EADFBGZC":
+        if slot in uploads:
+            reads = ("share",) if slot in "AB" else ("open",)
+            nodes.append((slot, Step("h2d", (uploads[slot],), f"h2d:{slot}"), reads))
+        elif slot in kernels and slot not in resident:
+            step, reads = kernels[slot]
+            nodes.append((slot, step, tuple(reads if pipeline1 else reads + "EAFBZ")))
+    nodes.append(("", Step("d2h", (out,), "d2h:C"), ("C",)))
+    index = {slot: i for i, (slot, _step, _reads) in enumerate(nodes)}
+    return tuple(
+        step._replace(after=tuple(index.get(read, read) for read in reads))
+        for _slot, step, reads in nodes
+    )
+
+
 #: Every plan :func:`plan_steps` declares.
 PLANS = (*_CPU_PLANS, *_MUL, "rng", "beaver2pc", *_PRODUCTS)
 
@@ -222,6 +243,7 @@ class StepProfiler:
         tensor_core: bool = False,
         cpu_parallel: bool = True,
         client_parallel: bool = True,
+        pipeline1: bool = True,
     ):
         self.cpu_spec = cpu_spec
         self.gpu_spec = gpu_spec
@@ -229,6 +251,7 @@ class StepProfiler:
         self.tensor_core = tensor_core
         self.cpu_parallel = cpu_parallel
         self.client_parallel = client_parallel
+        self.pipeline1 = pipeline1  # the beaver2pc GPU graph's edge set
         #: the last decision per (plan, shape, resident slots)
         self.decisions: dict[tuple, PlacementDecision] = {}
         # memoised per (plan, shape, resident slots): the static decision,
@@ -246,7 +269,7 @@ class StepProfiler:
         parallel = self.cpu_parallel if parallel is None else parallel
         return tuple(
             step_seconds(spec, op, size, parallel=parallel, tensor_core=self.tensor_core)
-            for op, size, _name in steps
+            for op, size, _name, _after in steps
         )
 
     def seconds(
@@ -260,7 +283,7 @@ class StepProfiler:
         key = (plan, shape, resident)
         price = self._prices.get(key)
         if price is None:
-            cpu_steps, gpu_steps = plan_steps(plan, shape, resident)
+            cpu_steps, gpu_steps = plan_steps(plan, shape, resident, pipeline1=self.pipeline1)
             parallel = self.client_parallel if plan in _CLIENT_PLANS else self.cpu_parallel
             cpu = self.step_prices("cpu", cpu_steps, parallel=parallel)
             gpu = self.step_prices("gpu", gpu_steps)
@@ -361,35 +384,64 @@ class StepProfiler:
 
     def run_plan(
         self, cpu, gpu, plan: str, shape: tuple, *, deps, label: str,
-        resident: tuple[str, ...] = (),
+        resident: tuple[str, ...] = (), party: int = 1,
     ) -> list:
         """Place ``plan``'s steps at ``shape``, less the ``resident``
-        slots, on one party's ``cpu`` or ``gpu`` (None where it has
-        none), whichever :meth:`decide` picks for that party after
-        ``deps``, and return their tasks in step order.
-
-        Each device prices a step itself, at its own spec and parallel
-        flag.  Uploads start together on ``deps``, the step after them
-        waits for all of them, and every other step waits for the one
-        before it.
-        """
-        cpu_steps, gpu_steps = plan_steps(plan, shape, resident)
-        parties = ((cpu, gpu, deps),)
-        decision = gpu is not None and self.decide(plan, shape, resident, parties=parties)
-        if decision and decision.placement == "gpu":
-            device, steps = gpu, gpu_steps
+        slots, on one party's ``cpu`` or ``gpu`` (:meth:`decide` picks
+        after ``deps``; a caller that placed the plan, as for both
+        servers' ``beaver2pc`` product, passes the other as None) and
+        return their tasks in step order, each priced by its device.
+        ``deps`` maps a dep class or resident slot to tasks, or is one
+        tuple for every name; ``party`` names a ``beaver2pc`` server."""
+        cpu_steps, gpu_steps = plan_steps(plan, shape, resident, party, self.pipeline1)
+        if cpu is None or gpu is None:
+            on_gpu = cpu is None
         else:
-            device, steps = cpu, cpu_steps
-        tasks, after, uploads = [], tuple(deps), []
-        for op, size, name in steps:
-            step_label = f"{label}:{name}" if name else label
-            if op == "h2d":
-                uploads.append(device.run_step(op, size, deps, step_label))
-                tasks.append(uploads[-1])
-            else:
-                tasks.append(device.run_step(op, size, (*after, *uploads), step_label))
-                after, uploads = (tasks[-1],), []
+            parties = ((cpu, gpu, deps),)
+            on_gpu = self.decide(plan, shape, resident, parties=parties).placement == "gpu"
+        device, steps = (gpu, gpu_steps) if on_gpu else (cpu, cpu_steps)
+        tasks = [None] * len(steps)
+        for i, after in _graph(steps):
+            waits = []
+            for ref in after:
+                waits += (tasks[ref],) if isinstance(ref, int) else _named(deps, ref)
+            op, size, name, _after = steps[i]
+            tasks[i] = device.run_step(op, size, waits, f"{label}:{name}" if name else label)
         return tasks
+
+
+@lru_cache(maxsize=4096)
+def _graph(steps: tuple[Step, ...]) -> tuple[tuple[int, tuple], ...]:
+    """``(index, after)`` of each of ``steps`` in placement order: list
+    order, a step held back until the steps it names are placed.  A step
+    that names none follows the sequence rule: an upload waits on the
+    plan's deps (``open``), any other step on the one before it (the
+    deps, for the first) and the uploads since."""
+    edges, last, since = [], "open", []
+    for i, (op, _size, _name, after) in enumerate(steps):
+        if after is None and op == "h2d":
+            after = ("open",)
+            since.append(i)
+        elif after is None:
+            after, last, since = (last, *since), i, []
+        edges.append(after)
+    order, placed = [], set()
+    while len(order) < len(steps):
+        before = len(order)
+        for i, after in enumerate(edges):
+            if i not in placed and placed.issuperset(r for r in after if isinstance(r, int)):
+                placed.add(i)
+                order.append((i, after))
+        if len(order) == before:
+            raise ValueError(f"a plan's steps wait on each other: {steps}")
+    return tuple(order)
+
+
+def _named(deps, name: str) -> tuple:
+    """The tasks a step that names ``name`` (a dep class, a resident
+    slot) waits on: what a mapping ``deps`` holds for it, or a tuple of
+    ``deps`` whole."""
+    return deps.get(name, ()) if isinstance(deps, dict) else deps
 
 
 def plan_finish(
@@ -397,31 +449,34 @@ def plan_finish(
 ) -> float:
     """When :meth:`StepProfiler.run_plan` would finish ``steps``, priced
     ``prices``, on each party's CPU (``device`` 0) or GPU (1) after that
-    party's deps — the latest of the parties' finishes.  Each step starts
-    where :meth:`~repro.simgpu.clock.SimClock.probe` says the party's
-    clock would start it, and nothing is placed.  Only the uploads, which
-    all start on the deps, can land in each other's way; every other
-    step starts after the plan's earlier steps have finished.  ``idle``
-    starts each step as soon as it is ready, as on an idle device: no
-    run of the plan finishes earlier."""
-    latest = 0.0
+    party's deps — the latest of the parties' finishes.  The graph is
+    walked as ``run_plan`` walks it (:func:`_graph`), and each step
+    starts where :meth:`~repro.simgpu.clock.SimClock.probe` says the
+    party's clock would start it, with the plan's earlier steps on its
+    resource taken; nothing is placed.  ``idle`` starts each step as
+    soon as what it waits on has finished, as on an idle device: no run
+    of the plan finishes earlier."""
+    latest, graph = 0.0, _graph(steps)
     for party in parties:
-        unit, probe = party[device], party[device].clock.probe
-        ready = _finished(party[2])
-        uploads, after = [], ready  # after: what the next non-upload step waits for
-        finish = ready
-        for (op, _size, _name), seconds in zip(steps, prices):
-            if op == "h2d":
-                start = ready if idle else probe(unit.resource_for(op), seconds, ready, uploads)
-                finish = start + seconds
-                uploads.append((start, finish))
-                if finish > after:
-                    after = finish
-            else:
-                start = after if idle else probe(unit.resource_for(op), seconds, after)
-                after = finish = start + seconds
-        if finish > latest:
-            latest = finish
+        unit, deps = party[device], party[2]
+        finishes, taken, named = [0.0] * len(steps), {}, {}
+        for i, after in graph:
+            seconds, resource = prices[i], unit.resource_for(steps[i].op)
+            start = 0.0
+            for ref in after:
+                if isinstance(ref, int):
+                    done = finishes[ref]
+                elif (done := named.get(ref)) is None:
+                    done = named[ref] = _finished(_named(deps, ref))
+                if done > start:
+                    start = done
+            spans = taken.setdefault(resource, [])
+            if not idle:
+                start = unit.clock.probe(resource, seconds, start, spans)
+            finishes[i] = start + seconds
+            if seconds > 0:  # a clock cuts no zero-length task out of a gap
+                spans.append((start, finishes[i]))
+        latest = max(latest, *finishes)
     return latest
 
 

@@ -36,7 +36,8 @@ from repro.fixedpoint.truncation import rescale_share, truncate_share
 from repro.mpc.comparison import secure_ge_const
 from repro.mpc.protocol import beaver_elementwise_share
 from repro.mpc.shares import reconstruct, share_secret
-from repro.pipeline.scheduler import resident_slots, schedule_secure_gemm
+from repro.mpc.triplets import to_base_layout
+from repro.pipeline.profiler import BEAVER_LEAD
 from repro.protocols.base import ProtocolBackend
 from repro.util.errors import ProtocolError
 from repro.util.validation import gemm_dims
@@ -179,6 +180,62 @@ def _open_operands(ctx, label, triplet, x, y, starts, flat):
     return e, f, ready
 
 
+def _rows(keep: dict) -> dict:
+    """``keep`` (slot -> device-table row, :meth:`SecureContext.device_keep`)
+    with ``D``'s: ``("lead", uid)``, kept wherever the ``E`` it is
+    computed from is."""
+    return {**keep, "D": ("lead", keep["E"][1])} if "E" in keep else keep
+
+
+def _resident(table: dict, keep: dict) -> tuple[str, ...]:
+    """The slots of a GPU product that place nothing: ``D`` where
+    ``table`` holds its row (and then nothing reads ``A_i``), and each
+    of ``E``, ``A``, ``F``, ``B``, ``Z`` whose row ``table`` holds or an
+    earlier slot of the product uploads (``p * p``)."""
+    rows, held = _rows(keep), set(table)
+    resident = ["D"] if rows.get("D") in held else []
+    for slot in "EAFBZ":  # Fig. 5's order
+        row = rows.get(slot)
+        if row in held:
+            resident.append(slot)
+        elif row is not None and not (slot == "A" and "D" in resident):
+            held.add(row)
+    return tuple(sorted(resident))
+
+
+def _on_gpu(ctx, party, label, dims, keep, bases, deps):
+    """Server ``party``'s Eq. 8 product on its GPU: the ``beaver2pc``
+    plan, placed by ``run_plan`` around the server's device table; returns
+    ``C_i``'s download.  A slot the table holds places nothing, and its
+    readers wait on the row's task; a kept slot the table lacks is filled
+    with this plan's buffer and task; the product's other device memory
+    (transient uploads, an unkept ``D``, ``G1``, ``G2``, ``C``) is held
+    while it runs.  ``bases``: the slots' arrays in base layout."""
+    gpu, table, rows = ctx.server_gpu[party], ctx.device_table(party), _rows(keep)
+    resident = _resident(table, keep)
+    held = {slot: (table[rows[slot]][1],) for slot in resident if rows[slot] in table}
+    if "D" in held:  # and nothing reads A_i
+        held.pop("A", None)
+    tasks = ctx.profiler.run_plan(
+        None, gpu, "beaver2pc", dims, deps={**deps, **held}, label=label,
+        resident=resident, party=party,
+    )
+    placed = {task.label.removeprefix(f"{label}:"): task for task in tasks}
+    names = {slot: f"h2d:{slot}" for slot in "EAFBZ"} | {"D": BEAVER_LEAD[party]}
+    scratch = []
+    for slot, name in names.items():  # Fig. 5's uploads, then D
+        if name in placed:
+            buf = gpu.pool.allocate(bases[slot])
+            if slot in rows:
+                table[rows[slot]] = (buf, placed[name])
+            else:
+                scratch.append(buf)
+    scratch += [gpu.pool.allocate(bases["C"]) for _c_sized in ("G1", "G2", "C")]
+    for buf in scratch:
+        gpu.free(buf)
+    return tasks[-1]
+
+
 class Beaver2PCBackend(ProtocolBackend):
     name = "beaver2pc"
     n_parties = 2
@@ -236,12 +293,12 @@ class Beaver2PCBackend(ProtocolBackend):
             lambda a: a.reshape(math.prod(a.shape[:-1]), a.shape[-1]),
         )
 
-        # --- GPU operation (online) ------------------------------------------
+        # --- Eq. 8 (online) --------------------------------------------------
         # One upload per value: the operands somebody can ask for again
         # stay in the server's device table, in their value's base layout,
         # and the plan is priced without what the table already holds.
         keep = ctx.device_keep(label, triplet, x, y)
-        resident = resident_slots(ctx.device_table(0), keep)
+        resident = _resident(ctx.device_table(0), keep)
         dims = gemm_dims(x.shape, y.shape)
         if None not in ctx.server_gpu:  # what crosses PCIe under the exchange
             parties = zip(ctx.server_gpu, starts, ready)
@@ -256,36 +313,28 @@ class Beaver2PCBackend(ProtocolBackend):
         tasks = []
         for i in (0, 1):
             tshare = triplet.share_for(i)
-            if decision.placement == "gpu" and ctx.server_gpu[i] is not None:
-                # pipeline 1's per-slot dependencies are no step sequence:
-                # the one schedule placed by hand
-                result = schedule_secure_gemm(
-                    ctx.server_gpu[i],
-                    i,
-                    e,
-                    f,
-                    x.shares[i],
-                    y.shares[i],
-                    tshare,
-                    deps=ready[i],
-                    share_deps=starts[i],
-                    pipeline=ctx.config.pipeline1,
-                    table=ctx.device_table(i),
-                    keep=keep,
-                    trans=(x.transposed, y.transposed),
-                    rescale_bits=bits,
-                )
-                shares.append(result.c_share)
-                tasks.append(result.done)
-                continue
             tshare.mark_consumed()
+            # C_i = [D | E] @ [F ; B_i] + Z_i with D = (-i) E + A_i, the
+            # GEMM shaped as the placed plan's: one fused product on a CPU,
+            # D @ F and E @ B_i apart on a GPU (the fused copy of two large
+            # operands costs more than a second small call saves)
             lead = x.shares[i] if i == 0 else ring_sub(x.shares[i], e)
-            left = np.concatenate([lead, e], axis=-1)
-            right = np.concatenate([f, y.shares[i]], axis=-2)
-            shares.append(rescale_share(ring_add(ring_matmul(left, right), tshare.z), bits, i))
-            tasks.append(ctx.profiler.run_plan(
-                ctx.server_cpu[i], None, "beaver2pc", dims, deps=ready[i], label=label
-            )[-1])
+            if decision.placement == "gpu" and ctx.server_gpu[i] is not None:
+                c = ring_add(ring_matmul(lead, f), ring_matmul(e, y.shares[i]))
+                tx, ty = x.transposed, y.transposed
+                bases = {
+                    "E": to_base_layout(e, tx), "A": to_base_layout(x.shares[i], tx),
+                    "D": to_base_layout(lead, tx), "F": to_base_layout(f, ty),
+                    "B": to_base_layout(y.shares[i], ty), "Z": tshare.z, "C": c,
+                }
+                deps = {"open": ready[i], "share": starts[i]}
+                tasks.append(_on_gpu(ctx, i, label, dims, keep, bases, deps))
+            else:
+                c = ring_matmul(np.concatenate([lead, e], -1), np.concatenate([f, y.shares[i]], -2))
+                tasks.append(ctx.profiler.run_plan(
+                    ctx.server_cpu[i], None, "beaver2pc", dims, deps=ready[i], label=label
+                )[-1])
+            shares.append(rescale_share(ring_add(c, tshare.z, out=c), bits, i))
         _set_chain(ctx, tasks)
         return SharedTensor(ctx=ctx, shares=tuple(shares), kind="fixed", tasks=tuple(tasks))
 

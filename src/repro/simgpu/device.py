@@ -11,11 +11,10 @@ Each device owns resources on a shared :class:`SimClock`:
 
 ``run_step`` charges one plan step
 (:meth:`~repro.pipeline.profiler.StepProfiler.run_plan` places whole
-plans with it); the buffer methods pipeline 1 runs (``h2d``, ``d2h``,
-``gemm_ring``, ``elementwise``) *really compute* their result with
-NumPy and *also* return the :class:`Task` carrying its simulated
-interval, so callers can build dependency graphs out of the return
-values.
+plans with it, the call site computing the values).  The buffer
+methods (``h2d``, ``d2h``, ``gemm_ring``, ``elementwise``) *really
+compute* their result with NumPy and *also* return the :class:`Task`
+carrying its simulated interval; no plan runs them.
 
 Kernel time lands in the telemetry registry as histograms
 (``simgpu.kernel_seconds{device,kind}`` / ``simcpu.seconds{device,kind}``)
@@ -168,54 +167,32 @@ class SimGPU:
 
     def gemm_ring(
         self,
-        a: DeviceBuffer | list[DeviceBuffer],
-        b: DeviceBuffer | list[DeviceBuffer],
+        a: DeviceBuffer,
+        b: DeviceBuffer,
         deps=(),
         *,
         stream: int = 0,
         label: str = "gemm_ring",
         trans_a: bool = False,
         trans_b: bool = False,
-    ) -> tuple[DeviceBuffer | list[DeviceBuffer], Task]:
+    ) -> tuple[DeviceBuffer, Task]:
         """Ring GEMM (Z_{2^64}) on device buffers: ``op(a) @ op(b)``.
 
         Two matrices, or two equal-depth stacks ``(B,m,k) x (B,k,n)``
-        run as one strided-batched launch (the kernel a stacked
-        triplet's dealer product ``Z = U x V`` runs as).  ``a`` and
-        ``b`` may also be equal-length lists of buffers whose products
-        have one shape: a pointer-array batched launch
-        (``cublasGemmBatchedEx``) computes ``op(a[j]) @ op(b[j])`` for
-        every ``j`` in place, with no stacking copy, and returns the
-        list of products (Eq. 8's ``D @ F`` and ``E @ B_i``).
-        ``trans_a`` / ``trans_b`` are cuBLAS's ``op(A)`` flags: the
-        buffer (each matrix of a stack) is read transposed where it
-        lies, so ``X^T d`` and ``d W^T`` multiply the buffers ``X W``
-        uploaded and no transposed copy is ever made or transferred.
+        run as one strided-batched launch.  ``trans_a`` / ``trans_b``
+        are cuBLAS's ``op(A)`` flags: the buffer (each matrix of a
+        stack) is read transposed where it lies, never copied.
 
         Numerically exact via the limb decomposition; *timed* as the
         paper's cublasSgemmEx float GEMM of the same (m,k,n) whatever
-        the flags, as one launch over every product it runs, because
-        ParSecureML performs its share arithmetic in floating point on
-        the GPU (Section 5.2) — see DESIGN.md for the fidelity note.
+        the flags, because ParSecureML performs its share arithmetic in
+        floating point on the GPU (Section 5.2) — see DESIGN.md for the
+        fidelity note.
         """
-        batched = isinstance(a, list)
-        lefts, rights = (a, b) if batched else ([a], [b])
-        if isinstance(b, list) != batched or len(lefts) != len(rights):
-            raise DeviceError(
-                f"{label}: a batched launch pairs two equal-length lists of buffers, "
-                f"got {type(a).__name__} x {type(b).__name__}"
-            )
-        pairs = [
-            (_op(x.require_live(), trans_a), _op(y.require_live(), trans_b))
-            for x, y in zip(lefts, rights)
-        ]
-        dims = {gemm_dims(av.shape, bv.shape) for av, bv in pairs}
-        if len(dims) != 1:
-            raise DeviceError(f"{label}: one batched launch needs one product shape, got {dims}")
-        ((batch, m, k, n),) = dims
-        outs = [self.pool.allocate(ring_matmul(av, bv)) for av, bv in pairs]
-        task = self.run_step("gemm", (len(pairs) * batch, m, k, n), deps, label, stream=stream)
-        return (outs if batched else outs[0]), task
+        av, bv = _op(a.require_live(), trans_a), _op(b.require_live(), trans_b)
+        out = self.pool.allocate(ring_matmul(av, bv))
+        task = self.run_step("gemm", gemm_dims(av.shape, bv.shape), deps, label, stream=stream)
+        return out, task
 
     def elementwise(
         self,

@@ -8,7 +8,7 @@ discipline, the two properties real CUDA code most often trips over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class DeviceBuffer:
     data: np.ndarray
     device_name: str
     freed: bool = False
-    owner: "DeviceBuffer | None" = None  # the allocation a reshaped view reads
 
     @property
     def shape(self):
@@ -36,16 +35,9 @@ class DeviceBuffer:
     def nbytes(self) -> int:
         return self.data.nbytes
 
-    def view(self, shape: tuple[int, ...]) -> "DeviceBuffer":
-        """The same device memory read with another shape (no bytes, no
-        allocation: it lives and dies with the buffer it views)."""
-        if tuple(shape) == self.data.shape:
-            return self
-        return DeviceBuffer(self.data.reshape(shape), self.device_name, owner=self.owner or self)
-
     def require_live(self) -> np.ndarray:
         """Return the payload, raising on use-after-free."""
-        if self.freed or (self.owner is not None and self.owner.freed):
+        if self.freed:
             raise DeviceError(
                 f"use of freed device buffer (shape {self.data.shape}) on {self.device_name}"
             )

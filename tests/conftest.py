@@ -80,26 +80,39 @@ def never_reuse(monkeypatch, *, every_product: bool = False):
         monkeypatch.setattr(SecureContext, "device_keep_shares", device_keep_shares)
 
 
-def assert_hits_hold_their_operands(
-    gpu, party_id, e, f, a_share, b_share, triplet, table, keep, trans=(False, False)
-):
-    """Never a stale hit: every row of ``table`` this product is about to
-    read holds, byte for byte, the host operand it stands for."""
-    slots = {"E": (e, trans[0]), "A": (a_share, trans[0]), "F": (f, trans[1]),
-             "B": (b_share, trans[1]), "Z": (triplet.z, False)}
+def assert_beaver_rows_hold_their_operands(ctx, *operands):
+    """Never a stale hit under ``beaver2pc``: every row a product of
+    ``operands`` can read on a server GPU — each one's share (``A`` /
+    ``B``), the difference a mask opened it to (``E`` / ``F``) and the
+    ``D = A_i - i E`` computed from it, each stream triplet's ``Z_i`` —
+    holds, byte for byte, what it stands for, recomputed from the
+    shares and the masks."""
+    from repro.mpc.shares import reconstruct
 
-    def base(name):
-        if name == "D":
-            return base("A") - np.uint64(party_id) * base("E")
-        array, flipped = slots[name]
-        return np.swapaxes(array, -1, -2) if flipped else array
+    def base(tensor, array):  # flat, in the value's base layout
+        return (np.swapaxes(array, -1, -2) if tensor.transposed else array).reshape(-1)
 
-    rows = {**keep, "D": ("lead", keep["E"][1])} if "E" in keep else keep
-    for name, key in rows.items():
-        if key in table:
-            held, want = table[key][0].require_live(), base(name)
-            same = held.size == want.size and np.array_equal(held.reshape(want.shape), want)
-            assert same, f"{gpu.name}: stale device row {key} read as {name}"
+    opened = {}  # mask uid -> (operand, E or F its mask opened it to)
+    for tensor in operands:
+        value = base(tensor, reconstruct(*tensor.shares))
+        for uid, row in ctx._opened.items():
+            if row.uid == tensor.uid:
+                mask = reconstruct(row.mask.pair.share0, row.mask.pair.share1)
+                opened[uid] = (tensor, value - mask.reshape(-1))
+    for party, gpu in enumerate(ctx.server_gpu):
+        if gpu is None:
+            continue
+        want = {("Z", t.uid): t.z[party].reshape(-1) for t in ctx._matrix_triplets.values()}
+        want |= {("share", t.uid): base(t, t.shares[party]) for t in operands}
+        for uid, (tensor, difference) in opened.items():
+            want["open", uid] = difference
+            want["lead", uid] = base(tensor, tensor.shares[party]) - np.uint64(party) * difference
+        table = ctx.device_table(party)
+        for key, array in want.items():
+            if key in table:
+                held = table[key][0].require_live()
+                same = held.size == array.size and np.array_equal(held.reshape(-1), array)
+                assert same, f"{gpu.name}: stale device row {key}"
 
 
 def assert_rep3_rows_hold_their_shares(ctx, *operands):
@@ -124,20 +137,16 @@ def assert_rep3_rows_hold_their_shares(ctx, *operands):
 def no_stale_device_hit(monkeypatch):
     """Every test that multiplies on a server GPU is also a residency
     check (conformance cells and chaos runs included), on both backends."""
-    import repro.protocols.beaver2pc as beaver2pc
+    from repro.protocols.beaver2pc import Beaver2PCBackend
     from repro.protocols.rep3 import Rep3Backend
 
-    schedule = beaver2pc.schedule_secure_gemm
+    beaver_matmul = Beaver2PCBackend.matmul
 
-    def checked(gpu, party_id, e, f, a_share, b_share, triplet, deps=(), **kw):
-        if kw.get("table") and kw.get("keep"):
-            assert_hits_hold_their_operands(
-                gpu, party_id, e, f, a_share, b_share, triplet,
-                kw["table"], kw["keep"], kw.get("trans", (False, False)),
-            )
-        return schedule(gpu, party_id, e, f, a_share, b_share, triplet, deps, **kw)
+    def checked(self, ctx, x, y, *, label, **kw):
+        assert_beaver_rows_hold_their_operands(ctx, x, y)
+        return beaver_matmul(self, ctx, x, y, label=label, **kw)
 
-    monkeypatch.setattr(beaver2pc, "schedule_secure_gemm", checked)
+    monkeypatch.setattr(Beaver2PCBackend, "matmul", checked)
     matmul = Rep3Backend.matmul
 
     def checked_rep3(self, ctx, x, y, *, label, **kw):
@@ -165,27 +174,28 @@ def h2d_replay(monkeypatch):
     """Every server-GPU product's uploads as the clock placed them,
     beside the same uploads replayed in Fig. 5's order from the same
     engine-free time, readiness and durations: a list of ``(placed,
-    fig5)`` dicts, slot name -> start.  Needs a traced clock."""
-    import repro.protocols.beaver2pc as beaver2pc
+    fig5)`` dicts, slot name -> start."""
+    from repro.pipeline.profiler import StepProfiler
 
-    schedule = beaver2pc.schedule_secure_gemm
+    run_plan = StepProfiler.run_plan
     calls = []
 
     def finished(tasks) -> float:
         return max((t.finish for t in tasks if t is not None), default=0.0)
 
-    def replayed(gpu, party_id, e, f, a_share, b_share, triplet, deps=(), **kw):
-        shares = kw.get("share_deps", deps)
-        ready = {name: finished(shares if name in "AB" else deps) for name in FIG5_ORDER}
-        free, mark = gpu.clock.free_at(gpu.h2d_engine), len(gpu.clock.trace)
-        result = schedule(gpu, party_id, e, f, a_share, b_share, triplet, deps, **kw)
-        placed = [t for t in gpu.clock.trace[mark:] if t.resource == gpu.h2d_engine]
-        names = [t.label.removeprefix("h2d:") for t in placed]
+    def replayed(self, cpu, gpu, plan, shape, *, deps, label, **kw):
+        if plan != "beaver2pc" or cpu is not None:  # not a GPU-placed product
+            return run_plan(self, cpu, gpu, plan, shape, deps=deps, label=label, **kw)
+        ready = {name: finished(deps["share" if name in "AB" else "open"]) for name in FIG5_ORDER}
+        free = gpu.clock.free_at(gpu.h2d_engine)
+        tasks = run_plan(self, cpu, gpu, plan, shape, deps=deps, label=label, **kw)
+        placed = [t for t in tasks if t.resource == gpu.h2d_engine]
+        names = [t.label.removeprefix(f"{label}:h2d:") for t in placed]
         slots = [(name, ready[name], t.duration) for name, t in zip(names, placed)]
         calls.append(({n: t.start for n, t in zip(names, placed)}, fig5_starts(free, slots)))
-        return result
+        return tasks
 
-    monkeypatch.setattr(beaver2pc, "schedule_secure_gemm", replayed)
+    monkeypatch.setattr(StepProfiler, "run_plan", replayed)
     return calls
 
 

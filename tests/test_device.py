@@ -62,23 +62,6 @@ class TestKernels:
         out, _ = gpu.gemm_ring(a_buf, b_buf)
         assert np.array_equal(out.require_live(), ring_matmul(a, b))
 
-    def test_batched_gemm_ring_is_one_launch_priced_as_a_stack(self, gpu, rng):
-        """Two products of one shape: each computed exactly, one launch
-        charged as the (2, m, k, n) stack."""
-        a, b, c, d = (rng.integers(0, 2**64, size=s, dtype=np.uint64)
-                      for s in ((5, 7), (7, 3), (5, 7), (7, 3)))
-        bufs = [gpu.h2d(x)[0] for x in (a, b, c, d)]
-        (ab, cd), task = gpu.gemm_ring(bufs[0::2], bufs[1::2], label="pair")
-        assert np.array_equal(ab.require_live(), ring_matmul(a, b))
-        assert np.array_equal(cd.require_live(), ring_matmul(c, d))
-        assert (gpu.gemm_count, gpu.gemm_flops) == (1, 2 * 2 * 5 * 7 * 3)
-        assert task.duration == V100_SPEC.gemm_seconds(5, 7, 3, batch=2)
-        with pytest.raises(DeviceError, match="one product shape"):
-            gpu.gemm_ring([bufs[0], bufs[1]], [bufs[1], bufs[0]])
-        for left, right in (([bufs[0]], bufs[1]), (bufs[0], [bufs[1]]), (bufs[0::2], bufs[1:2])):
-            with pytest.raises(DeviceError, match="pair: a batched launch pairs"):
-                gpu.gemm_ring(left, right, label="pair")
-
     def test_elementwise_charges_time(self, gpu):
         task = gpu.run_step("elementwise", (3 * 64 * 64 * 8,))
         assert task.duration == V100_SPEC.elementwise_seconds(3 * 64 * 64 * 8) > 0

@@ -5,8 +5,8 @@ shares of a value, and a right operand's sum, at the end of the file).
 
 The rule lives in ``SecureContext`` (the device table, ``device_keep``,
 one share-row rule for both backends in ``device_keep_shares``,
-``_free_device``) and ``pipeline/scheduler.py`` (a kept slot found in
-the table is empty).  Under test: which transfers and ``D`` kernels each
+``_free_device``) and in each backend's product (a kept slot found in
+the table is resident in the plan it runs).  Under test: which transfers and ``D`` kernels each
 product of a training step still places, that no value moves, that a
 forward-only run keeps its weights and nothing else, that every owner
 frees its rows the moment it goes — a dropped model and a replaced
@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import make_ctx, never_reuse
+from conftest import never_reuse
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -41,10 +41,10 @@ from repro.core.tensor import SharedTensor
 from repro.core.training import SecureTrainer
 from repro.faults import FaultPlan, PartyCrash
 from repro.faults.recovery import respawn_party
-from repro.pipeline.scheduler import schedule_secure_gemm
-from repro.simgpu.clock import SimClock
+from repro.mpc.shares import reconstruct
+from repro.pipeline.profiler import plan_steps
+from repro.simgpu.clock import Task
 from repro.simgpu.cost import V100_SPEC
-from repro.simgpu.device import SimGPU
 from repro.util.errors import DeviceError
 
 FIG5_ORDER = ["h2d:E", "h2d:A", "h2d:F", "h2d:B", "h2d:Z"]
@@ -61,21 +61,29 @@ def _shared(ctx, shape, seed):
 
 
 def _watch(ctx, monkeypatch, party=0):
-    """``[(op label, task label)]`` of every transfer and elementwise
-    kernel server ``party``'s GPU places from here on, by the outermost
-    open ``op.<label>`` span."""
+    """``[(op label, step name)]`` of every upload and elementwise kernel
+    of the ``beaver2pc`` products server ``party``'s GPU runs from here
+    on, by the outermost open ``op.<label>`` span; a step's name is its
+    task label less the product's label."""
     gpu, spans, log = ctx.server_gpu[party], ctx.telemetry.span_log, []
+    run_plan = ctx.profiler.run_plan
 
     def op():
         names = (spans._spans[i].name for i in spans._stack)
         return next((n.removeprefix("op.") for n in names if n.startswith("op.")), "")
 
-    for method in ("h2d", "elementwise"):
-        def placed(*args, _real=getattr(gpu, method), **kw):
-            log.append((op(), kw["label"]))
-            return _real(*args, **kw)
+    def placed(cpu, device, plan, shape, **kw):
+        tasks = run_plan(cpu, device, plan, shape, **kw)
+        if plan == "beaver2pc" and cpu is None and device is gpu:
+            resident, party_ = kw.get("resident", ()), kw.get("party", 1)
+            steps = plan_steps(plan, shape, resident, party_, ctx.profiler.pipeline1)[1]
+            log.extend(
+                (op(), task.label.partition(":")[2])
+                for step, task in zip(steps, tasks) if step.op in ("h2d", "elementwise")
+            )
+        return tasks
 
-        monkeypatch.setattr(gpu, method, placed)
+    monkeypatch.setattr(ctx.profiler, "run_plan", placed)
     return log
 
 
@@ -240,15 +248,6 @@ class TestViews:
             flat.decode(), qd.reshape(b * s, d) @ w.decode(), atol=TRAIN_TOL
         )
 
-    def test_a_view_dies_with_the_buffer_it_reads(self):
-        gpu = SimGPU(SimClock(), V100_SPEC, "g")
-        buf, _ = gpu.h2d(np.arange(12, dtype=np.uint64).reshape(3, 4))
-        flat = buf.view((12,))
-        assert gpu.pool.allocated_bytes == 96 and buf.view((3, 4)) is buf
-        gpu.free(buf)
-        with pytest.raises(DeviceError, match="freed device buffer"):
-            flat.require_live()
-
 
 # ----------------------------------------------- who cannot ask again keeps nothing
 
@@ -344,72 +343,86 @@ class TestForwardOnly:
 
 
 
-# ------------------------------------------------------------- the scheduler rule
+# ------------------------------------------------------------- the product's rule
+
+
+def _server_steps(ctx, start, party=0):
+    """``{step name: task}`` server ``party``'s GPU placed from trace
+    index ``start`` on."""
+    gpu = ctx.server_gpu[party]
+    return {
+        t.label.partition(":")[2]: t for t in ctx.online_clock.trace[start:]
+        if t.resource.startswith(f"{gpu.name}.")
+    }
 
 
 class TestScheduler:
-    def _operands(self, m=16, k=24, n=8):
-        rng = np.random.default_rng(0)
-        a, b, e, f = (
-            rng.integers(0, 2**64, size=shape, dtype=np.uint64)
-            for shape in ((m, k), (k, n), (m, k), (k, n))
-        )
-        return e, f, a, b, make_ctx(seed=1).gen_matrix_triplet((m, k), (k, n))
-
     def test_transposed_operands_upload_their_base_layout(self):
-        """``trans`` changes which bytes lie on the device, never the
-        product, the transfers or what the GEMMs cost."""
-        e, f, a, b, trip = self._operands()
+        """A transposed operand changes which bytes lie on the device,
+        never the product, the transfers or what the GEMMs cost."""
         runs = []
-        for trans in ((False, False), (True, True)):
-            clock = SimClock()
-            gpu = SimGPU(clock, V100_SPEC, "g")
-            flip = lambda arr, t: np.ascontiguousarray(arr.T).T if t else arr  # noqa: E731
-            res = schedule_secure_gemm(
-                gpu, 1, flip(e, trans[0]), flip(f, trans[1]), flip(a, trans[0]),
-                flip(b, trans[1]), trip.share_for(1), trans=trans,
-            )
-            runs.append((res.c_share, clock.trace, gpu.gemm_flops))
+        for trans in (False, True):
+            ctx = _ctx(trace=True)
+            rng = np.random.default_rng(0)
+            operands = []
+            for shape in ((16, 24), (24, 8)):
+                value = rng.normal(size=shape)
+                shared = SharedTensor.from_plain(ctx, value.T.copy() if trans else value)
+                operands.append(shared.mark_static().T if trans else shared.mark_static())
+            x, y = operands
+            out = ctx.backend.matmul(ctx, x, y, label="p")
+            for tensor, base in ((x, (24, 16)), (y, (8, 24))):
+                held = ctx.device_table(0)[("share", tensor.uid)][0]
+                assert held.shape == (base if trans else base[::-1])
+            flops = ctx.server_gpu[0].gemm_flops
+            runs.append((reconstruct(*out.shares), ctx.online_clock.trace, flops))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1:] == runs[1][1:]
 
     def test_without_pipeline1_kernels_wait_on_resident_rows_too(self):
-        e, f, a, b, trip = self._operands()
-        keep = {"E": ("open", 1), "A": ("share", 2), "F": ("open", 3), "B": ("share", 4),
-                "Z": ("Z", 5)}
+        """``Z`` is resident, but its upload, placed by an earlier
+        product, only completes at t = 1."""
         starts = {}
         for pipeline in (True, False):
-            clock = SimClock()
-            clock.add_resource("elsewhere")
-            gpu = SimGPU(clock, V100_SPEC, "g")
-            # Z is resident, but its upload (placed by an earlier product)
-            # only completes at t = 1
-            late = clock.run("elsewhere", 1.0, label="h2d:Z")
-            table = {("Z", 5): (gpu.pool.allocate(trip.z[0]), late)}
-            schedule_secure_gemm(
-                gpu, 0, e, f, a, b, trip.share_for(0), pipeline=pipeline, table=table, keep=keep
-            )
-            starts[pipeline] = next(t.start for t in clock.trace if t.label == "D=A")
-            assert set(table) == {*keep.values(), ("lead", 1)}
+            ctx = _ctx(pipeline1=pipeline, trace=True)
+            w = _shared(ctx, (24, 8), 2).mark_static()
+            kept = []
+            keep = ctx.device_keep
+            ctx.device_keep = lambda *args: kept.append(keep(*args)) or kept[-1]
+            for seed in (1, 3):
+                ctx.begin_batch()
+                if seed == 3:  # the second product finds Z uploaded late
+                    for party in (0, 1):
+                        table = ctx.device_table(party)
+                        buf, _task = table[kept[0]["Z"]]
+                        table[kept[0]["Z"]] = (buf, Task("elsewhere", "h2d:Z", 0.0, 1.0))
+                start = len(ctx.online_clock.trace)
+                secure_matmul(_shared(ctx, (16, 24), seed), w, label="p")
+            assert set(kept[0]) == {"F", "B", "Z"}
+            assert set(ctx.device_table(0)) == set(kept[0].values())
+            starts[pipeline] = _server_steps(ctx, start)["D=A"].start
         assert starts[True] < 1.0 <= starts[False]
 
     def test_where_d_is_resident_nothing_uploads_a(self):
-        """A static left operand on an unshared mask keeps ``E`` and ``D``
-        but not its share: the second product has no reader for ``A_i``."""
-        e, f, a, b, trip = self._operands()
-        clock = SimClock()
-        gpu = SimGPU(clock, V100_SPEC, "g")
-        table, keep = {}, {"E": ("open", 1)}
+        """A static left operand keeps ``E`` and ``D``; where its share
+        row is gone the next product has no reader for ``A_i``."""
+        ctx = _ctx(trace=True)
+        x = _shared(ctx, (16, 24), 1).mark_static()
         runs = []
-        for _ in range(2):
-            start = len(clock.trace)
-            res = schedule_secure_gemm(gpu, 1, e, f, a, b, trip.share_for(1), table=table, keep=keep)
-            runs.append((res.c_share, [t.label for t in clock.trace[start:]]))
-        np.testing.assert_array_equal(runs[0][0], runs[1][0])
-        assert runs[0][1][:6] == [*FIG5_ORDER, "D=A-E"]
-        assert runs[1][1][:3] == ["h2d:F", "h2d:B", "h2d:Z"] and "D=A-E" not in runs[1][1]
-        assert set(table) == {("open", 1), ("lead", 1)}
-        assert gpu.pool.allocated_bytes == 2 * e.nbytes
+        for seed in (2, 3):
+            ctx.begin_batch()
+            start = len(ctx.online_clock.trace)
+            y = _shared(ctx, (24, 8), seed)
+            out = secure_matmul(x, y, label="p")
+            np.testing.assert_allclose(out.decode(), x.decode() @ y.decode(), atol=TRAIN_TOL)
+            runs.append(list(_server_steps(ctx, start, party=1)))
+            ctx._free_device([("share", x.uid)])  # the share row goes, E and D stay
+        assert runs[0][:6] == ["h2d:E", "h2d:A", "D=A-E", "h2d:F", "h2d:B", "[D,E]@[F,B]"]
+        assert runs[1][:3] == ["h2d:F", "h2d:B", "[D,E]@[F,B]"] and "D=A-E" not in runs[1]
+        rows = {what for what, _uid in ctx.device_table(1)}
+        assert rows == {"open", "lead", "Z"}
+        z = 8 * 16 * 8
+        assert ctx.server_gpu[1].pool.allocated_bytes == 2 * x.nbytes + z
 
     def test_a_step_that_does_not_fit_names_the_device(self):
         small = replace(V100_SPEC, memory_bytes=20_000)

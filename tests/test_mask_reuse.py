@@ -5,16 +5,16 @@ transfer order.
 The rule under test lives in two places: ``SecureContext``'s mask table
 keeps the opened ``F`` of a static operand across steps (no second
 exchange — the long-lived case of the one-mask-per-value rule, whose
-within-step half is tests/test_open_once.py), and
-``schedule_secure_gemm`` keeps ``F``, the weight's share ``B_i`` and
-``Z`` on the device (no second upload).  A first use must schedule
+within-step half is tests/test_open_once.py), and its device table keeps
+``F``, the weight's share ``B_i`` and ``Z`` on the server GPUs (no
+second upload).  A first use must schedule
 exactly what a run with nothing resident schedules; every invalidation
 must be followed by a miss; and no value may ever move.
 """
 
 import numpy as np
 import pytest
-from conftest import assert_no_upload_later_than_fig5, make_ctx, never_reuse
+from conftest import assert_no_upload_later_than_fig5, never_reuse
 
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
@@ -24,13 +24,7 @@ from repro.core.ops import secure_matmul
 from repro.core.tensor import SharedTensor
 from repro.core.training import SecureTrainer
 from repro.faults.recovery import respawn_party
-from repro.fixedpoint.encoding import FixedPointEncoder
-from repro.mpc.shares import share_secret
-from repro.pipeline.scheduler import schedule_secure_gemm
 from repro.serve import Replica
-from repro.simgpu.clock import SimClock
-from repro.simgpu.cost import V100_SPEC
-from repro.simgpu.device import SimGPU
 
 FIG5_ORDER = ["h2d:E", "h2d:A", "h2d:F", "h2d:B", "h2d:Z"]
 
@@ -55,7 +49,8 @@ def _step(ctx, x, w, label="fc"):
 
 
 def _uploads(tasks, party=0):
-    return [t.label for t in tasks if t.resource == f"s{party}gpu.h2d"]
+    """Server ``party``'s uploads among ``tasks``, by step name."""
+    return [t.label.partition(":")[2] for t in tasks if t.resource == f"s{party}gpu.h2d"]
 
 
 def _hits(ctx, side="F", scope="static"):
@@ -74,69 +69,59 @@ def _device_bytes(ctx):
 
 
 class TestSchedulerResidency:
-    def _operands(self, m=16, k=24, n=8):
-        rng = np.random.default_rng(0)
-        enc = FixedPointEncoder(13)
-        ap = share_secret(enc.encode(rng.normal(size=(m, k))), rng)
-        bp = share_secret(enc.encode(rng.normal(size=(k, n))), rng)
-        trip = make_ctx(seed=1).gen_matrix_triplet((m, k), (k, n))
-        e = (ap[0] - trip.u[0]) + (ap[1] - trip.u[1])
-        f = (bp[0] - trip.v[0]) + (bp[1] - trip.v[1])
-        return e, f, ap[0], bp[0], trip
-
-    def _run(self, gpu, ops, **kw):
-        e, f, a, b, trip = ops
-        start = len(gpu.clock.trace)
-        res = schedule_secure_gemm(gpu, 0, e, f, a, b, trip.share_for(0), **kw)
-        return res, gpu.clock.trace[start:]
-
-    KEEP = {"F": ("open", 1), "Z": ("Z", 1)}
-
     def test_first_use_is_the_plain_schedule(self):
-        ops = self._operands()
-        _, plain = self._run(SimGPU(SimClock(), V100_SPEC, "g"), ops)
-        _, first = self._run(SimGPU(SimClock(), V100_SPEC, "g"), ops, table={}, keep=self.KEEP)
-        assert first == plain
-        assert [t.label for t in first if t.resource == "g.h2d"] == FIG5_ORDER
+        """Keeping ``F``, the weight's share and ``Z`` changes nothing a
+        first product places: same tasks as one that keeps nothing."""
+        runs = []
+        for keep in (True, False):
+            ctx = SecureContext(_cfg(fresh_triplets=not keep))
+            w = _shared(ctx, (24, 8), 1, "w")
+            x = _shared(ctx, (16, 24), 2, "x")
+            start = len(ctx.online_clock.trace)
+            secure_matmul(x, w.mark_static() if keep else w, label="fc")
+            runs.append((ctx.online_clock.trace[start:], set(ctx.device_table(0))))
+        (first, kept), (plain, none) = runs
+        assert first == plain and len(kept) == 3 and none == set()
+        assert _uploads(first) == FIG5_ORDER
 
     def test_resident_operands_skip_their_slot_and_survive_the_call(self):
-        ops = self._operands()
-        gpu = SimGPU(SimClock(), V100_SPEC, "g")
-        table = {}
-        first, first_tasks = self._run(gpu, ops, table=table, keep=self.KEEP)
-        held = ops[1].nbytes + ops[4].z[0].nbytes
-        assert gpu.pool.allocated_bytes == held
-        second, tasks = self._run(gpu, ops, table=table, keep=self.KEEP)
-        assert [t.label for t in tasks if t.resource == "g.h2d"] == ["h2d:E", "h2d:A", "h2d:B"]
-        assert np.array_equal(first.c_share, second.c_share)
+        ctx = SecureContext(_cfg())
+        w = _shared(ctx, (24, 8), 1, "w").mark_static()
+        x = _shared(ctx, (16, 24), 2, "x")
+        first, first_tasks = _step(ctx, x, w)
+        held = 2 * w.nbytes + 8 * 16 * 8  # F, B_i, Z
+        assert _device_bytes(ctx) == [held] * 2
+        second, tasks = _step(ctx, x, w)
+        assert _uploads(tasks) == ["h2d:E", "h2d:A"]
+        for party in (0, 1):
+            np.testing.assert_array_equal(first.shares[party], second.shares[party])
+        gpu = ctx.server_gpu[0]
         pcie = [
             sum(t.duration for t in placed if t.resource in (gpu.h2d_engine, gpu.d2h_engine))
             for placed in (first_tasks, tasks)
         ]
         assert pcie[1] < pcie[0]
-        assert gpu.pool.allocated_bytes == held
+        assert _device_bytes(ctx) == [held] * 2
 
     def test_stale_version_is_freed_and_uploaded_in_place(self):
         """A row is keyed by the value it holds, so a new value is a new
         key: uploaded at its own slot, whatever else the table holds (its
         owner — the context — frees the stale row the moment it goes)."""
-        ops = self._operands()
-        gpu = SimGPU(SimClock(), V100_SPEC, "g")
-        table = {}
-        self._run(gpu, ops, table=table, keep=self.KEEP)
-        held = gpu.pool.allocated_bytes
-        stale = table.pop(("open", 1))[0]
-        gpu.free(stale)
-        _, tasks = self._run(gpu, ops, table=table, keep={"F": ("open", 2), "Z": ("Z", 1)})
-        assert [t.label for t in tasks if t.resource == "g.h2d"] == FIG5_ORDER[:4]
-        assert stale.freed and not table[("open", 2)][0].freed
-        assert gpu.pool.allocated_bytes == held
+        ctx = SecureContext(_cfg())
+        w = _shared(ctx, (24, 8), 1, "w").mark_static()
+        _step(ctx, _shared(ctx, (16, 24), 2, "x0"), w)
+        held, table = _device_bytes(ctx), ctx.device_table(0)
+        stale = table[("share", w.uid)][0]
+        updated = (w - w.mul_public(0.5)).mark_static()
+        _, tasks = _step(ctx, _shared(ctx, (16, 24), 3, "x1"), updated)
+        assert _uploads(tasks) == FIG5_ORDER[:4]
+        assert stale.freed and not table[("share", updated.uid)][0].freed
+        assert _device_bytes(ctx) == held
 
     def test_nothing_is_kept_unless_asked(self):
-        gpu = SimGPU(SimClock(), V100_SPEC, "g")
-        table = {}
-        self._run(gpu, self._operands(), table=table)
-        assert table == {} and gpu.pool.allocated_bytes == 0
+        ctx = SecureContext(_cfg(fresh_triplets=True))
+        secure_matmul(_shared(ctx, (16, 24), 2, "x"), _shared(ctx, (24, 8), 1, "w"), label="fc")
+        assert ctx.device_table(0) == {} and _device_bytes(ctx) == [0, 0]
 
 
 # ------------------------------------------------- (a) first use, (b) second use

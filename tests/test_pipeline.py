@@ -1,23 +1,23 @@
-"""Profiler placement, pipeline-1 scheduling, timeline analysis."""
+"""Profiler placement, pipeline 1 as a plan, timeline analysis."""
 
 import numpy as np
 import pytest
 from conftest import make_ctx
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import beaver_matmul_share, combine_masked, masked_difference
+from oracles import beaver_matmul_share
 
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
 from repro.core.ops import secure_elementwise_mul, secure_matmul
 from repro.core.tensor import SharedTensor
-from repro.fixedpoint.encoding import FixedPointEncoder
 from repro.fixedpoint.truncation import truncate_share
-from repro.mpc.shares import reconstruct, share_secret
+from repro.mpc.shares import reconstruct
+from repro.mpc.triplets import TripletShare
 from repro.pipeline.profiler import PLANS, StepProfiler, plan_steps
-from repro.pipeline.scheduler import resident_slots, schedule_secure_gemm
 from repro.pipeline.timeline import render_gantt, summarize
-from repro.simgpu.clock import SimClock
+from repro.protocols.beaver2pc import _resident
+from repro.simgpu.clock import SimClock, Task
 from repro.simgpu.cost import V100_SPEC, XEON_E5_2670V3_SPEC
 from repro.simgpu.device import SimCPU, SimGPU
 
@@ -150,8 +150,8 @@ class TestRunPlan:
     )
     def test_a_product_charges_the_plan_the_profiler_priced(self, plan, device):
         """The client's ``Z = U x V``, rep3's fused cross-term and a
-        beaver2pc product on the CPU (on the GPU it is pipeline 1's
-        schedule: ``TestPlanPrice``)."""
+        beaver2pc product on the CPU (on the GPU each server runs its
+        own ``D``: ``TestPlanPrice``)."""
         backend = "rep3" if plan == "rep3" else "beaver2pc"
         ctx = make_ctx(backend=backend, placement_mode=f"{device}_always", trace=True)
         m, k, n = 16, 32, 8
@@ -171,75 +171,55 @@ class TestRunPlan:
         _pays_its_price(ctx, clock.trace[start:], party, device, plan, (1, m, k, n), label)
 
 
-def _scheduled_operands(m=32, k=48, n=24, seed=0):
+def _gpu_product(m=32, k=48, n=24, seed=0, **config):
+    """``(ctx, x, y, out)``: ``x @ y`` unrescaled on both server GPUs."""
+    ctx = make_ctx(seed=seed, placement_mode="gpu_always", **config)
     rng = np.random.default_rng(seed)
-    enc = FixedPointEncoder(13)
-    a = rng.normal(size=(m, k))
-    b = rng.normal(size=(k, n))
-    ap = share_secret(enc.encode(a), rng)
-    bp = share_secret(enc.encode(b), rng)
-    dealer = make_ctx(seed=seed + 1)
-    trip = dealer.gen_matrix_triplet((m, k), (k, n))
-    e = combine_masked(
-        masked_difference(ap[0], trip.u[0]), masked_difference(ap[1], trip.u[1])
-    )
-    f = combine_masked(
-        masked_difference(bp[0], trip.v[0]), masked_difference(bp[1], trip.v[1])
-    )
-    return enc, a, b, ap, bp, trip, e, f
+    x = SharedTensor.from_plain(ctx, rng.normal(size=(m, k)), label="x")
+    y = SharedTensor.from_plain(ctx, rng.normal(size=(k, n)), label="y")
+    return ctx, x, y, ctx.backend.matmul(ctx, x, y, label="p")
 
 
 class TestScheduledGemm:
     def test_matches_reference_protocol_bitwise(self):
-        """The pipelined device schedule must produce exactly the shares
-        the transport-less reference produces."""
-        enc, a, b, ap, bp, trip, e, f = _scheduled_operands()
+        """The product placed on the server GPUs must produce exactly the
+        shares the transport-less reference produces."""
+        ctx, x, y, out = _gpu_product()
+        trip = ctx._matrix_triplets["p"]
+        e = reconstruct(*x.shares) - reconstruct(trip.u.share0, trip.u.share1)
+        f = reconstruct(*y.shares) - reconstruct(trip.v.share0, trip.v.share1)
         for i in (0, 1):
-            clock = SimClock()
-            gpu = SimGPU(clock, V100_SPEC, f"g{i}")
-            res = schedule_secure_gemm(
-                gpu, i, e, f, ap[i], bp[i], trip.share_for(i), pipeline=True
-            )
-            ref = beaver_matmul_share(i, e, f, ap[i], bp[i], trip.share_for(i))
-            assert np.array_equal(res.c_share, ref)
+            share = TripletShare(trip.u[i], trip.v[i], trip.z[i], party_id=i)
+            ref = beaver_matmul_share(i, e, f, x.shares[i], y.shares[i], share)
+            assert np.array_equal(out.shares[i], ref)
 
     def test_pipeline_reduces_makespan(self):
-        enc, a, b, ap, bp, trip, e, f = _scheduled_operands(m=256, k=512, n=256)
         makespans = {}
         for pipelined in (False, True):
-            clock = SimClock()
-            gpu = SimGPU(clock, V100_SPEC, "g")
-            schedule_secure_gemm(
-                gpu, 0, e, f, ap[0], bp[0], trip.share_for(0), pipeline=pipelined
-            )
-            makespans[pipelined] = clock.now()
+            ctx, *_ = _gpu_product(256, 512, 256, pipeline1=pipelined)
+            makespans[pipelined] = ctx.online_clock.now()
         assert makespans[True] < makespans[False]
 
     def test_accounting_fields(self):
-        enc, a, b, ap, bp, trip, e, f = _scheduled_operands()
-        clock = SimClock()
-        gpu = SimGPU(clock, V100_SPEC, "g")
-        res = schedule_secure_gemm(gpu, 0, e, f, ap[0], bp[0], trip.share_for(0))
-        assert res.c_share.shape == (e.shape[0], f.shape[1])
-        assert (res.done.resource, res.done.label) == (gpu.d2h_engine, "d2h:C")
-        assert res.done.finish == clock.now()
+        ctx, _x, _y, out = _gpu_product()
+        for share, done, gpu in zip(out.shares, out.tasks, ctx.server_gpu):
+            assert share.shape == (32, 24)
+            assert (done.resource, done.label) == (gpu.d2h_engine, "p:d2h:C")
+        assert max(t.finish for t in out.tasks) == ctx.online_clock.now()
 
     def test_end_to_end_decode(self):
-        enc, a, b, ap, bp, trip, e, f = _scheduled_operands()
-        shares = []
-        for i in (0, 1):
-            clock = SimClock()
-            gpu = SimGPU(clock, V100_SPEC, f"g{i}")
-            res = schedule_secure_gemm(gpu, i, e, f, ap[i], bp[i], trip.share_for(i))
-            shares.append(truncate_share(res.c_share, 13, i))
-        out = enc.decode(reconstruct(*shares))
-        np.testing.assert_allclose(out, a @ b, atol=48 * 2**-12 + 2**-10)
+        ctx, x, y, out = _gpu_product()
+        shares = [truncate_share(share, 13, i) for i, share in enumerate(out.shares)]
+        np.testing.assert_allclose(
+            ctx.encoder.decode(reconstruct(*shares)), x.decode() @ y.decode(),
+            atol=48 * 2**-12 + 2**-10,
+        )
 
 
 class TestPlanPrice:
     """A call site asks for the plan it runs: the GPU price is the steps
-    ``schedule_secure_gemm`` places, and a decision is one (plan, shape,
-    resident slots)."""
+    ``run_plan`` places for server 1 (server 0's ``D`` copies ``A_0``),
+    and a decision is one (plan, shape, resident slots)."""
 
     def test_dealer_and_server_products_of_one_fused_shape_are_separate_decisions(self):
         """The dealer's ``Z = U V`` for a (128,64)x(64,16) triplet and a
@@ -256,49 +236,57 @@ class TestPlanPrice:
             assert (dealer.placement, server.placement) == ("gpu", "cpu")
             assert len(profiler.decisions) == 2
 
+    @staticmethod
+    def _placed(profiler, shape, resident=(), party=1) -> float:
+        """Busy seconds of the ``beaver2pc`` plan ``run_plan`` places."""
+        gpu = SimGPU(SimClock(), V100_SPEC, "g")
+        run = profiler.run_plan(
+            None, gpu, "beaver2pc", shape, deps=(), label="p", resident=resident, party=party
+        )
+        return _busy(run)
+
     def test_cold_price_is_what_the_scheduler_places_but_the_servers_own_shares(self):
         """The servers' own shares are priced unless they cross PCIe
         under the ``E``/``F`` exchange (resident ``A``, ``B``)."""
         m, k, n = 32, 48, 24
-        _, _, _, ap, bp, trip, e, f = _scheduled_operands(m, k, n)
-        gpu = SimGPU(SimClock(), V100_SPEC, "g")
-        schedule_secure_gemm(gpu, 1, e, f, ap[1], bp[1], trip.share_for(1))
-        own = sum(V100_SPEC.transfer_seconds(share[1].nbytes) for share in (ap, bp))
         profiler = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC)
+        placed = self._placed(profiler, (1, m, k, n))
+        own = sum(V100_SPEC.transfer_seconds(8 * size) for size in (m * k, k * n))
         price = profiler.place_gemm(1, m, k, n, plan="beaver2pc", resident=("A", "B"))
         assert price.resident == ("A", "B")
-        assert price.gpu_estimate_s == pytest.approx(_busy(gpu.clock.trace) - own)
+        assert price.gpu_estimate_s == pytest.approx(placed - own)
         every = profiler.place_gemm(1, m, k, n, plan="beaver2pc")
-        assert every.gpu_estimate_s == pytest.approx(_busy(gpu.clock.trace))
+        assert every.gpu_estimate_s == pytest.approx(placed)
+        # server 0's D copies A_0: two operand-sized passes, not three
+        copy = self._placed(profiler, (1, m, k, n), party=0)
+        pass_over = V100_SPEC.elementwise_seconds
+        assert placed - copy == pytest.approx(pass_over(3 * 8 * m * k) - pass_over(2 * 8 * m * k))
 
     def test_warm_price_leaves_out_what_the_device_table_holds(self):
         m, k, n = 32, 48, 24
-        _, _, _, ap, bp, trip, e, f = _scheduled_operands(m, k, n)
-        gpu = SimGPU(SimClock(), V100_SPEC, "g")
         table, keep = {}, {"E": ("open", 1), "F": ("open", 2), "Z": ("Z", 3)}
-        assert resident_slots(table, keep) == ()
-        schedule_secure_gemm(gpu, 1, e, f, ap[1], bp[1], trip.share_for(1), table=table, keep=keep)
-        assert resident_slots(table, keep) == ("D", "E", "F", "Z")
-        start = len(gpu.clock.trace)
-        schedule_secure_gemm(gpu, 1, e, f, ap[1], bp[1], trip.share_for(1), table=table, keep=keep)
+        assert _resident(table, keep) == ()
+        table = dict.fromkeys([*keep.values(), ("lead", 1)])  # what a cold product keeps
+        assert _resident(table, keep) == ("D", "E", "F", "Z")
         profiler = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC)
         warm = profiler.place_gemm(1, m, k, n, plan="beaver2pc", resident=("D", "E", "F", "Z"))
         # A_i has no reader where D is; B_i is uploaded again and priced
-        assert warm.gpu_estimate_s == pytest.approx(_busy(gpu.clock.trace[start:]))
+        placed = self._placed(profiler, (1, m, k, n), ("D", "E", "F", "Z"))
+        assert warm.gpu_estimate_s == pytest.approx(placed)
         cold = profiler.place_gemm(1, m, k, n, plan="beaver2pc")
         assert cold is not warm and cold.gpu_estimate_s > warm.gpu_estimate_s
         assert cold.cpu_estimate_s == warm.cpu_estimate_s
 
     def test_a_value_both_sides_share_is_priced_as_one_upload(self):
         keep = {"E": ("open", 1), "F": ("open", 1)}
-        assert resident_slots({}, keep) == ("F",)
+        assert _resident({}, keep) == ("F",)
 
     def test_a_kept_share_row_is_resident(self):
         """A server's own share whose row the table holds is not uploaded,
         nor priced; ``p * p`` reads one share row on both sides."""
         table = {("share", 1): None}
-        assert resident_slots(table, {"A": ("share", 1), "B": ("share", 2)}) == ("A",)
-        assert resident_slots({}, {"A": ("share", 2), "B": ("share", 2)}) == ("B",)
+        assert _resident(table, {"A": ("share", 1), "B": ("share", 2)}) == ("A",)
+        assert _resident({}, {"A": ("share", 2), "B": ("share", 2)}) == ("B",)
         steps = plan_steps("beaver2pc", (1, 8, 8, 8), ("A", "B"))[1]
         assert sum(s.op == "h2d" for s in steps) == 3  # E, F, Z
 
@@ -392,12 +380,12 @@ class TestOneLaunchPerProduct:
 class TestPlanFinishIsWhatAProductFinishes:
     """On an idle clock a GPU product's rescaled result is ready when
     ``plan_finish`` says, as read off both servers' clocks at the
-    decision: the plan is Fig. 5's sequence (``D`` under ``F``'s
-    transfer, the GEMM under ``Z_i``'s), cold and warm (the static
-    ``y``'s ``F``, ``Z`` and ``B_i`` resident).  The servers' own shares
-    cross PCIe while ``E``/``F`` are exchanged, which these shapes leave
-    room for.  Without pipeline 1 every kernel waits for every upload,
-    so a cold product that uploads more than ``E`` lands later."""
+    decision: the plan is Fig. 5's graph (``D`` under ``F``'s transfer,
+    the GEMM under ``Z_i``'s), cold and warm (the static ``y``'s ``F``,
+    ``Z`` and ``B_i`` resident), with pipeline 1 or without it (every
+    kernel also waits on every upload).  The servers' own shares cross
+    PCIe while ``E``/``F`` are exchanged, which these shapes leave room
+    for."""
 
     @pytest.mark.parametrize("pipeline1", [False, True])
     @pytest.mark.parametrize(
@@ -422,10 +410,33 @@ class TestPlanFinishIsWhatAProductFinishes:
             decision = ctx.profiler.decisions["beaver2pc", (max(batch, 1), m, k, n), resident]
             assert decision.placement == "gpu"
             finish = max(t.finish for t in out.tasks)
-            if step or pipeline1:
-                assert finish == decision.gpu_finish_s  # plan_finish's prediction
-            else:
-                assert finish > decision.gpu_finish_s
+            assert finish == decision.gpu_finish_s  # plan_finish's prediction
+
+
+class TestWithoutPipeline1:
+    """Without pipeline 1 each kernel waits on every upload, and still on
+    the kernel that feeds it."""
+
+    def test_no_kernel_runs_before_its_producer(self):
+        """Stream 0 idle until 100 us, busy for 1 ms after: ``D`` fits
+        the gap, the GEMM does not, and the ``C`` add after it must not
+        take the rest of the gap."""
+        ctx = make_ctx(seed=0, placement_mode="gpu_always", pipeline1=False, trace=True)
+        rng = np.random.default_rng(0)
+        x = SharedTensor.from_plain(ctx, rng.normal(size=(64, 256)), label="x")
+        y = SharedTensor.from_plain(ctx, rng.normal(size=(256, 8)), label="y")
+        for gpu in ctx.server_gpu:
+            gpu.clock.run(gpu.stream(0), 1e-3, deps=(Task("idle", "idle", 0.0, 100e-6),))
+        start = len(ctx.online_clock.trace)
+        out = secure_matmul(x, y, label="p")
+        placed = ctx.online_clock.trace[start:]
+        for gpu, done in zip(ctx.server_gpu, out.tasks):
+            kernels = [t for t in placed if t.resource == gpu.stream(0)]
+            assert len(kernels) == 3  # D, the GEMM, C
+            uploads = max(t.finish for t in placed if t.resource == gpu.h2d_engine)
+            for producer, kernel in zip(kernels, kernels[1:]):
+                assert kernel.start >= max(producer.finish, uploads), (producer, kernel)
+            assert done.start >= kernels[-1].finish > 1e-3
 
 
 _FUSED_SHAPES = st.tuples(

@@ -11,7 +11,6 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import make_ctx
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +24,6 @@ from repro.fixedpoint.ring import CHUNK_K, ring_matmul
 from repro.mpc.shares import SharePair, reconstruct
 from repro.mpc.triplets import MaskView, MatrixTriplet
 from repro.pipeline.profiler import StepProfiler
-from repro.pipeline.scheduler import schedule_secure_gemm
 from repro.simgpu.clock import SimClock
 from repro.simgpu.cost import V100_SPEC, XEON_E5_2670V3_SPEC
 from repro.simgpu.device import SimCPU, SimGPU
@@ -207,22 +205,17 @@ class TestPlacement:
             assert [g.gemm_count - n for g, n in zip(ctx.server_gpu, gemms)] == [3, 3]
 
     def test_stack_uploads_in_fig5_order_on_a_bare_gpu(self):
-        rng = np.random.default_rng(0)
-        shapes = ((8, 128, 128), (8, 128, 128))
-        a, b = (rng.integers(0, 2**64, size=s, dtype=np.uint64) for s in shapes)
-        trip = make_ctx(seed=1).gen_matrix_triplet(*shapes)
-        e, f = a - reconstruct(trip.u[0], trip.u[1]), b - reconstruct(trip.v[0], trip.v[1])
-        a0, b0 = (rng.integers(0, 2**64, size=s, dtype=np.uint64) for s in shapes)
-        shares = []
-        for party, (a_i, b_i) in enumerate(((a0, b0), (a - a0, b - b0))):
-            clock = SimClock()
-            clock.set_tracing(True)
-            gpu = SimGPU(clock, V100_SPEC, "g")
-            res = schedule_secure_gemm(gpu, party, e, f, a_i, b_i, trip.share_for(party))
-            assert [t.label for t in clock.trace if t.resource == "g.h2d"] == FIG5_ORDER
+        ctx = _ctx(fresh_triplets=True, placement_mode="gpu_always", trace=True)
+        _, _, x, y = _operands(ctx, 8, 128, 128, 128)
+        start = len(ctx.online_clock.trace)
+        out = ctx.backend.matmul(ctx, x, y, label="p")
+        for gpu in ctx.server_gpu:
+            placed = ctx.online_clock.trace[start:]
+            uploads = [t.label for t in placed if t.resource == gpu.h2d_engine]
+            assert uploads == [f"p:{name}" for name in FIG5_ORDER]
             assert gpu.gemm_count == 1 and gpu.pool.allocated_bytes == 0
-            shares.append(res.c_share)
-        np.testing.assert_array_equal(shares[0] + shares[1], ring_matmul(a, b))
+        want = ring_matmul(reconstruct(*x.shares), reconstruct(*y.shares))
+        np.testing.assert_array_equal(reconstruct(*out.shares), want)
 
     def test_fresh_triplets_keep_only_the_static_share_resident(self):
         """Single-use masks leave no ``F`` or ``Z``; the static stack's
@@ -249,7 +242,7 @@ class TestPlacement:
                 [t.label for t in ctx.online_clock.trace[start:] if t.resource == "s0gpu.h2d"]
             )
             assert np.max(np.abs(out.decode() - _stacked(a, b))) <= FORWARD_TOL
-        assert uploads == [FIG5_ORDER, ["h2d:E", "h2d:A"]]
+        assert uploads == [[f"static:{n}" for n in FIG5_ORDER], ["static:h2d:E", "static:h2d:A"]]
 
 
 def _on_gpu(x, y, trans_a, trans_b, tensor_core):
