@@ -18,23 +18,21 @@ before the online phase starts.  Keeping each phase on its own clock
 gives exactly that accounting while still modelling overlap *within*
 each phase.
 
-The context is also the dealer and the keeper of **the mask table**: a
-Beaver mask belongs to a value (a tensor uid), not to an op stream.
-:meth:`SecureContext._deal` deals a stream whose operand was already
-opened this online step on the mask that opened it, and
-:meth:`SecureContext.reuse_masked` / :meth:`SecureContext.store_masked`
-let the protocol backend open every value once — within a step for any
-tensor, across steps for an unchanged ``static`` one (DESIGN §5b).  The
-servers' GPU memory follows the same rule — **the device table**, one
-per server, keeps a value's operands where somebody can ask for them
-again (:meth:`SecureContext.device_keep`; a value's share rows by one
-rule for both backends, :meth:`SecureContext.device_keep_shares`), so a
-value is uploaded once.
+The context is also the dealer: a Beaver mask belongs to a value (a
+tensor uid), not to an op stream, and :meth:`SecureContext._deal` deals
+a stream whose operand was already opened this online step on the mask
+that opened it.  What each party holds is **one table per party**
+(:attr:`SecureContext.rows`, :mod:`repro.core.rows`): what each mask
+opened, and on the server GPUs the openings, a value's shares and each
+stream's ``Z``, every row ``static``, ``step`` or ``op``.  Through it a
+value is opened once — within a step for any tensor, across steps for
+an unchanged ``static`` one (:meth:`SecureContext.reuse_masked` /
+:meth:`SecureContext.store_masked`) — and uploaded once
+(:meth:`SecureContext.lifetime`, one rule for both backends; DESIGN §5b).
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -44,6 +42,7 @@ import numpy as np
 from repro.comm.channel import Channel
 from repro.comm.compression import CompressionStats, DeltaCompressor
 from repro.core.config import FrameworkConfig
+from repro.core.rows import LIFETIMES, RowTable
 from repro.faults.injector import FaultInjector
 from repro.faults.reliable import ResilientChannel
 from repro.fixedpoint.encoding import FixedPointEncoder
@@ -137,23 +136,6 @@ def _bind_op_series(telemetry: Telemetry, backend: str, op: str) -> _OpSeries:
     )
 
 
-#: Device-table rows of a value's shares (keyed by tensor uid): a
-#: server's own share, and under ``rep3`` its second share and their sum.
-SHARE_ROWS = ("share", "next", "sum")
-
-
-@dataclass
-class _Opening:
-    """One row of the mask table: what a Beaver mask opened."""
-
-    mask: BeaverMask
-    uid: int  # the value it opened
-    epoch: int | None  # online step of that opening, or of its last hit
-    static: bool  # the value outlives the step (an unchanged weight)
-    opened: np.ndarray | None  # E or F in the value's base layout, if kept
-    tasks: tuple = ()  # per server, the task after which it holds `opened`
-
-
 class SecureContext:
     """Client + n servers with simulated devices and channels.
 
@@ -189,74 +171,41 @@ class SecureContext:
         # — shared infrastructure); the cpu_parallel switch governs the
         # servers (see FrameworkConfig docs and the Fig. 14 ablation).
         self.client_cpu = SimCPU(
-            self.offline_clock,
-            cfg.cpu_spec,
-            "client",
-            parallel_enabled=cfg.client_parallel,
-            telemetry=self.telemetry,
+            self.offline_clock, cfg.cpu_spec, "client",
+            parallel_enabled=cfg.client_parallel, telemetry=self.telemetry,
         )
-        self.client_gpu = (
-            SimGPU(
-                self.offline_clock,
-                cfg.gpu_spec,
-                "clientgpu",
-                n_streams=1,
-                tensor_core=cfg.tensor_core,
-                telemetry=self.telemetry,
-            )
-            if cfg.use_gpu
-            else None
-        )
+        self.client_gpu = SimGPU(
+            self.offline_clock, cfg.gpu_spec, "clientgpu", n_streams=1,
+            tensor_core=cfg.tensor_core, telemetry=self.telemetry,
+        ) if cfg.use_gpu else None
         self.uplinks = [
             Channel(
                 self.offline_clock, cfg.uplink, "client", f"server{i}", telemetry=self.telemetry
             )
             for i in range(self.n_parties)
         ]
-        self.uplink0 = self.uplinks[0]
-        self.uplink1 = self.uplinks[1]
 
         # --- online side (servers) --------------------------------------------
         self.online_clock = SimClock()
         self.online_clock.set_tracing(cfg.trace)
         self.telemetry.register_clock("online", self.online_clock)
-        self.server_cpu = [
-            SimCPU(
-                self.online_clock,
-                cfg.cpu_spec,
-                f"s{i}",
-                parallel_enabled=cfg.cpu_parallel,
-                telemetry=self.telemetry,
-            )
-            for i in range(self.n_parties)
-        ]
+        def server_cpus(suffix: str) -> list[SimCPU]:
+            return [
+                SimCPU(self.online_clock, cfg.cpu_spec, f"s{i}{suffix}",
+                       parallel_enabled=cfg.cpu_parallel, telemetry=self.telemetry)
+                for i in range(self.n_parties)
+            ]
+
+        self.server_cpu = server_cpus("")
         # Pipeline 2 (Fig. 6): with the double pipeline on, each server
         # runs its reconstruct steps in a dedicated thread, so they can
         # overlap GPU operations of neighbouring layers.  Without it the
         # reconstruct work shares the single in-order CPU timeline.
-        if cfg.double_pipeline:
-            self.server_reconstruct_cpu = [
-                SimCPU(
-                    self.online_clock,
-                    cfg.cpu_spec,
-                    f"s{i}rec",
-                    parallel_enabled=cfg.cpu_parallel,
-                    telemetry=self.telemetry,
-                )
-                for i in range(self.n_parties)
-            ]
-        else:
-            self.server_reconstruct_cpu = self.server_cpu
+        self.server_reconstruct_cpu = server_cpus("rec") if cfg.double_pipeline else self.server_cpu
         self.server_gpu = [
-            SimGPU(
-                self.online_clock,
-                cfg.gpu_spec,
-                f"s{i}gpu",
-                tensor_core=cfg.tensor_core,
-                telemetry=self.telemetry,
-            )
-            if cfg.use_gpu
-            else None
+            SimGPU(self.online_clock, cfg.gpu_spec, f"s{i}gpu",
+                   tensor_core=cfg.tensor_core, telemetry=self.telemetry)
+            if cfg.use_gpu else None
             for i in range(self.n_parties)
         ]
         # Fault tolerance: under a FaultPlan the server0<->server1 link
@@ -273,37 +222,21 @@ class SecureContext:
         self.server_links: dict[tuple[int, int], Channel] = {}
         for i in range(self.n_parties):
             for j in range(i + 1, self.n_parties):
+                ends = (self.online_clock, cfg.server_link, f"server{i}", f"server{j}")
                 if (i, j) == (0, 1) and self.fault_injector is not None:
                     link = ResilientChannel(
-                        self.online_clock,
-                        cfg.server_link,
-                        "server0",
-                        "server1",
-                        telemetry=self.telemetry,
-                        injector=self.fault_injector,
-                        policy=cfg.retry_policy,
+                        *ends, telemetry=self.telemetry,
+                        injector=self.fault_injector, policy=cfg.retry_policy,
                     )
                 else:
-                    link = Channel(
-                        self.online_clock,
-                        cfg.server_link,
-                        f"server{i}",
-                        f"server{j}",
-                        telemetry=self.telemetry,
-                    )
+                    link = Channel(*ends, telemetry=self.telemetry)
                 self.server_links[(i, j)] = link
         self.server_channel = self.server_links[(0, 1)]
         self.compressors = {
-            (0, 1): DeltaCompressor(
-                enabled=cfg.compression,
-                telemetry=self.telemetry,
-                direction="s0->s1",
-            ),
-            (1, 0): DeltaCompressor(
-                enabled=cfg.compression,
-                telemetry=self.telemetry,
-                direction="s1->s0",
-            ),
+            (src, dst): DeltaCompressor(
+                enabled=cfg.compression, telemetry=self.telemetry, direction=f"s{src}->s{dst}"
+            )
+            for src, dst in ((0, 1), (1, 0))
         }
 
         # --- placement & offline material --------------------------------------
@@ -336,19 +269,11 @@ class SecureContext:
         # same op stream within a step raises a labelled ProtocolError.
         self._batch_epoch: int | None = None
 
-        # One mask per value: the mask table, mask uid -> what that mask
-        # opened (see "the mask table" below), the (label, side) whose
-        # masks other streams are dealt on, and one upload per value:
-        # each server GPU's device table, (what, uid) -> (buffer, upload
-        # task) (see "the device table" below).
-        self._opened: dict[int, _Opening] = {}
+        # One mask per value, one upload per value: what every party
+        # holds, and until when (see "the row table" below), and the
+        # (label, side) whose masks other streams are dealt on.
+        self.rows = RowTable(self.server_gpu)
         self._shared_sides: set[tuple[str, str]] = set()
-        self._device: list[dict[tuple[str, int], tuple]] = [{} for _ in range(self.n_parties)]
-        # the static value each stream side (label, side) last read, whose
-        # share rows outlive the step, and, under rep3, this step's readers
-        # of every other value (uid -> stream sides)
-        self._static_shares: dict[tuple[str, str], int] = {}
-        self._readers: dict[int, set[tuple[str, str]]] = {}
         mask_reuse_hits = self.telemetry.counter(
             "mpc.mask_reuse.hits",
             "masked differences the servers already held, by side and scope (step|static)",
@@ -548,13 +473,7 @@ class SecureContext:
         """
         encoded = self.encoder.encode(plain)
         self._client_plan("encode", encoded.nbytes, f"{label}:encode")
-        pair = self._share_with_timing(encoded, label)
-        self._upload(
-            self.backend.upload_nbytes(encoded.nbytes),
-            f"{label}:upload",
-            contents=self.backend.upload_payloads(pair),
-        )
-        return pair
+        return self.share_ring(encoded, label)
 
     def share_ring(self, encoded: np.ndarray, label: str = "input"):
         """Share an already-encoded ring matrix."""
@@ -580,7 +499,7 @@ class SecureContext:
         Returns the ``U``, ``V``, ``Z`` share pairs and the two
         :class:`~repro.mpc.triplets.MaskView`.
         """
-        linking = self._links_masks and None not in operands
+        linking = self._batch_epoch is not None and None not in operands
         flipped = [operand is not None and operand.transposed for operand in operands]
         # per side: the view on an existing mask, or None (draw a new one)
         views = [
@@ -658,51 +577,47 @@ class SecureContext:
         return ElementwiseTriplet(u=u, v=v, z=z, shape=shape, masks=masks)
 
     def begin_batch(self) -> None:
-        """Advance the online step: the per-batch consumption guard, and
-        the end of everything the last step opened but a static value."""
+        """Advance the online step (the per-batch consumption guard),
+        ending the last one if its driver left it open."""
+        self.end_batch()
         self._batch_epoch = 0 if self._batch_epoch is None else self._batch_epoch + 1
+
+    def end_batch(self) -> None:
+        """End the online step: what it held for the step only goes (its
+        ``step`` rows), and so do the streams dealt ahead of their use."""
         self._ahead.clear()
-        self._readers.clear()
-        if self._opened:
-            self._opened = {m: row for m, row in self._opened.items() if row.static}
-            for row in self._opened.values():
-                row.tasks = ()  # long done; a hit waits on its operands alone
-        static = set(self._static_shares.values())
-        self._free_device(
-            (what, uid) for what, uid in self._device_rows()
-            if (what in SHARE_ROWS and uid not in static)
-            or (what in ("open", "lead") and uid not in self._opened)
-        )
+        self.rows.end("step")
 
-    # ----------------------------------------------------------- the mask table
+    # ------------------------------------------------------------ the row table
     #
-    # A Beaver mask belongs to a value, not to an op stream.  The table
-    # maps a mask's uid to the value (tensor uid) it opened, the opened
-    # difference in the value's base layout and the tasks after which
-    # each server holds it.  One lifetime rule: a row lives while its
-    # value can still be asked for — to the end of the online step (a
-    # step ends where the next begins, ``begin_batch``: there is no
-    # other boundary), or, for a ``static`` tensor under persistent
-    # masks, until the mask opens a new uid or its stream side is dealt
-    # a new mask (PR 20's unchanged-weight ``F``).  The opened
-    # matrix itself is kept only where somebody can ask: a static value,
-    # or a mask more than one stream side is dealt on; every other row
-    # is the bare (mask, value, step) fact the dealer and the invariant
-    # "a mask never opens two values in one step" need.  Outside
-    # ``begin_batch`` steps there is no step boundary: only static rows
-    # exist and no stream shares a mask.
+    # One mask per value, one upload per value: every party's rows — what
+    # each mask opened (``mask``, on the host), and on the server GPU the
+    # opened difference (``open``) and ``D`` (``lead``), a value's shares
+    # (``share``, ``next``, ``sum``) and a stream's ``Z`` — are one table
+    # per party (:mod:`repro.core.rows`), each row ``static``, ``step`` or
+    # ``op``.  :meth:`lifetime` picks a product's lifetimes from what each
+    # operand is in this step; :meth:`store_masked` fills the openings;
+    # each backend fills its device rows around its plan; the step's end
+    # (:meth:`end_batch`, :meth:`begin_batch`), a collected value
+    # (:meth:`_static_gone`), a re-dealt stream (:meth:`_stream_triplet`)
+    # and a restart (:meth:`reset_mask_reuse`) free them.  The opened
+    # matrix is kept only where somebody can ask for it: a static value,
+    # or a mask more than one stream side is dealt on; every other
+    # opening is the bare (mask, value, step) fact the dealer and the
+    # invariant "a mask never opens two values in one step" need.
+    # Outside ``begin_batch`` steps only static rows are kept and no
+    # stream shares a mask.
 
-    @property
-    def _links_masks(self) -> bool:
-        """Whether streams share masks here: inside ``begin_batch`` steps."""
-        return self._batch_epoch is not None
+    def _opened_this_step(self, row) -> bool:
+        """Whether ``mask`` row ``row`` was opened or served in this step."""
+        return self._batch_epoch is not None and row.epoch == self._batch_epoch
 
     def _mask_opened_this_step(self, operand) -> BeaverMask | None:
         """The mask that opened ``operand``'s value in this online step,
         or was dealt to it by a stream dealt ahead of its use
         (:meth:`deal_ahead`), which opens it under that mask this step."""
-        for row in self._opened.values():
-            if row.uid == operand.uid and row.epoch == self._batch_epoch:
+        for row in self.rows.table(0).values():
+            if row.mask is not None and row.value == operand.uid and self._opened_this_step(row):
                 return row.mask
         for triplet, uids in self._ahead.values():
             for view, uid in zip(triplet.masks, uids):
@@ -710,212 +625,106 @@ class SecureContext:
                     return view.mask
         return None
 
+    def _opening(self, tensor, view: MaskView):
+        """The ``mask`` row in which ``view``'s mask keeps ``tensor``'s
+        opened difference, or ``None``."""
+        row = self.rows.get(0, ("mask", view.mask.uid))
+        return row if row and row.value == tensor.uid and row.held is not None else None
+
     def reuse_masked(self, side: str, tensor, view: MaskView):
         """``(E or F, ready tasks)`` if the servers already hold ``tensor``'s
-        difference under ``view``'s mask, else ``None``.
-
-        A hit means this very value (tensor uid) was opened under this
-        very mask and kept — the combined matrix is bit-identical, and
-        the servers skip the subtract, the frame part and the combine.
-        It also registers the value as opened this step, exactly like a
-        live opening, so which streams get linked never depends on what
-        happened to be cached.
-        """
-        row = self._opened.get(view.mask.uid)
-        if row is None or row.uid != tensor.uid or row.opened is None:
+        difference under ``view``'s mask (this very value, opened under
+        this very mask and kept: bit-identical), else ``None``.  A hit
+        registers the value as opened this step, exactly like a live
+        opening, so which streams get linked never depends on what
+        happened to be cached."""
+        row = self._opening(tensor, view)
+        if row is None:
             return None
-        in_step = self._batch_epoch is not None and row.epoch == self._batch_epoch
-        self._mask_reuse_series[side, "step" if in_step else "static"].inc(1)
+        self._mask_reuse_series[side, "step" if self._opened_this_step(row) else "static"].inc(1)
         row.epoch = self._batch_epoch
-        return from_base_layout(row.opened, tensor.shape, view.transposed), row.tasks
+        return from_base_layout(row.held, tensor.shape, view.transposed), row.task
 
     def store_masked(self, tensor, view: MaskView, combined: np.ndarray, tasks) -> None:
-        """Record that ``view``'s mask opened ``tensor`` (see the lifetime rule)."""
+        """Record that ``view``'s mask opened ``tensor``: a ``static`` row
+        for a static value under persistent masks, else a ``step`` row."""
         outlives_step = tensor.static and not self.config.fresh_triplets
-        if not (outlives_step or self._links_masks):
+        if not outlives_step and self._batch_epoch is None:
             return
-        # the matrix itself is kept where somebody can ask for it: a
-        # weight (its forward product and its dX), a mask streams share
-        keep = tensor.static or view.mask.shared
-        # whatever this mask opened before (an updated weight's old F) is
-        # stale, on the host and on the GPUs
-        dead = {view.mask.uid}
-        if outlives_step:
-            # a re-dealt stream side (a ragged batch) drew a
-            # new mask; nobody can ask for what its old one opened
-            owner = view.mask.owner
-            dead.update(
-                uid for uid, row in self._opened.items()
-                if row.static and row.mask.owner == owner
-            )
-        for uid in dead:
-            self._opened.pop(uid, None)
-        self._free_device((what, uid) for uid in dead for what in ("open", "lead"))
-        self._opened[view.mask.uid] = _Opening(
-            mask=view.mask,
-            uid=tensor.uid,
-            epoch=self._batch_epoch,
-            static=outlives_step,
-            opened=to_base_layout(combined, view.transposed) if keep else None,
-            tasks=tuple(tasks) if keep else (),
+        mask = view.mask
+        # what this mask opened before (an updated weight's old F) is stale
+        self.rows.drop(mask.uid)
+        if outlives_step:  # a re-dealt stream side's old mask opens nothing more
+            self.rows.own(mask.owner, mask.uid)
+        keep = tensor.static or mask.shared
+        self.rows.fill(
+            None, ("mask", mask.uid),
+            to_base_layout(combined, view.transposed) if keep else None,
+            tuple(tasks) if keep else (), "static" if outlives_step else "step",
+            mask=mask, value=tensor.uid, epoch=self._batch_epoch,
         )
 
-    # --------------------------------------------------------- the device table
-    #
-    # A value is uploaded once: what the mask table is to the wire, the
-    # device table is to PCIe.  One dict per server GPU, ``(what, uid) ->
-    # (device buffer in the value's base layout, upload task)``, read and
-    # filled around the ``beaver2pc`` GPU plan (``beaver2pc._on_gpu``):
-    #
-    # * ``("open", mask uid)`` — the opened difference ``E`` / ``F`` — and
-    #   ``("lead", mask uid)`` — ``D = A_i - i E`` computed from it — live
-    #   and die with the mask's row in the mask table;
-    # * ``("share", tensor uid)`` — the server's own share ``A_i`` /
-    #   ``B_i`` — lives by the share-row rule below;
-    # * ``("Z", triplet uid)`` — the stream's ``Z_i`` — lives while the
-    #   stream keeps that triplet (never under ``fresh_triplets``).
-    #
-    # Under ``rep3`` party ``i`` holds a value's replicated pair, filled by
-    # :meth:`repro.protocols.rep3.Rep3Backend.matmul`: ``("share", uid)`` —
-    # ``x_i`` — and ``("next", uid)`` — ``x_{i+1}`` — for a left operand,
-    # ``("sum", uid)`` — ``x_i + x_{i+1}`` — and ``("share", uid)`` for a
-    # right one.  The rows hold the parties' share arrays by reference.
-    #
-    # The share-row rule is one, for both backends
-    # (:meth:`device_keep_shares`): a static value's rows are kept from its
-    # first read by a stream side ``(label, side)`` until that side reads
-    # a new uid or the value is gone — the tensor :meth:`SharedTensor.mark_static`
-    # marked is collected (:meth:`watch_static`), which also ends the
-    # value's mask-table row and its ``open``/``lead`` rows.  Every other
-    # value's rows are kept where more than one stream side reads it in
-    # the step — a mask several sides are dealt on, or, with no dealer,
-    # sides learned like the dealer's links — to the end of the step.
-    #
-    # Retention is the mask table's who-can-ask rule (:meth:`device_keep`);
-    # invalidation is one loop (:meth:`_free_device`), run where a row's
-    # owner goes: ``begin_batch``, a mask opening a new value, a re-dealt
-    # stream, a static value replaced or collected, :meth:`reset_mask_reuse`.
-
-    def device_table(self, party: int) -> dict[tuple[str, int], tuple]:
-        """Server ``party``'s device table (see "the device table")."""
-        return self._device[party]
-
-    def device_keep(self, label: str, triplet, x, y) -> dict[str, tuple[str, int]]:
-        """Fig. 5 slot name -> device-table row, for every operand of the
-        ``beaver2pc`` product ``label`` (``x @ y`` under ``triplet``) that
-        somebody can ask for again.
-
-        ``Z`` can whenever masks persist.  An opened difference can where
-        the mask table kept it for longer than this product: a ``static``
-        value (next step asks) or a mask more than one stream side is
-        dealt on (another product of this step asks).  The server's own
-        share follows the share-row rule (:meth:`device_keep_shares`).
-        Everything else is freed when the product returns.
-        """
-        keep = {} if self.config.fresh_triplets else {"Z": ("Z", triplet.uid)}
-        shares = self.device_keep_shares(label, x, y, triplet.masks)
-        for (opened, share), tensor, view in zip(("EA", "FB"), (x, y), triplet.masks):
-            if tensor.uid in shares:
-                keep[share] = ("share", tensor.uid)
-            row = self._opened.get(view.mask.uid)
-            if row is None or row.uid != tensor.uid or row.opened is None:
-                continue
-            if row.static or view.mask.shared:
-                keep[opened] = ("open", view.mask.uid)
-        return keep
-
-    def device_keep_shares(self, label: str, x, y, masks=(None, None)) -> set[int]:
-        """The uids among ``x`` and ``y`` whose share rows stay in the
-        device tables after the product ``label`` reads them — one rule
-        for both backends.
-
-        A ``static`` value (a weight) stays from its first read by the
-        stream side ``(label, "L" | "R")`` until that side reads a new uid,
-        which frees the old value's rows at once, or until the value is
-        gone (:meth:`watch_static`).  Any other value stays to the end of
-        the step where somebody can ask again: under a dealer, its
-        ``masks`` view is on a mask several stream sides are dealt on;
-        without one, its stream side is one of several that read one value
-        in a step — learned, like the dealer's links, the first time two
-        of them do.  Outside ``begin_batch`` steps no other value stays.
-        """
-        keep = set()
-        for side, tensor, view in zip("LR", (x, y), masks):
+    def lifetime(self, label: str, x, y, triplet=None) -> dict[str, str]:
+        """Stream side -> lifetime of the rows the product ``label``
+        (``x @ y``) reads, one rule for both backends, from what each value
+        is in this step.  ``L``/``R``, the operands' share rows: ``static``
+        for a static value; ``step`` where another stream side asks again
+        this step (a mask several sides are dealt on; with no dealer, a side
+        one of several that read the value, learned like the dealer's
+        links); else ``op``.  Under a dealer, ``E``/``F`` (and ``D``) as
+        the ``mask`` row of what ``triplet``'s masks opened where it keeps
+        the matrix beyond this product, and ``Z`` (not under
+        ``fresh_triplets``)."""
+        views = (None, None) if triplet is None else triplet.masks
+        out = {}
+        for side, tensor, view in zip("LR", (x, y), views):
             owner = (label, side)
-            old = self._static_shares.pop(owner, None)
-            if tensor.static:
-                self._static_shares[owner] = tensor.uid
-                keep.add(tensor.uid)
-            elif self._batch_epoch is not None and (
-                view.mask.shared if view is not None else self._read_again(owner, tensor.uid)
-            ):
-                keep.add(tensor.uid)
-            if old not in (None, tensor.uid):
-                self._free_device((what, old) for what in SHARE_ROWS)
-        return keep
-
-    def _read_again(self, owner: tuple[str, str], uid: int) -> bool:
-        """Whether stream side ``owner`` is one of several that read value
-        ``uid`` in a step, recording this read (the dealer-free twin of a
-        shared mask)."""
-        readers = self._readers.setdefault(uid, set())
-        readers.add(owner)
-        if len(readers) > 1:
-            self._shared_sides.update(readers)
-        return owner in self._shared_sides
-
-    def watch_static(self, tensor) -> None:
-        """End ``tensor``'s value in this deployment once ``tensor`` is
-        collected (:meth:`_static_gone`): the end of a static value's
-        device rows when its model or its layer lets it go."""
-        weakref.finalize(tensor, self._static_gone, tensor.uid).atexit = False
+            self.rows.own(owner, tensor.uid if tensor.static else None)
+            if tensor.static or self._batch_epoch is None:
+                out[side] = "static" if tensor.static else "op"
+                continue
+            if view is None:  # no dealer: learn, like its links, which sides read a value twice
+                read = self.rows.get(0, ("read", tensor.uid))
+                readers = (read or self.rows.fill(None, ("read", tensor.uid), set(), (), "step")).held
+                readers.add(owner)
+                if len(readers) > 1:
+                    self._shared_sides.update(readers)
+            shared = view.mask.shared if view is not None else owner in self._shared_sides
+            out[side] = "step" if shared else "op"
+        if x.uid == y.uid:  # one value: held as long as either side asks
+            out["L"] = out["R"] = min(out["L"], out["R"], key=LIFETIMES.index)
+        if triplet is None:
+            return out
+        out["Z"] = "op" if self.config.fresh_triplets else "static"
+        for side, tensor, view in zip("EF", (x, y), views):
+            row = self._opening(tensor, view)
+            kept = row is not None and (row.lifetime == "static" or view.mask.shared)
+            out[side] = row.lifetime if kept else "op"
+        return out
 
     def _static_gone(self, uid: int) -> None:
-        """Nobody can ask for static value ``uid`` again: free its share
-        rows, its mask-table rows and the ``open``/``lead`` rows they
-        hold.  A row of a mask that opened it this step keeps the bare
-        fact, which the one-value-per-mask-per-step invariant needs, to the
-        step's end."""
-        for owner in [owner for owner, held in self._static_shares.items() if held == uid]:
-            del self._static_shares[owner]
-        masks = [m for m, row in self._opened.items() if row.uid == uid]
-        for m in masks:
-            row = self._opened[m]
-            if self._batch_epoch is not None and row.epoch == self._batch_epoch:
-                row.static, row.opened, row.tasks = False, None, ()
-            else:
-                del self._opened[m]
-        self._free_device([
-            *((what, uid) for what in SHARE_ROWS),
-            *((what, m) for m in masks for what in ("open", "lead")),
-        ])
-
-    def _device_rows(self) -> set[tuple[str, int]]:
-        """Every key some server's device table holds."""
-        return set().union(*self._device)
-
-    def _free_device(self, dead) -> None:
-        """Free the rows ``dead`` (keys nobody can ask for again) on every server."""
-        dead = set(dead)
-        for gpu, rows in zip(self.server_gpu, self._device):
-            for key in dead & rows.keys():
-                gpu.free(rows.pop(key)[0])
+        """Nobody can ask for static value ``uid`` again (its tensor was
+        collected, :meth:`SharedTensor.mark_static`): its rows go, and
+        so do the rows of every mask that opened it — but one that opened
+        it this step keeps the bare fact to the step's end, which the
+        one-value-per-mask-per-step invariant needs."""
+        self.rows.drop(uid)
+        for row in [row for row in self.rows.table(0).values() if row.value == uid]:
+            self.rows.drop(row.mask.uid)
+            if self._opened_this_step(row):
+                self.rows.fill(
+                    None, ("mask", row.mask.uid), None, (), "step",
+                    mask=row.mask, value=uid, epoch=row.epoch,
+                )
 
     def reset_mask_reuse(self) -> None:
-        """Empty the mask table and the device tables.
-
-        Called on recovery paths (server restart, inference retry): a
-        restarted server has lost its memory, so nothing previously
-        uploaded or exchanged can be assumed present — every opening is
-        forgotten and every resident device buffer freed, leaving every
-        server's ``gpu.pool.allocated_bytes`` at 0.  Cached triplets
-        and the links between streams are the dealer's and survive, so
-        a replayed batch opens what a fault-free one opens.
-        """
-        self._opened.clear()
-        self._static_shares.clear()
-        self._readers.clear()
-        self._free_device(self._device_rows())
+        """Empty every party's table (recovery paths: server restart,
+        inference retry): a restarted server has lost its memory, so every
+        opening is forgotten and every device buffer freed — every pool
+        reads 0.  Cached triplets and the links between streams are the
+        dealer's and survive, so a replayed batch opens what a fault-free
+        one opens."""
+        self.rows.clear()
 
     # ---------------------------------------------------- per-label triplet API
 
@@ -936,13 +745,8 @@ class SecureContext:
         for view, operand in zip(triplet.masks, operands):
             if view.transposed != operand.transposed:
                 return False
-            row = self._opened.get(view.mask.uid)
-            if (
-                row is not None
-                and row.uid != operand.uid
-                and self._batch_epoch is not None
-                and row.epoch == self._batch_epoch
-            ):
+            row = self.rows.get(0, ("mask", view.mask.uid))
+            if row is not None and row.value != operand.uid and self._opened_this_step(row):
                 return False
         return True
 
@@ -959,7 +763,7 @@ class SecureContext:
             triplet = cache.get(label)
             if triplet is None or not same_shape(triplet) or not self._masks_fit(triplet, operands):
                 if triplet is not None:  # nobody can ask for the old triplet's Z
-                    self._free_device([("Z", triplet.uid)])
+                    self.rows.drop(triplet.uid)
                 triplet = cache[label] = deal()
         if use:
             triplet.begin_use(None if self.config.fresh_triplets else self._batch_epoch, label)
@@ -975,19 +779,12 @@ class SecureContext:
         (:meth:`_mask_opened_this_step`).  The stream's next fetch takes
         this triplet.  A dealer-free backend deals nothing.
         """
-        if not self.backend.needs_dealer:
-            return
-        shapes = (tuple(x.shape), tuple(y.shape))
-        triplet = self._stream_triplet(
-            self._matrix_triplets, label, (x, y),
-            lambda cached: (cached.shape_a, cached.shape_b) == shapes,
-            lambda: self.gen_matrix_triplet(*shapes, label=label, operands=(x, y)),
-            use=False,
-        )
-        self._ahead[label] = (triplet, (x.uid, y.uid))
+        if self.backend.needs_dealer:
+            triplet = self.get_matrix_triplet(label, x.shape, y.shape, (x, y), use=False)
+            self._ahead[label] = (triplet, (x.uid, y.uid))
 
     def get_matrix_triplet(
-        self, label: str, shape_a, shape_b, operands=(None, None)
+        self, label: str, shape_a, shape_b, operands=(None, None), *, use: bool = True
     ) -> MatrixTriplet:
         """The triplet for op stream ``label``; cached unless fresh_triplets.
 
@@ -997,15 +794,17 @@ class SecureContext:
         the cache entry, and so does a mask that may not open
         ``operands`` (:meth:`_masks_fit`); ``operands`` are the tensors
         about to be multiplied, which :meth:`_deal` reads for the values
-        already opened this step.
+        already opened this step.  ``use`` off only deals it.
         """
         self._require_dealer(label)
         shapes = (tuple(shape_a), tuple(shape_b))
-        self._triplet_series["matrix", shapes].consumed.inc(1)
+        if use:
+            self._triplet_series["matrix", shapes].consumed.inc(1)
         return self._stream_triplet(
             self._matrix_triplets, label, operands,
             lambda cached: (cached.shape_a, cached.shape_b) == shapes,
             lambda: self.gen_matrix_triplet(*shapes, label=label, operands=operands),
+            use=use,
         )
 
     def _require_dealer(self, label: str) -> None:

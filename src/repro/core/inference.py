@@ -157,6 +157,8 @@ def run_secure_batch(
                 telemetry.counter(
                     "faults.requests_retried", "inference batch requests retried"
                 ).inc(1, party=failure.party)
+        finally:
+            ctx.end_batch()
     outputs = pred.decode()
     online_s = ctx.since(amark).online_s
     total_s = ctx.since(bmark).online_s

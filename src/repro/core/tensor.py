@@ -21,31 +21,26 @@ live in :mod:`repro.core.ops`.
 from __future__ import annotations
 
 import functools
-import itertools
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Literal, Optional
 
 import numpy as np
 
 from repro.fixedpoint.ring import RING_DTYPE, ring_add, ring_mul, ring_neg, ring_sub
+from repro.mpc.triplets import next_uid
 from repro.simgpu.clock import Task
 from repro.util.errors import EncodingError, ProtocolError, ShapeError
 
 TensorKind = Literal["fixed", "indicator"]
 
-# Monotonic value identity.  The context's mask table records which
-# value (uid) each Beaver mask opened; a uid is never recycled, so a
-# tensor that replaced another (e.g. an updated weight) can never be
-# mistaken for the old value.  Local views that keep the underlying
-# values keep the uid — a reshape, and a transpose, which flips
-# ``transposed`` so a square ``x.T`` can be told from ``x``; operations
-# that change values (or reshape a transposed view, whose layout no
-# flag describes) must issue a fresh one.
-_TENSOR_UIDS = itertools.count(1)
-
-
-def _next_tensor_uid() -> int:
-    return next(_TENSOR_UIDS)
+# Value identity (repro.mpc.triplets.next_uid).  The parties' row tables
+# record which value (uid) each Beaver mask opened and hold its shares
+# under it.  Local views that keep the underlying values keep the uid —
+# a reshape, and a transpose, which flips ``transposed`` so a square
+# ``x.T`` can be told from ``x``; operations that change values (or
+# reshape a transposed view, whose layout no flag describes) must issue
+# a fresh one.
 
 
 def require_same_context(x: "SharedTensor", y: "SharedTensor", label: str) -> None:
@@ -68,7 +63,7 @@ class SharedTensor:
     kind: TensorKind = "fixed"
     tasks: tuple[Optional[Task], ...] = (None, None)
     static: bool = False
-    uid: int = field(default_factory=_next_tensor_uid, compare=False)
+    uid: int = field(default_factory=next_uid, compare=False)
     transposed: bool = field(default=False, compare=False)  # of the uid's value, last two axes
 
     def __post_init__(self):
@@ -126,18 +121,19 @@ class SharedTensor:
         """Declare the value static across op invocations (layer weights).
 
         Any value is opened once per online step; a static one is
-        opened once per mask — its row in the context's mask table, and
-        its ``F`` on the GPU, survive the step until the value changes
-        (new uid) — unless ``config.fresh_triplets`` forbids persistent
-        masks.  Its shares stay on the server GPUs from the first product
-        that reads it until that product's side reads another value, under
-        any masks.  When this tensor is collected the value is gone, and
-        its rows in the context's mask and device tables go with it
-        (:meth:`SecureContext.watch_static`).  Returns ``self``.
+        opened once per mask — its opening's rows in the parties' tables
+        (``mask`` on the host, ``open`` on the GPU) are ``static``, and
+        survive the step until the mask opens another value — unless
+        ``config.fresh_triplets`` forbids persistent masks.  Its share
+        rows are ``static`` under any masks: from the first product that
+        reads it until that product's side reads another value.  When
+        this tensor is collected the value is gone, and every row of it
+        goes with it (:meth:`SecureContext._static_gone`).  Returns
+        ``self``.
         """
         if not self.static:
             self.static = True
-            self.ctx.watch_static(self)
+            weakref.finalize(self, self.ctx._static_gone, self.uid).atexit = False
         return self
 
     def decode(self) -> np.ndarray:
@@ -298,7 +294,7 @@ class SharedTensor:
     def _new_value(self, shares) -> "SharedTensor":
         """Locally derived shares of a different value: a fresh identity."""
         return replace(
-            self, shares=tuple(shares), static=False, uid=_next_tensor_uid(), transposed=False
+            self, shares=tuple(shares), static=False, uid=next_uid(), transposed=False
         )
 
     def row_slice(self, lo: int, hi: int, *, pad_to: int | None = None) -> "SharedTensor":
@@ -313,8 +309,15 @@ class SharedTensor:
         (label-cached offline material still matches)
         and the pad rows decode to 0 for the caller to trim.
         """
+        bounds = (lo, hi) if pad_to is None else (lo, hi, pad_to)
+        if not all(isinstance(b, (int, np.integer)) for b in bounds):
+            raise ShapeError(
+                f"row_slice: lo, hi and pad_to must be integers, got {lo!r}, {hi!r}, {pad_to!r}"
+            )
         if not 0 <= lo <= hi <= self.shape[0]:
             raise ShapeError(f"row_slice [{lo}, {hi}) is not a row range of {self.shape[0]} rows")
+        if pad_to is not None and pad_to < hi - lo:
+            raise ShapeError(f"row_slice: pad_to={pad_to} is fewer than the {hi - lo} rows sliced")
         parts = [np.ascontiguousarray(s[lo:hi]) for s in self.shares]
         if pad_to is not None and pad_to > parts[0].shape[0]:
             fill = np.zeros((pad_to - parts[0].shape[0], *parts[0].shape[1:]), dtype=RING_DTYPE)

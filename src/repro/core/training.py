@@ -234,6 +234,8 @@ class SecureTrainer:
             except PartyFailure as failure:
                 cursor = self._recover(report, failure, cursor)
                 continue
+            finally:
+                self.ctx.end_batch()
             report.batch_online_s.append(self.ctx.since(batch_mark).online_s)
             if self.monitor_loss:
                 err = pred.decode() - y[lo : lo + batch_size]

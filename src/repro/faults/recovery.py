@@ -13,8 +13,8 @@ steps can never drift apart:
 1. clear the injector's crash state for the party;
 2. reset every :class:`~repro.comm.compression.DeltaCompressor` stream
    (delta encoding resumes from scratch on both directions);
-3. empty the context's mask table (every opening the servers kept) and
-   both servers' device tables (every buffer they kept on a GPU) —
+3. empty every party's row table (every opening the servers kept,
+   every buffer they kept on a GPU) —
    nothing previously exchanged or uploaded can be assumed present; cached triplets and the links
    between streams are the dealer's and survive, so a replayed batch
    is bit-identical to a fault-free one;

@@ -20,15 +20,16 @@ import numpy as np
 from repro.mpc.shares import SharePair
 from repro.util.errors import ProtocolError
 
-# Monotonic identity for dealer triplets and masks.  Caches that stage
-# triplet material on devices, and the context's mask table, key their
-# entries by this uid rather than id(): a uid is never recycled, so a
-# regenerated triplet can never be mistaken for the object it replaced.
-_TRIPLET_UIDS = itertools.count(1)
+# Monotonic identity, one counter for values (tensors), masks and
+# triplets: the parties' row tables (repro.core.rows) key what they hold
+# by it rather than id(), and a uid is never recycled, so a regenerated
+# triplet or an updated value can never be mistaken for the one it
+# replaced, and a uid names one thing.
+_UIDS = itertools.count(1)
 
 
-def _next_triplet_uid() -> int:
-    return next(_TRIPLET_UIDS)
+def next_uid() -> int:
+    return next(_UIDS)
 
 
 @dataclass(eq=False)
@@ -47,7 +48,7 @@ class BeaverMask:
     pair: SharePair
     owner: tuple[str, str]
     shared: bool = False
-    uid: int = field(default_factory=_next_triplet_uid)
+    uid: int = field(default_factory=next_uid)
 
 
 def to_base_layout(array: np.ndarray, transposed: bool) -> np.ndarray:
@@ -165,7 +166,7 @@ class MatrixTriplet(_EpochShareMixin):
     shape_b: tuple[int, ...]
     label: str | None = None
     backend: str = "beaver2pc"
-    uid: int = field(default_factory=_next_triplet_uid, compare=False)
+    uid: int = field(default_factory=next_uid, compare=False)
     masks: tuple[MaskView, MaskView] | None = field(default=None, repr=False, compare=False)
     _epoch: int | None = field(default=None, repr=False, compare=False)
     _issued: dict = field(default_factory=dict, repr=False, compare=False)
@@ -181,7 +182,7 @@ class ElementwiseTriplet(_EpochShareMixin):
     shape: tuple[int, ...]
     label: str | None = None
     backend: str = "beaver2pc"
-    uid: int = field(default_factory=_next_triplet_uid, compare=False)
+    uid: int = field(default_factory=next_uid, compare=False)
     masks: tuple[MaskView, MaskView] | None = field(default=None, repr=False, compare=False)
     _epoch: int | None = field(default=None, repr=False, compare=False)
     _issued: dict = field(default_factory=dict, repr=False, compare=False)

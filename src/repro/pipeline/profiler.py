@@ -14,7 +14,7 @@ device:
 
 * ``beaver2pc`` — one server's Eq. 8 product ``(m,k) x (k,n)``.  GPU:
   Fig. 5's graph (:func:`_beaver_gpu`) less the resident slots — those
-  the server's device table holds and, in the price, the server's own
+  the server's row table holds and, in the price, the server's own
   shares that cross PCIe under the ``E``/``F`` exchange
   (:meth:`StepProfiler.shares_under_exchange`).  CPU: the fused
   ``(m, 2k, n)`` GEMM (``cpu_gemm``) and the ``+Z`` add, which also
@@ -22,7 +22,7 @@ device:
 * ``rep3`` — the cross-term product, fused to ``(m, 2k, n)``: the
   uploads of the left pair ``[x_i | x_{i+1}]`` (``h2d:L``) and the right
   pair ``[y_i + y_{i+1} ; y_i]`` (``h2d:R``) less the parts the party's
-  device table holds (slots ``A``, ``A2`` and ``Y``, ``B``), one GEMM
+  row table holds (slots ``A``, ``A2`` and ``Y``, ``B``), one GEMM
   and one download against the same GEMM on the CPU (``cpu_gemm``).
 * ``dealer`` — the client's ``Z = U x V``: two uploads (``h2d:U``,
   ``h2d:V``), one GEMM (``U@V``), one download (``d2h:Z``) against the

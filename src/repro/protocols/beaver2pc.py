@@ -19,7 +19,8 @@ A mask belongs to a value, so a value is opened once: a multiplication
 round has two, one or no live halves (:func:`_open_operands`) — a half
 the servers already hold under this very mask, from an earlier product
 of the step or, for an unchanged weight, from an earlier step, is
-served from the context's mask table and never sent (DESIGN §5b, §5e).
+served from the ``mask`` rows of the parties' tables and never sent
+(DESIGN §5b, §5e).
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _exchange_round(ctx, label, parts, masks):
 def _open_operands(ctx, label, triplet, x, y, starts, flat):
     """``E = x - U`` and ``F = y - V`` as public matrices: Eqs. 4-5.
 
-    ``E`` and ``F`` are treated alike, through the context's mask table.
+    ``E`` and ``F`` are treated alike, through the ``mask`` rows.
     A side whose mask already holds this very value — an unchanged
     weight's ``F`` from an earlier step, or a value another product of
     this step opened (``X`` for ``X W`` and ``X^T d``, ``d`` for ``X^T d``
@@ -180,22 +181,30 @@ def _open_operands(ctx, label, triplet, x, y, starts, flat):
     return e, f, ready
 
 
-def _rows(keep: dict) -> dict:
-    """``keep`` (slot -> device-table row, :meth:`SecureContext.device_keep`)
-    with ``D``'s: ``("lead", uid)``, kept wherever the ``E`` it is
-    computed from is."""
-    return {**keep, "D": ("lead", keep["E"][1])} if "E" in keep else keep
+def _slots(ctx, label, triplet, x, y) -> dict[str, tuple]:
+    """Fig. 5 slot -> ``(row key, lifetime)`` of every operand of the
+    product ``label`` (:meth:`SecureContext.lifetime`); ``D``, computed
+    from ``E``, is kept as long as ``E`` is."""
+    life = ctx.lifetime(label, x, y, triplet)
+    e, f = (view.mask.uid for view in triplet.masks)
+    return {
+        "E": (("open", e), life["E"]), "A": (("share", x.uid), life["L"]),
+        "F": (("open", f), life["F"]), "B": (("share", y.uid), life["R"]),
+        "Z": (("Z", triplet.uid), life["Z"]), "D": (("lead", e), life["E"]),
+    }
 
 
-def _resident(table: dict, keep: dict) -> tuple[str, ...]:
-    """The slots of a GPU product that place nothing: ``D`` where
-    ``table`` holds its row (and then nothing reads ``A_i``), and each
-    of ``E``, ``A``, ``F``, ``B``, ``Z`` whose row ``table`` holds or an
-    earlier slot of the product uploads (``p * p``)."""
-    rows, held = _rows(keep), set(table)
-    resident = ["D"] if rows.get("D") in held else []
+def _resident(table, keep: dict) -> tuple[str, ...]:
+    """The slots of a GPU product that place nothing, where ``table``
+    holds the row keys a party holds and ``keep`` maps each slot kept
+    past the product to its row key: ``D`` where its row is held (and
+    then nothing reads ``A_i``), and each of ``E``, ``A``, ``F``, ``B``,
+    ``Z`` whose row is held or an earlier slot of the product uploads
+    (``p * p``)."""
+    held = set(table)
+    resident = ["D"] if keep.get("D") in held else []
     for slot in "EAFBZ":  # Fig. 5's order
-        row = rows.get(slot)
+        row = keep.get(slot)
         if row in held:
             resident.append(slot)
         elif row is not None and not (slot == "A" and "D" in resident):
@@ -203,36 +212,31 @@ def _resident(table: dict, keep: dict) -> tuple[str, ...]:
     return tuple(sorted(resident))
 
 
-def _on_gpu(ctx, party, label, dims, keep, bases, deps):
+def _on_gpu(ctx, party, label, dims, slots, keep, bases, deps):
     """Server ``party``'s Eq. 8 product on its GPU: the ``beaver2pc``
-    plan, placed by ``run_plan`` around the server's device table; returns
-    ``C_i``'s download.  A slot the table holds places nothing, and its
-    readers wait on the row's task; a kept slot the table lacks is filled
-    with this plan's buffer and task; the product's other device memory
-    (transient uploads, an unkept ``D``, ``G1``, ``G2``, ``C``) is held
-    while it runs.  ``bases``: the slots' arrays in base layout."""
-    gpu, table, rows = ctx.server_gpu[party], ctx.device_table(party), _rows(keep)
-    resident = _resident(table, keep)
-    held = {slot: (table[rows[slot]][1],) for slot in resident if rows[slot] in table}
+    plan, placed by ``run_plan`` around the party's rows; returns
+    ``C_i``'s download.  A slot the party holds places nothing, and its
+    readers wait on the row's task; every upload fills a row with its
+    slot's lifetime, and the product's other device memory (``G1``,
+    ``G2``, ``C``) is an ``op`` row too.  ``bases``: the slots' arrays
+    in base layout; ``keep``: the kept slots' row keys."""
+    resident = _resident(ctx.rows.table(party), keep)
+    rows = {slot: ctx.rows.get(party, slots[slot][0]) for slot in resident}
+    held = {slot: (row.task,) for slot, row in rows.items() if row is not None}
     if "D" in held:  # and nothing reads A_i
         held.pop("A", None)
     tasks = ctx.profiler.run_plan(
-        None, gpu, "beaver2pc", dims, deps={**deps, **held}, label=label,
+        None, ctx.server_gpu[party], "beaver2pc", dims, deps={**deps, **held}, label=label,
         resident=resident, party=party,
     )
     placed = {task.label.removeprefix(f"{label}:"): task for task in tasks}
     names = {slot: f"h2d:{slot}" for slot in "EAFBZ"} | {"D": BEAVER_LEAD[party]}
-    scratch = []
     for slot, name in names.items():  # Fig. 5's uploads, then D
         if name in placed:
-            buf = gpu.pool.allocate(bases[slot])
-            if slot in rows:
-                table[rows[slot]] = (buf, placed[name])
-            else:
-                scratch.append(buf)
-    scratch += [gpu.pool.allocate(bases["C"]) for _c_sized in ("G1", "G2", "C")]
-    for buf in scratch:
-        gpu.free(buf)
+            key, life = slots[slot]
+            ctx.rows.fill(party, key, bases[slot], placed[name], life)
+    for _c_sized in ("G1", "G2", "C"):
+        ctx.rows.fill(party, None, bases["C"], None, "op")
     return tasks[-1]
 
 
@@ -295,10 +299,11 @@ class Beaver2PCBackend(ProtocolBackend):
 
         # --- Eq. 8 (online) --------------------------------------------------
         # One upload per value: the operands somebody can ask for again
-        # stay in the server's device table, in their value's base layout,
-        # and the plan is priced without what the table already holds.
-        keep = ctx.device_keep(label, triplet, x, y)
-        resident = _resident(ctx.device_table(0), keep)
+        # stay in the parties' row tables, in their value's base layout,
+        # and the plan is priced without what server 0 already holds.
+        slots = _slots(ctx, label, triplet, x, y)
+        keep = {slot: key for slot, (key, life) in slots.items() if life != "op"}
+        resident = _resident(ctx.rows.table(0), keep)
         dims = gemm_dims(x.shape, y.shape)
         if None not in ctx.server_gpu:  # what crosses PCIe under the exchange
             parties = zip(ctx.server_gpu, starts, ready)
@@ -328,13 +333,14 @@ class Beaver2PCBackend(ProtocolBackend):
                     "B": to_base_layout(y.shares[i], ty), "Z": tshare.z, "C": c,
                 }
                 deps = {"open": ready[i], "share": starts[i]}
-                tasks.append(_on_gpu(ctx, i, label, dims, keep, bases, deps))
+                tasks.append(_on_gpu(ctx, i, label, dims, slots, keep, bases, deps))
             else:
                 c = ring_matmul(np.concatenate([lead, e], -1), np.concatenate([f, y.shares[i]], -2))
                 tasks.append(ctx.profiler.run_plan(
                     ctx.server_cpu[i], None, "beaver2pc", dims, deps=ready[i], label=label
                 )[-1])
             shares.append(rescale_share(ring_add(c, tshare.z, out=c), bits, i))
+        ctx.rows.end("op")
         _set_chain(ctx, tasks)
         return SharedTensor(ctx=ctx, shares=tuple(shares), kind="fixed", tasks=tuple(tasks))
 

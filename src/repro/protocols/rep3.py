@@ -15,10 +15,10 @@ Beaver triplets:
   GEMM ``[x_p | x_{p+1}] @ [(y_p + y_{p+1}) ; y_p]``, so the profiler's
   GPU placement applies unchanged; a ``(B,m,k) x (B,k,n)`` stack is the
   same GEMM batched over ``B``, reshared as one message per link.  A
-  value's parts cross PCIe once: each party's device table keeps them
-  under the value's uid, by the share-row rule both backends use
-  (:meth:`SecureContext.device_keep_shares`), so
-  a resident part is not uploaded again, and a resident right operand's
+  value's parts cross PCIe once: each party's row table keeps them
+  under the value's uid for as long as the one lifetime rule both
+  backends use says (:meth:`SecureContext.lifetime`), so a resident
+  part is not uploaded again, and a resident right operand's
   ``y_p + y_{p+1}`` is not formed again.
 * **truncation** — probabilistic pair truncation: party 0 folds its
   replicated pair and truncates ``(x0 + x1)`` as the positive share of
@@ -208,25 +208,26 @@ class Rep3Backend(ProtocolBackend):
         # A (B,m,k) x (B,k,n) stack is B cross-terms in one batched GEMM
         # and one reshare of the whole (B,m,n) result.
         dims = gemm_dims(x.shape, y.shape)
-        keep = ctx.device_keep_shares(label, x, y)
+        life = ctx.lifetime(label, x, y)
         z_parts, z_tasks = [], []
         for i in range(3):
             j = (i + 1) % 3
-            table = ctx.device_table(i)
-            rows = {  # slot -> (row key, operand, its share in the slot or None: the sum)
-                "A": (("share", x.uid), x, x.shares[i]), "A2": (("next", x.uid), x, x.shares[j]),
-                "Y": (("sum", y.uid), y, None), "B": (("share", y.uid), y, y.shares[i]),
+            slots = {  # slot -> (row key, operand, its share in the slot or None: the sum, side)
+                "A": (("share", x.uid), x, x.shares[i], "L"),
+                "A2": (("next", x.uid), x, x.shares[j], "L"),
+                "Y": (("sum", y.uid), y, None, "R"), "B": (("share", y.uid), y, y.shares[i], "R"),
             }
-            resident, held = [], set(table)
-            for slot, (key, tensor, _share) in rows.items():
-                if key in held:
+            rows = {slot: ctx.rows.get(i, key) for slot, (key, *_) in slots.items()}
+            resident, held = [], set()
+            for slot, (key, _tensor, _share, side) in slots.items():
+                if rows[slot] is not None or key in held:
                     resident.append(slot)
-                elif tensor.uid in keep:  # ``p @ p.T`` uploads its shared part once
+                elif life[side] != "op":  # ``p @ p.T`` uploads it once
                     held.add(key)
-            uploaded = tuple(table[key][1] for key, _t, _s in rows.values() if key in table)
+            uploaded = tuple(row.task for row in rows.values() if row is not None)
             start = _chain(ctx, _deps(x.tasks[i], x.tasks[j], y.tasks[i], y.tasks[j]))
-            if "Y" in resident:  # formed once per resident value
-                held_sum = table[rows["Y"][0]][0].require_live()
+            if rows["Y"] is not None:  # formed once per resident value
+                held_sum = rows["Y"].held.require_live()
                 ysum, ready = from_base_layout(held_sum, y.shape, y.transposed), start
             else:
                 ysum, t_sum = ctx.server_cpu[i].elementwise(
@@ -246,11 +247,11 @@ class Rep3Backend(ProtocolBackend):
             for pair, upload in zip(REP3_SLOTS, ("h2d:L", "h2d:R")):
                 task = uploads.get(f"{label}:{upload}")
                 for slot in pair:
-                    key, tensor, share = rows[slot]
-                    if task is None or tensor.uid not in keep or key in table:
+                    key, tensor, share, side = slots[slot]
+                    if task is None or life[side] == "op" or ctx.rows.get(i, key) is not None:
                         continue
                     part = to_base_layout(ysum if share is None else share, tensor.transposed)
-                    table[key] = (ctx.server_gpu[i].pool.allocate(part), task)
+                    ctx.rows.fill(i, key, part, task, life[side])
         shares, tasks = self._reshare(ctx, z_parts, z_tasks, label)
         _set_chain(ctx, tasks)
         return SharedTensor(ctx=ctx, shares=shares, kind="fixed", tasks=tasks)

@@ -58,10 +58,10 @@ def never_reuse(monkeypatch, *, every_product: bool = False):
     before each online step: the reference for static-operand reuse,
     which has no off switch (``fresh_triplets`` changes the masks too).
 
-    ``every_product`` also empties the device tables before every
-    secure product, so each one uploads all of its operands (five under
-    ``beaver2pc``, both pairs under ``rep3``): the reference for
-    one-upload-per-value."""
+    ``every_product`` also gives every row a secure product fills on a
+    server GPU the ``op`` lifetime, so each product uploads all of its
+    operands (five under ``beaver2pc``, both pairs under ``rep3``): the
+    reference for one-upload-per-value."""
     begin = SecureContext.begin_batch
 
     def begin_batch(ctx):
@@ -70,14 +70,28 @@ def never_reuse(monkeypatch, *, every_product: bool = False):
 
     monkeypatch.setattr(SecureContext, "begin_batch", begin_batch)
     if every_product:
-        # both backends ask this once per product, before it reads the table
-        keep_shares = SecureContext.device_keep_shares
+        # both backends ask this once per product, before they read a row
+        lifetime = SecureContext.lifetime
 
-        def device_keep_shares(ctx, label, x, y, masks=(None, None)):
-            ctx._free_device(ctx._device_rows())
-            return keep_shares(ctx, label, x, y, masks)
+        def keep_nothing(ctx, *args, **kw):
+            return dict.fromkeys(lifetime(ctx, *args, **kw), "op")
 
-        monkeypatch.setattr(SecureContext, "device_keep_shares", device_keep_shares)
+        monkeypatch.setattr(SecureContext, "lifetime", keep_nothing)
+
+
+def device_table(ctx, party):
+    """Server ``party``'s device rows: ``(kind, uid) -> (buffer, task)``."""
+    from repro.core.rows import DEVICE_KINDS
+
+    return {
+        key: (row.held, row.task) for key, row in ctx.rows.table(party).items()
+        if key[0] in DEVICE_KINDS
+    }
+
+
+def openings(ctx):
+    """Every ``mask`` row, by mask uid: what that mask opened."""
+    return {key[1]: row for key, row in ctx.rows.table(0).items() if key[0] == "mask"}
 
 
 def assert_beaver_rows_hold_their_operands(ctx, *operands):
@@ -95,8 +109,8 @@ def assert_beaver_rows_hold_their_operands(ctx, *operands):
     opened = {}  # mask uid -> (operand, E or F its mask opened it to)
     for tensor in operands:
         value = base(tensor, reconstruct(*tensor.shares))
-        for uid, row in ctx._opened.items():
-            if row.uid == tensor.uid:
+        for uid, row in openings(ctx).items():
+            if row.value == tensor.uid:
                 mask = reconstruct(row.mask.pair.share0, row.mask.pair.share1)
                 opened[uid] = (tensor, value - mask.reshape(-1))
     for party, gpu in enumerate(ctx.server_gpu):
@@ -107,7 +121,7 @@ def assert_beaver_rows_hold_their_operands(ctx, *operands):
         for uid, (tensor, difference) in opened.items():
             want["open", uid] = difference
             want["lead", uid] = base(tensor, tensor.shares[party]) - np.uint64(party) * difference
-        table = ctx.device_table(party)
+        table = device_table(ctx, party)
         for key, array in want.items():
             if key in table:
                 held = table[key][0].require_live()
@@ -120,7 +134,7 @@ def assert_rep3_rows_hold_their_shares(ctx, *operands):
     table holds for an operand — its share, its next share, their sum —
     holds, byte for byte, the host share it stands for."""
     for party in range(3):
-        table = ctx.device_table(party)
+        table = device_table(ctx, party)
         for tensor in operands:
             def base(array, tensor=tensor):
                 return np.swapaxes(array, -1, -2) if tensor.transposed else array

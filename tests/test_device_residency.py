@@ -3,10 +3,10 @@ under the value that owns them, and ``dW`` / ``dX`` read them through a
 transposed-GEMM flag — on both backends (``rep3``: each party's pair of
 shares of a value, and a right operand's sum, at the end of the file).
 
-The rule lives in ``SecureContext`` (the device table, ``device_keep``,
-one share-row rule for both backends in ``device_keep_shares``,
-``_free_device``) and in each backend's product (a kept slot found in
-the table is resident in the plan it runs).  Under test: which transfers and ``D`` kernels each
+The rule lives in the parties' row tables (``repro.core.rows``), in
+``SecureContext.lifetime`` (one rule for both backends) and in each
+backend's product (a kept slot found in the table is resident in the
+plan it runs).  Under test: which transfers and ``D`` kernels each
 product of a training step still places, that no value moves, that a
 forward-only run keeps its weights and nothing else, that every owner
 frees its rows the moment it goes — a dropped model and a replaced
@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import never_reuse
+from conftest import device_table, never_reuse, openings
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -43,6 +43,7 @@ from repro.faults import FaultPlan, PartyCrash
 from repro.faults.recovery import respawn_party
 from repro.mpc.shares import reconstruct
 from repro.pipeline.profiler import plan_steps
+from repro.protocols import beaver2pc
 from repro.simgpu.clock import Task
 from repro.simgpu.cost import V100_SPEC
 from repro.util.errors import DeviceError
@@ -105,11 +106,16 @@ def _weight_rows(ctx, weights):
     """Every device-table key, on any server, of the values ``weights``
     (uids): their share rows and the ``open``/``lead`` rows of the masks
     that opened them."""
-    masks = {m for m, row in ctx._opened.items() if row.uid in weights}
+    masks = {m for m, row in openings(ctx).items() if row.value in weights}
     return {
-        (what, uid) for what, uid in ctx._device_rows()
+        (what, uid) for what, uid in _device_rows(ctx)
         if uid in (masks if what in ("open", "lead") else weights) and what != "Z"
     }
+
+
+def _device_rows(ctx):
+    """Every key some server holds a device row under."""
+    return set().union(*(device_table(ctx, i) for i in range(ctx.n_parties)))
 
 
 def _dense_layers(ctx):
@@ -240,7 +246,7 @@ class TestViews:
             flat = secure_matmul(q.reshape(b * s, d), w, label="proj")
         # proj: Q's E and A are the stack qk uploaded, W's F and B static
         assert _by_op(log, "h2d:") == {"qk": FIG5_ORDER[:4], "proj": []}
-        table = ctx.device_table(0)
+        table = device_table(ctx, 0)
         assert table[("share", q.uid)][0].shape == (b, s, d)
         qd, kd = q.decode(), k.decode()
         np.testing.assert_allclose(scores.decode(), qd @ kd.transpose(0, 2, 1), atol=TRAIN_TOL)
@@ -267,7 +273,7 @@ class TestForwardOnly:
         weights = 8 * (32 * 16 + 16 * 4)
         f_and_z = 8 * ((32 * 16 + 16 * 4) + (32 * 16 + 32 * 4))
         assert _device_bytes(ctx) == [weights + (0 if fresh else f_and_z)] * 2
-        assert {what for what, _uid in ctx.device_table(0)} == (
+        assert {what for what, _uid in device_table(ctx, 0)} == (
             {"share"} if fresh else {"open", "share", "Z"}
         )
         per_batch = ["h2d:E", "h2d:A", "h2d:F", "h2d:Z"] if fresh else ["h2d:E", "h2d:A"]
@@ -297,16 +303,16 @@ class TestForwardOnly:
         for batch in warm:
             assert _by_op(batch, "h2d:") == dict.fromkeys(layers, ["h2d:E", "h2d:A"])
         weights = {layer.weight.uid for layer in model.layers if hasattr(layer, "weight")}
-        assert {uid for what, uid in ctx.device_table(0) if what == "share"} == weights
+        assert {uid for what, uid in device_table(ctx, 0) if what == "share"} == weights
 
     def test_fresh_triplets_keep_a_shared_value_for_the_step_only(self):
         ctx = _ctx(fresh_triplets=True)
         layers = _dense_layers(ctx)
         for seed in (1, 2):
             _train_step(ctx, layers, seed)
-        assert {what for what, _uid in ctx.device_table(0)} == {"open", "share", "lead"}
+        assert {what for what, _uid in device_table(ctx, 0)} == {"open", "share", "lead"}
         ctx.begin_batch()
-        assert _device_bytes(ctx) == [0, 0] and ctx.device_table(0) == {}
+        assert _device_bytes(ctx) == [0, 0] and device_table(ctx, 0) == {}
 
     def test_without_steps_only_static_rows_and_z_stay(self):
         ctx = _ctx()
@@ -315,7 +321,7 @@ class TestForwardOnly:
             d = _shared(ctx, (16, 8), seed)
             secure_matmul(x, w, label="fwd")
             secure_matmul(x.T, d, label="dW")
-        assert sorted(what for what, _uid in ctx.device_table(0)) == ["Z", "Z", "open", "share"]
+        assert sorted(what for what, _uid in device_table(ctx, 0)) == ["Z", "Z", "open", "share"]
         assert _device_bytes(ctx) == [8 * (12 * 8 + 16 * 8 + 12 * 8 + 12 * 8)] * 2
 
     @pytest.mark.parametrize("backend", ["beaver2pc", "rep3"])
@@ -329,18 +335,68 @@ class TestForwardOnly:
         x = np.random.default_rng(5).normal(size=(64, 32))
         secure_predict(ctx, model, x, batch_size=32)
         weights = {p.uid for p in model.parameters() if p.static}
-        assert {uid for what, uid in ctx._device_rows() if what == "share"} == weights
+        assert {uid for what, uid in _device_rows(ctx) if what == "share"} == weights
         assert _weight_rows(ctx, weights)
         del model
         assert _weight_rows(ctx, weights) == set()
         # what a mask opened this step stays a bare fact to the step's end
-        assert not ctx._static_shares and all(
-            row.opened is None and not row.static
-            for row in ctx._opened.values() if row.uid in weights
+        assert not ctx.rows._owners and all(
+            row.held is None and row.lifetime == "step"
+            for row in openings(ctx).values() if row.value in weights
         )
-        z = [sum(buf.nbytes for buf, _ in ctx.device_table(i).values()) for i in range(ctx.n_parties)]
-        assert {what for what, _uid in ctx._device_rows()} <= {"Z"} and _device_bytes(ctx) == z
+        z = [sum(buf.nbytes for buf, _ in device_table(ctx, i).values()) for i in range(ctx.n_parties)]
+        assert {what for what, _uid in _device_rows(ctx)} <= {"Z"} and _device_bytes(ctx) == z
 
+
+    @pytest.mark.parametrize("backend", ["beaver2pc", "rep3"])
+    def test_a_forward_only_step_after_training_keeps_only_static_rows(self, backend):
+        """Training links ``fwd`` to ``dW``, so a predict batch's masks are
+        shared and its activations' rows are ``step`` rows: they end with
+        the batch (``run_secure_batch`` ends its step), not with the next
+        ``begin_batch`` that a served model may never see."""
+        ctx = _ctx(backend=backend)
+        model = SecureMLP(ctx, 32, hidden=(16,), n_out=4)
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(64, 32)), np.eye(4)[rng.integers(0, 4, size=64)]
+        SecureTrainer(ctx, model, lr=0.0625).train(x, y, batch_size=32)
+        secure_predict(ctx, model, x[:32], batch_size=32)
+        for party in range(ctx.n_parties):
+            assert {row.lifetime for row in ctx.rows.table(party).values()} == {"static"}
+        held = [sum(buf.nbytes for buf, _ in device_table(ctx, i).values()) for i in range(ctx.n_parties)]
+        assert _device_bytes(ctx) == held
+        weights = {p.uid for p in model.parameters() if p.static}
+        assert {uid for what, uid in _device_rows(ctx) if what in ("share", "next", "sum")} <= weights
+
+    @pytest.mark.parametrize("backend", ["beaver2pc", "rep3"])
+    def test_a_kept_slice_does_not_pin_the_dataset_share(self, backend):
+        """A batch slice is a view into the dataset share: a row that dies
+        with its step may keep it, a row that outlives the step (a static
+        slice) holds its own array, so once the step ends no row pins
+        the dataset share."""
+        ctx = _ctx(backend=backend)
+        data = _shared(ctx, (96, 12), 1)
+        w = _shared(ctx, (12, 8), 2).mark_static()
+        kept = data.row_slice(32, 44).mark_static()
+
+        def pinning():
+            return [
+                key for i in range(ctx.n_parties) for key, row in ctx.rows.table(i).items()
+                if isinstance(getattr(row.held, "data", row.held), np.ndarray)
+                and any(np.shares_memory(getattr(row.held, "data", row.held), s) for s in data.shares)
+            ]
+
+        ctx.begin_batch()
+        xb = data.row_slice(0, 32)
+        secure_matmul(xb, w, label="fwd")
+        secure_matmul(xb.T, _shared(ctx, (32, 8), 3), label="dW")
+        secure_matmul(xb, kept, label="kept")
+        assert {what for what, uid in pinning()} == (
+            {"share", "lead"} if backend == "beaver2pc" else {"share", "next"}
+        )
+        assert {uid for _what, uid in pinning() if _what == "share"} == {xb.uid}
+        ctx.end_batch()
+        assert pinning() == []
+        assert ("share", kept.uid) in device_table(ctx, 0)
 
 
 # ------------------------------------------------------------- the product's rule
@@ -372,14 +428,14 @@ class TestScheduler:
             x, y = operands
             out = ctx.backend.matmul(ctx, x, y, label="p")
             for tensor, base in ((x, (24, 16)), (y, (8, 24))):
-                held = ctx.device_table(0)[("share", tensor.uid)][0]
+                held = device_table(ctx, 0)[("share", tensor.uid)][0]
                 assert held.shape == (base if trans else base[::-1])
             flops = ctx.server_gpu[0].gemm_flops
             runs.append((reconstruct(*out.shares), ctx.online_clock.trace, flops))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1:] == runs[1][1:]
 
-    def test_without_pipeline1_kernels_wait_on_resident_rows_too(self):
+    def test_without_pipeline1_kernels_wait_on_resident_rows_too(self, monkeypatch):
         """``Z`` is resident, but its upload, placed by an earlier
         product, only completes at t = 1."""
         starts = {}
@@ -387,19 +443,23 @@ class TestScheduler:
             ctx = _ctx(pipeline1=pipeline, trace=True)
             w = _shared(ctx, (24, 8), 2).mark_static()
             kept = []
-            keep = ctx.device_keep
-            ctx.device_keep = lambda *args: kept.append(keep(*args)) or kept[-1]
+            slots = beaver2pc._slots
+
+            def keep(*args):
+                kept.append({s: key for s, (key, life) in slots(*args).items() if life != "op"})
+                return slots(*args)
+
+            monkeypatch.setattr(beaver2pc, "_slots", keep)
             for seed in (1, 3):
                 ctx.begin_batch()
                 if seed == 3:  # the second product finds Z uploaded late
                     for party in (0, 1):
-                        table = ctx.device_table(party)
-                        buf, _task = table[kept[0]["Z"]]
-                        table[kept[0]["Z"]] = (buf, Task("elsewhere", "h2d:Z", 0.0, 1.0))
+                        ctx.rows.get(party, kept[0]["Z"]).task = Task("elsewhere", "h2d:Z", 0.0, 1.0)
                 start = len(ctx.online_clock.trace)
                 secure_matmul(_shared(ctx, (16, 24), seed), w, label="p")
+            monkeypatch.undo()
             assert set(kept[0]) == {"F", "B", "Z"}
-            assert set(ctx.device_table(0)) == set(kept[0].values())
+            assert set(device_table(ctx, 0)) == set(kept[0].values())
             starts[pipeline] = _server_steps(ctx, start)["D=A"].start
         assert starts[True] < 1.0 <= starts[False]
 
@@ -416,10 +476,10 @@ class TestScheduler:
             out = secure_matmul(x, y, label="p")
             np.testing.assert_allclose(out.decode(), x.decode() @ y.decode(), atol=TRAIN_TOL)
             runs.append(list(_server_steps(ctx, start, party=1)))
-            ctx._free_device([("share", x.uid)])  # the share row goes, E and D stay
+            ctx.rows.drop(x.uid)  # the share row goes, E and D stay
         assert runs[0][:6] == ["h2d:E", "h2d:A", "D=A-E", "h2d:F", "h2d:B", "[D,E]@[F,B]"]
         assert runs[1][:3] == ["h2d:F", "h2d:B", "[D,E]@[F,B]"] and "D=A-E" not in runs[1]
-        rows = {what for what, _uid in ctx.device_table(1)}
+        rows = {what for what, _uid in device_table(ctx, 1)}
         assert rows == {"open", "lead", "Z"}
         z = 8 * 16 * 8
         assert ctx.server_gpu[1].pool.allocated_bytes == 2 * x.nbytes + z
@@ -460,7 +520,7 @@ class TestInvalidation:
         for seed, rows in enumerate((10, 16) * 4, start=3):
             self._step(ctx, w, seed, rows)
             ctx.begin_batch()
-            held.append((_device_bytes(ctx), sorted(what for what, _uid in ctx.device_table(0))))
+            held.append((_device_bytes(ctx), sorted(what for what, _uid in device_table(ctx, 0))))
         assert held[0::2] == [held[0]] * 4 and held[1::2] == [held[1]] * 4
         # every re-deal draws new masks and triplets; what outlives a step
         # is still W's one F and one share and the three streams' Z
@@ -470,15 +530,15 @@ class TestInvalidation:
 
     def test_a_weight_update_frees_the_old_f_at_once(self):
         ctx, w = self._linked()
-        (key,) = [key for key in ctx.device_table(0) if key[0] == "open" and key[1] in ctx._opened
-                  and ctx._opened[key[1]].uid == w.uid]
-        old = [ctx.device_table(i)[key][0] for i in (0, 1)]
+        (key,) = [key for key in device_table(ctx, 0) if key[0] == "open" and key[1] in openings(ctx)
+                  and openings(ctx)[key[1]].value == w.uid]
+        old = [device_table(ctx, i)[key][0] for i in (0, 1)]
         ctx.begin_batch()
         before = _device_bytes(ctx)
         updated = (w - w.mul_public(0.5)).mark_static()
         secure_matmul(_shared(ctx, (16, 12), 9), updated, label="fwd")
         assert all(buf.freed for buf in old)
-        assert not ctx.device_table(0)[key][0].freed  # same mask, the new value
+        assert not device_table(ctx, 0)[key][0].freed  # same mask, the new value
         ctx.begin_batch()
         assert _device_bytes(ctx) == before
 
@@ -491,24 +551,24 @@ class TestInvalidation:
         old_uid = w.uid
         rows = _weight_rows(ctx, {old_uid})
         assert {what for what, _uid in rows} == {"share", "open"}
-        old = [ctx.device_table(i)[key][0] for i in (0, 1) for key in rows]
+        old = [device_table(ctx, i)[key][0] for i in (0, 1) for key in rows]
         before = _device_bytes(ctx)
         w = (w - w.mul_public(0.5)).mark_static()
         assert all(buf.freed for buf in old) and _weight_rows(ctx, {old_uid}) == set()
         assert _device_bytes(ctx) == [held - sum(buf.nbytes for buf in old) // 2 for held in before]
-        (row,) = [row for row in ctx._opened.values() if row.uid == old_uid]
-        assert row.epoch == ctx._batch_epoch and row.opened is None and not row.static
+        (row,) = [row for row in openings(ctx).values() if row.value == old_uid]
+        assert row.epoch == ctx._batch_epoch and row.held is None and row.lifetime == "step"
         self._step(ctx, w, 3)
-        assert not any(row.uid == old_uid for row in ctx._opened.values())
-        assert {uid for what, uid in ctx.device_table(0) if what == "share"} >= {w.uid}
+        assert not any(row.value == old_uid for row in openings(ctx).values())
+        assert {uid for what, uid in device_table(ctx, 0) if what == "share"} >= {w.uid}
 
     def test_a_redealt_stream_frees_its_z_at_once(self):
         ctx, w = self._linked()
         z_uid = ctx._matrix_triplets["fwd"].uid
-        old = ctx.device_table(0)[("Z", z_uid)][0]
+        old = device_table(ctx, 0)[("Z", z_uid)][0]
         ctx.begin_batch()
         ctx.get_matrix_triplet("fwd", (10, 12), (12, 8))  # a ragged batch: new triplet
-        assert old.freed and ("Z", z_uid) not in ctx.device_table(0)
+        assert old.freed and ("Z", z_uid) not in device_table(ctx, 0)
 
     @pytest.mark.parametrize("restart", ["reset_mask_reuse", "respawn_party"])
     def test_a_restart_frees_every_row(self, restart):
@@ -518,7 +578,7 @@ class TestInvalidation:
             respawn_party(ctx, "server1")
         else:
             ctx.reset_mask_reuse()
-        assert _device_bytes(ctx) == [0, 0] and ctx.device_table(0) == ctx.device_table(1) == {}
+        assert _device_bytes(ctx) == [0, 0] and device_table(ctx, 0) == device_table(ctx, 1) == {}
         self._step(ctx, w, 3)  # and the next step runs on cold tables
 
     @pytest.mark.parametrize("driver", ["inference retry", "trainer recovery"])
@@ -530,7 +590,7 @@ class TestInvalidation:
 
         def spy(ctx):
             reset(ctx)
-            seen.append((_device_bytes(ctx), [len(ctx.device_table(i)) for i in (0, 1)]))
+            seen.append((_device_bytes(ctx), [len(device_table(ctx, i)) for i in (0, 1)]))
 
         monkeypatch.setattr(SecureContext, "reset_mask_reuse", spy)
         rng = np.random.default_rng(3)
@@ -626,7 +686,7 @@ class ResidencyMachine(RuleBasedStateMachine):
         one_value = 8 * max(ROWS * 12, 12 * 8)
         assert max(_device_bytes(self.ctx)) <= (5 * 3 + 5 * 2) * one_value
         for party in (0, 1):
-            rows = self.ctx.device_table(party)
+            rows = device_table(self.ctx, party)
             assert sum(buf.nbytes for buf, _task in rows.values()) == (
                 self.ctx.server_gpu[party].pool.allocated_bytes
             )
@@ -705,7 +765,7 @@ class TestRep3:
         # nobody asks for an activation twice: only the weights stay
         weights = {layer.weight.uid for layer in model.layers if hasattr(layer, "weight")}
         for party in range(3):
-            assert {uid for _what, uid in ctx.device_table(party)} == weights
+            assert {uid for _what, uid in device_table(ctx, party)} == weights
 
     def test_dw_and_dx_read_what_the_step_uploaded(self, monkeypatch):
         """A value's parts cross PCIe once per step: ``dX`` reads ``W``'s
@@ -764,7 +824,7 @@ class TestRep3:
         for seed in (1, 2):
             ctx.begin_batch()
             secure_matmul(_shared(ctx, (16, 12), seed), w, label="fwd")
-        old = [ctx.device_table(i)[("sum", w.uid)][0] for i in range(3)]
+        old = [device_table(ctx, i)[("sum", w.uid)][0] for i in range(3)]
         ctx.begin_batch()
         assert _device_bytes(ctx) == [2 * 8 * 12 * 8] * 3  # W's sum and share
         updated = (w - w.mul_public(0.5)).mark_static()
@@ -772,7 +832,7 @@ class TestRep3:
         assert all(buf.freed for buf in old)
         ctx.begin_batch()
         assert _device_bytes(ctx) == [2 * 8 * 12 * 8] * 3
-        assert {uid for _what, uid in ctx.device_table(2)} == {updated.uid}
+        assert {uid for _what, uid in device_table(ctx, 2)} == {updated.uid}
 
     def test_without_step_boundaries_only_static_rows_stay(self):
         ctx = _rep3_ctx()
@@ -781,7 +841,7 @@ class TestRep3:
             d = _shared(ctx, (16, 8), seed)
             secure_matmul(x, w, label="fwd")
             secure_matmul(x.T, d, label="dW")
-        assert sorted(ctx.device_table(1)) == [("share", w.uid), ("sum", w.uid)]
+        assert sorted(device_table(ctx, 1)) == [("share", w.uid), ("sum", w.uid)]
 
     @pytest.mark.parametrize("restart", ["reset_mask_reuse", "respawn_party"])
     def test_a_restart_frees_every_row_on_all_three_servers(self, restart):
@@ -793,7 +853,7 @@ class TestRep3:
         else:
             ctx.reset_mask_reuse()
         assert _device_bytes(ctx) == [0, 0, 0]
-        assert not any(ctx.device_table(i) for i in range(3))
+        assert not any(device_table(ctx, i) for i in range(3))
 
 
 class Rep3ResidencyMachine(ResidencyMachine):
@@ -827,7 +887,7 @@ class Rep3ResidencyMachine(ResidencyMachine):
         one_part = 8 * max(ROWS * 12, 12 * 8)
         assert max(_device_bytes(self.ctx)) <= (2 + 2 + 3 + 2 + 2 * 2) * one_part
         for party in range(3):
-            rows = self.ctx.device_table(party)
+            rows = device_table(self.ctx, party)
             assert sum(buf.nbytes for buf, _task in rows.values()) == (
                 self.ctx.server_gpu[party].pool.allocated_bytes
             )

@@ -14,7 +14,7 @@ must be followed by a miss; and no value may ever move.
 
 import numpy as np
 import pytest
-from conftest import assert_no_upload_later_than_fig5, never_reuse
+from conftest import assert_no_upload_later_than_fig5, device_table, never_reuse, openings
 
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
@@ -79,7 +79,7 @@ class TestSchedulerResidency:
             x = _shared(ctx, (16, 24), 2, "x")
             start = len(ctx.online_clock.trace)
             secure_matmul(x, w.mark_static() if keep else w, label="fc")
-            runs.append((ctx.online_clock.trace[start:], set(ctx.device_table(0))))
+            runs.append((ctx.online_clock.trace[start:], set(device_table(ctx, 0))))
         (first, kept), (plain, none) = runs
         assert first == plain and len(kept) == 3 and none == set()
         assert _uploads(first) == FIG5_ORDER
@@ -110,18 +110,18 @@ class TestSchedulerResidency:
         ctx = SecureContext(_cfg())
         w = _shared(ctx, (24, 8), 1, "w").mark_static()
         _step(ctx, _shared(ctx, (16, 24), 2, "x0"), w)
-        held, table = _device_bytes(ctx), ctx.device_table(0)
-        stale = table[("share", w.uid)][0]
+        held = _device_bytes(ctx)
+        stale = device_table(ctx, 0)[("share", w.uid)][0]
         updated = (w - w.mul_public(0.5)).mark_static()
         _, tasks = _step(ctx, _shared(ctx, (16, 24), 3, "x1"), updated)
         assert _uploads(tasks) == FIG5_ORDER[:4]
-        assert stale.freed and not table[("share", updated.uid)][0].freed
+        assert stale.freed and not device_table(ctx, 0)[("share", updated.uid)][0].freed
         assert _device_bytes(ctx) == held
 
     def test_nothing_is_kept_unless_asked(self):
         ctx = SecureContext(_cfg(fresh_triplets=True))
         secure_matmul(_shared(ctx, (16, 24), 2, "x"), _shared(ctx, (24, 8), 1, "w"), label="fc")
-        assert ctx.device_table(0) == {} and _device_bytes(ctx) == [0, 0]
+        assert device_table(ctx, 0) == {} and _device_bytes(ctx) == [0, 0]
 
 
 # ------------------------------------------------- (a) first use, (b) second use
@@ -298,8 +298,8 @@ class TestFreshTriplets:
             fresh = FIG5_ORDER if seed == 2 else ["h2d:E", "h2d:A", "h2d:F", "h2d:Z"]
             assert sorted(_uploads(tasks)) == sorted(fresh)
             assert _device_bytes(ctx) == [w.nbytes] * 2
-            assert list(ctx.device_table(0)) == [("share", w.uid)]
+            assert list(device_table(ctx, 0)) == [("share", w.uid)]
         assert_no_upload_later_than_fig5(h2d_replay)
         assert _hits(ctx) == 0 and _hits(ctx, "E") == 0
         ctx.begin_batch()
-        assert not ctx._opened
+        assert not openings(ctx)

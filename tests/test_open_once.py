@@ -14,6 +14,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import openings
 
 from repro.audit import ConformanceCase, run_conformance_case
 from repro.audit.conformance import TRAIN_TOL
@@ -107,7 +108,8 @@ class TestDenseTrainStep:
                 get = SecureContext.get_matrix_triplet
 
                 def forgetful(self, *args, **kw):
-                    self._opened.clear()
+                    for mask in openings(self):
+                        self.rows.drop(mask)
                     return get(self, *args, **kw)
 
                 monkeypatch.setattr(SecureContext, "get_matrix_triplet", forgetful)
@@ -212,7 +214,7 @@ class TestDealerCharges:
         own, own_uploads, own_s = self._first_step(delimited=False)
         assert own_uploads == [u + v + z, 8 * 12 * 16 + dw_v + dw_z, 8 * 16 * 8 + 8 * 8 * 12 + dx_z]
         assert linked_s < own_s
-        assert not own._opened or all(row.static for row in own._opened.values())
+        assert all(row.lifetime == "static" for row in openings(own).values())
         assert _hits(own, scope="step") == 0
 
 
@@ -265,16 +267,18 @@ class TestInvariants:
 
     def test_nothing_a_step_opened_outlives_it_unless_static(self):
         ctx, _, w = self._linked()
-        assert any(not row.static and row.opened is not None for row in ctx._opened.values())
+        assert any(
+            row.lifetime == "step" and row.held is not None for row in openings(ctx).values()
+        )
         ctx.begin_batch()
-        rows = list(ctx._opened.values())
-        assert [row.uid for row in rows] == [w.uid]  # the weight's F survives
-        assert rows[0].static and rows[0].opened is not None and rows[0].tasks == ()
+        rows = list(openings(ctx).values())
+        assert [row.value for row in rows] == [w.uid]  # the weight's F survives
+        assert rows[0].lifetime == "static" and rows[0].held is not None and rows[0].task == ()
 
     def test_a_restart_empties_the_table_and_keeps_the_links(self):
         ctx, recorder, w = self._linked()
         ctx.reset_mask_reuse()
-        assert not ctx._opened
+        assert not openings(ctx)
         x, d = _shared(ctx, (16, 12), 3), _shared(ctx, (16, 8), 53)
         ctx.begin_batch()
         since = len(recorder)
@@ -310,10 +314,10 @@ class TestInvariants:
             secure_matmul(x, w, label="fwd")
             secure_matmul(x.T, d, label="dW")
             ctx.begin_batch()
-            sizes.append(len(ctx._opened))
+            sizes.append(len(openings(ctx)))
         assert sizes == [1] * 5
-        (row,) = ctx._opened.values()
-        assert row.uid == w.uid and row.mask is ctx._matrix_triplets["fwd"].masks[1].mask
+        (row,) = openings(ctx).values()
+        assert row.value == w.uid and row.mask is ctx._matrix_triplets["fwd"].masks[1].mask
 
     def test_without_step_boundaries_every_stream_deals_its_own_masks(self):
         ctx, recorder = _ctx()
@@ -338,11 +342,11 @@ class TestFreshTriplets:
         for seed in (1, 2, 3):
             x, d = _shared(ctx, (16, 12), seed), _shared(ctx, (16, 8), seed + 50)
             ctx.begin_batch()
-            assert not ctx._opened
+            assert not openings(ctx)
             since = len(recorder)
             secure_matmul(x, w, label="fwd")
             got = secure_matmul(x.T, d, label="dW")
-            masks.append({row.mask.uid for row in ctx._opened.values()})
+            masks.append({row.mask.uid for row in openings(ctx).values()})
             # step 1 learns the link (dW re-opens once); from step 2 on the
             # per-step dealer deals fwd's U as shared and dW sends delta alone
             assert _parts(recorder, since) == {"fwd": 2, "dW": 2 if seed == 1 else 1}

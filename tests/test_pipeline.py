@@ -264,9 +264,9 @@ class TestPlanPrice:
 
     def test_warm_price_leaves_out_what_the_device_table_holds(self):
         m, k, n = 32, 48, 24
-        table, keep = {}, {"E": ("open", 1), "F": ("open", 2), "Z": ("Z", 3)}
+        table, keep = {}, {"E": ("open", 1), "F": ("open", 2), "Z": ("Z", 3), "D": ("lead", 1)}
         assert _resident(table, keep) == ()
-        table = dict.fromkeys([*keep.values(), ("lead", 1)])  # what a cold product keeps
+        table = dict.fromkeys(keep.values())  # what a cold product keeps
         assert _resident(table, keep) == ("D", "E", "F", "Z")
         profiler = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC)
         warm = profiler.place_gemm(1, m, k, n, plan="beaver2pc", resident=("D", "E", "F", "Z"))

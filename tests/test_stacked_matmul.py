@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import device_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -226,7 +227,7 @@ class TestPlacement:
         for _ in range(2):
             ctx.begin_batch()
             secure_matmul(x, y, label="fresh")
-        assert list(ctx.device_table(0)) == list(ctx.device_table(1)) == [("share", y.uid)]
+        assert list(device_table(ctx, 0)) == list(device_table(ctx, 1)) == [("share", y.uid)]
         assert [gpu.pool.allocated_bytes for gpu in ctx.server_gpu] == [y.nbytes] * 2
 
     def test_static_stack_operand_is_opened_and_uploaded_once(self):

@@ -497,9 +497,9 @@ class TestTrainingAcceptance:
             "comm.bytes", channel=ctx.server_channel.label
         ) == ctx.server_channel.total_bytes
         assert (
-            snap.counter("comm.bytes", channel=ctx.uplink0.label)
-            + snap.counter("comm.bytes", channel=ctx.uplink1.label)
-        ) == ctx.uplink0.total_bytes + ctx.uplink1.total_bytes
+            snap.counter("comm.bytes", channel=ctx.uplinks[0].label)
+            + snap.counter("comm.bytes", channel=ctx.uplinks[1].label)
+        ) == ctx.uplinks[0].total_bytes + ctx.uplinks[1].total_bytes
 
     def test_compression_counters_match_stats(self, trained):
         ctx, _mark, snap = trained

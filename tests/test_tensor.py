@@ -156,11 +156,25 @@ class TestShapeOps:
             shared(ctx, a).row_slice(2, 6).decode(), a[2:6], atol=2e-4
         )
 
-    @pytest.mark.parametrize("lo, hi", [(-1, 1), (2, 1), (5, 9), (0, 3)])
-    def test_row_slice_outside_the_rows_is_a_shape_error(self, ctx, lo, hi):
-        """``row_slice(5, 9)`` of two rows used to return an empty tensor."""
-        with pytest.raises(ShapeError, match="row range of 2 rows"):
-            shared(ctx, np.ones((2, 3))).row_slice(lo, hi)
+    @pytest.mark.parametrize(
+        "rows, lo, hi, pad_to, match",
+        [
+            *(
+                pytest.param(2, lo, hi, None, "row range of 2 rows", id=f"{lo}-{hi}")
+                for lo, hi in [(-1, 1), (2, 1), (5, 9), (0, 3)]
+            ),
+            pytest.param(4, 0, 4, 2, "row_slice: pad_to=2 is fewer than the 4 rows", id="pad_to=2"),
+            pytest.param(4, 0, 4, -1, "row_slice: pad_to=-1 is fewer than the 4", id="pad_to=-1"),
+            pytest.param(4, 0, 4, 2.5, r"row_slice: .*integers.*2\.5", id="pad_to=2.5"),
+            pytest.param(4, 0.5, 4, None, r"row_slice: .*integers.*0\.5", id="lo=0.5"),
+        ],
+    )
+    def test_row_slice_outside_the_rows_is_a_shape_error(self, ctx, rows, lo, hi, pad_to, match):
+        """``row_slice(5, 9)`` of two rows used to return an empty tensor;
+        a ``pad_to`` short of the slice, or a bound that is no integer,
+        used to return the bare slice or raise a bare ``TypeError``."""
+        with pytest.raises(ShapeError, match=match):
+            shared(ctx, np.ones((rows, 4))).row_slice(lo, hi, pad_to=pad_to)
 
     def test_sum_rows(self, ctx, rng):
         a = rng.normal(size=(7, 4))
