@@ -6,19 +6,16 @@ an order of magnitude (or more) above ParSecureML's in every cell;
 MNIST rows show the smallest gaps (small images); the averages keep the
 paper's ordering and rough magnitudes.
 
-**Open paper-shape regression (PR 23, needs a decision — EXPERIMENTS
-"Open once").**  The per-cell floor does not hold on SVM any more: its
-step is two products over one ``X`` (``X w`` and ``X^T d``), the
-SecureML-mode baseline opens that ``X`` once a step like the real
-SecureML, which took about half of its CPU-bound online step, and what
-is left of its total is mostly the client-side encryption both systems
-share.  The cells read 1.40-1.44x (VGGFace2 1.53x; 1.69x was the lowest
-before).  The floor is not lowered: ``test_table2`` holds it on every
-other cell and ``test_table2_svm_cells`` holds it on SVM, marked as an
-expected failure until the regression is decided.
+**SVM.** Its step is two products over one ``X`` (``X w`` and
+``X^T d``), and the SecureML-mode baseline opens that ``X`` once a step
+like the real SecureML, which took about half of its CPU-bound online
+step: what is left of its total is mostly the client-side encryption
+both systems share.  The SVM cells read 1.52-1.73x (MNIST lowest) since
+each step of a product waits only on what it reads (1.49-1.69x before,
+when the floor failed on MNIST).  ``test_table2`` holds the floor on
+every other cell and ``test_table2_svm_cells`` on SVM.
 """
 
-import pytest
 from conftest import grid_cells
 from repro.bench.reporting import format_table, geomean
 
@@ -68,7 +65,6 @@ def test_table2(grid, benchmark):
         assert geomean(by_ds["MNIST"]) < geomean(by_ds["VGGFace2"])
 
 
-@pytest.mark.xfail(strict=True, reason="SVM cells read 1.40-1.44x since SecureML opens X once a step")
 def test_table2_svm_cells(grid):
     for r in build(grid):
         if r["Model"] == "SVM":

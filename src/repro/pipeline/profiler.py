@@ -13,12 +13,9 @@ with one cost function (:meth:`StepProfiler.step_prices`), then picks a
 device:
 
 * ``beaver2pc`` — one server's Eq. 8 product ``(m,k) x (k,n)``.  GPU:
-  Fig. 5's graph (:func:`_beaver_gpu`) less the resident slots — those
-  the server's row table holds and, in the price, the server's own
-  shares that cross PCIe under the ``E``/``F`` exchange
-  (:meth:`StepProfiler.shares_under_exchange`).  CPU: the fused
-  ``(m, 2k, n)`` GEMM (``cpu_gemm``) and the ``+Z`` add, which also
-  rescales.
+  Fig. 5's graph (:func:`_beaver_gpu`) less the slots the server's row
+  table holds.  CPU: the fused ``(m, 2k, n)`` GEMM (``cpu_gemm``) and
+  the ``+Z`` add, which also rescales.
 * ``rep3`` — the cross-term product, fused to ``(m, 2k, n)``: the
   uploads of the left pair ``[x_i | x_{i+1}]`` (``h2d:L``) and the right
   pair ``[y_i + y_{i+1} ; y_i]`` (``h2d:R``) less the parts the party's
@@ -50,8 +47,11 @@ price, started where the party's clock would start it
 (:func:`plan_finish`, which reads the clock's gap rule through
 :meth:`~repro.simgpu.clock.SimClock.probe` and places nothing), the
 later party's finish deciding — so a server CPU already busy past a
-product's readiness sends it to the GPU.  The client's ``dealer`` and
-``rng`` plans, and a decision asked without the parties, take the
+product's readiness sends it to the GPU.  A server product's deps name
+what each step reads, so a ``beaver2pc`` upload can run before the rest
+of the opening arrives and the static price, which starts every step
+after the opening, decides no server product.  The client's ``dealer``
+and ``rng`` plans, and a decision asked without the parties, take the
 cheaper static price (the ``rng`` price leaves out cuRAND's warm-up,
 which a queue-aware pick would lean on).  With adaptivity disabled the
 profiler forces either device, so the ablation benchmark can show the
@@ -186,42 +186,36 @@ def plan_steps(
     return (Step("gemm", (batch, m, k, n), cpu_kernel),), tuple(gpu)
 
 
-def _beaver_uploads(batch: int, m: int, k: int, n: int, resident=()) -> list[tuple[str, int]]:
-    """A ``beaver2pc`` GPU product's uploads, ``(slot, nbytes)`` in
-    Fig. 5's order, less the ``resident`` slots (``A_i``'s only reader
-    is ``D``)."""
-    lead, right = 8 * batch * m * k, 8 * batch * k * n
-    uploads = (("E", lead), ("A", lead), ("F", right), ("B", right), ("Z", 8 * batch * m * n))
-    skip = {*resident, "A"} if "D" in resident else set(resident)
-    return [(slot, nbytes) for slot, nbytes in uploads if slot not in skip]
-
-
 def _beaver_gpu(shape: tuple, resident, party: int, pipeline1: bool) -> tuple[Step, ...]:
     """Server ``party``'s ``beaver2pc`` GPU product in Fig. 5's order,
-    each step waiting on what it reads: ``E``, ``F``, ``Z_i`` on the
-    opening (``open``), ``A_i``, ``B_i`` on the operands (``share``);
-    without ``pipeline1`` each kernel on every upload too.  A resident
-    slot places nothing, and its readers wait on its name."""
+    each step waiting on what it reads: an upload on its slot by name
+    (the host value's readiness: ``E``, ``F`` each half's opening, ``A``,
+    ``B`` each operand's share, ``Z`` the whole opening), a kernel on the
+    steps that produce its inputs; without ``pipeline1`` each kernel on
+    every upload too.  A resident slot places nothing, and its readers
+    wait on its name (the row's task); ``A_i``'s only reader is ``D``."""
     batch, m, k, n = shape
-    lead, out = 8 * batch * m * k, 8 * batch * m * n
-    uploads = dict(_beaver_uploads(*shape, resident))
+    lead, right, out = 8 * batch * m * k, 8 * batch * k * n, 8 * batch * m * n
+    skip = {*resident, "A"} if "D" in resident else set(resident)
+    sizes = zip("EAFBZ", (lead, lead, right, right, out))
+    uploads = {slot: nbytes for slot, nbytes in sizes if slot not in skip}
     kernels = {  # slot -> (its step, the slots it reads)
         "D": (Step("elementwise", ((3 if party else 2) * lead,), BEAVER_LEAD[party]), "EA"),
         "G": (Step("gemm", (2 * batch, m, k, n), "[D,E]@[F,B]"), "DFEB"),
         "C": (Step("elementwise", (4 * out,), "C=G1+G2+Z"), "GZ"),
     }
+    every = "" if pipeline1 else "EFBZ" if "D" in resident else "EAFBZ"
     nodes = []
     for slot in "EADFBGZC":
         if slot in uploads:
-            reads = ("share",) if slot in "AB" else ("open",)
-            nodes.append((slot, Step("h2d", (uploads[slot],), f"h2d:{slot}"), reads))
+            nodes.append((slot, Step("h2d", (uploads[slot],), f"h2d:{slot}", (slot,)), ""))
         elif slot in kernels and slot not in resident:
             step, reads = kernels[slot]
-            nodes.append((slot, step, tuple(reads if pipeline1 else reads + "EAFBZ")))
-    nodes.append(("", Step("d2h", (out,), "d2h:C"), ("C",)))
+            nodes.append((slot, step, reads + every))
+    nodes.append(("", Step("d2h", (out,), "d2h:C"), "C"))
     index = {slot: i for i, (slot, _step, _reads) in enumerate(nodes)}
     return tuple(
-        step._replace(after=tuple(index.get(read, read) for read in reads))
+        step._replace(after=tuple(index.get(read, read) for read in reads)) if reads else step
         for _slot, step, reads in nodes
     )
 
@@ -350,35 +344,6 @@ class StepProfiler:
         """Placement for ``batch`` stacked ``(m,k) x (k,n)`` products (1
         for a matrix) run as ``plan`` (``parties``: see :meth:`decide`)."""
         return self.decide(plan, (batch, m, k, n), resident, parties=parties)
-
-    def shares_under_exchange(
-        self, parties, shape: tuple, resident: tuple[str, ...]
-    ) -> tuple[str, ...]:
-        """The server's own shares, ``A`` and ``B``, of a ``beaver2pc``
-        product at ``shape`` that cross PCIe while ``E``/``F`` are
-        exchanged: on every party's H2D engine the upload, ready with
-        the operands, fits before the opening (in Fig. 5's order, each
-        where :meth:`~repro.simgpu.clock.SimClock.probe` says; nothing is
-        placed).  No step after the opening waits for them, so the plan
-        prices them as resident.  ``parties`` are each server's ``(gpu,
-        operand deps, opening deps)``; ``resident`` slots upload nothing.
-        """
-        uploads = [
-            (slot, self.step_prices("gpu", (Step("h2d", (nbytes,)),))[0])
-            for slot, nbytes in _beaver_uploads(*shape, resident)
-            if slot in "AB"
-        ]
-        early = {slot for slot, _seconds in uploads}
-        for gpu, share_deps, opening_deps in parties:
-            resource, taken = gpu.resource_for("h2d"), []
-            ready, opening = _finished(share_deps), _finished(opening_deps)
-            for slot, seconds in uploads:
-                start = gpu.clock.probe(resource, seconds, ready, taken)
-                if start + seconds <= opening:
-                    taken.append((start, start + seconds))
-                else:
-                    early.discard(slot)
-        return tuple(sorted(early))
 
     # -- the executor ------------------------------------------------------------
 

@@ -10,7 +10,9 @@ client, per the paper) deals Beaver triplets and comparison
 bundles in the offline phase.  Multiplication opens the masked
 differences ``E = X - U`` / ``F = Y - V`` (Eq. 4-5) through the
 delta-compression layer and applies the fused Eq. 8 product on the
-placement the profiler picks.  Truncation is the SecureML share-local
+placement the profiler picks.  Under the double pipeline each step
+waits only on what it reads: ``E_i`` on ``X``, ``F_i`` on ``Y``, and
+each of Fig. 5's uploads on its own half or share.  Truncation is the SecureML share-local
 rescale; a fixed x fixed product runs it inside its own last pass (the
 ``C`` kernel, the CPU's ``+Z``, the Hadamard kernel), at the bytes that
 pass already touches.
@@ -133,13 +135,18 @@ def _open_operands(ctx, label, triplet, x, y, starts, flat):
     rest are *live* and opened in one :func:`_exchange_round`; when the
     two sides are one value under one mask (``p * p``) the second is
     served from the first.  ``flat`` lays a live half out as the 2-D
-    matrix that crosses the wire.
+    matrix that crosses the wire.  Under the double pipeline each
+    subtraction waits on its own operand only; otherwise on both
+    (``starts[i]``, with the serialisation chain).
 
     Returns ``(E, F, ready)``: each matrix shaped like its operand, and
-    ``ready[i]`` the tasks server ``i``'s product waits on — the
-    combines of the live sides, the recorded ready tasks of the served
-    ones and, as a served side was not subtracted here, the operands
-    (``starts[i]``, with the serialisation chain).
+    ``ready[i]`` what server ``i``'s product waits on, by name: ``open``
+    the whole opening — the combines of the live sides, the recorded
+    ready tasks of the served ones and, as a served side was not
+    subtracted here, ``starts[i]`` — and, for Fig. 5's uploads, ``E``
+    and ``F`` each half's opening and ``A`` and ``B`` each operand
+    (each the join, without the double pipeline); ``Z`` waits on
+    ``open``.
     """
     sides = tuple(zip("EF", (x, y), (triplet.u, triplet.v), triplet.masks))
     held = {}
@@ -153,12 +160,14 @@ def _open_operands(ctx, label, triplet, x, y, starts, flat):
         for name, _operand, _mask, _view in sides
         if name not in held and not (name == "F" and one_value)
     }
+    per_operand = ctx.config.double_pipeline
     for i in (0, 1):
         for name, operand, mask, _view in sides:
             if name in live:
                 local, task = ctx.server_reconstruct_cpu[i].elementwise(
                     ring_sub, [operand.shares[i], mask[i]],
-                    deps=starts[i], label=f"{label}:{name}{i}",
+                    deps=_deps(operand.tasks[i]) if per_operand else starts[i],
+                    label=f"{label}:{name}{i}",
                 )
                 live[name][0].append(flat(local))
                 live[name][1].append(task)
@@ -174,10 +183,14 @@ def _open_operands(ctx, label, triplet, x, y, starts, flat):
     if "F" not in held:  # one value under one mask: F is E, as y lays it out
         held["F"] = ctx.reuse_masked("F", y, triplet.masks[1])
     (e, e_tasks), (f, f_tasks) = held["E"], held["F"]
-    ready = [
-        _deps(*(() if len(live) == 2 else starts[i]), *e_tasks[i : i + 1], *f_tasks[i : i + 1])
-        for i in (0, 1)
-    ]
+    ready = []
+    for i in (0, 1):
+        halves = {"E": _deps(*e_tasks[i : i + 1]), "F": _deps(*f_tasks[i : i + 1])}
+        join = _deps(*(() if len(live) == 2 else starts[i]), *halves["E"], *halves["F"])
+        shares = {"A": _deps(x.tasks[i]), "B": _deps(y.tasks[i])}
+        if not per_operand:
+            halves, shares = dict.fromkeys(halves, join), dict.fromkeys(shares, starts[i])
+        ready.append({"open": join, "Z": join, **halves, **shares})
     return e, f, ready
 
 
@@ -212,7 +225,15 @@ def _resident(table, keep: dict) -> tuple[str, ...]:
     return tuple(sorted(resident))
 
 
-def _on_gpu(ctx, party, label, dims, slots, keep, bases, deps):
+def _reads(ctx, party, slots, resident, ready) -> dict:
+    """What server ``party``'s GPU product waits on, by name: ``ready``
+    (:func:`_open_operands`) and, for each ``resident`` slot, its row's
+    task."""
+    rows = {slot: ctx.rows.get(party, slots[slot][0]) for slot in resident}
+    return {**ready, **{slot: (row.task,) for slot, row in rows.items() if row is not None}}
+
+
+def _on_gpu(ctx, party, label, dims, slots, keep, bases, ready):
     """Server ``party``'s Eq. 8 product on its GPU: the ``beaver2pc``
     plan, placed by ``run_plan`` around the party's rows; returns
     ``C_i``'s download.  A slot the party holds places nothing, and its
@@ -221,12 +242,9 @@ def _on_gpu(ctx, party, label, dims, slots, keep, bases, deps):
     ``G2``, ``C``) is an ``op`` row too.  ``bases``: the slots' arrays
     in base layout; ``keep``: the kept slots' row keys."""
     resident = _resident(ctx.rows.table(party), keep)
-    rows = {slot: ctx.rows.get(party, slots[slot][0]) for slot in resident}
-    held = {slot: (row.task,) for slot, row in rows.items() if row is not None}
-    if "D" in held:  # and nothing reads A_i
-        held.pop("A", None)
     tasks = ctx.profiler.run_plan(
-        None, ctx.server_gpu[party], "beaver2pc", dims, deps={**deps, **held}, label=label,
+        None, ctx.server_gpu[party], "beaver2pc", dims,
+        deps=_reads(ctx, party, slots, resident, ready), label=label,
         resident=resident, party=party,
     )
     placed = {task.label.removeprefix(f"{label}:"): task for task in tasks}
@@ -305,13 +323,12 @@ class Beaver2PCBackend(ProtocolBackend):
         keep = {slot: key for slot, (key, life) in slots.items() if life != "op"}
         resident = _resident(ctx.rows.table(0), keep)
         dims = gemm_dims(x.shape, y.shape)
-        if None not in ctx.server_gpu:  # what crosses PCIe under the exchange
-            parties = zip(ctx.server_gpu, starts, ready)
-            early = ctx.profiler.shares_under_exchange(parties, dims, resident)
-            resident = tuple(sorted((*resident, *early)))
         decision = ctx.profiler.place_gemm(
             *dims, plan="beaver2pc", resident=resident,
-            parties=tuple(zip(ctx.server_cpu, ctx.server_gpu, ready)),
+            parties=tuple(
+                (cpu, gpu, _reads(ctx, i, slots, resident, ready[i]))
+                for i, (cpu, gpu) in enumerate(zip(ctx.server_cpu, ctx.server_gpu))
+            ),
         )
         bits = ctx.encoder.frac_bits if rescale else 0
         shares = []
@@ -332,8 +349,7 @@ class Beaver2PCBackend(ProtocolBackend):
                     "D": to_base_layout(lead, tx), "F": to_base_layout(f, ty),
                     "B": to_base_layout(y.shares[i], ty), "Z": tshare.z, "C": c,
                 }
-                deps = {"open": ready[i], "share": starts[i]}
-                tasks.append(_on_gpu(ctx, i, label, dims, slots, keep, bases, deps))
+                tasks.append(_on_gpu(ctx, i, label, dims, slots, keep, bases, ready[i]))
             else:
                 c = ring_matmul(np.concatenate([lead, e], -1), np.concatenate([f, y.shares[i]], -2))
                 tasks.append(ctx.profiler.run_plan(

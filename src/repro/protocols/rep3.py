@@ -242,16 +242,20 @@ class Rep3Backend(ProtocolBackend):
                 label=label, resident=tuple(sorted(resident)),
             )
             z_tasks.append(steps[-1])
-            # a part uploaded for a value kept beyond this product stays
+            # every part uploaded fills a row with its side's lifetime, so a
+            # value kept beyond this product stays; the GEMM output is an op row
             uploads = {task.label: task for task in steps}
             for pair, upload in zip(REP3_SLOTS, ("h2d:L", "h2d:R")):
                 task = uploads.get(f"{label}:{upload}")
                 for slot in pair:
                     key, tensor, share, side = slots[slot]
-                    if task is None or life[side] == "op" or ctx.rows.get(i, key) is not None:
+                    if task is None or ctx.rows.get(i, key) is not None:
                         continue
                     part = to_base_layout(ysum if share is None else share, tensor.transposed)
                     ctx.rows.fill(i, key, part, task, life[side])
+            if f"{label}:d2h" in uploads:
+                ctx.rows.fill(i, None, z_parts[i], None, "op")
+        ctx.rows.end("op")
         shares, tasks = self._reshare(ctx, z_parts, z_tasks, label)
         _set_chain(ctx, tasks)
         return SharedTensor(ctx=ctx, shares=shares, kind="fixed", tasks=tasks)

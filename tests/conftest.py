@@ -200,7 +200,7 @@ def h2d_replay(monkeypatch):
     def replayed(self, cpu, gpu, plan, shape, *, deps, label, **kw):
         if plan != "beaver2pc" or cpu is not None:  # not a GPU-placed product
             return run_plan(self, cpu, gpu, plan, shape, deps=deps, label=label, **kw)
-        ready = {name: finished(deps["share" if name in "AB" else "open"]) for name in FIG5_ORDER}
+        ready = {name: finished(deps[name]) for name in FIG5_ORDER}
         free = gpu.clock.free_at(gpu.h2d_engine)
         tasks = run_plan(self, cpu, gpu, plan, shape, deps=deps, label=label, **kw)
         placed = [t for t in tasks if t.resource == gpu.h2d_engine]

@@ -493,6 +493,15 @@ class TestScheduler:
             for seed in (2, 3):
                 _train_step(ctx, layers, seed, rows=64)
 
+    @pytest.mark.parametrize("backend", ["beaver2pc", "rep3"])
+    def test_a_product_that_does_not_fit_names_the_device(self, backend):
+        """A product's transient uploads and its GEMM output take device
+        memory too: 64x32 @ 32x16 does not fit a 20 000-byte GPU."""
+        ctx = _ctx(backend=backend, gpu_spec=replace(V100_SPEC, memory_bytes=20_000))
+        x, y = _shared(ctx, (64, 32), 0), _shared(ctx, (32, 16), 1)
+        with pytest.raises(DeviceError, match=r"s0gpu: out of device memory"):
+            secure_matmul(x, y, label="p")
+
 
 # ----------------------------------------------------- a row goes with its owner
 

@@ -19,7 +19,7 @@ from repro.pipeline.timeline import render_gantt, summarize
 from repro.protocols.beaver2pc import _resident
 from repro.simgpu.clock import SimClock, Task
 from repro.simgpu.cost import V100_SPEC, XEON_E5_2670V3_SPEC
-from repro.simgpu.device import SimCPU, SimGPU
+from repro.simgpu.device import SimGPU
 
 
 @pytest.fixture
@@ -246,8 +246,8 @@ class TestPlanPrice:
         return _busy(run)
 
     def test_cold_price_is_what_the_scheduler_places_but_the_servers_own_shares(self):
-        """The servers' own shares are priced unless they cross PCIe
-        under the ``E``/``F`` exchange (resident ``A``, ``B``)."""
+        """The servers' own shares are priced unless their rows are held
+        (resident ``A``, ``B``)."""
         m, k, n = 32, 48, 24
         profiler = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC)
         placed = self._placed(profiler, (1, m, k, n))
@@ -290,27 +290,10 @@ class TestPlanPrice:
         steps = plan_steps("beaver2pc", (1, 8, 8, 8), ("A", "B"))[1]
         assert sum(s.op == "h2d" for s in steps) == 3  # E, F, Z
 
-    @pytest.mark.parametrize("fits", [(), ("A",), ("A", "B")])
-    def test_own_shares_are_resident_where_they_cross_under_the_exchange(self, fits):
-        """``A_i`` and ``B_i``, ready at 0, are priced as resident where
-        the H2D engine carries them, in Fig. 5's order, before the
-        opening; ``A_i`` has no upload where ``D`` is resident."""
-        m, k, n = 32, 48, 24
-        a, b = (V100_SPEC.transfer_seconds(8 * size) for size in (m * k, k * n))
-        clock = SimClock()
-        gpu, cpu = SimGPU(clock, V100_SPEC, "g"), SimCPU(clock, XEON_E5_2670V3_SPEC, "c")
-        opened = cpu.run({(): a / 2, ("A",): a, ("A", "B"): a + b}[fits])
-        profiler = StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC)
-        assert profiler.shares_under_exchange([(gpu, (), (opened,))], (1, m, k, n), ()) == fits
-        # B_i alone fits wherever A_i does (it is the smaller upload)
-        alone = profiler.shares_under_exchange([(gpu, (), (opened,))], (1, m, k, n), ("D",))
-        assert alone == (("B",) if fits else ())
-        assert clock.trace == [opened]  # read-only
-
     def test_cold_and_warm_calls_of_one_product_are_separate_decisions(self):
-        """A static right operand: the first step uploads ``E``, ``F`` and
-        ``Z`` (and ``A_i`` under the exchange), the next finds ``F``,
-        ``Z`` and the weight's share ``B_i`` in the device table."""
+        """A static right operand: the first step uploads every slot, the
+        next finds ``F``, ``Z`` and the weight's share ``B_i`` in the
+        device table."""
         ctx = make_ctx(seed=3)
         rng = np.random.default_rng(3)
         w = SharedTensor.from_plain(ctx, rng.normal(size=(64, 32)), label="w").mark_static()
@@ -322,8 +305,8 @@ class TestPlanPrice:
             resident: d for (plan, shape, resident), d in ctx.profiler.decisions.items()
             if (plan, shape) == ("beaver2pc", (1, 128, 64, 32))
         }
-        assert sorted(asked) == [("A",), ("B", "F", "Z")]
-        assert asked["A",].gpu_estimate_s > asked["B", "F", "Z"].gpu_estimate_s
+        assert sorted(asked) == [(), ("B", "F", "Z")]
+        assert asked[()].gpu_estimate_s > asked["B", "F", "Z"].gpu_estimate_s
 
 
 def _product_operands(ctx, batch, m, k, n, trans=(False, False), seed=0):
@@ -383,9 +366,9 @@ class TestPlanFinishIsWhatAProductFinishes:
     decision: the plan is Fig. 5's graph (``D`` under ``F``'s transfer,
     the GEMM under ``Z_i``'s), cold and warm (the static ``y``'s ``F``,
     ``Z`` and ``B_i`` resident), with pipeline 1 or without it (every
-    kernel also waits on every upload).  The servers' own shares cross
-    PCIe while ``E``/``F`` are exchanged, which these shapes leave room
-    for."""
+    kernel also waits on every upload).  Each upload waits on what it
+    reads, so the servers' own shares cross PCIe while ``E``/``F`` are
+    exchanged, and the plan places them."""
 
     @pytest.mark.parametrize("pipeline1", [False, True])
     @pytest.mark.parametrize(
@@ -402,7 +385,7 @@ class TestPlanFinishIsWhatAProductFinishes:
         ctx = make_ctx(seed=0, pipeline1=pipeline1)
         _, y = _product_operands(ctx, batch, m, k, n, trans, seed=1)
         y.mark_static()
-        for step, resident in enumerate((("A", "B"), ("A", "B", "F", "Z"))):
+        for step, resident in enumerate(((), ("B", "F", "Z"))):
             ctx.begin_batch()
             ctx.online_clock.advance_all()  # each step on an idle clock
             x, _ = _product_operands(ctx, batch, m, k, n, trans, seed=step)
@@ -411,6 +394,37 @@ class TestPlanFinishIsWhatAProductFinishes:
             assert decision.placement == "gpu"
             finish = max(t.finish for t in out.tasks)
             assert finish == decision.gpu_finish_s  # plan_finish's prediction
+
+
+class TestEachStepWaitsOnWhatItReads:
+    """Fig. 5 on data dependencies: under the double pipeline a product's
+    subtraction ``E_i = X_i - U_i`` and upload ``h2d:A`` wait on the
+    activation only, and ``h2d:E`` on ``E``'s opening only; without it
+    every step keeps the join of both operands (and of the opening)."""
+
+    @pytest.mark.parametrize("double_pipeline", [True, False])
+    def test_a_late_weight_share_holds_back_only_what_reads_it(self, double_pipeline):
+        ctx = make_ctx(
+            seed=0, placement_mode="gpu_always", trace=True, double_pipeline=double_pipeline
+        )
+        x, y = _product_operands(ctx, 0, 64, 96, 32)
+        early = tuple(cpu.run(100e-6, label="activation") for cpu in ctx.server_cpu)
+        late = tuple(cpu.run(1e-3, label="weight") for cpu in ctx.server_cpu)
+        x = SharedTensor(ctx=ctx, shares=x.shares, tasks=early)
+        y = SharedTensor(ctx=ctx, shares=y.shares, tasks=late)
+        start = len(ctx.online_clock.trace)
+        secure_matmul(x, y, label="p")
+        placed = ctx.online_clock.trace[start:]
+        for i, (rec, gpu) in enumerate(zip(ctx.server_reconstruct_cpu, ctx.server_gpu)):
+            on = {t.label: t for t in placed if t.resource in (rec.resource, gpu.h2d_engine)}
+            subtract, share, upload = on[f"p:E{i}"], on["p:h2d:A"], on["p:h2d:E"]
+            combine_f = on["p:combineF"]
+            if double_pipeline:
+                assert subtract.start == share.start == early[i].finish
+                assert upload.start < combine_f.finish
+            else:
+                assert min(subtract.start, share.start) >= late[i].finish
+                assert upload.start >= combine_f.finish
 
 
 class TestWithoutPipeline1:
