@@ -286,6 +286,3 @@ class TranscriptRecorder:
 
     def transcript(self) -> Transcript:
         return Transcript(self._records, meta=self.meta)
-
-    def clear(self) -> None:
-        self._records.clear()

@@ -288,7 +288,7 @@ def assert_byte_accounting(transcript: Transcript, telemetry, *, context: str = 
     prefix = f"{context}: " if context else ""
     reg = telemetry.registry
     for name in ("faults.retransmits", "faults.duplicates_suppressed"):
-        if name in reg and reg.counter(name).value() > 0:
+        if name in reg.metrics() and reg.counter(name).value() > 0:
             raise AuditError(
                 f"{prefix}byte accounting needs a fault-free run; "
                 f"{name} = {reg.counter(name).value():.0f}"

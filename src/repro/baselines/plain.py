@@ -471,6 +471,8 @@ class PlainTrainer:
         self.lr = lr
 
     def train(self, x, y, *, epochs=1, batch_size=128, max_batches=None) -> PlainReport:
+        if max_batches is not None and max_batches < 1:
+            raise ConfigError(f"train: max_batches must be >= 1, got {max_batches!r}")
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         report = PlainReport()
@@ -494,21 +496,6 @@ class PlainTrainer:
                     break
         report.seconds = self.timer.seconds - t0
         return report
-
-    def predict(self, x, *, batch_size=128, max_batches=None) -> tuple[np.ndarray, float]:
-        x = np.asarray(x, dtype=np.float64)
-        outs = []
-        t0 = self.timer.seconds
-        batches = 0
-        for lo in range(0, x.shape[0] - batch_size + 1, batch_size):
-            xb = x[lo : lo + batch_size]
-            self.timer.clock.run("compute", self.timer.step_overhead_s, label="step")
-            self.timer.transfer(xb.nbytes)
-            outs.append(self.model.forward(xb, self.timer, training=False))
-            batches += 1
-            if max_batches is not None and batches >= max_batches:
-                break
-        return np.concatenate(outs, axis=0), self.timer.seconds - t0
 
 
 def _alias(name: str):

@@ -29,7 +29,6 @@ from repro.bench.harness import (
     run_secure,
     run_plain,
     run_secure_inference,
-    run_plain_inference,
 )
 from repro.bench.reporting import format_table, format_speedup_series, geomean
 
@@ -46,7 +45,6 @@ __all__ = [
     "run_secure",
     "run_plain",
     "run_secure_inference",
-    "run_plain_inference",
     "format_table",
     "format_speedup_series",
     "geomean",

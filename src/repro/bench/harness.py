@@ -27,7 +27,6 @@ from repro.baselines.plain import PlainTimer, PlainTrainer
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
 from repro.core.inference import secure_predict
-from repro.core.tensor import SharedTensor
 from repro.core.training import SecureTrainer
 
 if TYPE_CHECKING:
@@ -73,12 +72,6 @@ class SecureRunResult:
     def occupancy(self) -> float:
         total = self.total_s()
         return self.online_s() / total if total else 0.0
-
-    @property
-    def compression_savings(self) -> float:
-        if self.raw_comm_bytes == 0:
-            return 0.0
-        return 1.0 - self.wire_comm_bytes / self.raw_comm_bytes
 
 
 @dataclass
@@ -278,28 +271,3 @@ def run_fleet(
         fleet.submit(client, chunk)
     fleet.drain()
     return fleet.report()
-
-
-def run_plain_inference(
-    model_name: str,
-    dataset: str,
-    device: str,
-    *,
-    n_batches: int = 2,
-    batch_size: int = 128,
-    seed: int = 0,
-    tensor_core: bool = False,
-) -> PlainRunResult:
-    x, _y, spec = load_workload(
-        model_name, dataset, n_batches=n_batches, batch_size=batch_size, seed=seed
-    )
-    timer = PlainTimer(device, tensor_core=tensor_core)
-    model = build_plain_model(spec, seed=seed)
-    trainer = PlainTrainer(model, timer)
-    _, seconds = trainer.predict(x, batch_size=batch_size, max_batches=n_batches)
-    return PlainRunResult(
-        spec=spec,
-        measured_batches=n_batches,
-        per_batch_s=seconds / max(n_batches, 1),
-        losses=[],
-    )

@@ -140,10 +140,6 @@ class Channel:
     def messages_sent(self) -> dict[tuple[str, str], int]:
         return {key: int(tally.messages.value()) for key, tally in self._tally.items()}
 
-    def busy_seconds(self, src: str, dst: str) -> float:
-        """Accumulated occupancy of one direction of the link."""
-        return self._busy.value(channel=self.label, src=src, dst=dst)
-
     @property
     def total_bytes(self) -> int:
         return sum(self.bytes_sent.values())
@@ -151,7 +147,3 @@ class Channel:
     @property
     def total_messages(self) -> int:
         return sum(self.messages_sent.values())
-
-    def reset_counters(self) -> None:
-        for counter in (self._bytes, self._messages, self._busy):
-            counter.reset(channel=self.label)

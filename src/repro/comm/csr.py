@@ -33,10 +33,6 @@ class CSRMatrix:
     data: np.ndarray  # (nnz,)
 
     @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    @property
     def nbytes(self) -> int:
         return int(self.indptr.nbytes + self.indices.nbytes + self.data.nbytes)
 
@@ -80,10 +76,3 @@ def csr_nbytes(dense: np.ndarray) -> int:
 def dense_nbytes(dense: np.ndarray) -> int:
     """Wire size of the raw matrix."""
     return int(dense.nbytes)
-
-
-def density(dense: np.ndarray) -> float:
-    """Fraction of nonzero elements."""
-    if dense.size == 0:
-        return 0.0
-    return float(np.count_nonzero(dense)) / dense.size

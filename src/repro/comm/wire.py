@@ -423,9 +423,6 @@ class RoundCoalescer:
         self.round_id = round_id
         self._pending: dict[tuple[str, str], list[tuple[str, Any]]] = {}
 
-    def __len__(self) -> int:
-        return sum(len(parts) for parts in self._pending.values())
-
     def add(self, src: str, dst: str, tag: str, payload: Any) -> None:
         if src == dst:
             raise TransportError(f"coalescer: src == dst ({src!r})")

@@ -4,7 +4,7 @@ One dataclass gathers every switch the paper evaluates, so each
 experiment is "build a config, run the trainer":
 
 * Fig. 10-13 baselines vs ParSecureML — :meth:`FrameworkConfig.parsecureml`
-  vs the SecureML-mode config in :mod:`repro.baselines.secureml`;
+  vs :meth:`FrameworkConfig.secureml`;
 * Fig. 14 — ``cpu_parallel`` on/off;
 * Fig. 15 — ``tensor_core`` on/off;
 * Fig. 16 — ``fresh_triplets`` off/on (what stable masks keep off the
@@ -24,6 +24,7 @@ threshold ablation drives the compressor directly).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Literal
 
@@ -102,6 +103,10 @@ class FrameworkConfig:
     trace: bool = False
 
     def __post_init__(self):
+        for name in ("frac_bits", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.frac_bits <= 30:
             raise ConfigError(f"frac_bits out of range: {self.frac_bits}")
         allowed = ("adaptive", "cpu_always", "gpu_always")
@@ -120,7 +125,11 @@ class FrameworkConfig:
     @staticmethod
     def secureml(**overrides) -> "FrameworkConfig":
         """SecureML mode: CPU-only two-party computation, no pipelines,
-        no compression — the paper's baseline (it reimplements [10])."""
+        no compression — the paper's baseline (it reimplements [10]).
+
+        The protocol is the same as under :meth:`parsecureml`: a model
+        trained under either from one seed ends with the same decoded
+        parameters, so every measured difference is systems work."""
         base = dict(
             use_gpu=False,
             tensor_core=False,

@@ -86,15 +86,6 @@ class PhaseDelta:
     server_bytes: int
     uplink_bytes: int
 
-    @property
-    def total_s(self) -> float:
-        return self.offline_s + self.online_s
-
-    @property
-    def occupancy(self) -> float:
-        """Online share of total time (Table 3's metric)."""
-        return self.online_s / self.total_s if self.total_s > 0 else 0.0
-
 
 class _TripletSeries(NamedTuple):
     """``mpc.triplets_generated`` / ``_consumed`` of one kind and shape."""

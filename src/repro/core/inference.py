@@ -37,7 +37,7 @@ class InferenceReport:
     ``batch_online_s`` holds only each batch's *successful* attempt, with
     the online time burned by failed attempts and party restarts
     reported separately as ``retry_online_s`` so chaos runs don't inflate
-    ``marginal_online_s`` (and the Fig. 13 extrapolation built on it).
+    the steady-state per-batch cost.
     Each entry is how far the batch moved the online makespan: a batch
     whose work the clock backfilled into earlier batches' idle gaps
     reads less than its own critical path, and 0 when it fits entirely.
@@ -57,22 +57,6 @@ class InferenceReport:
     retry_online_s: float = 0.0  # online time burned by failed attempts + restarts
     padded_rows: int = 0  # zero rows appended to ragged tail batches
 
-    @property
-    def total_s(self) -> float:
-        return self.offline_s + self.online_s
-
-    @property
-    def marginal_online_s(self) -> float:
-        tail = self.batch_online_s[1:] or self.batch_online_s
-        return sum(tail) / len(tail) if tail else 0.0
-
-    def extrapolate(self, paper_samples: int, paper_batches: int) -> tuple[float, float]:
-        scale = paper_samples / max(self.dataset_samples, 1)
-        return (
-            self.sharing_offline_s * scale + self.setup_offline_s,
-            self.marginal_online_s * paper_batches,
-        )
-
 
 @dataclass
 class BatchOutcome:
@@ -82,21 +66,6 @@ class BatchOutcome:
     online_s: float  # how far the successful attempt moved the online makespan
     retry_online_s: float  # failed attempts + recovery (0.0 on a clean batch)
     retries: int
-
-
-def model_output_width(model) -> int:
-    """Output feature count of a layered model (0 when undeclared).
-
-    Walks the layer stack backwards for the innermost ``out_features``
-    (activations and pooling preserve width, so the last dense layer
-    decides).  Used to shape empty prediction arrays so downstream
-    ``argmax(axis=1)`` works on zero-sample runs too.
-    """
-    for layer in reversed(getattr(model, "layers", [])):
-        width = getattr(layer, "out_features", None)
-        if width is not None:
-            return int(width)
-    return 0
 
 
 def run_secure_batch(
@@ -186,16 +155,19 @@ def secure_predict(
     — both servers' shares pad with zeros, so the pad rows decode to 0
     and label-cached triplets still match — and the pad rows are
     trimmed from the decoded output.  ``report.predictions`` therefore
-    has exactly ``x.shape[0]`` rows (``max_batches`` permitting), and an
-    empty input yields a ``(0, n_out)`` array.
+    has exactly ``x.shape[0]`` rows (``max_batches`` permitting); an
+    input with no rows is a :class:`ConfigError`, as a serving request
+    with none is a ``ServeError``.
 
     Fault tolerance: see :func:`run_secure_batch`.
     """
     if batch_size < 1:
         raise ConfigError(f"secure_predict: batch_size must be >= 1, got {batch_size!r}")
+    if max_batches is not None and max_batches < 1:
+        raise ConfigError(f"secure_predict: max_batches must be >= 1, got {max_batches!r}")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ConfigError(f"secure_predict expects 2-D input, got shape {x.shape}")
+    if x.ndim != 2 or not x.shape[0]:
+        raise ConfigError(f"secure_predict expects 2-D input with rows, got shape {x.shape}")
     telemetry = getattr(ctx, "telemetry", None)
     n = x.shape[0]
     ctx.online_clock.advance_all()  # nothing of this call runs before it was made
@@ -237,10 +209,6 @@ def secure_predict(
         if max_batches is not None and batches >= max_batches:
             break
     delta = ctx.since(start)
-    if outputs:
-        predictions = np.concatenate(outputs, axis=0)
-    else:
-        predictions = np.empty((0, model_output_width(model)))
     return InferenceReport(
         batches=batches,
         samples=samples,
@@ -250,7 +218,7 @@ def secure_predict(
         sharing_offline_s=sharing_offline,
         setup_offline_s=max(0.0, delta.offline_s - sharing_offline),
         server_bytes=delta.server_bytes,
-        predictions=predictions,
+        predictions=np.concatenate(outputs, axis=0),
         batch_online_s=batch_online,
         retried_batches=retried,
         retry_online_s=retry_online,

@@ -245,71 +245,6 @@ class SecureConv2D(SecureLayer):
         return [self.weight]
 
 
-class SecureAvgPool2D(SecureLayer):
-    """Average pooling — linear, so it runs locally on shares.
-
-    Pooling by summation then public division-by-window-size (one local
-    ``mul_public`` with truncation) keeps everything non-interactive;
-    max-pooling, by contrast, would need one secure comparison per
-    window, which is why average pooling is the MPC-friendly choice.
-    Input layout: flattened ``(n, h*w*c)`` with ``in_shape=(h, w, c)``.
-    """
-
-    def __init__(self, ctx, in_shape: tuple[int, int, int], window: int = 2, *, name: str = "pool"):
-        h, w, c = in_shape
-        if h % window or w % window:
-            raise ShapeError(
-                f"{name}: pooling window {window} must divide spatial dims {h}x{w}"
-            )
-        self.ctx = ctx
-        self.name = name
-        self.in_shape = tuple(in_shape)
-        self.window = int(window)
-        self.out_shape = (h // window, w // window, c)
-        self._batch = 0
-
-    def _pool_share(self, share: np.ndarray, n: int) -> np.ndarray:
-        h, w, c = self.in_shape
-        k = self.window
-        img = share.reshape(n, h // k, k, w // k, k, c)
-        return img.sum(axis=(2, 4), dtype=np.uint64).reshape(n, -1)
-
-    def _pass(self, x: SharedTensor, shares, nbytes: int, what: str) -> SharedTensor:
-        """``shares``, each ready once its party's ``pass`` over ``nbytes``
-        has run after that party's share of ``x``."""
-        tasks = tuple(
-            self.ctx.profiler.run_plan(
-                cpu, None, "pass", (nbytes,), deps=(x.tasks[i],), label=f"{self.name}:{what}"
-            )[-1]
-            for i, cpu in enumerate(self.ctx.server_cpu)
-        )
-        return SharedTensor(ctx=self.ctx, shares=tuple(shares), kind=x.kind, tasks=tasks)
-
-    def forward(self, x: SharedTensor, *, training: bool = True) -> SharedTensor:
-        n = x.shape[0]
-        if int(np.prod(x.shape[1:])) != int(np.prod(self.in_shape)):
-            raise ShapeError(f"{self.name}: input {x.shape} does not match {self.in_shape}")
-        self._batch = n
-        summed = self._pass(x, (self._pool_share(s, n) for s in x.shares), x.nbytes, "pool")
-        return summed.mul_public(1.0 / (self.window * self.window))
-
-    def backward(
-        self, delta: SharedTensor, *, input_grad: bool = True
-    ) -> SharedTensor | None:
-        if not input_grad:
-            return None  # parameter-free: the input gradient is all there is
-        n = self._batch
-        oh, ow, c = self.out_shape
-        k = self.window
-        scaled = delta.mul_public(1.0 / (k * k))
-        shares = []
-        for share in scaled.shares:
-            img = share.reshape(n, oh, 1, ow, 1, c)
-            full = np.broadcast_to(img, (n, oh, k, ow, k, c))
-            shares.append(np.ascontiguousarray(full).reshape(n, -1))
-        return self._pass(scaled, shares, shares[0].nbytes, "upsample")
-
-
 class SecureRNNCell(SecureLayer):
     """Elman cell ``h' = act(x W_x + h W_h + b)`` unrolled by the model."""
 

@@ -54,11 +54,6 @@ def _deps(*tasks) -> tuple[Task, ...]:
     return tuple(t for t in tasks if t is not None)
 
 
-def _backend_name(ctx) -> str:
-    backend = getattr(ctx, "backend", None)
-    return getattr(backend, "name", "beaver2pc")
-
-
 @contextmanager
 def _op_scope(ctx, op: str, label: str):
     """Span + per-op roll-up counters around one secure-op invocation.
@@ -138,7 +133,7 @@ def secure_matmul(
     require_same_context(x, y, label)
     if not matmul_shapes_compatible(x.shape, y.shape):
         raise ShapeError(
-            f"[{_backend_name(ctx)}:{label}] secure_matmul shapes incompatible: "
+            f"[{ctx.backend.name}:{label}] secure_matmul shapes incompatible: "
             f"{x.shape} x {y.shape}"
         )
     with _op_scope(ctx, "matmul", label):
@@ -179,7 +174,7 @@ def secure_elementwise_mul(
     require_same_context(x, y, label)
     if x.shape != y.shape:
         raise ShapeError(
-            f"[{_backend_name(ctx)}:{label}] elementwise shapes differ: "
+            f"[{ctx.backend.name}:{label}] elementwise shapes differ: "
             f"{x.shape} vs {y.shape}"
         )
     with _op_scope(ctx, "elementwise_mul", label):
@@ -200,7 +195,7 @@ def secure_compare_const(
     ctx = x.ctx
     if x.kind != "fixed":
         raise ProtocolError(
-            f"[{_backend_name(ctx)}:{label}] secure_compare_const expects a "
+            f"[{ctx.backend.name}:{label}] secure_compare_const expects a "
             "fixed-point tensor"
         )
     with _op_scope(ctx, "compare_const", label):
@@ -221,12 +216,12 @@ def secure_softmax(x: SharedTensor, *, label: str = "softmax") -> SharedTensor:
     ctx = x.ctx
     if x.ndim != 2:
         raise ShapeError(
-            f"[{_backend_name(ctx)}:{label}] secure_softmax expects a 2-D tensor, "
+            f"[{ctx.backend.name}:{label}] secure_softmax expects a 2-D tensor, "
             f"got {x.shape}"
         )
     if x.kind != "fixed":
         raise ProtocolError(
-            f"[{_backend_name(ctx)}:{label}] secure_softmax expects a fixed-point tensor"
+            f"[{ctx.backend.name}:{label}] secure_softmax expects a fixed-point tensor"
         )
     with _op_scope(ctx, "softmax", label):
         return ctx.backend.softmax(ctx, x, label=label)

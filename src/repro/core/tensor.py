@@ -95,10 +95,6 @@ class SharedTensor:
     # ------------------------------------------------------------- inspection
 
     @property
-    def n_parties(self) -> int:
-        return len(self.shares)
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return self.shares[0].shape
 
@@ -109,13 +105,6 @@ class SharedTensor:
     @property
     def nbytes(self) -> int:
         return self.shares[0].nbytes
-
-    def share(self, party_id: int) -> np.ndarray:
-        if not 0 <= party_id < len(self.shares):
-            raise ProtocolError(
-                f"party_id must be in [0, {len(self.shares)}), got {party_id}"
-            )
-        return self.shares[party_id]
 
     def mark_static(self) -> "SharedTensor":
         """Declare the value static across op invocations (layer weights).
@@ -242,9 +231,14 @@ class SharedTensor:
         if not np.isfinite(value):
             raise EncodingError(f"mul_public: {value!r} has no fixed-point encoding")
         scalar_bits = min(26, 2 * self.ctx.encoder.frac_bits)
-        encoded = int(np.rint(np.float64(value) * 2**scalar_bits)) % 2**64
+        encoded = int(np.rint(np.float64(value) * 2**scalar_bits))
+        if not -(2**63) <= encoded < 2**63:
+            raise EncodingError(
+                f"mul_public: {value!r} times 2**{scalar_bits} lies outside the ring's "
+                f"[-2**63, 2**63)"
+            )
         shares = self.ctx.backend.truncate_values(
-            tuple(ring_mul(s, np.uint64(encoded)) for s in self.shares), scalar_bits
+            tuple(ring_mul(s, np.uint64(encoded % 2**64)) for s in self.shares), scalar_bits
         )
         return SharedTensor(ctx=self.ctx, shares=tuple(shares), kind="fixed", tasks=self.tasks)
 

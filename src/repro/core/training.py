@@ -63,26 +63,11 @@ class TrainReport:
     checkpoints_written: int = 0
 
     @property
-    def total_s(self) -> float:
-        return self.offline_s + self.online_s
-
-    @property
-    def occupancy(self) -> float:
-        """Online fraction of total simulated time (Table 3's metric)."""
-        return self.online_s / self.total_s if self.total_s else 0.0
-
-    @property
     def marginal_online_s(self) -> float:
         """Steady-state online cost per batch (first batch excluded —
         lazy placement decisions make it atypical)."""
         tail = self.batch_online_s[1:] or self.batch_online_s
         return sum(tail) / len(tail) if tail else 0.0
-
-    @property
-    def compression_savings(self) -> float:
-        if self.raw_comm_bytes == 0:
-            return 0.0
-        return 1.0 - self.wire_comm_bytes / self.raw_comm_bytes
 
     def extrapolate(self, paper_samples: int, paper_batches: int) -> tuple[float, float]:
         """(offline_s, online_s) projected to paper-scale data.
@@ -182,6 +167,8 @@ class SecureTrainer:
         """Run secure SGD; ``x`` is (n, features), ``y`` is (n, outputs)."""
         if batch_size < 1:
             raise ConfigError(f"train: batch_size must be >= 1, got {batch_size!r}")
+        if max_batches is not None and max_batches < 1:
+            raise ConfigError(f"train: max_batches must be >= 1, got {max_batches!r}")
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:

@@ -18,7 +18,6 @@ from repro.datasets.synthetic import (
     vggface2_like,
     synthetic_matrix_dataset,
     sequence_dataset,
-    separable_classification,
     PAPER_DATASETS,
 )
 
@@ -31,6 +30,5 @@ __all__ = [
     "vggface2_like",
     "synthetic_matrix_dataset",
     "sequence_dataset",
-    "separable_classification",
     "PAPER_DATASETS",
 ]

@@ -177,20 +177,6 @@ def sequence_dataset(
     return x, y
 
 
-def separable_classification(
-    n_samples: int, n_features: int = 20, *, margin: float = 1.0, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linearly separable binary data with labels in {-1, +1} (SVM tests)."""
-    rng = np.random.default_rng(seed)
-    w = rng.normal(size=n_features)
-    w /= np.linalg.norm(w)
-    x = rng.normal(size=(n_samples, n_features))
-    score = x @ w
-    labels = np.where(score >= 0, 1.0, -1.0)
-    x += np.outer(labels * margin / 2.0, w)  # push classes apart
-    return x, labels.reshape(-1, 1)
-
-
 _GENERATORS = {
     "MNIST": mnist_like,
     "CIFAR-10": cifar10_like,

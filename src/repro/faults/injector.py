@@ -41,11 +41,6 @@ class FaultDecision:
     index: int  # per-link message index this decision is for
     delay_s: float = 0.0
 
-    @property
-    def delivered(self) -> bool:
-        """Does the payload reach the receiver's queue at all?"""
-        return self.kind not in (DROP, PARTITION)
-
 
 def _h(name: str) -> int:
     """Stable 32-bit hash of an endpoint name (process-independent)."""
@@ -84,9 +79,6 @@ class FaultInjector:
                 self._crashed.add(crash.party)
                 self._injected.inc(1, kind="crash", link=crash.party)
 
-    def crashed(self, party: str) -> bool:
-        return party in self._crashed
-
     def crashed_among(self, *parties: str) -> str | None:
         """The first crashed party among ``parties``, or None."""
         for party in parties:
@@ -101,10 +93,6 @@ class FaultInjector:
             self._restarts.inc(1, party=party)
 
     # -- per-message decisions --------------------------------------------------
-
-    def link_index(self, src: str, dst: str) -> int:
-        """Messages decided so far on ``src -> dst``."""
-        return self._link_index.get((src, dst), 0)
 
     def decide(self, src: str, dst: str) -> FaultDecision:
         """Consume one per-link message slot and rule on its fate."""

@@ -51,16 +51,6 @@ class FixedPointEncoder:
         """Smallest representable increment, 2^-frac_bits."""
         return 1.0 / self.scale
 
-    def max_magnitude(self) -> float:
-        """Largest |x| whose *product* with a same-size value stays safe.
-
-        Local truncation (SecureML) requires encoded magnitudes to stay
-        well below 2^(RING_BITS - 2) even at double scale; we expose the
-        bound so models can clip gradients against it.
-        """
-        # double-scale encoding must stay strictly below 2^(RING_BITS - 2)
-        return float(2 ** ((RING_BITS - 3 - 2 * self.frac_bits) / 2))
-
     def encode(self, x: np.ndarray | float) -> np.ndarray:
         """Encode floats into ring elements (rounding to nearest).
 

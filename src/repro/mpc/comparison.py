@@ -173,9 +173,9 @@ def comparison_offline_bytes(n_elements: int) -> int:
 class ComparisonBundle:
     """Per-comparison precomputed material for one element array shape.
 
-    Single-use, like a Beaver triplet.  ``offline_bytes`` reports the
-    dealer-to-server traffic this bundle represents, which the framework
-    charges to the offline phase.  Every bit field stacks the two
+    Single-use, like a Beaver triplet; the dealer-to-server traffic it
+    represents (:func:`comparison_offline_bytes` per server) is charged
+    to the offline phase.  Every bit field stacks the two
     servers' XOR shares on its first axis (``bundle.r_bits[1]`` is
     server 1's) over ``(planes, words)``; triplet rows run level by
     level, combine by combine (``_LEVELS`` gives each level's first row).
@@ -193,11 +193,6 @@ class ComparisonBundle:
     b2a_bit: np.ndarray  # the B2A bit plane, (2, words)
     b2a_arith: SharePair  # arithmetic shares of the same bit
     consumed: bool = False
-
-    @property
-    def offline_bytes(self) -> int:
-        """Dealer-to-servers bytes this bundle accounts for (both servers)."""
-        return 2 * comparison_offline_bytes(math.prod(self.shape))
 
     def mark_consumed(self) -> None:
         if self.consumed:

@@ -44,10 +44,6 @@ class SharePair:
         if self.share0.dtype != RING_DTYPE or self.share1.dtype != RING_DTYPE:
             raise ProtocolError("shares must be uint64 ring elements")
 
-    @property
-    def shape(self):
-        return self.share0.shape
-
     def __getitem__(self, party_id: int) -> np.ndarray:
         if party_id == 0:
             return self.share0

@@ -90,7 +90,7 @@ _MUL = {"beaver2pc.mul": (5, ("E", "F", "A", "B")), "rep3.mul": (4, ("A", "A2", 
 #: ``per`` bytes for each unit of the plan's shape ``(n,)``.
 _CPU_PLANS = {
     "encode": ("encode", 1),  # the client's float -> ring encoding of n bytes
-    "pass": ("elementwise", 1),  # one pass over n bytes: a share split, im2col, pooling, a fold
+    "pass": ("elementwise", 1),  # one pass over n bytes: a share split, im2col, a fold
     "compress": ("elementwise", 0.5),  # a sender's scan of the n bytes it opens (0: off)
     "compare": ("elementwise", 70),  # one comparing party's bit-ops over n elements
     "prg": ("rng", 2),  # rep3: the two pairwise PRG streams behind an n-byte zero share
@@ -265,12 +265,6 @@ class StepProfiler:
             step_seconds(spec, op, size, parallel=parallel, tensor_core=self.tensor_core)
             for op, size, _name, _after in steps
         )
-
-    def seconds(
-        self, device: Placement, steps: tuple[Step, ...], *, parallel: bool | None = None
-    ) -> float:
-        """Simulated seconds of ``steps`` run back to back on ``device``."""
-        return sum(self.step_prices(device, steps, parallel=parallel))
 
     def _price(self, plan: str, shape: tuple, resident: tuple[str, ...]) -> tuple:
         """``(static decision, cpu steps, gpu steps, their prices)``, memoised."""

@@ -8,9 +8,9 @@ buy), makespan — plus an ASCII Gantt chart used by the examples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.simgpu.clock import SimClock, Task
+from repro.simgpu.clock import SimClock
 
 
 def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -39,11 +39,6 @@ class TimelineSummary:
     makespan: float
     busy_seconds: dict[str, float]
     span: tuple[float, float]
-
-    def utilization(self, resource: str) -> float:
-        """Busy fraction of a resource over the window."""
-        width = self.span[1] - self.span[0]
-        return self.busy_seconds.get(resource, 0.0) / width if width > 0 else 0.0
 
     def overlap_seconds(self) -> float:
         """Seconds by which summed busy time exceeds the makespan —

@@ -98,6 +98,8 @@ class ProtocolBackend:
         raise NotImplementedError
 
     def truncate(self, ctx, x: "SharedTensor", *, label: str) -> "SharedTensor":
+        """Rescale a double-scale product; a backend whose products
+        rescale inside their last pass (``beaver2pc``) needs none."""
         raise NotImplementedError
 
     def _charge_compare(self, ctx, res, deps, *, label: str) -> tuple:
@@ -144,6 +146,3 @@ class ProtocolBackend:
         from repro.mpc.softmax import softmax_protocol
 
         return softmax_protocol(ctx, x, label=label)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ProtocolBackend {self.name} ({self.n_parties}-party)>"

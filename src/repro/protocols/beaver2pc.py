@@ -287,22 +287,6 @@ class Beaver2PCBackend(ProtocolBackend):
 
     # --- interactive protocols ----------------------------------------------
 
-    def truncate(self, ctx, x, *, label):
-        """Local-truncation rescale of a double-scale product (both servers)."""
-        frac = ctx.encoder.frac_bits
-        shares = []
-        tasks = []
-        for i in (0, 1):
-            result, task = ctx.server_cpu[i].elementwise(
-                lambda s, i=i: truncate_share(s, frac, i),
-                [x.shares[i]],
-                deps=_deps(x.tasks[i]),
-                label=label,
-            )
-            shares.append(result)
-            tasks.append(task)
-        return SharedTensor(ctx=ctx, shares=tuple(shares), kind="fixed", tasks=tuple(tasks))
-
     def matmul(self, ctx, x, y, *, label, rescale=False):
         # --- offline ---------------------------------------------------------
         triplet = ctx.get_matrix_triplet(label, x.shape, y.shape, operands=(x, y))

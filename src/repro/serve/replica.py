@@ -13,7 +13,7 @@ speaks:
 * :meth:`drain` — serve everything queued, idling the online clock
   through partial-batch timers (:meth:`pump` serves only what is ready).
 * :meth:`report` — served counts, padding, retries and latency
-  quantiles; :attr:`queued_rows` and :attr:`crashed_party` are the
+  quantiles; ``queue.depth_rows`` and :attr:`crashed_party` are the
   queue depth and crash state.
 
 The serving mechanics are unchanged from the original single-server
@@ -188,7 +188,6 @@ class Replica:
         self._timer_counter = t.counter(
             "serve.batch_timer_waits", "partial batches cut by the max_wait timer"
         ).labels()
-        self._depth_gauge = t.gauge("serve.queue_depth_rows").labels()
         latency = self._latency = t.histogram(
             "serve.request_latency_seconds",
             "per-request online-clock spans, by stage (queue/service/total)",
@@ -294,11 +293,6 @@ class Replica:
         new = self._responses[self._poll_cursor:]
         self._poll_cursor = len(self._responses)
         return list(new)
-
-    @property
-    def queued_rows(self) -> int:
-        """Queue depth in rows, via the ``serve.queue_depth_rows`` gauge."""
-        return int(self._depth_gauge.value())
 
     # -- fleet recovery surface --------------------------------------------------
 

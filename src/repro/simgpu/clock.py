@@ -201,14 +201,3 @@ class SimClock:
     def set_tracing(self, enabled: bool) -> None:
         """Toggle trace recording (long runs can disable it to save memory)."""
         self._trace_enabled = bool(enabled)
-
-    def trace_for(self, resource: str) -> list[Task]:
-        return [t for t in self.trace if t.resource == resource]
-
-    def busy_time(self, resource: str, since: float = 0.0) -> float:
-        """Total busy seconds recorded on a resource after ``since``."""
-        return sum(
-            min(t.finish, self._free_at[resource]) - max(t.start, since)
-            for t in self.trace
-            if t.resource == resource and t.finish > since
-        )

@@ -28,9 +28,8 @@ numerics are real.  See DESIGN.md Section 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.util.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -220,15 +219,3 @@ XEON_E5_2670V3_SPEC = CPUSpec(
     n_cores=24,
     parallel_efficiency=0.45,
 )
-
-
-def scaled_spec(spec: DeviceSpec, factor: float) -> DeviceSpec:
-    """A device uniformly ``factor``x faster (used by what-if ablations)."""
-    check_positive(factor, "factor")
-    return replace(
-        spec,
-        name=f"{spec.name}-x{factor:g}",
-        fp32_tflops=spec.fp32_tflops * factor,
-        tensor_tflops=spec.tensor_tflops * factor,
-        mem_bw_gbps=spec.mem_bw_gbps * factor,
-    )

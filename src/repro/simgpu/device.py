@@ -42,11 +42,6 @@ def _queue_wait(task: Task, deps) -> float:
     return max(0.0, task.start - ready)
 
 
-def _op(matrix: np.ndarray, trans: bool) -> np.ndarray:
-    """cuBLAS ``op(A)``: the matrix (each matrix of a stack), or its transpose."""
-    return np.swapaxes(matrix, -1, -2) if trans else matrix
-
-
 class SimGPU:
     """One simulated GPU attached to a shared clock."""
 
@@ -189,7 +184,10 @@ class SimGPU:
         floating point on the GPU (Section 5.2) — see DESIGN.md for the
         fidelity note.
         """
-        av, bv = _op(a.require_live(), trans_a), _op(b.require_live(), trans_b)
+        # cuBLAS op(A): the matrix (each matrix of a stack), or its transpose
+        av, bv = a.require_live(), b.require_live()
+        av = np.swapaxes(av, -1, -2) if trans_a else av
+        bv = np.swapaxes(bv, -1, -2) if trans_b else bv
         out = self.pool.allocate(ring_matmul(av, bv))
         task = self.run_step("gemm", gemm_dims(av.shape, bv.shape), deps, label, stream=stream)
         return out, task

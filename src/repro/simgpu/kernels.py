@@ -86,12 +86,3 @@ def col2im(
     for img, patches in zip(flat, cols3):
         np.add.at(img, idx.reshape(-1), patches.reshape(-1))
     return flat.reshape(images_shape)
-
-
-def im2col_bytes(images_shape: tuple[int, int, int, int], kh: int, kw: int, stride: int, itemsize: int) -> int:
-    """Bytes moved by the lowering — what the cost model charges."""
-    n, h, w, c = images_shape
-    oh, ow = conv_output_size(h, w, kh, kw, stride)
-    read = n * h * w * c * itemsize
-    written = n * oh * ow * c * kh * kw * itemsize
-    return read + written

@@ -24,14 +24,6 @@ class DeviceBuffer:
     freed: bool = False
 
     @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
     def nbytes(self) -> int:
         return self.data.nbytes
 

@@ -93,12 +93,6 @@ class Counter(_Metric):
     def series(self) -> dict[LabelKey, float]:
         return dict(self._series)
 
-    def reset(self, **labels) -> None:
-        """Drop matching series (used by ``Channel.reset_counters``)."""
-        query = label_key(labels)
-        for key in [k for k in self._series if _matches(k, query)]:
-            del self._series[key]
-
 
 class BoundCounter:
     """One counter series with its label key resolved at bind time.
@@ -167,9 +161,6 @@ class BoundGauge:
 
     def set(self, value: float) -> None:
         self._gauge._series[self._key] = value
-
-    def value(self, default: float = 0.0) -> float:
-        return self._gauge._series.get(self._key, default)
 
 
 @dataclass
@@ -357,6 +348,3 @@ class MetricRegistry:
 
     def metrics(self) -> dict[str, _Metric]:
         return dict(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics

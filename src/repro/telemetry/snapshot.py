@@ -100,9 +100,6 @@ class TelemetrySnapshot:
         }
         return sorted(values)
 
-    def metric_names(self) -> list[str]:
-        return sorted([*self._counters, *self._gauges, *self._histograms])
-
     def spans(self, prefix: str | None = None) -> list[SpanRecord]:
         return [s for s in self._spans if prefix is None or s.name.startswith(prefix)]
 

@@ -42,10 +42,6 @@ class SpanRecord:
     def sim_duration(self) -> float:
         return self.sim_end - self.sim_start
 
-    @property
-    def wall_duration(self) -> float:
-        return self.wall_end - self.wall_start
-
     def as_dict(self) -> dict:
         return {
             "name": self.name,
@@ -98,6 +94,3 @@ class SpanLog:
             for s in self._spans
             if s.finished and (prefix is None or s.name.startswith(prefix))
         ]
-
-    def __len__(self) -> int:
-        return len(self._spans)

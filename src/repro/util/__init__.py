@@ -19,9 +19,7 @@ from repro.util.errors import (
 )
 from repro.util.validation import (
     check_matrix,
-    check_same_shape,
     check_matmul_compatible,
-    check_positive,
     check_probability,
 )
 from repro.util.seeding import derive_seed, SeedSequenceFactory
@@ -36,9 +34,7 @@ __all__ = [
     "AuditError",
     "TranscriptMismatch",
     "check_matrix",
-    "check_same_shape",
     "check_matmul_compatible",
-    "check_positive",
     "check_probability",
     "derive_seed",
     "SeedSequenceFactory",

@@ -27,14 +27,6 @@ def check_matrix(arr: np.ndarray, name: str = "array") -> np.ndarray:
     return arr
 
 
-def check_same_shape(a: np.ndarray, b: np.ndarray, name_a: str = "a", name_b: str = "b") -> None:
-    """Require two arrays to have identical shapes."""
-    if a.shape != b.shape:
-        raise ShapeError(
-            f"{name_a} and {name_b} must have the same shape; got {a.shape} vs {b.shape}"
-        )
-
-
 def matmul_shapes_compatible(shape_a, shape_b) -> bool:
     """Whether ``a @ b`` is a 2-D product or a stack ``(B,m,k) x (B,k,n)``."""
     return (
@@ -60,17 +52,6 @@ def gemm_dims(shape_a, shape_b) -> tuple[int, int, int, int]:
     """``(batch, m, k, n)`` of ``a @ b``: a 2-D product is a stack of one."""
     *stack, m, k = shape_a
     return math.prod(stack), m, k, shape_b[-1]
-
-
-def check_positive(value: float, name: str, *, strict: bool = True) -> float:
-    """Require a scalar to be positive (or non-negative when strict=False)."""
-    if not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a real number, got {type(value).__name__}")
-    if strict and not value > 0:
-        raise ConfigError(f"{name} must be > 0, got {value!r}")
-    if not strict and value < 0:
-        raise ConfigError(f"{name} must be >= 0, got {value!r}")
-    return float(value)
 
 
 def check_probability(value: float, name: str) -> float:

@@ -37,20 +37,17 @@ def make_ctx(**overrides) -> SecureContext:
     return SecureContext(FrameworkConfig.parsecureml(**overrides))
 
 
-def pool_then_dense(ctx):
-    """pool -> dense -> relu -> dense: a stack whose first layer has no
-    parameters, so the first *trainable* layer is the dense ``d0``."""
-    from repro.core.layers import SecureActivation, SecureAvgPool2D, SecureDense
-    from repro.core.models import SecureModel
-
-    model = SecureModel(ctx)
-    model.layers = [
-        SecureAvgPool2D(ctx, (4, 4, 1), 2, name="pool"),
-        SecureDense(ctx, 4, 5, name="d0"),
-        SecureActivation(ctx, "relu", name="d0act"),
-        SecureDense(ctx, 5, 3, name="d1"),
-    ]
-    return model
+def separable_classification(
+    n_samples: int, n_features: int = 20, *, margin: float = 1.0, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Linearly separable binary data with labels in {-1, +1} (SVM tests)."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=n_features)
+    w /= np.linalg.norm(w)
+    x = rng.normal(size=(n_samples, n_features))
+    labels = np.where(x @ w >= 0, 1.0, -1.0)
+    x += np.outer(labels * margin / 2.0, w)  # push classes apart
+    return x, labels.reshape(-1, 1)
 
 
 def never_reuse(monkeypatch, *, every_product: bool = False):

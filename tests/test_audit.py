@@ -16,6 +16,7 @@ from repro.audit import (
     CHI2_CEILING,
     Transcript,
     TranscriptRecorder,
+    audit_context,
     audit_transcript,
     canonical_bytes,
     chi2_uniform_bytes,
@@ -182,6 +183,35 @@ class TestWireAudit:
         assert [a.link for a in report.failures] == ["server1->server0"]
         with pytest.raises(AuditError, match="wire audit failed"):
             report.assert_clean()
+
+    def test_audit_context_audits_the_attached_recorder(self):
+        ctx, t = _recorded_training_run()
+        report = audit_context(ctx)
+        assert [(a.link, a.chi2) for a in report.audits] == [
+            (a.link, a.chi2) for a in audit_transcript(t).audits
+        ]
+        # counted into the context's own telemetry
+        assert ctx.telemetry.snapshot().counter("audit.links_audited") == len(report.audits)
+        with pytest.raises(AuditError, match="no attached TranscriptRecorder"):
+            audit_context(make_ctx())
+
+    def test_summary_names_every_link_and_the_failures(self):
+        ctx, _t = _recorded_training_run()
+        rec = ctx.recorder
+        leak = np.linspace(0.0, 1.0, 1024)
+        rec.record("server1", "server0", "debug/activations", leak,
+                   nbytes=leak.nbytes, clock_s=0.0)  # fmt: skip
+        report = audit_transcript(rec.transcript())
+        head, *lines = report.summary().splitlines()
+        judged = sum(not a.skipped for a in report.audits)
+        assert head == (
+            f"wire audit: {len(report.audits)} links, {judged} judged, 1 failed "
+            f"(ceiling {CHI2_CEILING:.0f})"
+        )
+        assert lines == [f"  {a.describe()}" for a in report.audits]
+        assert [line for line in lines if line.endswith("-> LEAK")] == [
+            "  " + report.failures[0].describe()
+        ]
 
     def test_small_links_skip_not_judged(self, rng):
         rec = TranscriptRecorder()

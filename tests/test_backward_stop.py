@@ -9,7 +9,7 @@ may not change — parameter updates stay bit-identical, the skipped
 
 import numpy as np
 import pytest
-from conftest import make_ctx, pool_then_dense
+from conftest import make_ctx
 from oracles import secure_matmul_plain
 
 from repro.audit.conformance import CONFORMANCE_MODELS, ConformanceCase, conformance_workload
@@ -17,7 +17,6 @@ from repro.core.attention import SecureAttentionBlock
 from repro.core.context import SecureContext
 from repro.core.layers import (
     SecureActivation,
-    SecureAvgPool2D,
     SecureConv2D,
     SecureDense,
     SecureLayer,
@@ -77,12 +76,9 @@ class TestParameterUpdatesUnaffected:
             for s_full, s_lean in zip(p_full.shares, p_lean.shares):
                 np.testing.assert_array_equal(s_full, s_lean)
 
-    @pytest.mark.parametrize("layer_cls", [SecureActivation, SecureAvgPool2D])
-    def test_parameter_free_layers_do_nothing(self, ctx, layer_cls):
-        if layer_cls is SecureActivation:
-            layer = SecureActivation(ctx, "relu", name="a")
-        else:
-            layer = SecureAvgPool2D(ctx, (4, 4, 1), 2, name="p")
+    @pytest.mark.parametrize("kind", ["relu", "piecewise"])
+    def test_parameter_free_layers_do_nothing(self, ctx, kind):
+        layer = SecureActivation(ctx, kind, name="a")
         before = ctx.triplets_issued
         # not even a forward is needed: there is no gradient to produce
         assert layer.backward(_shared(ctx, np.zeros((2, 4)), "d"), input_grad=False) is None
@@ -137,15 +133,21 @@ class TestSkippedStreamsLeaveNoTrace:
             assert [lab for lab in labels if lab.startswith(deeper)]
 
     def test_parameter_free_first_layer_moves_the_stop(self, ctx, rng, monkeypatch):
-        """pool -> dense -> relu -> dense: the dense after the pool is the
-        first trainable layer, so its dX is skipped and the pool's
-        backward is never visited."""
-        model = pool_then_dense(ctx)
+        """relu -> dense -> relu -> dense: the dense after the first
+        activation is the first trainable layer, so its dX is skipped and
+        the activation's backward is never visited."""
+        model = SecureModel(ctx)
+        model.layers = [
+            SecureActivation(ctx, "relu", name="act"),
+            SecureDense(ctx, 4, 5, name="d0"),
+            SecureActivation(ctx, "relu", name="d0act"),
+            SecureDense(ctx, 5, 3, name="d1"),
+        ]
         visited = []
         monkeypatch.setattr(model.layers[0], "backward", lambda *a, **k: visited.append(1))
         recorder = ctx.attach_recorder(capture_payloads=False)
         w0 = model.layers[1].weight.decode().copy()
-        _train_one_batch(model, ctx, rng.normal(size=(8, 16)), rng.normal(size=(8, 3)), 8)
+        _train_one_batch(model, ctx, rng.normal(size=(8, 4)), rng.normal(size=(8, 3)), 8)
 
         tags = [r.tag for r in recorder.transcript()]
         assert not visited

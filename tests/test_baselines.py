@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from conftest import separable_classification
 from oracles import SMOSVM
 
 from repro.baselines.plain import PlainTimer, PlainTrainer
-from repro.baselines.secureml import make_parsecureml_context, make_secureml_context
+from repro.core.config import FrameworkConfig
+from repro.core.context import SecureContext
 from repro.core.models import build_plain
-from repro.datasets import separable_classification, sequence_dataset
+from repro.datasets import sequence_dataset
 from repro.util.errors import ConfigError
 
 
@@ -103,10 +105,20 @@ class TestPlainTiming:
         assert times[True] < times[False]
 
 
+class TestPlainTrainer:
+    @pytest.mark.parametrize("max_batches", [0, -4])
+    def test_max_batches_below_one_is_a_config_error(self, rng, max_batches):
+        """``max_batches`` was checked only after a batch ran, so 0 ran one."""
+        trainer = PlainTrainer(build_plain("linear", 8), PlainTimer("cpu"))
+        with pytest.raises(ConfigError, match=r"max_batches must be >= 1"):
+            trainer.train(rng.normal(size=(16, 8)), rng.normal(size=(16, 1)), batch_size=8,
+                          max_batches=max_batches)  # fmt: skip
+
+
 class TestSecureMLFactories:
     def test_factories_produce_expected_modes(self):
-        sml = make_secureml_context()
-        par = make_parsecureml_context()
+        sml = SecureContext(FrameworkConfig.secureml())
+        par = SecureContext(FrameworkConfig.parsecureml())
         assert sml.server_gpu == [None, None]
         assert par.server_gpu[0] is not None
 
@@ -120,8 +132,8 @@ class TestSecureMLFactories:
         x = rng.normal(size=(128, 8))
         y = rng.normal(size=(128, 2))
         weights = []
-        for factory in (make_secureml_context, make_parsecureml_context):
-            ctx = factory(seed=77)
+        for preset in (FrameworkConfig.secureml, FrameworkConfig.parsecureml):
+            ctx = SecureContext(preset(seed=77))
             model = SecureMLP(ctx, 8, hidden=(6,), n_out=2)
             SecureTrainer(ctx, model, lr=0.125, monitor_loss=False).train(
                 x, y, epochs=2, batch_size=64

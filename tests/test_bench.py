@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench.harness import run_plain, run_secure, run_secure_inference, run_plain_inference
+from repro.bench.harness import run_plain, run_secure, run_secure_inference
 from repro.bench.reporting import format_speedup_series, format_table, geomean
 from repro.bench.workloads import (
     BENCH_DATASETS,
@@ -99,9 +99,7 @@ class TestHarnessRuns:
     def test_inference_runs(self):
         cfg = FrameworkConfig.parsecureml()
         sec = run_secure_inference("linear", "MNIST", cfg, n_batches=2, batch_size=32)
-        pla = run_plain_inference("linear", "MNIST", "gpu", n_batches=2, batch_size=32)
         assert sec.per_batch_online_s > 0
-        assert pla.per_batch_s > 0
 
     def test_inference_honours_full_scale(self):
         cfg = FrameworkConfig.parsecureml()

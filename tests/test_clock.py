@@ -114,11 +114,6 @@ class TestTrace:
         clock.run("b", 2.0, label="y")
         assert [t.label for t in clock.trace] == ["x", "y"]
 
-    def test_trace_for_filters(self, clock):
-        clock.run("a", 1.0)
-        clock.run("b", 2.0)
-        assert len(clock.trace_for("a")) == 1
-
     def test_tracing_can_be_disabled(self, clock):
         clock.set_tracing(False)
         clock.run("a", 1.0)
@@ -129,14 +124,6 @@ class TestTrace:
     def test_task_duration(self, clock):
         t = clock.run("a", 2.5)
         assert t.duration == 2.5
-
-    def test_busy_time_counts_work_after_since(self, clock):
-        x = clock.run("b", 10.0, label="x")
-        clock.run("a", 2.0, label="a1")
-        clock.run("a", 1.0, deps=(x,), label="a2")  # idle on a from 2 to 10
-        assert clock.busy_time("a") == 3.0
-        assert clock.busy_time("a", since=1.0) == 2.0
-        assert clock.busy_time("b") == 10.0
 
 
 class TestJoinDefaults:
@@ -239,8 +226,6 @@ class TestPlacementProperties:
             busy = sorted((t.start, t.finish) for t in tasks if t.resource == resource)
             busy = [(start, finish) for start, finish in busy if finish > start]
             assert all(a[1] <= b[0] for a, b in zip(busy, busy[1:]))
-            work = sum(d for r, d, _ in plan if r == resource)
-            assert clock.busy_time(resource) == pytest.approx(work, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(dag_plans())

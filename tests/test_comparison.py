@@ -135,11 +135,8 @@ class TestEmulatedParity:
 
 
 class TestOfflineMaterial:
-    def test_offline_bytes_positive_and_scales(self, rng):
-        dealer = ComparisonDealer(rng)
-        small = dealer.bundle((4, 4)).offline_bytes
-        large = dealer.bundle((8, 8)).offline_bytes
-        assert 0 < small < large
+    def test_offline_bytes_positive_and_scales(self):
+        assert 0 < comparison_offline_bytes(16) < comparison_offline_bytes(64)
 
     @pytest.mark.parametrize("shape", [(64,), (128, 128), (16, 4608), (0,)])
     def test_host_holds_what_the_cost_model_charges(self, rng, shape):
@@ -154,7 +151,6 @@ class TestOfflineMaterial:
             ]
             held.append(bundle.b2a_bit[party])
             assert sum(a.nbytes for a in held) == charged
-        assert bundle.offline_bytes == 2 * charged
 
     def test_issuance_counter(self, rng):
         dealer = ComparisonDealer(rng)

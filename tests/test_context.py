@@ -31,10 +31,12 @@ class TestConfig:
         "field,value",
         [
             ("frac_bits", 0), ("frac_bits", 40), ("placement_mode", "sometimes"),
+            ("frac_bits", 13.5), ("frac_bits", True), ("frac_bits", "13"),
+            ("seed", 1.5), ("seed", False), ("seed", None),
         ],
     )
     def test_validation(self, field, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=field):
             FrameworkConfig(**{field: value})
 
 
@@ -112,13 +114,6 @@ class TestPhaseAccounting:
         assert d.offline_s > 0
         assert d.online_s == 0
         assert d.uplink_bytes == 2 * 64 * 64 * 8
-
-    def test_phase_delta_occupancy(self, ctx, rng):
-        from repro.core.context import PhaseDelta
-
-        d = PhaseDelta(offline_s=1.0, online_s=4.0, server_bytes=0, uplink_bytes=0)
-        assert d.occupancy == 0.8
-        assert d.total_s == 5.0
 
 
 class TestTripletCache:

@@ -9,9 +9,7 @@ from repro.simgpu.cost import (
     V100_SPEC,
     P100_SPEC,
     XEON_E5_2670V3_SPEC,
-    scaled_spec,
 )
-from repro.util.errors import ConfigError
 
 dims = st.integers(1, 4096)
 
@@ -96,14 +94,3 @@ class TestCPUModel:
         cpu = XEON_E5_2670V3_SPEC.elementwise_seconds(1024, parallel=True)
         gpu = V100_SPEC.elementwise_seconds(1024) + 2 * V100_SPEC.transfer_seconds(1024)
         assert cpu < gpu
-
-
-class TestScaledSpec:
-    def test_uniform_scaling(self):
-        fast = scaled_spec(V100_SPEC, 2.0)
-        assert fast.fp32_tflops == 2 * V100_SPEC.fp32_tflops
-        assert fast.gemm_seconds(1024, 1024, 1024) < V100_SPEC.gemm_seconds(1024, 1024, 1024)
-
-    def test_invalid_factor(self):
-        with pytest.raises(ConfigError):
-            scaled_spec(V100_SPEC, 0.0)

@@ -37,7 +37,7 @@ class TestCSRCodec:
     def test_one_hot_roundtrip(self):
         m = _one_hot(16, 64, seed=3)
         csr = csr_encode(m)
-        assert csr.nnz == 16
+        assert csr.indices.size == 16
         np.testing.assert_array_equal(csr_decode(csr), m)
 
     def test_one_hot_byte_formula(self):
@@ -51,7 +51,7 @@ class TestCSRCodec:
     def test_all_zero_matrix_encodes_to_indptr_only(self):
         m = np.zeros((8, 32), dtype=RING)
         csr = csr_encode(m)
-        assert csr.nnz == 0
+        assert csr.indices.size == 0
         assert csr.nbytes == (8 + 1) * 8
         np.testing.assert_array_equal(csr_decode(csr), m)
 
@@ -73,7 +73,7 @@ class TestThresholdBoundary:
     def test_exactly_at_threshold_compresses(self):
         _, payload, _ = self._send_pair(nnz_delta=128)  # zero fraction == 0.75
         assert payload.kind == "csr_delta"
-        assert payload.delta.nnz == 128
+        assert payload.delta.indices.size == 128
 
     def test_one_past_threshold_goes_dense(self):
         _, payload, _ = self._send_pair(nnz_delta=129)  # zero fraction < 0.75
@@ -96,7 +96,7 @@ class TestAccounting:
         comp.encode("table/F", m)
         repeat = comp.encode("table/F", m.copy())
         assert repeat.kind == "csr_delta"
-        assert repeat.delta.nnz == 0
+        assert repeat.delta.indices.size == 0
         assert repeat.wire_bytes == (8 + 1) * 8
         assert repeat.raw_bytes == dense_nbytes(m)
 

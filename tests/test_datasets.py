@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import separable_classification
 
 from repro.datasets import (
     PAPER_DATASETS,
@@ -9,7 +10,6 @@ from repro.datasets import (
     make_dataset,
     mnist_like,
     nist_like,
-    separable_classification,
     sequence_dataset,
     synthetic_matrix_dataset,
     vggface2_like,
@@ -99,6 +99,8 @@ class TestSequenceDataset:
 
 
 class TestSeparable:
+    """The SVM tests' data (``conftest.separable_classification``)."""
+
     def test_labels_pm_one(self):
         x, y = separable_classification(50, 5, seed=0)
         assert set(np.unique(y)) <= {-1.0, 1.0}

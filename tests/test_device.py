@@ -66,6 +66,19 @@ class TestKernels:
         task = gpu.run_step("elementwise", (3 * 64 * 64 * 8,))
         assert task.duration == V100_SPEC.elementwise_seconds(3 * 64 * 64 * 8) > 0
 
+    def test_elementwise_kernel_allocates_its_result_after_its_inputs(self, gpu, rng):
+        a = rng.integers(0, 2**32, size=(8, 8), dtype=np.uint64)
+        b = rng.integers(0, 2**32, size=(8, 8), dtype=np.uint64)
+        a_buf, t_a = gpu.h2d(a)
+        b_buf, t_b = gpu.h2d(b)
+        before = gpu.pool.allocated_bytes
+        out, task = gpu.elementwise(np.add, [a_buf, b_buf], deps=(t_a, t_b))
+        assert np.array_equal(out.require_live(), a + b)
+        assert gpu.pool.allocated_bytes == before + a.nbytes
+        # two reads and one write, and not before both uploads land
+        assert task.duration == pytest.approx(V100_SPEC.elementwise_seconds(3 * a.nbytes))
+        assert task.start >= max(t_a.finish, t_b.finish)
+
     def test_stream_serialisation(self, gpu):
         t1 = gpu.run_step("elementwise", (32 * 32 * 8,))
         t2 = gpu.run_step("elementwise", (32 * 32 * 8,))

@@ -247,7 +247,7 @@ class TestViews:
         # proj: Q's E and A are the stack qk uploaded, W's F and B static
         assert _by_op(log, "h2d:") == {"qk": FIG5_ORDER[:4], "proj": []}
         table = device_table(ctx, 0)
-        assert table[("share", q.uid)][0].shape == (b, s, d)
+        assert table[("share", q.uid)][0].data.shape == (b, s, d)
         qd, kd = q.decode(), k.decode()
         np.testing.assert_allclose(scores.decode(), qd @ kd.transpose(0, 2, 1), atol=TRAIN_TOL)
         np.testing.assert_allclose(
@@ -429,7 +429,7 @@ class TestScheduler:
             out = ctx.backend.matmul(ctx, x, y, label="p")
             for tensor, base in ((x, (24, 16)), (y, (8, 24))):
                 held = device_table(ctx, 0)[("share", tensor.uid)][0]
-                assert held.shape == (base if trans else base[::-1])
+                assert held.data.shape == (base if trans else base[::-1])
             flops = ctx.server_gpu[0].gemm_flops
             runs.append((reconstruct(*out.shares), ctx.online_clock.trace, flops))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])

@@ -65,11 +65,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             FixedPointEncoder(bad)
 
-    def test_max_magnitude_is_safe(self, encoder):
-        m = encoder.max_magnitude()
-        # squaring the bound at double scale must stay below 2^62
-        assert (m * encoder.scale) ** 2 < 2**62
-
 
 class TestEncodeRange:
     """Values with no int64 image raise instead of wrapping silently."""

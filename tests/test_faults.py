@@ -101,25 +101,26 @@ class TestFaultInjector:
     def test_partition_window_black_holes_exactly_its_indices(self):
         plan = FaultPlan(partitions=(LinkPartition("server0", "server1", 2, 4),))
         inj = FaultInjector(plan)
-        delivered = [inj.decide("server0", "server1").delivered for _ in range(6)]
-        assert delivered == [True, True, False, False, True, True]
+        kinds = [inj.decide("server0", "server1").kind for _ in range(6)]
+        assert kinds == [DELIVER, DELIVER, PARTITION, PARTITION, DELIVER, DELIVER]
         # the reverse direction is untouched
-        assert all(FaultInjector(plan).decide("server1", "server0").delivered for _ in range(6))
+        reverse = FaultInjector(plan)
+        assert all(reverse.decide("server1", "server0").kind == DELIVER for _ in range(6))
 
     def test_crash_fires_at_step_and_restart_heals(self):
         plan = FaultPlan(crashes=(PartyCrash("server1", at_step=3),))
         inj = FaultInjector(plan)
         inj.advance_step(2)
-        assert not inj.crashed("server1")
+        assert inj.crashed_among("server1") is None
         inj.advance_step(1)
-        assert inj.crashed("server1")
+        assert inj.crashed_among("server1") == "server1"
         assert inj.crashed_among("server0", "server1") == "server1"
         inj.restart("server1")
-        assert not inj.crashed("server1")
+        assert inj.crashed_among("server1") is None
         inj.restart("server1")  # idempotent
         # a fired crash spec does not re-fire after restart
         inj.advance_step(5)
-        assert not inj.crashed("server1")
+        assert inj.crashed_among("server1") is None
 
 
 class _Scripted:

@@ -27,7 +27,7 @@ import repro
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
 from repro.core.models import SecureMLP
-from repro.faults import FaultPlan, PartyCrash
+from repro.faults import FaultPlan, PartyCrash, PartyFailure
 from repro.serve import Replica, SecureServingFleet
 from repro.serve.fleet import FleetRouter
 from repro.util.errors import ConfigError, QueueFullError, ServeError
@@ -77,11 +77,11 @@ class TestReplicaProtocol:
         _ctx, rep = _replica(name="r9")
         rep.submit("a", rng.normal(size=(3, N_FEATURES)))
         assert rep.name == "r9"
-        assert (len(rep.queue), rep.queued_rows) == (1, 3)
+        assert (len(rep.queue), rep.queue.depth_rows) == (1, 3)
         assert rep.crashed_party is None
         rep.drain()
         report = rep.report()
-        assert (rep.queued_rows, report.served_requests, report.served_rows) == (0, 1, 3)
+        assert (rep.queue.depth_rows, report.served_requests, report.served_rows) == (0, 1, 3)
         assert report.batches == 1 and report.online_s > 0.0
 
     def test_take_pending_empties_the_queue(self, rng):
@@ -90,7 +90,7 @@ class TestReplicaProtocol:
         rep.submit("b", rng.normal(size=(3, N_FEATURES)))
         taken = rep.take_pending()
         assert [t.client_id for t in taken] == ["a", "b"]
-        assert len(rep.queue) == 0 and rep.queued_rows == 0
+        assert len(rep.queue) == 0 and rep.queue.depth_rows == 0
 
     def test_force_admit_bypasses_the_row_bound(self, rng):
         _ctx, rep = _replica(queue_rows=4)
@@ -100,6 +100,27 @@ class TestReplicaProtocol:
         rep.force_admit("b", rng.normal(size=(2, N_FEATURES)))
         rep.drain()
         assert {r.client_id for r in rep.poll()} == {"a", "b"}
+
+    def test_wire_audit_judges_every_link_and_counts_into_the_replica(self, rng):
+        ctx, rep = _replica(audit=True)
+        for i in range(3):
+            rep.submit(f"c{i}", rng.normal(size=(4, N_FEATURES)))
+        rep.drain()
+        report = rep.wire_audit()
+        report.assert_clean(context="replica0")
+        assert len(report.audits) == 4 and not any(a.skipped for a in report.audits)
+        # the audit lands in the replica's own telemetry unless told otherwise
+        assert ctx.telemetry.snapshot().counter("audit.links_audited") == 4
+        # one party's view: only what server0 receives
+        view = rep.wire_audit(party="server0")
+        assert {a.dst for a in view.audits} == {"server0"}
+
+    def test_wire_audit_without_a_recorder_is_a_serve_error(self, rng):
+        _ctx, rep = _replica()
+        rep.submit("a", rng.normal(size=(2, N_FEATURES)))
+        rep.drain()
+        with pytest.raises(ServeError, match="audit=True"):
+            rep.wire_audit()
 
 
 class TestFleetRouting:
@@ -188,6 +209,19 @@ class TestFleetRouting:
             f"one wave submits {wave_bytes} B of plaintext"
         )
 
+    def test_report_finds_each_response_and_its_batch_fill(self, rng):
+        fleet = _fleet(replicas=2)
+        rids = {f"c{i}": fleet.submit(f"c{i}", rng.normal(size=(3, N_FEATURES)))
+                for i in range(4)}  # fmt: skip
+        fleet.drain()
+        rep = fleet.report()
+        for client, rid in rids.items():
+            resp = rep.response_for(client, rid)
+            assert (resp.client_id, resp.fleet_rid, resp.rows) == (client, rid, 3)
+        assert rep.response_for("c0", rids["c1"]) is None
+        assert rep.padded_rows > 0
+        assert rep.mean_batch_fill == rep.served_rows / (rep.served_rows + rep.padded_rows)
+
 
 class TestPlacementFactory:
     """What is left of placement: one rule, least-depth, and its name."""
@@ -227,6 +261,33 @@ class TestCrashRecovery:
         assert rep.dropped_requests == 0 and rep.pending_requests == 0
         # the crashed replica respawned and is healthy again
         assert all(r.crashed_party is None for r in fleet.replicas())
+
+    def test_an_exhausted_reroute_budget_keeps_the_request_queued_and_raises(self, rng):
+        # max_reroutes=0: a request drained off the crashed replica is not
+        # re-shared elsewhere; it is admitted again on the respawned
+        # replica and the failure surfaces to the caller.
+        fleet = _fleet(
+            replicas=2,
+            replica_config=_crashy_replica0(),
+            request_retries=0,
+            max_reroutes=0,
+        )
+        for i in range(10):
+            fleet.submit(f"c{i}", rng.normal(size=(2, N_FEATURES)))
+        with pytest.raises(PartyFailure):
+            fleet.drain()
+        rep = fleet.report()
+        assert rep.replica_crashes == 1 and rep.rerouted_requests == 0
+        assert rep.dropped_requests == 0
+        replica0 = fleet.replicas()[0]
+        kept = [t for t in fleet._inflight.values() if t.replica == replica0.name]
+        assert kept and len(replica0.queue) == len(kept)
+        assert replica0.crashed_party is None
+        # queued, never dropped: the next drain answers everything
+        fleet.drain()
+        rep = fleet.report()
+        assert rep.served_requests == 10
+        assert rep.pending_requests == 0 and rep.dropped_requests == 0
 
     def test_forced_reroute_targets_the_replica_with_most_headroom(self, rng):
         # When every healthy replica is too full to admit a re-shared

@@ -124,11 +124,10 @@ class TestTimingBehaviour:
         rep = SecureTrainer(ctx, model, lr=0.0, monitor_loss=False).train(
             x, y, epochs=3, batch_size=32
         )
-        assert rep.compression_savings > 0.2
+        assert 1.0 - rep.wire_comm_bytes / rep.raw_comm_bytes > 0.2
 
     def test_inference_report_consistency(self, rng):
         ctx = make_ctx(seed=9)
         model = SecureMLP(ctx, 16, hidden=(8,), n_out=2)
         rep = secure_predict(ctx, model, rng.normal(size=(96, 16)), batch_size=32)
         assert rep.batches == 3
-        assert rep.total_s == pytest.approx(rep.offline_s + rep.online_s)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simgpu.kernels import col2im, conv_output_size, im2col, im2col_bytes
+from repro.simgpu.kernels import col2im, conv_output_size, im2col
 from repro.util.errors import ShapeError
 
 
@@ -88,11 +88,3 @@ class TestCol2im:
         cols = np.full((4, 4), 2**63, dtype=np.uint64)
         out = col2im(cols, (1, 3, 3, 1), 2, 2, 1)
         assert out.dtype == np.uint64  # no overflow error raised
-
-
-class TestCostHelper:
-    def test_bytes_accounting(self):
-        nbytes = im2col_bytes((2, 8, 8, 1), 3, 3, 1, 8)
-        read = 2 * 8 * 8 * 1 * 8
-        written = 2 * 6 * 6 * 9 * 8
-        assert nbytes == read + written

@@ -88,27 +88,25 @@ def _digest(arrays) -> str:
 
 
 def _seconds(build, x, y, batch):
-    """PlainTimer cpu train, cpu predict, gpu train, gpu predict seconds."""
-    out = []
-    for device in ("cpu", "gpu"):
-        trainer = PlainTrainer(build(), PlainTimer(device))
-        out.append(trainer.train(x[:batch], y[:batch], batch_size=batch).seconds)
-        out.append(trainer.predict(x[:batch], batch_size=batch)[1])
-    return tuple(out)
+    """PlainTimer cpu train and gpu train seconds."""
+    return tuple(
+        PlainTrainer(build(), PlainTimer(device)).train(x[:batch], y[:batch], batch_size=batch).seconds
+        for device in ("cpu", "gpu")
+    )
 
 
 #: model -> (digest of the seed-0 plain init, in the secure twin's
 #: parameter order; PlainTimer seconds of one batch, as _seconds returns)
 PLAIN_PINS = {
-    "MLP": ("fc548d2f418fd304", (0.0010041386666666669, 0.0010016213333333337, 0.0011175808497777783, 0.0010454311212698415)),  # noqa: E501
-    "CNN": ("779abae547c1034d", (0.0010509866666666666, 0.0010250026666666664, 0.0011978411133968252, 0.0010802236474920634)),  # noqa: E501
-    "RNN": ("4cd779d06f8ee29b", (0.0010073599999999988, 0.0010028800000000007, 0.0013741584746666676, 0.0011550055725714282)),  # noqa: E501
-    "linear": ("4030d5c1bc0f6479", (0.0010009386666666668, 0.0010002133333333336, 0.0010454320761904762, 0.0010187143314285719)),  # noqa: E501
-    "logistic": ("4030d5c1bc0f6479", (0.0010011093333333334, 0.0010002986666666667, 0.001061433213968254, 0.0010267149003174607)),  # noqa: E501
-    "SVM": ("940babd189b21dcf", (0.0010007466666666666, 0.0010001066666666665, 0.0010534321726984126, 0.0010187143085714286)),  # noqa: E501
-    "attention": ("d96f3c15cb5bfdb6", (0.0010084480000000008, 0.0010031999999999988, 0.0012645955382857136, 0.001109578721523809)),  # noqa: E501
-    "recsys": ("7c274220f6c2c260", (0.0010032639999999998, 0.001001216, 0.0011175795611428573, 0.0010454304838095243)),  # noqa: E501
-    "MLP/MNIST": ("f69253233d69a48b", (0.020789824, 0.010382570666666664, 0.0011965494044444442, 0.001074576271238095)),  # noqa: E501
+    "MLP": ("fc548d2f418fd304", (0.0010041386666666669, 0.0011175808497777783)),
+    "CNN": ("779abae547c1034d", (0.0010509866666666666, 0.0011978411133968252)),
+    "RNN": ("4cd779d06f8ee29b", (0.0010073599999999988, 0.0013741584746666676)),
+    "linear": ("4030d5c1bc0f6479", (0.0010009386666666668, 0.0010454320761904762)),
+    "logistic": ("4030d5c1bc0f6479", (0.0010011093333333334, 0.001061433213968254)),
+    "SVM": ("940babd189b21dcf", (0.0010007466666666666, 0.0010534321726984126)),
+    "attention": ("d96f3c15cb5bfdb6", (0.0010084480000000008, 0.0012645955382857136)),
+    "recsys": ("7c274220f6c2c260", (0.0010032639999999998, 0.0011175795611428573)),
+    "MLP/MNIST": ("f69253233d69a48b", (0.020789824, 0.0011965494044444442)),
 }
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import separable_classification
 
 from repro.core.models import (
     SecureCNN,
@@ -14,7 +15,7 @@ from repro.core.models import (
 from repro.core.tensor import SharedTensor
 from repro.core.training import SecureTrainer
 from repro.core.inference import secure_predict
-from repro.datasets import separable_classification, sequence_dataset
+from repro.datasets import sequence_dataset
 from repro.util.errors import ConfigError, ShapeError
 
 

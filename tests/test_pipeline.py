@@ -118,7 +118,7 @@ class TestRunPlan:
         assert len(tasks) == len(steps)
         assert {t.resource.split(".")[0] for t in tasks} == {(gpu if on == "gpu" else cpu).name}
         assert sum(t.duration for t in tasks) == pytest.approx(
-            ctx.profiler.seconds(on, steps, parallel=cpu.parallel_enabled), rel=1e-12
+            sum(ctx.profiler.step_prices(on, steps, parallel=cpu.parallel_enabled)), rel=1e-12
         )
 
     def test_a_server_and_a_client_draw_are_priced_at_their_own_parallel_flags(self):
@@ -516,7 +516,6 @@ class TestTimeline:
         assert s.makespan == 2.0
         assert s.busy_seconds == {"x": 2.0, "y": 2.0}
         assert s.overlap_seconds() == 2.0
-        assert s.utilization("x") == 1.0
 
     def test_summarize_window(self):
         clock = SimClock()

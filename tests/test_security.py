@@ -18,7 +18,6 @@ from repro.mpc import comparison
 from repro.mpc.comparison import (
     ComparisonDealer,
     _bit_planes,
-    comparison_offline_bytes,
     comparison_online_bytes,
     secure_ge_const,
 )
@@ -137,7 +136,6 @@ class TestMaskedOpenings:
         res = secure_ge_const(pair.share0, pair.share1, 0, bundle)
         assert res.share0.shape == res.share1.shape == (65,)
         assert res.online_bytes == comparison_online_bytes(65)
-        assert bundle.offline_bytes == 2 * comparison_offline_bytes(65)
         assert np.array_equal(
             ring_add(res.share0, res.share1), (x.view(np.int64) >= 0).astype(np.uint64)
         )

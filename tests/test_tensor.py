@@ -1,8 +1,11 @@
 """SharedTensor: local linear algebra and scale discipline."""
 
+import re
+
 import numpy as np
 import pytest
 
+from conftest import make_ctx
 from repro.core.tensor import SharedTensor
 from repro.util.errors import EncodingError, ProtocolError, ShapeError
 
@@ -94,6 +97,14 @@ class TestLocalOps:
     def test_mul_public_by_a_non_finite_value_is_an_encoding_error(self, ctx, value):
         with pytest.raises(EncodingError, match=repr(value)):
             shared(ctx, np.eye(2)).mul_public(value)
+
+    @pytest.mark.parametrize("backend", ["beaver2pc", "rep3"])
+    @pytest.mark.parametrize("value", [1e30, 2**50, -(2**50)])
+    def test_mul_public_outside_the_ring_is_an_encoding_error(self, backend, value):
+        # value * 2**scalar_bits past int64 used to wrap: ones * 2**50 read 0.0
+        ones = shared(make_ctx(backend=backend), np.ones((2, 2)))
+        with pytest.raises(EncodingError, match=rf"mul_public.*{re.escape(repr(value))}"):
+            ones.mul_public(value)
 
     def test_mul_public_by_an_array_is_a_shape_error(self, ctx):
         with pytest.raises(ShapeError, match=r"mul_public.*\(3, 3\).*\(2, 3\)"):

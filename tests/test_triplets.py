@@ -28,9 +28,9 @@ class TestMatrixTriplet:
 
     def test_shapes(self, dealer):
         t = dealer.gen_matrix_triplet((4, 6), (6, 3))
-        assert t.u.shape == (4, 6)
-        assert t.v.shape == (6, 3)
-        assert t.z.shape == (4, 3)
+        assert t.u.share0.shape == (4, 6)
+        assert t.v.share0.shape == (6, 3)
+        assert t.z.share0.shape == (4, 3)
 
     def test_incompatible_shapes_raise(self, dealer):
         with pytest.raises(ShapeError):
@@ -72,7 +72,7 @@ class TestElementwiseTriplet:
 
     def test_nd_shapes_supported(self, dealer):
         t = dealer.gen_elementwise_triplet((2, 3, 4))
-        assert t.u.shape == (2, 3, 4)
+        assert t.u.share0.shape == (2, 3, 4)
 
 
 class TestSingleUse:

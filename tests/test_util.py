@@ -15,9 +15,7 @@ from repro.util.seeding import SeedSequenceFactory, derive_seed
 from repro.util.validation import (
     check_matmul_compatible,
     check_matrix,
-    check_positive,
     check_probability,
-    check_same_shape,
 )
 
 
@@ -68,26 +66,10 @@ class TestValidation:
         with pytest.raises(ShapeError):
             check_matrix(bad)
 
-    def test_check_same_shape(self, rng):
-        a = rng.normal(size=(2, 3))
-        check_same_shape(a, a)
-        with pytest.raises(ShapeError):
-            check_same_shape(a, rng.normal(size=(3, 2)))
-
     def test_check_matmul_compatible(self, rng):
         check_matmul_compatible(rng.normal(size=(2, 3)), rng.normal(size=(3, 4)))
         with pytest.raises(ShapeError):
             check_matmul_compatible(rng.normal(size=(2, 3)), rng.normal(size=(4, 4)))
-
-    def test_check_positive(self):
-        assert check_positive(1.5, "x") == 1.5
-        assert check_positive(0.0, "x", strict=False) == 0.0
-        with pytest.raises(ConfigError):
-            check_positive(0.0, "x")
-        with pytest.raises(ConfigError):
-            check_positive(-1.0, "x", strict=False)
-        with pytest.raises(ConfigError):
-            check_positive("nope", "x")
 
     def test_check_probability(self):
         assert check_probability(0.5, "p") == 0.5

@@ -204,9 +204,9 @@ class TestCoalescer:
             src, dst = link.split("->")
             coalescer.add(src, dst, f"msg{i}", arr)
             expected.setdefault((src, dst), []).append((f"msg{i}", arr))
-        assert len(coalescer) == len(sends)
         frames = coalescer.flush()
-        assert len(coalescer) == 0
+        assert sum(len(fr.parts) for fr in frames) == len(sends)
+        assert coalescer.flush() == []
         # one frame per link, links in first-send order
         assert [(fr.src, fr.dst) for fr in frames] == list(expected)
         for fr in frames:
