@@ -23,6 +23,7 @@ import pytest
 from repro.bench.harness import run_plain, run_secure, run_secure_inference
 from repro.bench.workloads import benchmark_grid
 from repro.core.config import FrameworkConfig
+from repro.simgpu.cost import V100_SPEC
 
 BATCH_SIZE = 128
 N_BATCHES = int(os.environ.get("REPRO_BENCH_BATCHES", "2"))
@@ -71,7 +72,7 @@ class GridRunner:
     def plain_gpu(self, model, dataset):
         key = ("gpu", model, dataset)
         return self._memo(
-            key, lambda: run_plain(model, dataset, "gpu", tensor_core=True, **self._kw())
+            key, lambda: run_plain(model, dataset, "gpu", gpu_spec=V100_SPEC, **self._kw())
         )
 
     def par_infer(self, model, dataset):

@@ -6,9 +6,9 @@ in throughput with standard FP32 operations compared to the NVIDIA
 Pascal P100".  This ablation swaps the device spec under the same
 workload.
 
-Shape claims: the V100 deployment beats the P100 one; enabling
-tensor_core on a P100 changes nothing (Pascal has none); the V100's
-advantage grows with GEMM size.
+Shape claims: the V100 deployment beats the P100 one; the P100 spec
+runs its GEMMs at its FP32 rate (Pascal has no Tensor Cores); the
+V100's advantage grows with GEMM size.
 """
 
 import numpy as np
@@ -21,12 +21,8 @@ from repro.core.training import SecureTrainer
 from repro.simgpu.cost import P100_SPEC, V100_SPEC
 
 
-def run(gpu_spec, features: int, tensor_core: bool = True) -> float:
-    cfg = FrameworkConfig.parsecureml(
-        gpu_spec=gpu_spec,
-        tensor_core=tensor_core,
-        placement_mode="gpu_always",
-    )
+def run(gpu_spec, features: int) -> float:
+    cfg = FrameworkConfig.parsecureml(gpu_spec=gpu_spec, placement_mode="gpu_always")
     ctx = SecureContext(cfg)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(256, features)) * 0.5
@@ -57,11 +53,9 @@ def test_architecture_ablation(benchmark):
         assert results[("tesla-v100", features)] < results[("tesla-p100", features)]
     # At the kernel level Volta's GEMM advantage grows with size (the
     # Markidis et al. observation the paper cites) ...
-    small_kernel = P100_SPEC.gemm_seconds(256, 512, 256) / V100_SPEC.gemm_seconds(
-        256, 512, 256, tensor_core=True
-    )
+    small_kernel = P100_SPEC.gemm_seconds(256, 512, 256) / V100_SPEC.gemm_seconds(256, 512, 256)
     big_kernel = P100_SPEC.gemm_seconds(4096, 4096, 4096) / V100_SPEC.gemm_seconds(
-        4096, 4096, 4096, tensor_core=True
+        4096, 4096, 4096
     )
     assert big_kernel > small_kernel
     # ... while at the system level both devices share the same PCIe and
@@ -70,5 +64,5 @@ def test_architecture_ablation(benchmark):
     # not multiples, to the whole pipeline.
     big_system_adv = results[("tesla-p100", 4096)] / results[("tesla-v100", 4096)]
     assert 1.0 <= big_system_adv < big_kernel
-    # Pascal: tensor_core flag is a no-op in the cost model
-    assert run(P100_SPEC, 512, tensor_core=True) == run(P100_SPEC, 512, tensor_core=False)
+    # Pascal: no Tensor Cores, so the spec's GEMM peak is its FP32 peak
+    assert P100_SPEC.tensor_tflops == P100_SPEC.fp32_tflops

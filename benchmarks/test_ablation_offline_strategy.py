@@ -15,7 +15,7 @@ justification for the client-aided design the paper builds on.
 """
 
 from repro.bench.reporting import format_table
-from repro.simgpu.cost import V100_SPEC, XEON_E5_2670V3_SPEC as CPU
+from repro.simgpu.cost import V100_FP32_SPEC, V100_SPEC, XEON_E5_2670V3_SPEC as CPU
 
 _BITS = 64
 # wire sizes of one Bellare-Micali OT instance (group elements ~64 B)
@@ -50,8 +50,8 @@ def ot_triplet_offline_cost(
 
 def dealer_cost(m: int, k: int, n: int) -> float:
     """Client-aided dealer: RNG + Z=U@V on the client GPU + upload."""
-    rng_s = CPU.rng_seconds(8 * (m * k + k * n), parallel=True)
-    gemm_s = V100_SPEC.gemm_seconds(m, k, n) + V100_SPEC.transfer_seconds(
+    rng_s = CPU.rng_seconds(8 * (m * k + k * n))
+    gemm_s = V100_FP32_SPEC.gemm_seconds(m, k, n) + V100_SPEC.transfer_seconds(
         8 * (m * k + k * n + m * n)
     )
     upload_s = 3 * 8 * (m * k + k * n + m * n) / (12.0 * 1e9)

@@ -9,13 +9,16 @@ datasets gain at least as much as MNIST.
 
 from conftest import grid_cells
 from repro.bench.reporting import format_table, geomean
+from repro.simgpu.cost import XEON_SERIAL_SPEC
 
 
 def build(grid):
     rows = []
     for model, dataset in grid_cells():
         with_opt = grid.par(model, dataset)
-        without = grid.par(model, dataset, cpu_parallel=False, client_parallel=False)
+        without = grid.par(
+            model, dataset, cpu_spec=XEON_SERIAL_SPEC, client_cpu_spec=XEON_SERIAL_SPEC
+        )
         gain = without.total_s() / with_opt.total_s() - 1.0
         rows.append(
             {"benchmark": f"{dataset}/{model}", "improvement": gain}

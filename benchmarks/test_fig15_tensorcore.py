@@ -9,13 +9,14 @@ gain more than launch-bound ones.
 
 from conftest import grid_cells
 from repro.bench.reporting import format_table
+from repro.simgpu.cost import V100_FP32_SPEC
 
 
 def build(grid):
     rows = []
     for model, dataset in grid_cells():
         with_tc = grid.par(model, dataset)
-        without = grid.par(model, dataset, tensor_core=False)
+        without = grid.par(model, dataset, gpu_spec=V100_FP32_SPEC)
         rows.append(
             {
                 "benchmark": f"{dataset}/{model}",

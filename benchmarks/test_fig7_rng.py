@@ -17,7 +17,7 @@ def build_series():
     rows = []
     for n in DIMS:
         nbytes = n * n * 8
-        cpu_s = XEON_E5_2670V3_SPEC.rng_seconds(nbytes, parallel=True)
+        cpu_s = XEON_E5_2670V3_SPEC.rng_seconds(nbytes)
         # GPU: cuRAND generator creation + generation + copying the
         # matrix back for the CPU-resident protocol steps.  The paper's
         # measurement pays generator setup per invocation (Fig. 7 is a

@@ -8,7 +8,7 @@ the simulated device and reading the kernel/transfer split.
 
 from repro.bench.reporting import format_table
 from repro.simgpu.clock import SimClock
-from repro.simgpu.cost import V100_SPEC
+from repro.simgpu.cost import V100_FP32_SPEC
 from repro.simgpu.device import SimGPU
 
 DIMS = [1024, 2048, 4096, 8192, 16384]
@@ -17,7 +17,7 @@ DIMS = [1024, 2048, 4096, 8192, 16384]
 def gemm_fraction(n: int) -> float:
     """Run one n x n secure GEMM on the device; kernel share of total."""
     clock = SimClock()
-    gpu = SimGPU(clock, V100_SPEC, "g")
+    gpu = SimGPU(clock, V100_FP32_SPEC, "g")  # the FP32 GEMMs that motivate Tensor Cores
     # time only: charge transfers and kernels per the Fig. 5 schedule
     t_in = [
         clock.run(gpu.h2d_engine, gpu.spec.transfer_seconds(n * n * 8), label=f"h2d{i}")

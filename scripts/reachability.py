@@ -206,15 +206,9 @@ ALLOW = {
     "repro.telemetry.core:Telemetry.chrome_trace_events": "public API named in README",
     "repro.telemetry.core:Telemetry.clocks": "public API named in README",
     "repro.telemetry.core:Telemetry.export_chrome_trace": "public API named in README",
-    "repro.telemetry.core:Telemetry.to_json": "public API named in README",
     "repro.telemetry.export:_clock_events": "public API named in README",
     "repro.telemetry.export:chrome_trace_events": "public API named in README",
     "repro.telemetry.export:export_chrome_trace": "public API named in README",
-    "repro.telemetry.export:export_json_summary": "public API named in README",
-    "repro.telemetry.export:json_summary": "public API named in README",
-    "repro.telemetry.snapshot:TelemetrySnapshot.as_dict": "public API named in README",
-    "repro.telemetry.snapshot:TelemetrySnapshot.to_json": "public API named in README",
-    "repro.telemetry.spans:SpanRecord.as_dict": "public API named in README",
 }
 
 

@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-from repro.comm.wire import (  # noqa: F401  (re-exported: historical home)
+from repro.comm.wire import (
     canonical_bytes,
     content_bytes,
     content_parts,
@@ -40,6 +40,13 @@ from repro.comm.wire import (  # noqa: F401  (re-exported: historical home)
     payload_digest,
 )
 from repro.util.errors import AuditError, TranscriptMismatch
+
+__all__ = [
+    "IDENTITY_FIELDS", "Transcript", "TranscriptDivergence", "TranscriptRecord",
+    "TranscriptRecorder",
+    # re-exported from repro.comm.wire, their historical home (below)
+    "canonical_bytes", "content_bytes", "iter_arrays", "payload_digest",
+]
 
 #: Sequence fields that must match record-for-record for two transcripts
 #: to be considered the same protocol run.  The clock column is compared

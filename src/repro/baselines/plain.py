@@ -20,28 +20,26 @@ from typing import Literal
 import numpy as np
 
 from repro.simgpu.clock import SimClock
-from repro.simgpu.cost import CPUSpec, DeviceSpec, V100_SPEC, XEON_E5_2670V3_SPEC, step_seconds
+from repro.simgpu.cost import CPUSpec, DeviceSpec, V100_FP32_SPEC, XEON_SERIAL_SPEC, step_seconds
 from repro.simgpu.kernels import col2im, conv_output_size, im2col
 from repro.util.errors import ConfigError
 
 
 class PlainTimer:
-    """Charges plain-ML work to one device's timeline."""
+    """Charges plain-ML work to one device's timeline.  The plain
+    baselines default to a serial CPU and FP32 GEMMs; Table 2's GPU
+    column passes the Tensor-Core ``gpu_spec``."""
 
     def __init__(
         self,
         device: Literal["cpu", "gpu"] = "cpu",
         *,
-        cpu_spec: CPUSpec = XEON_E5_2670V3_SPEC,
-        gpu_spec: DeviceSpec = V100_SPEC,
-        tensor_core: bool = False,
-        cpu_parallel: bool = False,
+        cpu_spec: CPUSpec = XEON_SERIAL_SPEC,
+        gpu_spec: DeviceSpec = V100_FP32_SPEC,
     ):
         self.device = device
         self.cpu_spec = cpu_spec
         self.gpu_spec = gpu_spec
-        self.tensor_core = tensor_core
-        self.cpu_parallel = cpu_parallel
         # Per-training-step framework overhead (Python dispatch, graph
         # bookkeeping, optimiser step) — the paper's GPU baselines are
         # TensorFlow/PyTorch-era frameworks whose measured MNIST step
@@ -62,10 +60,7 @@ class PlainTimer:
     def _step(self, op: str, size: tuple, resource: str = "compute") -> None:
         """One step on the device, priced by :func:`~repro.simgpu.cost.step_seconds`."""
         spec = self.gpu_spec if self.device == "gpu" else self.cpu_spec
-        seconds = step_seconds(
-            spec, op, size, parallel=self.cpu_parallel, tensor_core=self.tensor_core
-        )
-        self.clock.run(resource, seconds, label=op)
+        self.clock.run(resource, step_seconds(spec, op, size), label=op)
 
     def gemm(self, m: int, k: int, n: int) -> None:
         self._step("gemm", (1, m, k, n))

@@ -22,6 +22,7 @@ import sys
 from repro.bench.harness import run_plain, run_secure, run_secure_inference
 from repro.bench.workloads import BENCH_DATASETS, BENCH_MODELS, WORKLOAD_MODELS
 from repro.core.config import FrameworkConfig
+from repro.simgpu.cost import V100_SPEC
 
 
 def _configs(which: str, *, backends: list[str] | None = None):
@@ -104,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
             res = run_plain(
                 args.model, args.dataset, device,
                 n_batches=args.batches, batch_size=args.batch_size, seed=args.seed,
-                tensor_core=(device == "gpu"), full_scale=args.full_scale,
+                gpu_spec=V100_SPEC, full_scale=args.full_scale,
             )
             n = args.batches if args.no_extrapolate else None
             print(f"{'plain-' + device:>12}:  total {res.total_s(n):10.3f}s")

@@ -28,6 +28,7 @@ from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
 from repro.core.inference import secure_predict
 from repro.core.training import SecureTrainer
+from repro.simgpu.cost import V100_FP32_SPEC, DeviceSpec
 
 if TYPE_CHECKING:
     from repro.serve.fleet import FleetReport
@@ -173,15 +174,15 @@ def run_plain(
     batch_size: int = 128,
     seed: int = 0,
     lr: float = 0.03125,
-    tensor_core: bool = False,
+    gpu_spec: DeviceSpec = V100_FP32_SPEC,
     full_scale: bool = False,
 ) -> PlainRunResult:
-    """Train one plain grid cell on 'cpu' or 'gpu' timing."""
+    """Train one plain grid cell on 'cpu' or 'gpu' (at ``gpu_spec``) timing."""
     x, y, spec = load_workload(
         model_name, dataset, n_batches=n_batches, batch_size=batch_size, seed=seed,
         full_scale=full_scale,
     )
-    timer = PlainTimer(device, tensor_core=tensor_core)
+    timer = PlainTimer(device, gpu_spec=gpu_spec)
     model = build_plain_model(spec, seed=seed)
     trainer = PlainTrainer(model, timer, lr=lr)
     report = trainer.train(x, y, epochs=1, batch_size=batch_size)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.simgpu.clock import SimClock, Task
+from repro.simgpu.cost import check_spec
 from repro.telemetry.registry import BoundCounter, MetricRegistry
 from repro.util.errors import TransportError
 
@@ -31,6 +32,9 @@ class LinkSpec:
     name: str
     bandwidth_gbps: float  # GB/s (bytes, not bits)
     latency_s: float
+
+    def __post_init__(self):
+        check_spec(self, positive=("bandwidth_gbps",), nonnegative=("latency_s",))
 
     def transfer_seconds(self, nbytes: float) -> float:
         return self.latency_s + nbytes / (self.bandwidth_gbps * 1e9)

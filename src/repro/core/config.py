@@ -5,12 +5,16 @@ experiment is "build a config, run the trainer":
 
 * Fig. 10-13 baselines vs ParSecureML — :meth:`FrameworkConfig.parsecureml`
   vs :meth:`FrameworkConfig.secureml`;
-* Fig. 14 — ``cpu_parallel`` on/off;
-* Fig. 15 — ``tensor_core`` on/off;
+* Fig. 14 — ``cpu_spec`` and ``client_cpu_spec`` at the default Xeon or
+  :data:`~repro.simgpu.cost.XEON_SERIAL_SPEC` (Section 5.1's parallelism
+  on/off);
+* Fig. 15 — ``gpu_spec`` at the default V100 or
+  :data:`~repro.simgpu.cost.V100_FP32_SPEC` (Tensor Cores on/off);
 * Fig. 16 — ``fresh_triplets`` off/on (what stable masks keep off the
   wire; ``compression`` on/off is its CSR-codec share);
 * pipeline ablations — ``pipeline1`` / ``double_pipeline`` on/off;
-* placement ablation — ``placement_mode``.
+* placement ablation — ``placement_mode`` (``"cpu_always"`` builds no
+  GPU at all).
 
 The inter-server wire path is not a switch: every server-to-server
 message is charged at its exact RPW1 framed size (:mod:`repro.comm.wire`)
@@ -30,7 +34,13 @@ from typing import Literal
 
 from repro.comm.channel import INFINIBAND_100G, LinkSpec
 from repro.faults.plan import FaultPlan, RetryPolicy
-from repro.simgpu.cost import CPUSpec, DeviceSpec, V100_SPEC, XEON_E5_2670V3_SPEC
+from repro.simgpu.cost import (
+    CPUSpec,
+    DeviceSpec,
+    V100_SPEC,
+    XEON_E5_2670V3_SPEC,
+    XEON_SERIAL_SPEC,
+)
 from repro.util.errors import ConfigError
 
 
@@ -47,9 +57,7 @@ class FrameworkConfig:
     # numeric representation
     frac_bits: int = 13
 
-    # GPU usage
-    use_gpu: bool = True
-    tensor_core: bool = True
+    # GPU usage ("cpu_always": no party has a GPU)
     placement_mode: Literal["adaptive", "cpu_always", "gpu_always"] = "adaptive"
 
     # pipelines (paper Section 4.3)
@@ -74,18 +82,15 @@ class FrameworkConfig:
     # 5b).
     fresh_triplets: bool = False
 
-    # CPU optimisations (Section 5.1).  cpu_parallel governs the servers'
-    # online helpers; client_parallel governs the client's encrypt path.
-    # The client code is infrastructure shared by both evaluated systems
-    # (the SecureML baseline is the paper authors' reimplementation on
-    # the same cluster), so the SecureML preset keeps client_parallel on;
-    # the Fig. 14 ablation turns both off.
-    cpu_parallel: bool = True
-    client_parallel: bool = True
-
-    # hardware
+    # hardware.  cpu_spec is the servers' CPU, client_cpu_spec the
+    # client's (its encrypt path and dealer).  The client code is
+    # infrastructure shared by both evaluated systems (the SecureML
+    # baseline is the paper authors' reimplementation on the same
+    # cluster), so the SecureML preset keeps the client's Section 5.1
+    # parallelism; the Fig. 14 ablation makes both serial.
     gpu_spec: DeviceSpec = V100_SPEC
     cpu_spec: CPUSpec = XEON_E5_2670V3_SPEC
+    client_cpu_spec: CPUSpec = XEON_E5_2670V3_SPEC
     server_link: LinkSpec = INFINIBAND_100G
     uplink: LinkSpec = INFINIBAND_100G
 
@@ -109,6 +114,11 @@ class FrameworkConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.frac_bits <= 30:
             raise ConfigError(f"frac_bits out of range: {self.frac_bits}")
+        kinds = {"gpu_spec": DeviceSpec, "cpu_spec": CPUSpec, "client_cpu_spec": CPUSpec,
+                 "server_link": LinkSpec, "uplink": LinkSpec}
+        for name, kind in kinds.items():
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         allowed = ("adaptive", "cpu_always", "gpu_always")
         if self.placement_mode not in allowed:
             raise ConfigError(
@@ -131,13 +141,11 @@ class FrameworkConfig:
         trained under either from one seed ends with the same decoded
         parameters, so every measured difference is systems work."""
         base = dict(
-            use_gpu=False,
-            tensor_core=False,
             placement_mode="cpu_always",
             pipeline1=False,
             double_pipeline=False,
             compression=False,
-            cpu_parallel=False,
+            cpu_spec=XEON_SERIAL_SPEC,
         )
         base.update(overrides)
         return FrameworkConfig(**base)

@@ -157,18 +157,17 @@ class SecureContext:
         self.offline_clock = SimClock()
         self.offline_clock.set_tracing(cfg.trace)
         self.telemetry.register_clock("offline", self.offline_clock)
-        # The client's encrypt path uses the Section 5.1 parallel MT19937
-        # design when client_parallel is on (the default in both presets
-        # — shared infrastructure); the cpu_parallel switch governs the
-        # servers (see FrameworkConfig docs and the Fig. 14 ablation).
+        # The client runs at its own spec: the Section 5.1 parallel MT19937
+        # design in both presets (shared infrastructure); Fig. 14 makes it
+        # serial too (see FrameworkConfig docs).  Under "cpu_always" no
+        # party has a GPU.
+        gpus = cfg.placement_mode != "cpu_always"
         self.client_cpu = SimCPU(
-            self.offline_clock, cfg.cpu_spec, "client",
-            parallel_enabled=cfg.client_parallel, telemetry=self.telemetry,
+            self.offline_clock, cfg.client_cpu_spec, "client", telemetry=self.telemetry
         )
         self.client_gpu = SimGPU(
-            self.offline_clock, cfg.gpu_spec, "clientgpu", n_streams=1,
-            tensor_core=cfg.tensor_core, telemetry=self.telemetry,
-        ) if cfg.use_gpu else None
+            self.offline_clock, cfg.gpu_spec, "clientgpu", n_streams=1, telemetry=self.telemetry
+        ) if gpus else None
         self.uplinks = [
             Channel(
                 self.offline_clock, cfg.uplink, "client", f"server{i}", telemetry=self.telemetry
@@ -182,8 +181,7 @@ class SecureContext:
         self.telemetry.register_clock("online", self.online_clock)
         def server_cpus(suffix: str) -> list[SimCPU]:
             return [
-                SimCPU(self.online_clock, cfg.cpu_spec, f"s{i}{suffix}",
-                       parallel_enabled=cfg.cpu_parallel, telemetry=self.telemetry)
+                SimCPU(self.online_clock, cfg.cpu_spec, f"s{i}{suffix}", telemetry=self.telemetry)
                 for i in range(self.n_parties)
             ]
 
@@ -194,9 +192,8 @@ class SecureContext:
         # reconstruct work shares the single in-order CPU timeline.
         self.server_reconstruct_cpu = server_cpus("rec") if cfg.double_pipeline else self.server_cpu
         self.server_gpu = [
-            SimGPU(self.online_clock, cfg.gpu_spec, f"s{i}gpu",
-                   tensor_core=cfg.tensor_core, telemetry=self.telemetry)
-            if cfg.use_gpu else None
+            SimGPU(self.online_clock, cfg.gpu_spec, f"s{i}gpu", telemetry=self.telemetry)
+            if gpus else None
             for i in range(self.n_parties)
         ]
         # Fault tolerance: under a FaultPlan the server0<->server1 link
@@ -234,10 +231,8 @@ class SecureContext:
         self.profiler = StepProfiler(
             cfg.cpu_spec,
             cfg.gpu_spec,
-            mode=cfg.placement_mode if cfg.use_gpu else "cpu_always",
-            tensor_core=cfg.tensor_core,
-            cpu_parallel=cfg.cpu_parallel,
-            client_parallel=cfg.client_parallel,
+            client_cpu_spec=cfg.client_cpu_spec,
+            mode=cfg.placement_mode,
             pipeline1=cfg.pipeline1,
         )
         self.comparison_dealer = ComparisonDealer(

@@ -114,7 +114,8 @@ REP3_SLOTS = (("A", "A2"), ("Y", "B"))
 #: server 1's computes ``A_1 - E``.
 BEAVER_LEAD = ("D=A", "D=A-E")
 
-#: The client's plans that have GPU steps, priced at ``client_parallel``.
+#: The client's plans that have GPU steps; a CPU runs them at the
+#: client's spec.
 _CLIENT_PLANS = frozenset({"dealer", "rng"})
 
 
@@ -233,18 +234,14 @@ class StepProfiler:
         cpu_spec: CPUSpec,
         gpu_spec: DeviceSpec,
         *,
+        client_cpu_spec: CPUSpec | None = None,
         mode: Literal["adaptive", "cpu_always", "gpu_always"] = "adaptive",
-        tensor_core: bool = False,
-        cpu_parallel: bool = True,
-        client_parallel: bool = True,
         pipeline1: bool = True,
     ):
-        self.cpu_spec = cpu_spec
+        self.cpu_spec = cpu_spec  # the servers'
         self.gpu_spec = gpu_spec
+        self.client_cpu_spec = cpu_spec if client_cpu_spec is None else client_cpu_spec
         self.mode = mode
-        self.tensor_core = tensor_core
-        self.cpu_parallel = cpu_parallel
-        self.client_parallel = client_parallel
         self.pipeline1 = pipeline1  # the beaver2pc GPU graph's edge set
         #: the last decision per (plan, shape, resident slots)
         self.decisions: dict[tuple, PlacementDecision] = {}
@@ -255,16 +252,15 @@ class StepProfiler:
     # -- the cost function ------------------------------------------------------
 
     def step_prices(
-        self, device: Placement, steps: tuple[Step, ...], *, parallel: bool | None = None
+        self, device: Placement, steps: tuple[Step, ...], *, client: bool = False
     ) -> tuple[float, ...]:
         """Simulated seconds of each of ``steps`` on ``device``; a CPU runs
-        at ``parallel`` (default: the servers' ``cpu_parallel``)."""
-        spec = self.gpu_spec if device == "gpu" else self.cpu_spec
-        parallel = self.cpu_parallel if parallel is None else parallel
-        return tuple(
-            step_seconds(spec, op, size, parallel=parallel, tensor_core=self.tensor_core)
-            for op, size, _name, _after in steps
-        )
+        at the servers' spec, or the client's for a ``client`` plan."""
+        if device == "gpu":
+            spec = self.gpu_spec
+        else:
+            spec = self.client_cpu_spec if client else self.cpu_spec
+        return tuple(step_seconds(spec, op, size) for op, size, _name, _after in steps)
 
     def _price(self, plan: str, shape: tuple, resident: tuple[str, ...]) -> tuple:
         """``(static decision, cpu steps, gpu steps, their prices)``, memoised."""
@@ -272,8 +268,7 @@ class StepProfiler:
         price = self._prices.get(key)
         if price is None:
             cpu_steps, gpu_steps = plan_steps(plan, shape, resident, pipeline1=self.pipeline1)
-            parallel = self.client_parallel if plan in _CLIENT_PLANS else self.cpu_parallel
-            cpu = self.step_prices("cpu", cpu_steps, parallel=parallel)
+            cpu = self.step_prices("cpu", cpu_steps, client=plan in _CLIENT_PLANS)
             gpu = self.step_prices("gpu", gpu_steps)
             if not gpu_steps or self.mode == "cpu_always":
                 placement: Placement = "cpu"

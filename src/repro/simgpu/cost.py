@@ -13,7 +13,9 @@ paper's claims need:
 * **Tensor Cores**: a higher peak for GEMM (cublasSgemmEx with
   CUBLAS_TENSOR_OP_MATH, Section 5.2), gated by the same utilisation —
   matching the Markidis et al. observation of 2.5-12x over FP32 cuBLAS
-  that the paper cites.
+  that the paper cites.  A GEMM always runs at ``tensor_tflops``; a GPU
+  without them says ``tensor_tflops == fp32_tflops`` (:data:`P100_SPEC`,
+  and :data:`V100_FP32_SPEC`, Fig. 15's "off").
 * **PCIe**: effective bandwidth below the 16 GB/s spec plus a fixed
   per-transfer latency; this is what the double pipeline overlaps.
 * **CPU**: a deliberately modest effective GEMM rate.  The paper's
@@ -21,15 +23,37 @@ paper's claims need:
   CPU code base whose measured numbers (Tables 1-3) imply tens of
   GFLOP/s, not the machine's 880 GFLOP/s peak; we calibrate to the
   *measured ratios* (SecureML ~2x plain CPU, SecureML ~250x plain GPU).
+  Section 5.1's parallelism is folded into the elementwise and RNG rates
+  (``n_cores x parallel_efficiency``); one core is the serial path
+  (:data:`XEON_SERIAL_SPEC`, Fig. 14's "off").
 
 Timing claims in this reproduction are therefore *model-derived*; the
 numerics are real.  See DESIGN.md Section 2.
+
+Every spec checks its fields when built and raises
+:class:`~repro.util.errors.ConfigError` naming the spec and the field
+(:func:`check_spec`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from repro.util.errors import ConfigError
+
+
+def check_spec(spec, *, positive=(), nonnegative=()) -> None:
+    """Raise :class:`ConfigError` naming ``spec`` and the field unless
+    each of ``positive`` (a rate, bandwidth or capacity) is > 0 and each
+    of ``nonnegative`` (a latency or setup cost) is >= 0."""
+    for name in (*positive, *nonnegative):
+        value = getattr(spec, name)
+        strict = name in positive
+        if not (value > 0 or (not strict and value == 0)):
+            raise ConfigError(
+                f"{type(spec).__name__} {spec.name!r}: {name} must be "
+                f"{'> 0' if strict else '>= 0'}, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -38,7 +62,7 @@ class DeviceSpec:
 
     name: str
     fp32_tflops: float  # peak FP32 GEMM throughput
-    tensor_tflops: float  # peak Tensor-Core GEMM throughput (FP16 in, FP32 acc)
+    tensor_tflops: float  # peak Tensor-Core GEMM throughput (FP16 in, FP32 acc; = fp32: none)
     mem_bw_gbps: float  # device memory bandwidth (GB/s)
     pcie_gbps: float  # effective host<->device bandwidth (GB/s)
     pcie_latency_s: float  # per-transfer setup latency
@@ -47,6 +71,19 @@ class DeviceSpec:
     curand_gbps: float  # on-device RNG generation rate (GB/s)
     curand_setup_s: float  # generator creation / warm-up cost
     memory_bytes: int  # device memory capacity
+
+    def __post_init__(self):
+        check_spec(
+            self,
+            positive=("fp32_tflops", "tensor_tflops", "mem_bw_gbps", "pcie_gbps",
+                      "curand_gbps", "memory_bytes"),
+            nonnegative=("pcie_latency_s", "kernel_launch_s", "util_knee_flops", "curand_setup_s"),
+        )
+        if self.tensor_tflops < self.fp32_tflops:
+            raise ConfigError(
+                f"DeviceSpec {self.name!r}: tensor_tflops must be >= fp32_tflops "
+                f"({self.fp32_tflops!r}), got {self.tensor_tflops!r}"
+            )
 
     def utilization(self, flops: float) -> float:
         """Fraction of peak achievable for a kernel of ``flops`` work."""
@@ -61,21 +98,21 @@ class DeviceSpec:
         n: int,
         *,
         batch: int = 1,
-        tensor_core: bool = False,
         dtype_bytes: int = 4,
     ) -> float:
         """Time for one GEMM launch over ``batch`` stacked (m,k)x(k,n) products.
 
-        Roofline: compute-bound term at size-scaled peak, memory-bound
-        floor, plus launch overhead.  Tensor Cores raise the compute peak
-        only (they share HBM bandwidth with everything else).  A stack
-        is cublasGemmStridedBatched: one launch for the whole stack, and
-        utilisation judged on its total flops (the batched kernel keeps
-        the SMs fed across small products), so ``batch >= 2`` is
-        strictly cheaper than ``batch`` separate launches.
+        Roofline: compute-bound term at the size-scaled Tensor-Core peak,
+        memory-bound floor, plus launch overhead.  Tensor Cores raise the
+        compute peak only (they share HBM bandwidth with everything
+        else).  A stack is cublasGemmStridedBatched: one launch for the
+        whole stack, and utilisation judged on its total flops (the
+        batched kernel keeps the SMs fed across small products), so
+        ``batch >= 2`` is strictly cheaper than ``batch`` separate
+        launches.
         """
         flops = 2.0 * batch * m * k * n
-        peak = (self.tensor_tflops if tensor_core else self.fp32_tflops) * 1e12
+        peak = self.tensor_tflops * 1e12
         compute_s = flops / (peak * self.utilization(flops))
         bytes_touched = dtype_bytes * batch * (m * k + k * n + m * n)
         memory_s = bytes_touched / (self.mem_bw_gbps * 1e9)
@@ -115,10 +152,24 @@ class CPUSpec:
     # 0.36 GB MNIST set implies a slow conversion path).
     encode_gbps: float = 0.5
 
-    def parallel_factor(self, enabled: bool) -> float:
-        """Speedup factor of the Section 5.1 CPU parallelism when on."""
-        if not enabled:
-            return 1.0
+    def __post_init__(self):
+        check_spec(
+            self,
+            positive=("gemm_gflops", "simd_gbps_single", "rng_gbps_single",
+                      "cache_knee_bytes", "encode_gbps"),
+        )
+        if not self.n_cores >= 1:
+            raise ConfigError(f"CPUSpec {self.name!r}: n_cores must be >= 1, got {self.n_cores!r}")
+        if not 0 < self.parallel_efficiency <= 1:
+            raise ConfigError(
+                f"CPUSpec {self.name!r}: parallel_efficiency must be in (0, 1], "
+                f"got {self.parallel_efficiency!r}"
+            )
+
+    @property
+    def parallel_factor(self) -> float:
+        """Speedup of the Section 5.1 parallel path over one thread (1.0
+        on one core)."""
         return max(1.0, self.n_cores * self.parallel_efficiency)
 
     def gemm_efficiency(self, m: int, k: int, n: int) -> float:
@@ -137,34 +188,29 @@ class CPUSpec:
         rate = self.gemm_gflops * 1e9 * self.gemm_efficiency(m, k, n)
         return batch * ((2.0 * m * k * n) / rate)
 
-    def elementwise_seconds(self, nbytes: float, *, parallel: bool = False) -> float:
-        return nbytes / (self.simd_gbps_single * 1e9 * self.parallel_factor(parallel))
+    def elementwise_seconds(self, nbytes: float) -> float:
+        return nbytes / (self.simd_gbps_single * 1e9 * self.parallel_factor)
 
-    def rng_seconds(self, nbytes: float, *, parallel: bool = False) -> float:
-        return nbytes / (self.rng_gbps_single * 1e9 * self.parallel_factor(parallel))
+    def rng_seconds(self, nbytes: float) -> float:
+        return nbytes / (self.rng_gbps_single * 1e9 * self.parallel_factor)
 
 
-def step_seconds(
-    spec: CPUSpec | DeviceSpec, op: str, size: tuple, *, parallel=False, tensor_core=False
-) -> float:
+def step_seconds(spec: CPUSpec | DeviceSpec, op: str, size: tuple) -> float:
     """Simulated seconds of one step on a device of ``spec``: ``size`` is
     ``(batch, m, k, n)`` for a ``gemm``, ``(nbytes,)`` otherwise.  A CPU
-    runs ``gemm``, and at its ``parallel`` flag ``elementwise``, ``rng``
-    (MT19937) and ``encode`` (float -> ring); a GPU runs ``gemm`` (at
-    ``tensor_core``), ``elementwise``, ``rng`` (warm cuRAND), ``h2d`` and
-    ``d2h``."""
+    runs ``gemm``, ``elementwise``, ``rng`` (MT19937) and ``encode``
+    (float -> ring); a GPU runs ``gemm``, ``elementwise``, ``rng`` (warm
+    cuRAND), ``h2d`` and ``d2h``."""
     cpu = isinstance(spec, CPUSpec)
     if op == "gemm":
         batch, m, k, n = size
-        if cpu:
-            return spec.gemm_seconds(m, k, n, batch=batch)
-        return spec.gemm_seconds(m, k, n, batch=batch, tensor_core=tensor_core)
+        return spec.gemm_seconds(m, k, n, batch=batch)
     (nbytes,) = size
     if cpu:
         if op == "elementwise":
-            return spec.elementwise_seconds(nbytes, parallel=parallel)
+            return spec.elementwise_seconds(nbytes)
         if op == "rng":
-            return spec.rng_seconds(nbytes, parallel=parallel)
+            return spec.rng_seconds(nbytes)
         if op == "encode":
             return nbytes / (spec.encode_gbps * 1e9)
     elif op == "elementwise":
@@ -191,6 +237,9 @@ V100_SPEC = DeviceSpec(
     curand_setup_s=5e-3,
     memory_bytes=32 * 1024**3,
 )
+
+#: The V100 with its GEMMs on the FP32 units (Fig. 15's "off").
+V100_FP32_SPEC = replace(V100_SPEC, name="tesla-v100-fp32", tensor_tflops=V100_SPEC.fp32_tflops)
 
 P100_SPEC = DeviceSpec(
     name="tesla-p100",
@@ -219,3 +268,7 @@ XEON_E5_2670V3_SPEC = CPUSpec(
     n_cores=24,
     parallel_efficiency=0.45,
 )
+
+#: The Xeon on one thread: Section 5.1's parallelism off (Fig. 14's
+#: "off"; the SecureML preset's servers).
+XEON_SERIAL_SPEC = replace(XEON_E5_2670V3_SPEC, name="2x-xeon-e5-2670v3-serial", n_cores=1)

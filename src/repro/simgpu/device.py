@@ -52,14 +52,12 @@ class SimGPU:
         name: str = "gpu0",
         *,
         n_streams: int = 2,
-        tensor_core: bool = False,
         telemetry=None,
     ):
         self.clock = clock
         self.spec = spec
         self.name = name
         self.n_streams = int(n_streams)
-        self.tensor_core = bool(tensor_core)
         self.pool = MemoryPool(spec.memory_bytes, name)
         self._streams = [f"{name}.s{k}" for k in range(self.n_streams)]
         self.h2d_engine = f"{name}.h2d"
@@ -142,7 +140,7 @@ class SimGPU:
             batch, m, k, n = size
             self._gemm_count.inc(1)
             self._gemm_flops.inc(2.0 * batch * m * k * n)
-        seconds = step_seconds(self.spec, op, size, tensor_core=self.tensor_core)
+        seconds = step_seconds(self.spec, op, size)
         t = self.clock.run(self.resource_for(op, stream), seconds, deps=deps, label=label)
         return self._observe(op, t, deps)
 
@@ -218,13 +216,11 @@ class SimCPU:
         spec: CPUSpec,
         name: str = "cpu0",
         *,
-        parallel_enabled: bool = True,
         telemetry=None,
     ):
         self.clock = clock
         self.spec = spec
         self.name = name
-        self.parallel_enabled = bool(parallel_enabled)
         self.resource = f"{name}.cpu"  # its one timeline
         clock.add_resource(self.resource)
         registry = telemetry.registry if telemetry is not None else MetricRegistry()
@@ -242,9 +238,9 @@ class SimCPU:
         return self.resource
 
     def run_step(self, op: str, size: tuple, deps=(), label: str = "cpu") -> Task:
-        """One plan step, priced at this CPU's spec and parallel flag
+        """One plan step, priced at this CPU's spec
         (:func:`~repro.simgpu.cost.step_seconds`)."""
-        seconds = step_seconds(self.spec, op, size, parallel=self.parallel_enabled)
+        seconds = step_seconds(self.spec, op, size)
         return self.run(seconds, deps, label, kind=op)
 
     def elementwise(self, fn, arrays, deps=(), label="cpu_elementwise"):

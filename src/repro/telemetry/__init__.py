@@ -8,8 +8,8 @@ time and bytes go, per phase, per device, per link, per op.  One
 or :meth:`Telemetry.report` for a human-readable roll-up.
 
 See :mod:`repro.telemetry.core` for the metric naming conventions and
-:mod:`repro.telemetry.export` for the Chrome-trace / JSON / plaintext
-output formats.
+:mod:`repro.telemetry.export` for the Chrome-trace / plaintext output
+formats.
 """
 
 from repro.telemetry.core import Telemetry, maybe_span
@@ -30,7 +30,6 @@ from repro.telemetry.spans import SpanLog, SpanRecord
 from repro.telemetry.export import (
     chrome_trace_events,
     export_chrome_trace,
-    json_summary,
     text_report,
 )
 
@@ -52,6 +51,5 @@ __all__ = [
     "SpanRecord",
     "chrome_trace_events",
     "export_chrome_trace",
-    "json_summary",
     "text_report",
 ]

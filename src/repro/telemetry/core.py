@@ -127,9 +127,6 @@ class Telemetry:
 
         return text_report(self.snapshot(), title=title)
 
-    def to_json(self, **dumps_kwargs) -> str:
-        return self.snapshot().to_json(**dumps_kwargs)
-
     def chrome_trace_events(self, *, min_duration_s: float = 0.0) -> list[dict]:
         from repro.telemetry.export import chrome_trace_events
 

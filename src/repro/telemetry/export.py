@@ -1,6 +1,6 @@
-"""Exporters: Chrome tracing, JSON summary, plaintext report.
+"""Exporters: Chrome tracing, plaintext report.
 
-Three output formats:
+Two output formats:
 
 * :func:`chrome_trace_events` / :func:`export_chrome_trace` — the
   ``chrome://tracing`` / Perfetto event-list format.  Works on a bare
@@ -8,8 +8,6 @@ Three output formats:
   resource — the legacy surface) or on a whole
   :class:`~repro.telemetry.Telemetry` (one process per registered
   clock, plus a span lane per clock showing the nested op/phase spans);
-* :func:`json_summary` — the snapshot's full metric/span payload as a
-  JSON-ready dict, for machine consumption;
 * :func:`text_report` — the aligned plaintext report the bench CLI and
   the examples print.
 """
@@ -25,7 +23,6 @@ from repro.telemetry.snapshot import TelemetrySnapshot
 __all__ = [
     "chrome_trace_events",
     "export_chrome_trace",
-    "json_summary",
     "text_report",
 ]
 
@@ -136,17 +133,6 @@ def export_chrome_trace(
         "displayTimeUnit": "ms",
     }
     path.write_text(json.dumps(payload))
-    return path
-
-
-def json_summary(snapshot: TelemetrySnapshot) -> dict:
-    """The snapshot as a JSON-ready dict (counters/gauges/histograms/spans)."""
-    return snapshot.as_dict()
-
-
-def export_json_summary(snapshot: TelemetrySnapshot, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(snapshot.to_json(indent=2))
     return path
 
 

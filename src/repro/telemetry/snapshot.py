@@ -15,7 +15,6 @@ Diff semantics:
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
 from repro.telemetry.registry import (
@@ -143,39 +142,3 @@ class TelemetrySnapshot:
         seen = {s.index for s in older._spans}
         spans = [s for s in self._spans if s.index not in seen]
         return TelemetrySnapshot(counters, gauges, histograms, spans)
-
-    # -- serialisation ---------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        """JSON-ready structure (the JSON-summary exporter's payload)."""
-
-        def series_out(store, render):
-            return {
-                name: [
-                    {"labels": dict(key), "value": render(value)}
-                    for key, value in sorted(series.items())
-                ]
-                for name, series in sorted(store.items())
-            }
-
-        def render_hist(d: HistogramData) -> dict:
-            return {
-                "count": d.count,
-                "sum": d.total,
-                "min": d.min if d.count else None,
-                "max": d.max if d.count else None,
-                "buckets": [
-                    {"le": bound, "count": count}
-                    for bound, count in zip(d.bounds, d.bucket_counts)
-                ],
-            }
-
-        return {
-            "counters": series_out(self._counters, lambda v: v),
-            "gauges": series_out(self._gauges, lambda v: v),
-            "histograms": series_out(self._histograms, render_hist),
-            "spans": [s.as_dict() for s in self._spans],
-        }
-
-    def to_json(self, **dumps_kwargs) -> str:
-        return json.dumps(self.as_dict(), **dumps_kwargs)

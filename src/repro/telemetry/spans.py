@@ -42,20 +42,6 @@ class SpanRecord:
     def sim_duration(self) -> float:
         return self.sim_end - self.sim_start
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "labels": dict(self.labels),
-            "clock": self.clock,
-            "index": self.index,
-            "parent": self.parent,
-            "depth": self.depth,
-            "sim_start": self.sim_start,
-            "sim_end": self.sim_end,
-            "wall_start": self.wall_start,
-            "wall_end": self.wall_end,
-        }
-
 
 class SpanLog:
     """Ordered log of spans with a nesting stack."""

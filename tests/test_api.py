@@ -33,35 +33,35 @@ class TestSession:
     def test_default_session_is_parsecureml(self):
         ctx = repro.api.session()
         assert isinstance(ctx, SecureContext)
-        assert ctx.config.use_gpu and ctx.config.compression
+        assert ctx.config.placement_mode == "adaptive" and ctx.config.compression
         assert ctx.telemetry is not None
 
     def test_explicit_config_is_used(self):
         cfg = FrameworkConfig.secureml()
         ctx = repro.api.session(config=cfg)
         assert ctx.config is cfg
-        assert not ctx.config.use_gpu
+        assert ctx.config.placement_mode == "cpu_always"
 
     def test_keyword_overrides(self):
         ctx = repro.api.session(compression=False, seed=7)
         assert not ctx.config.compression
         assert ctx.config.seed == 7
-        assert ctx.config.use_gpu  # untouched fields keep their defaults
+        assert ctx.config.placement_mode == "adaptive"  # untouched fields keep their defaults
 
     def test_overrides_compose_with_config(self):
         ctx = repro.api.session(FrameworkConfig.secureml(), trace=True)
-        assert not ctx.config.use_gpu
+        assert ctx.config.placement_mode == "cpu_always"
         assert ctx.config.trace
 
     def test_unknown_field_is_a_config_error_naming_it(self):
-        for name in ("bogus", "n_streams", "compression_threshold"):
+        for name in ("bogus", "n_streams", "compression_threshold", "tensor_core", "use_gpu"):
             with pytest.raises(ConfigError, match=name):
                 repro.api.session(**{name: 2})
 
     def test_create_classmethod(self):
         ctx = SecureContext.create()
         assert isinstance(ctx, SecureContext)
-        assert SecureContext.create(FrameworkConfig.secureml()).config.use_gpu is False
+        assert SecureContext.create(FrameworkConfig.secureml()).client_gpu is None
 
     def test_session_round_trip(self):
         """A session computes correctly and its telemetry saw the work."""

@@ -10,6 +10,7 @@ from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
 from repro.core.models import build_plain
 from repro.datasets import sequence_dataset
+from repro.simgpu.cost import V100_FP32_SPEC, V100_SPEC, XEON_SERIAL_SPEC
 from repro.util.errors import ConfigError
 
 
@@ -92,17 +93,22 @@ class TestPlainTiming:
         )
         assert timer.clock.free_at("pcie") == 0
 
-    def test_tensor_core_speeds_large_gemm(self, rng):
+    def test_tensor_core_spec_speeds_large_gemm(self, rng):
         x = rng.normal(size=(128, 2048))
         y = rng.normal(size=(128, 10))
         times = {}
-        for tc in (False, True):
-            timer = PlainTimer("gpu", tensor_core=tc)
+        for spec in (V100_FP32_SPEC, V100_SPEC):
+            timer = PlainTimer("gpu", gpu_spec=spec)
             PlainTrainer(build_plain("MLP", 2048, hidden=(1024,), n_out=10, seed=0), timer).train(
                 x, y, batch_size=128
             )
-            times[tc] = timer.seconds
-        assert times[True] < times[False]
+            times[spec.name] = timer.seconds
+        assert times[V100_SPEC.name] < times[V100_FP32_SPEC.name]
+
+    def test_default_specs_are_a_serial_cpu_and_fp32_gemms(self):
+        """The plain baselines' prices: one CPU thread, no Tensor Cores."""
+        timer = PlainTimer("cpu")
+        assert (timer.cpu_spec, timer.gpu_spec) == (XEON_SERIAL_SPEC, V100_FP32_SPEC)
 
 
 class TestPlainTrainer:

@@ -6,26 +6,58 @@ import pytest
 from conftest import make_ctx
 from repro.core.config import FrameworkConfig
 from repro.core.context import SecureContext
+from repro.simgpu.cost import V100_SPEC, XEON_E5_2670V3_SPEC, XEON_SERIAL_SPEC
 from repro.util.errors import ConfigError
 
 
 class TestConfig:
     def test_parsecureml_preset(self):
         cfg = FrameworkConfig.parsecureml()
-        assert cfg.use_gpu and cfg.pipeline1 and cfg.double_pipeline
-        assert cfg.compression and cfg.tensor_core and cfg.cpu_parallel
+        assert cfg.placement_mode == "adaptive" and cfg.pipeline1 and cfg.double_pipeline
+        assert cfg.compression and cfg.gpu_spec == V100_SPEC  # Tensor Cores on
+        assert cfg.cpu_spec == cfg.client_cpu_spec == XEON_E5_2670V3_SPEC  # Section 5.1 on
 
     def test_secureml_preset(self):
         cfg = FrameworkConfig.secureml()
-        assert not cfg.use_gpu
+        assert cfg.placement_mode == "cpu_always"
         assert not cfg.pipeline1 and not cfg.double_pipeline
-        assert not cfg.compression and not cfg.cpu_parallel
-        assert cfg.client_parallel  # shared client infrastructure stays on
+        assert not cfg.compression and cfg.cpu_spec == XEON_SERIAL_SPEC
+        # shared client infrastructure keeps its parallelism
+        assert cfg.client_cpu_spec == XEON_E5_2670V3_SPEC
 
     def test_but_override(self):
         cfg = FrameworkConfig.parsecureml().but(compression=False)
         assert not cfg.compression
-        assert cfg.use_gpu
+        assert cfg.placement_mode == "adaptive"
+
+    @pytest.mark.parametrize("knob", ["tensor_core", "cpu_parallel", "client_parallel", "use_gpu"])
+    def test_an_ablation_knob_is_a_config_error_naming_it(self, knob):
+        """The hardware ablations are specs (``gpu_spec``, ``cpu_spec``,
+        ``client_cpu_spec``) and ``placement_mode``, not switches."""
+        with pytest.raises(ConfigError, match=knob):
+            FrameworkConfig().but(**{knob: False})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("cpu_spec", V100_SPEC), ("client_cpu_spec", V100_SPEC), ("gpu_spec", XEON_SERIAL_SPEC),
+         ("server_link", XEON_SERIAL_SPEC), ("uplink", None)],
+    )
+    def test_a_spec_of_the_wrong_kind_is_a_config_error(self, field, value):
+        """Refused when built: a spec of another kind would fail only when
+        a step is priced, as a bare ValueError or AttributeError."""
+        with pytest.raises(ConfigError, match=field):
+            FrameworkConfig(**{field: value})
+
+    def test_cpu_always_builds_no_gpu(self):
+        """No party of a ``cpu_always`` deployment has a GPU, so no
+        ``simgpu.*`` metric is registered."""
+        ctx = SecureContext(FrameworkConfig(placement_mode="cpu_always"))
+        assert ctx.client_gpu is None and ctx.server_gpu == [None, None]
+        assert not [n for n in ctx.telemetry.registry.metrics() if n.startswith("simgpu.")]
+        clocks = (ctx.online_clock, ctx.offline_clock)
+        assert not [r for clock in clocks for r in clock.resources() if "gpu" in r]
+        adaptive = SecureContext(FrameworkConfig())
+        assert "simgpu.gemm_count" in adaptive.telemetry.registry.metrics()
 
     @pytest.mark.parametrize(
         "field,value",

@@ -5,7 +5,7 @@ import pytest
 
 from repro.fixedpoint.ring import ring_matmul
 from repro.simgpu.clock import SimClock
-from repro.simgpu.cost import V100_SPEC, XEON_E5_2670V3_SPEC
+from repro.simgpu.cost import V100_SPEC, XEON_E5_2670V3_SPEC, XEON_SERIAL_SPEC
 from repro.simgpu.device import SimCPU, SimGPU
 from repro.simgpu.cost import DeviceSpec
 from dataclasses import replace
@@ -107,16 +107,16 @@ class TestKernels:
 
 class TestSimCPU:
     @staticmethod
-    def _both_flags(op):
+    def _both_specs(op):
         clock = SimClock()
-        fast = SimCPU(clock, XEON_E5_2670V3_SPEC, "f", parallel_enabled=True)
-        slow = SimCPU(clock, XEON_E5_2670V3_SPEC, "s", parallel_enabled=False)
+        fast = SimCPU(clock, XEON_E5_2670V3_SPEC, "f")
+        slow = SimCPU(clock, XEON_SERIAL_SPEC, "s")
         return fast.run_step(op, (8_000_000,)), slow.run_step(op, (8_000_000,))
 
-    def test_parallel_flag_speeds_elementwise(self):
-        tf, ts = self._both_flags("elementwise")
+    def test_parallel_spec_speeds_elementwise(self):
+        tf, ts = self._both_specs("elementwise")
         assert tf.duration < ts.duration
 
-    def test_parallel_flag_speeds_rng(self):
-        tf, ts = self._both_flags("rng")
+    def test_parallel_spec_speeds_rng(self):
+        tf, ts = self._both_specs("rng")
         assert tf.duration < ts.duration

@@ -8,6 +8,7 @@ from repro.core.models import SecureLogisticRegression, SecureMLP, build_plain, 
 from repro.core.training import SecureTrainer
 from repro.core.inference import secure_predict
 from repro.baselines.plain import PlainTimer, PlainTrainer
+from repro.simgpu.cost import V100_FP32_SPEC, XEON_SERIAL_SPEC
 
 
 class TestNumericInvariance:
@@ -20,11 +21,10 @@ class TestNumericInvariance:
             {"pipeline1": False},
             {"double_pipeline": False},
             {"compression": False},
-            {"tensor_core": False},
-            {"cpu_parallel": False},
+            {"gpu_spec": V100_FP32_SPEC},
+            {"cpu_spec": XEON_SERIAL_SPEC, "client_cpu_spec": XEON_SERIAL_SPEC},
             {"placement_mode": "cpu_always"},
             {"placement_mode": "gpu_always"},
-            {"use_gpu": False, "placement_mode": "cpu_always"},
         ],
     )
     def test_trained_weights_invariant(self, rng, override):
@@ -100,8 +100,8 @@ class TestTimingBehaviour:
         y = rng.normal(size=(128, 10))
         times = {}
         for name, factory_kw in (
-            ("sml", dict(use_gpu=False, placement_mode="cpu_always", pipeline1=False,
-                         double_pipeline=False, compression=False, cpu_parallel=False)),
+            ("sml", dict(placement_mode="cpu_always", pipeline1=False,
+                         double_pipeline=False, compression=False, cpu_spec=XEON_SERIAL_SPEC)),
             ("par", {}),
         ):
             ctx = make_ctx(seed=3, **factory_kw)

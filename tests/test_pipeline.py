@@ -18,7 +18,7 @@ from repro.pipeline.profiler import PLANS, StepProfiler, plan_steps
 from repro.pipeline.timeline import render_gantt, summarize
 from repro.protocols.beaver2pc import _resident
 from repro.simgpu.clock import SimClock, Task
-from repro.simgpu.cost import V100_SPEC, XEON_E5_2670V3_SPEC
+from repro.simgpu.cost import V100_SPEC, XEON_E5_2670V3_SPEC, XEON_SERIAL_SPEC
 from repro.simgpu.device import SimGPU
 
 
@@ -64,11 +64,11 @@ class TestProfiler:
         assert small.placement == "cpu"
         assert large.placement == "gpu"
 
-    def test_client_rng_is_priced_at_the_clients_parallel_flag(self):
+    def test_client_rng_is_priced_at_the_clients_spec(self):
         """The one RNG the profiler places is the client's, whose CPU runs
-        at ``client_parallel``: a 64 KiB draw costs ~10 us there against
-        ~25 us on cuRAND, even when the servers' ``cpu_parallel`` is off."""
-        ctx = SecureContext(FrameworkConfig(cpu_parallel=False))
+        at ``client_cpu_spec``: a 64 KiB draw costs ~10 us there against
+        ~25 us on cuRAND, even when the servers' ``cpu_spec`` is serial."""
+        ctx = SecureContext(FrameworkConfig(cpu_spec=XEON_SERIAL_SPEC))
         assert ctx.profiler.decide("rng", (65536,)).placement == "cpu"
 
     def test_elementwise_small_on_cpu(self, profiler):
@@ -103,9 +103,9 @@ class TestRunPlan:
     @pytest.mark.parametrize("device", ["cpu", "gpu"])
     @pytest.mark.parametrize("plan", PLANS)
     def test_placed_durations_sum_to_the_profilers_price(self, plan, device):
-        # the servers' and the client's parallel flags differ, so a step
-        # priced at the wrong party's flag shows
-        ctx = make_ctx(cpu_parallel=False, placement_mode=f"{device}_always")
+        # the servers' and the client's CPU specs differ, so a step
+        # priced at the wrong party's spec shows
+        ctx = make_ctx(cpu_spec=XEON_SERIAL_SPEC, placement_mode=f"{device}_always")
         client = plan in ("dealer", "rng", "encode")
         cpu, gpu = (
             (ctx.client_cpu, ctx.client_gpu) if client else (ctx.server_cpu[0], ctx.server_gpu[0])
@@ -118,17 +118,17 @@ class TestRunPlan:
         assert len(tasks) == len(steps)
         assert {t.resource.split(".")[0] for t in tasks} == {(gpu if on == "gpu" else cpu).name}
         assert sum(t.duration for t in tasks) == pytest.approx(
-            sum(ctx.profiler.step_prices(on, steps, parallel=cpu.parallel_enabled)), rel=1e-12
+            sum(ctx.profiler.step_prices(on, steps, client=client)), rel=1e-12
         )
 
-    def test_a_server_and_a_client_draw_are_priced_at_their_own_parallel_flags(self):
-        ctx = make_ctx(cpu_parallel=False, client_parallel=True)
-        spec, nbytes = ctx.config.cpu_spec, 4096
+    def test_a_server_and_a_client_draw_are_priced_at_their_own_specs(self):
+        ctx = make_ctx(cpu_spec=XEON_SERIAL_SPEC)
+        nbytes = 4096
         run_plan = ctx.profiler.run_plan
         (server,) = run_plan(ctx.server_cpu[0], None, "prg", (nbytes,), deps=(), label="s")
         (client,) = run_plan(ctx.client_cpu, None, "rng", (nbytes,), deps=(), label="c")
-        assert server.duration == pytest.approx(spec.rng_seconds(2 * nbytes, parallel=False))
-        assert client.duration == pytest.approx(spec.rng_seconds(nbytes, parallel=True))
+        assert server.duration == pytest.approx(XEON_SERIAL_SPEC.rng_seconds(2 * nbytes))
+        assert client.duration == pytest.approx(XEON_E5_2670V3_SPEC.rng_seconds(nbytes))
         assert ctx.profiler.decide("rng", (nbytes,)).cpu_estimate_s == client.duration
 
     @pytest.mark.parametrize("backend", ["beaver2pc", "rep3"])

@@ -26,7 +26,7 @@ from repro.mpc.shares import SharePair, reconstruct
 from repro.mpc.triplets import MaskView, MatrixTriplet
 from repro.pipeline.profiler import StepProfiler
 from repro.simgpu.clock import SimClock
-from repro.simgpu.cost import V100_SPEC, XEON_E5_2670V3_SPEC
+from repro.simgpu.cost import V100_FP32_SPEC, V100_SPEC, XEON_E5_2670V3_SPEC
 from repro.simgpu.device import SimCPU, SimGPU
 from repro.util.errors import ShapeError
 from repro.util.validation import gemm_dims
@@ -246,9 +246,9 @@ class TestPlacement:
         assert uploads == [[f"static:{n}" for n in FIG5_ORDER], ["static:h2d:E", "static:h2d:A"]]
 
 
-def _on_gpu(x, y, trans_a, trans_b, tensor_core):
+def _on_gpu(x, y, trans_a, trans_b, gpu_spec):
     """``x @ y`` on a fresh GPU whose buffers hold what ``op()`` reads."""
-    gpu = SimGPU(SimClock(), V100_SPEC, "g", tensor_core=tensor_core)
+    gpu = SimGPU(SimClock(), gpu_spec, "g")
     flip = lambda m, t: np.ascontiguousarray(np.swapaxes(m, -1, -2)) if t else m
     (xb, _), (yb, _) = gpu.h2d(flip(x, trans_a)), gpu.h2d(flip(y, trans_b))
     out, task = gpu.gemm_ring(xb, yb, trans_a=trans_a, trans_b=trans_b)
@@ -261,12 +261,12 @@ def _on_gpu(x, y, trans_a, trans_b, tensor_core):
     m=st.integers(0, 4),
     k=st.one_of(st.integers(0, 6), st.integers(CHUNK_K - 1, CHUNK_K + 3)),
     n=st.integers(0, 4),
-    tensor_core=st.booleans(),
+    gpu_spec=st.sampled_from([V100_SPEC, V100_FP32_SPEC]),
     seed=st.integers(0, 2**16),
 )
-@example(m=2, k=0, n=3, tensor_core=True, seed=0)
-@example(m=3, k=CHUNK_K + 1, n=2, tensor_core=False, seed=1)
-def test_a_matrix_product_is_a_stack_of_one(m, k, n, tensor_core, seed):
+@example(m=2, k=0, n=3, gpu_spec=V100_SPEC, seed=0)
+@example(m=3, k=CHUNK_K + 1, n=2, gpu_spec=V100_FP32_SPEC, seed=1)
+def test_a_matrix_product_is_a_stack_of_one(m, k, n, gpu_spec, seed):
     """``(m,k) x (k,n)`` and the same operands as ``(1,m,k) x (1,k,n)``
     compute, cost and place alike on every layer of the GEMM path."""
     rng = np.random.default_rng(seed)
@@ -276,8 +276,8 @@ def test_a_matrix_product_is_a_stack_of_one(m, k, n, tensor_core, seed):
     want = ring_matmul(a, b)
     np.testing.assert_array_equal(ring_matmul(one_a, one_b), want[None])
     for flags in itertools.product((False, True), repeat=2):
-        out, seconds, launches, flops = _on_gpu(a, b, *flags, tensor_core)
-        one_out, one_seconds, *one_counts = _on_gpu(one_a, one_b, *flags, tensor_core)
+        out, seconds, launches, flops = _on_gpu(a, b, *flags, gpu_spec)
+        one_out, one_seconds, *one_counts = _on_gpu(one_a, one_b, *flags, gpu_spec)
         np.testing.assert_array_equal(out, want)
         np.testing.assert_array_equal(one_out, want[None])
         assert (one_seconds, *one_counts) == (seconds, launches, flops), flags
@@ -288,7 +288,7 @@ def test_a_matrix_product_is_a_stack_of_one(m, k, n, tensor_core, seed):
     assert cpu_runs[1].duration == cpu_runs[0].duration
     for plan in ("dealer", "rep3", "beaver2pc"):
         decisions = [
-            StepProfiler(XEON_E5_2670V3_SPEC, V100_SPEC, tensor_core=tensor_core).place_gemm(
+            StepProfiler(XEON_E5_2670V3_SPEC, gpu_spec).place_gemm(
                 *gemm_dims(x.shape, y.shape), plan=plan
             )
             for x, y in ((a, b), (one_a, one_b))

@@ -32,10 +32,8 @@ from repro.telemetry import (
     Telemetry,
     chrome_trace_events,
     export_chrome_trace,
-    json_summary,
     text_report,
 )
-from repro.telemetry.export import export_json_summary
 from repro.util.errors import ConfigError
 
 
@@ -437,34 +435,6 @@ class TestReports:
         report = ctx.telemetry.report(title="run")
         for needle in ("phases", "communication", "device kernels", "secure ops", "spans"):
             assert needle in report
-
-    def test_json_summary_round_trips(self):
-        telem = Telemetry()
-        telem.counter("n").inc(3, op="a")
-        payload = json_summary(telem.snapshot())
-        assert json.loads(json.dumps(payload))["counters"]["n"]
-
-    def test_json_export_writes_the_snapshot_with_its_spans(self, tmp_path):
-        clock = SimClock()
-        clock.add_resource("r")
-        telem = Telemetry(clocks={"online": clock})
-        telem.counter("n").inc(3, op="a")
-        telem.gauge("g").set(2.5)
-        telem.histogram("h").observe(0.5)
-        with telem.span("outer", clock="online", batch=0):
-            clock.run("r", 1.0)
-            with telem.span("inner"):
-                pass
-        out = export_json_summary(telem.snapshot(), tmp_path / "summary.json")
-        payload = json.loads(out.read_text())
-        assert payload == json.loads(telem.to_json()) == json_summary(telem.snapshot())
-        assert payload["counters"]["n"] == [{"labels": {"op": "a"}, "value": 3}]
-        assert payload["histograms"]["h"][0]["value"]["count"] == 1
-        outer, inner = payload["spans"]
-        assert outer["name"] == "outer" and outer["labels"] == {"batch": "0"}
-        assert (outer["clock"], outer["sim_start"], outer["sim_end"]) == ("online", 0.0, 1.0)
-        assert (outer["depth"], outer["parent"]) == (0, None)
-        assert (inner["depth"], inner["parent"]) == (1, outer["index"])
 
     def test_empty_report_says_so(self):
         assert "(no activity recorded)" in text_report(Telemetry().snapshot())
